@@ -6,6 +6,16 @@ probabilities.  The history vector accumulates everything each node has
 ever moved, and its normalization estimates the stationary distribution.
 Total cash stays zero and the total absolute cash never increases, which
 the engine tracks and the test suite asserts on every run.
+
+A push costs O(degree), not O(n): ``||C||_1`` is kept incrementally from
+the change each ``scatter_add`` reports, with a sound rounding bound
+``l1_err``.  The exact sum ``float(np.abs(C).sum())`` replaces it at every
+trace row, whenever the bound could put it below the stopping threshold,
+on every step of the "pihat" criterion, and when the bound grows past
+``DRIFT_TOL`` of the value.  So every stop decision and every traced
+value is the exact sum, and only the steps in between use the
+incremental one.  Matrices whose pushes write O(n) entries return no
+change, and their steps recompute the sum exactly.
 """
 
 from __future__ import annotations
@@ -15,11 +25,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateHistoryError, NoConvergenceError, ZeroTotalHistoryError
+from .errors import (
+    DegenerateHistoryError,
+    InvalidIndexError,
+    NoConvergenceError,
+    ZeroTotalHistoryError,
+)
 from .matrix import check_distribution
 
 GUARD_UNIT = 1e-12
 MAX_GUARD_RETRIES = 3
+
+# The incremental ||C||_1 is replaced by the exact sum once its rounding
+# bound exceeds this fraction of it.
+DRIFT_TOL = 1e-9
+# Twice the unit roundoff: the first-order bounds below, taken in this
+# unit, also cover their second-order terms.
+_U = 2.0**-52
+
+
+def _sum_depth(n):
+    """Most additions any one entry passes through when numpy sums <= n floats.
+
+    numpy sums a contiguous vector pairwise (at most ~34 levels inside a
+    block of 8192 entries) and adds block results in sequence, so such a
+    sum of nonnegative terms is within ``_sum_depth(n) * _U`` of exact,
+    relative to the total.  The same bound covers any one stored row.
+    """
+    return n // 8192 + 64
 
 
 @dataclass
@@ -36,6 +69,11 @@ class SolverState:
     cash_l1: float
     updates: int = 0
     max_l1_increase: float = 0.0
+    # Bound on |cash_l1 - float(np.abs(C).sum())|; zero exactly when
+    # cash_l1 is that sum (at init and after every sync).
+    l1_err: float = 0.0
+    # Largest |incremental - exact| ||C||_1 seen at a sync.
+    max_l1_drift: float = 0.0
 
     @property
     def n(self):
@@ -118,12 +156,92 @@ def init(P, M0=None):
     )
 
 
+def sync_cash_l1(state):
+    """Replace an incremental ``cash_l1`` by the exact sum; no-op when exact."""
+    if state.l1_err:
+        exact = float(np.abs(state.C).sum())
+        state.max_l1_drift = max(state.max_l1_drift, abs(state.cash_l1 - exact))
+        state.cash_l1 = exact
+        state.l1_err = 0.0
+
+
+def _account(state, delta, moved_abs, rows):
+    """Fold one push into ``cash_l1``.
+
+    ``delta`` is the change in ``sum(|C|)`` that ``scatter_add`` reported
+    for the ``rows`` pushed rows (None: recompute exactly), and
+    ``moved_abs`` the absolute cash those rows held before they were
+    zeroed.
+    """
+    old = state.cash_l1
+    if delta is None:
+        state.cash_l1 = float(np.abs(state.C).sum())
+        state.l1_err = 0.0
+        change = state.cash_l1 - old
+    else:
+        change = delta - moved_abs
+        depth = _sum_depth(state.C.size)
+        err = state.l1_err
+        if not err:
+            # first push since the exact sum: that sum and the next one round
+            err = 2 * depth * _U * old
+        # Each row sum in delta rounds within depth * _U of the row's
+        # |old| + |new| <= 2 ||C||_1; 4 more units for the additions here.
+        state.cash_l1 = old + change
+        state.l1_err = err + (rows * depth + 4) * 2 * _U * (old + err + moved_abs)
+        if state.l1_err > DRIFT_TOL * state.cash_l1:
+            sync_cash_l1(state)
+    state.max_l1_increase = max(state.max_l1_increase, change)
+
+
+def _is_permutation(G, n):
+    """Validate a multi-node green-light set; True when it is all of [0, n).
+
+    Raises InvalidIndexError for ids outside [0, n) or repeated ids.  The
+    permutation test is O(n) with no sort, so full sweeps stay cheap.
+    """
+    if G.size == n and G[0] == 0 and G[-1] == n - 1 and (G[1:] > G[:-1]).all():
+        return True  # strictly increasing from 0 to n-1: the sweep's usual arange
+    if G.min() < 0 or G.max() >= n:
+        raise InvalidIndexError(f"green-light set has a node outside [0, {n})")
+    if G.size == n:
+        seen = np.zeros(n, dtype=bool)
+        seen[G] = True
+        distinct = bool(seen.all())
+    else:
+        distinct = G.size < n and np.unique(G).size == G.size
+    if not distinct:
+        raise InvalidIndexError("green-light set repeats a node")
+    return G.size == n
+
+
 def step(state, G, P):
-    """Push the full cash of every node in G; no-op entries are free."""
+    """Push the full cash of every node in G; no-op entries are free.
+
+    G lists distinct node ids in [0, n); InvalidIndexError otherwise.  An
+    empty G only advances the step counter.
+    """
     G = np.asarray(G, dtype=np.int64)
-    old_l1 = state.cash_l1
-    if G.size == state.n:
+    n = state.C.size
+    if G.size == 1:
+        # Single-node push: scalar reads and one row slice.
+        i = int(G[0])
+        if not 0 <= i < n:
+            raise InvalidIndexError(f"node {i} outside [0, {n})")
+        C = state.C
+        a = float(C[i])
+        if a != 0.0:
+            state.H[i] += a
+            state.total_history += a
+            C[i] = 0.0
+            delta = P.scatter_add(C, [i], [a])
+            state.cum_cost += float(P.out_degree[i])
+            state.updates += 1
+            _account(state, delta, abs(a), 1)
+    elif G.size and _is_permutation(G, n):
         # Full sweep: C - M + M P collapses to one vector-matrix product.
+        sync_cash_l1(state)  # the increase below is between exact sums
+        old_l1 = state.cash_l1
         moved = state.C
         movers = int(np.count_nonzero(moved))
         state.H += moved
@@ -131,6 +249,8 @@ def step(state, G, P):
         state.C = P.mul_left(moved)
         state.cum_cost += float(P.out_degree[moved != 0].sum())
         state.updates += movers
+        state.cash_l1 = float(np.abs(state.C).sum())
+        state.max_l1_increase = max(state.max_l1_increase, state.cash_l1 - old_l1)
     elif G.size:
         amounts = state.C[G]
         live = amounts != 0.0
@@ -140,12 +260,11 @@ def step(state, G, P):
             state.H[movers_idx] += amounts
             state.total_history += float(amounts.sum())
             state.C[movers_idx] = 0.0
-            P.scatter_add(state.C, movers_idx, amounts)
+            delta = P.scatter_add(state.C, movers_idx, amounts)
             state.cum_cost += float(P.out_degree[movers_idx].sum())
             state.updates += int(movers_idx.size)
+            _account(state, delta, float(np.abs(amounts).sum()), movers_idx.size)
     state.t += 1
-    state.cash_l1 = float(np.abs(state.C).sum())
-    state.max_l1_increase = max(state.max_l1_increase, state.cash_l1 - old_l1)
     return state
 
 
@@ -217,6 +336,7 @@ def run(
         def record(force=False):
             nonlocal last_recorded
             if force or state.updates - last_recorded >= stride:
+                sync_cash_l1(state)
                 err = None
                 if oracle is not None:
                     try:
@@ -232,10 +352,13 @@ def run(
         while True:
             action = guard_total_history(state, schedule)
             if action != GUARD_CONTINUE:
+                sync_cash_l1(state)
                 guard_events.append((state.t, action))
                 degenerate = True
                 break
             if criterion == "cash":
+                if state.cash_l1 - state.l1_err < eps:
+                    sync_cash_l1(state)
                 if state.cash_l1 < eps:
                     record(force=True)
                     return RunResult(estimate(state), state, trace, True, restarts, guard_events)
@@ -255,6 +378,8 @@ def run(
             moved_before = state.updates
             G = schedule.next_nodes(state.C)
             step(state, G, P)
+            if criterion == "pihat":
+                sync_cash_l1(state)
             state.scan_cost = float(getattr(schedule, "scan_cost", 0.0))
             if criterion == "pihat" and state.updates == moved_before and state.cash_l1 > 0.0:
                 prev_pi = None  # no cash moved: skip the next comparison

@@ -10,8 +10,18 @@ used by the iteration engine and the reference solvers:
 - ``row(i)``            pair ``(cols, vals)`` of the stored row i
 - ``mul_left(x)``       the vector-matrix product x @ P
 - ``scatter_add(C, nodes, amounts)``
-                        in-place ``C += sum_k amounts[k] * row(nodes[k])``
+                        in-place ``C += sum_k amounts[k] * row(nodes[k])``;
+                        returns the change in ``||C||_1`` it caused, or
+                        ``None`` (see below)
 - ``to_dense()``        dense ndarray copy (bounded by DENSE_CAP states)
+
+``scatter_add`` return contract: a matrix whose push writes only the
+stored row (``TransitionMatrix``) returns the float change in
+``sum(|C|)``, summed row by row as ``|new|.sum() - |old|.sum()`` over the
+slice it gathers and writes anyway, so the engine can keep ``||C||_1``
+in O(degree) per push.  A matrix whose push writes O(n) entries
+(``GoogleMatrix``, ``MeanFieldMatrix``) returns ``None``, and the engine
+recomputes the sum exactly instead.
 
 Matrices are immutable after construction and safe to share between
 concurrent solver runs.
@@ -90,9 +100,15 @@ class TransitionMatrix:
         return np.bincount(self.indices, weights=contrib, minlength=self.n)
 
     def scatter_add(self, C, nodes, amounts):
+        delta = 0.0
         for i, a in zip(nodes, amounts):
             lo, hi = self.indptr[i], self.indptr[i + 1]
-            C[self.indices[lo:hi]] += a * self.data[lo:hi]
+            cols = self.indices[lo:hi]
+            old = C[cols]
+            new = old + a * self.data[lo:hi]
+            C[cols] = new
+            delta += float(np.abs(new).sum()) - float(np.abs(old).sum())
+        return delta
 
     def to_dense(self):
         if self.n > DENSE_CAP:
@@ -248,6 +264,7 @@ class GoogleMatrix:
                 restart += a * (1.0 - self.c)
         if restart != 0.0:
             C += restart * self.s
+        return None  # O(n) writer: the engine recomputes ||C||_1
 
     def push_damped(self, C, k, amount):
         """Add amount * c * p_k to C (restart mass not re-injected).

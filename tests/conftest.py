@@ -16,6 +16,15 @@ def dense_ergodic_chain(n, seed, alpha=0.8):
     return matrix.build_transition(edges, n)
 
 
+def ring_random_chain(n, degree, seed):
+    """A directed ring plus ``degree`` uniform out-arcs per node (irreducible)."""
+    rng = np.random.default_rng(seed)
+    nodes = np.arange(n)
+    src = np.concatenate([nodes, np.repeat(nodes, degree)])
+    dst = np.concatenate([(nodes + 1) % n, rng.integers(0, n, size=n * degree)])
+    return matrix.build_transition(np.column_stack([src, dst]).astype(float), n)
+
+
 # Clean, strongly connected draws of the 80-node block-model shape.
 SBM80_SEEDS = (2, 3, 5, 6)
 

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from rlgl import engine, models, schedules
 from rlgl.errors import (
     DegenerateHistoryError,
+    InvalidIndexError,
     InvalidM0Error,
     NoConvergenceError,
     ZeroTotalHistoryError,
 )
-from rlgl.matrix import gth_stationary
+from rlgl.matrix import build_transition, google_matrix, gth_stationary
 
-from conftest import dense_ergodic_chain
+from conftest import dense_ergodic_chain, ring_random_chain, sbm80_instance
 
 
 class TestInit:
@@ -62,6 +63,37 @@ class TestStep:
         base = st_.cum_cost
         engine.step(st_, [1, 2], four_state)  # both hold nonzero cash
         assert st_.cum_cost == base + 2.0
+
+    @staticmethod
+    def _snapshot(st_):
+        return (st_.C.tobytes(), st_.H.tobytes(), st_.t, st_.cum_cost, st_.total_history,
+                st_.cash_l1, st_.updates, st_.max_l1_increase)
+
+    @pytest.mark.parametrize(
+        "G",
+        [[1, 1], [0, 2, 0], [-1], [3], [0, -1], [0, 3], [0, 1, 1], [2, 2, 2, 2]],
+        ids=["repeat", "repeat3", "negative", "too-large", "set-negative", "set-too-large",
+             "full-length-repeat", "over-length"],
+    )
+    def test_invalid_ids_raise_and_leave_state(self, G):
+        # 3-cycle with a chord 0->2: before ids were checked, [1, 1] pushed node 1's
+        # cash twice (total cash 0.5, total history 2.0 against H.sum() 1.5)
+        P = build_transition([(0, 1), (1, 2), (2, 0), (0, 2)], 3)
+        st_ = engine.init(P, np.array([1.0, 0.0, 0.0]))
+        before = self._snapshot(st_)
+        with pytest.raises(InvalidIndexError):
+            engine.step(st_, G, P)
+        assert self._snapshot(st_) == before
+
+    def test_shuffled_permutation_is_a_full_sweep(self):
+        P = ring_random_chain(40, 3, 1)
+        a, b = engine.init(P), engine.init(P)
+        for _ in range(3):
+            engine.step(a, np.arange(40), P)
+            engine.step(b, np.random.default_rng(0).permutation(40), P)
+        assert a.C.tobytes() == b.C.tobytes()
+        assert a.H.tobytes() == b.H.tobytes()
+        assert (a.cum_cost, a.updates, a.cash_l1) == (b.cum_cost, b.updates, b.cash_l1)
 
 
 class TestEstimate:
@@ -266,3 +298,175 @@ class TestFractionOracle:
             assert np.abs(st_.C - ec).max() <= 1e-14
             if t < 11:
                 engine.step(st_, [[1, 0, 2, 3][t % 4]], four_state)
+
+
+def reference_step(state, G, P):
+    """The push step with an exact O(n) recompute of ||C||_1 on every step.
+
+    The engine keeps ||C||_1 incrementally; this is the step it replaced,
+    kept as the reference that every counter, vector and trace row of the
+    engine must reproduce bit for bit.
+    """
+    G = np.asarray(G, dtype=np.int64)
+    old_l1 = state.cash_l1
+    if G.size == state.n:
+        moved = state.C
+        movers = int(np.count_nonzero(moved))
+        state.H += moved
+        state.total_history += float(moved.sum())
+        state.C = P.mul_left(moved)
+        state.cum_cost += float(P.out_degree[moved != 0].sum())
+        state.updates += movers
+    elif G.size:
+        amounts = state.C[G]
+        live = amounts != 0.0
+        movers_idx = G[live]
+        amounts = amounts[live]
+        if movers_idx.size:
+            state.H[movers_idx] += amounts
+            state.total_history += float(amounts.sum())
+            state.C[movers_idx] = 0.0
+            P.scatter_add(state.C, movers_idx, amounts)
+            state.cum_cost += float(P.out_degree[movers_idx].sum())
+            state.updates += int(movers_idx.size)
+    state.t += 1
+    state.cash_l1 = float(np.abs(state.C).sum())
+    state.max_l1_increase = max(state.max_l1_increase, state.cash_l1 - old_l1)
+    return state
+
+
+def _chain(name):
+    if name == "two-wheels":
+        edges, n = models.two_wheels()
+        return build_transition(models.symmetrize(edges), n)
+    if name == "sbm80":
+        return build_transition(*sbm80_instance())
+    if name == "ring1000":
+        return ring_random_chain(1000, 10, 3)
+    if name == "google":
+        edges, n = sbm80_instance()
+        return google_matrix(edges, 0.85, n=n)
+    return models.meanfield_sbm([50, 20, 10], 0.1, 0.01)
+
+
+def _schedule(name, n):
+    if name == "blocks":
+        # overlapping multi-node sets: evens, then a shifted stripe, then odds
+        return schedules.FixedBlocks(
+            [range(0, n, 2), [(3 * k + 1) % n for k in range(n // 3)], range(1, n, 2)]
+        )
+    return schedules.parse_schedule(name)
+
+
+def _run_outcome(P, sched_name, criterion, eps, stride):
+    try:
+        res = engine.run(
+            P, _schedule(sched_name, P.n), eps=eps, criterion=criterion,
+            max_steps=60_000, trace_stride=stride,
+        )
+    except NoConvergenceError as exc:
+        res = exc.result
+    st_ = res.state
+    pi = None if res.pi_hat is None else res.pi_hat.tobytes()
+    return (
+        res.converged, res.restarts, res.guard_events, pi, st_.t, st_.updates, st_.cum_cost,
+        st_.scan_cost, st_.total_history, st_.cash_l1, st_.H.tobytes(), st_.C.tobytes(),
+        res.trace.rows,
+    )
+
+
+class TestReferenceCrossCheck:
+    """The incremental-L1 engine against the exact-recompute reference step."""
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1", "blocks", "all"])
+    @pytest.mark.parametrize("chain", ["two-wheels", "sbm80", "ring1000", "google", "meanfield"])
+    def test_identical_runs(self, chain, sched_name, monkeypatch):
+        P = _chain(chain)
+        for criterion, eps, stride in (("cash", 1e-10, None), ("pihat", 1e-9, max(P.n // 3, 1))):
+            if criterion == "pihat" and P.n > 20:
+                continue  # pihat is O(n) per step on both sides: the small chain only
+            new = _run_outcome(P, sched_name, criterion, eps, stride)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "step", reference_step)
+                ref = _run_outcome(P, sched_name, criterion, eps, stride)
+            assert new == ref
+
+    def test_stops_where_the_exact_sum_crosses(self, monkeypatch):
+        # eps placed exactly at, and one ulp above, exact ||C||_1 values met
+        # along the run, where the incremental value alone could stop a step
+        # early or late
+        P = ring_random_chain(200, 5, 4)
+        sched = schedules.RoundRobin()
+        sched.bind(P)
+        sched.restart()
+        st_ = engine.init(P)
+        exact = []
+        for _ in range(2000):
+            reference_step(st_, sched.next_nodes(st_.C), P)
+            exact.append(st_.cash_l1)
+        for level in exact[37::97]:
+            for eps in (level, np.nextafter(level, np.inf)):
+                new = _run_outcome(P, "rr", "cash", eps, None)
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "step", reference_step)
+                    ref = _run_outcome(P, "rr", "cash", eps, None)
+                assert new == ref
+
+
+def _random_sparse_chain(n, degree, seed):
+    rng = np.random.default_rng(seed)
+    src = np.repeat(np.arange(n), degree)
+    dst = rng.integers(0, n, size=n * degree)
+    w = rng.random(n * degree) ** 3 + 1e-6  # weights spread over six decades
+    return build_transition(np.column_stack([src, dst, w]), n)
+
+
+class TestIncrementalCashL1:
+    @given(
+        n=st.integers(2, 40),
+        degree=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_within_bound_of_exact(self, n, degree, seed, data):
+        P = _random_sparse_chain(n, degree, seed)
+        st_ = engine.init(P)
+        nodes = st.integers(0, n - 1)
+        kinds = st.one_of(
+            nodes.map(lambda i: [i]),
+            st.lists(nodes, min_size=2, max_size=n, unique=True),
+            st.just([]),
+        )
+        for G in data.draw(st.lists(kinds, min_size=1, max_size=4 * n)):
+            engine.step(st_, G, P)
+            exact = float(np.abs(st_.C).sum())
+            assert abs(st_.cash_l1 - exact) <= st_.l1_err
+            assert st_.l1_err <= engine.DRIFT_TOL * st_.cash_l1
+            assert st_.max_l1_increase <= 1e-14
+
+    def test_drift_never_exceeds_bound(self, monkeypatch):
+        seen = []
+        sync = engine.sync_cash_l1
+
+        def checked_sync(state):
+            if state.l1_err:
+                drift = abs(state.cash_l1 - float(np.abs(state.C).sum()))
+                seen.append((drift, state.l1_err))
+            sync(state)
+
+        monkeypatch.setattr(engine, "sync_cash_l1", checked_sync)
+        res = engine.run(ring_random_chain(1000, 10, 5), schedules.RoundRobin(), eps=1e-10)
+        assert seen
+        assert all(drift <= bound for drift, bound in seen)
+        assert res.state.max_l1_drift == max(drift for drift, _ in seen)
+
+    def test_skip_steps_leave_bookkeeping(self):
+        P = ring_random_chain(50, 4, 2)
+        st_ = engine.init(P)
+        engine.step(st_, [7], P)
+        before = (st_.cash_l1, st_.l1_err, st_.max_l1_drift, st_.C.tobytes())
+        for _ in range(5):
+            engine.step(st_, [], P)
+        assert (st_.cash_l1, st_.l1_err, st_.max_l1_drift, st_.C.tobytes()) == before
+        assert st_.t == 7
