@@ -45,10 +45,7 @@ def main(argv=None):
     rows = []
     sim = mdp.simulate_policy(c0, grid, sizes, args.p, args.q, eps=args.eps)
     rows.append(("optimal", len(sim.actions), sim.cum_cost[-1], True))
-    with open(os.path.join(args.out, "trajectory.csv"), "w") as fh:
-        fh.write("step,action,cash_l1,cum_cost\n")
-        for k, a in enumerate(sim.actions):
-            fh.write(f"{k + 1},{int(a)},{sim.cash_l1[k + 1]:.17g},{sim.cum_cost[k + 1]:.17g}\n")
+    sim.to_csv(os.path.join(args.out, "trajectory.csv"))
 
     for name, cycle in CYCLES.items():
         try:

@@ -8,7 +8,6 @@ seeds.  Exit codes: 0 converged, 2 no convergence, 3 degenerate history,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from dataclasses import dataclass
@@ -62,6 +61,14 @@ class ExperimentConfig:
             raise ConfigError("eps must be > 0")
         if self.max_steps < 1:
             raise ConfigError("max-steps must be >= 1")
+        if self.trace_stride is not None and self.trace_stride < 1:
+            raise ConfigError("trace-stride must be >= 1")
+
+
+def _edges_of(P):
+    """(src, dst, value) rows of a CSR matrix's stored entries."""
+    src = np.repeat(np.arange(P.n), np.diff(P.indptr))
+    return np.column_stack([src, P.indices, P.data])
 
 
 def load_graph(spec, one_based=False, undirected=False, seed=0):
@@ -72,11 +79,7 @@ def load_graph(spec, one_based=False, undirected=False, seed=0):
     """
     if spec == "example31":
         P = models.four_state_chain()
-        edges = []
-        for i in range(P.n):
-            cols, vals = P.row(i)
-            edges.extend((i, int(j), float(v)) for j, v in zip(cols, vals))
-        return np.array(edges), P.n
+        return _edges_of(P), P.n
     if spec in ("two-wheels", "two_wheels"):
         und, n = models.two_wheels()
         return models.symmetrize(und), n
@@ -128,9 +131,17 @@ def build_problem(cfg: ExperimentConfig):
     return build_transition(edges, n), node_map
 
 
+def residual_kind(method):
+    """What a method's trace residual measures, as written to bench.csv."""
+    if method in ("pi", "gs"):
+        return "delta_l1"
+    return "gmres_rel" if method.startswith("gmres") else "cash_l1"
+
+
 def run_method(P, cfg: ExperimentConfig):
     """Dispatch one solver; returns (estimate, trace, residual_kind, meta)."""
     method = cfg.method
+    kind = residual_kind(method)
     if method.startswith("rlgl"):
         # "rlgl" uses --schedule; "rlgl+<schedule>" carries its own
         sched_text = method.split("+", 1)[1] if "+" in method else cfg.schedule
@@ -145,23 +156,25 @@ def run_method(P, cfg: ExperimentConfig):
             max_steps=cfg.max_steps,
             trace_stride=cfg.trace_stride,
         )
-        return res.pi_hat, res.trace, "cash_l1", res
+        return res.pi_hat, res.trace, kind, res
     if method == "pi":
         res = solvers.power_iteration(P, eps=cfg.eps, max_iters=cfg.max_steps)
-        return res.x, res.trace, "delta_l1", res
+        return res.x, res.trace, kind, res
     if method == "gs":
         res = solvers.gauss_seidel(P, eps=cfg.eps, max_sweeps=cfg.max_steps)
-        return res.x, res.trace, "delta_l1", res
+        return res.x, res.trace, kind, res
     if method.startswith("gmres"):
         m = int(method.split(":")[1]) if ":" in method else cfg.gmres_m
         res = solvers.gmres_restarted(P, m=m, eps=cfg.eps, max_restarts=cfg.max_steps)
-        return res.x, res.trace, "gmres_rel", res
+        return res.x, res.trace, kind, res
     if method.startswith("gso"):
         if not cfg.pagerank:
             raise ConfigError("gso applies to the pagerank mode only")
         sub = method.split(":", 1)[1] if ":" in method else "greedy-max"
-        res = solvers.gso_pagerank(P, schedule=sub, eps=cfg.eps, max_steps=cfg.max_steps, r=cfg.theta_r)
-        return res.x, res.trace, "cash_l1", res
+        res = solvers.gso_pagerank(
+            P, schedule=sub, eps=cfg.eps, max_steps=cfg.max_steps, r=cfg.theta_r, trace_stride=cfg.trace_stride
+        )
+        return res.x, res.trace, kind, res
     raise ConfigError(f"unknown method {cfg.method!r}")
 
 
@@ -171,16 +184,6 @@ def _write_estimate(path, x, node_map=None):
         for i, v in enumerate(x):
             node = int(node_map[i]) if node_map is not None else i
             fh.write(f"{node},{v:.17g}\n")
-
-
-def _write_solve_trace(path, trace):
-    if hasattr(trace, "to_csv") and isinstance(trace, engine.RunTrace):
-        trace.to_csv(path)
-        return
-    with open(path, "w") as fh:
-        fh.write("step,cum_cost,residual\n")
-        for row in trace.rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def cmd_solve(args):
@@ -203,11 +206,11 @@ def cmd_solve(args):
         print(f"degenerate history: {exc}", file=sys.stderr)
         res = getattr(exc, "result", None)
         if res is not None and res.trace is not None:
-            _write_solve_trace(os.path.join(cfg.out, "trace.csv"), res.trace)
+            res.trace.to_csv(os.path.join(cfg.out, "trace.csv"))
         return EXIT_DEGENERATE
     if x is not None:
         _write_estimate(os.path.join(cfg.out, "estimate.csv"), x, node_map)
-    _write_solve_trace(os.path.join(cfg.out, "trace.csv"), trace)
+    trace.to_csv(os.path.join(cfg.out, "trace.csv"))
     return code
 
 
@@ -219,7 +222,7 @@ def _bench_one(P, cfg, method):
     except RlglError as exc:
         res = getattr(exc, "result", None)
         trace = getattr(res, "trace", None)
-        return method, trace, "cash_l1", str(exc)
+        return method, trace, residual_kind(method), str(exc)
 
 
 def cmd_bench(args):
@@ -231,15 +234,7 @@ def cmd_bench(args):
     if not methods:
         raise ConfigError("bench needs at least one method")
     P, _ = build_problem(cfg)
-    workers = max(1, int(os.environ.get("RLGL_THREADS", "1")))
-    results = []
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_bench_one, P, cfg, m) for m in methods]
-            results = [f.result() for f in futs]
-    else:
-        results = [_bench_one(P, cfg, m) for m in methods]
-    results.sort(key=lambda r: methods.index(r[0]))
+    results = [_bench_one(P, cfg, m) for m in methods]
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "bench.csv")
     failures = []
@@ -250,11 +245,8 @@ def cmd_bench(args):
                 failures.append((method, error))
             if trace is None:
                 continue
-            if isinstance(trace, engine.RunTrace):
-                rows = [(r[0], r[2], r[4]) for r in trace.rows]
-            else:
-                rows = trace.rows
-            for step_, cost, resid in rows:
+            cols = [trace.columns.index(c) for c in ("step", "cum_cost", trace.residual)]
+            for step_, cost, resid in ([r[j] for j in cols] for r in trace.rows):
                 fh.write(f"{method},{step_},{cost:.17g},{resid:.17g},{kind}\n")
     for method, error in failures:
         print(f"{method}: {error}", file=sys.stderr)
@@ -275,12 +267,7 @@ def cmd_gen(args):
     if kind == "meanfield":
         sizes = [int(s) for s in args.sizes.split(",")]
         mf = models.meanfield_sbm(sizes, args.p, args.q)
-        P = mf.expand()
-        rows = []
-        for i in range(P.n):
-            cols, vals = P.row(i)
-            rows.extend((i, int(j), float(v)) for j, v in zip(cols, vals))
-        models.write_edge_file(args.out_file, np.array(rows), comment="mean-field block model")
+        models.write_edge_file(args.out_file, _edges_of(mf.expand()), comment="mean-field block model")
         return EXIT_OK
     raise ConfigError(f"unknown generator {kind!r}")
 
@@ -340,11 +327,7 @@ def cmd_mdp(args):
     except NoConvergenceError as exc:
         sim = exc.result
         code = EXIT_NO_CONVERGENCE
-    with open(os.path.join(args.out, "trajectory.csv"), "w") as fh:
-        fh.write("step,action,cash_l1,cum_cost\n")
-        fh.write(f"0,,{sim.cash_l1[0]:.17g},0\n")
-        for k, a in enumerate(sim.actions):
-            fh.write(f"{k + 1},{int(a)},{sim.cash_l1[k + 1]:.17g},{sim.cum_cost[k + 1]:.17g}\n")
+    sim.to_csv(os.path.join(args.out, "trajectory.csv"))
     return code
 
 

@@ -84,22 +84,23 @@ class SolverState:
 
 
 @dataclass
-class RunTrace:
-    """Sampled (step, cumulative updates, costs, residual, error) records."""
+class Trace:
+    """Sampled records, one tuple per row.
 
-    columns = ("step", "updates", "cum_cost", "scan_cost", "cash_l1", "err_l1")
+    Subclasses name the row fields in ``columns``, name the one their run
+    drives below eps in ``residual``, and append rows in ``record``.
+    """
+
+    columns = ()
+    residual = None
     rows: list = field(default_factory=list)
-
-    def record(self, state, err=None):
-        self.rows.append(
-            (state.t, state.updates, state.cum_cost, state.scan_cost, state.cash_l1, err)
-        )
 
     def column(self, name):
         j = self.columns.index(name)
         return np.array([r[j] for r in self.rows if r[j] is not None])
 
     def to_csv(self, fh):
+        """Header plus one line per row, floats as %.17g, None as empty."""
         close = False
         if isinstance(fh, str):
             fh = open(fh, "w")
@@ -117,6 +118,18 @@ class RunTrace:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
+
+
+class RunTrace(Trace):
+    """Sampled (step, cumulative updates, costs, residual, error) records."""
+
+    columns = ("step", "updates", "cum_cost", "scan_cost", "cash_l1", "err_l1")
+    residual = "cash_l1"
+
+    def record(self, state, err=None):
+        self.rows.append(
+            (state.t, state.updates, state.cum_cost, state.scan_cost, state.cash_l1, err)
+        )
 
 
 @dataclass

@@ -23,8 +23,7 @@ in O(degree) per push.  A matrix whose push writes O(n) entries
 (``GoogleMatrix``, ``MeanFieldMatrix``) returns ``None``, and the engine
 recomputes the sum exactly instead.
 
-Matrices are immutable after construction and safe to share between
-concurrent solver runs.
+Matrices are immutable after construction.
 """
 
 from __future__ import annotations

@@ -315,6 +315,14 @@ class SimulationResult:
     converged: bool
     c_final: np.ndarray = None
 
+    def to_csv(self, path):
+        """Trajectory: the start as row 0 (no action), then one row per action."""
+        with open(path, "w") as fh:
+            fh.write("step,action,cash_l1,cum_cost\n")
+            fh.write(f"0,,{self.cash_l1[0]:.17g},0\n")
+            for k, a in enumerate(self.actions):
+                fh.write(f"{k + 1},{int(a)},{self.cash_l1[k + 1]:.17g},{self.cum_cost[k + 1]:.17g}\n")
+
 
 def simulate_policy(c0, policy, sizes, p, q, eps=1e-10, max_steps=100_000):
     """Run the block dynamics under a policy grid or fixed action cycle.

@@ -7,28 +7,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AbsorbingStateError,
-    AllCashZeroError,
-    InvalidParamsError,
-    NoConvergenceError,
-)
+from . import schedules
+from .engine import Trace
+from .errors import AbsorbingStateError, InvalidParamsError, NoConvergenceError
 from .matrix import GoogleMatrix, check_distribution
 
 
-@dataclass
-class SolveTrace:
+class SolveTrace(Trace):
     """(iteration, cum_cost, residual) records of a baseline solver."""
 
     columns = ("step", "cum_cost", "residual")
-    rows: list = field(default_factory=list)
+    residual = "residual"
 
     def record(self, step, cum_cost, residual):
         self.rows.append((step, cum_cost, residual))
-
-    def column(self, name):
-        j = self.columns.index(name)
-        return np.array([r[j] for r in self.rows])
 
 
 @dataclass
@@ -223,44 +215,36 @@ def gso_step(state, G: GoogleMatrix, k):
     return state
 
 
-def _gso_pick(schedule, r, period):
-    """Returns pick(state, G) -> node or None (skip)."""
-    if schedule == "greedy-max":
-        return lambda state, G, k_counter: int(np.argmax(state.C))
-    if schedule == "rr":
-        return lambda state, G, k_counter: k_counter % G.n
-    if schedule == "theta":
-        box = {"theta": 0.0}
-
-        def pick(state, G, k_counter):
-            if k_counter % period == 0:
-                # 1-ulp slack: an exactly-uniform residual must pass its own mean
-                box["theta"] = float((state.C**r).mean() ** (1.0 / r)) * (1.0 - 1e-12)
-            i = k_counter % G.n
-            return i if state.C[i] >= box["theta"] and state.C[i] > 0 else None
-
-        return pick
-    raise InvalidParamsError(f"unknown push schedule {schedule!r}")
-
-
 def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10_000_000, r=1.0, period=None, trace_stride=None):
     """Positive-cash push solver for x = c x P + (1-c) s.
 
     Starts from residual (1-c, s) and repeatedly moves one node's residual
     into the estimate, pushing the damped share back.  The estimate H
-    converges to the solution without normalization.  Schedules:
-    ``greedy-max`` (largest residual, the classical rule), ``rr``, and
-    ``theta`` (cyclic candidates over a power-mean threshold).
+    converges to the solution without normalization.  Schedules, run by
+    the engine's schedule classes: ``greedy-max`` (``MaxCash``, the
+    classical rule), ``rr`` (``RoundRobin``) and ``theta`` (``Theta``,
+    cyclic candidates over a power-mean threshold).  The residual is never
+    negative, so their |C| rules are rules on C itself.
     """
+    if not eps > 0:
+        raise InvalidParamsError("eps must be > 0")
+    if trace_stride is not None and trace_stride < 1:
+        raise InvalidParamsError("trace stride must be >= 1")
+    if schedule == "greedy-max":
+        sched = schedules.MaxCash()
+    elif schedule == "rr":
+        sched = schedules.RoundRobin()
+    elif schedule == "theta":
+        sched = schedules.Theta(r, period)
+    else:
+        raise InvalidParamsError(f"unknown push schedule {schedule!r}")
+    sched.bind(G)
     state = gso_init(G)
-    period = G.n if period is None else period
-    pick = _gso_pick(schedule, r, period)
     stride = G.n if trace_stride is None else trace_stride
     trace = SolveTrace()
     resid = float(state.C.sum())
     trace.record(state.t, state.cum_cost, resid)
     moved = 0
-    k_counter = 0
     while True:
         resid = float(np.abs(state.C).sum())
         if resid < eps:
@@ -272,12 +256,9 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
                 f"push solver: no convergence in {max_steps} steps",
                 SolveResult(state.H.copy(), trace, False, state.t, {"state": state}),
             )
-        if np.all(state.C == 0.0):
-            raise AllCashZeroError("residual vanished without reaching eps")
-        k = pick(state, G, k_counter)
-        k_counter += 1
-        if k is not None:
-            gso_step(state, G, k)
+        picked = sched.next_nodes(state.C)
+        if picked.size:
+            gso_step(state, G, int(picked[0]))
             moved += 1
             if moved % stride == 0:
                 trace.record(state.t, state.cum_cost, float(np.abs(state.C).sum()))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rlgl import cli, models
+from rlgl.errors import ConfigError
 from rlgl.matrix import google_matrix, gth_stationary
 
 
@@ -103,6 +104,21 @@ class TestSolve:
         _, vals = read_estimate(tmp_path / "estimate.csv")
         assert np.abs(vals - gth_stationary(four_state)).sum() <= 1e-8
 
+    def test_trace_stride_reaches_gso(self, tmp_path):
+        code = cli.main(["solve", "--graph", "two-wheels", "--pagerank", "--method", "gso:rr",
+                         "--trace-stride", "1", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        # the start row, one row per push (every rr step pushes), the stop row
+        assert len(rows) == int(rows[-1].split(",")[0]) + 1
+
+    def test_trace_stride_below_one_rejected(self, tmp_path):
+        with pytest.raises(ConfigError):
+            cli.ExperimentConfig(graph="two-wheels", trace_stride=0).validate()
+        code = cli.main(["solve", "--graph", "two-wheels", "--method", "rlgl",
+                         "--trace-stride", "0", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+
     def test_unknown_method(self, tmp_path):
         code = cli.main(["solve", "--graph", "example31", "--method", "nope", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
@@ -136,6 +152,16 @@ class TestBench:
         assert code == 0
         assert (tmp_path / "bench.csv").exists()
 
+    def test_failed_rows_carry_method_kind(self, tmp_path):
+        code = cli.main(["bench", "--graph", "sbm:40,40:0.1:0.005:2", "--method",
+                         "pi,gs,gmres:2,rlgl+rr", "--max-steps", "20", "--out", str(tmp_path)])
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "bench.csv").read_text().splitlines()[1:]]
+        kinds = {"pi": "delta_l1", "gs": "delta_l1", "gmres:2": "gmres_rel", "rlgl+rr": "cash_l1"}
+        for method, kind in kinds.items():
+            sub = [r for r in rows if r[0] == method]
+            assert sub and all(r[4] == kind for r in sub), method
+
     def test_empty_method_list_rejected(self, tmp_path):
         code = cli.main(["bench", "--graph", "two-wheels", "--method", ",",
                          "--out", str(tmp_path)])
@@ -155,6 +181,21 @@ class TestGen:
                          "--q", "0.05", "--seed", "1"]) == 0
         edges, n = models.parse_edge_file(out)
         assert n == 40
+
+
+    @pytest.mark.parametrize("spec", ["5,4,3", "50,20,10"])
+    def test_meanfield_file_lists_expanded_rows(self, tmp_path, spec):
+        out = tmp_path / "mf.edges"
+        assert cli.main(["gen", "meanfield", str(out), "--sizes", spec, "--p", "0.3",
+                         "--q", "0.05"]) == 0
+        P = models.meanfield_sbm([int(s) for s in spec.split(",")], 0.3, 0.05).expand()
+        rows = []
+        for i in range(P.n):
+            cols, vals = P.row(i)
+            rows.extend((i, int(j), float(v)) for j, v in zip(cols, vals))
+        ref = tmp_path / "ref.edges"
+        models.write_edge_file(ref, np.array(rows), comment="mean-field block model")
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestAnalyze:

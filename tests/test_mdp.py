@@ -237,6 +237,22 @@ class TestSimulate:
         }
         assert cost[(3,)] < cost[(2, 3)] < cost[(3, 3, 3, 5)]
 
+    def test_trajectory_csv(self, tmp_path):
+        c0 = mdp.meanfield_init(SIZES, P_, Q_)
+        sim = mdp.simulate_policy(c0, [mdp.Action.A2, mdp.Action.A7], SIZES, P_, Q_, eps=1e-8)
+        path = tmp_path / "trajectory.csv"
+        sim.to_csv(str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step,action,cash_l1,cum_cost"
+        assert lines[1] == f"0,,{sim.cash_l1[0]:.17g},0"
+        assert len(lines) == len(sim.actions) + 2
+        for k, line in enumerate(lines[2:], start=1):
+            step, action, l1, cost = line.split(",")
+            assert int(step) == k
+            assert int(action) == int(sim.actions[k - 1]) == (2 if k % 2 else 7)
+            assert float(l1) == sim.cash_l1[k]
+            assert float(cost) == sim.cum_cost[k]
+
     def test_policy_beats_full_sweep(self):
         c0 = mdp.meanfield_init(SIZES, P_, Q_)
         grid = mdp.solve_policy(SIZES, P_, Q_, c0=c0, eps=1e-8, n_z1=400, n_z2=41)

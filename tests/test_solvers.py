@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,80 @@ class TestGsoPagerank:
             engine.step(st, [k + 1], aug)
             assert np.array_equal(st.C[1:], gso.C)
             assert np.array_equal(st.H[1:], gso.H)
+
+
+def _old_gso(G, rule, eps=1e-11, r=1.0, period=None):
+    """The push loop with the pick rules it used before the schedule classes.
+
+    ``greedy-max`` pushes argmax C, ``rr`` node k mod n, and ``theta``
+    node k mod n when C_k > 0 reaches the power mean of C taken every
+    ``period`` candidates (1e-12 relative slack); other candidates are
+    skip steps.  Returns (x, trace rows, iterations).
+    """
+    period = G.n if period is None else period
+    st = solvers.gso_init(G)
+    rows = [(st.t, st.cum_cost, float(st.C.sum()))]
+    theta = 0.0
+    moved = 0
+    for k in itertools.count():
+        resid = float(np.abs(st.C).sum())
+        if resid < eps:
+            rows.append((st.t, st.cum_cost, resid))
+            return st.H.copy(), rows, st.t
+        if rule == "greedy-max":
+            i = int(np.argmax(st.C))
+        else:
+            i = k % G.n
+            if rule == "theta":
+                if k % period == 0:
+                    theta = float((st.C**r).mean() ** (1.0 / r)) * (1.0 - 1e-12)
+                if not (st.C[i] >= theta and st.C[i] > 0):
+                    st.t += 1
+                    continue
+        solvers.gso_step(st, G, i)
+        moved += 1
+        if moved % G.n == 0:
+            rows.append((st.t, st.cum_cost, float(np.abs(st.C).sum())))
+
+
+def _two_wheels_google():
+    und, n = models.two_wheels()
+    return google_matrix(models.symmetrize(und), 0.85, n=n)
+
+
+def _sbm80_google():
+    edges, n = sbm80_instance()
+    return google_matrix(edges, 0.85, n=n)
+
+
+class TestGsoSchedules:
+    @pytest.mark.parametrize("graph", [_two_wheels_google, _sbm80_google], ids=["two-wheels", "sbm80"])
+    @pytest.mark.parametrize(
+        "rule,r,half_period",
+        [("greedy-max", 1.0, False), ("rr", 1.0, False), ("theta", 1.0, False),
+         ("theta", 2.0, False), ("theta", 1.0, True)],
+        ids=["greedy-max", "rr", "theta1", "theta2", "theta1-half-period"],
+    )
+    def test_replays_old_pick_rules(self, graph, rule, r, half_period):
+        G = graph()
+        period = G.n // 2 if half_period else None
+        x, rows, iterations = _old_gso(G, rule, r=r, period=period)
+        res = solvers.gso_pagerank(G, schedule=rule, eps=1e-11, r=r, period=period)
+        assert res.x.tobytes() == x.tobytes()
+        assert res.trace.rows == rows
+        assert res.iterations == iterations
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"eps": 0.0}, {"eps": -1e-10}, {"eps": float("nan")}, {"trace_stride": 0},
+         {"schedule": "theta", "r": 0.5}],
+        ids=["eps-zero", "eps-negative", "eps-nan", "stride-zero", "theta-r-below-one"],
+    )
+    def test_invalid_params_rejected(self, kwargs):
+        with pytest.raises(InvalidParamsError):
+            solvers.gso_pagerank(_two_wheels_google(), **kwargs)
+
+    def test_trace_stride_one_records_every_push(self):
+        res = solvers.gso_pagerank(_two_wheels_google(), schedule="rr", eps=1e-8, trace_stride=1)
+        # the start row, one row per push (every rr step pushes), the stop row
+        assert len(res.trace.rows) == res.iterations + 1
