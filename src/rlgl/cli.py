@@ -47,7 +47,6 @@ class ExperimentConfig:
     restart_s: str = None
     seed: int = 0
     theta_r: float = 1.0
-    gmres_m: int = 10
     lcc: bool = False
     one_based: bool = False
     undirected: bool = False
@@ -63,6 +62,9 @@ class ExperimentConfig:
             raise ConfigError("max-steps must be >= 1")
         if self.trace_stride is not None and self.trace_stride < 1:
             raise ConfigError("trace-stride must be >= 1")
+        for flag, path in (("--m0", self.m0), ("--restart-s", self.restart_s)):
+            if path is not None and not os.path.isfile(path):
+                raise ConfigError(f"{flag} {path!r}: no such file")
 
 
 def _edges_of(P):
@@ -83,16 +85,21 @@ def load_graph(spec, one_based=False, undirected=False, seed=0):
     if spec in ("two-wheels", "two_wheels"):
         und, n = models.two_wheels()
         return models.symmetrize(und), n
-    if spec.startswith("meanfield:"):
-        _, sizes, p, q = spec.split(":")
-        sizes = [int(s) for s in sizes.split(",")]
-        return models.meanfield_sbm(sizes, float(p), float(q)), None
-    if spec.startswith("sbm:"):
-        parts = spec.split(":")
-        sizes = [int(s) for s in parts[1].split(",")]
-        s = int(parts[4]) if len(parts) > 4 else seed
-        return models.random_sbm(sizes, float(parts[2]), float(parts[3]), s)
-    if not os.path.exists(spec):
+    if spec.startswith(("meanfield:", "sbm:")):
+        kind, *parts = spec.split(":")
+        try:
+            if len(parts) < 3 or (kind == "meanfield" and len(parts) > 3):
+                raise ValueError
+            sizes = [int(s) for s in parts[0].split(",")]
+            p, q = float(parts[1]), float(parts[2])
+            s = int(parts[3]) if len(parts) > 3 else seed
+        except ValueError:
+            usage = "<sizes>:<p>:<q>" + ("[:seed]" if kind == "sbm" else "")
+            raise ConfigError(f"graph {spec!r}: expected {kind}:{usage}") from None
+        if kind == "meanfield":
+            return models.meanfield_sbm(sizes, p, q), None
+        return models.random_sbm(sizes, p, q, s)
+    if not os.path.isfile(spec):
         raise ConfigError(f"graph {spec!r}: not a builtin and no such file")
     edges, n = models.parse_edge_file(spec, one_based=one_based)
     if undirected:
@@ -111,8 +118,7 @@ def _restart_distribution(path, n):
 
 def build_problem(cfg: ExperimentConfig):
     """Returns (matrix, node_map) ready to solve under the chosen mode."""
-    loaded = load_graph(cfg.graph, cfg.one_based, cfg.undirected, cfg.seed)
-    edges, n = loaded
+    edges, n = load_graph(cfg.graph, cfg.one_based, cfg.undirected, cfg.seed)
     if n is None:  # block-implicit mean-field matrix comes back directly
         mf = edges
         if cfg.pagerank:
@@ -124,8 +130,8 @@ def build_problem(cfg: ExperimentConfig):
     node_map = None
     if cfg.lcc:
         edges, mapping = models.largest_scc(edges, n)
-        n = int(mapping.max()) + 1
-        node_map = np.flatnonzero(mapping >= 0)[np.argsort(mapping[mapping >= 0])]
+        node_map = np.flatnonzero(mapping >= 0)
+        n = node_map.size
     elif not models.is_strongly_connected(edges, n):
         raise ConfigError("raw stationary mode needs a strongly connected graph (or --lcc)")
     return build_transition(edges, n), node_map
@@ -164,7 +170,10 @@ def run_method(P, cfg: ExperimentConfig):
         res = solvers.gauss_seidel(P, eps=cfg.eps, max_sweeps=cfg.max_steps)
         return res.x, res.trace, kind, res
     if method.startswith("gmres"):
-        m = int(method.split(":")[1]) if ":" in method else cfg.gmres_m
+        try:
+            m = int(method.split(":")[1]) if ":" in method else 10
+        except ValueError:
+            raise ConfigError(f"method {method!r}: expected gmres:<integer M>") from None
         res = solvers.gmres_restarted(P, m=m, eps=cfg.eps, max_restarts=cfg.max_steps)
         return res.x, res.trace, kind, res
     if method.startswith("gso"):
@@ -339,8 +348,8 @@ def _config_from(args):
     return cfg
 
 
-def _add_graph_flags(p):
-    p.add_argument("--graph", required=True, help="builtin name or edge-list path")
+def _add_graph_flags(p, required=True):
+    p.add_argument("--graph", required=required, help="builtin name or edge-list path")
     p.add_argument("--one-based", dest="one_based", action="store_true", default=None)
     p.add_argument("--undirected", action="store_true", default=None)
     p.add_argument("--lcc", action="store_true", default=None, help="solve on the largest SCC")
@@ -357,7 +366,6 @@ def _add_solver_flags(p):
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--restart-s", dest="restart_s", default=None, help="file with the restart distribution")
     p.add_argument("--theta-r", dest="theta_r", type=float, default=None)
-    p.add_argument("--gmres-m", dest="gmres_m", type=int, default=None)
     p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     p.add_argument("--trace-stride", dest="trace_stride", type=int, default=None)
     p.add_argument("--m0", default=None, help="file with the seed distribution (default uniform)")
@@ -389,11 +397,7 @@ def make_parser():
 
     p_an = sub.add_parser("analyze", help="print a key-value diagnostic report")
     p_an.add_argument("kind", help="dobrushin | cyclic | random-rate | sbm2")
-    p_an.add_argument("--graph", default=None)
-    p_an.add_argument("--one-based", dest="one_based", action="store_true", default=None)
-    p_an.add_argument("--undirected", action="store_true", default=None)
-    p_an.add_argument("--lcc", action="store_true", default=None)
-    p_an.add_argument("--seed", type=int, default=None)
+    _add_graph_flags(p_an, required=False)
     p_an.add_argument("--damping", type=float, default=None)
     p_an.add_argument("--blocks", default=None, help="block file for the cyclic check")
     p_an.add_argument("--p", type=float, default=0.1)

@@ -132,8 +132,8 @@ def _coalesce_edges(edges, n):
     src = edges[:, 0].astype(np.int64)
     dst = edges[:, 1].astype(np.int64)
     w = edges[:, 2].copy() if edges.shape[1] == 3 else np.ones(len(src))
-    if np.any(w < 0):
-        raise InvalidParamsError("edge weights must be >= 0")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise InvalidParamsError("edge weights must be finite and >= 0")
     if src.size and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
         raise InvalidIndexError(f"edge endpoint outside [0, {n})")
     keep = w > 0

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidParamsError, IsolatedNodeError
-from .matrix import DENSE_CAP, TransitionMatrix, build_transition
+from .matrix import DENSE_CAP, TransitionMatrix, _coalesce_edges, _csr_arrays, build_transition
 
 
 def parse_edge_file(path, one_based=False):
@@ -26,8 +26,11 @@ def parse_edge_file(path, one_based=False):
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise InvalidParamsError(f"{path}:{lineno}: expected 'src dst [weight]'")
-            src, dst = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise InvalidParamsError(f"{path}:{lineno}: ids must be integers, the weight a number") from None
             if one_based:
                 src -= 1
                 dst -= 1
@@ -201,10 +204,10 @@ def meanfield_sbm(sizes, p, q):
 
 
 def _tarjan_scc(adj, n):
-    """Iterative Tarjan; yields components as lists of nodes."""
-    index = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
+    """Iterative Tarjan; returns components as lists of nodes."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack = []
     counter = 0
     comps = []
@@ -218,7 +221,6 @@ def _tarjan_scc(adj, n):
         on_stack[root] = True
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if index[w] == -1:
                     index[w] = low[w] = counter
@@ -226,26 +228,37 @@ def _tarjan_scc(adj, n):
                     stack.append(w)
                     on_stack[w] = True
                     work.append((w, iter(adj[w])))
-                    advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # every edge of v explored
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
     return comps
+
+
+def strong_components(edges, n):
+    """Strongly connected components of the graph ``build_transition`` sees.
+
+    The edges go through the matrix builder's coalescing: ids are
+    bounds-checked, duplicates merged and zero weights dropped, so an edge
+    counts for connectivity exactly when it becomes a matrix entry.
+    Returns the components as lists of node ids.
+    """
+    indptr, indices, _, _ = _csr_arrays(*_coalesce_edges(edges, n), n)
+    ptr, cols = indptr.tolist(), indices.tolist()
+    return _tarjan_scc([cols[ptr[i] : ptr[i + 1]] for i in range(n)], n)
 
 
 def largest_scc(edges, n=None):
@@ -260,41 +273,17 @@ def largest_scc(edges, n=None):
         edges = np.column_stack([edges, np.ones(len(edges))])
     if n is None:
         n = int(edges[:, :2].max()) + 1
-    adj = [[] for _ in range(n)]
-    for s, d in edges[:, :2].astype(np.int64):
-        adj[s].append(int(d))
-    comps = _tarjan_scc(adj, n)
-    best = min(comps, key=lambda c: (-len(c), min(c)))
-    keep = np.zeros(n, dtype=bool)
-    keep[best] = True
+    best = min(strong_components(edges, n), key=lambda c: (-len(c), min(c)))
     mapping = np.full(n, -1, dtype=np.int64)
-    mapping[np.sort(np.array(best))] = np.arange(len(best))
-    mask = keep[edges[:, 0].astype(np.int64)] & keep[edges[:, 1].astype(np.int64)]
+    mapping[np.sort(best)] = np.arange(len(best))
+    keep = mapping >= 0
+    ends = edges[:, :2].astype(np.int64)
+    mask = keep[ends].all(axis=1)
     sub = edges[mask].copy()
-    sub[:, 0] = mapping[sub[:, 0].astype(np.int64)]
-    sub[:, 1] = mapping[sub[:, 1].astype(np.int64)]
+    sub[:, :2] = mapping[ends[mask]]
     return sub, mapping
 
 
 def is_strongly_connected(edges, n):
-    """Forward + backward reachability check from node 0."""
-    edges = np.asarray(edges, dtype=float)
-    fwd = [[] for _ in range(n)]
-    bwd = [[] for _ in range(n)]
-    for s, d in edges[:, :2].astype(np.int64):
-        fwd[s].append(int(d))
-        bwd[d].append(int(s))
-
-    def reach(adj):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    frontier.append(w)
-        return seen
-
-    return bool(reach(fwd).all() and reach(bwd).all())
+    """True when the positive-weight edges join all n nodes in one component."""
+    return len(strong_components(edges, n)) == 1

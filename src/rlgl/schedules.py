@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllCashZeroError, InvalidParamsError
+from .errors import AllCashZeroError, ConfigError, InvalidParamsError
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -195,8 +195,10 @@ class Theta(Schedule):
     name = "theta"
 
     def __init__(self, r=1.0, period=None):
-        if r < 1:
+        if not r >= 1:
             raise InvalidParamsError("theta exponent r must be >= 1")
+        if period is not None and period < 1:
+            raise InvalidParamsError("theta period must be >= 1")
         self.r = float(r)
         self.period = period
         self.offset = 0
@@ -254,15 +256,28 @@ class FixedBlocks(Schedule):
 def load_block_file(path):
     """One node set per line, whitespace-separated 0-based ids, # comments."""
     seq = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            seq.append([int(v) for v in line.replace(",", " ").split()])
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                seq.append([int(v) for v in line.replace(",", " ").split()])
+    except OSError as exc:
+        raise ConfigError(f"block file {path!r}: {exc.strerror}") from None
     if not seq:
         raise InvalidParamsError(f"{path}: no blocks")
     return FixedBlocks(seq)
+
+
+def _field(text, parts, i, cast, default):
+    """Field i of a schedule descriptor, or ``default`` when it is absent."""
+    if len(parts) <= i:
+        return default
+    try:
+        return cast(parts[i])
+    except ValueError:
+        raise InvalidParamsError(f"schedule {text!r}: {parts[i]!r} is not a valid {cast.__name__}") from None
 
 
 def parse_schedule(text, default_seed=0):
@@ -273,24 +288,15 @@ def parse_schedule(text, default_seed=0):
     """
     parts = text.split(":")
     kind = parts[0]
-    if kind == "rr":
-        return RoundRobin()
-    if kind == "all":
-        return AllNodes()
-    if kind == "greedy":
-        return Greedy()
-    if kind == "maxc":
-        return MaxCash()
+    plain = {"rr": RoundRobin, "all": AllNodes, "greedy": Greedy, "maxc": MaxCash}
+    if kind in plain:
+        return plain[kind]()
     if kind == "rand":
-        seed = int(parts[1]) if len(parts) > 1 else default_seed
-        return RandomNode(seed)
+        return RandomNode(_field(text, parts, 1, int, default_seed))
     if kind == "pc":
-        seed = int(parts[1]) if len(parts) > 1 else default_seed
-        return ProportionalCash(seed)
+        return ProportionalCash(_field(text, parts, 1, int, default_seed))
     if kind == "theta":
-        r = float(parts[1]) if len(parts) > 1 else 1.0
-        period = int(parts[2]) if len(parts) > 2 else None
-        return Theta(r, period)
+        return Theta(_field(text, parts, 1, float, 1.0), _field(text, parts, 2, int, None))
     if kind == "blocks":
         if len(parts) < 2:
             raise InvalidParamsError("blocks schedule needs a file: blocks:<path>")

@@ -61,6 +61,36 @@ class TestSolve:
         assert nodes.tolist() == [2, 3, 4]
         assert vals.sum() == pytest.approx(1.0, abs=1e-9)
 
+    # 2 -> 0 has weight 0: the matrix drops it and makes node 2 absorbing
+    ZERO_WEIGHT_EDGES = "0 1\n1 0\n1 2\n2 2\n2 0 0\n"
+
+    def test_zero_weight_edge_raw_mode_rejected(self, tmp_path):
+        graph = tmp_path / "zero.edges"
+        graph.write_text(self.ZERO_WEIGHT_EDGES)
+        code = cli.main(["solve", "--graph", str(graph), "--method", "pi", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+
+    def test_zero_weight_edge_lcc_solves_pair(self, tmp_path):
+        graph = tmp_path / "zero.edges"
+        graph.write_text(self.ZERO_WEIGHT_EDGES)
+        code = cli.main(["solve", "--graph", str(graph), "--method", "pi", "--lcc", "--out", str(tmp_path)])
+        assert code == 0
+        nodes, vals = read_estimate(tmp_path / "estimate.csv")
+        assert nodes.tolist() == [0, 1]
+        assert vals == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0 1.5\n1 0\n", "0 1\n1 0 abc\n", "0 1 inf\n1 0\n", "0 1 nan\n1 0\n"],
+        ids=["float-id", "text-weight", "inf-weight", "nan-weight"],
+    )
+    def test_malformed_edge_file_exit_code(self, tmp_path, capsys, text):
+        graph = tmp_path / "bad.edges"
+        graph.write_text(text)
+        code = cli.main(["solve", "--graph", str(graph), "--method", "pi", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_pagerank_mode(self, tmp_path):
         code = cli.main(
             ["solve", "--graph", "two-wheels", "--pagerank", "--damping", "0.85",
@@ -122,6 +152,30 @@ class TestSolve:
     def test_unknown_method(self, tmp_path):
         code = cli.main(["solve", "--graph", "example31", "--method", "nope", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--method", "rlgl", "--schedule", "theta:1:0"],
+        ["--method", "rlgl", "--schedule", "theta:1:-3"],
+        ["--method", "rlgl", "--schedule", "rand:1.5"],
+        ["--method", "rlgl", "--schedule", "theta:abc"],
+        ["--method", "gmres:x"],
+        ["--graph", "sbm:40,40:0.1"],
+        ["--graph", "sbm:40,x:0.1:0.01"],
+        ["--graph", "meanfield:5,2:0.1"],
+        ["--method", "rlgl", "--schedule", "blocks:{missing}"],
+        ["--method", "rlgl", "--m0", "{missing}"],
+    ],
+    ids=lambda extra: " ".join(extra),
+)
+def test_bad_descriptor_is_one_error_line(tmp_path, capsys, extra):
+    args = ["solve", "--graph", "two-wheels", "--method", "pi", "--out", str(tmp_path)]
+    args += [a.format(missing=tmp_path / "missing.txt") for a in extra]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestBench:

@@ -9,6 +9,7 @@ from rlgl.errors import (
     InvalidDampingError,
     InvalidIndexError,
     InvalidM0Error,
+    InvalidParamsError,
     NotErgodicError,
 )
 from rlgl.matrix import (
@@ -59,6 +60,13 @@ class TestBuildTransition:
     def test_bad_index(self):
         with pytest.raises(InvalidIndexError):
             build_transition([(0, 5, 1.0)], 2)
+
+    @pytest.mark.parametrize("w", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(InvalidParamsError):
+            build_transition([(0, 1, w), (1, 0, 1.0)], 2)
+        with pytest.raises(InvalidParamsError):
+            google_matrix([(0, 1, w), (1, 0, 1.0)], 0.85, n=2)
 
     @given(st.integers(2, 12), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rlgl import models
-from rlgl.errors import InvalidParamsError, IsolatedNodeError
+from rlgl.errors import InvalidIndexError, InvalidParamsError, IsolatedNodeError
 from rlgl.matrix import build_transition
 
 from conftest import SBM80_SEEDS, sbm80_instance
@@ -162,6 +162,55 @@ class TestLargestScc:
             assert int((mapping >= 0).sum()) == best
 
 
+def _mutual_reachability(edges, n):
+    """Boolean n x n matrix: i and j reach each other over positive-weight edges."""
+    A = np.eye(n, dtype=bool)
+    pos = edges[edges[:, 2] > 0][:, :2].astype(int)
+    A[pos[:, 0], pos[:, 1]] = True
+    reach = A.copy()
+    for _ in range(n):
+        reach = reach | ((reach.astype(int) @ A.astype(int)) > 0)
+    return reach & reach.T
+
+
+class TestStrongComponents:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_bruteforce_with_zero_duplicate_and_loop_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(15):
+            n = int(rng.integers(1, 16))
+            m = int(rng.integers(n, 4 * n))
+            edges = np.column_stack(
+                [rng.integers(n, size=m), rng.integers(n, size=m), rng.choice([0.0, 0.5, 1.0, 2.0], size=m)]
+            )
+            # duplicate arcs, with a zero-weight copy among them, and self-loops
+            edges = np.vstack([edges, edges[: m // 3], edges[: m // 4] * [1, 1, 0]])
+            loops = rng.integers(n, size=3)
+            edges = np.vstack([edges, np.column_stack([loops, loops, np.ones(3)])])
+            comps = models.strong_components(edges, n)
+            flat = sorted(v for c in comps for v in c)
+            assert flat == list(range(n))
+            mutual = _mutual_reachability(edges, n)
+            for c in comps:
+                for v in c:
+                    assert set(np.flatnonzero(mutual[v]).tolist()) == set(c)
+            assert models.is_strongly_connected(edges, n) == bool(mutual.all())
+
+    def test_zero_weight_edge_does_not_connect(self):
+        edges = [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0), (2, 0, 0.0)]
+        assert not models.is_strongly_connected(edges, 3)
+        assert sorted(sorted(c) for c in models.strong_components(edges, 3)) == [[0, 1], [2]]
+        sub, mapping = models.largest_scc(edges, 3)
+        assert mapping.tolist() == [0, 1, -1]
+        assert sub[:, :2].tolist() == [[0, 1], [1, 0]]
+
+    def test_rejects_out_of_range_and_non_finite(self):
+        with pytest.raises(InvalidIndexError):
+            models.strong_components([(0, 3)], 2)
+        with pytest.raises(InvalidParamsError):
+            models.is_strongly_connected([(0, 1, np.inf), (1, 0, 1.0)], 2)
+
+
 class TestEdgeFileIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -178,6 +227,13 @@ class TestEdgeFileIO:
         assert n == 2
         assert edges[0].tolist() == [0.0, 1.0, 1.0]
         assert edges[1].tolist() == [1.0, 0.0, 3.5]
+
+    @pytest.mark.parametrize("text,lineno", [("0 1.5\n1 0\n", 1), ("0 1\n1 0 abc\n", 2), ("# c\nx 1\n", 2)])
+    def test_malformed_line_is_typed(self, tmp_path, text, lineno):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(InvalidParamsError, match=f"g.edges:{lineno}:"):
+            models.parse_edge_file(path)
 
     def test_build_from_file(self, tmp_path):
         path = tmp_path / "g.edges"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rlgl import engine, models, schedules
-from rlgl.errors import AllCashZeroError, InvalidParamsError
-from rlgl.matrix import build_transition
+from rlgl import engine, models, schedules, solvers
+from rlgl.errors import AllCashZeroError, ConfigError, InvalidParamsError
+from rlgl.matrix import build_transition, google_matrix
 
 from conftest import dense_ergodic_chain
 
@@ -208,6 +208,15 @@ class TestTheta:
         with pytest.raises(InvalidParamsError):
             schedules.Theta(0.5)
 
+    @pytest.mark.parametrize("period", [0, -3])
+    def test_requires_period_at_least_one(self, period):
+        with pytest.raises(InvalidParamsError):
+            schedules.Theta(1.0, period)
+        und, n = models.two_wheels()
+        G = google_matrix(models.symmetrize(und), 0.85, n=n)
+        with pytest.raises(InvalidParamsError):
+            solvers.gso_pagerank(G, schedule="theta", period=period)
+
 
 class TestFixedBlocks:
     def test_cycles(self):
@@ -225,6 +234,10 @@ class TestFixedBlocks:
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidParamsError):
             schedules.FixedBlocks([])
+
+    def test_missing_block_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            schedules.parse_schedule(f"blocks:{tmp_path / 'missing.txt'}")
 
     def test_load_block_file(self, tmp_path):
         path = tmp_path / "blocks.txt"
@@ -259,6 +272,11 @@ class TestParse:
     def test_unknown(self):
         with pytest.raises(InvalidParamsError):
             schedules.parse_schedule("bogus")
+
+    @pytest.mark.parametrize("text", ["rand:1.5", "pc:x", "theta:abc", "theta:1:2.5", "theta:nan"])
+    def test_bad_numbers(self, text):
+        with pytest.raises(InvalidParamsError):
+            schedules.parse_schedule(text)
 
 
 class TestEngineNoOp:
