@@ -17,6 +17,7 @@ import numpy as np
 from . import analysis, engine, mdp, models, schedules, solvers
 from .errors import (
     ConfigError,
+    DanglingNodeError,
     DegenerateHistoryError,
     NoConvergenceError,
     RlglError,
@@ -127,14 +128,18 @@ def build_problem(cfg: ExperimentConfig):
     if cfg.pagerank:
         s = _restart_distribution(cfg.restart_s, n)
         return google_matrix(edges, cfg.damping, s, n=n), None
-    node_map = None
     if cfg.lcc:
         edges, mapping = models.largest_scc(edges, n)
         node_map = np.flatnonzero(mapping >= 0)
-        n = node_map.size
-    elif not models.is_strongly_connected(edges, n):
+        return build_transition(edges, node_map.size), node_map
+    # Check connectivity on the built matrix, so the edges coalesce once.
+    try:
+        P = build_transition(edges, n)
+    except DanglingNodeError:
+        P = None  # a node without out-edges: not strongly connected either
+    if P is None or not models.is_strongly_connected(P):
         raise ConfigError("raw stationary mode needs a strongly connected graph (or --lcc)")
-    return build_transition(edges, n), node_map
+    return P, None
 
 
 def residual_kind(method):
@@ -262,6 +267,18 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+def _int_fields(text, flag, sep=",", count=None):
+    """The integers of ``text`` split at ``sep``; ConfigError naming ``flag``."""
+    try:
+        vals = [int(v) for v in text.split(sep)]
+        if count is not None and len(vals) != count:
+            raise ValueError
+    except ValueError:
+        what = f"{count} integers" if count else "integers"
+        raise ConfigError(f"{flag} {text!r}: expected {what} separated by {sep!r}") from None
+    return vals
+
+
 def cmd_gen(args):
     kind = args.kind
     if kind in ("two-wheels", "two_wheels"):
@@ -269,12 +286,12 @@ def cmd_gen(args):
         models.write_edge_file(args.out_file, und, comment="two-wheels, undirected")
         return EXIT_OK
     if kind == "sbm":
-        sizes = [int(s) for s in args.sizes.split(",")]
+        sizes = _int_fields(args.sizes, "--sizes")
         edges, _ = models.random_sbm(sizes, args.p, args.q, args.seed)
         models.write_edge_file(args.out_file, edges, comment=f"sbm sizes={args.sizes} seed={args.seed}")
         return EXIT_OK
     if kind == "meanfield":
-        sizes = [int(s) for s in args.sizes.split(",")]
+        sizes = _int_fields(args.sizes, "--sizes")
         mf = models.meanfield_sbm(sizes, args.p, args.q)
         models.write_edge_file(args.out_file, _edges_of(mf.expand()), comment="mean-field block model")
         return EXIT_OK
@@ -324,8 +341,8 @@ def cmd_analyze(args):
 
 
 def cmd_mdp(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
-    n_z1, n_z2 = (int(v) for v in args.grid.split("x"))
+    sizes = _int_fields(args.sizes, "--sizes")
+    n_z1, n_z2 = _int_fields(args.grid, "--grid", sep="x", count=2)
     c0 = mdp.meanfield_init(sizes, args.p, args.q)
     grid = mdp.solve_policy(sizes, args.p, args.q, c0=c0, eps=args.eps, n_z1=n_z1, n_z2=n_z2)
     os.makedirs(args.out, exist_ok=True)

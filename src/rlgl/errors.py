@@ -24,7 +24,7 @@ class InvalidM0Error(InvalidParamsError):
 class DanglingNodeError(RlglError, ValueError):
     def __init__(self, node):
         self.node = node
-        super().__init__(f"node {node} has no out-edges and no dangling policy was given")
+        super().__init__(f"node {node} has no out-edges")
 
 
 class IsolatedNodeError(RlglError, RuntimeError):

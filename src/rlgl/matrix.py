@@ -150,44 +150,38 @@ def _coalesce_edges(edges, n):
     return src, dst, w
 
 
-def _csr_arrays(src, dst, w, n):
+def _raw_rows(P_or_edges, n=None):
+    """Normalize input to raw CSR rows, tolerating dangling rows.
+
+    This is the one place an edge list becomes CSR rows: ids are
+    bounds-checked, duplicates merged and zero weights dropped.
+    """
+    if isinstance(P_or_edges, TransitionMatrix):
+        P = P_or_edges
+        return P.n, P.indptr, P.indices, P.data, np.empty(0, dtype=np.int64)
+    if n is None:
+        raise InvalidParamsError("n is required when passing a raw edge list")
+    src, dst, w = _coalesce_edges(P_or_edges, n)
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, dst.copy(), w.copy(), counts
+    sums = np.bincount(src, weights=w, minlength=n)
+    vals = w / np.repeat(sums, counts)
+    return n, indptr, dst, vals, np.flatnonzero(counts == 0)
 
 
-def build_transition(edges, n, dangling="error"):
+def build_transition(edges, n):
     """Build a row-stochastic matrix from a weighted directed edge list.
 
-    Outgoing weights of each node are normalized to sum to one.
-    ``dangling`` controls rows without out-edges: ``"error"`` raises,
-    ``"uniform"`` replaces them by the uniform distribution, ``"self"``
-    adds a self-loop.
+    Outgoing weights of each node are normalized to sum to one; a node
+    without out-edges raises DanglingNodeError.
     """
     if n < 1:
         raise InvalidParamsError("n must be >= 1")
-    src, dst, w = _coalesce_edges(edges, n)
-    empty = np.setdiff1d(np.arange(n), src)
-    if empty.size:
-        if dangling == "error":
-            raise DanglingNodeError(int(empty[0]))
-        if dangling == "self":
-            src = np.concatenate([src, empty])
-            dst = np.concatenate([dst, empty])
-            w = np.concatenate([w, np.ones(empty.size)])
-        elif dangling == "uniform":
-            src = np.concatenate([src, np.repeat(empty, n)])
-            dst = np.concatenate([dst, np.tile(np.arange(n), empty.size)])
-            w = np.concatenate([w, np.full(empty.size * n, 1.0)])
-        else:
-            raise InvalidParamsError(f"unknown dangling policy {dangling!r}")
-        order = np.lexsort((dst, src))
-        src, dst, w = src[order], dst[order], w[order]
-    indptr, indices, vals, counts = _csr_arrays(src, dst, w, n)
-    sums = np.bincount(src, weights=w, minlength=n)
-    vals = vals / np.repeat(sums, counts)
-    return TransitionMatrix(n, indptr, indices, vals, counts.astype(float))
+    _, indptr, indices, vals, dangling = _raw_rows(edges, n)
+    if dangling.size:
+        raise DanglingNodeError(int(dangling[0]))
+    return TransitionMatrix(n, indptr, indices, vals, np.diff(indptr).astype(float))
 
 
 def validate_stochastic(P, tol=ROW_SUM_TOL):
@@ -288,22 +282,6 @@ class GoogleMatrix:
                 lo, hi = self.indptr[i], self.indptr[i + 1]
                 D[i, self.indices[lo:hi]] += self.scaled[lo:hi]
         return D
-
-
-def _raw_rows(P_or_edges, n=None):
-    """Normalize input to raw CSR rows, tolerating dangling rows."""
-    if isinstance(P_or_edges, TransitionMatrix):
-        P = P_or_edges
-        return P.n, P.indptr, P.indices, P.data, np.empty(0, dtype=np.int64)
-    if n is None:
-        raise InvalidParamsError("n is required when passing a raw edge list")
-    src, dst, w = _coalesce_edges(P_or_edges, n)
-    indptr, indices, vals, counts = _csr_arrays(src, dst, w, n)
-    sums = np.bincount(src, weights=w, minlength=n)
-    nonempty = counts > 0
-    vals = vals / np.repeat(sums[nonempty], counts[nonempty])
-    dangling = np.flatnonzero(~nonempty)
-    return n, indptr, indices, vals, dangling
 
 
 def google_matrix(P_or_edges, c, s=None, n=None):

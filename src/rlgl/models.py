@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidParamsError, IsolatedNodeError
-from .matrix import DENSE_CAP, TransitionMatrix, _coalesce_edges, _csr_arrays, build_transition
+from .matrix import DENSE_CAP, TransitionMatrix, _raw_rows, build_transition
 
 
 def parse_edge_file(path, one_based=False):
@@ -248,15 +248,20 @@ def _tarjan_scc(adj, n):
     return comps
 
 
-def strong_components(edges, n):
-    """Strongly connected components of the graph ``build_transition`` sees.
+def strong_components(graph, n=None):
+    """Strongly connected components of a matrix or an edge list.
 
-    The edges go through the matrix builder's coalescing: ids are
-    bounds-checked, duplicates merged and zero weights dropped, so an edge
-    counts for connectivity exactly when it becomes a matrix entry.
-    Returns the components as lists of node ids.
+    ``graph`` is any object with CSR ``indptr``/``indices`` (every stored
+    entry is an arc), or an edge list of ``n`` nodes, which goes through
+    the matrix builder's coalescing: ids are bounds-checked, duplicates
+    merged and zero weights dropped, so an edge counts for connectivity
+    exactly when it becomes a matrix entry.  Returns the components as
+    lists of node ids.
     """
-    indptr, indices, _, _ = _csr_arrays(*_coalesce_edges(edges, n), n)
+    if hasattr(graph, "indptr") and hasattr(graph, "indices"):
+        n, indptr, indices = graph.n, graph.indptr, graph.indices
+    else:
+        n, indptr, indices, _, _ = _raw_rows(graph, n)
     ptr, cols = indptr.tolist(), indices.tolist()
     return _tarjan_scc([cols[ptr[i] : ptr[i + 1]] for i in range(n)], n)
 
@@ -284,6 +289,6 @@ def largest_scc(edges, n=None):
     return sub, mapping
 
 
-def is_strongly_connected(edges, n):
-    """True when the positive-weight edges join all n nodes in one component."""
-    return len(strong_components(edges, n)) == 1
+def is_strongly_connected(graph, n=None):
+    """True when ``graph`` (see ``strong_components``) is one component."""
+    return len(strong_components(graph, n)) == 1

@@ -77,42 +77,40 @@ class AllNodes(Schedule):
         return self._all
 
 
-class RandomNode(Schedule):
-    """One node drawn uniformly, independently at each step."""
+class _Seeded(Schedule):
+    """A stochastic schedule drawing from a generator seeded by ``seed``."""
 
-    name = "rand"
     stochastic = True
 
     def __init__(self, seed=0):
+        if seed < 0:
+            raise InvalidParamsError(f"{self.name} seed must be >= 0, got {seed}")
         self.seed = seed
         self.rng = np.random.default_rng(seed)
 
     def restart(self):
         super().restart()
         self.rng = np.random.default_rng(self.seed)
-
-    def next_nodes(self, C):
-        self._k += 1
-        return np.array([self.rng.integers(self.n)], dtype=np.int64)
 
     def reseed(self):
         self.seed += 1
         self.rng = np.random.default_rng(self.seed)
 
 
-class ProportionalCash(Schedule):
+class RandomNode(_Seeded):
+    """One node drawn uniformly, independently at each step."""
+
+    name = "rand"
+
+    def next_nodes(self, C):
+        self._k += 1
+        return np.array([self.rng.integers(self.n)], dtype=np.int64)
+
+
+class ProportionalCash(_Seeded):
     """One node drawn with probability |C_i| / ||C||_1."""
 
     name = "pc"
-    stochastic = True
-
-    def __init__(self, seed=0):
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
-
-    def restart(self):
-        super().restart()
-        self.rng = np.random.default_rng(self.seed)
 
     def next_nodes(self, C):
         w = np.abs(C)
@@ -122,10 +120,6 @@ class ProportionalCash(Schedule):
         self._k += 1
         i = self.rng.choice(self.n, p=w / total)
         return np.array([i], dtype=np.int64)
-
-    def reseed(self):
-        self.seed += 1
-        self.rng = np.random.default_rng(self.seed)
 
 
 class MaxCash(Schedule):

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
-from rlgl import cli, models
+from rlgl import cli, matrix, models
 from rlgl.errors import ConfigError
-from rlgl.matrix import google_matrix, gth_stationary
+from rlgl.matrix import build_transition, google_matrix, gth_stationary
 
 
 def read_estimate(path):
@@ -78,6 +80,26 @@ class TestSolve:
         nodes, vals = read_estimate(tmp_path / "estimate.csv")
         assert nodes.tolist() == [0, 1]
         assert vals == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    # node 3 has no out-edges: the matrix builder rejects it before any SCC check
+    DANGLING_EDGES = "0 1\n1 2\n2 0\n2 3\n"
+
+    def test_dangling_node_raw_mode_rejected(self, tmp_path, capsys):
+        graph = tmp_path / "dangling.edges"
+        graph.write_text(self.DANGLING_EDGES)
+        code = cli.main(["solve", "--graph", str(graph), "--method", "pi", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: raw stationary mode needs a strongly connected graph (or --lcc)"]
+
+    def test_dangling_node_lcc_solves_cycle(self, tmp_path):
+        graph = tmp_path / "dangling.edges"
+        graph.write_text(self.DANGLING_EDGES)
+        code = cli.main(["solve", "--graph", str(graph), "--method", "pi", "--lcc", "--out", str(tmp_path)])
+        assert code == 0
+        nodes, vals = read_estimate(tmp_path / "estimate.csv")
+        assert nodes.tolist() == [0, 1, 2]
+        assert vals == pytest.approx([1 / 3] * 3, abs=1e-9)
 
     @pytest.mark.parametrize(
         "text",
@@ -167,6 +189,8 @@ class TestSolve:
         ["--graph", "meanfield:5,2:0.1"],
         ["--method", "rlgl", "--schedule", "blocks:{missing}"],
         ["--method", "rlgl", "--m0", "{missing}"],
+        ["--method", "rlgl", "--schedule", "rand:-1"],
+        ["--method", "rlgl", "--schedule", "pc", "--seed", "-2"],
     ],
     ids=lambda extra: " ".join(extra),
 )
@@ -176,6 +200,65 @@ def test_bad_descriptor_is_one_error_line(tmp_path, capsys, extra):
     assert cli.main(args) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "sbm", "{out}", "--sizes", "40,x"],
+        ["gen", "meanfield", "{out}", "--sizes", "40,x"],
+        ["mdp", "--sizes", "50,x", "--out", "{out}"],
+        ["mdp", "--grid", "10", "--out", "{out}"],
+    ],
+    ids=lambda args: " ".join(a for a in args if a != "{out}"),
+)
+def test_bad_integer_flag_is_one_error_line(tmp_path, capsys, args):
+    assert cli.main([a.format(out=tmp_path / "out") for a in args]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+RAW_GRAPHS = ["two-wheels", "sbm:250,250:0.03:0.004:7", "ring.edges"]
+
+
+def _raw_config(tmp_path, graph):
+    if graph.endswith(".edges"):
+        n = 300  # a ring plus weighted chords, written as an edge file
+        ring = [(i, (i + 1) % n, 1.0) for i in range(n)]
+        chords = [(i, (7 * i + 3) % n, 1.0 + i % 4) for i in range(n)]
+        graph = str(tmp_path / graph)
+        models.write_edge_file(graph, np.array(ring + chords))
+    return cli.ExperimentConfig(graph=graph)
+
+
+@pytest.mark.parametrize("graph", RAW_GRAPHS)
+def test_raw_build_problem_is_build_transition(tmp_path, graph):
+    cfg = _raw_config(tmp_path, graph)
+    P, node_map = cli.build_problem(cfg)
+    edges, n = cli.load_graph(cfg.graph)
+    Q = build_transition(edges, n)
+    assert node_map is None and P.n == Q.n
+    for name in ("indptr", "indices", "data", "out_degree"):
+        a, b = getattr(P, name), getattr(Q, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("graph", RAW_GRAPHS)
+def test_raw_build_problem_coalesces_once(tmp_path, monkeypatch, graph):
+    cfg = _raw_config(tmp_path, graph)
+    calls = []
+    original = matrix._coalesce_edges
+
+    def counted(edges, n):
+        calls.append(n)
+        return original(edges, n)
+
+    # patch every rlgl module that holds the function, not just its home
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rlgl") and getattr(module, "_coalesce_edges", None) is original:
+            monkeypatch.setattr(module, "_coalesce_edges", counted)
+    cli.build_problem(cfg)
+    assert len(calls) == 1
 
 
 class TestBench:

@@ -51,12 +51,6 @@ class TestBuildTransition:
             build_transition([(0, 1, 1.0)], 2)
         assert exc.value.node == 1
 
-    def test_dangling_policies(self):
-        P = build_transition([(0, 1, 1.0)], 2, dangling="uniform")
-        assert np.allclose(P.to_dense()[1], [0.5, 0.5])
-        P = build_transition([(0, 1, 1.0)], 2, dangling="self")
-        assert np.allclose(P.to_dense()[1], [0.0, 1.0])
-
     def test_bad_index(self):
         with pytest.raises(InvalidIndexError):
             build_transition([(0, 5, 1.0)], 2)

@@ -260,3 +260,21 @@ class TestSimulate:
         sim7 = mdp.simulate_policy(c0, [mdp.Action.A7], SIZES, P_, Q_, eps=1e-8)
         assert sim.converged
         assert sim.cum_cost[-1] < sim7.cum_cost[-1]
+
+
+class TestEngineReplay:
+    def test_optimal_actions_through_engine_step(self):
+        """The block simulation's cost and cash equal the engine's on the node chain."""
+        c0 = mdp.meanfield_init(SIZES, P_, Q_)
+        grid = mdp.solve_policy(SIZES, P_, Q_, c0=c0, eps=1e-8, n_z1=400, n_z2=41)
+        sim = mdp.simulate_policy(c0, grid, SIZES, P_, Q_, eps=1e-8)
+        mf = models.MeanFieldMatrix(SIZES, P_, Q_)
+        state = engine.init(mf)
+        init_cost = state.cum_cost
+        assert state.cash_l1 == pytest.approx(sim.cash_l1[0], rel=1e-12)
+        for k, a in enumerate(sim.actions, start=1):
+            G = np.concatenate([mf.block_nodes(b) for b in a.blocks])
+            engine.step(state, G, mf)
+            assert state.cum_cost - init_cost == pytest.approx(sim.cum_cost[k], rel=1e-12, abs=0)
+            assert abs(state.cash_l1 - sim.cash_l1[k]) <= 1e-12 * sim.cash_l1[0]
+        assert len(sim.actions) > 10

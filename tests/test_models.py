@@ -1,10 +1,11 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rlgl import models
-from rlgl.errors import InvalidIndexError, InvalidParamsError, IsolatedNodeError
+from rlgl.errors import DanglingNodeError, InvalidIndexError, InvalidParamsError, IsolatedNodeError
 from rlgl.matrix import build_transition
 
 from conftest import SBM80_SEEDS, sbm80_instance
@@ -195,6 +196,30 @@ class TestStrongComponents:
                 for v in c:
                     assert set(np.flatnonzero(mutual[v]).tolist()) == set(c)
             assert models.is_strongly_connected(edges, n) == bool(mutual.all())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matrix_input_agrees_with_edge_list(self, seed):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for trial in range(15):
+            n = int(rng.integers(1, 16))
+            m = int(rng.integers(n, 4 * n))
+            edges = np.column_stack(
+                [rng.integers(n, size=m), rng.integers(n, size=m), rng.choice([0.0, 0.5, 1.0, 2.0], size=m)]
+            )
+            edges = np.vstack([edges, edges[: m // 4] * [1, 1, 0]])
+            try:
+                P = build_transition(edges, n)
+            except DanglingNodeError:
+                continue  # only matrices without an empty row can be built
+            checked += 1
+            expected = sorted(sorted(c) for c in models.strong_components(edges, n))
+            # any object with CSR indptr/indices will do, not just TransitionMatrix
+            view = SimpleNamespace(n=P.n, indptr=P.indptr, indices=P.indices)
+            for graph in (P, view):
+                assert sorted(sorted(c) for c in models.strong_components(graph)) == expected
+                assert models.is_strongly_connected(graph) == models.is_strongly_connected(edges, n)
+        assert checked
 
     def test_zero_weight_edge_does_not_connect(self):
         edges = [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0), (2, 0, 0.0)]
