@@ -1,0 +1,192 @@
+/* The inner loop of engine.run for single-node schedules on a CSR matrix.
+ *
+ * Built and called by pushloop.py.  Each step repeats, operation for
+ * operation, what engine.run's Python loop does with RoundRobin, Theta or
+ * MaxCash and engine.step on a TransitionMatrix, so H, C and every counter
+ * come out with the same bytes.  Compile with -ffp-contract=off: a fused
+ * multiply-add would round C differently.
+ *
+ * The loop returns to Python before any step that needs it (the guard
+ * fires, the cash may be below eps, max_steps, a Theta refresh, no cash
+ * left for MaxCash) and after any step that makes a trace row due or
+ * lets the rounding bound of the incremental ||C||_1 pass its drift limit.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+enum { KIND_RR = 0, KIND_THETA = 1, KIND_MAXC = 2 };
+
+/* Run state shared with Python; fields in pushloop.LoopState's order. */
+typedef struct {
+    int64_t t, updates, k;
+    double cum_cost, scan_cost, total_history, cash_l1, l1_err, max_l1_increase;
+} loop_state;
+
+/* Per-call constants; fields in pushloop.LoopParams' order. */
+typedef struct {
+    int64_t kind, n, offset, period, max_steps, record_at, sum_depth;
+    double theta, eps, initial_mass, guard_unit, drift_tol, unit;
+} loop_params;
+
+/* Indexed binary max-heap of all nodes, ordered as np.argmax(np.abs(C))
+ * picks: larger |C| first, the lower index on ties. */
+typedef struct {
+    const double *C;
+    int64_t *node; /* node at heap position */
+    int64_t *pos;  /* heap position of node */
+    int64_t n;
+} heap;
+
+static int above(const heap *h, int64_t a, int64_t b)
+{
+    double x = fabs(h->C[a]), y = fabs(h->C[b]);
+    return x > y || (x == y && a < b);
+}
+
+static void place(heap *h, int64_t p, int64_t v)
+{
+    h->node[p] = v;
+    h->pos[v] = p;
+}
+
+static int64_t sift_up(heap *h, int64_t p)
+{
+    int64_t v = h->node[p];
+    while (p > 0) {
+        int64_t q = (p - 1) / 2;
+        if (!above(h, v, h->node[q]))
+            break;
+        place(h, p, h->node[q]);
+        p = q;
+    }
+    place(h, p, v);
+    return p;
+}
+
+static void sift_down(heap *h, int64_t p)
+{
+    int64_t v = h->node[p];
+    for (;;) {
+        int64_t c = 2 * p + 1;
+        if (c >= h->n)
+            break;
+        if (c + 1 < h->n && above(h, h->node[c + 1], h->node[c]))
+            c++;
+        if (!above(h, h->node[c], v))
+            break;
+        place(h, p, h->node[c]);
+        p = c;
+    }
+    place(h, p, v);
+}
+
+/* Restore the order after |C[v]| changed. */
+static void reorder(heap *h, int64_t v)
+{
+    int64_t p = h->pos[v];
+    if (sift_up(h, p) == p)
+        sift_down(h, p);
+}
+
+static int heap_init(heap *h, const double *C, int64_t n)
+{
+    h->C = C;
+    h->n = n;
+    h->node = malloc((size_t)n * sizeof *h->node);
+    h->pos = malloc((size_t)n * sizeof *h->pos);
+    if (!h->node || !h->pos)
+        return -1;
+    for (int64_t i = 0; i < n; i++)
+        place(h, i, i);
+    for (int64_t p = n / 2 - 1; p >= 0; p--)
+        sift_down(h, p);
+    return 0;
+}
+
+/* Steps taken (0: the next step needs Python), or -1 when out of memory. */
+int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const double *data,
+                       const double *out_degree, double *C, double *H, loop_state *s,
+                       const loop_params *p)
+{
+    heap h = {0};
+    int64_t done = 0;
+    if (p->kind == KIND_MAXC && heap_init(&h, C, p->n) != 0) {
+        free(h.node);
+        free(h.pos);
+        return -1;
+    }
+    for (;;) {
+        /* engine.run's checks before a step */
+        if (!(fabs(s->total_history) > p->guard_unit * (double)s->t * p->initial_mass))
+            break;
+        if (s->cash_l1 - s->l1_err < p->eps || s->t >= p->max_steps)
+            break;
+
+        /* the schedule's pick; -1 is a skip step */
+        int64_t i;
+        if (p->kind == KIND_MAXC) {
+            i = h.node[0];
+            if (C[i] == 0.0)
+                break;
+            s->k++;
+        } else {
+            if (p->kind == KIND_THETA && done > 0 && s->k % p->period == 0)
+                break;
+            i = (s->k + p->offset) % p->n;
+            s->k++;
+            if (p->kind == KIND_THETA) {
+                s->scan_cost += 1;
+                if (!(fabs(C[i]) >= p->theta && C[i] != 0.0))
+                    i = -1;
+            }
+        }
+
+        /* engine.step's single-node push and engine._account */
+        double a = i >= 0 ? C[i] : 0.0;
+        int drift = 0;
+        if (a != 0.0) {
+            H[i] += a;
+            s->total_history += a;
+            C[i] = 0.0;
+            if (p->kind == KIND_MAXC)
+                reorder(&h, i);
+            int64_t lo = indptr[i], hi = indptr[i + 1];
+            double old_abs = 0.0, new_abs = 0.0;
+            for (int64_t e = lo; e < hi; e++) {
+                int64_t j = indices[e];
+                double o = C[j];
+                double v = o + a * data[e];
+                C[j] = v;
+                old_abs += fabs(o);
+                new_abs += fabs(v);
+                if (p->kind == KIND_MAXC)
+                    reorder(&h, j);
+            }
+            s->cum_cost += out_degree[i];
+            s->updates += 1;
+
+            double moved_abs = fabs(a);
+            double change = (new_abs - old_abs) - moved_abs;
+            double old = s->cash_l1;
+            double err = s->l1_err;
+            if (err == 0.0)
+                err = (double)(2 * p->sum_depth) * p->unit * old;
+            /* a sequential sum of d terms rounds within d units */
+            int64_t depth = hi - lo > p->sum_depth ? hi - lo : p->sum_depth;
+            s->cash_l1 = old + change;
+            s->l1_err = err + (double)((depth + 4) * 2) * p->unit * (old + err + moved_abs);
+            drift = s->l1_err > p->drift_tol * s->cash_l1;
+            if (change > s->max_l1_increase)
+                s->max_l1_increase = change;
+        }
+        s->t++;
+        done++;
+        if (drift || s->updates >= p->record_at)
+            break;
+    }
+    free(h.node);
+    free(h.pos);
+    return done;
+}

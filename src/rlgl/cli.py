@@ -108,10 +108,18 @@ def load_graph(spec, one_based=False, undirected=False, seed=0):
     return edges, n
 
 
+def _load_vector(path, flag):
+    """The numbers in a vector file (whitespace-separated); ConfigError naming ``flag``."""
+    try:
+        return np.loadtxt(path)
+    except (OSError, ValueError):
+        raise ConfigError(f"{flag} {path!r}: expected a readable file of numbers") from None
+
+
 def _restart_distribution(path, n):
     if path is None:
         return None
-    vals = np.loadtxt(path)
+    vals = _load_vector(path, "--restart-s")
     if vals.size != n:
         raise ConfigError(f"restart distribution has {vals.size} entries, graph has {n}")
     return vals
@@ -157,7 +165,7 @@ def run_method(P, cfg: ExperimentConfig):
         # "rlgl" uses --schedule; "rlgl+<schedule>" carries its own
         sched_text = method.split("+", 1)[1] if "+" in method else cfg.schedule
         sched = schedules.parse_schedule(sched_text, cfg.seed)
-        M0 = np.loadtxt(cfg.m0) if cfg.m0 else None
+        M0 = _load_vector(cfg.m0, "--m0") if cfg.m0 else None
         res = engine.run(
             P,
             sched,

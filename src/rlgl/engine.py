@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DegenerateHistoryError,
     InvalidIndexError,
+    InvalidM0Error,
     NoConvergenceError,
     ZeroTotalHistoryError,
 )
@@ -140,6 +141,8 @@ class RunResult:
     converged: bool
     restarts: int = 0
     guard_events: list = field(default_factory=list)
+    # "c" when the compiled push loop ran the steps, "py" for engine.step
+    kernel: str = "py"
 
 
 def init(P, M0=None):
@@ -153,7 +156,7 @@ def init(P, M0=None):
         M0 = np.full(n, 1.0 / n)
     M0 = check_distribution(M0)
     if M0.size != n:
-        raise ValueError(f"M0 has length {M0.size}, chain has {n} states")
+        raise InvalidM0Error(f"M0 has length {M0.size}, chain has {n} states")
     C = P.mul_left(M0) - M0
     support = M0 > 0
     return SolverState(
@@ -306,6 +309,20 @@ def guard_total_history(state, schedule):
     return GUARD_RESTART if schedule.stochastic else GUARD_PERTURB
 
 
+def _push_loop(P, schedule, criterion):
+    """The compiled loop for this run, or None when it takes Python steps.
+
+    Decided from attributes, not types, so that wrappers forwarding them
+    (such as the benchmark's tracing proxies) take the same path.
+    """
+    kind = getattr(schedule, "push_loop", None)
+    if criterion != "cash" or kind is None or not getattr(P, "csr_push", False):
+        return None
+    from . import pushloop  # imported, and compiled, only by runs that use it
+
+    return pushloop.bind(P, kind)
+
+
 def run(
     P,
     schedule,
@@ -328,6 +345,12 @@ def run(
     ``trace_stride`` node updates (default: one sweep-equivalent, n
     updates).
 
+    Under the "cash" criterion, ``RoundRobin``, ``Theta`` and unrestricted
+    ``MaxCash`` runs on a ``TransitionMatrix`` take their steps in a
+    compiled loop (``pushloop``) that returns here at every check, trace
+    row and refresh, with the same bytes as ``step``; ``RunResult.kernel``
+    says which path ran.
+
     Raises NoConvergenceError at max_steps and DegenerateHistoryError when
     the total-history guard exhausts its retries; both carry the partial
     result as ``.result``.
@@ -338,6 +361,8 @@ def run(
     stride = n if trace_stride is None else int(trace_stride)
     schedule.bind(P)
     schedule.restart()
+    loop = _push_loop(P, schedule, criterion)
+    kernel = "py" if loop is None else "c"
 
     restarts = 0
     guard_events = []
@@ -374,23 +399,27 @@ def run(
                     sync_cash_l1(state)
                 if state.cash_l1 < eps:
                     record(force=True)
-                    return RunResult(estimate(state), state, trace, True, restarts, guard_events)
+                    return RunResult(estimate(state), state, trace, True, restarts, guard_events, kernel)
             else:
                 if state.cash_l1 == 0.0:
                     record(force=True)
-                    return RunResult(estimate(state), state, trace, True, restarts, guard_events)
+                    return RunResult(estimate(state), state, trace, True, restarts, guard_events, kernel)
                 pi = estimate(state)
                 if prev_pi is not None and float(np.abs(pi - prev_pi).sum()) < eps:
                     record(force=True)
-                    return RunResult(pi, state, trace, True, restarts, guard_events)
+                    return RunResult(pi, state, trace, True, restarts, guard_events, kernel)
                 prev_pi = pi
             if state.t >= max_steps:
                 record(force=True)
-                result = RunResult(None, state, trace, False, restarts, guard_events)
+                result = RunResult(None, state, trace, False, restarts, guard_events, kernel)
                 raise NoConvergenceError(f"no convergence in {max_steps} steps", result)
             moved_before = state.updates
-            G = schedule.next_nodes(state.C)
-            step(state, G, P)
+            if loop is not None and loop.advance(state, schedule, eps, max_steps, last_recorded + stride):
+                if state.l1_err > DRIFT_TOL * state.cash_l1:
+                    sync_cash_l1(state)
+            else:
+                G = schedule.next_nodes(state.C)
+                step(state, G, P)
             if criterion == "pihat":
                 sync_cash_l1(state)
             state.scan_cost = float(getattr(schedule, "scan_cost", 0.0))
@@ -400,7 +429,7 @@ def run(
 
         assert degenerate
         if restarts >= max_retries:
-            result = RunResult(None, state, trace, False, restarts, guard_events)
+            result = RunResult(None, state, trace, False, restarts, guard_events, kernel)
             err = DegenerateHistoryError(f"total history degenerate after {restarts} retries")
             err.result = result
             raise err

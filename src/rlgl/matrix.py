@@ -14,6 +14,12 @@ used by the iteration engine and the reference solvers:
                         returns the change in ``||C||_1`` it caused, or
                         ``None`` (see below)
 - ``to_dense()``        dense ndarray copy (bounded by DENSE_CAP states)
+- ``csr_push``          True only where ``scatter_add`` adds
+                        ``amount * data[k]`` to ``C[indices[k]]`` for the
+                        entries k of the pushed row and writes nothing else
+                        (``TransitionMatrix``, whose rows hold distinct
+                        columns); the engine may then run its compiled push
+                        loop on ``indptr``/``indices``/``data``
 
 ``scatter_add`` return contract: a matrix whose push writes only the
 stored row (``TransitionMatrix``) returns the float change in
@@ -73,6 +79,8 @@ class TransitionMatrix:
     indices: np.ndarray
     data: np.ndarray
     out_degree: np.ndarray
+
+    csr_push = True
 
     @property
     def volume(self):

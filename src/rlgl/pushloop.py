@@ -1,0 +1,171 @@
+"""The compiled push loop: build ``_push.c``, cache it, call it with ctypes.
+
+``load()`` compiles the C source once per user with ``$CC`` (default
+``cc``) and the flags in ``FLAGS``, and caches the shared library under
+``$XDG_CACHE_HOME/rlgl`` (default ``~/.cache/rlgl``), keyed by a hash of
+the source, the compiler and the flags.  It returns None when the
+library cannot be built or loaded, and ``engine.run`` then takes its
+Python steps.  Nothing here is imported until a run can use the loop.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import platform
+import shlex
+import subprocess
+import tempfile
+import zlib
+
+import numpy as np
+
+from . import engine
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_push.c")
+# No -ffast-math and no contraction: every operation rounds as numpy's does.
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+KINDS = {"rr": 0, "theta": 1, "maxc": 2}
+
+
+class LoopState(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_int64) for name in ("t", "updates", "k")] + [
+        (name, ctypes.c_double)
+        for name in ("cum_cost", "scan_cost", "total_history", "cash_l1", "l1_err", "max_l1_increase")
+    ]
+
+
+class LoopParams(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_int64)
+        for name in ("kind", "n", "offset", "period", "max_steps", "record_at", "sum_depth")
+    ] + [(name, ctypes.c_double) for name in ("theta", "eps", "initial_mass", "guard_unit", "drift_tol", "unit")]
+
+
+def _build():
+    """Path of the compiled library, compiling it first when not cached."""
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    with open(SOURCE, "rb") as fh:
+        source = fh.read()
+    # Two 32-bit checksums, not hashlib, whose OpenSSL load adds ~3.6 MB of RSS.
+    blob = repr((source, cc, FLAGS, platform.machine())).encode()
+    key = f"{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}"
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    directory = os.path.join(base, "rlgl")
+    path = os.path.join(directory, f"push-{key}.so")
+    if os.path.exists(path):
+        return path
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*cc, *FLAGS, "-o", tmp, SOURCE],
+            check=True, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=120,
+        )
+        os.replace(tmp, path)  # atomic: a concurrent run sees no half-written file
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+@functools.cache
+def load():
+    """The compiled ``rlgl_push_loop``, or None when it cannot be had here."""
+    try:
+        fn = ctypes.CDLL(_build()).rlgl_push_loop
+    except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
+        return None
+    fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+def _csr_arrays(P):
+    """P's CSR arrays in the C types, or None unless they form n valid rows."""
+    n = P.n
+    indptr = np.ascontiguousarray(P.indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(P.indices, dtype=np.int64)
+    data = np.ascontiguousarray(P.data, dtype=np.float64)
+    degree = np.ascontiguousarray(P.out_degree, dtype=np.float64)
+    if indptr.shape != (n + 1,) or data.shape != indices.shape or degree.shape != (n,):
+        return None
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        return None
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        return None
+    # Each row must list distinct columns, in rising order as every builder
+    # stores them: scatter_add writes a repeated column once, C adds twice.
+    rising = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    if not rising.all():
+        return None
+    return indptr, indices, data, degree
+
+
+def bind(P, kind):
+    """A Loop over P's rows for one schedule kind, or None for the Python steps."""
+    fn = load()
+    arrays = None if fn is None else _csr_arrays(P)
+    return None if arrays is None else Loop(fn, arrays, P.n, kind)
+
+
+class Loop:
+    """One run's compiled loop: the matrix arrays and schedule kind, bound once."""
+
+    def __init__(self, fn, arrays, n, kind):
+        self.fn = fn
+        self.kind = kind
+        self.arrays = arrays  # kept referenced while C reads them
+        self.pointers = [a.ctypes.data for a in arrays]
+        self.state = LoopState()
+        self.params = LoopParams(
+            kind=KINDS[kind], n=n, sum_depth=engine._sum_depth(n), guard_unit=engine.GUARD_UNIT,
+            drift_tol=engine.DRIFT_TOL, unit=engine._U,
+        )
+
+    def advance(self, state, schedule, eps, max_steps, record_at):
+        """Take engine.run's steps in C until one needs Python; returns their count.
+
+        Called where the Python loop would pick its next node, so the
+        first step's checks have passed.  Theta's refresh, when due, is
+        made here first; the schedule's position (and Theta's scan count)
+        are handed back through its ``seek``.
+        """
+        C, H = state.C, state.H
+        n = self.params.n
+        for a in (C, H):
+            if a.dtype != np.float64 or a.shape != (n,) or not a.flags.c_contiguous:
+                return 0
+        p = self.params
+        if self.kind == "theta":
+            if schedule._k % schedule.period == 0:
+                schedule.refresh(C)
+            p.theta = schedule.theta
+            p.period = schedule.period
+        if self.kind != "maxc":
+            p.offset = schedule.offset
+        p.eps = eps
+        p.initial_mass = state.initial_mass
+        p.max_steps = max_steps
+        p.record_at = record_at
+        s = self.state
+        s.t, s.updates, s.k = state.t, state.updates, schedule._k
+        s.cum_cost, s.total_history = state.cum_cost, state.total_history
+        s.scan_cost = getattr(schedule, "scan_cost", 0.0)
+        s.cash_l1, s.l1_err, s.max_l1_increase = state.cash_l1, state.l1_err, state.max_l1_increase
+        done = self.fn(*self.pointers, C.ctypes.data, H.ctypes.data, ctypes.byref(s), ctypes.byref(p))
+        if done <= 0:
+            return 0
+        state.t, state.updates = s.t, s.updates
+        state.cum_cost, state.total_history = s.cum_cost, s.total_history
+        state.cash_l1, state.l1_err, state.max_l1_increase = s.cash_l1, s.l1_err, s.max_l1_increase
+        if self.kind == "theta":
+            schedule.seek(s.k, s.scan_cost)
+        else:
+            schedule.seek(s.k)
+        return done

@@ -8,6 +8,12 @@ Deterministic kinds replay identical sequences across runs; stochastic
 kinds replay identical sequences for equal seeds.  The iteration engine
 calls ``perturb()`` (deterministic kinds: rotate the node order by one) or
 ``reseed()`` (stochastic kinds: seed+1) when its total-history guard fires.
+
+``push_loop`` names the kinds whose picks ``engine.run`` may take in its
+compiled loop (``pushloop``): ``rr``, ``theta`` and an unrestricted
+``maxc``; None for every other schedule.  That loop repeats the picks of
+``next_nodes`` exactly and hands its position back through ``seek``, so a
+subclass that changes the pick must set ``push_loop = None``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class Schedule:
     stochastic = False
     name = "schedule"
+    push_loop = None
 
     def bind(self, P):
         self.P = P
@@ -34,6 +41,10 @@ class Schedule:
 
     def next_nodes(self, C):
         raise NotImplementedError
+
+    def seek(self, k):
+        """Continue from schedule step ``k``, where the compiled loop stopped."""
+        self._k = k
 
     def perturb(self):
         pass
@@ -49,6 +60,7 @@ class RoundRobin(Schedule):
     """Single nodes in cyclic order; covers [N] every n steps."""
 
     name = "rr"
+    push_loop = "rr"
 
     def __init__(self):
         self.offset = 0
@@ -134,6 +146,10 @@ class MaxCash(Schedule):
     def __init__(self, restrict=None):
         self.restrict = None if restrict is None else np.asarray(restrict, dtype=np.int64)
 
+    @property
+    def push_loop(self):
+        return "maxc" if self.restrict is None else None
+
     def next_nodes(self, C):
         cand = C if self.restrict is None else C[self.restrict]
         j = int(np.argmax(np.abs(cand)))
@@ -187,6 +203,7 @@ class Theta(Schedule):
     """
 
     name = "theta"
+    push_loop = "theta"
 
     def __init__(self, r=1.0, period=None):
         if not r >= 1:
@@ -210,12 +227,20 @@ class Theta(Schedule):
         self.theta = 0.0
         self.scan_cost = 0.0
 
+    def refresh(self, C):
+        """Set the threshold from the cash C; charged as a scan of all n nodes."""
+        a = np.abs(C)
+        # 1-ulp slack: exactly-equal cash must pass its own power mean
+        self.theta = float((a**self.r).mean() ** (1.0 / self.r)) * (1.0 - 1e-12)
+        self.scan_cost += self.n
+
+    def seek(self, k, scan_cost):
+        super().seek(k)
+        self.scan_cost = scan_cost
+
     def next_nodes(self, C):
         if self._k % self.period == 0:
-            a = np.abs(C)
-            # 1-ulp slack: exactly-equal cash must pass its own power mean
-            self.theta = float((a**self.r).mean() ** (1.0 / self.r)) * (1.0 - 1e-12)
-            self.scan_cost += self.n
+            self.refresh(C)
         i = (self._k + self.offset) % self.n
         self._k += 1
         self.scan_cost += 1

@@ -191,12 +191,18 @@ class TestSolve:
         ["--method", "rlgl", "--m0", "{missing}"],
         ["--method", "rlgl", "--schedule", "rand:-1"],
         ["--method", "rlgl", "--schedule", "pc", "--seed", "-2"],
+        ["--method", "rlgl", "--m0", "{text}"],
+        ["--method", "rlgl", "--m0", "{short}"],
+        ["--pagerank", "--restart-s", "{text}"],
     ],
     ids=lambda extra: " ".join(extra),
 )
 def test_bad_descriptor_is_one_error_line(tmp_path, capsys, extra):
+    files = {"missing": tmp_path / "missing.txt", "text": tmp_path / "text.txt", "short": tmp_path / "short.txt"}
+    files["text"].write_text("0.5 x\n")  # a non-numeric entry
+    files["short"].write_text("0.5 0.5\n")  # a distribution of the wrong length
     args = ["solve", "--graph", "two-wheels", "--method", "pi", "--out", str(tmp_path)]
-    args += [a.format(missing=tmp_path / "missing.txt") for a in extra]
+    args += [a.format(**files) for a in extra]
     assert cli.main(args) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

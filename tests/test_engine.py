@@ -1,3 +1,6 @@
+import os
+import shlex
+import subprocess
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlgl import engine, models, schedules
+from rlgl import engine, models, pushloop, schedules
 from rlgl.errors import (
     DegenerateHistoryError,
     InvalidIndexError,
@@ -13,7 +16,7 @@ from rlgl.errors import (
     NoConvergenceError,
     ZeroTotalHistoryError,
 )
-from rlgl.matrix import build_transition, google_matrix, gth_stationary
+from rlgl.matrix import TransitionMatrix, build_transition, google_matrix, gth_stationary
 
 from conftest import dense_ergodic_chain, ring_random_chain, sbm80_instance
 
@@ -470,3 +473,186 @@ class TestIncrementalCashL1:
             engine.step(st_, [], P)
         assert (st_.cash_l1, st_.l1_err, st_.max_l1_drift, st_.C.tobytes()) == before
         assert st_.t == 7
+
+
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    """The path a compiled-loop run must report: "c" whenever $CC can build a library."""
+    d = tmp_path_factory.mktemp("probe")
+    (d / "probe.c").write_text("int probe(void) { return 0; }\n")
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    try:
+        built = subprocess.run([*cc, "-shared", "-fPIC", "-o", str(d / "probe.so"), str(d / "probe.c")],
+                               capture_output=True, timeout=120).returncode == 0
+    except OSError:
+        built = False
+    return "c" if built else "py"
+
+
+class _Forward:
+    """A wrapper that forwards attribute reads, as the benchmark's tracing proxies do."""
+
+    def __init__(self, obj):
+        self._obj = obj
+
+    def __getattr__(self, name):
+        return getattr(self._obj, name)
+
+
+def _replay(P, sched, *, eps=1e-10, stride=None, max_steps=60_000, M0=None):
+    """(kernel, outcome) of one cash-criterion run; the outcome as in _run_outcome."""
+    try:
+        res = engine.run(P, sched, M0, eps=eps, max_steps=max_steps, trace_stride=stride)
+    except (NoConvergenceError, DegenerateHistoryError) as exc:
+        res = exc.result
+    st_ = res.state
+    pi = None if res.pi_hat is None else res.pi_hat.tobytes()
+    return res.kernel, (
+        res.converged, res.restarts, res.guard_events, pi, st_.t, st_.updates, st_.cum_cost,
+        st_.scan_cost, st_.total_history, st_.cash_l1, st_.H.tobytes(), st_.C.tobytes(),
+        res.trace.rows,
+    )
+
+
+def _three_ways(monkeypatch, P, name, **kw):
+    """The compiled loop's outcome, checked against the Python steps and reference_step."""
+    compiled = _replay(P, schedules.parse_schedule(name), **kw)
+    with monkeypatch.context() as m:
+        m.setattr(pushloop, "load", lambda: None)
+        python = _replay(P, schedules.parse_schedule(name), **kw)
+        m.setattr(engine, "step", reference_step)
+        reference = _replay(P, schedules.parse_schedule(name), **kw)
+    assert python[0] == reference[0] == "py"
+    assert compiled[1] == python[1]
+    assert compiled[1] == reference[1]
+    return compiled
+
+
+class TestCompiledLoop:
+    """The compiled push loop against the Python steps it replaces, byte for byte."""
+
+    @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2:7", "maxc"])
+    @pytest.mark.parametrize("chain", ["two-wheels", "sbm80", "ring1000"])
+    def test_identical_runs(self, chain, sched_name, stride, kernel, monkeypatch):
+        got, outcome = _three_ways(monkeypatch, _chain(chain), sched_name, stride=stride)
+        assert got == kernel
+        assert outcome[0]  # converged
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc"])
+    def test_stops_where_the_exact_sum_crosses(self, sched_name, monkeypatch):
+        P = ring_random_chain(200, 5, 4)
+        with monkeypatch.context() as m:
+            m.setattr(pushloop, "load", lambda: None)
+            m.setattr(engine, "step", reference_step)
+            levels = []
+            sync = engine.sync_cash_l1
+            m.setattr(engine, "sync_cash_l1", lambda state: (sync(state), levels.append(state.cash_l1)))
+            _replay(P, schedules.parse_schedule(sched_name), eps=1e-12, stride=1, max_steps=2000)
+        for level in levels[37::97]:  # exact values on the way down
+            for eps in (level, np.nextafter(level, np.inf)):
+                _three_ways(monkeypatch, P, sched_name, eps=eps)
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2:7", "maxc"])
+    def test_guard_perturb_path(self, four_state, sched_name, kernel, monkeypatch):
+        got, outcome = _three_ways(monkeypatch, four_state, sched_name, eps=1e-12,
+                                   M0=np.array([1.0, 0, 0, 0]))
+        assert got == kernel
+        assert outcome[2]  # the guard fired
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:2:7", "maxc"])
+    def test_max_steps_result(self, sched_name, kernel, monkeypatch):
+        got, outcome = _three_ways(monkeypatch, _chain("ring1000"), sched_name, eps=1e-30, max_steps=4321)
+        assert got == kernel
+        assert not outcome[0] and outcome[4] == 4321
+
+    @pytest.mark.parametrize("check", ["guard", "eps", "max_steps"])
+    def test_loop_returns_before_a_step_python_must_check(self, check, kernel):
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _chain("sbm80")
+        sched = schedules.RoundRobin().bind(P)
+        loop = pushloop.bind(P, "rr")
+        st_ = engine.init(P)
+        assert loop.advance(st_, sched, 1e-10, 100, 10**9) == 100 - 1  # stops at max_steps
+        st_.total_history = 0.0 if check == "guard" else st_.total_history
+        eps = st_.cash_l1 if check == "eps" else 1e-10
+        max_steps = st_.t if check == "max_steps" else 200
+        before = TestStep._snapshot(st_), sched._k
+        assert loop.advance(st_, sched, eps, max_steps, 10**9) == 0
+        assert (TestStep._snapshot(st_), sched._k) == before
+
+    def test_forwarding_wrappers_take_the_loop(self, kernel, monkeypatch):
+        P = _chain("sbm80")
+        sched = schedules.Theta(1.0)
+        wrapped = _Forward(sched)
+        got, outcome = _replay(_Forward(P), wrapped)
+        assert got == kernel
+        assert vars(wrapped).keys() == {"_obj"}  # no write landed on the wrapper
+        with monkeypatch.context() as m:
+            m.setattr(pushloop, "load", lambda: None)
+            python = schedules.Theta(1.0)
+            assert _replay(P, python) == ("py", outcome)
+        assert (python._k, python.theta, python.scan_cost) == (sched._k, sched.theta, sched.scan_cost)
+
+    @pytest.mark.parametrize("sched", [schedules.MaxCash(restrict=np.arange(80)), schedules.ProportionalCash(1)],
+                             ids=["maxc-restrict", "pc"])
+    def test_other_schedules_take_python_steps(self, sched):
+        assert _replay(_chain("sbm80"), sched)[0] == "py"
+
+    def test_repeated_columns_take_python_steps(self):
+        # scatter_add writes a repeated column once; the loop would add it twice
+        P = TransitionMatrix(3, np.array([0, 3, 4, 5]), np.array([1, 1, 2, 2, 0]),
+                             np.array([0.25, 0.25, 0.5, 1.0, 1.0]), np.array([3.0, 1.0, 1.0]))
+        assert pushloop.bind(P, "rr") is None
+        assert _replay(P, schedules.RoundRobin(), max_steps=50)[0] == "py"
+
+    def test_no_compiler_falls_back(self, tmp_path, monkeypatch):
+        P = _chain("two-wheels")
+        expected = _replay(P, schedules.MaxCash())[1]
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        pushloop.load.cache_clear()
+        try:
+            assert pushloop.load() is None
+            assert _replay(P, schedules.MaxCash()) == ("py", expected)
+        finally:
+            monkeypatch.undo()
+            pushloop.load.cache_clear()
+        assert list(tmp_path.rglob("*.so")) == []
+
+    def test_library_cached_by_key(self, tmp_path, kernel, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        pushloop.load.cache_clear()
+        try:
+            loaded = pushloop.load() is not None
+        finally:
+            monkeypatch.undo()
+            pushloop.load.cache_clear()
+        assert loaded == (kernel == "c")
+        if loaded:
+            (lib,) = (tmp_path / "rlgl").iterdir()  # no temp file left beside it
+            assert lib.name.startswith("push-") and lib.suffix == ".so"
+
+    @given(
+        n=st.integers(2, 40),
+        degree=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+        which=st.sampled_from(["rr", "theta:1", "theta:2:3", "maxc"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cash_l1_within_bound_at_every_return(self, n, degree, seed, which):
+        P = _random_sparse_chain(n, degree, seed)
+        seen = []
+        sync = engine.sync_cash_l1
+
+        def checked_sync(state):
+            seen.append(abs(state.cash_l1 - float(np.abs(state.C).sum())) <= state.l1_err)
+            sync(state)
+
+        engine.sync_cash_l1 = checked_sync
+        try:
+            _replay(P, schedules.parse_schedule(which), eps=1e-12, stride=1, max_steps=20 * n)
+        finally:
+            engine.sync_cash_l1 = sync
+        assert seen and all(seen)
