@@ -1,22 +1,25 @@
 /* The inner loop of engine.run for single-node schedules on a CSR matrix.
  *
  * Built and called by pushloop.py.  Each step repeats, operation for
- * operation, what engine.run's Python loop does with RoundRobin, Theta or
- * MaxCash and engine.step on a TransitionMatrix, so H, C and every counter
- * come out with the same bytes.  Compile with -ffp-contract=off: a fused
- * multiply-add would round C differently.
+ * operation, what engine.run's Python loop does with RoundRobin, Theta,
+ * MaxCash or ProportionalCash and engine.step on a TransitionMatrix, so H,
+ * C and every counter come out with the same bytes.  Compile with
+ * -ffp-contract=off: a fused multiply-add would round C differently.
  *
  * The loop returns to Python before any step that needs it (the guard
  * fires, the cash may be below eps, max_steps, a Theta refresh, no cash
- * left for MaxCash) and after any step that makes a trace row due or
- * lets the rounding bound of the incremental ||C||_1 pass its drift limit.
+ * left for MaxCash, a ProportionalCash total that is not finite and
+ * positive, no uniform draw left) and after any step that makes a trace
+ * row due or lets the rounding bound of the incremental ||C||_1 pass its
+ * drift limit.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-enum { KIND_RR = 0, KIND_THETA = 1, KIND_MAXC = 2 };
+enum { KIND_RR = 0, KIND_THETA = 1, KIND_MAXC = 2, KIND_PC = 3 };
 
 /* Run state shared with Python; fields in pushloop.LoopState's order. */
 typedef struct {
@@ -26,7 +29,7 @@ typedef struct {
 
 /* Per-call constants; fields in pushloop.LoopParams' order. */
 typedef struct {
-    int64_t kind, n, offset, period, max_steps, record_at, sum_depth;
+    int64_t kind, n, offset, period, max_steps, record_at, sum_depth, draws;
     double theta, eps, initial_mass, guard_unit, drift_tol, unit;
 } loop_params;
 
@@ -105,10 +108,32 @@ static int heap_init(heap *h, const double *C, int64_t n)
     return 0;
 }
 
-/* Steps taken (0: the next step needs Python), or -1 when out of memory. */
+/* ProportionalCash's pick for the uniform draw u, or -1 when the total of
+ * |C| is not finite and positive.  As np.cumsum(np.abs(C)) / total and
+ * searchsorted(u, side="right"): both sums run in index order, and the
+ * first i whose share exceeds u holds cash, since a zero entry repeats
+ * the share before it. */
+static int64_t proportional_pick(const double *C, int64_t n, double u)
+{
+    double total = 0.0;
+    for (int64_t j = 0; j < n; j++)
+        total += fabs(C[j]);
+    if (!(total > 0.0 && total <= DBL_MAX))
+        return -1;
+    double acc = 0.0;
+    for (int64_t j = 0; j < n; j++) {
+        acc += fabs(C[j]);
+        if (acc / total > u)
+            return j;
+    }
+    return n - 1; /* not reached: the last share is 1 > u */
+}
+
+/* Steps taken (0: the next step needs Python), or -1 when out of memory.
+ * uniform holds p->draws uniform draws for KIND_PC, one per pick. */
 int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const double *data,
-                       const double *out_degree, double *C, double *H, loop_state *s,
-                       const loop_params *p)
+                       const double *out_degree, double *C, double *H, const double *uniform,
+                       loop_state *s, const loop_params *p)
 {
     heap h = {0};
     int64_t done = 0;
@@ -129,6 +154,13 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
         if (p->kind == KIND_MAXC) {
             i = h.node[0];
             if (C[i] == 0.0)
+                break;
+            s->k++;
+        } else if (p->kind == KIND_PC) {
+            if (done >= p->draws)
+                break;
+            i = proportional_pick(C, p->n, uniform[done]);
+            if (i < 0)
                 break;
             s->k++;
         } else {

@@ -157,15 +157,20 @@ def residual_kind(method):
     return "gmres_rel" if method.startswith("gmres") else "cash_l1"
 
 
-def run_method(P, cfg: ExperimentConfig):
-    """Dispatch one solver; returns (estimate, trace, residual_kind, meta)."""
+def run_method(P, cfg: ExperimentConfig, M0=None):
+    """Dispatch one solver; returns (estimate, trace, residual_kind, meta).
+
+    ``M0`` is the rlgl seed distribution; when None it is read from
+    ``cfg.m0`` (uniform without one).
+    """
     method = cfg.method
     kind = residual_kind(method)
     if method.startswith("rlgl"):
         # "rlgl" uses --schedule; "rlgl+<schedule>" carries its own
         sched_text = method.split("+", 1)[1] if "+" in method else cfg.schedule
         sched = schedules.parse_schedule(sched_text, cfg.seed)
-        M0 = _load_vector(cfg.m0, "--m0") if cfg.m0 else None
+        if M0 is None and cfg.m0:
+            M0 = _load_vector(cfg.m0, "--m0")
         res = engine.run(
             P,
             sched,
@@ -236,10 +241,10 @@ def cmd_solve(args):
     return code
 
 
-def _bench_one(P, cfg, method):
+def _bench_one(P, cfg, method, M0):
     sub = ExperimentConfig(**{**cfg.__dict__, "method": method})
     try:
-        _, trace, kind, _ = run_method(P, sub)
+        _, trace, kind, _ = run_method(P, sub, M0)
         return method, trace, kind, None
     except RlglError as exc:
         res = getattr(exc, "result", None)
@@ -256,7 +261,9 @@ def cmd_bench(args):
     if not methods:
         raise ConfigError("bench needs at least one method")
     P, _ = build_problem(cfg)
-    results = [_bench_one(P, cfg, m) for m in methods]
+    # A bad --m0 is a configuration error, not one method's failure.
+    M0 = engine.seed_distribution(_load_vector(cfg.m0, "--m0"), P.n) if cfg.m0 else None
+    results = [_bench_one(P, cfg, m, M0) for m in methods]
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "bench.csv")
     failures = []

@@ -145,18 +145,27 @@ class RunResult:
     kernel: str = "py"
 
 
+def seed_distribution(M0, n):
+    """M0 checked as a distribution on n states; uniform when None.
+
+    Raises InvalidM0Error for a vector that is not finite, not
+    nonnegative, not summing to one or not of length n.
+    """
+    if M0 is None:
+        return np.full(n, 1.0 / n)
+    M0 = check_distribution(M0)
+    if M0.size != n:
+        raise InvalidM0Error(f"M0 has length {M0.size}, chain has {n} states")
+    return M0
+
+
 def init(P, M0=None):
     """Start a run: every node pushes its share of the seed distribution.
 
     Leaves the state at step 1 with C = M0 P - M0 and H = M0.  The step
     is charged the volume of M0's support.
     """
-    n = P.n
-    if M0 is None:
-        M0 = np.full(n, 1.0 / n)
-    M0 = check_distribution(M0)
-    if M0.size != n:
-        raise InvalidM0Error(f"M0 has length {M0.size}, chain has {n} states")
+    M0 = seed_distribution(M0, P.n)
     C = P.mul_left(M0) - M0
     support = M0 > 0
     return SolverState(
@@ -345,11 +354,12 @@ def run(
     ``trace_stride`` node updates (default: one sweep-equivalent, n
     updates).
 
-    Under the "cash" criterion, ``RoundRobin``, ``Theta`` and unrestricted
-    ``MaxCash`` runs on a ``TransitionMatrix`` take their steps in a
-    compiled loop (``pushloop``) that returns here at every check, trace
-    row and refresh, with the same bytes as ``step``; ``RunResult.kernel``
-    says which path ran.
+    Under the "cash" criterion, ``RoundRobin``, ``Theta``, unrestricted
+    ``MaxCash`` and ``ProportionalCash`` runs on a ``TransitionMatrix``
+    take their steps in a compiled loop (``pushloop``) that returns here
+    at every check, trace row and refresh, with the same bytes (and the
+    same draws from a ``ProportionalCash`` generator) as ``step``;
+    ``RunResult.kernel`` says which path ran.
 
     Raises NoConvergenceError at max_steps and DegenerateHistoryError when
     the total-history guard exhausts its retries; both carry the partial

@@ -59,10 +59,13 @@ def check_distribution(v, tol=1e-10):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise InvalidM0Error("distribution must be a 1-d vector")
+    if not np.isfinite(v).all():
+        raise InvalidM0Error("distribution has non-finite entries")
     if np.any(v < 0):
         raise InvalidM0Error("distribution has negative entries")
-    if abs(v.sum() - 1.0) > tol:
-        raise InvalidM0Error(f"distribution sums to {v.sum()!r}, not 1")
+    total = float(v.sum())
+    if abs(total - 1.0) > tol:
+        raise InvalidM0Error(f"distribution sums to {total!r}, not 1")
     return v
 
 
@@ -71,7 +74,10 @@ class TransitionMatrix:
     """CSR row-stochastic matrix.
 
     ``out_degree[i]`` is the number of stored entries of row i (the volume
-    weight of node i for cost accounting).
+    weight of node i for cost accounting).  Each row lists distinct
+    columns in [0, n) in rising order, as every builder stores them;
+    the constructor raises InvalidParamsError otherwise (``scatter_add``
+    would write a repeated column once).
     """
 
     n: int
@@ -81,6 +87,23 @@ class TransitionMatrix:
     out_degree: np.ndarray
 
     csr_push = True
+
+    def __post_init__(self):
+        n = self.n
+        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        if indptr.shape != (n + 1,) or np.shape(self.data) != indices.shape or np.shape(self.out_degree) != (n,):
+            raise InvalidParamsError(f"CSR arrays do not describe {n} rows")
+        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+            raise InvalidParamsError("CSR indptr and indices must be integers")
+        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+            raise InvalidParamsError("CSR indptr must rise from 0 to the number of entries")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise InvalidParamsError(f"CSR column outside [0, {n})")
+        rising = np.diff(indices) > 0
+        starts = indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new row may restart
+        if not rising.all():
+            raise InvalidParamsError("a CSR row repeats a column or lists its columns out of order")
 
     @property
     def volume(self):

@@ -26,7 +26,9 @@ from . import engine
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_push.c")
 # No -ffast-math and no contraction: every operation rounds as numpy's does.
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-KINDS = {"rr": 0, "theta": 1, "maxc": 2}
+KINDS = {"rr": 0, "theta": 1, "maxc": 2, "pc": 3}
+# Most uniform draws one call takes for "pc"; a call stops when they run out.
+DRAW_CHUNK = 1 << 16
 
 
 class LoopState(ctypes.Structure):
@@ -39,7 +41,7 @@ class LoopState(ctypes.Structure):
 class LoopParams(ctypes.Structure):
     _fields_ = [
         (name, ctypes.c_int64)
-        for name in ("kind", "n", "offset", "period", "max_steps", "record_at", "sum_depth")
+        for name in ("kind", "n", "offset", "period", "max_steps", "record_at", "sum_depth", "draws")
     ] + [(name, ctypes.c_double) for name in ("theta", "eps", "initial_mass", "guard_unit", "drift_tol", "unit")]
 
 
@@ -79,39 +81,25 @@ def load():
         fn = ctypes.CDLL(_build()).rlgl_push_loop
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
+    fn.argtypes = [ctypes.c_void_p] * 7 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
     fn.restype = ctypes.c_int64
     return fn
 
 
 def _csr_arrays(P):
-    """P's CSR arrays in the C types, or None unless they form n valid rows."""
-    n = P.n
-    indptr = np.ascontiguousarray(P.indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(P.indices, dtype=np.int64)
-    data = np.ascontiguousarray(P.data, dtype=np.float64)
-    degree = np.ascontiguousarray(P.out_degree, dtype=np.float64)
-    if indptr.shape != (n + 1,) or data.shape != indices.shape or degree.shape != (n,):
-        return None
-    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
-        return None
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        return None
-    # Each row must list distinct columns, in rising order as every builder
-    # stores them: scatter_add writes a repeated column once, C adds twice.
-    rising = np.diff(indices) > 0
-    starts = indptr[1:-1]
-    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
-    if not rising.all():
-        return None
-    return indptr, indices, data, degree
+    """P's CSR arrays in the C types; ``TransitionMatrix`` has checked its rows."""
+    return (
+        np.ascontiguousarray(P.indptr, dtype=np.int64),
+        np.ascontiguousarray(P.indices, dtype=np.int64),
+        np.ascontiguousarray(P.data, dtype=np.float64),
+        np.ascontiguousarray(P.out_degree, dtype=np.float64),
+    )
 
 
 def bind(P, kind):
     """A Loop over P's rows for one schedule kind, or None for the Python steps."""
     fn = load()
-    arrays = None if fn is None else _csr_arrays(P)
-    return None if arrays is None else Loop(fn, arrays, P.n, kind)
+    return None if fn is None else Loop(fn, _csr_arrays(P), P.n, kind)
 
 
 class Loop:
@@ -134,7 +122,10 @@ class Loop:
         Called where the Python loop would pick its next node, so the
         first step's checks have passed.  Theta's refresh, when due, is
         made here first; the schedule's position (and Theta's scan count)
-        are handed back through its ``seek``.
+        are handed back through its ``seek``.  For ProportionalCash the
+        uniform draws are taken from its generator beforehand, one per
+        step the call may take (every such step is a push), and the
+        generator is rewound to just past the draws the picks used.
         """
         C, H = state.C, state.H
         n = self.params.n
@@ -142,12 +133,18 @@ class Loop:
             if a.dtype != np.float64 or a.shape != (n,) or not a.flags.c_contiguous:
                 return 0
         p = self.params
+        uniform = None
         if self.kind == "theta":
             if schedule._k % schedule.period == 0:
                 schedule.refresh(C)
             p.theta = schedule.theta
             p.period = schedule.period
-        if self.kind != "maxc":
+        elif self.kind == "pc":
+            rng = schedule.rng
+            before = rng.bit_generator.state
+            uniform = rng.random(min(record_at - state.updates, max_steps - state.t, DRAW_CHUNK))
+            p.draws = uniform.size
+        if self.kind in ("rr", "theta"):
             p.offset = schedule.offset
         p.eps = eps
         p.initial_mass = state.initial_mass
@@ -158,7 +155,11 @@ class Loop:
         s.cum_cost, s.total_history = state.cum_cost, state.total_history
         s.scan_cost = getattr(schedule, "scan_cost", 0.0)
         s.cash_l1, s.l1_err, s.max_l1_increase = state.cash_l1, state.l1_err, state.max_l1_increase
-        done = self.fn(*self.pointers, C.ctypes.data, H.ctypes.data, ctypes.byref(s), ctypes.byref(p))
+        done = self.fn(*self.pointers, C.ctypes.data, H.ctypes.data, None if uniform is None else uniform.ctypes.data,
+                       ctypes.byref(s), ctypes.byref(p))
+        if uniform is not None and done < uniform.size:
+            rng.bit_generator.state = before
+            rng.random(done)  # the draws the picks used, and no more
         if done <= 0:
             return 0
         state.t, state.updates = s.t, s.updates

@@ -10,10 +10,11 @@ calls ``perturb()`` (deterministic kinds: rotate the node order by one) or
 ``reseed()`` (stochastic kinds: seed+1) when its total-history guard fires.
 
 ``push_loop`` names the kinds whose picks ``engine.run`` may take in its
-compiled loop (``pushloop``): ``rr``, ``theta`` and an unrestricted
-``maxc``; None for every other schedule.  That loop repeats the picks of
-``next_nodes`` exactly and hands its position back through ``seek``, so a
-subclass that changes the pick must set ``push_loop = None``.
+compiled loop (``pushloop``): ``rr``, ``theta``, an unrestricted ``maxc``
+and ``pc``; None for every other schedule.  That loop repeats the picks
+of ``next_nodes`` exactly, ``pc``'s uniform draws included, and hands its
+position back through ``seek``, so a subclass that changes the pick must
+set ``push_loop = None``.
 """
 
 from __future__ import annotations
@@ -120,17 +121,27 @@ class RandomNode(_Seeded):
 
 
 class ProportionalCash(_Seeded):
-    """One node drawn with probability |C_i| / ||C||_1."""
+    """One node drawn with probability |C_i| / ||C||_1.
+
+    One uniform draw u per pick, and the pick is the first i whose
+    cumulative |C| share ``cumsum(|C|)[i] / total`` exceeds u: the rule
+    ``Generator.choice(n, p=|C| / total)`` applies, taken on |C| itself.
+    Both sums run in index order, so the compiled loop repeats them.
+    """
 
     name = "pc"
+    push_loop = "pc"
 
     def next_nodes(self, C):
-        w = np.abs(C)
-        total = w.sum()
+        cdf = np.cumsum(np.abs(C))
+        total = cdf[-1]
         if total <= 0.0:
             raise AllCashZeroError("all cash is zero")
+        if not np.isfinite(total):
+            raise ValueError(f"cash total {float(total)!r} is not finite")
         self._k += 1
-        i = self.rng.choice(self.n, p=w / total)
+        cdf /= total
+        i = cdf.searchsorted(self.rng.random(), side="right")
         return np.array([i], dtype=np.int64)
 
 

@@ -176,6 +176,16 @@ class TestSolve:
         assert code == cli.EXIT_CONFIG
 
 
+def _bad_vector_files(tmp_path):
+    """Vector files for two-wheels that no --m0 or --restart-s may accept."""
+    n = models.two_wheels()[1]
+    files = {name: tmp_path / f"{name}.txt" for name in ("missing", "text", "short", "nan")}
+    files["text"].write_text("0.5 x\n")  # a non-numeric entry
+    files["short"].write_text("0.5 0.5\n")  # a distribution of the wrong length
+    files["nan"].write_text("nan\n" + f"{1 / (n - 1)!r}\n" * (n - 1))  # sums to 1 but for the NaN
+    return files
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -193,14 +203,14 @@ class TestSolve:
         ["--method", "rlgl", "--schedule", "pc", "--seed", "-2"],
         ["--method", "rlgl", "--m0", "{text}"],
         ["--method", "rlgl", "--m0", "{short}"],
+        ["--method", "rlgl", "--m0", "{nan}"],
         ["--pagerank", "--restart-s", "{text}"],
+        ["--pagerank", "--restart-s", "{nan}"],
     ],
     ids=lambda extra: " ".join(extra),
 )
 def test_bad_descriptor_is_one_error_line(tmp_path, capsys, extra):
-    files = {"missing": tmp_path / "missing.txt", "text": tmp_path / "text.txt", "short": tmp_path / "short.txt"}
-    files["text"].write_text("0.5 x\n")  # a non-numeric entry
-    files["short"].write_text("0.5 0.5\n")  # a distribution of the wrong length
+    files = _bad_vector_files(tmp_path)
     args = ["solve", "--graph", "two-wheels", "--method", "pi", "--out", str(tmp_path)]
     args += [a.format(**files) for a in extra]
     assert cli.main(args) == cli.EXIT_CONFIG
@@ -304,6 +314,16 @@ class TestBench:
         for method, kind in kinds.items():
             sub = [r for r in rows if r[0] == method]
             assert sub and all(r[4] == kind for r in sub), method
+
+    @pytest.mark.parametrize("m0", ["text", "short", "nan"])
+    def test_bad_m0_is_one_error_line(self, tmp_path, capsys, m0):
+        path = _bad_vector_files(tmp_path)[m0]
+        code = cli.main(["bench", "--graph", "two-wheels", "--method", "rlgl+rr,pi",
+                         "--m0", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out" / "bench.csv").exists()
 
     def test_empty_method_list_rejected(self, tmp_path):
         code = cli.main(["bench", "--graph", "two-wheels", "--method", ",",

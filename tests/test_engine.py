@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from rlgl import engine, models, pushloop, schedules
 from rlgl.errors import (
+    AllCashZeroError,
     DegenerateHistoryError,
     InvalidIndexError,
     InvalidM0Error,
     NoConvergenceError,
     ZeroTotalHistoryError,
 )
-from rlgl.matrix import TransitionMatrix, build_transition, google_matrix, gth_stationary
+from rlgl.matrix import build_transition, google_matrix, gth_stationary
 
 from conftest import dense_ergodic_chain, ring_random_chain, sbm80_instance
 
@@ -499,6 +500,21 @@ class _Forward:
         return getattr(self._obj, name)
 
 
+class _FixedDraws:
+    """A Generator stand-in whose uniform draws are ``values`` in turn; its state is the position."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.state = 0
+        self.bit_generator = self
+
+    def random(self, size=None):
+        k = 1 if size is None else size
+        out = self.values[self.state:self.state + k].copy()
+        self.state += k
+        return out[0] if size is None else out
+
+
 def _replay(P, sched, *, eps=1e-10, stride=None, max_steps=60_000, M0=None):
     """(kernel, outcome) of one cash-criterion run; the outcome as in _run_outcome."""
     try:
@@ -532,14 +548,14 @@ class TestCompiledLoop:
     """The compiled push loop against the Python steps it replaces, byte for byte."""
 
     @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
-    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2:7", "maxc"])
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2:7", "maxc", "pc:1", "pc:3"])
     @pytest.mark.parametrize("chain", ["two-wheels", "sbm80", "ring1000"])
     def test_identical_runs(self, chain, sched_name, stride, kernel, monkeypatch):
         got, outcome = _three_ways(monkeypatch, _chain(chain), sched_name, stride=stride)
         assert got == kernel
         assert outcome[0]  # converged
 
-    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc"])
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_stops_where_the_exact_sum_crosses(self, sched_name, monkeypatch):
         P = ring_random_chain(200, 5, 4)
         with monkeypatch.context() as m:
@@ -560,7 +576,14 @@ class TestCompiledLoop:
         assert got == kernel
         assert outcome[2]  # the guard fired
 
-    @pytest.mark.parametrize("sched_name", ["rr", "theta:2:7", "maxc"])
+    @pytest.mark.parametrize("sched_name", ["pc:2", "pc:3"])
+    def test_guard_restart_path(self, four_state, sched_name, kernel, monkeypatch):
+        got, outcome = _three_ways(monkeypatch, four_state, sched_name, eps=1e-12,
+                                   M0=np.array([1.0, 0, 0, 0]))
+        assert got == kernel
+        assert outcome[1] and {action for _, action in outcome[2]} == {engine.GUARD_RESTART}
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:2:7", "maxc", "pc:1", "pc:3"])
     def test_max_steps_result(self, sched_name, kernel, monkeypatch):
         got, outcome = _three_ways(monkeypatch, _chain("ring1000"), sched_name, eps=1e-30, max_steps=4321)
         assert got == kernel
@@ -595,17 +618,78 @@ class TestCompiledLoop:
             assert _replay(P, python) == ("py", outcome)
         assert (python._k, python.theta, python.scan_cost) == (sched._k, sched.theta, sched.scan_cost)
 
-    @pytest.mark.parametrize("sched", [schedules.MaxCash(restrict=np.arange(80)), schedules.ProportionalCash(1)],
-                             ids=["maxc-restrict", "pc"])
+    @pytest.mark.parametrize("sched", [schedules.MaxCash(restrict=np.arange(80))], ids=["maxc-restrict"])
     def test_other_schedules_take_python_steps(self, sched):
         assert _replay(_chain("sbm80"), sched)[0] == "py"
 
-    def test_repeated_columns_take_python_steps(self):
-        # scatter_add writes a repeated column once; the loop would add it twice
-        P = TransitionMatrix(3, np.array([0, 3, 4, 5]), np.array([1, 1, 2, 2, 0]),
-                             np.array([0.25, 0.25, 0.5, 1.0, 1.0]), np.array([3.0, 1.0, 1.0]))
-        assert pushloop.bind(P, "rr") is None
-        assert _replay(P, schedules.RoundRobin(), max_steps=50)[0] == "py"
+    @pytest.mark.parametrize("stride", [None, 1, 37], ids=["stride-n", "stride-1", "stride-37"])
+    @pytest.mark.parametrize("max_steps", [60_000, 5000], ids=["converged", "max-steps"])
+    def test_pc_generator_ends_where_the_python_path_does(self, stride, max_steps, monkeypatch):
+        # the loop draws ahead and rewinds to the draws its picks used
+        P = _chain("sbm80")
+        compiled = schedules.ProportionalCash(4)
+        _replay(P, compiled, stride=stride, max_steps=max_steps)
+        with monkeypatch.context() as m:
+            m.setattr(pushloop, "load", lambda: None)
+            python = schedules.ProportionalCash(4)
+            _replay(P, python, stride=stride, max_steps=max_steps)
+        assert compiled._k == python._k
+        assert compiled.rng.bit_generator.state == python.rng.bit_generator.state
+        assert compiled.rng.random() == python.rng.random()
+
+    def test_pc_loop_leaves_no_cash_to_python(self, kernel):
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _chain("sbm80")
+        sched = schedules.ProportionalCash(0).bind(P)
+        sched.restart()
+        st_ = engine.init(P)
+        st_.C[:] = 0.0  # a zero total: Python raises, the loop takes no step
+        before = sched.rng.bit_generator.state
+        assert pushloop.bind(P, "pc").advance(st_, sched, 1e-10, 1000, 10**9) == 0
+        assert sched.rng.bit_generator.state == before and sched._k == 0
+        with pytest.raises(AllCashZeroError):
+            sched.next_nodes(st_.C)
+
+    @pytest.mark.parametrize("u, node", [(0.0, 3), (0.25, 5), (0.5, 7), (0.75, 7)])
+    def test_pc_draw_on_a_share_picks_past_it(self, u, node, kernel):
+        # as searchsorted(side="right"): u equal to a cumulative share skips that node
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _chain("sbm80")
+        st_ = engine.init(P)
+        st_.C[:] = 0.0
+        st_.C[[3, 5, 7]] = [0.25, -0.25, 0.5]  # shares 0.25, 0.5, 1 exactly
+        st_.cash_l1 = 1.0
+        python = schedules.ProportionalCash(0).bind(P)
+        python.rng = _FixedDraws([u])
+        assert python.next_nodes(st_.C.copy())[0] == node
+        sched = schedules.ProportionalCash(0).bind(P)
+        sched.rng = _FixedDraws([u])
+        H = st_.H.copy()
+        assert pushloop.bind(P, "pc").advance(st_, sched, 1e-10, st_.t + 1, 10**9) == 1
+        assert np.flatnonzero(st_.H != H).tolist() == [node]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("chain", ["two-wheels", "sbm80"])
+    def test_pc_replays_the_choice_rule(self, chain, seed, kernel):
+        # the pick rule that rng.choice(n, p=|C|/total) applied before the loop
+        class ChoicePc(schedules.ProportionalCash):
+            push_loop = None
+
+            def next_nodes(self, C):
+                w = np.abs(C)
+                total = w.sum()
+                if total <= 0.0:
+                    raise AllCashZeroError("all cash is zero")
+                self._k += 1
+                return np.array([self.rng.choice(self.n, p=w / total)], dtype=np.int64)
+
+        P = _chain(chain)
+        old = _replay(P, ChoicePc(seed))
+        new = _replay(P, schedules.ProportionalCash(seed))
+        assert (old[0], new[0]) == ("py", kernel)
+        assert new[1] == old[1]  # H bytes, trace rows and counters
 
     def test_no_compiler_falls_back(self, tmp_path, monkeypatch):
         P = _chain("two-wheels")
@@ -638,7 +722,7 @@ class TestCompiledLoop:
         n=st.integers(2, 40),
         degree=st.integers(1, 6),
         seed=st.integers(0, 10_000),
-        which=st.sampled_from(["rr", "theta:1", "theta:2:3", "maxc"]),
+        which=st.sampled_from(["rr", "theta:1", "theta:2:3", "maxc", "pc:5"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_cash_l1_within_bound_at_every_return(self, n, degree, seed, which):

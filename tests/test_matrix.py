@@ -13,6 +13,7 @@ from rlgl.errors import (
     NotErgodicError,
 )
 from rlgl.matrix import (
+    TransitionMatrix,
     augment_pagerank,
     build_transition,
     check_distribution,
@@ -75,6 +76,37 @@ class TestBuildTransition:
         P = build_transition(np.vstack([edges, loops]), n)
         assert np.abs(P.row_sums() - 1.0).max() <= 1e-12
         assert P.data.min() > 0.0
+
+
+class TestTransitionMatrix:
+    # (indptr, indices) of three rows; data and out_degree follow their shapes
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0, 3, 4, 5], [1, 1, 2, 2, 0]),  # scatter_add would write the repeated column once
+            ([0, 2, 3, 4], [2, 1, 2, 0]),
+            ([0, 1, 2, 3], [1, 2, 3]),
+            ([0, 1, 2, 3], [1, 2, -1]),
+            ([0, 2, 1, 3], [1, 2, 0]),
+            ([1, 2, 3, 3], [1, 2, 0]),
+            ([0, 1, 2], [1, 0]),
+            ([0, 1, 2, 3], [1.0, 2.0, 0.0]),
+        ],
+        ids=["repeated column", "falling columns", "column n", "negative column", "falling indptr",
+             "indptr from 1", "too few rows", "float columns"],
+    )
+    def test_rejects_invalid_csr(self, indptr, indices):
+        indices = np.array(indices)
+        with pytest.raises(InvalidParamsError):
+            TransitionMatrix(3, np.array(indptr), indices, np.ones(indices.size), np.ones(3))
+
+    def test_rows_may_restart_and_be_empty(self):
+        P = TransitionMatrix(3, np.array([0, 2, 2, 4]), np.array([1, 2, 0, 1]), np.full(4, 0.5), np.ones(3))
+        assert P.nnz == 4
+
+    def test_rejects_mismatched_data(self):
+        with pytest.raises(InvalidParamsError):
+            TransitionMatrix(2, np.array([0, 1, 2]), np.array([1, 0]), np.ones(3), np.ones(2))
 
 
 class TestValidateStochastic:
@@ -187,6 +219,15 @@ class TestDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidM0Error):
             check_distribution([0.5, 0.4])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidM0Error, match="non-finite"):
+            check_distribution([bad, 0.5, 0.5])
+
+    def test_sum_printed_as_a_plain_float(self):
+        with pytest.raises(InvalidM0Error, match=r"sums to 1\.5, not 1"):
+            check_distribution([0.75, 0.75])
 
     def test_accepts_probability_vector(self):
         v = check_distribution([0.25, 0.75])
