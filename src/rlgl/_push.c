@@ -2,9 +2,10 @@
  *
  * Built and called by pushloop.py.  Each step repeats, operation for
  * operation, what engine.run's Python loop does with RoundRobin, Theta,
- * MaxCash or ProportionalCash and engine.step on a TransitionMatrix, so H,
- * C and every counter come out with the same bytes.  Compile with
- * -ffp-contract=off: a fused multiply-add would round C differently.
+ * MaxCash or ProportionalCash and engine.step on a TransitionMatrix or a
+ * GoogleMatrix, so H, C and every counter come out with the same bytes.
+ * Compile with -ffp-contract=off: a fused multiply-add would round C
+ * differently.
  *
  * The loop returns to Python before any step that needs it (the guard
  * fires, the cash may be below eps, max_steps, a Theta refresh, no cash
@@ -30,7 +31,7 @@ typedef struct {
 /* Per-call constants; fields in pushloop.LoopParams' order. */
 typedef struct {
     int64_t kind, n, offset, period, max_steps, record_at, sum_depth, draws;
-    double theta, eps, initial_mass, guard_unit, drift_tol, unit;
+    double theta, eps, initial_mass, guard_unit, drift_tol, unit, restart_share;
 } loop_params;
 
 /* Indexed binary max-heap of all nodes, ordered as np.argmax(np.abs(C))
@@ -108,6 +109,19 @@ static int heap_init(heap *h, const double *C, int64_t n)
     return 0;
 }
 
+/* The first index of the largest |C[j]|, as np.argmax(np.abs(C)). */
+static int64_t argmax_abs(const double *C, int64_t n)
+{
+    int64_t arg = 0;
+    double best = -1.0;
+    for (int64_t j = 0; j < n; j++)
+        if (fabs(C[j]) > best) {
+            best = fabs(C[j]);
+            arg = j;
+        }
+    return arg;
+}
+
 /* ProportionalCash's pick for the uniform draw u, or -1 when the total of
  * |C| is not finite and positive.  As np.cumsum(np.abs(C)) / total and
  * searchsorted(u, side="right"): both sums run in index order, and the
@@ -130,14 +144,25 @@ static int64_t proportional_pick(const double *C, int64_t n, double u)
 }
 
 /* Steps taken (0: the next step needs Python), or -1 when out of memory.
- * uniform holds p->draws uniform draws for KIND_PC, one per pick. */
+ * uniform holds p->draws uniform draws for KIND_PC, one per pick.
+ *
+ * restart is NULL for a TransitionMatrix.  For a GoogleMatrix it is the
+ * restart distribution s, data holds the damped rows c * P and dangling
+ * marks the rows replaced by s.  A push of cash a then repeats
+ * scatter_add: a * data[e] along the row (none for a dangling row), then
+ * r * s[j] added to all n entries, r being a for a dangling row and
+ * a * (1 - c) otherwise.  Every entry moves, so that pass also sums
+ * |new| - |old| for ||C||_1 and finds MaxCash's next pick; the heap
+ * serves the TransitionMatrix only. */
 int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const double *data,
-                       const double *out_degree, double *C, double *H, const double *uniform,
-                       loop_state *s, const loop_params *p)
+                       const double *out_degree, const double *restart, const uint8_t *dangling,
+                       double *C, double *H, const double *uniform, loop_state *s, const loop_params *p)
 {
     heap h = {0};
-    int64_t done = 0;
-    if (p->kind == KIND_MAXC && heap_init(&h, C, p->n) != 0) {
+    int64_t done = 0, best = 0;
+    if (p->kind == KIND_MAXC && restart) {
+        best = argmax_abs(C, p->n);
+    } else if (p->kind == KIND_MAXC && heap_init(&h, C, p->n) != 0) {
         free(h.node);
         free(h.pos);
         return -1;
@@ -152,7 +177,7 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
         /* the schedule's pick; -1 is a skip step */
         int64_t i;
         if (p->kind == KIND_MAXC) {
-            i = h.node[0];
+            i = restart ? best : h.node[0];
             if (C[i] == 0.0)
                 break;
             s->k++;
@@ -179,12 +204,15 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
         double a = i >= 0 ? C[i] : 0.0;
         int drift = 0;
         if (a != 0.0) {
+            int heaped = p->kind == KIND_MAXC && !restart;
             H[i] += a;
             s->total_history += a;
             C[i] = 0.0;
-            if (p->kind == KIND_MAXC)
+            if (heaped)
                 reorder(&h, i);
             int64_t lo = indptr[i], hi = indptr[i + 1];
+            if (restart && dangling[i])
+                lo = hi;
             double old_abs = 0.0, new_abs = 0.0;
             for (int64_t e = lo; e < hi; e++) {
                 int64_t j = indices[e];
@@ -193,20 +221,41 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
                 C[j] = v;
                 old_abs += fabs(o);
                 new_abs += fabs(v);
-                if (p->kind == KIND_MAXC)
+                if (heaped)
                     reorder(&h, j);
+            }
+            double grown = new_abs - old_abs;
+            if (restart) {
+                double r = dangling[i] ? a : a * p->restart_share;
+                if (r != 0.0) {
+                    double top = -1.0;
+                    for (int64_t j = 0; j < p->n; j++) {
+                        double o = C[j];
+                        double v = o + r * restart[j];
+                        C[j] = v;
+                        grown += fabs(v) - fabs(o);
+                        if (fabs(v) > top) {
+                            top = fabs(v);
+                            best = j;
+                        }
+                    }
+                } else if (p->kind == KIND_MAXC) {
+                    best = argmax_abs(C, p->n);
+                }
             }
             s->cum_cost += out_degree[i];
             s->updates += 1;
 
+            /* a sequential sum of d terms rounds within d units: the row's
+             * d, then, on a GoogleMatrix, n more */
+            int64_t d = hi - lo;
+            int64_t depth = restart ? p->n + d : (d > p->sum_depth ? d : p->sum_depth);
             double moved_abs = fabs(a);
-            double change = (new_abs - old_abs) - moved_abs;
+            double change = grown - moved_abs;
             double old = s->cash_l1;
             double err = s->l1_err;
             if (err == 0.0)
                 err = (double)(2 * p->sum_depth) * p->unit * old;
-            /* a sequential sum of d terms rounds within d units */
-            int64_t depth = hi - lo > p->sum_depth ? hi - lo : p->sum_depth;
             s->cash_l1 = old + change;
             s->l1_err = err + (double)((depth + 4) * 2) * p->unit * (old + err + moved_abs);
             drift = s->l1_err > p->drift_tol * s->cash_l1;

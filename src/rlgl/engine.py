@@ -325,7 +325,7 @@ def _push_loop(P, schedule, criterion):
     (such as the benchmark's tracing proxies) take the same path.
     """
     kind = getattr(schedule, "push_loop", None)
-    if criterion != "cash" or kind is None or not getattr(P, "csr_push", False):
+    if criterion != "cash" or kind is None or getattr(P, "csr_push", None) is None:
         return None
     from . import pushloop  # imported, and compiled, only by runs that use it
 
@@ -355,11 +355,13 @@ def run(
     updates).
 
     Under the "cash" criterion, ``RoundRobin``, ``Theta``, unrestricted
-    ``MaxCash`` and ``ProportionalCash`` runs on a ``TransitionMatrix``
-    take their steps in a compiled loop (``pushloop``) that returns here
-    at every check, trace row and refresh, with the same bytes (and the
-    same draws from a ``ProportionalCash`` generator) as ``step``;
-    ``RunResult.kernel`` says which path ran.
+    ``MaxCash`` and ``ProportionalCash`` runs on a ``TransitionMatrix`` or
+    a ``GoogleMatrix`` (any matrix with a ``csr_push``) take their steps
+    in a compiled loop (``pushloop``) that returns here at every check,
+    trace row and refresh, with the same bytes (and the same draws from a
+    ``ProportionalCash`` generator) as ``step``; ``RunResult.kernel`` says
+    which path ran.  A ``GoogleMatrix`` push still writes all n entries,
+    and the loop keeps its ``||C||_1`` incrementally, as for sparse rows.
 
     Raises NoConvergenceError at max_steps and DegenerateHistoryError when
     the total-history guard exhausts its retries; both carry the partial

@@ -14,12 +14,17 @@ used by the iteration engine and the reference solvers:
                         returns the change in ``||C||_1`` it caused, or
                         ``None`` (see below)
 - ``to_dense()``        dense ndarray copy (bounded by DENSE_CAP states)
-- ``csr_push``          True only where ``scatter_add`` adds
-                        ``amount * data[k]`` to ``C[indices[k]]`` for the
-                        entries k of the pushed row and writes nothing else
-                        (``TransitionMatrix``, whose rows hold distinct
-                        columns); the engine may then run its compiled push
-                        loop on ``indptr``/``indices``/``data``
+- ``csr_push``          the arrays of a single-node push (``CsrPush``), on
+                        matrices whose push of ``amount`` from row i adds
+                        ``amount * values[k]`` to ``C[indices[k]]`` for the
+                        entries k of row i (none for a ``dangling`` row),
+                        then, when ``s`` is set, ``restart * s`` to all of
+                        C, ``restart`` being ``amount`` for a dangling row
+                        and ``amount * restart_share`` otherwise, and writes
+                        nothing else: ``TransitionMatrix`` and
+                        ``GoogleMatrix``, whose rows hold distinct columns.
+                        The engine runs its compiled push loop on these
+                        arrays; other matrices have no ``csr_push``
 
 ``scatter_add`` return contract: a matrix whose push writes only the
 stored row (``TransitionMatrix``) returns the float change in
@@ -27,7 +32,9 @@ stored row (``TransitionMatrix``) returns the float change in
 slice it gathers and writes anyway, so the engine can keep ``||C||_1``
 in O(degree) per push.  A matrix whose push writes O(n) entries
 (``GoogleMatrix``, ``MeanFieldMatrix``) returns ``None``, and the engine
-recomputes the sum exactly instead.
+recomputes the sum exactly instead.  The compiled loop sums the change
+as it writes each entry, so it keeps ``||C||_1`` incrementally on a
+``GoogleMatrix`` as well.
 
 Matrices are immutable after construction.
 """
@@ -35,6 +42,7 @@ Matrices are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +77,50 @@ def check_distribution(v, tol=1e-10):
     return v
 
 
+def _check_csr_rows(n, indptr, indices, data):
+    """Raise InvalidParamsError unless the arrays are n CSR rows of distinct, rising columns.
+
+    Every builder stores rows so.  A repeated column would be written once
+    by ``scatter_add``'s fancy-index assignment and twice by ``mul_left``.
+    """
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
+    if indptr.shape != (n + 1,) or np.shape(data) != indices.shape:
+        raise InvalidParamsError(f"CSR arrays do not describe {n} rows")
+    if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+        raise InvalidParamsError("CSR indptr and indices must be integers")
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        raise InvalidParamsError("CSR indptr must rise from 0 to the number of entries")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise InvalidParamsError(f"CSR column outside [0, {n})")
+    rising = indices[1:] > indices[:-1]
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new row may restart
+    if not rising.all():
+        raise InvalidParamsError("a CSR row repeats a column or lists its columns out of order")
+
+
+def _restart_distribution(s, n):
+    """The restart distribution checked for n states; uniform when None."""
+    if s is None:
+        return np.full(n, 1.0 / n)
+    s = check_distribution(s)
+    if s.size != n:
+        raise InvalidParamsError(f"restart distribution has {s.size} entries, chain has {n} states")
+    return s
+
+
+class CsrPush(NamedTuple):
+    """The arrays of a matrix's single-node push (see ``csr_push`` above)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    out_degree: np.ndarray
+    s: np.ndarray | None = None
+    dangling: np.ndarray | None = None
+    restart_share: float = 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """CSR row-stochastic matrix.
@@ -86,24 +138,14 @@ class TransitionMatrix:
     data: np.ndarray
     out_degree: np.ndarray
 
-    csr_push = True
-
     def __post_init__(self):
-        n = self.n
-        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
-        if indptr.shape != (n + 1,) or np.shape(self.data) != indices.shape or np.shape(self.out_degree) != (n,):
-            raise InvalidParamsError(f"CSR arrays do not describe {n} rows")
-        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
-            raise InvalidParamsError("CSR indptr and indices must be integers")
-        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
-            raise InvalidParamsError("CSR indptr must rise from 0 to the number of entries")
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise InvalidParamsError(f"CSR column outside [0, {n})")
-        rising = np.diff(indices) > 0
-        starts = indptr[1:-1]
-        rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new row may restart
-        if not rising.all():
-            raise InvalidParamsError("a CSR row repeats a column or lists its columns out of order")
+        if np.shape(self.out_degree) != (self.n,):
+            raise InvalidParamsError(f"CSR arrays do not describe {self.n} rows")
+        _check_csr_rows(self.n, self.indptr, self.indices, self.data)
+
+    @property
+    def csr_push(self):
+        return CsrPush(self.indptr, self.indices, self.data, self.out_degree)
 
     @property
     def volume(self):
@@ -235,12 +277,16 @@ class GoogleMatrix:
     Dangling rows of the raw graph are replaced by the restart
     distribution ``s`` before damping, so those rows equal ``s`` exactly.
     The dense rows are never materialized; products use the raw sparse
-    rows plus a restart-mass accumulator.
+    rows plus a restart-mass accumulator.  The raw rows are checked as
+    ``TransitionMatrix``'s are, and ``s`` (uniform when None) must be a
+    distribution on the n states; InvalidParamsError otherwise.
     """
 
     def __init__(self, n, indptr, indices, data, dangling, c, s):
         if not 0.0 < c < 1.0:
             raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
+        indptr, indices, data = np.asarray(indptr), np.asarray(indices), np.asarray(data, dtype=float)
+        _check_csr_rows(n, indptr, indices, data)
         self.n = n
         self.indptr = indptr
         self.indices = indices
@@ -250,10 +296,16 @@ class GoogleMatrix:
         self.dangling_mask = np.zeros(n, dtype=bool)
         self.dangling_mask[dangling] = True
         self.c = c
-        self.s = check_distribution(s)
+        self.s = _restart_distribution(s, n)
         counts = np.diff(indptr).astype(float)
         counts[counts == 0] = 1.0
         self.out_degree = counts
+
+    @property
+    def csr_push(self):
+        return CsrPush(
+            self.indptr, self.indices, self.scaled, self.out_degree, self.s, self.dangling_mask, 1.0 - self.c
+        )
 
     @property
     def volume(self):
@@ -318,8 +370,6 @@ class GoogleMatrix:
 def google_matrix(P_or_edges, c, s=None, n=None):
     """Build the damped restart matrix for a graph or transition matrix."""
     n, indptr, indices, data, dangling = _raw_rows(P_or_edges, n)
-    if s is None:
-        s = np.full(n, 1.0 / n)
     return GoogleMatrix(n, indptr, indices, data, dangling, c, s)
 
 
@@ -333,9 +383,7 @@ def augment_pagerank(P_or_edges, c, s=None, n=None):
     if not 0.0 < c < 1.0:
         raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
     n, indptr, indices, data, dangling = _raw_rows(P_or_edges, n)
-    if s is None:
-        s = np.full(n, 1.0 / n)
-    s = check_distribution(s)
+    s = _restart_distribution(s, n)
 
     rows_idx = [np.concatenate([[0], np.flatnonzero(s > 0) + 1])]
     rows_val = [np.concatenate([[c], (1.0 - c) * s[s > 0]])]

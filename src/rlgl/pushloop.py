@@ -42,7 +42,10 @@ class LoopParams(ctypes.Structure):
     _fields_ = [
         (name, ctypes.c_int64)
         for name in ("kind", "n", "offset", "period", "max_steps", "record_at", "sum_depth", "draws")
-    ] + [(name, ctypes.c_double) for name in ("theta", "eps", "initial_mass", "guard_unit", "drift_tol", "unit")]
+    ] + [
+        (name, ctypes.c_double)
+        for name in ("theta", "eps", "initial_mass", "guard_unit", "drift_tol", "unit", "restart_share")
+    ]
 
 
 def _build():
@@ -81,39 +84,37 @@ def load():
         fn = ctypes.CDLL(_build()).rlgl_push_loop
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.argtypes = [ctypes.c_void_p] * 7 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
+    fn.argtypes = [ctypes.c_void_p] * 9 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
     fn.restype = ctypes.c_int64
     return fn
 
 
-def _csr_arrays(P):
-    """P's CSR arrays in the C types; ``TransitionMatrix`` has checked its rows."""
-    return (
-        np.ascontiguousarray(P.indptr, dtype=np.int64),
-        np.ascontiguousarray(P.indices, dtype=np.int64),
-        np.ascontiguousarray(P.data, dtype=np.float64),
-        np.ascontiguousarray(P.out_degree, dtype=np.float64),
-    )
+# The C types of a ``CsrPush``'s arrays, in the loop's argument order.
+_C_TYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, np.uint8)
 
 
 def bind(P, kind):
-    """A Loop over P's rows for one schedule kind, or None for the Python steps."""
+    """A Loop over P's ``csr_push`` arrays for one schedule kind, or None for the Python steps.
+
+    The matrix has checked its rows (distinct columns) when built.
+    """
     fn = load()
-    return None if fn is None else Loop(fn, _csr_arrays(P), P.n, kind)
+    return None if fn is None else Loop(fn, P.csr_push, P.n, kind)
 
 
 class Loop:
     """One run's compiled loop: the matrix arrays and schedule kind, bound once."""
 
-    def __init__(self, fn, arrays, n, kind):
+    def __init__(self, fn, push, n, kind):
         self.fn = fn
         self.kind = kind
-        self.arrays = arrays  # kept referenced while C reads them
-        self.pointers = [a.ctypes.data for a in arrays]
+        # kept referenced while C reads them; no restart part (None) is NULL
+        self.arrays = [None if a is None else np.ascontiguousarray(a, dtype=t) for a, t in zip(push, _C_TYPES)]
+        self.pointers = [None if a is None else a.ctypes.data for a in self.arrays]
         self.state = LoopState()
         self.params = LoopParams(
             kind=KINDS[kind], n=n, sum_depth=engine._sum_depth(n), guard_unit=engine.GUARD_UNIT,
-            drift_tol=engine.DRIFT_TOL, unit=engine._U,
+            drift_tol=engine.DRIFT_TOL, unit=engine._U, restart_share=push.restart_share,
         )
 
     def advance(self, state, schedule, eps, max_steps, record_at):

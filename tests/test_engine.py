@@ -350,7 +350,20 @@ def _chain(name):
     if name == "google":
         edges, n = sbm80_instance()
         return google_matrix(edges, 0.85, n=n)
+    if name == "google-dangling":
+        return _dangling_google(120, 3, 8)
     return models.meanfield_sbm([50, 20, 10], 0.1, 0.01)
+
+
+def _dangling_google(n, degree, seed):
+    """A Google matrix whose graph leaves every fifth node dangling, restarting on a
+    non-uniform ``s`` that is zero on every third node."""
+    rng = np.random.default_rng(seed)
+    src = np.repeat(np.flatnonzero(np.arange(n) % 5 != 4), degree)
+    edges = np.column_stack([src, rng.integers(0, n, size=src.size), rng.random(src.size) + 0.1])
+    s = rng.random(n)
+    s[::3] = 0.0
+    return google_matrix(edges, 0.85, s=s / s.sum(), n=n)
 
 
 def _schedule(name, n):
@@ -549,7 +562,7 @@ class TestCompiledLoop:
 
     @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2:7", "maxc", "pc:1", "pc:3"])
-    @pytest.mark.parametrize("chain", ["two-wheels", "sbm80", "ring1000"])
+    @pytest.mark.parametrize("chain", ["two-wheels", "sbm80", "ring1000", "google", "google-dangling"])
     def test_identical_runs(self, chain, sched_name, stride, kernel, monkeypatch):
         got, outcome = _three_ways(monkeypatch, _chain(chain), sched_name, stride=stride)
         assert got == kernel
@@ -557,7 +570,14 @@ class TestCompiledLoop:
 
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_stops_where_the_exact_sum_crosses(self, sched_name, monkeypatch):
-        P = ring_random_chain(200, 5, 4)
+        self._stops_where_the_exact_sum_crosses(ring_random_chain(200, 5, 4), sched_name, monkeypatch)
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
+    def test_google_stops_where_the_exact_sum_crosses(self, sched_name, monkeypatch):
+        self._stops_where_the_exact_sum_crosses(_dangling_google(200, 4, 4), sched_name, monkeypatch)
+
+    @staticmethod
+    def _stops_where_the_exact_sum_crosses(P, sched_name, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(pushloop, "load", lambda: None)
             m.setattr(engine, "step", reference_step)
@@ -583,11 +603,66 @@ class TestCompiledLoop:
         assert got == kernel
         assert outcome[1] and {action for _, action in outcome[2]} == {engine.GUARD_RESTART}
 
+    @staticmethod
+    def _google_four_state(four_state):
+        # no restart into node 0, which has no self-loop: from e0, node 0
+        # holds cash -1 exactly, and pushing it first zeroes the total history
+        return google_matrix(four_state, 0.85, s=np.array([0.0, 1.0, 1.0, 1.0]) / 3)
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2:7", "maxc"])
+    def test_google_guard_perturb_path(self, four_state, sched_name, kernel, monkeypatch):
+        got, outcome = _three_ways(monkeypatch, self._google_four_state(four_state), sched_name, eps=1e-12,
+                                   M0=np.array([1.0, 0, 0, 0]))
+        assert got == kernel
+        assert outcome[2]  # the guard fired
+
+    @pytest.mark.parametrize("sched_name", ["pc:2", "pc:3"])
+    def test_google_guard_restart_path(self, four_state, sched_name, kernel, monkeypatch):
+        got, outcome = _three_ways(monkeypatch, self._google_four_state(four_state), sched_name, eps=1e-12,
+                                   M0=np.array([1.0, 0, 0, 0]))
+        assert got == kernel
+        assert outcome[1] and {action for _, action in outcome[2]} == {engine.GUARD_RESTART}
+
     @pytest.mark.parametrize("sched_name", ["rr", "theta:2:7", "maxc", "pc:1", "pc:3"])
     def test_max_steps_result(self, sched_name, kernel, monkeypatch):
         got, outcome = _three_ways(monkeypatch, _chain("ring1000"), sched_name, eps=1e-30, max_steps=4321)
         assert got == kernel
         assert not outcome[0] and outcome[4] == 4321
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:2:7", "maxc", "pc:1", "pc:3"])
+    def test_google_max_steps_result(self, sched_name, kernel, monkeypatch):
+        P = google_matrix(_chain("ring1000"), 0.85)
+        got, outcome = _three_ways(monkeypatch, P, sched_name, eps=1e-30, max_steps=4321)
+        assert got == kernel
+        assert not outcome[0] and outcome[4] == 4321
+
+    def test_google_maxc_ties_go_to_the_first_node(self, kernel):
+        # after the push from node 0, nodes 5 and 9 (outside its row, s zero
+        # there) tie for the largest |C|: np.argmax takes 5, so must the scan
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        n = 12
+        edges = [(0, j) for j in (1, 2, 3, 4)] + [(i, (i + 1) % n) for i in range(1, n)]
+        s = np.ones(n)
+        s[[0, 5, 9]] = 0.0
+        P = google_matrix(np.array(edges, dtype=float), 0.85, s=s / s.sum(), n=n)
+        st_ = engine.init(P)
+        st_.C[:] = 0.0
+        st_.C[[0, 5, 9]] = [-2.0, -0.5, 0.5]
+        st_.cash_l1 = 3.0
+        pushed = []
+        for compiled in (False, True):
+            state = engine.SolverState(**vars(st_))
+            state.C, state.H = st_.C.copy(), st_.H.copy()
+            sched = schedules.MaxCash().bind(P)
+            if compiled:
+                assert pushloop.bind(P, "maxc").advance(state, sched, 1e-10, state.t + 2, 10**9) == 2
+            else:
+                for _ in range(2):
+                    engine.step(state, sched.next_nodes(state.C), P)
+            pushed.append((np.flatnonzero(state.H != st_.H).tolist(), state.C.tobytes()))
+        assert pushed[0][0] == [0, 5]
+        assert pushed[1] == pushed[0]
 
     @pytest.mark.parametrize("check", ["guard", "eps", "max_steps"])
     def test_loop_returns_before_a_step_python_must_check(self, check, kernel):
@@ -740,3 +815,31 @@ class TestCompiledLoop:
         finally:
             engine.sync_cash_l1 = sync
         assert seen and all(seen)
+
+    @given(
+        n=st.integers(2, 40),
+        degree=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+        which=st.sampled_from(["rr", "theta:1", "theta:2:3", "maxc", "pc:5"]),
+        stride=st.sampled_from([1, 7, None]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_google_cash_l1_within_bound_at_every_return(self, n, degree, seed, which, stride):
+        P = _dangling_google(n, degree, seed)
+        seen = []
+        sync = engine.sync_cash_l1
+
+        def checked_sync(state):
+            seen.append(abs(state.cash_l1 - float(np.abs(state.C).sum())) <= state.l1_err)
+            sync(state)
+
+        engine.sync_cash_l1 = checked_sync
+        try:
+            res = engine.run(P, schedules.parse_schedule(which), eps=1e-12, trace_stride=stride,
+                             max_steps=20 * n)
+        except (NoConvergenceError, DegenerateHistoryError) as exc:
+            res = exc.result
+        finally:
+            engine.sync_cash_l1 = sync
+        assert seen and all(seen)
+        assert res.state.max_l1_increase <= 1e-14  # criterion 7, over every push

@@ -13,6 +13,7 @@ from rlgl.errors import (
     NotErgodicError,
 )
 from rlgl.matrix import (
+    GoogleMatrix,
     TransitionMatrix,
     augment_pagerank,
     build_transition,
@@ -78,23 +79,27 @@ class TestBuildTransition:
         assert P.data.min() > 0.0
 
 
+# (indptr, indices) of three CSR rows that no matrix may accept
+INVALID_CSR = pytest.mark.parametrize(
+    "indptr, indices",
+    [
+        ([0, 3, 4, 5], [1, 1, 2, 2, 0]),  # scatter_add would write the repeated column once
+        ([0, 2, 3, 4], [2, 1, 2, 0]),
+        ([0, 1, 2, 3], [1, 2, 3]),
+        ([0, 1, 2, 3], [1, 2, -1]),
+        ([0, 2, 1, 3], [1, 2, 0]),
+        ([1, 2, 3, 3], [1, 2, 0]),
+        ([0, 1, 2], [1, 0]),
+        ([0, 1, 2, 3], [1.0, 2.0, 0.0]),
+    ],
+    ids=["repeated column", "falling columns", "column n", "negative column", "falling indptr",
+         "indptr from 1", "too few rows", "float columns"],
+)
+
+
 class TestTransitionMatrix:
-    # (indptr, indices) of three rows; data and out_degree follow their shapes
-    @pytest.mark.parametrize(
-        "indptr, indices",
-        [
-            ([0, 3, 4, 5], [1, 1, 2, 2, 0]),  # scatter_add would write the repeated column once
-            ([0, 2, 3, 4], [2, 1, 2, 0]),
-            ([0, 1, 2, 3], [1, 2, 3]),
-            ([0, 1, 2, 3], [1, 2, -1]),
-            ([0, 2, 1, 3], [1, 2, 0]),
-            ([1, 2, 3, 3], [1, 2, 0]),
-            ([0, 1, 2], [1, 0]),
-            ([0, 1, 2, 3], [1.0, 2.0, 0.0]),
-        ],
-        ids=["repeated column", "falling columns", "column n", "negative column", "falling indptr",
-             "indptr from 1", "too few rows", "float columns"],
-    )
+    # data and out_degree follow the shapes of the rows
+    @INVALID_CSR
     def test_rejects_invalid_csr(self, indptr, indices):
         indices = np.array(indices)
         with pytest.raises(InvalidParamsError):
@@ -157,6 +162,25 @@ class TestGoogleMatrix:
         G = google_matrix([(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)], 0.85, n=3)
         x = np.array([0.2, 0.5, 0.3])
         assert np.allclose(G.mul_left(x), x @ G.to_dense(), atol=1e-14)
+
+    @INVALID_CSR
+    def test_rejects_invalid_csr(self, indptr, indices):
+        with pytest.raises(InvalidParamsError):
+            GoogleMatrix(3, indptr, indices, np.full(len(indices), 0.5), [], 0.85, np.full(3, 1 / 3))
+
+    def test_repeated_column_rejected_before_a_push(self):
+        # built, the push of 1.0 from node 0 left C summing to 0.575 through
+        # scatter_add and 0.425 through push_damped, where 1 and 0.85 are due
+        with pytest.raises(InvalidParamsError, match="repeats a column"):
+            GoogleMatrix(2, [0, 2, 3], [1, 1, 0], [0.5, 0.5, 1.0], [], 0.85, [0.5, 0.5])
+
+    @pytest.mark.parametrize("build", [google_matrix, augment_pagerank])
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_restart_length_must_be_n(self, build, size):
+        # a short s once built and failed at the first push with a broadcast error
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]
+        with pytest.raises(InvalidParamsError, match=f"{size} entries, chain has 3"):
+            build(edges, 0.85, s=np.full(size, 1.0 / size), n=3)
 
 
 class TestAugmentPagerank:
