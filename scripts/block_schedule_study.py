@@ -11,8 +11,8 @@ import argparse
 import os
 import sys
 
-from rlgl import mdp
-from rlgl.errors import NoConvergenceError
+from rlgl import cli, mdp
+from rlgl.errors import ConfigError, NoConvergenceError
 
 CYCLES = {
     "full-sweep": (7,),
@@ -34,8 +34,12 @@ def main(argv=None):
     ap.add_argument("--out", default="results/blocks")
     args = ap.parse_args(argv)
 
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    n_z1, n_z2 = (int(v) for v in args.grid.split("x"))
+    try:
+        sizes = tuple(cli._int_fields(args.sizes, "--sizes"))
+        n_z1, n_z2 = cli._int_fields(args.grid, "--grid", sep="x", count=2)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
 
     c0 = mdp.meanfield_init(sizes, args.p, args.q)

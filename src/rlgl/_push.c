@@ -4,6 +4,8 @@
  * operation, what engine.run's Python loop does with RoundRobin, Theta,
  * MaxCash or ProportionalCash and engine.step on a TransitionMatrix or a
  * GoogleMatrix, so H, C and every counter come out with the same bytes.
+ * A GoogleMatrix's dangling rows are its empty CSR rows, so the loop
+ * takes no dangling array.
  * Compile with -ffp-contract=off: a fused multiply-add would round C
  * differently.
  *
@@ -147,16 +149,17 @@ static int64_t proportional_pick(const double *C, int64_t n, double u)
  * uniform holds p->draws uniform draws for KIND_PC, one per pick.
  *
  * restart is NULL for a TransitionMatrix.  For a GoogleMatrix it is the
- * restart distribution s, data holds the damped rows c * P and dangling
- * marks the rows replaced by s.  A push of cash a then repeats
- * scatter_add: a * data[e] along the row (none for a dangling row), then
- * r * s[j] added to all n entries, r being a for a dangling row and
- * a * (1 - c) otherwise.  Every entry moves, so that pass also sums
- * |new| - |old| for ||C||_1 and finds MaxCash's next pick; the heap
- * serves the TransitionMatrix only. */
+ * restart distribution s and data holds the damped rows c * P.  A
+ * dangling row, one replaced by s, is an empty row (indptr[i] ==
+ * indptr[i + 1]); no dangling array is passed.  A push of cash a then
+ * repeats scatter_add: a * data[e] along the row, then r * s[j] added to
+ * all n entries, r being a for an empty row and a * (1 - c) otherwise.
+ * Every entry moves, so that pass also sums |new| - |old| for ||C||_1
+ * and finds MaxCash's next pick; the heap serves the TransitionMatrix
+ * only. */
 int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const double *data,
-                       const double *out_degree, const double *restart, const uint8_t *dangling,
-                       double *C, double *H, const double *uniform, loop_state *s, const loop_params *p)
+                       const double *out_degree, const double *restart, double *C, double *H,
+                       const double *uniform, loop_state *s, const loop_params *p)
 {
     heap h = {0};
     int64_t done = 0, best = 0;
@@ -211,8 +214,6 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
             if (heaped)
                 reorder(&h, i);
             int64_t lo = indptr[i], hi = indptr[i + 1];
-            if (restart && dangling[i])
-                lo = hi;
             double old_abs = 0.0, new_abs = 0.0;
             for (int64_t e = lo; e < hi; e++) {
                 int64_t j = indices[e];
@@ -226,7 +227,7 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
             }
             double grown = new_abs - old_abs;
             if (restart) {
-                double r = dangling[i] ? a : a * p->restart_share;
+                double r = lo == hi ? a : a * p->restart_share;
                 if (r != 0.0) {
                     double top = -1.0;
                     for (int64_t j = 0; j < p->n; j++) {

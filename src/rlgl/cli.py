@@ -111,18 +111,9 @@ def load_graph(spec, one_based=False, undirected=False, seed=0):
 def _load_vector(path, flag):
     """The numbers in a vector file (whitespace-separated); ConfigError naming ``flag``."""
     try:
-        return np.loadtxt(path)
+        return np.loadtxt(path, ndmin=1)
     except (OSError, ValueError):
         raise ConfigError(f"{flag} {path!r}: expected a readable file of numbers") from None
-
-
-def _restart_distribution(path, n):
-    if path is None:
-        return None
-    vals = _load_vector(path, "--restart-s")
-    if vals.size != n:
-        raise ConfigError(f"restart distribution has {vals.size} entries, graph has {n}")
-    return vals
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -134,7 +125,8 @@ def build_problem(cfg: ExperimentConfig):
             raise ConfigError("pagerank mode is not defined for the mean-field builtin")
         return mf, None
     if cfg.pagerank:
-        s = _restart_distribution(cfg.restart_s, n)
+        # google_matrix checks s against the graph (a distribution on n states)
+        s = None if cfg.restart_s is None else _load_vector(cfg.restart_s, "--restart-s")
         return google_matrix(edges, cfg.damping, s, n=n), None
     if cfg.lcc:
         edges, mapping = models.largest_scc(edges, n)
@@ -457,10 +449,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RlglError as exc:
+    except RlglError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

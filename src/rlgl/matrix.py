@@ -17,12 +17,14 @@ used by the iteration engine and the reference solvers:
 - ``csr_push``          the arrays of a single-node push (``CsrPush``), on
                         matrices whose push of ``amount`` from row i adds
                         ``amount * values[k]`` to ``C[indices[k]]`` for the
-                        entries k of row i (none for a ``dangling`` row),
-                        then, when ``s`` is set, ``restart * s`` to all of
-                        C, ``restart`` being ``amount`` for a dangling row
-                        and ``amount * restart_share`` otherwise, and writes
-                        nothing else: ``TransitionMatrix`` and
-                        ``GoogleMatrix``, whose rows hold distinct columns.
+                        entries k of row i, then, when ``s`` is set,
+                        ``restart * s`` to all of C, ``restart`` being
+                        ``amount`` for a dangling row (an empty one,
+                        ``indptr[i] == indptr[i + 1]``; no dangling array
+                        is passed) and ``amount * restart_share``
+                        otherwise, and writes nothing else:
+                        ``TransitionMatrix`` and ``GoogleMatrix``, whose
+                        rows hold distinct columns.
                         The engine runs its compiled push loop on these
                         arrays; other matrices have no ``csr_push``
 
@@ -117,7 +119,6 @@ class CsrPush(NamedTuple):
     values: np.ndarray
     out_degree: np.ndarray
     s: np.ndarray | None = None
-    dangling: np.ndarray | None = None
     restart_share: float = 0.0
 
 
@@ -224,14 +225,15 @@ def _coalesce_edges(edges, n):
 
 
 def _raw_rows(P_or_edges, n=None):
-    """Normalize input to raw CSR rows, tolerating dangling rows.
+    """Normalize input to raw CSR rows ``(n, indptr, indices, data)``.
 
     This is the one place an edge list becomes CSR rows: ids are
-    bounds-checked, duplicates merged and zero weights dropped.
+    bounds-checked, duplicates merged and zero weights dropped.  A node
+    without out-edges (dangling) is an empty row.
     """
     if isinstance(P_or_edges, TransitionMatrix):
         P = P_or_edges
-        return P.n, P.indptr, P.indices, P.data, np.empty(0, dtype=np.int64)
+        return P.n, P.indptr, P.indices, P.data
     if n is None:
         raise InvalidParamsError("n is required when passing a raw edge list")
     src, dst, w = _coalesce_edges(P_or_edges, n)
@@ -240,7 +242,7 @@ def _raw_rows(P_or_edges, n=None):
     np.cumsum(counts, out=indptr[1:])
     sums = np.bincount(src, weights=w, minlength=n)
     vals = w / np.repeat(sums, counts)
-    return n, indptr, dst, vals, np.flatnonzero(counts == 0)
+    return n, indptr, dst, vals
 
 
 def build_transition(edges, n):
@@ -251,10 +253,11 @@ def build_transition(edges, n):
     """
     if n < 1:
         raise InvalidParamsError("n must be >= 1")
-    _, indptr, indices, vals, dangling = _raw_rows(edges, n)
-    if dangling.size:
-        raise DanglingNodeError(int(dangling[0]))
-    return TransitionMatrix(n, indptr, indices, vals, np.diff(indptr).astype(float))
+    _, indptr, indices, vals = _raw_rows(edges, n)
+    counts = np.diff(indptr)
+    if not counts.all():
+        raise DanglingNodeError(int(np.argmin(counts)))
+    return TransitionMatrix(n, indptr, indices, vals, counts.astype(float))
 
 
 def validate_stochastic(P, tol=ROW_SUM_TOL):
@@ -274,15 +277,16 @@ def validate_stochastic(P, tol=ROW_SUM_TOL):
 class GoogleMatrix:
     """Damped-with-restart matrix c*P + (1-c)*1s, rank-one part implicit.
 
-    Dangling rows of the raw graph are replaced by the restart
-    distribution ``s`` before damping, so those rows equal ``s`` exactly.
+    Dangling rows of the raw graph, the empty ones, are replaced by the
+    restart distribution ``s`` before damping, so those rows equal ``s``
+    exactly.
     The dense rows are never materialized; products use the raw sparse
     rows plus a restart-mass accumulator.  The raw rows are checked as
     ``TransitionMatrix``'s are, and ``s`` (uniform when None) must be a
     distribution on the n states; InvalidParamsError otherwise.
     """
 
-    def __init__(self, n, indptr, indices, data, dangling, c, s):
+    def __init__(self, n, indptr, indices, data, c, s):
         if not 0.0 < c < 1.0:
             raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
         indptr, indices, data = np.asarray(indptr), np.asarray(indices), np.asarray(data, dtype=float)
@@ -290,22 +294,16 @@ class GoogleMatrix:
         self.n = n
         self.indptr = indptr
         self.indices = indices
-        self.data = data
         self.scaled = c * data
-        self.dangling = dangling
-        self.dangling_mask = np.zeros(n, dtype=bool)
-        self.dangling_mask[dangling] = True
+        counts = np.diff(indptr)
+        self.dangling_mask = counts == 0
         self.c = c
         self.s = _restart_distribution(s, n)
-        counts = np.diff(indptr).astype(float)
-        counts[counts == 0] = 1.0
-        self.out_degree = counts
+        self.out_degree = np.maximum(counts, 1).astype(float)
 
     @property
     def csr_push(self):
-        return CsrPush(
-            self.indptr, self.indices, self.scaled, self.out_degree, self.s, self.dangling_mask, 1.0 - self.c
-        )
+        return CsrPush(self.indptr, self.indices, self.scaled, self.out_degree, self.s, 1.0 - self.c)
 
     @property
     def volume(self):
@@ -326,7 +324,7 @@ class GoogleMatrix:
         lens = np.diff(self.indptr)
         contrib = self.scaled * np.repeat(x, lens)
         y = np.bincount(self.indices, weights=contrib, minlength=self.n)
-        restart = (1.0 - self.c) * x.sum() + self.c * x[self.dangling].sum()
+        restart = (1.0 - self.c) * x.sum() + self.c * x[self.dangling_mask].sum()
         return y + restart * self.s
 
     def scatter_add(self, C, nodes, amounts):
@@ -369,8 +367,7 @@ class GoogleMatrix:
 
 def google_matrix(P_or_edges, c, s=None, n=None):
     """Build the damped restart matrix for a graph or transition matrix."""
-    n, indptr, indices, data, dangling = _raw_rows(P_or_edges, n)
-    return GoogleMatrix(n, indptr, indices, data, dangling, c, s)
+    return GoogleMatrix(*_raw_rows(P_or_edges, n), c, s)
 
 
 def augment_pagerank(P_or_edges, c, s=None, n=None):
@@ -382,19 +379,17 @@ def augment_pagerank(P_or_edges, c, s=None, n=None):
     """
     if not 0.0 < c < 1.0:
         raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
-    n, indptr, indices, data, dangling = _raw_rows(P_or_edges, n)
+    n, indptr, indices, data = _raw_rows(P_or_edges, n)
     s = _restart_distribution(s, n)
 
     rows_idx = [np.concatenate([[0], np.flatnonzero(s > 0) + 1])]
     rows_val = [np.concatenate([[c], (1.0 - c) * s[s > 0]])]
-    dangling_mask = np.zeros(n, dtype=bool)
-    dangling_mask[dangling] = True
     for i in range(n):
-        if dangling_mask[i]:
+        lo, hi = indptr[i], indptr[i + 1]
+        if lo == hi:
             cols = np.flatnonzero(s > 0) + 1
             vals = c * s[s > 0]
         else:
-            lo, hi = indptr[i], indptr[i + 1]
             cols = indices[lo:hi] + 1
             vals = c * data[lo:hi]
         rows_idx.append(np.concatenate([[0], cols]))

@@ -261,7 +261,7 @@ def strong_components(graph, n=None):
     if hasattr(graph, "indptr") and hasattr(graph, "indices"):
         n, indptr, indices = graph.n, graph.indptr, graph.indices
     else:
-        n, indptr, indices, _, _ = _raw_rows(graph, n)
+        n, indptr, indices, _ = _raw_rows(graph, n)
     ptr, cols = indptr.tolist(), indices.tolist()
     return _tarjan_scc([cols[ptr[i] : ptr[i + 1]] for i in range(n)], n)
 

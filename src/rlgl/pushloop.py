@@ -84,13 +84,13 @@ def load():
         fn = ctypes.CDLL(_build()).rlgl_push_loop
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.argtypes = [ctypes.c_void_p] * 9 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
+    fn.argtypes = [ctypes.c_void_p] * 8 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
     fn.restype = ctypes.c_int64
     return fn
 
 
 # The C types of a ``CsrPush``'s arrays, in the loop's argument order.
-_C_TYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, np.uint8)
+_C_TYPES = (np.int64, np.int64, np.float64, np.float64, np.float64)
 
 
 def bind(P, kind):

@@ -56,31 +56,27 @@ def power_iteration(P, x0=None, eps=1e-10, max_iters=100_000):
 
 
 def _gs_columns(P):
-    """Column view (incoming rows/values, diagonal split off) of a matrix."""
-    srcs, cols, vals = [], [], []
-    for i in range(P.n):
-        c, v = P.row(i)
-        srcs.append(np.full(c.size, i, dtype=np.int64))
-        cols.append(c)
-        vals.append(v)
-    src = np.concatenate(srcs)
+    """Column view (incoming rows/values, diagonal split off) of a matrix.
+
+    One ``P.row(i)`` per row; the entries are then sorted by (column, row)
+    and split into the columns' off-diagonal parts and diagonal sums.
+    """
+    cols, vals = zip(*(P.row(i) for i in range(P.n)))
+    src = np.repeat(np.arange(P.n, dtype=np.int64), [c.size for c in cols])
     col = np.concatenate(cols).astype(np.int64)
     val = np.concatenate(vals)
     order = np.lexsort((src, col))
     src, col, val = src[order], col[order], val[order]
-    indptr = np.zeros(P.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col, minlength=P.n), out=indptr[1:])
-    columns = []
-    for j in range(P.n):
-        lo, hi = indptr[j], indptr[j + 1]
-        rows = src[lo:hi]
-        vals_j = val[lo:hi]
-        dmask = rows == j
-        diag = float(vals_j[dmask].sum())
-        if diag >= 1.0:
-            raise AbsorbingStateError(f"state {j} is absorbing (p_jj = {diag})")
-        columns.append((rows[~dmask], vals_j[~dmask], diag))
-    return columns
+    on_diag = src == col
+    diag = np.zeros(P.n)
+    np.add.at(diag, col[on_diag], val[on_diag])
+    absorbing = np.flatnonzero(diag >= 1.0)
+    if absorbing.size:
+        j = int(absorbing[0])
+        raise AbsorbingStateError(f"state {j} is absorbing (p_jj = {float(diag[j])})")
+    off = ~on_diag
+    cuts = np.cumsum(np.bincount(col[off], minlength=P.n))[:-1]
+    return list(zip(np.split(src[off], cuts), np.split(val[off], cuts), diag.tolist()))
 
 
 def gauss_seidel_sweep(P, x, columns=None):
@@ -224,7 +220,8 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
     the engine's schedule classes: ``greedy-max`` (``MaxCash``, the
     classical rule), ``rr`` (``RoundRobin``) and ``theta`` (``Theta``,
     cyclic candidates over a power-mean threshold).  The residual is never
-    negative, so their |C| rules are rules on C itself.
+    negative, so their |C| rules are rules on C itself and its L1 norm is
+    its sum.
     """
     if not eps > 0:
         raise InvalidParamsError("eps must be > 0")
@@ -246,7 +243,7 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
     trace.record(state.t, state.cum_cost, resid)
     moved = 0
     while True:
-        resid = float(np.abs(state.C).sum())
+        resid = float(state.C.sum())
         if resid < eps:
             trace.record(state.t, state.cum_cost, resid)
             return SolveResult(state.H.copy(), trace, True, state.t, {"state": state})
@@ -261,6 +258,6 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
             gso_step(state, G, int(picked[0]))
             moved += 1
             if moved % stride == 0:
-                trace.record(state.t, state.cum_cost, float(np.abs(state.C).sum()))
+                trace.record(state.t, state.cum_cost, float(state.C.sum()))
         else:
             state.t += 1

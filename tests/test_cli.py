@@ -1,3 +1,5 @@
+import os
+import runpy
 import sys
 
 import numpy as np
@@ -206,6 +208,7 @@ def _bad_vector_files(tmp_path):
         ["--method", "rlgl", "--m0", "{nan}"],
         ["--pagerank", "--restart-s", "{text}"],
         ["--pagerank", "--restart-s", "{nan}"],
+        ["--pagerank", "--restart-s", "{short}"],
     ],
     ids=lambda extra: " ".join(extra),
 )
@@ -230,6 +233,15 @@ def test_bad_descriptor_is_one_error_line(tmp_path, capsys, extra):
 )
 def test_bad_integer_flag_is_one_error_line(tmp_path, capsys, args):
     assert cli.main([a.format(out=tmp_path / "out") for a in args]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [["--grid", "10"], ["--sizes", "50,x"]], ids=" ".join)
+def test_block_study_script_bad_integer_flag_is_one_error_line(tmp_path, capsys, flags):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "block_schedule_study.py")
+    main = runpy.run_path(script)["main"]
+    assert main([*flags, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 

@@ -17,7 +17,7 @@ from rlgl.errors import (
     NoConvergenceError,
     ZeroTotalHistoryError,
 )
-from rlgl.matrix import build_transition, google_matrix, gth_stationary
+from rlgl.matrix import GoogleMatrix, build_transition, google_matrix, gth_stationary
 
 from conftest import dense_ergodic_chain, ring_random_chain, sbm80_instance
 
@@ -352,6 +352,8 @@ def _chain(name):
         return google_matrix(edges, 0.85, n=n)
     if name == "google-dangling":
         return _dangling_google(120, 3, 8)
+    if name == "google-hand-built":
+        return _hand_built_google(150, 4, 6)
     return models.meanfield_sbm([50, 20, 10], 0.1, 0.01)
 
 
@@ -364,6 +366,15 @@ def _dangling_google(n, degree, seed):
     s = rng.random(n)
     s[::3] = 0.0
     return google_matrix(edges, 0.85, s=s / s.sum(), n=n)
+
+
+def _hand_built_google(n, degree, seed):
+    """A GoogleMatrix built from CSR arrays, not by ``google_matrix``: the rows
+    of a ring-plus-random chain with every seventh row emptied, so dangling."""
+    P = ring_random_chain(n, degree, seed)
+    lens = np.where(np.arange(n) % 7 != 6, np.diff(P.indptr), 0)
+    kept = np.repeat(lens > 0, np.diff(P.indptr))
+    return GoogleMatrix(n, np.concatenate([[0], np.cumsum(lens)]), P.indices[kept], P.data[kept], 0.85, None)
 
 
 def _schedule(name, n):
@@ -562,7 +573,9 @@ class TestCompiledLoop:
 
     @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2:7", "maxc", "pc:1", "pc:3"])
-    @pytest.mark.parametrize("chain", ["two-wheels", "sbm80", "ring1000", "google", "google-dangling"])
+    @pytest.mark.parametrize(
+        "chain", ["two-wheels", "sbm80", "ring1000", "google", "google-dangling", "google-hand-built"]
+    )
     def test_identical_runs(self, chain, sched_name, stride, kernel, monkeypatch):
         got, outcome = _three_ways(monkeypatch, _chain(chain), sched_name, stride=stride)
         assert got == kernel

@@ -155,7 +155,7 @@ class TestGoogleMatrix:
 
     def test_dobrushin_bound_with_dangling_rows(self):
         G = google_matrix([(0, 1, 1.0), (2, 0, 1.0)], 0.85, n=3)
-        assert G.dangling.tolist() == [1]
+        assert np.flatnonzero(G.dangling_mask).tolist() == [1]
         assert analysis.dobrushin(G).value <= 0.85 + 1e-12
 
     def test_mul_left_matches_dense(self):
@@ -166,13 +166,35 @@ class TestGoogleMatrix:
     @INVALID_CSR
     def test_rejects_invalid_csr(self, indptr, indices):
         with pytest.raises(InvalidParamsError):
-            GoogleMatrix(3, indptr, indices, np.full(len(indices), 0.5), [], 0.85, np.full(3, 1 / 3))
+            GoogleMatrix(3, indptr, indices, np.full(len(indices), 0.5), 0.85, np.full(3, 1 / 3))
 
     def test_repeated_column_rejected_before_a_push(self):
         # built, the push of 1.0 from node 0 left C summing to 0.575 through
         # scatter_add and 0.425 through push_damped, where 1 and 0.85 are due
         with pytest.raises(InvalidParamsError, match="repeats a column"):
-            GoogleMatrix(2, [0, 2, 3], [1, 1, 0], [0.5, 0.5, 1.0], [], 0.85, [0.5, 0.5])
+            GoogleMatrix(2, [0, 2, 3], [1, 1, 0], [0.5, 0.5, 1.0], 0.85, [0.5, 0.5])
+
+    @pytest.mark.parametrize("build", [google_matrix, augment_pagerank])
+    def test_empty_row_of_a_transition_matrix_restarts(self, build):
+        # an empty row is dangling whatever the input; given a TransitionMatrix,
+        # both builders once left row 1 summing to 1 - c = 0.15
+        P = TransitionMatrix(2, np.array([0, 1, 1]), np.array([1]), np.array([1.0]), np.array([1.0, 0.0]))
+        M = build(P, 0.85, s=[0.25, 0.75])
+        dense = M.to_dense()
+        assert np.abs(dense.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.array_equal(dense, build([(0, 1, 1.0)], 0.85, s=[0.25, 0.75], n=2).to_dense())
+
+    def test_hand_built_empty_row_restarts(self):
+        # the dangling rows are the empty ones: a push from row 1 keeps its
+        # mass, and e1 @ G is the row s
+        G = GoogleMatrix(3, [0, 1, 1, 2], [1, 0], [1.0, 1.0], 0.85, [0.5, 0.0, 0.5])
+        assert np.flatnonzero(G.dangling_mask).tolist() == [1]
+        C = np.zeros(3)
+        assert G.scatter_add(C, [1], [1.0]) is None
+        assert C.sum() == 1.0
+        for i in range(3):
+            assert abs(G.mul_left(np.eye(3)[i]).sum() - 1.0) <= 1e-15
+        assert np.array_equal(G.mul_left(np.eye(3)[1]), G.s)
 
     @pytest.mark.parametrize("build", [google_matrix, augment_pagerank])
     @pytest.mark.parametrize("size", [2, 4])

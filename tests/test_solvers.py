@@ -62,6 +62,61 @@ class TestGaussSeidel:
         with pytest.raises(AbsorbingStateError):
             solvers.gauss_seidel(P)
 
+    @staticmethod
+    def _columns_by_loop(P):
+        # the per-column loop _gs_columns replaced, kept as its replay oracle
+        srcs, cols, vals = [], [], []
+        for i in range(P.n):
+            c, v = P.row(i)
+            srcs.append(np.full(c.size, i, dtype=np.int64))
+            cols.append(c)
+            vals.append(v)
+        src = np.concatenate(srcs)
+        col = np.concatenate(cols).astype(np.int64)
+        val = np.concatenate(vals)
+        order = np.lexsort((src, col))
+        src, col, val = src[order], col[order], val[order]
+        indptr = np.zeros(P.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col, minlength=P.n), out=indptr[1:])
+        columns = []
+        for j in range(P.n):
+            lo, hi = indptr[j], indptr[j + 1]
+            rows = src[lo:hi]
+            vals_j = val[lo:hi]
+            dmask = rows == j
+            diag = float(vals_j[dmask].sum())
+            if diag >= 1.0:
+                raise AbsorbingStateError(f"state {j} is absorbing (p_jj = {diag})")
+            columns.append((rows[~dmask], vals_j[~dmask], diag))
+        return columns
+
+    @pytest.mark.parametrize("chain", ["sbm80", "google", "meanfield", "dense", "self-loops"])
+    def test_columns_replay_the_per_column_loop(self, chain):
+        edges, n = sbm80_instance()
+        P = {
+            "sbm80": lambda: build_transition(edges, n),
+            "google": lambda: google_matrix(edges, 0.85, n=n),
+            "meanfield": lambda: models.meanfield_sbm([30, 12, 5], 0.1, 0.01),
+            "dense": lambda: dense_ergodic_chain(25, 4),
+            "self-loops": lambda: build_transition(
+                [(i, j, 1.0 + (i * j) % 3) for i in range(9) for j in range(9) if (i + 2 * j) % 4], 9
+            ),
+        }[chain]()
+        got, want = solvers._gs_columns(P), self._columns_by_loop(P)
+        assert len(got) == len(want) == P.n
+        for (rows, vals, diag), (rows0, vals0, diag0) in zip(got, want):
+            assert rows.dtype == rows0.dtype and rows.tobytes() == rows0.tobytes()
+            assert vals.dtype == vals0.dtype and vals.tobytes() == vals0.tobytes()
+            assert type(diag) is float and np.float64(diag).tobytes() == np.float64(diag0).tobytes()
+
+    def test_first_absorbing_state_named_as_by_the_loop(self):
+        P = build_transition([(0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0), (2, 0, 0.0)], 3)
+        with pytest.raises(AbsorbingStateError) as want:
+            self._columns_by_loop(P)
+        with pytest.raises(AbsorbingStateError) as got:
+            solvers._gs_columns(P)
+        assert str(got.value) == str(want.value) == "state 1 is absorbing (p_jj = 1.0)"
+
 
 class TestGmres:
     def test_stationary_start_zero_residual(self):
