@@ -171,8 +171,9 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
         return -1;
     }
     for (;;) {
-        /* engine.run's checks before a step */
-        if (!(fabs(s->total_history) > p->guard_unit * (double)s->t * p->initial_mass))
+        /* engine.run's checks before a step; the guard waits for the
+         * first push of a cash start */
+        if (s->updates > 0 && !(fabs(s->total_history) > p->guard_unit * (double)s->t * p->initial_mass))
             break;
         if (s->cash_l1 - s->l1_err < p->eps || s->t >= p->max_steps)
             break;

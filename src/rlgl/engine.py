@@ -29,6 +29,7 @@ from .errors import (
     DegenerateHistoryError,
     InvalidIndexError,
     InvalidM0Error,
+    InvalidParamsError,
     NoConvergenceError,
     ZeroTotalHistoryError,
 )
@@ -159,12 +160,22 @@ def seed_distribution(M0, n):
     return M0
 
 
-def init(P, M0=None):
+def init(P, M0=None, *, cash=None):
     """Start a run: every node pushes its share of the seed distribution.
 
     Leaves the state at step 1 with C = M0 P - M0 and H = M0.  The step
     is charged the volume of M0's support.
+
+    A cash start (n finite values in ``cash``, no M0) leaves C = cash,
+    H = 0 and t = 1, with nothing charged and no node updated.
     """
+    if cash is not None:
+        C = np.array(cash, dtype=float)
+        if M0 is not None or C.shape != (P.n,) or not np.isfinite(C).all():
+            raise InvalidParamsError(f"a cash start takes {P.n} finite values and no M0")
+        l1 = float(np.abs(C).sum())
+        return SolverState(C=C, H=np.zeros(P.n), t=1, cum_cost=0.0, scan_cost=0.0, total_history=0.0,
+                           initial_mass=l1, cash_l1=l1)
     M0 = seed_distribution(M0, P.n)
     C = P.mul_left(M0) - M0
     support = M0 > 0
@@ -311,9 +322,10 @@ def guard_total_history(state, schedule):
     """Decide how to react to a (near-)zero total history.
 
     Stochastic schedules restart with the next seed; deterministic ones
-    rotate their node order by one and restart.  Healthy states continue.
+    rotate their node order by one and restart.  Healthy states continue,
+    and so do states where no cash has moved yet (a cash start).
     """
-    if abs(state.total_history) > state.guard_threshold():
+    if not state.updates or abs(state.total_history) > state.guard_threshold():
         return GUARD_CONTINUE
     return GUARD_RESTART if schedule.stochastic else GUARD_PERTURB
 
@@ -337,6 +349,7 @@ def run(
     schedule,
     M0=None,
     *,
+    cash=None,
     eps=1e-10,
     criterion="cash",
     max_steps=1_000_000,
@@ -354,8 +367,8 @@ def run(
     ``trace_stride`` node updates (default: one sweep-equivalent, n
     updates).
 
-    Under the "cash" criterion, ``RoundRobin``, ``Theta``, unrestricted
-    ``MaxCash`` and ``ProportionalCash`` runs on a ``TransitionMatrix`` or
+    Under the "cash" criterion, ``RoundRobin``, ``Theta``, ``MaxCash``
+    and ``ProportionalCash`` runs on a ``TransitionMatrix`` or
     a ``GoogleMatrix`` (any matrix with a ``csr_push``) take their steps
     in a compiled loop (``pushloop``) that returns here at every check,
     trace row and refresh, with the same bytes (and the same draws from a
@@ -363,12 +376,18 @@ def run(
     which path ran.  A ``GoogleMatrix`` push still writes all n entries,
     and the loop keeps its ``||C||_1`` incrementally, as for sparse rows.
 
+    ``cash`` starts the run from that cash (see ``init``; "cash" criterion
+    only).  The total-history guard then applies once cash has moved, and
+    ``pi_hat`` is None if the run stops before.
+
     Raises NoConvergenceError at max_steps and DegenerateHistoryError when
     the total-history guard exhausts its retries; both carry the partial
     result as ``.result``.
     """
     if criterion not in ("cash", "pihat"):
         raise ValueError(f"unknown criterion {criterion!r}")
+    if cash is not None and criterion != "cash":
+        raise ValueError("a cash start needs the cash criterion")
     n = P.n
     stride = n if trace_stride is None else int(trace_stride)
     schedule.bind(P)
@@ -379,7 +398,7 @@ def run(
     restarts = 0
     guard_events = []
     while True:
-        state = init(P, M0)
+        state = init(P, M0, cash=cash)
         trace = RunTrace()
         last_recorded = 0
 
@@ -411,7 +430,8 @@ def run(
                     sync_cash_l1(state)
                 if state.cash_l1 < eps:
                     record(force=True)
-                    return RunResult(estimate(state), state, trace, True, restarts, guard_events, kernel)
+                    pi = estimate(state) if state.updates else None
+                    return RunResult(pi, state, trace, True, restarts, guard_events, kernel)
             else:
                 if state.cash_l1 == 0.0:
                     record(force=True)

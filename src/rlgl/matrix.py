@@ -38,11 +38,17 @@ recomputes the sum exactly instead.  The compiled loop sums the change
 as it writes each entry, so it keeps ``||C||_1`` incrementally on a
 ``GoogleMatrix`` as well.
 
+``GoogleMatrix.damped`` is a ``TransitionMatrix`` of the damped rows
+``c * P~`` alone (``P~``: P with its dangling rows replaced by ``s``), the
+pushes of the positive-cash PageRank solver; ``augment_pagerank`` stores
+the same rows as its lower-right block.
+
 Matrices are immutable after construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -124,10 +130,11 @@ class CsrPush(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """CSR row-stochastic matrix.
+    """CSR matrix, row-stochastic from every builder but ``GoogleMatrix.damped``.
 
-    ``out_degree[i]`` is the number of stored entries of row i (the volume
-    weight of node i for cost accounting).  Each row lists distinct
+    ``out_degree[i]`` is the volume weight of node i for cost accounting:
+    the number of stored entries of row i, except in ``GoogleMatrix.damped``,
+    which charges the ``GoogleMatrix``'s weights.  Each row lists distinct
     columns in [0, n) in rising order, as every builder stores them;
     the constructor raises InvalidParamsError otherwise (``scatter_add``
     would write a repeated column once).
@@ -305,6 +312,13 @@ class GoogleMatrix:
     def csr_push(self):
         return CsrPush(self.indptr, self.indices, self.scaled, self.out_degree, self.s, 1.0 - self.c)
 
+    @functools.cached_property
+    def damped(self):
+        """The rows ``c * P~`` as a ``TransitionMatrix`` charged ``out_degree``; built on first use."""
+        return TransitionMatrix(
+            self.n, *_damped_rows(self.indptr, self.indices, self.scaled, self.c, self.s), self.out_degree
+        )
+
     @property
     def volume(self):
         return float(self.out_degree.sum())
@@ -340,18 +354,6 @@ class GoogleMatrix:
             C += restart * self.s
         return None  # O(n) writer: the engine recomputes ||C||_1
 
-    def push_damped(self, C, k, amount):
-        """Add amount * c * p_k to C (restart mass not re-injected).
-
-        This is the residual push of the positive-cash PageRank solver:
-        fraction (1-c) of the pushed amount leaves the residual system.
-        """
-        if self.dangling_mask[k]:
-            C += (self.c * amount) * self.s
-        else:
-            lo, hi = self.indptr[k], self.indptr[k + 1]
-            C[self.indices[lo:hi]] += amount * self.scaled[lo:hi]
-
     def to_dense(self):
         if self.n > DENSE_CAP:
             raise InvalidParamsError(f"dense form capped at n={DENSE_CAP}")
@@ -363,6 +365,22 @@ class GoogleMatrix:
                 lo, hi = self.indptr[i], self.indptr[i + 1]
                 D[i, self.indices[lo:hi]] += self.scaled[lo:hi]
         return D
+
+
+def _damped_rows(indptr, indices, scaled, c, s):
+    """CSR arrays ``(indptr, indices, values)`` of ``c * P~``: the rows
+    ``scaled`` (``c * p_i``), each empty one replaced by ``c * s`` on the
+    support of s."""
+    counts = np.diff(indptr)
+    empty = counts == 0
+    support = np.flatnonzero(s > 0)
+    at = np.repeat(indptr[:-1][empty], support.size)
+    fill = int(empty.sum())
+    return (
+        np.concatenate([[0], np.cumsum(np.where(empty, support.size, counts))]).astype(np.int64),
+        np.insert(indices, at, np.tile(support, fill)).astype(np.int64),
+        np.insert(scaled, at, np.tile(c * s[support], fill)),
+    )
 
 
 def google_matrix(P_or_edges, c, s=None, n=None):
@@ -381,28 +399,15 @@ def augment_pagerank(P_or_edges, c, s=None, n=None):
         raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
     n, indptr, indices, data = _raw_rows(P_or_edges, n)
     s = _restart_distribution(s, n)
-
-    rows_idx = [np.concatenate([[0], np.flatnonzero(s > 0) + 1])]
-    rows_val = [np.concatenate([[c], (1.0 - c) * s[s > 0]])]
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        if lo == hi:
-            cols = np.flatnonzero(s > 0) + 1
-            vals = c * s[s > 0]
-        else:
-            cols = indices[lo:hi] + 1
-            vals = c * data[lo:hi]
-        rows_idx.append(np.concatenate([[0], cols]))
-        rows_val.append(np.concatenate([[1.0 - c], vals]))
-
-    lens = np.array([r.size for r in rows_idx], dtype=np.int64)
-    new_indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(lens, out=new_indptr[1:])
+    indptr, indices, values = _damped_rows(indptr, indices, c * data, c, s)
+    support = np.flatnonzero(s > 0)
+    heads = indptr[:-1]
+    lens = np.concatenate([[support.size + 1], np.diff(indptr) + 1])
     return TransitionMatrix(
         n + 1,
-        new_indptr,
-        np.concatenate(rows_idx).astype(np.int64),
-        np.concatenate(rows_val),
+        np.concatenate([[0], np.cumsum(lens)]),
+        np.concatenate([[0], support + 1, np.insert(indices + 1, heads, 0)]),
+        np.concatenate([[c], (1.0 - c) * s[support], np.insert(values, heads, 1.0 - c)]),
         lens.astype(float),
     )
 

@@ -10,9 +10,9 @@ calls ``perturb()`` (deterministic kinds: rotate the node order by one) or
 ``reseed()`` (stochastic kinds: seed+1) when its total-history guard fires.
 
 ``push_loop`` names the kinds whose picks ``engine.run`` may take in its
-compiled loop (``pushloop``): ``rr``, ``theta``, an unrestricted ``maxc``
-and ``pc``; None for every other schedule.  That loop repeats the picks
-of ``next_nodes`` exactly, ``pc``'s uniform draws included, and hands its
+compiled loop (``pushloop``): ``rr``, ``theta``, ``maxc`` and ``pc``;
+None for every other schedule.  That loop repeats the picks of
+``next_nodes`` exactly, ``pc``'s uniform draws included, and hands its
 position back through ``seek``, so a subclass that changes the pick must
 set ``push_loop = None``.
 """
@@ -146,28 +146,16 @@ class ProportionalCash(_Seeded):
 
 
 class MaxCash(Schedule):
-    """The node with maximum absolute cash; ties go to the lowest index.
-
-    ``restrict`` optionally limits the candidates to a fixed node subset
-    (used e.g. to skip an auxiliary restart node).
-    """
+    """The node with maximum absolute cash; ties go to the lowest index."""
 
     name = "maxc"
-
-    def __init__(self, restrict=None):
-        self.restrict = None if restrict is None else np.asarray(restrict, dtype=np.int64)
-
-    @property
-    def push_loop(self):
-        return "maxc" if self.restrict is None else None
+    push_loop = "maxc"
 
     def next_nodes(self, C):
-        cand = C if self.restrict is None else C[self.restrict]
-        j = int(np.argmax(np.abs(cand)))
-        if cand[j] == 0.0:
+        i = int(np.argmax(np.abs(C)))
+        if C[i] == 0.0:
             raise AllCashZeroError("all cash is zero")
         self._k += 1
-        i = j if self.restrict is None else int(self.restrict[j])
         return np.array([i], dtype=np.int64)
 
 

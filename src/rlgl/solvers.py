@@ -1,5 +1,10 @@
 """Reference solvers: power iteration, Gauss-Seidel, restarted GMRES, and
-the positive-cash push solver for the damped restart (PageRank) system."""
+the positive-cash push solver for the damped restart (PageRank) system.
+
+The push solver keeps no push state or loop of its own: it is the
+engine run from the cash ``(1-c) s`` on a ``GoogleMatrix``'s damped rows,
+so its steps take the engine's compiled loop wherever the engine's do.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import schedules
-from .engine import Trace
+from . import engine, schedules
+# Bound at import: the benchmark's tracing (perfbench/tracing.py) wraps
+# engine.run to time rlgl runs, and a gso solve is timed as a solver.
+from .engine import Trace, run as run_engine
 from .errors import AbsorbingStateError, InvalidParamsError, NoConvergenceError
 from .matrix import GoogleMatrix, check_distribution
 
@@ -185,30 +192,14 @@ def gmres_restarted(P, x0=None, m=10, eps=1e-11, max_restarts=1000):
     )
 
 
-@dataclass
-class GsoState:
-    """Nonnegative residual/estimate pair of the positive-cash push solver."""
-
-    C: np.ndarray
-    H: np.ndarray
-    t: int
-    cum_cost: float
-
-
 def gso_init(G: GoogleMatrix):
-    return GsoState(C=(1.0 - G.c) * G.s.copy(), H=np.zeros(G.n), t=1, cum_cost=0.0)
+    """The solver's engine state before its first push: cash (1-c) s on G's damped rows."""
+    return engine.init(G.damped, cash=(1.0 - G.c) * G.s)
 
 
 def gso_step(state, G: GoogleMatrix, k):
     """Deposit residual k into the estimate and push its damped share."""
-    amount = state.C[k]
-    if amount != 0.0:
-        state.H[k] += amount
-        state.C[k] = 0.0
-        G.push_damped(state.C, k, amount)
-        state.cum_cost += float(G.out_degree[k])
-    state.t += 1
-    return state
+    return engine.step(state, [k], G.damped)
 
 
 def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10_000_000, r=1.0, period=None, trace_stride=None):
@@ -216,12 +207,13 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
 
     Starts from residual (1-c, s) and repeatedly moves one node's residual
     into the estimate, pushing the damped share back.  The estimate H
-    converges to the solution without normalization.  Schedules, run by
-    the engine's schedule classes: ``greedy-max`` (``MaxCash``, the
-    classical rule), ``rr`` (``RoundRobin``) and ``theta`` (``Theta``,
-    cyclic candidates over a power-mean threshold).  The residual is never
-    negative, so their |C| rules are rules on C itself and its L1 norm is
-    its sum.
+    converges to the solution without normalization.  This is the engine
+    run from the cash (1-c) s on the damped rows ``G.damped``, so its
+    steps take the compiled loop where the engine's do.  Schedules:
+    ``greedy-max`` (``MaxCash``, the classical rule), ``rr``
+    (``RoundRobin``) and ``theta`` (``Theta``, cyclic candidates over a
+    power-mean threshold).  The residual is never negative, so their |C|
+    rules are rules on C itself and its L1 norm is its sum.
     """
     if not eps > 0:
         raise InvalidParamsError("eps must be > 0")
@@ -235,29 +227,15 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
         sched = schedules.Theta(r, period)
     else:
         raise InvalidParamsError(f"unknown push schedule {schedule!r}")
-    sched.bind(G)
-    state = gso_init(G)
-    stride = G.n if trace_stride is None else trace_stride
-    trace = SolveTrace()
-    resid = float(state.C.sum())
-    trace.record(state.t, state.cum_cost, resid)
-    moved = 0
-    while True:
-        resid = float(state.C.sum())
-        if resid < eps:
-            trace.record(state.t, state.cum_cost, resid)
-            return SolveResult(state.H.copy(), trace, True, state.t, {"state": state})
-        if state.t >= max_steps:
-            trace.record(state.t, state.cum_cost, resid)
-            raise NoConvergenceError(
-                f"push solver: no convergence in {max_steps} steps",
-                SolveResult(state.H.copy(), trace, False, state.t, {"state": state}),
-            )
-        picked = sched.next_nodes(state.C)
-        if picked.size:
-            gso_step(state, G, int(picked[0]))
-            moved += 1
-            if moved % stride == 0:
-                trace.record(state.t, state.cum_cost, float(state.C.sum()))
-        else:
-            state.t += 1
+    try:
+        res = run_engine(
+            G.damped, sched, cash=(1.0 - G.c) * G.s, eps=eps, max_steps=max_steps, trace_stride=trace_stride
+        )
+    except NoConvergenceError as exc:
+        res = exc.result
+    state = res.state
+    trace = SolveTrace([(t, cost, resid) for t, _, cost, _, resid, _ in res.trace.rows])
+    out = SolveResult(state.H.copy(), trace, res.converged, state.t, {"state": state, "kernel": res.kernel})
+    if not res.converged:
+        raise NoConvergenceError(f"push solver: no convergence in {max_steps} steps", out)
+    return out

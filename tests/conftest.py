@@ -1,4 +1,6 @@
 import os
+import shlex
+import subprocess
 
 import numpy as np
 import pytest
@@ -54,3 +56,17 @@ def pagerank_graph_500():
 @pytest.fixture
 def four_state():
     return models.four_state_chain()
+
+
+@pytest.fixture(scope="session")
+def kernel(tmp_path_factory):
+    """The path a compiled-loop run must report: "c" whenever $CC can build a library."""
+    d = tmp_path_factory.mktemp("probe")
+    (d / "probe.c").write_text("int probe(void) { return 0; }\n")
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    try:
+        built = subprocess.run([*cc, "-shared", "-fPIC", "-o", str(d / "probe.so"), str(d / "probe.c")],
+                               capture_output=True, timeout=120).returncode == 0
+    except OSError:
+        built = False
+    return "c" if built else "py"

@@ -205,6 +205,31 @@ class TestGoogleMatrix:
             build(edges, 0.85, s=np.full(size, 1.0 / size), n=3)
 
 
+class TestDampedRows:
+    # nodes 2 and 5 dangling; s zero on nodes 0 and 3
+    EDGES = [(0, 1, 1.0), (0, 4, 3.0), (1, 0, 1.0), (3, 2, 1.0), (4, 5, 1.0), (4, 0, 2.0)]
+    S = [0.0, 0.1, 0.2, 0.0, 0.3, 0.4]
+
+    def test_rows_are_damped_with_dangling_rows_on_s(self):
+        G = google_matrix(self.EDGES, 0.85, s=self.S, n=6)
+        D = G.damped
+        assert isinstance(D, TransitionMatrix)
+        assert D is G.damped  # built once
+        assert np.array_equal(D.out_degree, G.out_degree)
+        cols, vals = D.row(2)
+        assert cols.tolist() == [1, 2, 4, 5]
+        assert np.array_equal(vals, 0.85 * G.s[[1, 2, 4, 5]])
+        cols, vals = D.row(4)
+        assert cols.tolist() == [0, 5] and np.array_equal(vals, 0.85 * np.array([2 / 3, 1 / 3]))
+        assert np.abs(D.to_dense() + (1 - 0.85) * G.s - G.to_dense()).max() <= 1e-16
+
+    def test_augmented_block_is_the_damped_rows(self):
+        G = google_matrix(self.EDGES, 0.85, s=self.S, n=6)
+        A = augment_pagerank(self.EDGES, 0.85, s=self.S, n=6)
+        assert np.array_equal(A.to_dense()[1:, 1:], G.damped.to_dense())
+        assert np.array_equal(A.out_degree[1:], 1.0 + np.diff(G.damped.indptr))
+
+
 class TestAugmentPagerank:
     def test_rows_sum_to_one(self):
         edges, n = models.random_sbm([10, 10], 0.3, 0.1, seed=3)

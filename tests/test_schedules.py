@@ -84,10 +84,6 @@ class TestMaxCash:
         with pytest.raises(AllCashZeroError):
             sched.next_nodes(np.zeros(3))
 
-    def test_restrict(self):
-        sched, _ = bound(schedules.MaxCash(restrict=[1, 2]), n=3)
-        assert sched.next_nodes(np.array([9.0, 0.1, -0.2]))[0] == 2
-
     def test_cyclic_visit_on_two_block_meanfield(self):
         # equal small-block cash after the seed push; ties then push order
         # walk through the small block in index order

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rlgl import engine, models, schedules, solvers
+from rlgl import engine, models, pushloop, schedules, solvers
 from rlgl.errors import AbsorbingStateError, InvalidParamsError, NoConvergenceError
 from rlgl.matrix import build_transition, google_matrix, gth_stationary
 
@@ -313,3 +313,30 @@ class TestGsoSchedules:
         res = solvers.gso_pagerank(_two_wheels_google(), schedule="rr", eps=1e-8, trace_stride=1)
         # the start row, one row per push (every rr step pushes), the stop row
         assert len(res.trace.rows) == res.iterations + 1
+
+
+def _dangling_google():
+    # node 3 has no out-edges: its row restarts on s
+    return google_matrix([(0, 1), (1, 2), (2, 0), (2, 3)], 0.85, n=4)
+
+
+class TestGsoOnTheEngine:
+    @pytest.mark.parametrize("rule", ["greedy-max", "rr", "theta"])
+    def test_dangling_node(self, rule, kernel, monkeypatch):
+        res = solvers.gso_pagerank(_dangling_google(), schedule=rule, eps=1e-11)
+        assert res.extra["kernel"] == kernel
+        assert np.abs(res.x - gth_stationary(_dangling_google())).sum() <= 1e-9
+        with monkeypatch.context() as m:
+            m.setattr(pushloop, "load", lambda: None)
+            python = solvers.gso_pagerank(_dangling_google(), schedule=rule, eps=1e-11)
+        assert python.extra["kernel"] == "py"
+        assert res.x.tobytes() == python.x.tobytes()
+        assert res.trace.rows == python.trace.rows
+        assert res.iterations == python.iterations
+
+    def test_max_steps_raises_with_result(self):
+        with pytest.raises(NoConvergenceError) as exc:
+            solvers.gso_pagerank(_two_wheels_google(), schedule="rr", eps=1e-11, max_steps=50)
+        res = exc.value.result
+        assert not res.converged and res.iterations == 50
+        assert res.trace.rows[-1][0] == 50
