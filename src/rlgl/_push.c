@@ -33,7 +33,7 @@ typedef struct {
 /* Per-call constants; fields in pushloop.LoopParams' order. */
 typedef struct {
     int64_t kind, n, offset, period, max_steps, record_at, sum_depth, draws;
-    double theta, eps, initial_mass, guard_unit, drift_tol, unit, restart_share;
+    double theta, eps, initial_mass, guard_unit, drift_tol, unit, restart_share, dangling_share;
 } loop_params;
 
 /* Indexed binary max-heap of all nodes, ordered as np.argmax(np.abs(C))
@@ -153,26 +153,27 @@ static int64_t proportional_pick(const double *C, int64_t n, double u)
  * dangling row, one replaced by s, is an empty row (indptr[i] ==
  * indptr[i + 1]); no dangling array is passed.  A push of cash a then
  * repeats scatter_add: a * data[e] along the row, then r * s[j] added to
- * all n entries, r being a for an empty row and a * (1 - c) otherwise.
- * Every entry moves, so that pass also sums |new| - |old| for ||C||_1
- * and finds MaxCash's next pick; the heap serves the TransitionMatrix
- * only. */
+ * all n entries, r being a * dangling_share for an empty row and
+ * a * restart_share otherwise.  That pass sums |new| - |old| for ||C||_1
+ * and finds MaxCash's next pick; where r is zero but at dangling rows
+ * (GoogleMatrix.damped), MaxCash keeps its heap and rebuilds it there. */
 int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const double *data,
                        const double *out_degree, const double *restart, double *C, double *H,
                        const double *uniform, loop_state *s, const loop_params *p)
 {
     heap h = {0};
     int64_t done = 0, best = 0;
-    if (p->kind == KIND_MAXC && restart) {
+    int scan = p->kind == KIND_MAXC && restart && p->restart_share != 0.0;
+    int heaped = p->kind == KIND_MAXC && !scan;
+    if (scan) {
         best = argmax_abs(C, p->n);
-    } else if (p->kind == KIND_MAXC && heap_init(&h, C, p->n) != 0) {
+    } else if (heaped && heap_init(&h, C, p->n) != 0) {
         free(h.node);
         free(h.pos);
         return -1;
     }
     for (;;) {
-        /* engine.run's checks before a step; the guard waits for the
-         * first push of a cash start */
+        /* engine.run's checks before a step (the guard waits for a push) */
         if (s->updates > 0 && !(fabs(s->total_history) > p->guard_unit * (double)s->t * p->initial_mass))
             break;
         if (s->cash_l1 - s->l1_err < p->eps || s->t >= p->max_steps)
@@ -181,7 +182,7 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
         /* the schedule's pick; -1 is a skip step */
         int64_t i;
         if (p->kind == KIND_MAXC) {
-            i = restart ? best : h.node[0];
+            i = scan ? best : h.node[0];
             if (C[i] == 0.0)
                 break;
             s->k++;
@@ -208,7 +209,6 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
         double a = i >= 0 ? C[i] : 0.0;
         int drift = 0;
         if (a != 0.0) {
-            int heaped = p->kind == KIND_MAXC && !restart;
             H[i] += a;
             s->total_history += a;
             C[i] = 0.0;
@@ -227,8 +227,9 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
                     reorder(&h, j);
             }
             double grown = new_abs - old_abs;
+            double r = 0.0;
             if (restart) {
-                double r = lo == hi ? a : a * p->restart_share;
+                r = lo == hi ? a * p->dangling_share : a * p->restart_share;
                 if (r != 0.0) {
                     double top = -1.0;
                     for (int64_t j = 0; j < p->n; j++) {
@@ -241,7 +242,10 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
                             best = j;
                         }
                     }
-                } else if (p->kind == KIND_MAXC) {
+                    if (heaped) /* every |C[j]| moved: rebuild the heap */
+                        for (int64_t q = p->n / 2 - 1; q >= 0; q--)
+                            sift_down(&h, q);
+                } else if (scan) {
                     best = argmax_abs(C, p->n);
                 }
             }
@@ -249,9 +253,9 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
             s->updates += 1;
 
             /* a sequential sum of d terms rounds within d units: the row's
-             * d, then, on a GoogleMatrix, n more */
+             * d, then, after a pass over all of C, n more */
             int64_t d = hi - lo;
-            int64_t depth = restart ? p->n + d : (d > p->sum_depth ? d : p->sum_depth);
+            int64_t depth = r != 0.0 ? p->n + d : (d > p->sum_depth ? d : p->sum_depth);
             double moved_abs = fabs(a);
             double change = grown - moved_abs;
             double old = s->cash_l1;

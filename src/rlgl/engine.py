@@ -167,7 +167,9 @@ def init(P, M0=None, *, cash=None):
     is charged the volume of M0's support.
 
     A cash start (n finite values in ``cash``, no M0) leaves C = cash,
-    H = 0 and t = 1, with nothing charged and no node updated.
+    H = 0 and t = 1, with nothing charged and no node updated.  The guard
+    scale ``initial_mass`` is ``||cash||_1``, or 0 for nonnegative cash,
+    whose history only grows.
     """
     if cash is not None:
         C = np.array(cash, dtype=float)
@@ -175,7 +177,7 @@ def init(P, M0=None, *, cash=None):
             raise InvalidParamsError(f"a cash start takes {P.n} finite values and no M0")
         l1 = float(np.abs(C).sum())
         return SolverState(C=C, H=np.zeros(P.n), t=1, cum_cost=0.0, scan_cost=0.0, total_history=0.0,
-                           initial_mass=l1, cash_l1=l1)
+                           initial_mass=0.0 if (C >= 0).all() else l1, cash_l1=l1)
     M0 = seed_distribution(M0, P.n)
     C = P.mul_left(M0) - M0
     support = M0 > 0
@@ -373,7 +375,7 @@ def run(
     in a compiled loop (``pushloop``) that returns here at every check,
     trace row and refresh, with the same bytes (and the same draws from a
     ``ProportionalCash`` generator) as ``step``; ``RunResult.kernel`` says
-    which path ran.  A ``GoogleMatrix`` push still writes all n entries,
+    which path ran.  A ``GoogleMatrix`` restart still writes all n entries,
     and the loop keeps its ``||C||_1`` incrementally, as for sparse rows.
 
     ``cash`` starts the run from that cash (see ``init``; "cash" criterion

@@ -19,17 +19,18 @@ used by the iteration engine and the reference solvers:
                         ``amount * values[k]`` to ``C[indices[k]]`` for the
                         entries k of row i, then, when ``s`` is set,
                         ``restart * s`` to all of C, ``restart`` being
-                        ``amount`` for a dangling row (an empty one,
-                        ``indptr[i] == indptr[i + 1]``; no dangling array
-                        is passed) and ``amount * restart_share``
-                        otherwise, and writes nothing else:
+                        ``amount * dangling_share`` for a dangling row (an
+                        empty one; no dangling array is passed) and
+                        ``amount * restart_share`` otherwise, and writes
+                        nothing else:
                         ``TransitionMatrix`` and ``GoogleMatrix``, whose
                         rows hold distinct columns.
                         The engine runs its compiled push loop on these
                         arrays; other matrices have no ``csr_push``
 
 ``scatter_add`` return contract: a matrix whose push writes only the
-stored row (``TransitionMatrix``) returns the float change in
+stored row (``TransitionMatrix``; ``GoogleMatrix.damped`` off dangling
+rows) returns the float change in
 ``sum(|C|)``, summed row by row as ``|new|.sum() - |old|.sum()`` over the
 slice it gathers and writes anyway, so the engine can keep ``||C||_1``
 in O(degree) per push.  A matrix whose push writes O(n) entries
@@ -38,16 +39,12 @@ recomputes the sum exactly instead.  The compiled loop sums the change
 as it writes each entry, so it keeps ``||C||_1`` incrementally on a
 ``GoogleMatrix`` as well.
 
-``GoogleMatrix.damped`` is a ``TransitionMatrix`` of the damped rows
-``c * P~`` alone (``P~``: P with its dangling rows replaced by ``s``), the
-pushes of the positive-cash PageRank solver; ``augment_pagerank`` stores
-the same rows as its lower-right block.
-
 Matrices are immutable after construction.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -126,15 +123,15 @@ class CsrPush(NamedTuple):
     out_degree: np.ndarray
     s: np.ndarray | None = None
     restart_share: float = 0.0
+    dangling_share: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """CSR matrix, row-stochastic from every builder but ``GoogleMatrix.damped``.
+    """CSR row-stochastic matrix.
 
-    ``out_degree[i]`` is the volume weight of node i for cost accounting:
-    the number of stored entries of row i, except in ``GoogleMatrix.damped``,
-    which charges the ``GoogleMatrix``'s weights.  Each row lists distinct
+    ``out_degree[i]`` is the number of stored entries of row i (the volume
+    weight of node i for cost accounting).  Each row lists distinct
     columns in [0, n) in rising order, as every builder stores them;
     the constructor raises InvalidParamsError otherwise (``scatter_add``
     would write a repeated column once).
@@ -291,6 +288,12 @@ class GoogleMatrix:
     rows plus a restart-mass accumulator.  The raw rows are checked as
     ``TransitionMatrix``'s are, and ``s`` (uniform when None) must be a
     distribution on the n states; InvalidParamsError otherwise.
+
+    Row i is ``c * p_i + restart_share * s``, a dangling row
+    ``(c + restart_share) * s``, whose push moves ``dangling_share`` of
+    the cash onto s: 1 - c and 1 here.  ``damped``, the pushes of the
+    positive-cash PageRank solver, has 0 and c: the rows ``c * P~`` alone
+    (``P~``: P with its dangling rows replaced by s), on the same arrays.
     """
 
     def __init__(self, n, indptr, indices, data, c, s):
@@ -307,25 +310,28 @@ class GoogleMatrix:
         self.c = c
         self.s = _restart_distribution(s, n)
         self.out_degree = np.maximum(counts, 1).astype(float)
+        self.restart_share = 1.0 - c
+        self.dangling_share = 1.0
 
     @property
     def csr_push(self):
-        return CsrPush(self.indptr, self.indices, self.scaled, self.out_degree, self.s, 1.0 - self.c)
+        return CsrPush(self.indptr, self.indices, self.scaled, self.out_degree, self.s,
+                       self.restart_share, self.dangling_share)
 
     @functools.cached_property
     def damped(self):
-        """The rows ``c * P~`` as a ``TransitionMatrix`` charged ``out_degree``; built on first use."""
-        return TransitionMatrix(
-            self.n, *_damped_rows(self.indptr, self.indices, self.scaled, self.c, self.s), self.out_degree
-        )
+        """The rows ``c * P~`` alone, on the same arrays and ``out_degree``; built on first use."""
+        rows = copy.copy(self)
+        rows.restart_share, rows.dangling_share = 0.0, self.c
+        return rows
 
     @property
     def volume(self):
         return float(self.out_degree.sum())
 
     def row(self, i):
-        # Dense row: c * p_i + (1-c) * s, with dangling p_i := s.
-        vals = (1.0 - self.c) * self.s.copy()
+        # Dense row: c * p_i + restart_share * s, with dangling p_i := s.
+        vals = self.restart_share * self.s
         if self.dangling_mask[i]:
             vals += self.c * self.s
         else:
@@ -338,26 +344,34 @@ class GoogleMatrix:
         lens = np.diff(self.indptr)
         contrib = self.scaled * np.repeat(x, lens)
         y = np.bincount(self.indices, weights=contrib, minlength=self.n)
-        restart = (1.0 - self.c) * x.sum() + self.c * x[self.dangling_mask].sum()
+        restart = self.restart_share * x.sum() + self.c * x[self.dangling_mask].sum()
         return y + restart * self.s
 
     def scatter_add(self, C, nodes, amounts):
+        # the change in sum(|C|) is summed only on rows with no restart share
+        delta = None if self.restart_share else 0.0
         restart = 0.0
         for i, a in zip(nodes, amounts):
             if self.dangling_mask[i]:
-                restart += a
-            else:
-                lo, hi = self.indptr[i], self.indptr[i + 1]
-                C[self.indices[lo:hi]] += a * self.scaled[lo:hi]
-                restart += a * (1.0 - self.c)
-        if restart != 0.0:
-            C += restart * self.s
+                restart += a * self.dangling_share
+                continue
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            cols = self.indices[lo:hi]
+            old = C[cols]
+            new = old + a * self.scaled[lo:hi]
+            C[cols] = new
+            restart += a * self.restart_share
+            if delta is not None:
+                delta += float(np.abs(new).sum()) - float(np.abs(old).sum())
+        if restart == 0.0:
+            return delta
+        C += restart * self.s
         return None  # O(n) writer: the engine recomputes ||C||_1
 
     def to_dense(self):
         if self.n > DENSE_CAP:
             raise InvalidParamsError(f"dense form capped at n={DENSE_CAP}")
-        D = np.tile((1.0 - self.c) * self.s, (self.n, 1))
+        D = np.tile(self.restart_share * self.s, (self.n, 1))
         for i in range(self.n):
             if self.dangling_mask[i]:
                 D[i] += self.c * self.s
@@ -365,22 +379,6 @@ class GoogleMatrix:
                 lo, hi = self.indptr[i], self.indptr[i + 1]
                 D[i, self.indices[lo:hi]] += self.scaled[lo:hi]
         return D
-
-
-def _damped_rows(indptr, indices, scaled, c, s):
-    """CSR arrays ``(indptr, indices, values)`` of ``c * P~``: the rows
-    ``scaled`` (``c * p_i``), each empty one replaced by ``c * s`` on the
-    support of s."""
-    counts = np.diff(indptr)
-    empty = counts == 0
-    support = np.flatnonzero(s > 0)
-    at = np.repeat(indptr[:-1][empty], support.size)
-    fill = int(empty.sum())
-    return (
-        np.concatenate([[0], np.cumsum(np.where(empty, support.size, counts))]).astype(np.int64),
-        np.insert(indices, at, np.tile(support, fill)).astype(np.int64),
-        np.insert(scaled, at, np.tile(c * s[support], fill)),
-    )
 
 
 def google_matrix(P_or_edges, c, s=None, n=None):
@@ -399,10 +397,17 @@ def augment_pagerank(P_or_edges, c, s=None, n=None):
         raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
     n, indptr, indices, data = _raw_rows(P_or_edges, n)
     s = _restart_distribution(s, n)
-    indptr, indices, values = _damped_rows(indptr, indices, c * data, c, s)
+    # the rows c * P~ after a first entry 1 - c to node 0, an empty row
+    # stored as c * s on the support of s
     support = np.flatnonzero(s > 0)
-    heads = indptr[:-1]
-    lens = np.concatenate([[support.size + 1], np.diff(indptr) + 1])
+    empty = np.diff(indptr) == 0
+    at = np.repeat(indptr[:-1][empty], support.size)
+    fill = int(empty.sum())
+    indices = np.insert(indices, at, np.tile(support, fill))
+    values = np.insert(c * data, at, np.tile(c * s[support], fill))
+    counts = np.where(empty, support.size, np.diff(indptr))
+    heads = np.cumsum(counts) - counts
+    lens = np.concatenate([[support.size + 1], counts + 1])
     return TransitionMatrix(
         n + 1,
         np.concatenate([[0], np.cumsum(lens)]),

@@ -44,7 +44,7 @@ class LoopParams(ctypes.Structure):
         for name in ("kind", "n", "offset", "period", "max_steps", "record_at", "sum_depth", "draws")
     ] + [
         (name, ctypes.c_double)
-        for name in ("theta", "eps", "initial_mass", "guard_unit", "drift_tol", "unit", "restart_share")
+        for name in ("theta", "eps", "initial_mass", "guard_unit", "drift_tol", "unit", "restart_share", "dangling_share")
     ]
 
 
@@ -115,6 +115,7 @@ class Loop:
         self.params = LoopParams(
             kind=KINDS[kind], n=n, sum_depth=engine._sum_depth(n), guard_unit=engine.GUARD_UNIT,
             drift_tol=engine.DRIFT_TOL, unit=engine._U, restart_share=push.restart_share,
+            dangling_share=push.dangling_share,
         )
 
     def advance(self, state, schedule, eps, max_steps, record_at):

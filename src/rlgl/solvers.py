@@ -1,10 +1,6 @@
 """Reference solvers: power iteration, Gauss-Seidel, restarted GMRES, and
-the positive-cash push solver for the damped restart (PageRank) system.
-
-The push solver keeps no push state or loop of its own: it is the
-engine run from the cash ``(1-c) s`` on a ``GoogleMatrix``'s damped rows,
-so its steps take the engine's compiled loop wherever the engine's do.
-"""
+the positive-cash push solver for the damped restart (PageRank) system,
+which is the engine run from the cash ``(1-c) s`` on ``GoogleMatrix.damped``."""
 
 from __future__ import annotations
 
@@ -13,8 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, schedules
-# Bound at import: the benchmark's tracing (perfbench/tracing.py) wraps
-# engine.run to time rlgl runs, and a gso solve is timed as a solver.
+# bound at import: perfbench's tracing wraps engine.run for rlgl runs only
 from .engine import Trace, run as run_engine
 from .errors import AbsorbingStateError, InvalidParamsError, NoConvergenceError
 from .matrix import GoogleMatrix, check_distribution
@@ -207,13 +202,12 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
 
     Starts from residual (1-c, s) and repeatedly moves one node's residual
     into the estimate, pushing the damped share back.  The estimate H
-    converges to the solution without normalization.  This is the engine
-    run from the cash (1-c) s on the damped rows ``G.damped``, so its
-    steps take the compiled loop where the engine's do.  Schedules:
-    ``greedy-max`` (``MaxCash``, the classical rule), ``rr``
-    (``RoundRobin``) and ``theta`` (``Theta``, cyclic candidates over a
-    power-mean threshold).  The residual is never negative, so their |C|
-    rules are rules on C itself and its L1 norm is its sum.
+    converges to the solution without normalization.  Schedules, run by
+    the engine's schedule classes: ``greedy-max`` (``MaxCash``, the
+    classical rule), ``rr`` (``RoundRobin``) and ``theta`` (``Theta``,
+    cyclic candidates over a power-mean threshold).  The residual is never
+    negative, so their |C| rules are rules on C itself and its L1 norm is
+    its sum.
     """
     if not eps > 0:
         raise InvalidParamsError("eps must be > 0")

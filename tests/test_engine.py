@@ -49,6 +49,8 @@ class TestInit:
         assert np.array_equal(st_.C, cash) and st_.C is not cash
         assert not st_.H.any()
         assert (st_.t, st_.updates, st_.cum_cost, st_.total_history, st_.cash_l1) == (1, 0, 0.0, 0.0, 1.0)
+        assert st_.initial_mass == 1.0  # signed cash: the guard scales with ||cash||_1
+        assert engine.init(four_state, cash=np.abs(cash)).initial_mass == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -152,6 +154,14 @@ class TestGuard:
         engine.step(st_, [1, 2], four_state)
         assert st_.total_history == 0.0  # +0.5 and -0.5 moved
         assert engine.guard_total_history(st_, schedules.RoundRobin()) == engine.GUARD_PERTURB
+
+    def test_nonnegative_cash_start_fires_only_on_a_zero_history(self, four_state):
+        # a first push far below GUARD_UNIT * t * ||cash||_1 is no degenerate
+        # history: nonnegative cash only adds to it
+        st_ = engine.init(four_state, cash=np.array([1e-20, 1.0, 0.0, 0.0]))
+        engine.step(st_, [0], four_state)
+        assert 0.0 < st_.total_history < engine.GUARD_UNIT * st_.t
+        assert engine.guard_total_history(st_, schedules.RoundRobin()) == engine.GUARD_CONTINUE
 
     def test_rotation_recovers(self, four_state):
         # the degenerate seed works once the round robin starts at node 1

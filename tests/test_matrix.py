@@ -213,21 +213,36 @@ class TestDampedRows:
     def test_rows_are_damped_with_dangling_rows_on_s(self):
         G = google_matrix(self.EDGES, 0.85, s=self.S, n=6)
         D = G.damped
-        assert isinstance(D, TransitionMatrix)
         assert D is G.damped  # built once
+        assert D.indices is G.indices and D.scaled is G.scaled  # no row stored anew
         assert np.array_equal(D.out_degree, G.out_degree)
-        cols, vals = D.row(2)
-        assert cols.tolist() == [1, 2, 4, 5]
-        assert np.array_equal(vals, 0.85 * G.s[[1, 2, 4, 5]])
-        cols, vals = D.row(4)
-        assert cols.tolist() == [0, 5] and np.array_equal(vals, 0.85 * np.array([2 / 3, 1 / 3]))
-        assert np.abs(D.to_dense() + (1 - 0.85) * G.s - G.to_dense()).max() <= 1e-16
+        dense = D.to_dense()
+        assert np.array_equal(dense[2], 0.85 * G.s)
+        assert np.array_equal(dense[4], 0.85 * np.array([2 / 3, 0, 0, 0, 0, 1 / 3]))
+        assert np.abs(dense + (1 - 0.85) * G.s - G.to_dense()).max() <= 1e-16
+        for i in range(6):
+            cols, vals = D.row(i)
+            assert np.array_equal(dense[i, cols], vals)
+        x = np.arange(1.0, 7.0)
+        assert np.abs(D.mul_left(x) - x @ dense).max() <= 1e-14
+
+    def test_only_a_dangling_push_writes_every_entry(self):
+        G = google_matrix(self.EDGES, 0.85, s=self.S, n=6)
+        C = np.full(6, -1.0)
+        # row 4 is 0.85 * (2/3, 1/3) on nodes 0 and 5: |C| falls by 0.85
+        delta = G.damped.scatter_add(C, [4], [1.0])
+        assert delta == pytest.approx(-0.85, abs=1e-15)
+        assert np.array_equal(np.flatnonzero(C != -1.0), [0, 5])
+        before = C.copy()
+        assert G.damped.scatter_add(C, [2], [2.0]) is None  # dangling: c * s on all of C
+        assert np.array_equal(C, before + (0.85 * 2.0) * G.s)
 
     def test_augmented_block_is_the_damped_rows(self):
         G = google_matrix(self.EDGES, 0.85, s=self.S, n=6)
         A = augment_pagerank(self.EDGES, 0.85, s=self.S, n=6)
         assert np.array_equal(A.to_dense()[1:, 1:], G.damped.to_dense())
-        assert np.array_equal(A.out_degree[1:], 1.0 + np.diff(G.damped.indptr))
+        # one entry to node 0, then the row's, a dangling one on the support of s
+        assert A.out_degree[1:].tolist() == [3, 2, 5, 2, 3, 5]
 
 
 class TestAugmentPagerank:

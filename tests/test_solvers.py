@@ -320,7 +320,82 @@ def _dangling_google():
     return google_matrix([(0, 1), (1, 2), (2, 0), (2, 3)], 0.85, n=4)
 
 
+def _old_push_gso(G, rule, eps=1e-11):
+    """gso as its own loop ran it, with ``GoogleMatrix.push_damped``'s arithmetic inline.
+
+    Picks come from the schedule classes.  A picked node k with residual
+    a > 0 moves a into H, then C[row] += a * scaled[row], or, for a
+    dangling row, C += (c * a) * s.  A trace row follows every n picks.
+    Returns (x, trace rows, iterations).
+    """
+    sched = {"greedy-max": schedules.MaxCash(), "rr": schedules.RoundRobin(), "theta": schedules.Theta(1.0, None)}
+    sched = sched[rule].bind(G)
+    C = (1.0 - G.c) * G.s.copy()
+    H = np.zeros(G.n)
+    t, cost, picks = 1, 0.0, 0
+    rows = [(t, cost, float(C.sum()))]
+    while float(C.sum()) >= eps:
+        picked = sched.next_nodes(C)
+        t += 1
+        if not picked.size:
+            continue
+        k = int(picked[0])
+        a = C[k]
+        if a != 0.0:
+            H[k] += a
+            C[k] = 0.0
+            lo, hi = G.indptr[k], G.indptr[k + 1]
+            if lo == hi:
+                C += (G.c * a) * G.s
+            else:
+                C[G.indices[lo:hi]] += a * G.scaled[lo:hi]
+            cost += float(G.out_degree[k])
+        picks += 1
+        if picks % G.n == 0:
+            rows.append((t, cost, float(C.sum())))
+    rows.append((t, cost, float(C.sum())))
+    return H, rows, t
+
+
+def _tiny_first_push_google():
+    # rr's first push moves 0.15 * 1e-13 from node 0, below the rlgl guard's
+    # GUARD_UNIT * t * ||C||_1 at t = 2
+    s = np.full(4, (1.0 - 1e-13) / 3)
+    s[0] = 1e-13
+    return google_matrix([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)], 0.85, s=s, n=4)
+
+
+def _dangling_google_skewed_s():
+    return google_matrix([(0, 1), (1, 2), (2, 0), (2, 3)], 0.85, s=[0.1, 0.2, 0.3, 0.4], n=4)
+
+
 class TestGsoOnTheEngine:
+    @pytest.mark.parametrize("rule", ["greedy-max", "rr", "theta"])
+    @pytest.mark.parametrize(
+        "graph",
+        [_two_wheels_google, _sbm80_google, _dangling_google_skewed_s, _tiny_first_push_google],
+        ids=["two-wheels", "sbm80", "dangling-skewed-s", "tiny-first-push"],
+    )
+    def test_replays_the_old_push_arithmetic(self, graph, rule):
+        x, rows, iterations = _old_push_gso(graph(), rule)
+        res = solvers.gso_pagerank(graph(), schedule=rule, eps=1e-11)
+        assert res.x.tobytes() == x.tobytes()
+        assert res.trace.rows == rows
+        assert res.iterations == iterations
+
+    def test_source_node_rows_follow_pushes_not_picks(self):
+        # node 3 has no in-edge: after its first push rr still picks it every
+        # fourth step, with no cash to move.  The engine records a row every n
+        # pushes that moved cash; the old loop counted picks (50 rows).
+        G = google_matrix([(0, 1), (1, 2), (2, 0), (3, 0)], 0.85, n=4)
+        x, rows, iterations = _old_push_gso(G, "rr")
+        res = solvers.gso_pagerank(G, schedule="rr", eps=1e-11)
+        assert res.x.tobytes() == x.tobytes()
+        assert res.iterations == iterations == 195
+        assert (len(rows), len(res.trace.rows)) == (50, 38)
+        # the start row, one per n pushes, the stop row
+        assert len(res.trace.rows) == 2 + res.extra["state"].updates // G.n
+
     @pytest.mark.parametrize("rule", ["greedy-max", "rr", "theta"])
     def test_dangling_node(self, rule, kernel, monkeypatch):
         res = solvers.gso_pagerank(_dangling_google(), schedule=rule, eps=1e-11)
