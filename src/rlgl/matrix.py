@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,6 +66,9 @@ from .errors import (
 DENSE_CAP = 2000
 
 ROW_SUM_TOL = 1e-12
+
+# The largest n whose edge keys src * n + dst fit an int64.
+MAX_SORT_N = math.isqrt(2**63 - 1)
 
 
 def check_distribution(v, tol=1e-10):
@@ -201,7 +205,12 @@ def _coalesce_edges(edges, n):
     """Sort, bounds-check and merge duplicate (src, dst) pairs.
 
     Returns (src, dst, w) arrays of distinct positive-weight edges.
+    Edges sort on the one key ``src * n + dst``, so n is capped at
+    ``MAX_SORT_N``; a larger n raises InvalidParamsError before any
+    array is made.
     """
+    if n > MAX_SORT_N:
+        raise InvalidParamsError(f"{n} nodes is too many: the edge sort needs n <= {MAX_SORT_N}")
     edges = np.asarray(edges, dtype=float)
     if edges.size == 0:
         return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
@@ -216,12 +225,13 @@ def _coalesce_edges(edges, n):
         raise InvalidIndexError(f"edge endpoint outside [0, {n})")
     keep = w > 0
     src, dst, w = src[keep], dst[keep], w[keep]
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    src, dst, w, key = src[order], dst[order], w[order], key[order]
     if src.size:
         new = np.empty(src.size, dtype=bool)
         new[0] = True
-        new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        new[1:] = key[1:] != key[:-1]
         group = np.cumsum(new) - 1
         src, dst = src[new], dst[new]
         w = np.bincount(group, weights=w)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import warnings
 
 import numpy as np
@@ -16,7 +17,65 @@ def parse_edge_file(path, one_based=False):
     Lines starting with ``#`` are ignored; weight defaults to 1.0.
     Returns ``(edges, n)`` where edges is an (m, 3) float array and n is
     one past the largest node id seen.
+
+    A file whose data lines all hold 2 tokens (or all 3) is parsed by one
+    ``np.loadtxt`` call; any other file, and any file numpy rejects, is
+    read line by line, which gives the same result and is the one source
+    of ``path:line:`` errors.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _parse_bulk(data, one_based)
+    return _parse_lines(path, one_based) if parsed is None else parsed
+
+
+# Bytes the bulk parser leaves to the line loop: control bytes other than
+# tab and LF (a bare CR ends a line there), DEL, and anything not ASCII.
+_ODD_BYTES = bytes([*range(9), *range(11, 32), *range(127, 256)])
+
+
+def _parse_bulk(data, one_based):
+    """``parse_edge_file``'s result by one ``np.loadtxt`` call, or None.
+
+    None unless every byte is printable ASCII, tab or LF, every ``#``
+    starts a comment line, and the first data line holds 2 or 3 tokens;
+    then None again when numpy rejects a line: a different token count,
+    or an id that is no plain int64 literal (``1.0``, ``1e3``, ``1_0``,
+    20 digits).  numpy's int64 and float parsing agrees with ``int`` and
+    ``float`` on every token both accept.
+    """
+    if len(data.translate(None, _ODD_BYTES)) != len(data):
+        return None
+    at = data.find(b"#")
+    while at != -1:
+        start = data.rfind(b"\n", 0, at) + 1
+        if data[start:at].strip():
+            return None  # an inline comment
+        end = data.find(b"\n", at)
+        at = -1 if end == -1 else data.find(b"#", end)
+    ncols = next((len(t) for t in map(bytes.split, io.BytesIO(data)) if t and not t[0].startswith(b"#")), 0)
+    if ncols not in (2, 3):
+        return None
+    dtype = [("src", np.int64), ("dst", np.int64), ("w", np.float64)][:ncols]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy that parses an int via a float warns
+            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, comments="#", ndmin=1, encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    src, dst = rows["src"], rows["dst"]
+    if one_based:
+        if min(src.min(), dst.min()) == np.iinfo(np.int64).min:
+            return None  # the shift would wrap around
+        src, dst = src - 1, dst - 1
+    edges = np.empty((rows.size, 3))
+    edges[:, 0], edges[:, 1] = src, dst
+    edges[:, 2] = rows["w"] if ncols == 3 else 1.0
+    return edges, int(edges[:, :2].max()) + 1
+
+
+def _parse_lines(path, one_based):
+    """``parse_edge_file`` one line at a time."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -43,15 +102,16 @@ def parse_edge_file(path, one_based=False):
 
 
 def write_edge_file(path, edges, comment=None):
+    edges = np.asarray(edges, dtype=float)
+    weights = edges[:, 2].tolist() if edges.shape[1] > 2 else [1.0] * len(edges)
+    text = "".join(
+        f"{int(s)} {int(d)} {w:.17g}\n" if w != 1.0 else f"{int(s)} {int(d)}\n"
+        for s, d, w in zip(edges[:, 0].tolist(), edges[:, 1].tolist(), weights)
+    )
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        for e in edges:
-            src, dst = int(e[0]), int(e[1])
-            if len(e) > 2 and float(e[2]) != 1.0:
-                fh.write(f"{src} {dst} {e[2]:.17g}\n")
-            else:
-                fh.write(f"{src} {dst}\n")
+        fh.write(text)
 
 
 def symmetrize(edges):

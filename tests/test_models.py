@@ -3,10 +3,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rlgl import models
+from rlgl.cli import _edges_of
 from rlgl.errors import DanglingNodeError, InvalidIndexError, InvalidParamsError, IsolatedNodeError
-from rlgl.matrix import build_transition
+from rlgl.matrix import MAX_SORT_N, _coalesce_edges, build_transition
 
 from conftest import SBM80_SEEDS, sbm80_instance
 
@@ -260,9 +263,200 @@ class TestEdgeFileIO:
         with pytest.raises(InvalidParamsError, match=f"g.edges:{lineno}:"):
             models.parse_edge_file(path)
 
+    @pytest.mark.parametrize("graph", ["two-wheels", "sbm", "meanfield"])
+    def test_writer_matches_per_edge_loop(self, tmp_path, graph):
+        if graph == "two-wheels":
+            edges = models.two_wheels()[0]  # (m, 2): no weight column
+        elif graph == "sbm":
+            edges = sbm80_instance()[0]
+        else:
+            edges = _edges_of(models.meanfield_sbm([5, 3, 2], 0.3, 0.02).expand())  # weights != 1
+        path = tmp_path / "g.edges"
+        models.write_edge_file(path, edges, comment="test")
+        expected = "# test\n"
+        for e in edges:  # the per-edge writer, kept as oracle
+            src, dst = int(e[0]), int(e[1])
+            if len(e) > 2 and float(e[2]) != 1.0:
+                expected += f"{src} {dst} {e[2]:.17g}\n"
+            else:
+                expected += f"{src} {dst}\n"
+        assert path.read_bytes() == expected.encode()
+
     def test_build_from_file(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("0 1\n1 0\n")
         edges, n = models.parse_edge_file(path)
         P = build_transition(edges, n)
         assert np.allclose(P.to_dense(), [[0, 1], [1, 0]])
+
+
+def _parse_per_line(path, one_based=False):
+    """The per-line edge-file parser, kept as the oracle of ``parse_edge_file``."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise InvalidParamsError(f"{path}:{lineno}: expected 'src dst [weight]'")
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise InvalidParamsError(f"{path}:{lineno}: ids must be integers, the weight a number") from None
+            if one_based:
+                src -= 1
+                dst -= 1
+            rows.append((src, dst, w))
+    if not rows:
+        raise InvalidParamsError(f"{path}: no edges")
+    edges = np.array(rows, dtype=float)
+    n = int(edges[:, :2].max()) + 1
+    return edges, n
+
+
+def _outcome(parse, path, one_based):
+    """Edge bytes and n, or the exception's type and message."""
+    try:
+        edges, n = parse(path, one_based)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return edges.dtype, edges.shape, edges.tobytes(), n
+
+
+# Tokens and lines numpy accepts as the line loop does, then those it does not.
+_PLAIN_IDS = ["+3", "-2", "007", "9223372036854775807", "-9223372036854775808"]
+_PLAIN_WEIGHTS = ["nan", "-nan", "inf", "-inf", "1e400", "1e-400", ".5", "5.", "-0", "2E3", "0.1", "1"]
+_PLAIN_LINES = ["", "  \t ", "# comment", "  # indented comment", "#"]
+_ODD_IDS = ["1.0", "1e3", "1_0", "12345678901234567890", "x"]
+_ODD_WEIGHTS = ["1_0", "abc", "0x10"]
+_ODD_LINES = ["7", "0 1 2 3", "3\u00a04", "0 1\x0c", "0 1\x00"]
+
+
+@st.composite
+def edge_files(draw):
+    """Edge-file text: a uniform 2- or 3-column LF file, half of them with one flaw.
+
+    The clean half is the one numpy parses.  Each flaw (a token or line
+    numpy rejects, a line of the other width, an inline comment, CRLF or
+    bare CR line ends) sends a file to the line loop.
+    """
+    ncols = draw(st.sampled_from([2, 3]))
+    flaw = draw(st.sampled_from([None] * 5 + ["id", "weight", "line", "width", "inline", "ends"]))
+
+    def data_line(k, odd_id=False, odd_weight=False):
+        ids = [str(draw(st.integers(0, 40))) if draw(st.integers(0, 3)) else draw(st.sampled_from(_PLAIN_IDS))
+               for _ in range(2)]
+        if odd_id:
+            ids[draw(st.integers(0, 1))] = draw(st.sampled_from(_ODD_IDS))
+        weight = repr(draw(st.floats(0, 10))) if draw(st.booleans()) else draw(st.sampled_from(_PLAIN_WEIGHTS))
+        tokens = [*ids, draw(st.sampled_from(_ODD_WEIGHTS)) if odd_weight else weight][:k]
+        line = "".join(t + draw(st.sampled_from([" ", " ", "\t", "  ", " \t"])) for t in tokens[:-1]) + tokens[-1]
+        return draw(st.sampled_from(["", "", " ", "\t"])) + line + draw(st.sampled_from(["", "", " "]))
+
+    lines = [data_line(ncols) for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_PLAIN_LINES)))
+    if flaw not in (None, "ends"):
+        extra = {
+            "id": lambda: data_line(ncols, odd_id=True),
+            "weight": lambda: data_line(3, odd_weight=True),
+            "line": lambda: draw(st.sampled_from(_ODD_LINES)),
+            "width": lambda: data_line(5 - ncols),
+            "inline": lambda: data_line(ncols) + draw(st.sampled_from([" # note", "#", "\t#x"])),
+        }[flaw]
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), extra())
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if flaw == "ends" else "\n" for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestParseEdgeFile:
+    @given(text=edge_files(), one_based=st.booleans())
+    @example(text="0 1\n1 0 # inline\n", one_based=False)
+    @example(text="# head\n0 1 2\n# middle\n1 0 .5\n# tail\n", one_based=True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_line_parser(self, tmp_path_factory, text, one_based):
+        path = tmp_path_factory.mktemp("edges") / "g.edges"
+        path.write_bytes(text.encode())
+        expected = _outcome(_parse_per_line, path, one_based)
+        assert _outcome(models.parse_edge_file, path, one_based) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# header\n0 1\n1 0\n", "0 1 0.5\n\n  # note\n1\t0\t2\n", "0 1\n1 0", " +1  2 \n2 1\n"],
+    )
+    def test_uniform_files_take_the_bulk_path(self, text):
+        edges, n = models._parse_bulk(text.encode(), one_based=False)
+        assert edges.shape == (2, 3) and n in (2, 3)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1\n1 0 2\n",  # mixed 2/3 tokens
+            "0 1 # inline\n1 0\n",
+            "0 1\n1 0 # inline\n",
+            "0 1\r1 0\r",
+            "0 1\r\n1 0\r\n",
+            "1.0 2\n",
+            "1e3 2\n",
+            "1_0 2\n",
+            "12345678901234567890 1\n",
+            "0\u00a01\n",
+            "0 1 2 3\n",
+            "# comment only\n",
+            "",
+        ],
+    )
+    def test_other_files_take_the_line_loop(self, text):
+        assert models._parse_bulk(text.encode(), one_based=False) is None
+
+    def test_one_based_shift_that_would_wrap_takes_the_line_loop(self):
+        assert models._parse_bulk(b"-9223372036854775808 1\n", one_based=True) is None
+
+
+def _coalesce_by_lexsort(edges, n):
+    """The two-key ``np.lexsort`` coalescing, kept as the oracle of ``_coalesce_edges``."""
+    edges = np.asarray(edges, dtype=float)
+    src = edges[:, 0].astype(np.int64)
+    dst = edges[:, 1].astype(np.int64)
+    w = edges[:, 2].copy()
+    keep = w > 0
+    src, dst, w = src[keep], dst[keep], w[keep]
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    if src.size:
+        new = np.empty(src.size, dtype=bool)
+        new[0] = True
+        new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        group = np.cumsum(new) - 1
+        src, dst = src[new], dst[new]
+        w = np.bincount(group, weights=w)
+    return src, dst, w
+
+
+class TestCoalesceEdges:
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, MAX_SORT_N])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_lexsort_order(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = 3000
+        # a few distinct ids, so arcs repeat and loops occur, spread up to n - 1
+        ids = np.unique(np.concatenate([[0, n - 1], rng.integers(0, n, size=min(n, 20))]))
+        src, dst = rng.choice(ids, size=m), rng.choice(ids, size=m)
+        w = rng.choice([0.0, 0.1, 0.2, 0.3, 1 / 3, 2.5], size=m)  # sums depend on their order
+        edges = np.column_stack([src, dst, w]).astype(float)
+        got = _coalesce_edges(edges, n)
+        for a, b in zip(got, _coalesce_by_lexsort(edges, n)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_too_many_nodes_raise_before_any_array(self):
+        _coalesce_edges([(0, 1)], MAX_SORT_N)
+        with pytest.raises(InvalidParamsError, match="too many"):
+            _coalesce_edges([(0, 1)], MAX_SORT_N + 1)
+        with pytest.raises(InvalidParamsError, match="too many"):
+            build_transition([(0, 4_000_000_000), (4_000_000_000, 0)], 4_000_000_001)
