@@ -60,6 +60,6 @@ from .schedules import (
     Theta,
     parse_schedule,
 )
-from .solvers import gauss_seidel, gauss_seidel_sweep, gmres_restarted, gso_pagerank, power_iteration
+from .solvers import gauss_seidel, gmres_restarted, gso_pagerank, power_iteration
 
 __version__ = "0.1.0"

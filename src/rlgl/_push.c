@@ -3,7 +3,8 @@
  * Built and called by pushloop.py.  Each step repeats, operation for
  * operation, what engine.run's Python loop does with RoundRobin, Theta,
  * MaxCash or ProportionalCash and engine.step on a TransitionMatrix or a
- * GoogleMatrix, so H, C and every counter come out with the same bytes.
+ * GoogleMatrix, or on the GaussSeidelRows view of either, so H, C and
+ * every counter come out with the same bytes.
  * A GoogleMatrix's dangling rows are its empty CSR rows, so the loop
  * takes no dangling array.
  * Compile with -ffp-contract=off: a fused multiply-add would round C
@@ -145,6 +146,29 @@ static int64_t proportional_pick(const double *C, int64_t n, double u)
     return n - 1; /* not reached: the last share is 1 > u */
 }
 
+/* C[j] += r * s[j] for lo <= j < hi, in index order.  The change in
+ * sum |C[j]| is added to *grown, and the largest |C[j]| (the first on
+ * ties) replaces *top and *best when larger. */
+static void add_restart(double *C, const double *s, double r, int64_t lo, int64_t hi, double *grown, double *top,
+                        int64_t *best)
+{
+    double g = *grown, t = *top;
+    int64_t arg = *best;
+    for (int64_t j = lo; j < hi; j++) {
+        double o = C[j];
+        double v = o + r * s[j];
+        C[j] = v;
+        g += fabs(v) - fabs(o);
+        if (fabs(v) > t) {
+            t = fabs(v);
+            arg = j;
+        }
+    }
+    *grown = g;
+    *top = t;
+    *best = arg;
+}
+
 /* Steps taken (0: the next step needs Python), or -1 when out of memory.
  * uniform holds p->draws uniform draws for KIND_PC, one per pick.
  *
@@ -156,10 +180,16 @@ static int64_t proportional_pick(const double *C, int64_t n, double u)
  * all n entries, r being a * dangling_share for an empty row and
  * a * restart_share otherwise.  That pass sums |new| - |old| for ||C||_1
  * and finds MaxCash's next pick; where r is zero but at dangling rows
- * (GoogleMatrix.damped), MaxCash keeps its heap and rebuilds it there. */
+ * (GoogleMatrix.damped), MaxCash keeps its heap and rebuilds it there.
+ *
+ * scale is NULL but for a GaussSeidelRows view: the push then moves
+ * b = a * scale[i] in place of a to every entry but C[i], which stays 0.
+ * Writing b's share to C[i] and subtracting it after would cancel
+ * |b| - |a| in the sums of ||C||_1; left out, the entries written take
+ * |a| in all, as on the other runs. */
 int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const double *data,
-                       const double *out_degree, const double *restart, double *C, double *H,
-                       const double *uniform, loop_state *s, const loop_params *p)
+                       const double *out_degree, const double *restart, const double *scale, double *C,
+                       double *H, const double *uniform, loop_state *s, const loop_params *p)
 {
     heap h = {0};
     int64_t done = 0, best = 0;
@@ -214,12 +244,17 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
             C[i] = 0.0;
             if (heaped)
                 reorder(&h, i);
+            double b = scale ? a * scale[i] : a;
+            /* a GaussSeidelRows push leaves C[i] at 0: the row adds 0 there
+             * (a select, as a branch here slowed the pc runs by ~15%) and
+             * the restart pass skips it */
+            int64_t own = scale ? i : -1;
             int64_t lo = indptr[i], hi = indptr[i + 1];
             double old_abs = 0.0, new_abs = 0.0;
             for (int64_t e = lo; e < hi; e++) {
                 int64_t j = indices[e];
                 double o = C[j];
-                double v = o + a * data[e];
+                double v = o + (j == own ? 0.0 : b * data[e]);
                 C[j] = v;
                 old_abs += fabs(o);
                 new_abs += fabs(v);
@@ -229,19 +264,12 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
             double grown = new_abs - old_abs;
             double r = 0.0;
             if (restart) {
-                r = lo == hi ? a * p->dangling_share : a * p->restart_share;
+                r = lo == hi ? b * p->dangling_share : b * p->restart_share;
                 if (r != 0.0) {
                     double top = -1.0;
-                    for (int64_t j = 0; j < p->n; j++) {
-                        double o = C[j];
-                        double v = o + r * restart[j];
-                        C[j] = v;
-                        grown += fabs(v) - fabs(o);
-                        if (fabs(v) > top) {
-                            top = fabs(v);
-                            best = j;
-                        }
-                    }
+                    int64_t mid = own < 0 ? p->n : own;
+                    add_restart(C, restart, r, 0, mid, &grown, &top, &best);
+                    add_restart(C, restart, r, mid + 1, p->n, &grown, &top, &best);
                     if (heaped) /* every |C[j]| moved: rebuild the heap */
                         for (int64_t q = p->n / 2 - 1; q >= 0; q--)
                             sift_down(&h, q);

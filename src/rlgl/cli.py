@@ -144,7 +144,7 @@ def build_problem(cfg: ExperimentConfig):
 
 def residual_kind(method):
     """What a method's trace residual measures, as written to bench.csv."""
-    if method in ("pi", "gs"):
+    if method == "pi":
         return "delta_l1"
     return "gmres_rel" if method.startswith("gmres") else "cash_l1"
 
@@ -177,7 +177,7 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
         res = solvers.power_iteration(P, eps=cfg.eps, max_iters=cfg.max_steps)
         return res.x, res.trace, kind, res
     if method == "gs":
-        res = solvers.gauss_seidel(P, eps=cfg.eps, max_sweeps=cfg.max_steps)
+        res = solvers.gauss_seidel(P, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
         return res.x, res.trace, kind, res
     if method.startswith("gmres"):
         try:

@@ -27,6 +27,9 @@ used by the iteration engine and the reference solvers:
                         rows hold distinct columns.
                         The engine runs its compiled push loop on these
                         arrays; other matrices have no ``csr_push``
+- ``split_diagonal()``  the vector of p_ii and that of the sums of the
+                        other entries of each row, as its pushes write
+                        them (read by ``GaussSeidelRows``)
 
 ``scatter_add`` return contract: a matrix whose push writes only the
 stored row (``TransitionMatrix``; ``GoogleMatrix.damped`` off dangling
@@ -53,6 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    AbsorbingStateError,
     DanglingNodeError,
     InvalidDampingError,
     InvalidIndexError,
@@ -108,6 +112,15 @@ def _check_csr_rows(n, indptr, indices, data):
         raise InvalidParamsError("a CSR row repeats a column or lists its columns out of order")
 
 
+def _csr_split_diagonal(n, indptr, indices, values):
+    """The entries (i, i) of n CSR rows (0 where a row has none) and the sums of their other entries."""
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    on = indices == rows
+    d = np.zeros(n)
+    d[rows[on]] = values[on]
+    return d, np.bincount(rows[~on], weights=values[~on], minlength=n)
+
+
 def _restart_distribution(s, n):
     """The restart distribution checked for n states; uniform when None."""
     if s is None:
@@ -119,7 +132,12 @@ def _restart_distribution(s, n):
 
 
 class CsrPush(NamedTuple):
-    """The arrays of a matrix's single-node push (see ``csr_push`` above)."""
+    """The arrays of a matrix's single-node push (see ``csr_push`` above).
+
+    ``scale``, when set, is ``GaussSeidelRows``' push: node i moves
+    ``amount * scale[i]`` as above to every entry but its own, which
+    stays zero.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -128,6 +146,7 @@ class CsrPush(NamedTuple):
     s: np.ndarray | None = None
     restart_share: float = 0.0
     dangling_share: float = 1.0
+    scale: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +186,9 @@ class TransitionMatrix:
     def row(self, i):
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
+
+    def split_diagonal(self):
+        return _csr_split_diagonal(self.n, self.indptr, self.indices, self.data)
 
     def row_sums(self):
         lens = np.diff(self.indptr)
@@ -238,6 +260,16 @@ def _coalesce_edges(edges, n):
     return src, dst, w
 
 
+def _csr_rows(src, dst, w, n):
+    """CSR rows ``(n, indptr, indices, data)`` of coalesced edges, each row normalized."""
+    counts = np.bincount(src, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    sums = np.bincount(src, weights=w, minlength=n)
+    vals = w / np.repeat(sums, counts)
+    return n, indptr, dst, vals
+
+
 def _raw_rows(P_or_edges, n=None):
     """Normalize input to raw CSR rows ``(n, indptr, indices, data)``.
 
@@ -250,28 +282,26 @@ def _raw_rows(P_or_edges, n=None):
         return P.n, P.indptr, P.indices, P.data
     if n is None:
         raise InvalidParamsError("n is required when passing a raw edge list")
-    src, dst, w = _coalesce_edges(P_or_edges, n)
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    sums = np.bincount(src, weights=w, minlength=n)
-    vals = w / np.repeat(sums, counts)
-    return n, indptr, dst, vals
+    return _csr_rows(*_coalesce_edges(P_or_edges, n), n)
 
 
 def build_transition(edges, n):
     """Build a row-stochastic matrix from a weighted directed edge list.
 
     Outgoing weights of each node are normalized to sum to one; a node
-    without out-edges raises DanglingNodeError.
+    without out-edges raises DanglingNodeError, found from the sorted
+    sources before any n-sized array is made.
     """
     if n < 1:
         raise InvalidParamsError("n must be >= 1")
-    _, indptr, indices, vals = _raw_rows(edges, n)
-    counts = np.diff(indptr)
-    if not counts.all():
-        raise DanglingNodeError(int(np.argmin(counts)))
-    return TransitionMatrix(n, indptr, indices, vals, counts.astype(float))
+    src, dst, w = _coalesce_edges(edges, n)
+    # src is sorted: every node has out-edges iff n distinct sources appear
+    if not src.size or np.count_nonzero(src[1:] != src[:-1]) + 1 < n:
+        heads = np.unique(src)
+        missing = np.flatnonzero(heads != np.arange(heads.size))
+        raise DanglingNodeError(int(missing[0]) if missing.size else heads.size)
+    _, indptr, indices, vals = _csr_rows(src, dst, w, n)
+    return TransitionMatrix(n, indptr, indices, vals, np.diff(indptr).astype(float))
 
 
 def validate_stochastic(P, tol=ROW_SUM_TOL):
@@ -339,6 +369,11 @@ class GoogleMatrix:
     def volume(self):
         return float(self.out_degree.sum())
 
+    def split_diagonal(self):
+        d, off = _csr_split_diagonal(self.n, self.indptr, self.indices, self.scaled)
+        share = np.where(self.dangling_mask, self.dangling_share, self.restart_share)
+        return d + share * self.s, off + share * (self.s.sum() - self.s)
+
     def row(self, i):
         # Dense row: c * p_i + restart_share * s, with dangling p_i := s.
         vals = self.restart_share * self.s
@@ -389,6 +424,56 @@ class GoogleMatrix:
                 lo, hi = self.indptr[i], self.indptr[i + 1]
                 D[i, self.indices[lo:hi]] += self.scaled[lo:hi]
         return D
+
+
+class GaussSeidelRows:
+    """The Gauss-Seidel view of a chain P: its rows without self-loops, renormalized.
+
+    Row i is ``p_ij * scale[i]`` for j != i and 0 at i, ``scale[i]`` being
+    one over the sum of the other entries of P's row i (``1 / (1 - p_ii)``
+    in exact arithmetic), or 1 for a row without a self-loop.  So a push
+    of node i's cash a moves ``a * scale[i]`` along P's row i and leaves
+    C_i = 0, and a round-robin run from M0 proportional to
+    ``1 / scale`` makes the Gauss-Seidel sweeps
+    ``x_j <- sum_{i != j} x_i p_ij / (1 - p_jj)`` on ``x = H * scale``,
+    one per n pushes; its cash is ``x P - x``.
+
+    The view has what the engine reads (``n``, ``out_degree``,
+    ``mul_left``, ``scatter_add``, ``csr_push``), taken from P's
+    ``split_diagonal()`` and those of P; P's ``csr_push``, read as an
+    attribute as the engine reads it, gains ``scale`` for the compiled
+    loop.  Raises AbsorbingStateError for a row with no other entry.
+    """
+
+    def __init__(self, P):
+        diag, off = P.split_diagonal()
+        absorbing = np.flatnonzero(~(off > 0.0))
+        if absorbing.size:
+            j = int(absorbing[0])
+            raise AbsorbingStateError(f"state {j} is absorbing (p_jj = {float(diag[j])})")
+        self.P = P
+        self.n = P.n
+        self.out_degree = P.out_degree
+        self.diag = diag
+        # over the row's other entries, not 1 - p_ii, so that a push moves a in
+        # all; 1 leaves a row without a self-loop exactly P's
+        self.scale = np.where(diag == 0.0, 1.0, 1.0 / off)
+
+    @property
+    def csr_push(self):
+        push = getattr(self.P, "csr_push", None)
+        return None if push is None else push._replace(scale=self.scale)
+
+    def mul_left(self, x):
+        y = np.asarray(x, dtype=float) * self.scale
+        return self.P.mul_left(y) - y * self.diag
+
+    def scatter_add(self, C, nodes, amounts):
+        for i, a in zip(nodes, amounts):
+            kept = C[i]
+            self.P.scatter_add(C, [i], [a * self.scale[i]])
+            C[i] = kept  # row i of the view has no entry i
+        return None  # the engine recomputes ||C||_1
 
 
 def google_matrix(P_or_edges, c, s=None, n=None):

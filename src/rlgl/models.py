@@ -230,6 +230,11 @@ class MeanFieldMatrix:
         vals = np.repeat(self.entry[b], self.sizes)
         return np.arange(self.n), vals
 
+    def split_diagonal(self):
+        others = np.array(self.sizes, dtype=float) - np.eye(self.k)  # the nodes of each block but i
+        off = (self.entry * others).sum(axis=1)
+        return np.repeat(np.diag(self.entry), self.sizes), np.repeat(off, self.sizes)
+
     def mul_left(self, x):
         s = self.block_sums(np.asarray(x, dtype=float))
         per_node = s @ self.entry

@@ -84,13 +84,13 @@ def load():
         fn = ctypes.CDLL(_build()).rlgl_push_loop
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.argtypes = [ctypes.c_void_p] * 8 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
+    fn.argtypes = [ctypes.c_void_p] * 9 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
     fn.restype = ctypes.c_int64
     return fn
 
 
 # The C types of a ``CsrPush``'s arrays, in the loop's argument order.
-_C_TYPES = (np.int64, np.int64, np.float64, np.float64, np.float64)
+_C_TYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, np.float64)
 
 
 def bind(P, kind):
@@ -108,8 +108,9 @@ class Loop:
     def __init__(self, fn, push, n, kind):
         self.fn = fn
         self.kind = kind
-        # kept referenced while C reads them; no restart part (None) is NULL
-        self.arrays = [None if a is None else np.ascontiguousarray(a, dtype=t) for a, t in zip(push, _C_TYPES)]
+        # kept referenced while C reads them; no restart part or scale (None) is NULL
+        arrays = (push.indptr, push.indices, push.values, push.out_degree, push.s, push.scale)
+        self.arrays = [None if a is None else np.ascontiguousarray(a, dtype=t) for a, t in zip(arrays, _C_TYPES)]
         self.pointers = [None if a is None else a.ctypes.data for a in self.arrays]
         self.state = LoopState()
         self.params = LoopParams(

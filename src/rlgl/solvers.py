@@ -1,6 +1,9 @@
 """Reference solvers: power iteration, Gauss-Seidel, restarted GMRES, and
-the positive-cash push solver for the damped restart (PageRank) system,
-which is the engine run from the cash ``(1-c) s`` on ``GoogleMatrix.damped``."""
+the positive-cash push solver for the damped restart (PageRank) system.
+
+Gauss-Seidel and the push solver are engine runs: round-robin pushes on
+``GaussSeidelRows(P)``, and pushes from the cash ``(1-c) s`` on
+``GoogleMatrix.damped``."""
 
 from __future__ import annotations
 
@@ -11,8 +14,8 @@ import numpy as np
 from . import engine, schedules
 # bound at import: perfbench's tracing wraps engine.run for rlgl runs only
 from .engine import Trace, run as run_engine
-from .errors import AbsorbingStateError, InvalidParamsError, NoConvergenceError
-from .matrix import GoogleMatrix, check_distribution
+from .errors import InvalidParamsError, NoConvergenceError
+from .matrix import GaussSeidelRows, GoogleMatrix, check_distribution
 
 
 class SolveTrace(Trace):
@@ -57,63 +60,45 @@ def power_iteration(P, x0=None, eps=1e-10, max_iters=100_000):
     )
 
 
-def _gs_columns(P):
-    """Column view (incoming rows/values, diagonal split off) of a matrix.
+def _engine_solve(name, P, schedule, estimate, eps, max_steps, trace_stride, **start):
+    """One engine run as a SolveResult: ``estimate(H)``, the trace's (step, cost, cash_l1) rows, and steps.
 
-    One ``P.row(i)`` per row; the entries are then sorted by (column, row)
-    and split into the columns' off-diagonal parts and diagonal sums.
+    Raises NoConvergenceError with that result when the run hits max_steps.
     """
-    cols, vals = zip(*(P.row(i) for i in range(P.n)))
-    src = np.repeat(np.arange(P.n, dtype=np.int64), [c.size for c in cols])
-    col = np.concatenate(cols).astype(np.int64)
-    val = np.concatenate(vals)
-    order = np.lexsort((src, col))
-    src, col, val = src[order], col[order], val[order]
-    on_diag = src == col
-    diag = np.zeros(P.n)
-    np.add.at(diag, col[on_diag], val[on_diag])
-    absorbing = np.flatnonzero(diag >= 1.0)
-    if absorbing.size:
-        j = int(absorbing[0])
-        raise AbsorbingStateError(f"state {j} is absorbing (p_jj = {float(diag[j])})")
-    off = ~on_diag
-    cuts = np.cumsum(np.bincount(col[off], minlength=P.n))[:-1]
-    return list(zip(np.split(src[off], cuts), np.split(val[off], cuts), diag.tolist()))
+    if not eps > 0:
+        raise InvalidParamsError("eps must be > 0")
+    if trace_stride is not None and trace_stride < 1:
+        raise InvalidParamsError("trace stride must be >= 1")
+    try:
+        res = run_engine(P, schedule, eps=eps, max_steps=max_steps, trace_stride=trace_stride, **start)
+    except NoConvergenceError as exc:
+        res = exc.result
+    state = res.state
+    trace = SolveTrace([(t, cost, resid) for t, _, cost, _, resid, _ in res.trace.rows])
+    out = SolveResult(estimate(state.H), trace, res.converged, state.t, {"state": state, "kernel": res.kernel})
+    if not res.converged:
+        raise NoConvergenceError(f"{name}: no convergence in {max_steps} steps", out)
+    return out
 
 
-def gauss_seidel_sweep(P, x, columns=None):
-    """One in-place sweep of x_j <- sum_{i != j} x_i p_ij / (1 - p_jj).
+def gauss_seidel(P, eps=1e-10, max_steps=10_000_000, trace_stride=None):
+    """Gauss-Seidel sweeps x_j <- sum_{i != j} x_i p_ij / (1 - p_jj) from x = 1.
 
-    Entries with i < j use the values already updated in this sweep.
+    Run as the engine's round-robin pushes on ``GaussSeidelRows(P)`` from
+    M0 proportional to ``1 / scale`` (1 - p_ii): every n steps make one
+    sweep on ``x = H * scale``, the cash is ``x P - x``, and the run stops
+    when its L1 norm is below eps.  ``iterations`` counts steps.  Raises
+    AbsorbingStateError when some p_jj = 1.
     """
-    if columns is None:
-        columns = _gs_columns(P)
-    for j, (rows, vals, diag) in enumerate(columns):
-        x[j] = (x[rows] @ vals) / (1.0 - diag)
-    return x
+    rows = GaussSeidelRows(P)
+    M0 = 1.0 / rows.scale
+    M0 /= M0.sum()
 
+    def estimate(H):
+        x = H * rows.scale
+        return x / x.sum()
 
-def gauss_seidel(P, x0=None, eps=1e-10, max_sweeps=100_000):
-    """Sweep until the normalized iterate is stationary within eps (L1)."""
-    n = P.n
-    x = np.full(n, 1.0 / n) if x0 is None else np.array(x0, dtype=float)
-    columns = _gs_columns(P)
-    trace = SolveTrace()
-    cost = 0.0
-    prev = x / x.sum()
-    for it in range(1, max_sweeps + 1):
-        gauss_seidel_sweep(P, x, columns)
-        cost += P.volume
-        cur = x / x.sum()
-        diff = float(np.abs(cur - prev).sum())
-        trace.record(it, cost, diff)
-        prev = cur
-        if diff < eps:
-            return SolveResult(cur, trace, True, it)
-    raise NoConvergenceError(
-        f"gauss-seidel: no convergence in {max_sweeps} sweeps",
-        SolveResult(prev, trace, False, max_sweeps),
-    )
+    return _engine_solve("gauss-seidel", rows, schedules.RoundRobin(), estimate, eps, max_steps, trace_stride, M0=M0)
 
 
 def gmres_restarted(P, x0=None, m=10, eps=1e-11, max_restarts=1000):
@@ -209,10 +194,6 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
     negative, so their |C| rules are rules on C itself and its L1 norm is
     its sum.
     """
-    if not eps > 0:
-        raise InvalidParamsError("eps must be > 0")
-    if trace_stride is not None and trace_stride < 1:
-        raise InvalidParamsError("trace stride must be >= 1")
     if schedule == "greedy-max":
         sched = schedules.MaxCash()
     elif schedule == "rr":
@@ -221,15 +202,6 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
         sched = schedules.Theta(r, period)
     else:
         raise InvalidParamsError(f"unknown push schedule {schedule!r}")
-    try:
-        res = run_engine(
-            G.damped, sched, cash=(1.0 - G.c) * G.s, eps=eps, max_steps=max_steps, trace_stride=trace_stride
-        )
-    except NoConvergenceError as exc:
-        res = exc.result
-    state = res.state
-    trace = SolveTrace([(t, cost, resid) for t, _, cost, _, resid, _ in res.trace.rows])
-    out = SolveResult(state.H.copy(), trace, res.converged, state.t, {"state": state, "kernel": res.kernel})
-    if not res.converged:
-        raise NoConvergenceError(f"push solver: no convergence in {max_steps} steps", out)
-    return out
+    return _engine_solve(
+        "push solver", G.damped, sched, np.copy, eps, max_steps, trace_stride, cash=(1.0 - G.c) * G.s
+    )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,20 @@ class TestBuildTransition:
         with pytest.raises(DanglingNodeError) as exc:
             build_transition([(0, 1, 1.0)], 2)
         assert exc.value.node == 1
+
+    @pytest.mark.parametrize("edges, node", [([(0, 1), (1, 0)], 2), ([(1, 0), (2, 1)], 0), ([], 0)],
+                             ids=["past-the-sources", "first", "no-edges"])
+    def test_dangling_found_before_n_sized_arrays(self, edges, node):
+        # n = 1e7: an n-sized float array alone is 80 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DanglingNodeError) as exc:
+                build_transition(edges, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.node == node
+        assert peak < 1 << 20
 
     def test_bad_index(self):
         with pytest.raises(InvalidIndexError):
@@ -112,6 +128,25 @@ class TestTransitionMatrix:
     def test_rejects_mismatched_data(self):
         with pytest.raises(InvalidParamsError):
             TransitionMatrix(2, np.array([0, 1, 2]), np.array([1, 0]), np.ones(3), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dense_ergodic_chain(12, 1),
+        lambda: build_transition([(0, 0, 1.0), (0, 1, 3.0), (1, 2, 1.0), (2, 2, 2.0), (2, 0, 1.0)], 3),
+        lambda: google_matrix([(0, 0), (0, 1), (1, 2), (2, 0), (2, 3)], 0.85, s=[0.1, 0.2, 0.3, 0.4], n=4),
+        lambda: google_matrix([(0, 0), (0, 1), (1, 2), (2, 0), (2, 3)], 0.85, n=4).damped,
+        lambda: models.meanfield_sbm([5, 3, 2], 0.1, 0.01),
+    ],
+    ids=["dense", "self-loops", "google-dangling", "damped", "meanfield"],
+)
+def test_split_diagonal_is_the_dense_split(make):
+    P = make()
+    D = P.to_dense()
+    diag, off = P.split_diagonal()
+    assert np.abs(diag - np.diag(D)).max() <= 1e-16
+    assert np.abs(off - (D.sum(axis=1) - np.diag(D))).max() <= 1e-15
 
 
 class TestValidateStochastic:

@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rlgl import engine, models, pushloop, schedules, solvers
 from rlgl.errors import AbsorbingStateError, InvalidParamsError, NoConvergenceError
-from rlgl.matrix import build_transition, google_matrix, gth_stationary
+from rlgl.matrix import GaussSeidelRows, build_transition, google_matrix, gth_stationary
 
-from conftest import dense_ergodic_chain, pagerank_graph_500, sbm80_instance
+from conftest import dense_ergodic_chain, pagerank_graph_500, ring_random_chain, sbm80_instance
 
 
 class TestPowerIteration:
@@ -38,19 +41,41 @@ class TestPowerIteration:
         assert np.abs(ratios - forms.lambda2).max() <= 1e-10
 
 
+def _self_loops_chain():
+    return build_transition([(i, j, 1.0 + (i * j) % 3) for i in range(9) for j in range(9) if (i + 2 * j) % 4], 9)
+
+
+class _Forwarding:
+    """A wrapper that forwards every attribute, as the benchmark's matrix proxies do."""
+
+    def __init__(self, P):
+        self._P = P
+
+    def __getattr__(self, name):
+        return getattr(self._P, name)
+
+
 class TestGaussSeidel:
     def test_stationary_is_fixed_point(self):
         P = dense_ergodic_chain(15, 3)
         pi = gth_stationary(P)
-        x = pi.copy()
-        solvers.gauss_seidel_sweep(P, x)
-        assert np.abs(x - pi).max() <= 1e-12
+        rows = GaussSeidelRows(P)
+        # x = H * scale starts at pi; one sweep of pushes leaves it there
+        M0 = pi / rows.scale
+        state = engine.init(rows, M0 / M0.sum())
+        for j in range(P.n):
+            engine.step(state, [j], rows)
+        x = state.H * rows.scale
+        assert np.abs(x / x.sum() - pi).max() <= 1e-12
 
     def test_zero_diagonal_denominator(self, four_state):
-        # all p_jj = 0 here, so a sweep is plain column accumulation
-        x = np.full(4, 0.25)
-        solvers.gauss_seidel_sweep(four_state, x)
-        assert x[0] == pytest.approx(0.25)  # only inflow from node 3
+        # all p_jj = 0 here, so the view's rows are P's and a sweep is plain column accumulation
+        rows = GaussSeidelRows(four_state)
+        assert rows.scale.tolist() == [1.0] * 4
+        state = engine.init(rows)
+        for j in range(4):
+            engine.step(state, [j], rows)
+        assert state.H[0] == pytest.approx(0.25)  # only inflow from node 3
 
     def test_converges_to_oracle(self, four_state):
         pi = gth_stationary(four_state)
@@ -64,7 +89,7 @@ class TestGaussSeidel:
 
     @staticmethod
     def _columns_by_loop(P):
-        # the per-column loop _gs_columns replaced, kept as its replay oracle
+        # the per-column loop the column solver was built on, kept as the sweeps' oracle
         srcs, cols, vals = [], [], []
         for i in range(P.n):
             c, v = P.row(i)
@@ -90,32 +115,140 @@ class TestGaussSeidel:
             columns.append((rows[~dmask], vals_j[~dmask], diag))
         return columns
 
+    @staticmethod
+    def _column_sweep(x, columns):
+        # one in-place sweep of x_j <- sum_{i != j} x_i p_ij / (1 - p_jj)
+        for j, (rows, vals, diag) in enumerate(columns):
+            x[j] = (x[rows] @ vals) / (1.0 - diag)
+        return x
+
     @pytest.mark.parametrize("chain", ["sbm80", "google", "meanfield", "dense", "self-loops"])
     def test_columns_replay_the_per_column_loop(self, chain):
+        # every n steps of gauss_seidel are one sweep of the old per-column loop
         edges, n = sbm80_instance()
         P = {
             "sbm80": lambda: build_transition(edges, n),
             "google": lambda: google_matrix(edges, 0.85, n=n),
             "meanfield": lambda: models.meanfield_sbm([30, 12, 5], 0.1, 0.01),
             "dense": lambda: dense_ergodic_chain(25, 4),
-            "self-loops": lambda: build_transition(
-                [(i, j, 1.0 + (i * j) % 3) for i in range(9) for j in range(9) if (i + 2 * j) % 4], 9
-            ),
+            "self-loops": _self_loops_chain,
         }[chain]()
-        got, want = solvers._gs_columns(P), self._columns_by_loop(P)
-        assert len(got) == len(want) == P.n
-        for (rows, vals, diag), (rows0, vals0, diag0) in zip(got, want):
-            assert rows.dtype == rows0.dtype and rows.tobytes() == rows0.tobytes()
-            assert vals.dtype == vals0.dtype and vals.tobytes() == vals0.tobytes()
-            assert type(diag) is float and np.float64(diag).tobytes() == np.float64(diag0).tobytes()
+        columns = self._columns_by_loop(P)
+        x = np.full(P.n, 1.0 / P.n)
+        for sweeps in range(1, 6):
+            self._column_sweep(x, columns)
+            with pytest.raises(NoConvergenceError) as exc:
+                solvers.gauss_seidel(P, eps=1e-300, max_steps=1 + sweeps * P.n)
+            assert np.abs(exc.value.result.x - x / x.sum()).sum() <= 1e-12, sweeps
 
     def test_first_absorbing_state_named_as_by_the_loop(self):
         P = build_transition([(0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0), (2, 0, 0.0)], 3)
         with pytest.raises(AbsorbingStateError) as want:
             self._columns_by_loop(P)
         with pytest.raises(AbsorbingStateError) as got:
-            solvers._gs_columns(P)
+            solvers.gauss_seidel(P)
         assert str(got.value) == str(want.value) == "state 1 is absorbing (p_jj = 1.0)"
+
+    def test_sbm80_is_round_robin_byte_for_byte(self):
+        # no self-loops: the view's rows are P's and M0 is uniform
+        edges, n = sbm80_instance()
+        P = build_transition(edges, n)
+        gs = solvers.gauss_seidel(P, eps=1e-11)
+        rr = engine.run(P, schedules.RoundRobin(), eps=1e-11)
+        assert gs.extra["state"].H.tobytes() == rr.state.H.tobytes()
+        assert gs.x.tobytes() == rr.pi_hat.tobytes()
+        assert gs.iterations == rr.state.t
+
+    @pytest.mark.parametrize(
+        "make", [_self_loops_chain, lambda: google_matrix([(0, 0), (0, 1), (1, 2), (2, 0), (2, 3)], 0.85, n=4)],
+        ids=["self-loops", "google-dangling"],
+    )
+    def test_cash_is_x_p_minus_x(self, make):
+        # after single-node and set pushes alike, C = x P - x for x = H * scale
+        P = make()
+        rows = GaussSeidelRows(P)
+        D = P.to_dense()
+        Q = D * rows.scale[:, None]
+        np.fill_diagonal(Q, 0.0)
+        for i in range(P.n):
+            assert np.abs(rows.mul_left(np.eye(P.n)[i]) - Q[i]).max() <= 1e-15
+        state = engine.init(rows)
+        for G in ([0], [2], [1, 3], [3], list(range(P.n - 1)), [0]):
+            engine.step(state, G, rows)
+            x = state.H * rows.scale
+            assert np.abs(state.C - (x @ D - x)).max() <= 1e-14
+        assert abs(state.C.sum()) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "make", [_self_loops_chain, lambda: _two_wheels_google(), lambda: _dangling_google()],
+        ids=["self-loops", "google", "google-dangling"],
+    )
+    def test_compiled_and_without_a_compiler_same_bytes(self, make, kernel, tmp_path, monkeypatch):
+        compiled = solvers.gauss_seidel(make(), eps=1e-12)
+        proxied = solvers.gauss_seidel(_Forwarding(make()), eps=1e-12)
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        pushloop.load.cache_clear()
+        try:
+            python = solvers.gauss_seidel(make(), eps=1e-12)
+        finally:
+            monkeypatch.undo()
+            pushloop.load.cache_clear()
+        assert (compiled.extra["kernel"], proxied.extra["kernel"], python.extra["kernel"]) == (kernel, kernel, "py")
+        for res in (proxied, python):
+            assert res.x.tobytes() == compiled.x.tobytes()
+            assert res.trace.rows == compiled.trace.rows
+            assert res.iterations == compiled.iterations
+
+    @given(n=st.integers(2, 30), degree=st.integers(1, 5), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_cash_l1_within_bound_and_python_bytes(self, n, degree, seed):
+        # heavy self-loops: the compiled push moves up to ~1e4 times the cash it takes
+        rng = np.random.default_rng(seed)
+        src = np.repeat(np.arange(n), degree)
+        dst = rng.integers(0, n, size=n * degree)
+        w = (rng.random(n * degree) ** 3 + 1e-6) * np.where(src == dst, 1e4, 1.0)
+        P = build_transition(np.column_stack([src, dst, w]), n)
+        assume(P.split_diagonal()[1].min() > 0.0)  # no absorbing state
+        seen = []
+        sync = engine.sync_cash_l1
+
+        def checked_sync(state):
+            seen.append(abs(state.cash_l1 - float(np.abs(state.C).sum())) <= state.l1_err)
+            sync(state)
+
+        def solve():
+            try:
+                return solvers.gauss_seidel(P, eps=1e-12, max_steps=20 * n, trace_stride=3)
+            except NoConvergenceError as exc:
+                return exc.result
+
+        engine.sync_cash_l1 = checked_sync
+        try:
+            compiled = solve()
+        finally:
+            engine.sync_cash_l1 = sync
+        load, pushloop.load = pushloop.load, lambda: None
+        try:
+            python = solve()
+        finally:
+            pushloop.load = load
+        assert seen and all(seen)
+        assert compiled.extra["state"].max_l1_increase <= 1e-14
+        assert python.extra["kernel"] == "py"
+        assert compiled.x.tobytes() == python.x.tobytes()
+        assert compiled.trace.rows == python.trace.rows
+
+    def test_pagerank_memory_stays_sparse(self):
+        # the column solver built O(n^2) dense Google rows here
+        G = google_matrix(ring_random_chain(2000, 10, 3), 0.85)
+        tracemalloc.start()
+        try:
+            res = solvers.gauss_seidel(G, eps=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and peak < 5 << 20
 
 
 class TestGmres:
