@@ -2,11 +2,11 @@
  *
  * Built and called by pushloop.py.  Each step repeats, operation for
  * operation, what engine.run's Python loop does with RoundRobin, Theta,
- * MaxCash or ProportionalCash and engine.step on a TransitionMatrix or a
- * GoogleMatrix, or on the GaussSeidelRows view of either, so H, C and
+ * MaxCash or ProportionalCash and engine.step on a TransitionMatrix, with
+ * or without a restart part, or on its GaussSeidelRows view, so H, C and
  * every counter come out with the same bytes.
- * A GoogleMatrix's dangling rows are its empty CSR rows, so the loop
- * takes no dangling array.
+ * The dangling rows of a matrix with a restart part are its empty CSR
+ * rows, so the loop takes no dangling array.
  * Compile with -ffp-contract=off: a fused multiply-add would round C
  * differently.
  *
@@ -172,15 +172,15 @@ static void add_restart(double *C, const double *s, double r, int64_t lo, int64_
 /* Steps taken (0: the next step needs Python), or -1 when out of memory.
  * uniform holds p->draws uniform draws for KIND_PC, one per pick.
  *
- * restart is NULL for a TransitionMatrix.  For a GoogleMatrix it is the
- * restart distribution s and data holds the damped rows c * P.  A
+ * restart is NULL for a TransitionMatrix without a restart part.  With one
+ * it is the restart distribution s and data holds the damped rows c * P.  A
  * dangling row, one replaced by s, is an empty row (indptr[i] ==
  * indptr[i + 1]); no dangling array is passed.  A push of cash a then
  * repeats scatter_add: a * data[e] along the row, then r * s[j] added to
  * all n entries, r being a * dangling_share for an empty row and
  * a * restart_share otherwise.  That pass sums |new| - |old| for ||C||_1
  * and finds MaxCash's next pick; where r is zero but at dangling rows
- * (GoogleMatrix.damped), MaxCash keeps its heap and rebuilds it there.
+ * (the matrix's damped copy), MaxCash keeps its heap and rebuilds it there.
  *
  * scale is NULL but for a GaussSeidelRows view: the push then moves
  * b = a * scale[i] in place of a to every entry but C[i], which stays 0.

@@ -370,13 +370,13 @@ def run(
     updates).
 
     Under the "cash" criterion, ``RoundRobin``, ``Theta``, ``MaxCash``
-    and ``ProportionalCash`` runs on a ``TransitionMatrix`` or
-    a ``GoogleMatrix`` (any matrix with a ``csr_push``) take their steps
-    in a compiled loop (``pushloop``) that returns here at every check,
-    trace row and refresh, with the same bytes (and the same draws from a
-    ``ProportionalCash`` generator) as ``step``; ``RunResult.kernel`` says
-    which path ran.  A ``GoogleMatrix`` restart still writes all n entries,
-    and the loop keeps its ``||C||_1`` incrementally, as for sparse rows.
+    and ``ProportionalCash`` runs on a ``TransitionMatrix``, with or
+    without a restart part (any matrix with a ``csr_push``), take their
+    steps in a compiled loop (``pushloop``) that returns here at every
+    check, trace row and refresh, with the same bytes (and the same draws
+    from a ``ProportionalCash`` generator) as ``step``; ``RunResult.kernel``
+    says which path ran.  A restart add still writes all n entries, and
+    the loop keeps its ``||C||_1`` incrementally, as for sparse rows.
 
     ``cash`` starts the run from that cash (see ``init``; "cash" criterion
     only).  The total-history guard then applies once cash has moved, and

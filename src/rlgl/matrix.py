@@ -7,7 +7,7 @@ used by the iteration engine and the reference solvers:
 - ``out_degree``        float vector of per-node volume weights d_i; moving
                         the cash of node i is charged d_i edge operations
 - ``volume``            sum of out_degree (the cost of one full sweep)
-- ``row(i)``            pair ``(cols, vals)`` of the stored row i
+- ``row(i)``            pair ``(cols, vals)`` of row i
 - ``mul_left(x)``       the vector-matrix product x @ P
 - ``scatter_add(C, nodes, amounts)``
                         in-place ``C += sum_k amounts[k] * row(nodes[k])``;
@@ -22,25 +22,24 @@ used by the iteration engine and the reference solvers:
                         ``amount * dangling_share`` for a dangling row (an
                         empty one; no dangling array is passed) and
                         ``amount * restart_share`` otherwise, and writes
-                        nothing else:
-                        ``TransitionMatrix`` and ``GoogleMatrix``, whose
-                        rows hold distinct columns.
+                        nothing else: ``TransitionMatrix``, whose rows hold
+                        distinct columns, with or without a restart part.
                         The engine runs its compiled push loop on these
                         arrays; other matrices have no ``csr_push``
 - ``split_diagonal()``  the vector of p_ii and that of the sums of the
                         other entries of each row, as its pushes write
                         them (read by ``GaussSeidelRows``)
 
-``scatter_add`` return contract: a matrix whose push writes only the
-stored row (``TransitionMatrix``; ``GoogleMatrix.damped`` off dangling
-rows) returns the float change in
+``scatter_add`` return contract: a push that writes only the stored row
+(a ``TransitionMatrix`` without a restart part; the ``damped`` rows of
+one with a restart part, off dangling rows) returns the float change in
 ``sum(|C|)``, summed row by row as ``|new|.sum() - |old|.sum()`` over the
 slice it gathers and writes anyway, so the engine can keep ``||C||_1``
-in O(degree) per push.  A matrix whose push writes O(n) entries
-(``GoogleMatrix``, ``MeanFieldMatrix``) returns ``None``, and the engine
+in O(degree) per push.  A push that writes O(n) entries (a nonzero
+restart add, ``MeanFieldMatrix``) returns ``None``, and the engine
 recomputes the sum exactly instead.  The compiled loop sums the change
-as it writes each entry, so it keeps ``||C||_1`` incrementally on a
-``GoogleMatrix`` as well.
+as it writes each entry, so it keeps ``||C||_1`` incrementally across
+restart adds as well.
 
 Matrices are immutable after construction.
 """
@@ -90,37 +89,6 @@ def check_distribution(v, tol=1e-10):
     return v
 
 
-def _check_csr_rows(n, indptr, indices, data):
-    """Raise InvalidParamsError unless the arrays are n CSR rows of distinct, rising columns.
-
-    Every builder stores rows so.  A repeated column would be written once
-    by ``scatter_add``'s fancy-index assignment and twice by ``mul_left``.
-    """
-    indptr, indices = np.asarray(indptr), np.asarray(indices)
-    if indptr.shape != (n + 1,) or np.shape(data) != indices.shape:
-        raise InvalidParamsError(f"CSR arrays do not describe {n} rows")
-    if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
-        raise InvalidParamsError("CSR indptr and indices must be integers")
-    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
-        raise InvalidParamsError("CSR indptr must rise from 0 to the number of entries")
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        raise InvalidParamsError(f"CSR column outside [0, {n})")
-    rising = indices[1:] > indices[:-1]
-    starts = indptr[1:-1]
-    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new row may restart
-    if not rising.all():
-        raise InvalidParamsError("a CSR row repeats a column or lists its columns out of order")
-
-
-def _csr_split_diagonal(n, indptr, indices, values):
-    """The entries (i, i) of n CSR rows (0 where a row has none) and the sums of their other entries."""
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    on = indices == rows
-    d = np.zeros(n)
-    d[rows[on]] = values[on]
-    return d, np.bincount(rows[~on], weights=values[~on], minlength=n)
-
-
 def _restart_distribution(s, n):
     """The restart distribution checked for n states; uniform when None."""
     if s is None:
@@ -151,13 +119,21 @@ class CsrPush(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """CSR row-stochastic matrix.
+    """CSR rows, with an optional rank-one restart part.
 
-    ``out_degree[i]`` is the number of stored entries of row i (the volume
-    weight of node i for cost accounting).  Each row lists distinct
-    columns in [0, n) in rising order, as every builder stores them;
-    the constructor raises InvalidParamsError otherwise (``scatter_add``
-    would write a repeated column once).
+    Each row lists distinct columns in [0, n) in rising order, as every
+    builder stores them; the constructor raises InvalidParamsError
+    otherwise (``scatter_add``'s fancy-index assignment would write a
+    repeated column once, ``mul_left`` twice).  ``out_degree[i]`` is the
+    volume weight of node i for cost accounting.
+
+    Without a restart part (``s`` None) the matrix is its stored rows.
+    ``google_matrix`` builds one with a restart part: the stored rows are
+    then ``c * p_i``, row i is ``c * p_i + restart_share * s``, and a
+    dangling row, an empty one, is ``(c + restart_share) * s``, whose push
+    moves ``dangling_share`` of the cash onto s.  The restart part is
+    never materialized; products use the sparse rows plus a restart-mass
+    accumulator.
     """
 
     n: int
@@ -165,15 +141,46 @@ class TransitionMatrix:
     indices: np.ndarray
     data: np.ndarray
     out_degree: np.ndarray
+    s: np.ndarray | None = None
+    c: float = 1.0
+    restart_share: float = 0.0
+    dangling_share: float = 1.0
 
     def __post_init__(self):
-        if np.shape(self.out_degree) != (self.n,):
-            raise InvalidParamsError(f"CSR arrays do not describe {self.n} rows")
-        _check_csr_rows(self.n, self.indptr, self.indices, self.data)
+        n, indptr, indices = self.n, np.asarray(self.indptr), np.asarray(self.indices)
+        if indptr.shape != (n + 1,) or np.shape(self.data) != indices.shape or np.shape(self.out_degree) != (n,):
+            raise InvalidParamsError(f"CSR arrays do not describe {n} rows")
+        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+            raise InvalidParamsError("CSR indptr and indices must be integers")
+        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+            raise InvalidParamsError("CSR indptr must rise from 0 to the number of entries")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise InvalidParamsError(f"CSR column outside [0, {n})")
+        rising = indices[1:] > indices[:-1]
+        starts = indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new row may restart
+        if not rising.all():
+            raise InvalidParamsError("a CSR row repeats a column or lists its columns out of order")
 
     @property
     def csr_push(self):
-        return CsrPush(self.indptr, self.indices, self.data, self.out_degree)
+        return CsrPush(self.indptr, self.indices, self.data, self.out_degree, self.s,
+                       self.restart_share, self.dangling_share)
+
+    @functools.cached_property
+    def dangling_mask(self):
+        return np.diff(self.indptr) == 0
+
+    @functools.cached_property
+    def damped(self):
+        """The rows ``c * P~`` alone (``P~``: P with its dangling rows replaced
+        by s): restart share 0 and dangling share c, on the same arrays and
+        ``out_degree``; built on first use.  These are the pushes of the
+        positive-cash PageRank solver."""
+        rows = copy.copy(self)
+        object.__setattr__(rows, "restart_share", 0.0)
+        object.__setattr__(rows, "dangling_share", self.c)
+        return rows
 
     @property
     def volume(self):
@@ -185,33 +192,58 @@ class TransitionMatrix:
 
     def row(self, i):
         lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
+        if self.s is None:
+            return self.indices[lo:hi], self.data[lo:hi]
+        # dense row: c * p_i + restart_share * s, with dangling p_i := s
+        vals = self.restart_share * self.s
+        if lo == hi:
+            vals += self.c * self.s
+        else:
+            vals[self.indices[lo:hi]] += self.data[lo:hi]
+        return np.arange(self.n), vals
 
     def split_diagonal(self):
-        return _csr_split_diagonal(self.n, self.indptr, self.indices, self.data)
-
-    def row_sums(self):
-        lens = np.diff(self.indptr)
-        out = np.zeros(self.n)
-        np.add.at(out, np.repeat(np.arange(self.n), lens), self.data)
-        return out
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        on = self.indices == rows
+        d = np.zeros(self.n)
+        d[rows[on]] = self.data[on]
+        off = np.bincount(rows[~on], weights=self.data[~on], minlength=self.n)
+        if self.s is None:
+            return d, off
+        share = np.where(self.dangling_mask, self.dangling_share, self.restart_share)
+        return d + share * self.s, off + share * (self.s.sum() - self.s)
 
     def mul_left(self, x):
         x = np.asarray(x, dtype=float)
         lens = np.diff(self.indptr)
         contrib = self.data * np.repeat(x, lens)
-        return np.bincount(self.indices, weights=contrib, minlength=self.n)
+        y = np.bincount(self.indices, weights=contrib, minlength=self.n)
+        if self.s is None:
+            return y
+        restart = self.restart_share * x.sum() + self.c * x[self.dangling_mask].sum()
+        return y + restart * self.s
 
     def scatter_add(self, C, nodes, amounts):
-        delta = 0.0
+        # the change in sum(|C|) is summed only on rows with no restart share
+        delta = None if self.restart_share else 0.0
+        restart = 0.0
         for i, a in zip(nodes, amounts):
             lo, hi = self.indptr[i], self.indptr[i + 1]
+            if lo == hi and self.s is not None:
+                restart += a * self.dangling_share
+                continue
             cols = self.indices[lo:hi]
             old = C[cols]
             new = old + a * self.data[lo:hi]
             C[cols] = new
-            delta += float(np.abs(new).sum()) - float(np.abs(old).sum())
-        return delta
+            if delta is None:
+                restart += a * self.restart_share
+            else:
+                delta += float(np.abs(new).sum()) - float(np.abs(old).sum())
+        if restart == 0.0:
+            return delta
+        C += restart * self.s
+        return None  # O(n) writer: the engine recomputes ||C||_1
 
     def to_dense(self):
         if self.n > DENSE_CAP:
@@ -275,10 +307,13 @@ def _raw_rows(P_or_edges, n=None):
 
     This is the one place an edge list becomes CSR rows: ids are
     bounds-checked, duplicates merged and zero weights dropped.  A node
-    without out-edges (dangling) is an empty row.
+    without out-edges (dangling) is an empty row.  A matrix that has a
+    restart part already raises InvalidParamsError.
     """
     if isinstance(P_or_edges, TransitionMatrix):
         P = P_or_edges
+        if P.s is not None:
+            raise InvalidParamsError("the matrix has a restart part already")
         return P.n, P.indptr, P.indices, P.data
     if n is None:
         raise InvalidParamsError("n is required when passing a raw edge list")
@@ -316,114 +351,6 @@ def validate_stochastic(P, tol=ROW_SUM_TOL):
         if abs(s - 1.0) > tol:
             bad.append((i, s))
     return bad
-
-
-class GoogleMatrix:
-    """Damped-with-restart matrix c*P + (1-c)*1s, rank-one part implicit.
-
-    Dangling rows of the raw graph, the empty ones, are replaced by the
-    restart distribution ``s`` before damping, so those rows equal ``s``
-    exactly.
-    The dense rows are never materialized; products use the raw sparse
-    rows plus a restart-mass accumulator.  The raw rows are checked as
-    ``TransitionMatrix``'s are, and ``s`` (uniform when None) must be a
-    distribution on the n states; InvalidParamsError otherwise.
-
-    Row i is ``c * p_i + restart_share * s``, a dangling row
-    ``(c + restart_share) * s``, whose push moves ``dangling_share`` of
-    the cash onto s: 1 - c and 1 here.  ``damped``, the pushes of the
-    positive-cash PageRank solver, has 0 and c: the rows ``c * P~`` alone
-    (``P~``: P with its dangling rows replaced by s), on the same arrays.
-    """
-
-    def __init__(self, n, indptr, indices, data, c, s):
-        if not 0.0 < c < 1.0:
-            raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
-        indptr, indices, data = np.asarray(indptr), np.asarray(indices), np.asarray(data, dtype=float)
-        _check_csr_rows(n, indptr, indices, data)
-        self.n = n
-        self.indptr = indptr
-        self.indices = indices
-        self.scaled = c * data
-        counts = np.diff(indptr)
-        self.dangling_mask = counts == 0
-        self.c = c
-        self.s = _restart_distribution(s, n)
-        self.out_degree = np.maximum(counts, 1).astype(float)
-        self.restart_share = 1.0 - c
-        self.dangling_share = 1.0
-
-    @property
-    def csr_push(self):
-        return CsrPush(self.indptr, self.indices, self.scaled, self.out_degree, self.s,
-                       self.restart_share, self.dangling_share)
-
-    @functools.cached_property
-    def damped(self):
-        """The rows ``c * P~`` alone, on the same arrays and ``out_degree``; built on first use."""
-        rows = copy.copy(self)
-        rows.restart_share, rows.dangling_share = 0.0, self.c
-        return rows
-
-    @property
-    def volume(self):
-        return float(self.out_degree.sum())
-
-    def split_diagonal(self):
-        d, off = _csr_split_diagonal(self.n, self.indptr, self.indices, self.scaled)
-        share = np.where(self.dangling_mask, self.dangling_share, self.restart_share)
-        return d + share * self.s, off + share * (self.s.sum() - self.s)
-
-    def row(self, i):
-        # Dense row: c * p_i + restart_share * s, with dangling p_i := s.
-        vals = self.restart_share * self.s
-        if self.dangling_mask[i]:
-            vals += self.c * self.s
-        else:
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            vals[self.indices[lo:hi]] += self.scaled[lo:hi]
-        return np.arange(self.n), vals
-
-    def mul_left(self, x):
-        x = np.asarray(x, dtype=float)
-        lens = np.diff(self.indptr)
-        contrib = self.scaled * np.repeat(x, lens)
-        y = np.bincount(self.indices, weights=contrib, minlength=self.n)
-        restart = self.restart_share * x.sum() + self.c * x[self.dangling_mask].sum()
-        return y + restart * self.s
-
-    def scatter_add(self, C, nodes, amounts):
-        # the change in sum(|C|) is summed only on rows with no restart share
-        delta = None if self.restart_share else 0.0
-        restart = 0.0
-        for i, a in zip(nodes, amounts):
-            if self.dangling_mask[i]:
-                restart += a * self.dangling_share
-                continue
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            cols = self.indices[lo:hi]
-            old = C[cols]
-            new = old + a * self.scaled[lo:hi]
-            C[cols] = new
-            restart += a * self.restart_share
-            if delta is not None:
-                delta += float(np.abs(new).sum()) - float(np.abs(old).sum())
-        if restart == 0.0:
-            return delta
-        C += restart * self.s
-        return None  # O(n) writer: the engine recomputes ||C||_1
-
-    def to_dense(self):
-        if self.n > DENSE_CAP:
-            raise InvalidParamsError(f"dense form capped at n={DENSE_CAP}")
-        D = np.tile(self.restart_share * self.s, (self.n, 1))
-        for i in range(self.n):
-            if self.dangling_mask[i]:
-                D[i] += self.c * self.s
-            else:
-                lo, hi = self.indptr[i], self.indptr[i + 1]
-                D[i, self.indices[lo:hi]] += self.scaled[lo:hi]
-        return D
 
 
 class GaussSeidelRows:
@@ -477,8 +404,20 @@ class GaussSeidelRows:
 
 
 def google_matrix(P_or_edges, c, s=None, n=None):
-    """Build the damped restart matrix for a graph or transition matrix."""
-    return GoogleMatrix(*_raw_rows(P_or_edges, n), c, s)
+    """The damped restart matrix ``c*P + (1-c)*1s`` of a graph or transition matrix.
+
+    A ``TransitionMatrix`` whose stored rows are ``c * p_i`` and whose
+    restart part is ``s`` (uniform when None; InvalidParamsError unless a
+    distribution on the n states), with restart share 1 - c and dangling
+    share 1: dangling rows, the empty ones, are replaced by s before
+    damping, so those rows equal s exactly.  A dangling row is charged
+    one edge operation.
+    """
+    if not 0.0 < c < 1.0:
+        raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
+    n, indptr, indices, data = _raw_rows(P_or_edges, n)
+    out_degree = np.maximum(np.diff(indptr), 1).astype(float)
+    return TransitionMatrix(n, indptr, indices, c * data, out_degree, _restart_distribution(s, n), c, 1.0 - c, 1.0)
 
 
 def augment_pagerank(P_or_edges, c, s=None, n=None):
@@ -486,7 +425,8 @@ def augment_pagerank(P_or_edges, c, s=None, n=None):
 
     Row 0 is ``(c, (1-c)s)`` and row i>=1 is ``((1-c), c*p_i)``; the lower
     right block stores exactly the entries ``c * p_ij``.  Dangling raw rows
-    are replaced by ``s`` before scaling.
+    are replaced by ``s`` before scaling.  A matrix that has a restart part
+    already raises InvalidParamsError.
     """
     if not 0.0 < c < 1.0:
         raise InvalidDampingError(f"damping must lie in (0,1), got {c}")

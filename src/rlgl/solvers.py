@@ -2,8 +2,8 @@
 the positive-cash push solver for the damped restart (PageRank) system.
 
 Gauss-Seidel and the push solver are engine runs: round-robin pushes on
-``GaussSeidelRows(P)``, and pushes from the cash ``(1-c) s`` on
-``GoogleMatrix.damped``."""
+``GaussSeidelRows(P)``, and pushes from the cash ``(1-c) s`` on the
+``damped`` rows of ``google_matrix``'s output."""
 
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, schedules
+from . import schedules
 # bound at import: perfbench's tracing wraps engine.run for rlgl runs only
 from .engine import Trace, run as run_engine
 from .errors import InvalidParamsError, NoConvergenceError
-from .matrix import GaussSeidelRows, GoogleMatrix, check_distribution
+from .matrix import GaussSeidelRows, TransitionMatrix, check_distribution
 
 
 class SolveTrace(Trace):
@@ -172,17 +172,7 @@ def gmres_restarted(P, x0=None, m=10, eps=1e-11, max_restarts=1000):
     )
 
 
-def gso_init(G: GoogleMatrix):
-    """The solver's engine state before its first push: cash (1-c) s on G's damped rows."""
-    return engine.init(G.damped, cash=(1.0 - G.c) * G.s)
-
-
-def gso_step(state, G: GoogleMatrix, k):
-    """Deposit residual k into the estimate and push its damped share."""
-    return engine.step(state, [k], G.damped)
-
-
-def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10_000_000, r=1.0, period=None, trace_stride=None):
+def gso_pagerank(G: TransitionMatrix, schedule="greedy-max", eps=1e-11, max_steps=10_000_000, r=1.0, period=None, trace_stride=None):
     """Positive-cash push solver for x = c x P + (1-c) s.
 
     Starts from residual (1-c, s) and repeatedly moves one node's residual
@@ -192,8 +182,11 @@ def gso_pagerank(G: GoogleMatrix, schedule="greedy-max", eps=1e-11, max_steps=10
     classical rule), ``rr`` (``RoundRobin``) and ``theta`` (``Theta``,
     cyclic candidates over a power-mean threshold).  The residual is never
     negative, so their |C| rules are rules on C itself and its L1 norm is
-    its sum.
+    its sum.  G must have a restart part (``google_matrix``);
+    InvalidParamsError otherwise.
     """
+    if getattr(G, "s", None) is None:
+        raise InvalidParamsError("the push solver needs a matrix with a restart part (google_matrix)")
     if schedule == "greedy-max":
         sched = schedules.MaxCash()
     elif schedule == "rr":

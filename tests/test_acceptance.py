@@ -183,13 +183,13 @@ def test_criterion_6_push_solver_equivalence():
         c = 0.85
         G = google_matrix(edges, c, n=n)
         aug = augment_pagerank(edges, c, n=n)
-        gso = solvers.gso_init(G)
+        gso = engine.init(G.damped, cash=(1 - G.c) * G.s)
         M0 = np.zeros(n + 1)
         M0[0] = 1.0
         state = engine.init(aug, M0)
         for _ in range(2000):
             k = int(np.argmax(gso.C))
-            solvers.gso_step(gso, G, k)
+            engine.step(gso, [k], G.damped)
             engine.step(state, [k + 1], aug)
             assert np.abs(state.H[1:] - gso.H).max() <= 1e-12
             assert np.abs(state.C[1:] - gso.C).max() <= 1e-12

@@ -15,7 +15,7 @@ from rlgl.errors import (
     NoConvergenceError,
     ZeroTotalHistoryError,
 )
-from rlgl.matrix import GoogleMatrix, build_transition, google_matrix, gth_stationary
+from rlgl.matrix import TransitionMatrix, build_transition, google_matrix, gth_stationary
 
 from conftest import dense_ergodic_chain, ring_random_chain, sbm80_instance
 
@@ -411,12 +411,13 @@ def _dangling_google(n, degree, seed):
 
 
 def _hand_built_google(n, degree, seed):
-    """A GoogleMatrix built from CSR arrays, not by ``google_matrix``: the rows
+    """A damped restart matrix of hand-built CSR rows, not an edge list: the rows
     of a ring-plus-random chain with every seventh row emptied, so dangling."""
     P = ring_random_chain(n, degree, seed)
     lens = np.where(np.arange(n) % 7 != 6, np.diff(P.indptr), 0)
     kept = np.repeat(lens > 0, np.diff(P.indptr))
-    return GoogleMatrix(n, np.concatenate([[0], np.cumsum(lens)]), P.indices[kept], P.data[kept], 0.85, None)
+    rows = TransitionMatrix(n, np.concatenate([[0], np.cumsum(lens)]), P.indices[kept], P.data[kept], np.ones(n))
+    return google_matrix(rows, 0.85)
 
 
 def _schedule(name, n):

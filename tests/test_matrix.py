@@ -15,7 +15,6 @@ from rlgl.errors import (
     NotErgodicError,
 )
 from rlgl.matrix import (
-    GoogleMatrix,
     TransitionMatrix,
     augment_pagerank,
     build_transition,
@@ -33,7 +32,7 @@ class TestBuildTransition:
         und, n = models.two_wheels()
         P = build_transition(models.symmetrize(und), n)
         assert P.n == 12
-        assert np.abs(P.row_sums() - 1.0).max() <= 1e-12
+        assert validate_stochastic(P, 1e-12) == []
 
     def test_single_self_loop(self):
         P = build_transition([(0, 0, 5.0)], 1)
@@ -91,7 +90,7 @@ class TestBuildTransition:
         # guarantee out-edges everywhere
         loops = np.column_stack([np.arange(n), np.arange(n), np.full(n, 0.5)])
         P = build_transition(np.vstack([edges, loops]), n)
-        assert np.abs(P.row_sums() - 1.0).max() <= 1e-12
+        assert validate_stochastic(P, 1e-12) == []
         assert P.data.min() > 0.0
 
 
@@ -201,13 +200,14 @@ class TestGoogleMatrix:
     @INVALID_CSR
     def test_rejects_invalid_csr(self, indptr, indices):
         with pytest.raises(InvalidParamsError):
-            GoogleMatrix(3, indptr, indices, np.full(len(indices), 0.5), 0.85, np.full(3, 1 / 3))
+            google_matrix(TransitionMatrix(3, indptr, indices, np.full(len(indices), 0.5), np.ones(3)), 0.85)
 
     def test_repeated_column_rejected_before_a_push(self):
         # built, the push of 1.0 from node 0 left C summing to 0.575 through
         # scatter_add and 0.425 through push_damped, where 1 and 0.85 are due
         with pytest.raises(InvalidParamsError, match="repeats a column"):
-            GoogleMatrix(2, [0, 2, 3], [1, 1, 0], [0.5, 0.5, 1.0], 0.85, [0.5, 0.5])
+            google_matrix(TransitionMatrix(2, np.array([0, 2, 3]), np.array([1, 1, 0]), np.array([0.5, 0.5, 1.0]),
+                                           np.ones(2)), 0.85, [0.5, 0.5])
 
     @pytest.mark.parametrize("build", [google_matrix, augment_pagerank])
     def test_empty_row_of_a_transition_matrix_restarts(self, build):
@@ -222,7 +222,8 @@ class TestGoogleMatrix:
     def test_hand_built_empty_row_restarts(self):
         # the dangling rows are the empty ones: a push from row 1 keeps its
         # mass, and e1 @ G is the row s
-        G = GoogleMatrix(3, [0, 1, 1, 2], [1, 0], [1.0, 1.0], 0.85, [0.5, 0.0, 0.5])
+        P = TransitionMatrix(3, np.array([0, 1, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0]), np.ones(3))
+        G = google_matrix(P, 0.85, [0.5, 0.0, 0.5])
         assert np.flatnonzero(G.dangling_mask).tolist() == [1]
         C = np.zeros(3)
         assert G.scatter_add(C, [1], [1.0]) is None
@@ -230,6 +231,16 @@ class TestGoogleMatrix:
         for i in range(3):
             assert abs(G.mul_left(np.eye(3)[i]).sum() - 1.0) <= 1e-15
         assert np.array_equal(G.mul_left(np.eye(3)[1]), G.s)
+
+    @pytest.mark.parametrize("build", [google_matrix, augment_pagerank])
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_restart_part_not_added_twice(self, build, n):
+        # given n, a damped matrix was once read as an edge list: numpy TypeError
+        G = google_matrix([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], 0.85, n=3)
+        with pytest.raises(InvalidParamsError, match="restart part"):
+            build(G, 0.85, n=n)
+        with pytest.raises(InvalidParamsError, match="restart part"):
+            build(G.damped, 0.85, n=n)
 
     @pytest.mark.parametrize("build", [google_matrix, augment_pagerank])
     @pytest.mark.parametrize("size", [2, 4])
@@ -249,7 +260,7 @@ class TestDampedRows:
         G = google_matrix(self.EDGES, 0.85, s=self.S, n=6)
         D = G.damped
         assert D is G.damped  # built once
-        assert D.indices is G.indices and D.scaled is G.scaled  # no row stored anew
+        assert D.indices is G.indices and D.data is G.data  # no row stored anew
         assert np.array_equal(D.out_degree, G.out_degree)
         dense = D.to_dense()
         assert np.array_equal(dense[2], 0.85 * G.s)
@@ -285,7 +296,7 @@ class TestAugmentPagerank:
         edges, n = models.random_sbm([10, 10], 0.3, 0.1, seed=3)
         A = augment_pagerank(edges, 0.85, n=n)
         assert A.n == n + 1
-        assert np.abs(A.row_sums() - 1.0).max() <= 1e-12
+        assert validate_stochastic(A, 1e-12) == []
 
     def test_lower_right_block_is_scaled_exactly(self, four_state):
         c = 0.85

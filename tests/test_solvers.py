@@ -291,7 +291,7 @@ class TestGsoPagerank:
     def test_initialization(self):
         edges, n = sbm80_instance()
         G = google_matrix(edges, 0.85, n=n)
-        st = solvers.gso_init(G)
+        st = engine.init(G.damped, cash=(1 - G.c) * G.s)
         assert np.array_equal(st.C, (1 - 0.85) * G.s)
         assert np.all(st.H == 0.0)
 
@@ -299,12 +299,12 @@ class TestGsoPagerank:
         edges, n = sbm80_instance()
         c = 0.85
         G = google_matrix(edges, c, n=n)
-        st = solvers.gso_init(G)
+        st = engine.init(G.damped, cash=(1 - G.c) * G.s)
         for _ in range(200):
             k = int(np.argmax(st.C))
             before = st.C.sum()
             amount = st.C[k]
-            solvers.gso_step(st, G, k)
+            engine.step(st, [k], G.damped)
             assert st.C.sum() == pytest.approx(before - (1 - c) * amount, abs=1e-14)
             assert st.C.min() >= -1e-14
 
@@ -314,10 +314,10 @@ class TestGsoPagerank:
         G = google_matrix(edges, c, n=n)
         D = G.to_dense()
         raw = (D - (1 - c) * np.tile(G.s, (n, 1))) / c  # patched raw rows
-        st = solvers.gso_init(G)
+        st = engine.init(G.damped, cash=(1 - G.c) * G.s)
         for _ in range(300):
             k = int(np.argmax(st.C))
-            solvers.gso_step(st, G, k)
+            engine.step(st, [k], G.damped)
             resid = c * (st.H @ raw) + (1 - c) * G.s - st.H
             assert np.abs(resid - st.C).max() <= 1e-10
 
@@ -325,21 +325,21 @@ class TestGsoPagerank:
         edges, n = sbm80_instance()
         c = 0.85
         G = google_matrix(edges, c, n=n)
-        st = solvers.gso_init(G)
+        st = engine.init(G.damped, cash=(1 - G.c) * G.s)
         for _ in range(500):
             k = int(np.argmax(st.C))
-            solvers.gso_step(st, G, k)
+            engine.step(st, [k], G.damped)
             assert st.H.sum() + st.C.sum() / (1 - c) == pytest.approx(1.0, abs=1e-10)
         assert np.all(np.diff(st.H) * 0 == 0)  # finite
 
     def test_history_nondecreasing(self):
         edges, n = sbm80_instance()
         G = google_matrix(edges, 0.85, n=n)
-        st = solvers.gso_init(G)
+        st = engine.init(G.damped, cash=(1 - G.c) * G.s)
         prev = st.H.copy()
         for _ in range(300):
             k = int(np.argmax(st.C))
-            solvers.gso_step(st, G, k)
+            engine.step(st, [k], G.damped)
             assert np.all(st.H >= prev - 1e-15)
             prev = st.H.copy()
 
@@ -359,13 +359,13 @@ class TestGsoPagerank:
         c = 0.85
         G = google_matrix(edges, c, n=n)
         aug = augment_pagerank(edges, c, n=n)
-        gso = solvers.gso_init(G)
+        gso = engine.init(G.damped, cash=(1 - G.c) * G.s)
         M0 = np.zeros(n + 1)
         M0[0] = 1.0
         st = engine.init(aug, M0)
         for _ in range(600):
             k = int(np.argmax(gso.C))
-            solvers.gso_step(gso, G, k)
+            engine.step(gso, [k], G.damped)
             engine.step(st, [k + 1], aug)
             assert np.array_equal(st.C[1:], gso.C)
             assert np.array_equal(st.H[1:], gso.H)
@@ -380,7 +380,7 @@ def _old_gso(G, rule, eps=1e-11, r=1.0, period=None):
     skip steps.  Returns (x, trace rows, iterations).
     """
     period = G.n if period is None else period
-    st = solvers.gso_init(G)
+    st = engine.init(G.damped, cash=(1 - G.c) * G.s)
     rows = [(st.t, st.cum_cost, float(st.C.sum()))]
     theta = 0.0
     moved = 0
@@ -399,7 +399,7 @@ def _old_gso(G, rule, eps=1e-11, r=1.0, period=None):
                 if not (st.C[i] >= theta and st.C[i] > 0):
                     st.t += 1
                     continue
-        solvers.gso_step(st, G, i)
+        engine.step(st, [i], G.damped)
         moved += 1
         if moved % G.n == 0:
             rows.append((st.t, st.cum_cost, float(np.abs(st.C).sum())))
@@ -442,6 +442,12 @@ class TestGsoSchedules:
         with pytest.raises(InvalidParamsError):
             solvers.gso_pagerank(_two_wheels_google(), **kwargs)
 
+    def test_matrix_without_restart_part_rejected(self):
+        # a plain chain has no damped rows: this once raised AttributeError
+        und, n = models.two_wheels()
+        with pytest.raises(InvalidParamsError, match="restart part"):
+            solvers.gso_pagerank(build_transition(models.symmetrize(und), n))
+
     def test_trace_stride_one_records_every_push(self):
         res = solvers.gso_pagerank(_two_wheels_google(), schedule="rr", eps=1e-8, trace_stride=1)
         # the start row, one row per push (every rr step pushes), the stop row
@@ -454,10 +460,10 @@ def _dangling_google():
 
 
 def _old_push_gso(G, rule, eps=1e-11):
-    """gso as its own loop ran it, with ``GoogleMatrix.push_damped``'s arithmetic inline.
+    """gso as its own loop ran it, with its damped push's arithmetic inline.
 
     Picks come from the schedule classes.  A picked node k with residual
-    a > 0 moves a into H, then C[row] += a * scaled[row], or, for a
+    a > 0 moves a into H, then C[row] += a * data[row], or, for a
     dangling row, C += (c * a) * s.  A trace row follows every n picks.
     Returns (x, trace rows, iterations).
     """
@@ -481,7 +487,7 @@ def _old_push_gso(G, rule, eps=1e-11):
             if lo == hi:
                 C += (G.c * a) * G.s
             else:
-                C[G.indices[lo:hi]] += a * G.scaled[lo:hi]
+                C[G.indices[lo:hi]] += a * G.data[lo:hi]
             cost += float(G.out_degree[k])
         picks += 1
         if picks % G.n == 0:
