@@ -49,7 +49,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -127,12 +127,15 @@ class TransitionMatrix:
     repeated column once, ``mul_left`` twice).  ``out_degree[i]`` is the
     volume weight of node i for cost accounting.
 
-    Without a restart part (``s`` None) the matrix is its stored rows.
-    ``google_matrix`` builds one with a restart part: the stored rows are
-    then ``c * p_i``, row i is ``c * p_i + restart_share * s``, and a
-    dangling row, an empty one, is ``(c + restart_share) * s``, whose push
-    moves ``dangling_share`` of the cash onto s.  The restart part is
-    never materialized; products use the sparse rows plus a restart-mass
+    Without a restart part (``s`` None, ``c`` 1) the matrix is its stored
+    rows.  ``google_matrix`` builds one with a restart part, a distribution
+    ``s`` on the n states and a damping ``c`` in (0, 1), both checked here:
+    the stored rows are then ``c * p_i``, row i is ``c * p_i + (1 - c) * s``,
+    and a dangling row, an empty one, is ``s``.  ``restart_share`` (1 - c,
+    or 0 without a restart part) and ``dangling_share`` (1) follow from
+    them; a push of row i moves ``restart_share`` of the cash onto s, or
+    ``dangling_share`` of it on a dangling row.  The restart part is never
+    materialized; products use the sparse rows plus a restart-mass
     accumulator.
     """
 
@@ -143,11 +146,19 @@ class TransitionMatrix:
     out_degree: np.ndarray
     s: np.ndarray | None = None
     c: float = 1.0
-    restart_share: float = 0.0
-    dangling_share: float = 1.0
+    restart_share: float = field(init=False, default=0.0)
+    dangling_share: float = field(init=False, default=1.0)
 
     def __post_init__(self):
         n, indptr, indices = self.n, np.asarray(self.indptr), np.asarray(self.indices)
+        if self.s is None:
+            if self.c != 1.0:
+                raise InvalidParamsError("a damping c needs a restart distribution s")
+        else:
+            if not 0.0 < self.c < 1.0:
+                raise InvalidDampingError(f"damping must lie in (0,1), got {self.c}")
+            object.__setattr__(self, "s", _restart_distribution(self.s, n))
+            object.__setattr__(self, "restart_share", 1.0 - self.c)
         if indptr.shape != (n + 1,) or np.shape(self.data) != indices.shape or np.shape(self.out_degree) != (n,):
             raise InvalidParamsError(f"CSR arrays do not describe {n} rows")
         if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
@@ -413,11 +424,9 @@ def google_matrix(P_or_edges, c, s=None, n=None):
     damping, so those rows equal s exactly.  A dangling row is charged
     one edge operation.
     """
-    if not 0.0 < c < 1.0:
-        raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
     n, indptr, indices, data = _raw_rows(P_or_edges, n)
     out_degree = np.maximum(np.diff(indptr), 1).astype(float)
-    return TransitionMatrix(n, indptr, indices, c * data, out_degree, _restart_distribution(s, n), c, 1.0 - c, 1.0)
+    return TransitionMatrix(n, indptr, indices, c * data, out_degree, _restart_distribution(s, n), c)
 
 
 def augment_pagerank(P_or_edges, c, s=None, n=None):

@@ -250,6 +250,28 @@ class TestGoogleMatrix:
         with pytest.raises(InvalidParamsError, match=f"{size} entries, chain has 3"):
             build(edges, 0.85, s=np.full(size, 1.0 / size), n=3)
 
+    CYCLE = (3, np.array([0, 1, 2, 3]), np.array([1, 2, 0]), np.full(3, 0.85), np.ones(3))
+
+    @pytest.mark.parametrize("s, c, match", [
+        (np.full(2, 0.5), 0.85, "2 entries, chain has 3"),  # the compiled loop reads s[j] for j < n
+        ([0.5, 0.5, 0.5], 0.85, "sums to"),
+        ([1.0, 0.0, 0.0], 1.0, "damping"),
+        ([1.0, 0.0, 0.0], 0.0, "damping"),
+        (None, 0.85, "restart distribution"),
+    ])
+    def test_direct_restart_part_checked(self, s, c, match):
+        with pytest.raises(InvalidParamsError, match=match):
+            TransitionMatrix(*self.CYCLE, s=s, c=c)
+
+    def test_shares_follow_from_s_and_c(self):
+        with pytest.raises(TypeError):
+            TransitionMatrix(*self.CYCLE, restart_share=0.5)
+        G = TransitionMatrix(*self.CYCLE, s=[0.2, 0.3, 0.5], c=0.85)
+        assert (G.restart_share, G.dangling_share) == (1.0 - 0.85, 1.0)
+        assert (G.damped.restart_share, G.damped.dangling_share) == (0.0, 0.85)
+        P = TransitionMatrix(*self.CYCLE[:3], np.ones(3), np.ones(3))
+        assert (P.s, P.restart_share, P.dangling_share) == (None, 0.0, 1.0)
+
 
 class TestDampedRows:
     # nodes 2 and 5 dangling; s zero on nodes 0 and 3
