@@ -12,7 +12,7 @@ import os
 import sys
 
 from rlgl import cli, mdp
-from rlgl.errors import ConfigError, NoConvergenceError
+from rlgl.errors import NoConvergenceError, RlglError
 
 CYCLES = {
     "full-sweep": (7,),
@@ -37,13 +37,12 @@ def main(argv=None):
     try:
         sizes = tuple(cli._int_fields(args.sizes, "--sizes"))
         n_z1, n_z2 = cli._int_fields(args.grid, "--grid", sep="x", count=2)
-    except ConfigError as exc:
+        c0 = mdp.meanfield_init(sizes, args.p, args.q)
+        grid = mdp.solve_policy(sizes, args.p, args.q, c0=c0, eps=args.eps, n_z1=n_z1, n_z2=n_z2)
+    except RlglError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
-
-    c0 = mdp.meanfield_init(sizes, args.p, args.q)
-    grid = mdp.solve_policy(sizes, args.p, args.q, c0=c0, eps=args.eps, n_z1=n_z1, n_z2=n_z2)
     grid.to_csv(os.path.join(args.out, "policy.csv"))
 
     rows = []

@@ -47,7 +47,6 @@ class ExperimentConfig:
     damping: float = 0.85
     restart_s: str = None
     seed: int = 0
-    theta_r: float = 1.0
     lcc: bool = False
     one_based: bool = False
     undirected: bool = False
@@ -57,8 +56,8 @@ class ExperimentConfig:
     out: str = "."
 
     def validate(self):
-        if self.eps <= 0:
-            raise ConfigError("eps must be > 0")
+        if not 0.0 < self.eps < np.inf:
+            raise ConfigError("eps must be finite and > 0")
         if self.max_steps < 1:
             raise ConfigError("max-steps must be >= 1")
         if self.trace_stride is not None and self.trace_stride < 1:
@@ -189,10 +188,10 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
     if method.startswith("gso"):
         if not cfg.pagerank:
             raise ConfigError("gso applies to the pagerank mode only")
-        sub = method.split(":", 1)[1] if ":" in method else "greedy-max"
-        res = solvers.gso_pagerank(
-            P, schedule=sub, eps=cfg.eps, max_steps=cfg.max_steps, r=cfg.theta_r, trace_stride=cfg.trace_stride
-        )
+        # any rlgl schedule; bare "gso" and "gso:greedy-max" (the classical name) are maxc
+        sched_text = method.split(":", 1)[1] if ":" in method else "maxc"
+        sched = schedules.parse_schedule("maxc" if sched_text == "greedy-max" else sched_text, cfg.seed)
+        res = solvers.gso_pagerank(P, sched, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
         return res.x, res.trace, kind, res
     raise ConfigError(f"unknown method {cfg.method!r}")
 
@@ -310,6 +309,8 @@ def cmd_analyze(args):
     out = []
     if kind in ("dobrushin", "cyclic") and args.graph is None:
         raise ConfigError(f"analyze {kind} needs --graph")
+    if kind == "cyclic" and args.blocks is None:
+        raise ConfigError("analyze cyclic needs --blocks")
     if kind == "dobrushin":
         cfg = _config_from(args)
         cfg.pagerank = args.damping is not None
@@ -389,7 +390,6 @@ def _add_solver_flags(p):
     p.add_argument("--pagerank", action="store_true", default=None)
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--restart-s", dest="restart_s", default=None, help="file with the restart distribution")
-    p.add_argument("--theta-r", dest="theta_r", type=float, default=None)
     p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     p.add_argument("--trace-stride", dest="trace_stride", type=int, default=None)
     p.add_argument("--m0", default=None, help="file with the seed distribution (default uniform)")

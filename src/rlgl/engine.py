@@ -382,10 +382,15 @@ def run(
     only).  The total-history guard then applies once cash has moved, and
     ``pi_hat`` is None if the run stops before.
 
-    Raises NoConvergenceError at max_steps and DegenerateHistoryError when
-    the total-history guard exhausts its retries; both carry the partial
-    result as ``.result``.
+    Raises InvalidParamsError unless eps is finite and > 0 and the trace
+    stride >= 1, NoConvergenceError at max_steps and DegenerateHistoryError
+    when the total-history guard exhausts its retries; the last two carry
+    the partial result as ``.result``.
     """
+    if not 0.0 < eps < np.inf:
+        raise InvalidParamsError(f"eps must be finite and > 0, got {eps!r}")
+    if trace_stride is not None and trace_stride < 1:
+        raise InvalidParamsError("trace stride must be >= 1")
     if criterion not in ("cash", "pihat"):
         raise ValueError(f"unknown criterion {criterion!r}")
     if cash is not None and criterion != "cash":
@@ -456,7 +461,7 @@ def run(
                 step(state, G, P)
             if criterion == "pihat":
                 sync_cash_l1(state)
-            state.scan_cost = float(getattr(schedule, "scan_cost", 0.0))
+            state.scan_cost = schedule.scan_cost
             if criterion == "pihat" and state.updates == moved_before and state.cash_l1 > 0.0:
                 prev_pi = None  # no cash moved: skip the next comparison
             record()

@@ -220,6 +220,8 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
     excluded there (and counted in ``noncontracting``).
     """
     sizes = _check_sizes(sizes)
+    if not 0.0 < eps < np.inf:
+        raise InvalidParamsError(f"eps must be finite and > 0, got {eps!r}")
     if n_z1 < 2 or n_z2 < 2:
         raise InvalidParamsError("grid needs at least 2 points per axis")
     if c0 is None:

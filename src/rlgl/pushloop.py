@@ -124,8 +124,8 @@ class Loop:
 
         Called where the Python loop would pick its next node, so the
         first step's checks have passed.  Theta's refresh, when due, is
-        made here first; the schedule's position (and Theta's scan count)
-        are handed back through its ``seek``.  For ProportionalCash the
+        made here first; the schedule's position and scan count are
+        handed back through its ``seek``.  For ProportionalCash the
         uniform draws are taken from its generator beforehand, one per
         step the call may take (every such step is a push), and the
         generator is rewound to just past the draws the picks used.
@@ -156,7 +156,7 @@ class Loop:
         s = self.state
         s.t, s.updates, s.k = state.t, state.updates, schedule._k
         s.cum_cost, s.total_history = state.cum_cost, state.total_history
-        s.scan_cost = getattr(schedule, "scan_cost", 0.0)
+        s.scan_cost = schedule.scan_cost
         s.cash_l1, s.l1_err, s.max_l1_increase = state.cash_l1, state.l1_err, state.max_l1_increase
         done = self.fn(*self.pointers, C.ctypes.data, H.ctypes.data, None if uniform is None else uniform.ctypes.data,
                        ctypes.byref(s), ctypes.byref(p))
@@ -168,8 +168,5 @@ class Loop:
         state.t, state.updates = s.t, s.updates
         state.cum_cost, state.total_history = s.cum_cost, s.total_history
         state.cash_l1, state.l1_err, state.max_l1_increase = s.cash_l1, s.l1_err, s.max_l1_increase
-        if self.kind == "theta":
-            schedule.seek(s.k, s.scan_cost)
-        else:
-            schedule.seek(s.k)
+        schedule.seek(s.k, s.scan_cost)
         return done

@@ -13,8 +13,8 @@ calls ``perturb()`` (deterministic kinds: rotate the node order by one) or
 compiled loop (``pushloop``): ``rr``, ``theta``, ``maxc`` and ``pc``;
 None for every other schedule.  That loop repeats the picks of
 ``next_nodes`` exactly, ``pc``'s uniform draws included, and hands its
-position back through ``seek``, so a subclass that changes the pick must
-set ``push_loop = None``.
+position and scan count back through ``seek``, so a subclass that
+changes the pick must set ``push_loop = None``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ class Schedule:
     stochastic = False
     name = "schedule"
     push_loop = None
+    # node checks made to pick, outside the pushes (Theta's refreshes and candidates)
+    scan_cost = 0.0
 
     def bind(self, P):
         self.P = P
@@ -39,13 +41,15 @@ class Schedule:
 
     def restart(self):
         self._k = 0
+        self.scan_cost = 0.0
 
     def next_nodes(self, C):
         raise NotImplementedError
 
-    def seek(self, k):
-        """Continue from schedule step ``k``, where the compiled loop stopped."""
+    def seek(self, k, scan_cost):
+        """Continue from schedule step ``k`` and scan count ``scan_cost``, where the compiled loop stopped."""
         self._k = k
+        self.scan_cost = scan_cost
 
     def perturb(self):
         pass
@@ -213,7 +217,6 @@ class Theta(Schedule):
         self.period = period
         self.offset = 0
         self.theta = 0.0
-        self.scan_cost = 0.0
 
     def bind(self, P):
         super().bind(P)
@@ -224,7 +227,6 @@ class Theta(Schedule):
     def restart(self):
         super().restart()
         self.theta = 0.0
-        self.scan_cost = 0.0
 
     def refresh(self, C):
         """Set the threshold from the cash C; charged as a scan of all n nodes."""
@@ -232,10 +234,6 @@ class Theta(Schedule):
         # 1-ulp slack: exactly-equal cash must pass its own power mean
         self.theta = float((a**self.r).mean() ** (1.0 / self.r)) * (1.0 - 1e-12)
         self.scan_cost += self.n
-
-    def seek(self, k, scan_cost):
-        super().seek(k)
-        self.scan_cost = scan_cost
 
     def next_nodes(self, C):
         if self._k % self.period == 0:

@@ -3,7 +3,8 @@ the positive-cash push solver for the damped restart (PageRank) system.
 
 Gauss-Seidel and the push solver are engine runs: round-robin pushes on
 ``GaussSeidelRows(P)``, and pushes from the cash ``(1-c) s`` on the
-``damped`` rows of ``google_matrix``'s output."""
+``damped`` rows of ``google_matrix``'s output, picked by any engine
+schedule (the CLI's ``gso:<schedule>``; ``MaxCash`` by default)."""
 
 from __future__ import annotations
 
@@ -65,10 +66,6 @@ def _engine_solve(name, P, schedule, estimate, eps, max_steps, trace_stride, **s
 
     Raises NoConvergenceError with that result when the run hits max_steps.
     """
-    if not eps > 0:
-        raise InvalidParamsError("eps must be > 0")
-    if trace_stride is not None and trace_stride < 1:
-        raise InvalidParamsError("trace stride must be >= 1")
     try:
         res = run_engine(P, schedule, eps=eps, max_steps=max_steps, trace_stride=trace_stride, **start)
     except NoConvergenceError as exc:
@@ -172,29 +169,20 @@ def gmres_restarted(P, x0=None, m=10, eps=1e-11, max_restarts=1000):
     )
 
 
-def gso_pagerank(G: TransitionMatrix, schedule="greedy-max", eps=1e-11, max_steps=10_000_000, r=1.0, period=None, trace_stride=None):
+def gso_pagerank(G: TransitionMatrix, schedule=None, eps=1e-11, max_steps=10_000_000, trace_stride=None):
     """Positive-cash push solver for x = c x P + (1-c) s.
 
-    Starts from residual (1-c, s) and repeatedly moves one node's residual
-    into the estimate, pushing the damped share back.  The estimate H
-    converges to the solution without normalization.  Schedules, run by
-    the engine's schedule classes: ``greedy-max`` (``MaxCash``, the
-    classical rule), ``rr`` (``RoundRobin``) and ``theta`` (``Theta``,
-    cyclic candidates over a power-mean threshold).  The residual is never
-    negative, so their |C| rules are rules on C itself and its L1 norm is
-    its sum.  G must have a restart part (``google_matrix``);
-    InvalidParamsError otherwise.
+    Starts from residual (1-c, s) and repeatedly moves the residual of the
+    nodes ``schedule`` picks into the estimate, pushing the damped share
+    back; any engine schedule runs, and None means ``MaxCash()`` (the
+    classical greatest-residual rule).  The estimate H converges to the
+    solution without normalization.  The residual is never negative, so
+    |C| rules are rules on C itself and its L1 norm is its sum.  G must
+    have a restart part (``google_matrix``); InvalidParamsError otherwise.
     """
     if getattr(G, "s", None) is None:
         raise InvalidParamsError("the push solver needs a matrix with a restart part (google_matrix)")
-    if schedule == "greedy-max":
-        sched = schedules.MaxCash()
-    elif schedule == "rr":
-        sched = schedules.RoundRobin()
-    elif schedule == "theta":
-        sched = schedules.Theta(r, period)
-    else:
-        raise InvalidParamsError(f"unknown push schedule {schedule!r}")
+    sched = schedules.MaxCash() if schedule is None else schedule
     return _engine_solve(
         "push solver", G.damped, sched, np.copy, eps, max_steps, trace_stride, cash=(1.0 - G.c) * G.s
     )

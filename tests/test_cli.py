@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rlgl import cli, matrix, models
+from rlgl import cli, matrix, models, pushloop
 from rlgl.errors import ConfigError
 from rlgl.matrix import build_transition, google_matrix, gth_stationary
 
@@ -185,6 +185,43 @@ class TestSolve:
         assert code == cli.EXIT_CONFIG
 
 
+# graph files for the compiled/Python comparison
+GRAPH_FILES = {
+    # node 3 has no out-edges: its empty row restarts on s
+    "dangling": "0 1\n1 2\n2 0\n2 3\n",
+    # weighted, every node with a self-loop
+    "loops": "0 0 1\n0 1 2\n0 3 1\n1 1 3\n1 2 1\n1 4 1\n2 2 1\n2 3 1\n2 5 4\n"
+             "3 3 2\n3 4 1\n3 0 1\n4 4 1\n4 5 2\n4 1 3\n5 5 1\n5 0 1\n5 2 1\n",
+}
+PAGERANK_PUSH_METHODS = ["rlgl+maxc", "rlgl+theta:1", "gso:greedy-max", "gso:rr", "gso:theta", "gs"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["two-wheels", "rlgl+pc:1"],
+        ["{loops}", "gs"],
+        *(["two-wheels", "--pagerank", m] for m in PAGERANK_PUSH_METHODS + ["gso:maxc", "gso:theta:2", "gso:pc:1"]),
+        *(["{dangling}", "--pagerank", m] for m in PAGERANK_PUSH_METHODS),
+    ],
+    ids=" ".join,
+)
+def test_compiled_and_python_runs_write_the_same_bytes(tmp_path, kernel, monkeypatch, args):
+    for name, text in GRAPH_FILES.items():
+        (tmp_path / f"{name}.edges").write_text(text)
+    graph, *mode, method = (a.format(**{name: tmp_path / f"{name}.edges" for name in GRAPH_FILES}) for a in args)
+    if kernel == "c":
+        assert pushloop.load() is not None
+
+    def solve(out):
+        assert cli.main(["solve", "--graph", graph, *mode, "--method", method, "--out", str(out)]) == 0
+        return [(out / name).read_bytes() for name in ("estimate.csv", "trace.csv")]
+
+    compiled = solve(tmp_path / "c")
+    monkeypatch.setattr(pushloop, "load", lambda: None)
+    assert solve(tmp_path / "py") == compiled
+
+
 def _bad_vector_files(tmp_path):
     """Vector files for two-wheels that no --m0 or --restart-s may accept."""
     n = models.two_wheels()[1]
@@ -216,6 +253,10 @@ def _bad_vector_files(tmp_path):
         ["--pagerank", "--restart-s", "{text}"],
         ["--pagerank", "--restart-s", "{nan}"],
         ["--pagerank", "--restart-s", "{short}"],
+        ["--pagerank", "--method", "gso:theta:0.5"],
+        ["--pagerank", "--method", "gso:theta:1:0"],
+        ["--method", "rlgl", "--eps", "inf"],
+        ["--method", "rlgl", "--eps", "nan"],
     ],
     ids=lambda extra: " ".join(extra),
 )
@@ -244,13 +285,28 @@ def test_bad_integer_flag_is_one_error_line(tmp_path, capsys, args):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def _block_study_main():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "block_schedule_study.py")
+    return runpy.run_path(script)["main"]
+
+
 @pytest.mark.parametrize("flags", [["--grid", "10"], ["--sizes", "50,x"]], ids=" ".join)
 def test_block_study_script_bad_integer_flag_is_one_error_line(tmp_path, capsys, flags):
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "block_schedule_study.py")
-    main = runpy.run_path(script)["main"]
-    assert main([*flags, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert _block_study_main()([*flags, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("script", [False, True], ids=["mdp", "block-study"])
+def test_bad_mdp_eps_is_one_error_line(tmp_path, capsys, script, eps):
+    # eps 0 once died with ZeroDivisionError, -1 and nan after writing a policy of nans
+    out = tmp_path / "out"
+    args = [f"--eps={eps}", "--grid", "20x5", "--out", str(out)]
+    assert (_block_study_main()(args) if script else cli.main(["mdp", *args])) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 RAW_GRAPHS = ["two-wheels", "sbm:250,250:0.03:0.004:7", "ring.edges"]
@@ -406,6 +462,11 @@ class TestAnalyze:
         report = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert report["r"] == "1"
         assert float(report["eta"]) == 0.5
+
+    def test_cyclic_without_blocks_rejected(self, capsys):
+        # once a TypeError traceback from opening the None path
+        assert cli.main(["analyze", "cyclic", "--graph", "two-wheels"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: analyze cyclic needs --blocks\n"
 
 
 class TestMdpCommand:

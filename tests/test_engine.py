@@ -246,6 +246,16 @@ class TestRun:
         with pytest.raises(ValueError, match="cash criterion"):
             engine.run(four_state, schedules.RoundRobin(), cash=np.zeros(4), criterion="pihat")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"eps": 0.0}, {"eps": -1e-10}, {"eps": np.inf}, {"eps": np.nan}, {"trace_stride": 0}],
+        ids=["eps-zero", "eps-negative", "eps-inf", "eps-nan", "stride-zero"],
+    )
+    def test_invalid_params_rejected(self, four_state, kwargs):
+        # eps = inf once stopped at once with the seed as a converged estimate
+        with pytest.raises(InvalidParamsError):
+            engine.run(four_state, schedules.RoundRobin(), **kwargs)
+
 
 SCHEDULE_FACTORIES = [
     lambda: schedules.RoundRobin(),

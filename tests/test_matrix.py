@@ -197,11 +197,6 @@ class TestGoogleMatrix:
         x = np.array([0.2, 0.5, 0.3])
         assert np.allclose(G.mul_left(x), x @ G.to_dense(), atol=1e-14)
 
-    @INVALID_CSR
-    def test_rejects_invalid_csr(self, indptr, indices):
-        with pytest.raises(InvalidParamsError):
-            google_matrix(TransitionMatrix(3, indptr, indices, np.full(len(indices), 0.5), np.ones(3)), 0.85)
-
     def test_repeated_column_rejected_before_a_push(self):
         # built, the push of 1.0 from node 0 left C summing to 0.575 through
         # scatter_add and 0.425 through push_damped, where 1 and 0.85 are due

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rlgl import engine, models, schedules, solvers
+from rlgl import engine, models, schedules
 from rlgl.errors import AllCashZeroError, ConfigError, InvalidParamsError
-from rlgl.matrix import build_transition, google_matrix
+from rlgl.matrix import build_transition
 
 from conftest import dense_ergodic_chain
 
@@ -208,10 +208,6 @@ class TestTheta:
     def test_requires_period_at_least_one(self, period):
         with pytest.raises(InvalidParamsError):
             schedules.Theta(1.0, period)
-        und, n = models.two_wheels()
-        G = google_matrix(models.symmetrize(und), 0.85, n=n)
-        with pytest.raises(InvalidParamsError):
-            solvers.gso_pagerank(G, schedule="theta", period=period)
 
 
 class TestFixedBlocks:

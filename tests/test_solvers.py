@@ -347,8 +347,8 @@ class TestGsoPagerank:
         edges, n = models.random_sbm([15, 15], 0.3, 0.1, seed=5)
         G = google_matrix(edges, 0.85, n=n)
         pi = gth_stationary(G)
-        for sched in ("greedy-max", "rr", "theta"):
-            res = solvers.gso_pagerank(G, schedule=sched, eps=1e-11)
+        for sched in (schedules.MaxCash(), schedules.RoundRobin(), schedules.Theta()):
+            res = solvers.gso_pagerank(G, sched, eps=1e-11)
             assert np.abs(res.x - pi).sum() <= 1e-9, sched
 
     def test_mirrored_engine_equivalence(self):
@@ -405,6 +405,10 @@ def _old_gso(G, rule, eps=1e-11, r=1.0, period=None):
             rows.append((st.t, st.cum_cost, float(np.abs(st.C).sum())))
 
 
+# the engine schedule that runs each of _old_gso's pick rules
+GSO_SCHEDULES = {"greedy-max": schedules.MaxCash, "rr": schedules.RoundRobin, "theta": schedules.Theta}
+
+
 def _two_wheels_google():
     und, n = models.two_wheels()
     return google_matrix(models.symmetrize(und), 0.85, n=n)
@@ -427,16 +431,16 @@ class TestGsoSchedules:
         G = graph()
         period = G.n // 2 if half_period else None
         x, rows, iterations = _old_gso(G, rule, r=r, period=period)
-        res = solvers.gso_pagerank(G, schedule=rule, eps=1e-11, r=r, period=period)
+        sched = schedules.Theta(r, period) if rule == "theta" else GSO_SCHEDULES[rule]()
+        res = solvers.gso_pagerank(G, sched, eps=1e-11)
         assert res.x.tobytes() == x.tobytes()
         assert res.trace.rows == rows
         assert res.iterations == iterations
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"eps": 0.0}, {"eps": -1e-10}, {"eps": float("nan")}, {"trace_stride": 0},
-         {"schedule": "theta", "r": 0.5}],
-        ids=["eps-zero", "eps-negative", "eps-nan", "stride-zero", "theta-r-below-one"],
+        [{"eps": 0.0}, {"eps": -1e-10}, {"eps": float("nan")}, {"trace_stride": 0}],
+        ids=["eps-zero", "eps-negative", "eps-nan", "stride-zero"],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InvalidParamsError):
@@ -449,7 +453,7 @@ class TestGsoSchedules:
             solvers.gso_pagerank(build_transition(models.symmetrize(und), n))
 
     def test_trace_stride_one_records_every_push(self):
-        res = solvers.gso_pagerank(_two_wheels_google(), schedule="rr", eps=1e-8, trace_stride=1)
+        res = solvers.gso_pagerank(_two_wheels_google(), schedules.RoundRobin(), eps=1e-8, trace_stride=1)
         # the start row, one row per push (every rr step pushes), the stop row
         assert len(res.trace.rows) == res.iterations + 1
 
@@ -517,7 +521,7 @@ class TestGsoOnTheEngine:
     )
     def test_replays_the_old_push_arithmetic(self, graph, rule):
         x, rows, iterations = _old_push_gso(graph(), rule)
-        res = solvers.gso_pagerank(graph(), schedule=rule, eps=1e-11)
+        res = solvers.gso_pagerank(graph(), GSO_SCHEDULES[rule](), eps=1e-11)
         assert res.x.tobytes() == x.tobytes()
         assert res.trace.rows == rows
         assert res.iterations == iterations
@@ -528,7 +532,7 @@ class TestGsoOnTheEngine:
         # pushes that moved cash; the old loop counted picks (50 rows).
         G = google_matrix([(0, 1), (1, 2), (2, 0), (3, 0)], 0.85, n=4)
         x, rows, iterations = _old_push_gso(G, "rr")
-        res = solvers.gso_pagerank(G, schedule="rr", eps=1e-11)
+        res = solvers.gso_pagerank(G, schedules.RoundRobin(), eps=1e-11)
         assert res.x.tobytes() == x.tobytes()
         assert res.iterations == iterations == 195
         assert (len(rows), len(res.trace.rows)) == (50, 38)
@@ -537,12 +541,12 @@ class TestGsoOnTheEngine:
 
     @pytest.mark.parametrize("rule", ["greedy-max", "rr", "theta"])
     def test_dangling_node(self, rule, kernel, monkeypatch):
-        res = solvers.gso_pagerank(_dangling_google(), schedule=rule, eps=1e-11)
+        res = solvers.gso_pagerank(_dangling_google(), GSO_SCHEDULES[rule](), eps=1e-11)
         assert res.extra["kernel"] == kernel
         assert np.abs(res.x - gth_stationary(_dangling_google())).sum() <= 1e-9
         with monkeypatch.context() as m:
             m.setattr(pushloop, "load", lambda: None)
-            python = solvers.gso_pagerank(_dangling_google(), schedule=rule, eps=1e-11)
+            python = solvers.gso_pagerank(_dangling_google(), GSO_SCHEDULES[rule](), eps=1e-11)
         assert python.extra["kernel"] == "py"
         assert res.x.tobytes() == python.x.tobytes()
         assert res.trace.rows == python.trace.rows
@@ -550,7 +554,7 @@ class TestGsoOnTheEngine:
 
     def test_max_steps_raises_with_result(self):
         with pytest.raises(NoConvergenceError) as exc:
-            solvers.gso_pagerank(_two_wheels_google(), schedule="rr", eps=1e-11, max_steps=50)
+            solvers.gso_pagerank(_two_wheels_google(), schedules.RoundRobin(), eps=1e-11, max_steps=50)
         res = exc.value.result
         assert not res.converged and res.iterations == 50
         assert res.trace.rows[-1][0] == 50
