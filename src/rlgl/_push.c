@@ -1,6 +1,8 @@
-/* The inner loop of engine.run for single-node schedules on a CSR matrix.
+/* The inner loop of engine.run for single-node schedules on a CSR matrix
+ * (rlgl_push_loop), and the strongly-connected-components pass models
+ * runs on a graph's CSR rows (rlgl_scc, at the end).
  *
- * Built and called by pushloop.py.  Each step repeats, operation for
+ * Built and loaded by pushloop.py.  Each step repeats, operation for
  * operation, what engine.run's Python loop does with RoundRobin, Theta,
  * MaxCash or ProportionalCash and engine.step on a TransitionMatrix, with
  * or without a restart part, or on its GaussSeidelRows view, so H, C and
@@ -304,4 +306,61 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
     free(h.node);
     free(h.pos);
     return done;
+}
+
+/* Strongly connected components of the CSR graph on n nodes: Tarjan's
+ * algorithm (SIAM J. Comput. 1(2), 1972) with explicit n-sized stacks in
+ * place of recursion, so any depth costs O(n + m).  Roots are taken in
+ * index order and arcs in CSR order, as models._tarjan_scc takes them:
+ * labels[v] is the rank of v's component in the order components
+ * complete.  Returns the number of components, or -1 when an allocation
+ * fails.  A node is on Tarjan's stack while it has an index and no label. */
+int64_t rlgl_scc(int64_t n, const int64_t *indptr, const int64_t *indices, int64_t *labels)
+{
+    if (n <= 0)
+        return 0;
+    int64_t *work = malloc(5 * (size_t)n * sizeof *work);
+    if (!work)
+        return -1;
+    int64_t *index = work, *low = work + n, *next = work + 2 * n, *stack = work + 3 * n, *calls = work + 4 * n;
+    int64_t counter = 0, count = 0, top = 0;
+    for (int64_t v = 0; v < n; v++) {
+        index[v] = -1;
+        labels[v] = -1;
+    }
+    for (int64_t root = 0; root < n; root++) {
+        if (index[root] >= 0)
+            continue;
+        int64_t depth = 0;
+        index[root] = low[root] = counter++;
+        next[root] = indptr[root];
+        stack[top++] = calls[depth++] = root;
+        while (depth > 0) {
+            int64_t v = calls[depth - 1];
+            if (next[v] < indptr[v + 1]) {
+                int64_t w = indices[next[v]++];
+                if (index[w] < 0) {
+                    index[w] = low[w] = counter++;
+                    next[w] = indptr[w];
+                    stack[top++] = calls[depth++] = w;
+                } else if (labels[w] < 0 && index[w] < low[v]) {
+                    low[v] = index[w];
+                }
+                continue;
+            }
+            /* every arc of v explored */
+            if (--depth > 0 && low[v] < low[calls[depth - 1]])
+                low[calls[depth - 1]] = low[v];
+            if (low[v] == index[v]) {
+                int64_t w;
+                do {
+                    w = stack[--top];
+                    labels[w] = count;
+                } while (w != v);
+                count++;
+            }
+        }
+    }
+    free(work);
+    return count;
 }

@@ -141,11 +141,24 @@ def build_problem(cfg: ExperimentConfig):
     return P, None
 
 
+def parse_method(method):
+    """``(name, argument)`` of a method descriptor; ConfigError for any other text.
+
+    The descriptors are ``rlgl``, ``rlgl+<schedule>``, ``pi``, ``gs``,
+    ``gmres``, ``gmres:<M>``, ``gso`` and ``gso:<schedule>``; the argument
+    is the text after ``+`` or ``:``, None without one.
+    """
+    if method in ("rlgl", "pi", "gs", "gmres", "gso"):
+        return method, None
+    for name, sep in (("rlgl", "+"), ("gmres", ":"), ("gso", ":")):
+        if method.startswith(name + sep):
+            return name, method[len(name) + 1 :]
+    raise ConfigError(f"unknown method {method!r}")
+
+
 def residual_kind(method):
     """What a method's trace residual measures, as written to bench.csv."""
-    if method == "pi":
-        return "delta_l1"
-    return "gmres_rel" if method.startswith("gmres") else "cash_l1"
+    return {"pi": "delta_l1", "gmres": "gmres_rel"}.get(parse_method(method)[0], "cash_l1")
 
 
 def run_method(P, cfg: ExperimentConfig, M0=None):
@@ -154,12 +167,11 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
     ``M0`` is the rlgl seed distribution; when None it is read from
     ``cfg.m0`` (uniform without one).
     """
-    method = cfg.method
-    kind = residual_kind(method)
-    if method.startswith("rlgl"):
+    method, arg = parse_method(cfg.method)
+    kind = residual_kind(cfg.method)
+    if method == "rlgl":
         # "rlgl" uses --schedule; "rlgl+<schedule>" carries its own
-        sched_text = method.split("+", 1)[1] if "+" in method else cfg.schedule
-        sched = schedules.parse_schedule(sched_text, cfg.seed)
+        sched = schedules.parse_schedule(cfg.schedule if arg is None else arg, cfg.seed)
         if M0 is None and cfg.m0:
             M0 = _load_vector(cfg.m0, "--m0")
         res = engine.run(
@@ -178,22 +190,20 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
     if method == "gs":
         res = solvers.gauss_seidel(P, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
         return res.x, res.trace, kind, res
-    if method.startswith("gmres"):
+    if method == "gmres":
         try:
-            m = int(method.split(":")[1]) if ":" in method else 10
+            m = 10 if arg is None else int(arg)
         except ValueError:
-            raise ConfigError(f"method {method!r}: expected gmres:<integer M>") from None
+            raise ConfigError(f"method {cfg.method!r}: expected gmres:<integer M>") from None
         res = solvers.gmres_restarted(P, m=m, eps=cfg.eps, max_restarts=cfg.max_steps)
         return res.x, res.trace, kind, res
-    if method.startswith("gso"):
-        if not cfg.pagerank:
-            raise ConfigError("gso applies to the pagerank mode only")
-        # any rlgl schedule; bare "gso" and "gso:greedy-max" (the classical name) are maxc
-        sched_text = method.split(":", 1)[1] if ":" in method else "maxc"
-        sched = schedules.parse_schedule("maxc" if sched_text == "greedy-max" else sched_text, cfg.seed)
-        res = solvers.gso_pagerank(P, sched, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
-        return res.x, res.trace, kind, res
-    raise ConfigError(f"unknown method {cfg.method!r}")
+    # gso, the one name left
+    if not cfg.pagerank:
+        raise ConfigError("gso applies to the pagerank mode only")
+    # any rlgl schedule; bare "gso" and "gso:greedy-max" (the classical name) are maxc
+    sched = schedules.parse_schedule("maxc" if arg in (None, "greedy-max") else arg, cfg.seed)
+    res = solvers.gso_pagerank(P, sched, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
+    return res.x, res.trace, kind, res
 
 
 def _write_estimate(path, x, node_map=None):
@@ -251,6 +261,8 @@ def cmd_bench(args):
     methods = [m for m in args.method.split(",") if m]
     if not methods:
         raise ConfigError("bench needs at least one method")
+    for method in methods:  # a mistyped name is a configuration error, not one method's failure
+        parse_method(method)
     P, _ = build_problem(cfg)
     # A bad --m0 is a configuration error, not one method's failure.
     M0 = engine.seed_distribution(_load_vector(cfg.m0, "--m0"), P.n) if cfg.m0 else None
@@ -382,7 +394,7 @@ def _add_graph_flags(p, required=True):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--method", default=None, help="rlgl | pi | gs | gmres:M | gso:<schedule>")
+    p.add_argument("--method", default=None, help="rlgl | rlgl+<schedule> | pi | gs | gmres[:M] | gso[:<schedule>]")
     p.add_argument("--schedule", default=None, help="rr | rand:seed | greedy | maxc | pc:seed | theta:r[:period] | blocks:<file> | all")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--criterion", choices=("cash", "pihat"), default=None,

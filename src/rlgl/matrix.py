@@ -117,6 +117,18 @@ class CsrPush(NamedTuple):
     scale: np.ndarray | None = None
 
 
+def check_csr(n, indptr, indices):
+    """InvalidParamsError unless ``indptr``/``indices`` are CSR rows of n nodes with columns in [0, n)."""
+    if indptr.shape != (n + 1,) or indices.ndim != 1:
+        raise InvalidParamsError(f"CSR arrays do not describe {n} rows")
+    if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+        raise InvalidParamsError("CSR indptr and indices must be integers")
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        raise InvalidParamsError("CSR indptr must rise from 0 to the number of entries")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise InvalidParamsError(f"CSR column outside [0, {n})")
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """CSR rows, with an optional rank-one restart part.
@@ -159,14 +171,9 @@ class TransitionMatrix:
                 raise InvalidDampingError(f"damping must lie in (0,1), got {self.c}")
             object.__setattr__(self, "s", _restart_distribution(self.s, n))
             object.__setattr__(self, "restart_share", 1.0 - self.c)
-        if indptr.shape != (n + 1,) or np.shape(self.data) != indices.shape or np.shape(self.out_degree) != (n,):
+        if np.shape(self.data) != indices.shape or np.shape(self.out_degree) != (n,):
             raise InvalidParamsError(f"CSR arrays do not describe {n} rows")
-        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
-            raise InvalidParamsError("CSR indptr and indices must be integers")
-        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
-            raise InvalidParamsError("CSR indptr must rise from 0 to the number of entries")
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise InvalidParamsError(f"CSR column outside [0, {n})")
+        check_csr(n, indptr, indices)
         rising = indices[1:] > indices[:-1]
         starts = indptr[1:-1]
         rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new row may restart

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidParamsError, IsolatedNodeError
-from .matrix import DENSE_CAP, TransitionMatrix, _raw_rows, build_transition
+from .matrix import DENSE_CAP, TransitionMatrix, _raw_rows, build_transition, check_csr
 
 
 def parse_edge_file(path, one_based=False):
@@ -268,22 +268,58 @@ def meanfield_sbm(sizes, p, q):
     return MeanFieldMatrix(sizes, p, q)
 
 
-def _tarjan_scc(adj, n):
-    """Iterative Tarjan; returns components as lists of nodes."""
+def _components(graph, n=None):
+    """``(count, labels)``: the strongly connected components of ``graph``.
+
+    ``graph`` is any object with CSR ``indptr``/``indices`` (every stored
+    entry is an arc), or an edge list of ``n`` nodes, which goes through
+    the matrix builder's coalescing: ids are bounds-checked, duplicates
+    merged and zero weights dropped, so an edge counts for connectivity
+    exactly when it becomes a matrix entry.  ``labels[v]`` is the rank of
+    v's component in the order Tarjan's pass completes them.  The pass is
+    the compiled ``rlgl_scc`` when ``pushloop`` can load it, else
+    ``_tarjan_scc``; both give the same labels.
+    """
+    if hasattr(graph, "indptr") and hasattr(graph, "indices"):
+        n, indptr, indices = graph.n, np.asarray(graph.indptr), np.asarray(graph.indices)
+        if not isinstance(graph, TransitionMatrix):  # which checked its rows when built
+            check_csr(n, indptr, indices)
+    else:
+        n, indptr, indices, _ = _raw_rows(graph, n)
+    from . import pushloop  # imported, and compiled, only by a connectivity check
+
+    lib = pushloop.load()
+    if lib is None:
+        return _tarjan_scc(n, indptr, indices)
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    labels = np.empty(n, dtype=np.int64)
+    count = lib.rlgl_scc(n, indptr.ctypes.data, indices.ctypes.data, labels.ctypes.data)
+    if count < 0:
+        raise MemoryError(f"no room for the component pass over {n} nodes")
+    return count, labels
+
+
+def _tarjan_scc(n, indptr, indices):
+    """Iterative Tarjan in Python: ``_components``' result without a compiler.
+
+    Roots in index order, arcs in CSR order, one label per node in the
+    order the components complete, as ``rlgl_scc`` in ``_push.c``.  A node
+    is on the stack while it has an index and no label.
+    """
+    ptr, cols = indptr.tolist(), indices.tolist()
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    labels = [-1] * n
     stack = []
-    counter = 0
-    comps = []
+    counter = count = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, iter(adj[root]))]
+        work = [(root, iter(cols[ptr[root] : ptr[root + 1]]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         while work:
             v, it = work[-1]
             for w in it:
@@ -291,10 +327,9 @@ def _tarjan_scc(adj, n):
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adj[w])))
+                    work.append((w, iter(cols[ptr[w] : ptr[w + 1]])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if labels[w] == -1 and index[w] < low[v]:
                     low[v] = index[w]
             else:  # every edge of v explored
                 work.pop()
@@ -302,33 +337,26 @@ def _tarjan_scc(adj, n):
                     u = work[-1][0]
                     low[u] = min(low[u], low[v])
                 if low[v] == index[v]:
-                    comp = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
+                        labels[w] = count
                         if w == v:
                             break
-                    comps.append(comp)
-    return comps
+                    count += 1
+    return count, np.array(labels, dtype=np.int64)
 
 
 def strong_components(graph, n=None):
     """Strongly connected components of a matrix or an edge list.
 
-    ``graph`` is any object with CSR ``indptr``/``indices`` (every stored
-    entry is an arc), or an edge list of ``n`` nodes, which goes through
-    the matrix builder's coalescing: ids are bounds-checked, duplicates
-    merged and zero weights dropped, so an edge counts for connectivity
-    exactly when it becomes a matrix entry.  Returns the components as
-    lists of node ids.
+    ``graph`` and ``n`` are as for ``_components``.  Returns the
+    components as lists of node ids, each list in rising order, the lists
+    in the order the components complete.
     """
-    if hasattr(graph, "indptr") and hasattr(graph, "indices"):
-        n, indptr, indices = graph.n, graph.indptr, graph.indices
-    else:
-        n, indptr, indices, _ = _raw_rows(graph, n)
-    ptr, cols = indptr.tolist(), indices.tolist()
-    return _tarjan_scc([cols[ptr[i] : ptr[i + 1]] for i in range(n)], n)
+    count, labels = _components(graph, n)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=count))]).tolist()
+    return [order[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def largest_scc(edges, n=None):
@@ -343,10 +371,11 @@ def largest_scc(edges, n=None):
         edges = np.column_stack([edges, np.ones(len(edges))])
     if n is None:
         n = int(edges[:, :2].max()) + 1
-    best = min(strong_components(edges, n), key=lambda c: (-len(c), min(c)))
+    count, labels = _components(edges, n)
+    sizes = np.bincount(labels, minlength=count)
+    keep = labels == labels[np.argmax(sizes[labels])]  # the first node of a largest component
     mapping = np.full(n, -1, dtype=np.int64)
-    mapping[np.sort(best)] = np.arange(len(best))
-    keep = mapping >= 0
+    mapping[keep] = np.arange(np.count_nonzero(keep))
     ends = edges[:, :2].astype(np.int64)
     mask = keep[ends].all(axis=1)
     sub = edges[mask].copy()
@@ -355,5 +384,5 @@ def largest_scc(edges, n=None):
 
 
 def is_strongly_connected(graph, n=None):
-    """True when ``graph`` (see ``strong_components``) is one component."""
-    return len(strong_components(graph, n)) == 1
+    """True when ``graph`` (see ``_components``) is one component."""
+    return _components(graph, n)[0] == 1

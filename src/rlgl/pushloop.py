@@ -1,11 +1,15 @@
-"""The compiled push loop: build ``_push.c``, cache it, call it with ctypes.
+"""The compiled library: build ``_push.c``, cache it, call it with ctypes.
 
 ``load()`` compiles the C source once per user with ``$CC`` (default
 ``cc``) and the flags in ``FLAGS``, and caches the shared library under
 ``$XDG_CACHE_HOME/rlgl`` (default ``~/.cache/rlgl``), keyed by a hash of
-the source, the compiler and the flags.  It returns None when the
-library cannot be built or loaded, and ``engine.run`` then takes its
-Python steps.  Nothing here is imported until a run can use the loop.
+the source, the compiler and the flags.  The one library holds two entry
+points, both typed by ``load()``: ``rlgl_push_loop``, the push loop
+``engine.run`` binds here, and ``rlgl_scc``, the strongly connected
+components pass of ``models``.  ``load()`` returns None when the library
+cannot be built or loaded; ``engine.run`` then takes its Python steps
+and ``models`` its Python Tarjan pass.  Nothing here is imported until a
+run or a connectivity check can use the library.
 """
 
 from __future__ import annotations
@@ -79,14 +83,17 @@ def _build():
 
 @functools.cache
 def load():
-    """The compiled ``rlgl_push_loop``, or None when it cannot be had here."""
+    """The compiled library with ``rlgl_push_loop`` and ``rlgl_scc`` typed, or None when it cannot be had here."""
     try:
-        fn = ctypes.CDLL(_build()).rlgl_push_loop
+        lib = ctypes.CDLL(_build())
+        push, scc = lib.rlgl_push_loop, lib.rlgl_scc
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.argtypes = [ctypes.c_void_p] * 9 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
-    fn.restype = ctypes.c_int64
-    return fn
+    push.argtypes = [ctypes.c_void_p] * 9 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
+    push.restype = ctypes.c_int64
+    scc.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    scc.restype = ctypes.c_int64
+    return lib
 
 
 # The C types of a ``CsrPush``'s arrays, in the loop's argument order.
@@ -98,8 +105,8 @@ def bind(P, kind):
 
     The matrix has checked its rows (distinct columns) when built.
     """
-    fn = load()
-    return None if fn is None else Loop(fn, P.csr_push, P.n, kind)
+    lib = load()
+    return None if lib is None else Loop(lib.rlgl_push_loop, P.csr_push, P.n, kind)
 
 
 class Loop:

@@ -184,6 +184,50 @@ class TestSolve:
         code = cli.main(["solve", "--graph", "example31", "--method", "nope", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
+    # each once ran another method, picked by prefix, and exited 0
+    @pytest.mark.parametrize("method", ["gsofoo", "rlglx", "gmresx", "rlgl:rr", "gso+rr", "gmres10"])
+    def test_method_names_are_exact(self, tmp_path, capsys, method):
+        code = cli.main(["solve", "--graph", "two-wheels", "--pagerank", "--method", method, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown method {method!r}"]
+        with pytest.raises(ConfigError):
+            cli.residual_kind(method)
+        assert not (tmp_path / "estimate.csv").exists()
+
+    @pytest.mark.parametrize(
+        "method,expected",
+        [("rlgl", ("rlgl", None)), ("rlgl+theta:1:2", ("rlgl", "theta:1:2")), ("pi", ("pi", None)),
+         ("gs", ("gs", None)), ("gmres", ("gmres", None)), ("gmres:7", ("gmres", "7")), ("gso", ("gso", None)),
+         ("gso:pc:1", ("gso", "pc:1"))],
+    )
+    def test_method_descriptors(self, method, expected):
+        assert cli.parse_method(method) == expected
+
+    # two 3-cycles joined one way (2 -> 3): {3, 4, 5} completes first, and
+    # --lcc takes {0, 1, 2}, the largest component holding the smallest id
+    ONE_WAY_EDGES = "0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 3\n"
+
+    def test_connectivity_check_same_on_both_paths(self, tmp_path, capsys, kernel, monkeypatch):
+        graph = tmp_path / "one-way.edges"
+        graph.write_text(self.ONE_WAY_EDGES)
+
+        def solve(out, *flags):
+            code = cli.main(["solve", "--graph", str(graph), *flags, "--method", "pi", "--out", str(tmp_path / out)])
+            return code, capsys.readouterr().err.splitlines()
+
+        if kernel == "c":
+            assert pushloop.load() is not None
+        compiled = solve("c"), solve("c-lcc", "--lcc")
+        monkeypatch.setattr(pushloop, "load", lambda: None)
+        assert (solve("py"), solve("py-lcc", "--lcc")) == compiled
+        assert compiled == (
+            (cli.EXIT_CONFIG, ["error: raw stationary mode needs a strongly connected graph (or --lcc)"]),
+            (cli.EXIT_OK, []),
+        )
+        estimate = (tmp_path / "c-lcc" / "estimate.csv").read_bytes()
+        assert (tmp_path / "py-lcc" / "estimate.csv").read_bytes() == estimate
+        assert read_estimate(tmp_path / "c-lcc" / "estimate.csv")[0].tolist() == [0, 1, 2]
+
 
 # graph files for the compiled/Python comparison
 GRAPH_FILES = {
@@ -398,6 +442,12 @@ class TestBench:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out" / "bench.csv").exists()
+
+    def test_unknown_method_rejected_before_any_solve(self, tmp_path, capsys):
+        code = cli.main(["bench", "--graph", "two-wheels", "--method", "pi,gsofoo", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["error: unknown method 'gsofoo'"]
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_empty_method_list_rejected(self, tmp_path):
         code = cli.main(["bench", "--graph", "two-wheels", "--method", ",",

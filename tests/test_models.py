@@ -1,3 +1,4 @@
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlgl import models
+from rlgl import models, pushloop
 from rlgl.cli import _edges_of
 from rlgl.errors import DanglingNodeError, InvalidIndexError, InvalidParamsError, IsolatedNodeError
-from rlgl.matrix import MAX_SORT_N, _coalesce_edges, build_transition
+from rlgl.matrix import MAX_SORT_N, _coalesce_edges, _raw_rows, build_transition
 
 from conftest import SBM80_SEEDS, sbm80_instance
 
@@ -237,6 +238,97 @@ class TestStrongComponents:
             models.strong_components([(0, 3)], 2)
         with pytest.raises(InvalidParamsError):
             models.is_strongly_connected([(0, 1, np.inf), (1, 0, 1.0)], 2)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """An edge list on n nodes with self-loops, duplicate and zero-weight arcs and empty rows."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node, st.sampled_from([0.0, 0.5, 1.0, 2.0])), max_size=3 * n))
+    repeats = draw(st.lists(st.sampled_from(arcs), max_size=n)) if arcs else []
+    return np.array(arcs + repeats, dtype=float).reshape(-1, 3), n
+
+
+def _sparse_random_edges(n, seed):
+    """About one out-arc per node: many components, some of them large."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.integers(n, size=n + n // 4), rng.integers(n, size=n + n // 4)]).astype(float)
+
+
+class TestComponentPasses:
+    """The compiled ``rlgl_scc`` against the Python Tarjan pass it replaces."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self, kernel):
+        if kernel != "c":
+            pytest.skip("no compiler: only the Python pass runs here")
+        assert pushloop.load() is not None
+
+    @given(graph=sparse_graphs())
+    @example(graph=(np.empty((0, 3)), 1))
+    @example(graph=(np.array([[0.0, 0.0, 1.0]]), 1))
+    @example(graph=(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 2.0, 1.0], [2.0, 1.0, 1.0]]), 3))
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_labels_are_the_python_labels(self, graph):
+        edges, n = graph
+        python = models._tarjan_scc(*_raw_rows(edges, n)[:3])
+        count, labels = models._components(edges, n)
+        # the same partition, numbered in the same completion order
+        assert (count, labels.tolist()) == (python[0], python[1].tolist())
+        assert sorted(set(labels.tolist())) == list(range(count))
+
+    @pytest.mark.parametrize("direction", ["ring", "path"])
+    def test_million_node_chain_in_one_pass(self, direction):
+        # depth n: a recursive pass would overflow its stack
+        n = 1_000_000
+        nodes = np.arange(n, dtype=np.int64)
+        if direction == "ring":
+            graph = SimpleNamespace(n=n, indptr=np.arange(n + 1, dtype=np.int64), indices=(nodes + 1) % n)
+        else:  # 0 -> 1 -> ... -> n-1: n components, the last node's first
+            graph = SimpleNamespace(n=n, indptr=np.minimum(np.arange(n + 1), n - 1), indices=nodes[1:])
+        start = time.perf_counter()
+        count, labels = models._components(graph)
+        elapsed = time.perf_counter() - start
+        if direction == "ring":
+            assert count == 1 and not labels.any()
+        else:
+            assert count == n and np.array_equal(labels, n - 1 - nodes)
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_without_a_compiler_same_results(self, seed, monkeypatch):
+        n = 200
+        graphs = {
+            "sparse": _sparse_random_edges(n, seed),
+            "ring": np.vstack([np.column_stack([np.arange(n), (np.arange(n) + 1) % n]), _sparse_random_edges(n, seed)]),
+        }
+
+        def results():
+            out = []
+            for edges in graphs.values():
+                sub, mapping = models.largest_scc(edges, n)
+                out.append((models.strong_components(edges, n), models.is_strongly_connected(edges, n),
+                            sub.tobytes(), mapping.tobytes()))
+            return out
+
+        compiled = results()
+        assert [r[1] for r in compiled] == [False, True]
+        monkeypatch.setattr(pushloop, "load", lambda: None)
+        assert results() == compiled
+
+    @pytest.mark.parametrize("python", [False, True], ids=["compiled", "python"])
+    @pytest.mark.parametrize(
+        "indptr,indices",
+        [([0, 1, 2], [1, 2]), ([0, 1, 2], [1, -1]), ([0, 2, 1], [1, 0]), ([0, 1], [0]), ([0, 1, 2], [1.0, 0.0])],
+        ids=["column-past-n", "negative-column", "falling-indptr", "short-indptr", "float-columns"],
+    )
+    def test_invalid_csr_view_rejected_on_both_paths(self, python, indptr, indices, monkeypatch):
+        if python:
+            monkeypatch.setattr(pushloop, "load", lambda: None)
+        view = SimpleNamespace(n=2, indptr=np.array(indptr), indices=np.array(indices))
+        with pytest.raises(InvalidParamsError):
+            models.strong_components(view)
 
 
 class TestEdgeFileIO:
