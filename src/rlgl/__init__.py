@@ -52,7 +52,6 @@ from .models import (
 from .schedules import (
     AllNodes,
     FixedBlocks,
-    Greedy,
     MaxCash,
     ProportionalCash,
     RandomNode,

@@ -22,7 +22,7 @@ from .errors import (
     NoConvergenceError,
     RlglError,
 )
-from .matrix import build_transition, google_matrix
+from .matrix import build_transition, check_distribution, google_matrix
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -141,24 +141,47 @@ def build_problem(cfg: ExperimentConfig):
     return P, None
 
 
-def parse_method(method):
-    """``(name, argument)`` of a method descriptor; ConfigError for any other text.
+def parse_method(cfg: ExperimentConfig):
+    """``(name, argument)`` of ``cfg.method``, every part checked.
 
     The descriptors are ``rlgl``, ``rlgl+<schedule>``, ``pi``, ``gs``,
-    ``gmres``, ``gmres:<M>``, ``gso`` and ``gso:<schedule>``; the argument
-    is the text after ``+`` or ``:``, None without one.
+    ``gmres``, ``gmres:<M>``, ``gso`` and ``gso:<schedule>``.  The
+    argument is the schedule of ``rlgl`` (``cfg.schedule`` when bare) and
+    ``gso`` (PageRank mode only; ``maxc`` when bare), built by
+    ``schedules.parse_schedule``; M >= 1 for ``gmres`` (10 when bare);
+    None for ``pi`` and ``gs``.  Raises ConfigError, or the schedule's
+    InvalidParamsError, for any other text.
     """
-    if method in ("rlgl", "pi", "gs", "gmres", "gso"):
-        return method, None
-    for name, sep in (("rlgl", "+"), ("gmres", ":"), ("gso", ":")):
-        if method.startswith(name + sep):
-            return name, method[len(name) + 1 :]
-    raise ConfigError(f"unknown method {method!r}")
+    method = cfg.method
+    name, arg = method, None
+    if method not in ("rlgl", "pi", "gs", "gmres", "gso"):
+        for name, sep in (("rlgl", "+"), ("gmres", ":"), ("gso", ":")):
+            if method.startswith(name + sep):
+                arg = method[len(name) + 1 :]
+                break
+        else:
+            raise ConfigError(f"unknown method {method!r}")
+    if name == "rlgl":
+        return name, schedules.parse_schedule(cfg.schedule if arg is None else arg, cfg.seed)
+    if name == "gso":
+        if not cfg.pagerank:
+            raise ConfigError("gso applies to the pagerank mode only")
+        # "gso:greedy-max" is the classical name of maxc
+        return name, schedules.parse_schedule("maxc" if arg in (None, "greedy-max") else arg, cfg.seed)
+    if name == "gmres":
+        try:
+            m = 10 if arg is None else int(arg)
+            if m < 1:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"method {method!r}: expected gmres:<integer M >= 1>") from None
+        return name, m
+    return name, None
 
 
-def residual_kind(method):
-    """What a method's trace residual measures, as written to bench.csv."""
-    return {"pi": "delta_l1", "gmres": "gmres_rel"}.get(parse_method(method)[0], "cash_l1")
+def residual_kind(name):
+    """What the trace residual of method ``name`` (as ``parse_method`` names it) measures, as written to bench.csv."""
+    return {"pi": "delta_l1", "gmres": "gmres_rel"}.get(name, "cash_l1")
 
 
 def run_method(P, cfg: ExperimentConfig, M0=None):
@@ -167,16 +190,14 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
     ``M0`` is the rlgl seed distribution; when None it is read from
     ``cfg.m0`` (uniform without one).
     """
-    method, arg = parse_method(cfg.method)
-    kind = residual_kind(cfg.method)
+    method, arg = parse_method(cfg)
+    kind = residual_kind(method)
     if method == "rlgl":
-        # "rlgl" uses --schedule; "rlgl+<schedule>" carries its own
-        sched = schedules.parse_schedule(cfg.schedule if arg is None else arg, cfg.seed)
         if M0 is None and cfg.m0:
             M0 = _load_vector(cfg.m0, "--m0")
         res = engine.run(
             P,
-            sched,
+            arg,
             M0,
             eps=cfg.eps,
             criterion=cfg.criterion,
@@ -191,18 +212,10 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
         res = solvers.gauss_seidel(P, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
         return res.x, res.trace, kind, res
     if method == "gmres":
-        try:
-            m = 10 if arg is None else int(arg)
-        except ValueError:
-            raise ConfigError(f"method {cfg.method!r}: expected gmres:<integer M>") from None
-        res = solvers.gmres_restarted(P, m=m, eps=cfg.eps, max_restarts=cfg.max_steps)
+        res = solvers.gmres_restarted(P, m=arg, eps=cfg.eps, max_restarts=cfg.max_steps)
         return res.x, res.trace, kind, res
     # gso, the one name left
-    if not cfg.pagerank:
-        raise ConfigError("gso applies to the pagerank mode only")
-    # any rlgl schedule; bare "gso" and "gso:greedy-max" (the classical name) are maxc
-    sched = schedules.parse_schedule("maxc" if arg in (None, "greedy-max") else arg, cfg.seed)
-    res = solvers.gso_pagerank(P, sched, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
+    res = solvers.gso_pagerank(P, arg, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
     return res.x, res.trace, kind, res
 
 
@@ -217,6 +230,7 @@ def _write_estimate(path, x, node_map=None):
 def cmd_solve(args):
     cfg = _config_from(args)
     cfg.validate()
+    parse_method(cfg)  # a malformed descriptor fails before the graph is built
     P, node_map = build_problem(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     code = EXIT_OK
@@ -242,15 +256,12 @@ def cmd_solve(args):
     return code
 
 
-def _bench_one(P, cfg, method, M0):
-    sub = ExperimentConfig(**{**cfg.__dict__, "method": method})
+def _bench_one(P, cfg, M0):
+    """(trace, error) of one method's run; error is None when it converged."""
     try:
-        _, trace, kind, _ = run_method(P, sub, M0)
-        return method, trace, kind, None
+        return run_method(P, cfg, M0)[1], None
     except RlglError as exc:
-        res = getattr(exc, "result", None)
-        trace = getattr(res, "trace", None)
-        return method, trace, residual_kind(method), str(exc)
+        return getattr(getattr(exc, "result", None), "trace", None), str(exc)
 
 
 def cmd_bench(args):
@@ -258,30 +269,28 @@ def cmd_bench(args):
     cfg.validate()
     if not args.method:
         raise ConfigError("bench needs a comma-separated --method list")
-    methods = [m for m in args.method.split(",") if m]
-    if not methods:
+    subs = [ExperimentConfig(**{**cfg.__dict__, "method": m}) for m in args.method.split(",") if m]
+    if not subs:
         raise ConfigError("bench needs at least one method")
-    for method in methods:  # a mistyped name is a configuration error, not one method's failure
-        parse_method(method)
+    # a malformed descriptor is a configuration error, not one method's failure
+    kinds = [residual_kind(parse_method(sub)[0]) for sub in subs]
     P, _ = build_problem(cfg)
     # A bad --m0 is a configuration error, not one method's failure.
-    M0 = engine.seed_distribution(_load_vector(cfg.m0, "--m0"), P.n) if cfg.m0 else None
-    results = [_bench_one(P, cfg, m, M0) for m in methods]
+    M0 = check_distribution(_load_vector(cfg.m0, "--m0"), P.n) if cfg.m0 else None
+    results = [_bench_one(P, sub, M0) for sub in subs]
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "bench.csv")
-    failures = []
     with open(path, "w") as fh:
         fh.write("method,step,cum_cost,residual,residual_kind\n")
-        for method, trace, kind, error in results:
-            if error:
-                failures.append((method, error))
+        for sub, kind, (trace, _) in zip(subs, kinds, results):
             if trace is None:
                 continue
             cols = [trace.columns.index(c) for c in ("step", "cum_cost", trace.residual)]
             for step_, cost, resid in ([r[j] for j in cols] for r in trace.rows):
-                fh.write(f"{method},{step_},{cost:.17g},{resid:.17g},{kind}\n")
-    for method, error in failures:
-        print(f"{method}: {error}", file=sys.stderr)
+                fh.write(f"{sub.method},{step_},{cost:.17g},{resid:.17g},{kind}\n")
+    for sub, (_, error) in zip(subs, results):
+        if error:
+            print(f"{sub.method}: {error}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -395,7 +404,7 @@ def _add_graph_flags(p, required=True):
 
 def _add_solver_flags(p):
     p.add_argument("--method", default=None, help="rlgl | rlgl+<schedule> | pi | gs | gmres[:M] | gso[:<schedule>]")
-    p.add_argument("--schedule", default=None, help="rr | rand:seed | greedy | maxc | pc:seed | theta:r[:period] | blocks:<file> | all")
+    p.add_argument("--schedule", default=None, help="rr | rand:seed | maxc | pc:seed | theta:r[:period] | blocks:<file> | all")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--criterion", choices=("cash", "pihat"), default=None,
                    help="stop on the cash residual (default) or the estimate difference")

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     DegenerateHistoryError,
     InvalidIndexError,
-    InvalidM0Error,
     InvalidParamsError,
     NoConvergenceError,
     ZeroTotalHistoryError,
@@ -146,20 +145,6 @@ class RunResult:
     kernel: str = "py"
 
 
-def seed_distribution(M0, n):
-    """M0 checked as a distribution on n states; uniform when None.
-
-    Raises InvalidM0Error for a vector that is not finite, not
-    nonnegative, not summing to one or not of length n.
-    """
-    if M0 is None:
-        return np.full(n, 1.0 / n)
-    M0 = check_distribution(M0)
-    if M0.size != n:
-        raise InvalidM0Error(f"M0 has length {M0.size}, chain has {n} states")
-    return M0
-
-
 def init(P, M0=None, *, cash=None):
     """Start a run: every node pushes its share of the seed distribution.
 
@@ -178,7 +163,7 @@ def init(P, M0=None, *, cash=None):
         l1 = float(np.abs(C).sum())
         return SolverState(C=C, H=np.zeros(P.n), t=1, cum_cost=0.0, scan_cost=0.0, total_history=0.0,
                            initial_mass=0.0 if (C >= 0).all() else l1, cash_l1=l1)
-    M0 = seed_distribution(M0, P.n)
+    M0 = check_distribution(M0, P.n)
     C = P.mul_left(M0) - M0
     support = M0 > 0
     return SolverState(
@@ -306,11 +291,10 @@ def step(state, G, P):
     return state
 
 
-def estimate(state, guard=None):
+def estimate(state):
     """Normalized history H / (H 1); raises when the total history vanishes."""
     total = float(state.H.sum())
-    threshold = state.guard_threshold() if guard is None else guard
-    if abs(total) <= threshold:
+    if abs(total) <= state.guard_threshold():
         raise ZeroTotalHistoryError(f"|H 1| = {abs(total)!r} at step {state.t}")
     return state.H / total
 
@@ -357,7 +341,6 @@ def run(
     max_steps=1_000_000,
     trace_stride=None,
     oracle=None,
-    max_retries=MAX_GUARD_RETRIES,
 ):
     """Iterate until the stopping criterion, guarding degenerate histories.
 
@@ -467,7 +450,7 @@ def run(
             record()
 
         assert degenerate
-        if restarts >= max_retries:
+        if restarts >= MAX_GUARD_RETRIES:
             result = RunResult(None, state, trace, False, restarts, guard_events, kernel)
             err = DegenerateHistoryError(f"total history degenerate after {restarts} retries")
             err.result = result

@@ -74,29 +74,28 @@ ROW_SUM_TOL = 1e-12
 MAX_SORT_N = math.isqrt(2**63 - 1)
 
 
-def check_distribution(v, tol=1e-10):
-    """Validate that ``v`` is a probability vector; returns it as float64."""
+def check_distribution(v, n=None):
+    """``v`` checked as a probability vector, as float64; uniform on n states when None.
+
+    Raises InvalidM0Error for a vector that is not 1-d, not finite, not
+    nonnegative, not summing to one (within 1e-10) or, when n is given,
+    not of length n.
+    """
+    if v is None:
+        return np.full(n, 1.0 / n)
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise InvalidM0Error("distribution must be a 1-d vector")
+    if n is not None and v.size != n:
+        raise InvalidM0Error(f"distribution has {v.size} entries, chain has {n} states")
     if not np.isfinite(v).all():
         raise InvalidM0Error("distribution has non-finite entries")
     if np.any(v < 0):
         raise InvalidM0Error("distribution has negative entries")
     total = float(v.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-10:
         raise InvalidM0Error(f"distribution sums to {total!r}, not 1")
     return v
-
-
-def _restart_distribution(s, n):
-    """The restart distribution checked for n states; uniform when None."""
-    if s is None:
-        return np.full(n, 1.0 / n)
-    s = check_distribution(s)
-    if s.size != n:
-        raise InvalidParamsError(f"restart distribution has {s.size} entries, chain has {n} states")
-    return s
 
 
 class CsrPush(NamedTuple):
@@ -169,7 +168,7 @@ class TransitionMatrix:
         else:
             if not 0.0 < self.c < 1.0:
                 raise InvalidDampingError(f"damping must lie in (0,1), got {self.c}")
-            object.__setattr__(self, "s", _restart_distribution(self.s, n))
+            object.__setattr__(self, "s", check_distribution(self.s, n))
             object.__setattr__(self, "restart_share", 1.0 - self.c)
         if np.shape(self.data) != indices.shape or np.shape(self.out_degree) != (n,):
             raise InvalidParamsError(f"CSR arrays do not describe {n} rows")
@@ -433,7 +432,7 @@ def google_matrix(P_or_edges, c, s=None, n=None):
     """
     n, indptr, indices, data = _raw_rows(P_or_edges, n)
     out_degree = np.maximum(np.diff(indptr), 1).astype(float)
-    return TransitionMatrix(n, indptr, indices, c * data, out_degree, _restart_distribution(s, n), c)
+    return TransitionMatrix(n, indptr, indices, c * data, out_degree, check_distribution(s, n), c)
 
 
 def augment_pagerank(P_or_edges, c, s=None, n=None):
@@ -447,7 +446,7 @@ def augment_pagerank(P_or_edges, c, s=None, n=None):
     if not 0.0 < c < 1.0:
         raise InvalidDampingError(f"damping must lie in (0,1), got {c}")
     n, indptr, indices, data = _raw_rows(P_or_edges, n)
-    s = _restart_distribution(s, n)
+    s = check_distribution(s, n)
     # the rows c * P~ after a first entry 1 - c to node 0, an empty row
     # stored as c * s on the support of s
     support = np.flatnonzero(s > 0)

@@ -34,7 +34,6 @@ class Schedule:
     scan_cost = 0.0
 
     def bind(self, P):
-        self.P = P
         self.n = P.n
         self._k = 0
         return self
@@ -163,37 +162,6 @@ class MaxCash(Schedule):
         return np.array([i], dtype=np.int64)
 
 
-class Greedy(Schedule):
-    """The single node whose push minimizes the next total absolute cash.
-
-    Candidates are evaluated with the push update without mutating the
-    state; ties go to the lowest index.
-    """
-
-    name = "greedy"
-
-    def next_nodes(self, C):
-        nz = np.flatnonzero(C)
-        if nz.size == 0:
-            raise AllCashZeroError("all cash is zero")
-        best_i = -1
-        best_delta = np.inf
-        for i in nz:
-            x = C[i]
-            cols, vals = self.P.row(i)
-            old = np.abs(C[cols]).sum()
-            base = np.where(cols == i, 0.0, C[cols])
-            new = np.abs(base + x * vals).sum()
-            delta = new - old
-            if i not in cols:
-                delta -= abs(x)
-            if delta < best_delta:
-                best_delta = delta
-                best_i = int(i)
-        self._k += 1
-        return np.array([best_i], dtype=np.int64)
-
-
 class Theta(Schedule):
     """Cyclic candidates filtered by a periodically refreshed threshold.
 
@@ -299,12 +267,19 @@ def _field(text, parts, i, cast, default):
 def parse_schedule(text, default_seed=0):
     """Parse a schedule descriptor.
 
-    Grammar: ``rr`` | ``rand[:seed]`` | ``greedy`` | ``maxc`` |
-    ``pc[:seed]`` | ``theta:r[:period]`` | ``blocks:<file>`` | ``all``.
+    Grammar: ``rr`` | ``rand[:seed]`` | ``maxc`` | ``pc[:seed]`` |
+    ``theta[:r[:period]]`` | ``blocks:<file>`` | ``all``; a field a kind
+    does not take raises InvalidParamsError.
     """
     parts = text.split(":")
     kind = parts[0]
-    plain = {"rr": RoundRobin, "all": AllNodes, "greedy": Greedy, "maxc": MaxCash}
+    plain = {"rr": RoundRobin, "all": AllNodes, "maxc": MaxCash}
+    # the most fields each kind takes; a block file's path may hold ':'
+    fields = {"rand": 2, "pc": 2, "theta": 3, "blocks": len(parts), **dict.fromkeys(plain, 1)}
+    if kind not in fields:
+        raise InvalidParamsError(f"unknown schedule {text!r}")
+    if len(parts) > fields[kind]:
+        raise InvalidParamsError(f"schedule {text!r}: too many fields")
     if kind in plain:
         return plain[kind]()
     if kind == "rand":
@@ -313,8 +288,6 @@ def parse_schedule(text, default_seed=0):
         return ProportionalCash(_field(text, parts, 1, int, default_seed))
     if kind == "theta":
         return Theta(_field(text, parts, 1, float, 1.0), _field(text, parts, 2, int, None))
-    if kind == "blocks":
-        if len(parts) < 2:
-            raise InvalidParamsError("blocks schedule needs a file: blocks:<path>")
-        return load_block_file(":".join(parts[1:]))
-    raise InvalidParamsError(f"unknown schedule {text!r}")
+    if len(parts) < 2:
+        raise InvalidParamsError("blocks schedule needs a file: blocks:<path>")
+    return load_block_file(":".join(parts[1:]))

@@ -43,8 +43,7 @@ def power_iteration(P, x0=None, eps=1e-10, max_iters=100_000):
 
     Each iteration is charged one full sweep (the matrix volume).
     """
-    n = P.n
-    x = np.full(n, 1.0 / n) if x0 is None else check_distribution(x0)
+    x = check_distribution(x0, P.n)
     trace = SolveTrace()
     cost = 0.0
     for it in range(1, max_iters + 1):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rlgl import cli, matrix, models, pushloop
+from rlgl import cli, matrix, models, pushloop, schedules
 from rlgl.errors import ConfigError
 from rlgl.matrix import build_transition, google_matrix, gth_stationary
 
@@ -191,17 +191,29 @@ class TestSolve:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [f"error: unknown method {method!r}"]
         with pytest.raises(ConfigError):
-            cli.residual_kind(method)
+            cli.parse_method(cli.ExperimentConfig(graph="two-wheels", method=method, pagerank=True))
         assert not (tmp_path / "estimate.csv").exists()
 
+    def test_method_checked_before_the_graph_is_built(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: pytest.fail("the graph was built first"))
+        code = cli.main(["solve", "--graph", "two-wheels", "--method", "rlgl+greedy", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["error: unknown schedule 'greedy'"]
+
+    # a schedule argument compares as (class, the parameters its descriptor set)
     @pytest.mark.parametrize(
         "method,expected",
-        [("rlgl", ("rlgl", None)), ("rlgl+theta:1:2", ("rlgl", "theta:1:2")), ("pi", ("pi", None)),
-         ("gs", ("gs", None)), ("gmres", ("gmres", None)), ("gmres:7", ("gmres", "7")), ("gso", ("gso", None)),
-         ("gso:pc:1", ("gso", "pc:1"))],
+        [("rlgl", ("rlgl", (schedules.Theta, {"r": 2.0, "period": None}))),
+         ("rlgl+theta:1:2", ("rlgl", (schedules.Theta, {"r": 1.0, "period": 2}))), ("pi", ("pi", None)),
+         ("gs", ("gs", None)), ("gmres", ("gmres", 10)), ("gmres:7", ("gmres", 7)),
+         ("gso", ("gso", (schedules.MaxCash, {}))), ("gso:pc:1", ("gso", (schedules.ProportionalCash, {"seed": 1})))],
     )
     def test_method_descriptors(self, method, expected):
-        assert cli.parse_method(method) == expected
+        cfg = cli.ExperimentConfig(graph="two-wheels", method=method, schedule="theta:2", pagerank=True, seed=5)
+        name, arg = cli.parse_method(cfg)
+        if isinstance(arg, schedules.Schedule):
+            arg = (type(arg), {k: v for k, v in vars(arg).items() if k in ("r", "period", "seed")})
+        assert (name, arg) == expected
 
     # two 3-cycles joined one way (2 -> 3): {3, 4, 5} completes first, and
     # --lcc takes {0, 1, 2}, the largest component holding the smallest id
@@ -284,6 +296,8 @@ def _bad_vector_files(tmp_path):
         ["--method", "rlgl", "--schedule", "rand:1.5"],
         ["--method", "rlgl", "--schedule", "theta:abc"],
         ["--method", "gmres:x"],
+        ["--method", "rlgl", "--schedule", "greedy"],
+        ["--method", "rlgl+greedy"],
         ["--graph", "sbm:40,40:0.1"],
         ["--graph", "sbm:40,x:0.1:0.01"],
         ["--graph", "meanfield:5,2:0.1"],
@@ -443,10 +457,25 @@ class TestBench:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out" / "bench.csv").exists()
 
-    def test_unknown_method_rejected_before_any_solve(self, tmp_path, capsys):
-        code = cli.main(["bench", "--graph", "two-wheels", "--method", "pi,gsofoo", "--out", str(tmp_path)])
+    # each but the first once ran pi, wrote bench.csv and exited 0
+    BAD_METHODS = {
+        "pi,gsofoo": "unknown method 'gsofoo'",
+        "pi,rlgl+bogus": "unknown schedule 'bogus'",
+        "pi,rlgl+greedy": "unknown schedule 'greedy'",
+        "pi,gmres:x": "method 'gmres:x': expected gmres:<integer M >= 1>",
+        "pi,gmres:0": "method 'gmres:0': expected gmres:<integer M >= 1>",
+        "pi,rlgl+theta:0": "theta exponent r must be >= 1",
+        "pi,rlgl+pc:-1": "pc seed must be >= 0, got -1",
+        "pi,rlgl+rr:5": "schedule 'rr:5': too many fields",
+        "pi,gso:maxc": "gso applies to the pagerank mode only",
+    }
+
+    @pytest.mark.parametrize("methods", list(BAD_METHODS))
+    def test_unknown_method_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, methods):
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: pytest.fail("the graph was built first"))
+        code = cli.main(["bench", "--graph", "two-wheels", "--method", methods, "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.splitlines() == ["error: unknown method 'gsofoo'"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {self.BAD_METHODS[methods]}"]
         assert not (tmp_path / "bench.csv").exists()
 
     def test_empty_method_list_rejected(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rlgl import engine, models, pushloop, schedules, solvers
-from rlgl.errors import AbsorbingStateError, InvalidParamsError, NoConvergenceError
+from rlgl.errors import AbsorbingStateError, InvalidM0Error, InvalidParamsError, NoConvergenceError
 from rlgl.matrix import GaussSeidelRows, build_transition, google_matrix, gth_stationary
 
 from conftest import dense_ergodic_chain, pagerank_graph_500, ring_random_chain, sbm80_instance
@@ -29,6 +29,11 @@ class TestPowerIteration:
         P = build_transition([(0, 1, 1.0), (1, 0, 1.0)], 2)
         with pytest.raises(NoConvergenceError):
             solvers.power_iteration(P, x0=np.array([1.0, 0.0]), eps=1e-12, max_iters=50)
+
+    def test_start_of_the_wrong_length_rejected(self):
+        # once numpy's broadcast error at the first product
+        with pytest.raises(InvalidM0Error, match="2 entries, chain has 4"):
+            solvers.power_iteration(models.four_state_chain(), x0=[0.5, 0.5])
 
     def test_two_block_contraction_is_lambda2(self):
         from rlgl.analysis import sbm2_closed_forms
