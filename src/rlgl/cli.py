@@ -40,9 +40,7 @@ class _Parser(argparse.ArgumentParser):
 class ExperimentConfig:
     graph: str
     method: str = "rlgl"
-    schedule: str = "rr"
     eps: float = 1e-10
-    criterion: str = "cash"
     pagerank: bool = False
     damping: float = 0.85
     restart_s: str = None
@@ -82,7 +80,7 @@ def load_graph(spec, one_based=False, undirected=False, seed=0):
     if spec == "example31":
         P = models.four_state_chain()
         return _edges_of(P), P.n
-    if spec in ("two-wheels", "two_wheels"):
+    if spec == "two-wheels":
         und, n = models.two_wheels()
         return models.symmetrize(und), n
     if spec.startswith(("meanfield:", "sbm:")):
@@ -146,8 +144,8 @@ def parse_method(cfg: ExperimentConfig):
 
     The descriptors are ``rlgl``, ``rlgl+<schedule>``, ``pi``, ``gs``,
     ``gmres``, ``gmres:<M>``, ``gso`` and ``gso:<schedule>``.  The
-    argument is the schedule of ``rlgl`` (``cfg.schedule`` when bare) and
-    ``gso`` (PageRank mode only; ``maxc`` when bare), built by
+    argument is the schedule of ``rlgl`` (``rr`` when bare) and ``gso``
+    (PageRank mode only; ``maxc`` when bare), built by
     ``schedules.parse_schedule``; M >= 1 for ``gmres`` (10 when bare);
     None for ``pi`` and ``gs``.  Raises ConfigError, or the schedule's
     InvalidParamsError, for any other text.
@@ -162,7 +160,7 @@ def parse_method(cfg: ExperimentConfig):
         else:
             raise ConfigError(f"unknown method {method!r}")
     if name == "rlgl":
-        return name, schedules.parse_schedule(cfg.schedule if arg is None else arg, cfg.seed)
+        return name, schedules.parse_schedule("rr" if arg is None else arg, cfg.seed)
     if name == "gso":
         if not cfg.pagerank:
             raise ConfigError("gso applies to the pagerank mode only")
@@ -195,15 +193,7 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
     if method == "rlgl":
         if M0 is None and cfg.m0:
             M0 = _load_vector(cfg.m0, "--m0")
-        res = engine.run(
-            P,
-            arg,
-            M0,
-            eps=cfg.eps,
-            criterion=cfg.criterion,
-            max_steps=cfg.max_steps,
-            trace_stride=cfg.trace_stride,
-        )
+        res = engine.run(P, arg, M0, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
         return res.pi_hat, res.trace, kind, res
     if method == "pi":
         res = solvers.power_iteration(P, eps=cfg.eps, max_iters=cfg.max_steps)
@@ -308,7 +298,7 @@ def _int_fields(text, flag, sep=",", count=None):
 
 def cmd_gen(args):
     kind = args.kind
-    if kind in ("two-wheels", "two_wheels"):
+    if kind == "two-wheels":
         und, _ = models.two_wheels()
         models.write_edge_file(args.out_file, und, comment="two-wheels, undirected")
         return EXIT_OK
@@ -403,11 +393,10 @@ def _add_graph_flags(p, required=True):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--method", default=None, help="rlgl | rlgl+<schedule> | pi | gs | gmres[:M] | gso[:<schedule>]")
-    p.add_argument("--schedule", default=None, help="rr | rand:seed | maxc | pc:seed | theta:r[:period] | blocks:<file> | all")
+    p.add_argument("--method", default=None,
+                   help="rlgl[+<schedule>] | pi | gs | gmres[:M] | gso[:<schedule>]; <schedule> is rr (bare rlgl)"
+                   " | rand:seed | maxc | pc:seed | theta:r[:period] | blocks:<file> | all")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--criterion", choices=("cash", "pihat"), default=None,
-                   help="stop on the cash residual (default) or the estimate difference")
     p.add_argument("--pagerank", action="store_true", default=None)
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--restart-s", dest="restart_s", default=None, help="file with the restart distribution")

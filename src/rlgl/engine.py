@@ -11,11 +11,10 @@ A push costs O(degree), not O(n): ``||C||_1`` is kept incrementally from
 the change each ``scatter_add`` reports, with a sound rounding bound
 ``l1_err``.  The exact sum ``float(np.abs(C).sum())`` replaces it at every
 trace row, whenever the bound could put it below the stopping threshold,
-on every step of the "pihat" criterion, and when the bound grows past
-``DRIFT_TOL`` of the value.  So every stop decision and every traced
-value is the exact sum, and only the steps in between use the
-incremental one.  Matrices whose pushes write O(n) entries return no
-change, and their steps recompute the sum exactly.
+and when the bound grows past ``DRIFT_TOL`` of the value.  So every stop
+decision and every traced value is the exact sum, and only the steps in
+between use the incremental one.  Matrices whose pushes write O(n)
+entries return no change, and their steps recompute the sum exactly.
 """
 
 from __future__ import annotations
@@ -316,14 +315,14 @@ def guard_total_history(state, schedule):
     return GUARD_RESTART if schedule.stochastic else GUARD_PERTURB
 
 
-def _push_loop(P, schedule, criterion):
+def _push_loop(P, schedule):
     """The compiled loop for this run, or None when it takes Python steps.
 
     Decided from attributes, not types, so that wrappers forwarding them
     (such as the benchmark's tracing proxies) take the same path.
     """
     kind = getattr(schedule, "push_loop", None)
-    if criterion != "cash" or kind is None or getattr(P, "csr_push", None) is None:
+    if kind is None or getattr(P, "csr_push", None) is None:
         return None
     from . import pushloop  # imported, and compiled, only by runs that use it
 
@@ -337,33 +336,28 @@ def run(
     *,
     cash=None,
     eps=1e-10,
-    criterion="cash",
     max_steps=1_000_000,
     trace_stride=None,
     oracle=None,
 ):
-    """Iterate until the stopping criterion, guarding degenerate histories.
+    """Iterate until ||C_t||_1 < eps, guarding degenerate histories.
 
-    criterion "cash" stops at ||C_t||_1 < eps (the default: the residual
-    is monotone); "pihat" stops at ||pi_t - pi_(t-1)||_1 < eps, compared
-    only across steps that moved cash (a skipped or zero-cash step cannot
-    change the estimate, so it must not trigger the stop), or when the
-    cash vanishes exactly.  A trace row is recorded every
+    The residual ||C_t||_1 is monotone.  A trace row is recorded every
     ``trace_stride`` node updates (default: one sweep-equivalent, n
     updates).
 
-    Under the "cash" criterion, ``RoundRobin``, ``Theta``, ``MaxCash``
-    and ``ProportionalCash`` runs on a ``TransitionMatrix``, with or
-    without a restart part (any matrix with a ``csr_push``), take their
-    steps in a compiled loop (``pushloop``) that returns here at every
-    check, trace row and refresh, with the same bytes (and the same draws
-    from a ``ProportionalCash`` generator) as ``step``; ``RunResult.kernel``
-    says which path ran.  A restart add still writes all n entries, and
+    ``RoundRobin``, ``Theta``, ``MaxCash`` and ``ProportionalCash`` runs
+    on a ``TransitionMatrix``, with or without a restart part (any matrix
+    with a ``csr_push``), take their steps in a compiled loop
+    (``pushloop``) that returns here at every check, trace row and
+    refresh, with the same bytes (and the same draws from a
+    ``ProportionalCash`` generator) as ``step``; ``RunResult.kernel`` says
+    which path ran.  A restart add still writes all n entries, and
     the loop keeps its ``||C||_1`` incrementally, as for sparse rows.
 
-    ``cash`` starts the run from that cash (see ``init``; "cash" criterion
-    only).  The total-history guard then applies once cash has moved, and
-    ``pi_hat`` is None if the run stops before.
+    ``cash`` starts the run from that cash (see ``init``).  The
+    total-history guard then applies once cash has moved, and ``pi_hat``
+    is None if the run stops before.
 
     Raises InvalidParamsError unless eps is finite and > 0 and the trace
     stride >= 1, NoConvergenceError at max_steps and DegenerateHistoryError
@@ -374,15 +368,11 @@ def run(
         raise InvalidParamsError(f"eps must be finite and > 0, got {eps!r}")
     if trace_stride is not None and trace_stride < 1:
         raise InvalidParamsError("trace stride must be >= 1")
-    if criterion not in ("cash", "pihat"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    if cash is not None and criterion != "cash":
-        raise ValueError("a cash start needs the cash criterion")
     n = P.n
     stride = n if trace_stride is None else int(trace_stride)
     schedule.bind(P)
     schedule.restart()
-    loop = _push_loop(P, schedule, criterion)
+    loop = _push_loop(P, schedule)
     kernel = "py" if loop is None else "c"
 
     restarts = 0
@@ -406,7 +396,6 @@ def run(
                 last_recorded = state.updates
 
         record(force=True)
-        prev_pi = None
         degenerate = False
         while True:
             action = guard_total_history(state, schedule)
@@ -415,38 +404,23 @@ def run(
                 guard_events.append((state.t, action))
                 degenerate = True
                 break
-            if criterion == "cash":
-                if state.cash_l1 - state.l1_err < eps:
-                    sync_cash_l1(state)
-                if state.cash_l1 < eps:
-                    record(force=True)
-                    pi = estimate(state) if state.updates else None
-                    return RunResult(pi, state, trace, True, restarts, guard_events, kernel)
-            else:
-                if state.cash_l1 == 0.0:
-                    record(force=True)
-                    return RunResult(estimate(state), state, trace, True, restarts, guard_events, kernel)
-                pi = estimate(state)
-                if prev_pi is not None and float(np.abs(pi - prev_pi).sum()) < eps:
-                    record(force=True)
-                    return RunResult(pi, state, trace, True, restarts, guard_events, kernel)
-                prev_pi = pi
+            if state.cash_l1 - state.l1_err < eps:
+                sync_cash_l1(state)
+            if state.cash_l1 < eps:
+                record(force=True)
+                pi = estimate(state) if state.updates else None
+                return RunResult(pi, state, trace, True, restarts, guard_events, kernel)
             if state.t >= max_steps:
                 record(force=True)
                 result = RunResult(None, state, trace, False, restarts, guard_events, kernel)
                 raise NoConvergenceError(f"no convergence in {max_steps} steps", result)
-            moved_before = state.updates
             if loop is not None and loop.advance(state, schedule, eps, max_steps, last_recorded + stride):
                 if state.l1_err > DRIFT_TOL * state.cash_l1:
                     sync_cash_l1(state)
             else:
                 G = schedule.next_nodes(state.C)
                 step(state, G, P)
-            if criterion == "pihat":
-                sync_cash_l1(state)
             state.scan_cost = schedule.scan_cost
-            if criterion == "pihat" and state.updates == moved_before and state.cash_l1 > 0.0:
-                prev_pi = None  # no cash moved: skip the next comparison
             record()
 
         assert degenerate

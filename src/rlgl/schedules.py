@@ -177,8 +177,8 @@ class Theta(Schedule):
     push_loop = "theta"
 
     def __init__(self, r=1.0, period=None):
-        if not r >= 1:
-            raise InvalidParamsError("theta exponent r must be >= 1")
+        if not 1 <= r < np.inf:
+            raise InvalidParamsError("theta exponent r must be finite and >= 1")
         if period is not None and period < 1:
             raise InvalidParamsError("theta period must be >= 1")
         self.r = float(r)

@@ -104,13 +104,14 @@ def gmres_restarted(P, x0=None, m=10, eps=1e-11, max_restarts=1000):
     least-squares problem uses modified Gram-Schmidt with incremental
     plane rotations.  A happy breakdown is treated as convergence.  Stops
     when ||A x||_2 < eps * ||x||_2; the returned vector is normalized to
-    sum one.
+    sum one.  Raises InvalidParamsError unless ``x0`` (uniform when None)
+    holds n finite values, not all zero.
     """
     n = P.n
     apply_A = lambda v: P.mul_left(v) - v
     x = np.full(n, 1.0 / n) if x0 is None else np.array(x0, dtype=float)
-    if not np.any(x):
-        raise InvalidParamsError("gmres initial guess must be nonzero")
+    if x.shape != (n,) or not np.isfinite(x).all() or not x.any():
+        raise InvalidParamsError(f"gmres initial guess must hold {n} finite values, not all zero")
     if m < 1:
         raise InvalidParamsError("restart dimension must be >= 1")
     trace = SolveTrace()

@@ -24,7 +24,7 @@ def read_estimate(path):
 class TestSolve:
     def test_example31_round_robin(self, tmp_path, four_state):
         code = cli.main(
-            ["solve", "--graph", "example31", "--method", "rlgl", "--schedule", "rr",
+            ["solve", "--graph", "example31", "--method", "rlgl+rr",
              "--eps", "1e-10", "--out", str(tmp_path)]
         )
         assert code == 0
@@ -139,8 +139,7 @@ class TestSolve:
         m0 = tmp_path / "m0.txt"
         m0.write_text("0.1 0.2 0.3 0.4\n")
         code = cli.main(
-            ["solve", "--graph", "example31", "--method", "rlgl",
-             "--schedule", f"blocks:{blocks}", "--m0", str(m0),
+            ["solve", "--graph", "example31", "--method", f"rlgl+blocks:{blocks}", "--m0", str(m0),
              "--eps", "1e-10", "--max-steps", "200", "--out", str(tmp_path)]
         )
         assert code == cli.EXIT_NO_CONVERGENCE
@@ -151,19 +150,10 @@ class TestSolve:
         m0 = tmp_path / "m0.txt"
         m0.write_text("1 0 0 0\n")
         code = cli.main(
-            ["solve", "--graph", "example31", "--method", "rlgl",
-             "--schedule", f"blocks:{blocks}", "--m0", str(m0), "--out", str(tmp_path)]
+            ["solve", "--graph", "example31", "--method", f"rlgl+blocks:{blocks}", "--m0", str(m0),
+             "--out", str(tmp_path)]
         )
         assert code == cli.EXIT_DEGENERATE
-
-    def test_estimate_difference_criterion(self, tmp_path, four_state):
-        code = cli.main(
-            ["solve", "--graph", "example31", "--method", "rlgl", "--schedule", "rr",
-             "--eps", "1e-10", "--criterion", "pihat", "--out", str(tmp_path)]
-        )
-        assert code == 0
-        _, vals = read_estimate(tmp_path / "estimate.csv")
-        assert np.abs(vals - gth_stationary(four_state)).sum() <= 1e-8
 
     def test_trace_stride_reaches_gso(self, tmp_path):
         code = cli.main(["solve", "--graph", "two-wheels", "--pagerank", "--method", "gso:rr",
@@ -203,17 +193,35 @@ class TestSolve:
     # a schedule argument compares as (class, the parameters its descriptor set)
     @pytest.mark.parametrize(
         "method,expected",
-        [("rlgl", ("rlgl", (schedules.Theta, {"r": 2.0, "period": None}))),
+        [("rlgl", ("rlgl", (schedules.RoundRobin, {}))),
          ("rlgl+theta:1:2", ("rlgl", (schedules.Theta, {"r": 1.0, "period": 2}))), ("pi", ("pi", None)),
          ("gs", ("gs", None)), ("gmres", ("gmres", 10)), ("gmres:7", ("gmres", 7)),
          ("gso", ("gso", (schedules.MaxCash, {}))), ("gso:pc:1", ("gso", (schedules.ProportionalCash, {"seed": 1})))],
     )
     def test_method_descriptors(self, method, expected):
-        cfg = cli.ExperimentConfig(graph="two-wheels", method=method, schedule="theta:2", pagerank=True, seed=5)
+        cfg = cli.ExperimentConfig(graph="two-wheels", method=method, pagerank=True, seed=5)
         name, arg = cli.parse_method(cfg)
         if isinstance(arg, schedules.Schedule):
             arg = (type(arg), {k: v for k, v in vars(arg).items() if k in ("r", "period", "seed")})
         assert (name, arg) == expected
+
+    def test_one_spelling_per_setting(self, tmp_path):
+        # bare rlgl is rlgl+rr, byte for byte
+        outs = []
+        for method in ("rlgl", "rlgl+rr"):
+            out = tmp_path / method
+            assert cli.main(["solve", "--graph", "two-wheels", "--method", method, "--out", str(out)]) == 0
+            outs.append([(out / name).read_bytes() for name in ("estimate.csv", "trace.csv")])
+        assert outs[0] == outs[1]
+        # the removed spellings fail loudly
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--graph", "two-wheels", "--criterion", "cash", "--out", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--graph", "two-wheels", "--schedule", "rr", "--out", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert cli.main(["solve", "--graph", "two_wheels", "--out", str(tmp_path / "alias")]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "alias").exists()
 
     # two 3-cycles joined one way (2 -> 3): {3, 4, 5} completes first, and
     # --lcc takes {0, 1, 2}, the largest component holding the smallest id
@@ -291,20 +299,20 @@ def _bad_vector_files(tmp_path):
 @pytest.mark.parametrize(
     "extra",
     [
-        ["--method", "rlgl", "--schedule", "theta:1:0"],
-        ["--method", "rlgl", "--schedule", "theta:1:-3"],
-        ["--method", "rlgl", "--schedule", "rand:1.5"],
-        ["--method", "rlgl", "--schedule", "theta:abc"],
+        ["--method", "rlgl+theta:1:0"],
+        ["--method", "rlgl+theta:1:-3"],
+        ["--method", "rlgl+rand:1.5"],
+        ["--method", "rlgl+theta:abc"],
+        ["--method", "rlgl+theta:inf"],
         ["--method", "gmres:x"],
-        ["--method", "rlgl", "--schedule", "greedy"],
         ["--method", "rlgl+greedy"],
         ["--graph", "sbm:40,40:0.1"],
         ["--graph", "sbm:40,x:0.1:0.01"],
         ["--graph", "meanfield:5,2:0.1"],
-        ["--method", "rlgl", "--schedule", "blocks:{missing}"],
+        ["--method", "rlgl+blocks:{missing}"],
         ["--method", "rlgl", "--m0", "{missing}"],
-        ["--method", "rlgl", "--schedule", "rand:-1"],
-        ["--method", "rlgl", "--schedule", "pc", "--seed", "-2"],
+        ["--method", "rlgl+rand:-1"],
+        ["--method", "rlgl+pc", "--seed", "-2"],
         ["--method", "rlgl", "--m0", "{text}"],
         ["--method", "rlgl", "--m0", "{short}"],
         ["--method", "rlgl", "--m0", "{nan}"],
@@ -464,7 +472,7 @@ class TestBench:
         "pi,rlgl+greedy": "unknown schedule 'greedy'",
         "pi,gmres:x": "method 'gmres:x': expected gmres:<integer M >= 1>",
         "pi,gmres:0": "method 'gmres:0': expected gmres:<integer M >= 1>",
-        "pi,rlgl+theta:0": "theta exponent r must be >= 1",
+        "pi,rlgl+theta:0": "theta exponent r must be finite and >= 1",
         "pi,rlgl+pc:-1": "pc seed must be >= 0, got -1",
         "pi,rlgl+rr:5": "schedule 'rr:5': too many fields",
         "pi,gso:maxc": "gso applies to the pagerank mode only",

@@ -183,10 +183,9 @@ class TestGuard:
 
 
 class TestRun:
-    @pytest.mark.parametrize("criterion", ["cash", "pihat"])
-    def test_converges_to_oracle(self, four_state, criterion):
+    def test_converges_to_oracle(self, four_state):
         pi = gth_stationary(four_state)
-        res = engine.run(four_state, schedules.RoundRobin(), eps=1e-11, criterion=criterion)
+        res = engine.run(four_state, schedules.RoundRobin(), eps=1e-11)
         assert res.converged
         assert np.abs(res.pi_hat - pi).sum() <= 1e-9
 
@@ -241,10 +240,6 @@ class TestRun:
         res = engine.run(four_state, schedules.RoundRobin(), cash=np.array([0.1, 0.0, -0.1, 0.0]), eps=1.0)
         assert res.converged and res.pi_hat is None
         assert (res.state.t, res.state.updates) == (1, 0)
-
-    def test_cash_start_needs_the_cash_criterion(self, four_state):
-        with pytest.raises(ValueError, match="cash criterion"):
-            engine.run(four_state, schedules.RoundRobin(), cash=np.zeros(4), criterion="pihat")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -439,21 +434,9 @@ def _schedule(name, n):
     return schedules.parse_schedule(name)
 
 
-def _run_outcome(P, sched_name, criterion, eps, stride):
-    try:
-        res = engine.run(
-            P, _schedule(sched_name, P.n), eps=eps, criterion=criterion,
-            max_steps=60_000, trace_stride=stride,
-        )
-    except NoConvergenceError as exc:
-        res = exc.result
-    st_ = res.state
-    pi = None if res.pi_hat is None else res.pi_hat.tobytes()
-    return (
-        res.converged, res.restarts, res.guard_events, pi, st_.t, st_.updates, st_.cum_cost,
-        st_.scan_cost, st_.total_history, st_.cash_l1, st_.H.tobytes(), st_.C.tobytes(),
-        res.trace.rows,
-    )
+def _run_outcome(P, sched_name, eps):
+    """The outcome of one run of the named schedule, as in _replay."""
+    return _replay(P, _schedule(sched_name, P.n), eps=eps)[1]
 
 
 class TestReferenceCrossCheck:
@@ -463,14 +446,11 @@ class TestReferenceCrossCheck:
     @pytest.mark.parametrize("chain", ["two-wheels", "sbm80", "ring1000", "google", "meanfield"])
     def test_identical_runs(self, chain, sched_name, monkeypatch):
         P = _chain(chain)
-        for criterion, eps, stride in (("cash", 1e-10, None), ("pihat", 1e-9, max(P.n // 3, 1))):
-            if criterion == "pihat" and P.n > 20:
-                continue  # pihat is O(n) per step on both sides: the small chain only
-            new = _run_outcome(P, sched_name, criterion, eps, stride)
-            with monkeypatch.context() as m:
-                m.setattr(engine, "step", reference_step)
-                ref = _run_outcome(P, sched_name, criterion, eps, stride)
-            assert new == ref
+        new = _run_outcome(P, sched_name, 1e-10)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "step", reference_step)
+            ref = _run_outcome(P, sched_name, 1e-10)
+        assert new == ref
 
     def test_stops_where_the_exact_sum_crosses(self, monkeypatch):
         # eps placed exactly at, and one ulp above, exact ||C||_1 values met
@@ -487,10 +467,10 @@ class TestReferenceCrossCheck:
             exact.append(st_.cash_l1)
         for level in exact[37::97]:
             for eps in (level, np.nextafter(level, np.inf)):
-                new = _run_outcome(P, "rr", "cash", eps, None)
+                new = _run_outcome(P, "rr", eps)
                 with monkeypatch.context() as m:
                     m.setattr(engine, "step", reference_step)
-                    ref = _run_outcome(P, "rr", "cash", eps, None)
+                    ref = _run_outcome(P, "rr", eps)
                 assert new == ref
 
 
@@ -579,7 +559,7 @@ class _FixedDraws:
 
 
 def _replay(P, sched, *, eps=1e-10, stride=None, max_steps=60_000, M0=None, cash=None):
-    """(kernel, outcome) of one cash-criterion run; the outcome as in _run_outcome."""
+    """(kernel, outcome) of one run: its flags, guard events, estimate, final state and trace rows."""
     try:
         res = engine.run(P, sched, M0, cash=cash, eps=eps, max_steps=max_steps, trace_stride=stride)
     except (NoConvergenceError, DegenerateHistoryError) as exc:

@@ -221,7 +221,7 @@ class TestParse:
                 schedules.parse_schedule(text)
 
     # the last four once ran, their extra fields ignored
-    @pytest.mark.parametrize("text", ["rand:1.5", "pc:x", "theta:abc", "theta:1:2.5", "theta:nan",
+    @pytest.mark.parametrize("text", ["rand:1.5", "pc:x", "theta:abc", "theta:1:2.5", "theta:nan", "theta:inf",
                                       "rr:5", "maxc:x", "pc:1:2", "theta:1:2:3"])
     def test_bad_numbers(self, text):
         with pytest.raises(InvalidParamsError):

@@ -274,6 +274,19 @@ class TestGmres:
         with pytest.raises(InvalidParamsError):
             solvers.gmres_restarted(P, x0=np.zeros(5))
 
+    # once numpy's broadcast ValueError (length) and 1000 restarts ending
+    # in NoConvergenceError (NaN)
+    @pytest.mark.parametrize(
+        "x0",
+        [[0.5, 0.5], [[0.25] * 4], [0.25, np.nan, 0.25, 0.5], [0.25, np.inf, 0.25, 0.5]],
+        ids=["short", "2-d", "nan", "inf"],
+    )
+    def test_bad_guess_rejected_before_any_product(self, monkeypatch, x0):
+        P = models.four_state_chain()
+        monkeypatch.setattr(type(P), "mul_left", lambda self, v: pytest.fail("a product was made"))
+        with pytest.raises(InvalidParamsError, match="4 finite values"):
+            solvers.gmres_restarted(P, x0=np.array(x0))
+
     def test_residual_nonincreasing_within_cycle(self):
         P = dense_ergodic_chain(40, 6)
         res = solvers.gmres_restarted(P, m=10, eps=1e-12)
