@@ -35,7 +35,7 @@ typedef struct {
 
 /* Per-call constants; fields in pushloop.LoopParams' order. */
 typedef struct {
-    int64_t kind, n, offset, period, max_steps, record_at, sum_depth, draws;
+    int64_t kind, n, offset, max_steps, record_at, sum_depth, draws;
     double theta, eps, initial_mass, guard_unit, drift_tol, unit, restart_share, dangling_share;
 } loop_params;
 
@@ -195,6 +195,8 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
 {
     heap h = {0};
     int64_t done = 0, best = 0;
+    /* Theta refreshes at the steps k with k % n == 0, whose candidate is this node */
+    const int64_t refresh_at = p->offset % p->n;
     int scan = p->kind == KIND_MAXC && restart && p->restart_share != 0.0;
     int heaped = p->kind == KIND_MAXC && !scan;
     if (scan) {
@@ -226,9 +228,9 @@ int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const doub
                 break;
             s->k++;
         } else {
-            if (p->kind == KIND_THETA && done > 0 && s->k % p->period == 0)
-                break;
             i = (s->k + p->offset) % p->n;
+            if (p->kind == KIND_THETA && done > 0 && i == refresh_at)
+                break;
             s->k++;
             if (p->kind == KIND_THETA) {
                 s->scan_cost += 1;

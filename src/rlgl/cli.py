@@ -49,7 +49,6 @@ class ExperimentConfig:
     one_based: bool = False
     undirected: bool = False
     max_steps: int = 1_000_000
-    trace_stride: int = None
     m0: str = None
     out: str = "."
 
@@ -58,8 +57,6 @@ class ExperimentConfig:
             raise ConfigError("eps must be finite and > 0")
         if self.max_steps < 1:
             raise ConfigError("max-steps must be >= 1")
-        if self.trace_stride is not None and self.trace_stride < 1:
-            raise ConfigError("trace-stride must be >= 1")
         for flag, path in (("--m0", self.m0), ("--restart-s", self.restart_s)):
             if path is not None and not os.path.isfile(path):
                 raise ConfigError(f"{flag} {path!r}: no such file")
@@ -126,9 +123,7 @@ def build_problem(cfg: ExperimentConfig):
         s = None if cfg.restart_s is None else _load_vector(cfg.restart_s, "--restart-s")
         return google_matrix(edges, cfg.damping, s, n=n), None
     if cfg.lcc:
-        edges, mapping = models.largest_scc(edges, n)
-        node_map = np.flatnonzero(mapping >= 0)
-        return build_transition(edges, node_map.size), node_map
+        return models.largest_scc(edges, n)
     # Check connectivity on the built matrix, so the edges coalesce once.
     try:
         P = build_transition(edges, n)
@@ -193,19 +188,19 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
     if method == "rlgl":
         if M0 is None and cfg.m0:
             M0 = _load_vector(cfg.m0, "--m0")
-        res = engine.run(P, arg, M0, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
+        res = engine.run(P, arg, M0, eps=cfg.eps, max_steps=cfg.max_steps)
         return res.pi_hat, res.trace, kind, res
     if method == "pi":
         res = solvers.power_iteration(P, eps=cfg.eps, max_iters=cfg.max_steps)
         return res.x, res.trace, kind, res
     if method == "gs":
-        res = solvers.gauss_seidel(P, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
+        res = solvers.gauss_seidel(P, eps=cfg.eps, max_steps=cfg.max_steps)
         return res.x, res.trace, kind, res
     if method == "gmres":
         res = solvers.gmres_restarted(P, m=arg, eps=cfg.eps, max_restarts=cfg.max_steps)
         return res.x, res.trace, kind, res
     # gso, the one name left
-    res = solvers.gso_pagerank(P, arg, eps=cfg.eps, max_steps=cfg.max_steps, trace_stride=cfg.trace_stride)
+    res = solvers.gso_pagerank(P, arg, eps=cfg.eps, max_steps=cfg.max_steps)
     return res.x, res.trace, kind, res
 
 
@@ -394,14 +389,13 @@ def _add_graph_flags(p, required=True):
 
 def _add_solver_flags(p):
     p.add_argument("--method", default=None,
-                   help="rlgl[+<schedule>] | pi | gs | gmres[:M] | gso[:<schedule>]; <schedule> is rr (bare rlgl)"
-                   " | rand:seed | maxc | pc:seed | theta:r[:period] | blocks:<file> | all")
+                   help="rlgl[+<schedule>] | pi | gs | gmres[:M] (M capped at n) | gso[:<schedule>]; <schedule> is"
+                   " rr (bare rlgl) | rand:seed | maxc | pc:seed | theta[:r] | blocks:<file> | all")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--pagerank", action="store_true", default=None)
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--restart-s", dest="restart_s", default=None, help="file with the restart distribution")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    p.add_argument("--trace-stride", dest="trace_stride", type=int, default=None)
     p.add_argument("--m0", default=None, help="file with the seed distribution (default uniform)")
     p.add_argument("--out", default=None)
 

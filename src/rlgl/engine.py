@@ -97,10 +97,10 @@ class Trace:
 
     def column(self, name):
         j = self.columns.index(name)
-        return np.array([r[j] for r in self.rows if r[j] is not None])
+        return np.array([r[j] for r in self.rows])
 
     def to_csv(self, fh):
-        """Header plus one line per row, floats as %.17g, None as empty."""
+        """Header plus one line per row, numbers as %.17g."""
         close = False
         if isinstance(fh, str):
             fh = open(fh, "w")
@@ -108,8 +108,7 @@ class Trace:
         try:
             fh.write(",".join(self.columns) + "\n")
             for row in self.rows:
-                cells = [f"{v:.17g}" if v is not None else "" for v in row]
-                fh.write(",".join(cells) + "\n")
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
         finally:
             if close:
                 fh.close()
@@ -121,15 +120,13 @@ class Trace:
 
 
 class RunTrace(Trace):
-    """Sampled (step, cumulative updates, costs, residual, error) records."""
+    """Sampled (step, cumulative updates, costs, residual) records."""
 
-    columns = ("step", "updates", "cum_cost", "scan_cost", "cash_l1", "err_l1")
+    columns = ("step", "updates", "cum_cost", "scan_cost", "cash_l1")
     residual = "cash_l1"
 
-    def record(self, state, err=None):
-        self.rows.append(
-            (state.t, state.updates, state.cum_cost, state.scan_cost, state.cash_l1, err)
-        )
+    def record(self, state):
+        self.rows.append((state.t, state.updates, state.cum_cost, state.scan_cost, state.cash_l1))
 
 
 @dataclass
@@ -329,17 +326,7 @@ def _push_loop(P, schedule):
     return pushloop.bind(P, kind)
 
 
-def run(
-    P,
-    schedule,
-    M0=None,
-    *,
-    cash=None,
-    eps=1e-10,
-    max_steps=1_000_000,
-    trace_stride=None,
-    oracle=None,
-):
+def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trace_stride=None):
     """Iterate until ||C_t||_1 < eps, guarding degenerate histories.
 
     The residual ||C_t||_1 is monotone.  A trace row is recorded every
@@ -386,13 +373,7 @@ def run(
             nonlocal last_recorded
             if force or state.updates - last_recorded >= stride:
                 sync_cash_l1(state)
-                err = None
-                if oracle is not None:
-                    try:
-                        err = float(np.abs(estimate(state) - oracle).sum())
-                    except ZeroTotalHistoryError:
-                        err = None
-                trace.record(state, err)
+                trace.record(state)
                 last_recorded = state.updates
 
         record(force=True)

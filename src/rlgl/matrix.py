@@ -346,7 +346,11 @@ def build_transition(edges, n):
     """
     if n < 1:
         raise InvalidParamsError("n must be >= 1")
-    src, dst, w = _coalesce_edges(edges, n)
+    return _transition(*_coalesce_edges(edges, n), n)
+
+
+def _transition(src, dst, w, n):
+    """``build_transition``'s matrix of coalesced edges, as ``_coalesce_edges`` returns them."""
     # src is sorted: every node has out-edges iff n distinct sources appear
     if not src.size or np.count_nonzero(src[1:] != src[:-1]) + 1 < n:
         heads = np.unique(src)

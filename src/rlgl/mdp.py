@@ -176,7 +176,6 @@ class PolicyGrid:
     q: float
     eps: float
     kappa: dict
-    noncontracting: int = 0
 
     def action_at(self, z1, z2):
         """Nearest-cell action lookup."""
@@ -217,7 +216,7 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
     z1 decrement and the successor z2 are constants; cells are filled in
     increasing z1, interpolating the value bilinearly at successor
     states.  Actions that fail to reduce the total cash at a cell are
-    excluded there (and counted in ``noncontracting``).
+    excluded there.
     """
     sizes = _check_sizes(sizes)
     if not 0.0 < eps < np.inf:
@@ -244,7 +243,6 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
     dz1 = np.full((len(actions) + 1, n_z2), np.nan)
     z2_next = np.zeros((len(actions) + 1, n_z2))
     annihilated = np.zeros((len(actions) + 1, n_z2), dtype=bool)
-    noncontracting = 0
     for j, z2 in enumerate(z2_axis):
         c_unit = cash_from_state(0.0, z2, sizes, 1.0)  # ||c||_1 = 1
         for a in actions:
@@ -253,9 +251,7 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
             if g == 0.0:
                 annihilated[a, j] = True
                 dz1[a, j] = -np.inf
-            elif g >= 1.0 - 1e-15:
-                noncontracting += 1
-            else:
+            elif g < 1.0 - 1e-15:  # an action that does not contract keeps dz1 NaN: excluded here
                 dz1[a, j] = np.log10(g)
                 _, z2_next[a, j] = encode_state(c_next, sizes, 1.0)
 
@@ -304,7 +300,6 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
         q=q,
         eps=eps,
         kappa={int(a): kappa[a] for a in actions},
-        noncontracting=noncontracting,
     )
     return grid
 
@@ -315,7 +310,6 @@ class SimulationResult:
     cash_l1: list
     cum_cost: list
     converged: bool
-    c_final: np.ndarray = None
 
     def to_csv(self, path):
         """Trajectory: the start as row 0 (no action), then one row per action."""
@@ -346,7 +340,7 @@ def simulate_policy(c0, policy, sizes, p, q, eps=1e-10, max_steps=100_000):
     cash.append(l1)
     for k in range(max_steps):
         if l1 <= eps:
-            return SimulationResult(actions, cash, cost, True, c)
+            return SimulationResult(actions, cash, cost, True)
         if fixed is not None:
             a = fixed[k % len(fixed)]
         else:
@@ -359,5 +353,5 @@ def simulate_policy(c0, policy, sizes, p, q, eps=1e-10, max_steps=100_000):
         cost.append(cost[-1] + action_cost(a, sizes, p, q))
     raise NoConvergenceError(
         f"block simulation: no convergence in {max_steps} steps",
-        SimulationResult(actions, cash, cost, False, c),
+        SimulationResult(actions, cash, cost, False),
     )

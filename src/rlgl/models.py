@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidParamsError, IsolatedNodeError
-from .matrix import DENSE_CAP, TransitionMatrix, _raw_rows, build_transition, check_csr
+from .matrix import DENSE_CAP, TransitionMatrix, _coalesce_edges, _raw_rows, _transition, build_transition, check_csr
 
 
 def parse_edge_file(path, one_based=False):
@@ -286,6 +286,11 @@ def _components(graph, n=None):
             check_csr(n, indptr, indices)
     else:
         n, indptr, indices, _ = _raw_rows(graph, n)
+    return _scc(n, indptr, indices)
+
+
+def _scc(n, indptr, indices):
+    """``_components``' result for checked CSR rows of n nodes."""
     from . import pushloop  # imported, and compiled, only by a connectivity check
 
     lib = pushloop.load()
@@ -360,27 +365,30 @@ def strong_components(graph, n=None):
 
 
 def largest_scc(edges, n=None):
-    """Largest strongly connected component of a directed edge list.
+    """The chain on the largest strongly connected component of a directed edge list.
 
-    Returns ``(sub_edges, mapping)`` where mapping is an old->new index
-    array (-1 outside the component).  Ties between equal-sized
-    components go to the one containing the smallest original index.
+    Returns ``(P, node_map)``: P is ``build_transition`` of the edges with
+    both ends in the component, node k of P being node ``node_map[k]`` of
+    the list (``node_map`` rises).  Ties between equal-sized components
+    go to the one containing the smallest index.  The edges are coalesced
+    once, and that one set both finds the components and, filtered and
+    relabelled (the relabelling keeps their order), builds P; so P has
+    the bytes of a build from the component's edges alone.  Raises
+    DanglingNodeError when the component is one node without a self-loop.
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.shape[1] == 2:
-        edges = np.column_stack([edges, np.ones(len(edges))])
     if n is None:
         n = int(edges[:, :2].max()) + 1
-    count, labels = _components(edges, n)
+    src, dst, w = _coalesce_edges(edges, n)
+    count, labels = _scc(n, np.searchsorted(src, np.arange(n + 1)), dst)  # src is sorted
     sizes = np.bincount(labels, minlength=count)
     keep = labels == labels[np.argmax(sizes[labels])]  # the first node of a largest component
-    mapping = np.full(n, -1, dtype=np.int64)
-    mapping[keep] = np.arange(np.count_nonzero(keep))
-    ends = edges[:, :2].astype(np.int64)
-    mask = keep[ends].all(axis=1)
-    sub = edges[mask].copy()
-    sub[:, :2] = mapping[ends[mask]]
-    return sub, mapping
+    node_map = np.flatnonzero(keep)
+    if node_map.size < n:
+        new_id = np.cumsum(keep) - 1
+        inside = keep[src] & keep[dst]
+        src, dst, w = new_id[src[inside]], new_id[dst[inside]], w[inside]
+    return _transition(src, dst, w, node_map.size), node_map
 
 
 def is_strongly_connected(graph, n=None):

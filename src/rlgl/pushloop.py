@@ -45,7 +45,7 @@ class LoopState(ctypes.Structure):
 class LoopParams(ctypes.Structure):
     _fields_ = [
         (name, ctypes.c_int64)
-        for name in ("kind", "n", "offset", "period", "max_steps", "record_at", "sum_depth", "draws")
+        for name in ("kind", "n", "offset", "max_steps", "record_at", "sum_depth", "draws")
     ] + [
         (name, ctypes.c_double)
         for name in ("theta", "eps", "initial_mass", "guard_unit", "drift_tol", "unit", "restart_share", "dangling_share")
@@ -145,10 +145,9 @@ class Loop:
         p = self.params
         uniform = None
         if self.kind == "theta":
-            if schedule._k % schedule.period == 0:
+            if schedule._k % n == 0:
                 schedule.refresh(C)
             p.theta = schedule.theta
-            p.period = schedule.period
         elif self.kind == "pc":
             rng = schedule.rng
             before = rng.bit_generator.state

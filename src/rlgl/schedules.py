@@ -163,34 +163,25 @@ class MaxCash(Schedule):
 
 
 class Theta(Schedule):
-    """Cyclic candidates filtered by a periodically refreshed threshold.
+    """Cyclic candidates filtered by a threshold refreshed every n steps.
 
     The candidate at schedule step k is node k mod n; it moves iff its
     absolute cash reaches the power mean ``(sum_j |C_j|^r / n)^(1/r)``
-    computed from the cash frozen at the start of the current period
-    (default period n).  Skipped candidates advance the step at zero
-    movement cost; threshold refreshes scan all n nodes and each
-    candidate check scans one, charged on the separate scan counter.
+    computed from the cash frozen at the start of the current pass over
+    the n nodes.  Skipped candidates advance the step at zero movement
+    cost; threshold refreshes scan all n nodes and each candidate check
+    scans one, charged on the separate scan counter.
     """
 
     name = "theta"
     push_loop = "theta"
 
-    def __init__(self, r=1.0, period=None):
+    def __init__(self, r=1.0):
         if not 1 <= r < np.inf:
             raise InvalidParamsError("theta exponent r must be finite and >= 1")
-        if period is not None and period < 1:
-            raise InvalidParamsError("theta period must be >= 1")
         self.r = float(r)
-        self.period = period
         self.offset = 0
         self.theta = 0.0
-
-    def bind(self, P):
-        super().bind(P)
-        if self.period is None:
-            self.period = self.n
-        return self
 
     def restart(self):
         super().restart()
@@ -204,7 +195,7 @@ class Theta(Schedule):
         self.scan_cost += self.n
 
     def next_nodes(self, C):
-        if self._k % self.period == 0:
+        if self._k % self.n == 0:
             self.refresh(C)
         i = (self._k + self.offset) % self.n
         self._k += 1
@@ -268,14 +259,14 @@ def parse_schedule(text, default_seed=0):
     """Parse a schedule descriptor.
 
     Grammar: ``rr`` | ``rand[:seed]`` | ``maxc`` | ``pc[:seed]`` |
-    ``theta[:r[:period]]`` | ``blocks:<file>`` | ``all``; a field a kind
-    does not take raises InvalidParamsError.
+    ``theta[:r]`` | ``blocks:<file>`` | ``all``; a field a kind does not
+    take raises InvalidParamsError.
     """
     parts = text.split(":")
     kind = parts[0]
     plain = {"rr": RoundRobin, "all": AllNodes, "maxc": MaxCash}
     # the most fields each kind takes; a block file's path may hold ':'
-    fields = {"rand": 2, "pc": 2, "theta": 3, "blocks": len(parts), **dict.fromkeys(plain, 1)}
+    fields = {"rand": 2, "pc": 2, "theta": 2, "blocks": len(parts), **dict.fromkeys(plain, 1)}
     if kind not in fields:
         raise InvalidParamsError(f"unknown schedule {text!r}")
     if len(parts) > fields[kind]:
@@ -287,7 +278,7 @@ def parse_schedule(text, default_seed=0):
     if kind == "pc":
         return ProportionalCash(_field(text, parts, 1, int, default_seed))
     if kind == "theta":
-        return Theta(_field(text, parts, 1, float, 1.0), _field(text, parts, 2, int, None))
+        return Theta(_field(text, parts, 1, float, 1.0))
     if len(parts) < 2:
         raise InvalidParamsError("blocks schedule needs a file: blocks:<path>")
     return load_block_file(":".join(parts[1:]))

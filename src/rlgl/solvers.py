@@ -16,7 +16,7 @@ from . import schedules
 # bound at import: perfbench's tracing wraps engine.run for rlgl runs only
 from .engine import Trace, run as run_engine
 from .errors import InvalidParamsError, NoConvergenceError
-from .matrix import GaussSeidelRows, TransitionMatrix, check_distribution
+from .matrix import GaussSeidelRows, TransitionMatrix
 
 
 class SolveTrace(Trace):
@@ -38,12 +38,12 @@ class SolveResult:
     extra: dict = field(default_factory=dict)
 
 
-def power_iteration(P, x0=None, eps=1e-10, max_iters=100_000):
-    """Iterate x <- x P until the L1 step difference drops below eps.
+def power_iteration(P, eps=1e-10, max_iters=100_000):
+    """Iterate x <- x P from the uniform vector until the L1 step difference drops below eps.
 
     Each iteration is charged one full sweep (the matrix volume).
     """
-    x = check_distribution(x0, P.n)
+    x = np.full(P.n, 1.0 / P.n)
     trace = SolveTrace()
     cost = 0.0
     for it in range(1, max_iters + 1):
@@ -70,7 +70,7 @@ def _engine_solve(name, P, schedule, estimate, eps, max_steps, trace_stride, **s
     except NoConvergenceError as exc:
         res = exc.result
     state = res.state
-    trace = SolveTrace([(t, cost, resid) for t, _, cost, _, resid, _ in res.trace.rows])
+    trace = SolveTrace([(t, cost, resid) for t, _, cost, _, resid in res.trace.rows])
     out = SolveResult(estimate(state.H), trace, res.converged, state.t, {"state": state, "kernel": res.kernel})
     if not res.converged:
         raise NoConvergenceError(f"{name}: no convergence in {max_steps} steps", out)
@@ -97,23 +97,23 @@ def gauss_seidel(P, eps=1e-10, max_steps=10_000_000, trace_stride=None):
     return _engine_solve("gauss-seidel", rows, schedules.RoundRobin(), estimate, eps, max_steps, trace_stride, M0=M0)
 
 
-def gmres_restarted(P, x0=None, m=10, eps=1e-11, max_restarts=1000):
-    """Restarted GMRES on (P^T - I) x = 0 from a nonzero initial guess.
+def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
+    """Restarted GMRES on (P^T - I) x = 0 from the uniform vector.
 
     The operator is applied matrix-free through the stored rows; the
     least-squares problem uses modified Gram-Schmidt with incremental
     plane rotations.  A happy breakdown is treated as convergence.  Stops
     when ||A x||_2 < eps * ||x||_2; the returned vector is normalized to
-    sum one.  Raises InvalidParamsError unless ``x0`` (uniform when None)
-    holds n finite values, not all zero.
+    sum one.  The restart dimension m must be >= 1 (InvalidParamsError);
+    one above n is taken as n, the most dimensions a Krylov space of an
+    n-state chain has.
     """
     n = P.n
     apply_A = lambda v: P.mul_left(v) - v
-    x = np.full(n, 1.0 / n) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (n,) or not np.isfinite(x).all() or not x.any():
-        raise InvalidParamsError(f"gmres initial guess must hold {n} finite values, not all zero")
+    x = np.full(n, 1.0 / n)
     if m < 1:
         raise InvalidParamsError("restart dimension must be >= 1")
+    m = min(m, n)
     trace = SolveTrace()
     cost = 0.0
     for restart in range(max_restarts):

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from rlgl import cli, matrix, models, pushloop, schedules
-from rlgl.errors import ConfigError
+from rlgl import cli, matrix, models, pushloop, schedules, solvers
+from rlgl.errors import ConfigError, InvalidParamsError
 from rlgl.matrix import build_transition, google_matrix, gth_stationary
 
 
@@ -31,7 +31,7 @@ class TestSolve:
         _, vals = read_estimate(tmp_path / "estimate.csv")
         assert np.abs(vals - gth_stationary(four_state)).sum() <= 1e-8
         trace = (tmp_path / "trace.csv").read_text().splitlines()
-        assert trace[0] == "step,updates,cum_cost,scan_cost,cash_l1,err_l1"
+        assert trace[0] == "step,updates,cum_cost,scan_cost,cash_l1"
 
     def test_two_wheels_power_iteration(self, tmp_path):
         code = cli.main(
@@ -155,20 +155,13 @@ class TestSolve:
         )
         assert code == cli.EXIT_DEGENERATE
 
-    def test_trace_stride_reaches_gso(self, tmp_path):
-        code = cli.main(["solve", "--graph", "two-wheels", "--pagerank", "--method", "gso:rr",
-                         "--trace-stride", "1", "--out", str(tmp_path)])
-        assert code == 0
-        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
-        # the start row, one row per push (every rr step pushes), the stop row
-        assert len(rows) == int(rows[-1].split(",")[0]) + 1
-
     def test_trace_stride_below_one_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            cli.ExperimentConfig(graph="two-wheels", trace_stride=0).validate()
-        code = cli.main(["solve", "--graph", "two-wheels", "--method", "rlgl",
-                         "--trace-stride", "0", "--out", str(tmp_path)])
-        assert code == cli.EXIT_CONFIG
+        # the stride is a library setting: gs checks it, and no flag sets it
+        with pytest.raises(InvalidParamsError, match="stride"):
+            solvers.gauss_seidel(models.four_state_chain(), trace_stride=0)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--graph", "two-wheels", "--trace-stride", "1", "--out", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_CONFIG
 
     def test_unknown_method(self, tmp_path):
         code = cli.main(["solve", "--graph", "example31", "--method", "nope", "--out", str(tmp_path)])
@@ -194,7 +187,7 @@ class TestSolve:
     @pytest.mark.parametrize(
         "method,expected",
         [("rlgl", ("rlgl", (schedules.RoundRobin, {}))),
-         ("rlgl+theta:1:2", ("rlgl", (schedules.Theta, {"r": 1.0, "period": 2}))), ("pi", ("pi", None)),
+         ("rlgl+theta:2", ("rlgl", (schedules.Theta, {"r": 2.0}))), ("pi", ("pi", None)),
          ("gs", ("gs", None)), ("gmres", ("gmres", 10)), ("gmres:7", ("gmres", 7)),
          ("gso", ("gso", (schedules.MaxCash, {}))), ("gso:pc:1", ("gso", (schedules.ProportionalCash, {"seed": 1})))],
     )
@@ -202,7 +195,7 @@ class TestSolve:
         cfg = cli.ExperimentConfig(graph="two-wheels", method=method, pagerank=True, seed=5)
         name, arg = cli.parse_method(cfg)
         if isinstance(arg, schedules.Schedule):
-            arg = (type(arg), {k: v for k, v in vars(arg).items() if k in ("r", "period", "seed")})
+            arg = (type(arg), {k: v for k, v in vars(arg).items() if k in ("r", "seed")})
         assert (name, arg) == expected
 
     def test_one_spelling_per_setting(self, tmp_path):
@@ -333,6 +326,8 @@ def test_bad_descriptor_is_one_error_line(tmp_path, capsys, extra):
     assert cli.main(args) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    if "theta:1:" in extra[-1]:  # theta takes r alone: no period field
+        assert err[0].endswith("too many fields")
 
 
 @pytest.mark.parametrize(

@@ -120,22 +120,24 @@ class TestRandomSbm:
 class TestLargestScc:
     def test_directed_cycle_is_whole_graph(self):
         edges = [(0, 1), (1, 2), (2, 0)]
-        sub, mapping = models.largest_scc(edges)
-        assert sorted(mapping.tolist()) == [0, 1, 2]
-        assert len(sub) == 3
+        P, node_map = models.largest_scc(edges)
+        assert node_map.tolist() == [0, 1, 2]
+        assert P.nnz == 3
 
     def test_dag_gives_single_node(self):
-        sub, mapping = models.largest_scc([(0, 1), (1, 2)])
-        assert (mapping >= 0).sum() == 1
+        # one node without a self-loop has no row to build
+        with pytest.raises(DanglingNodeError):
+            models.largest_scc([(0, 1), (1, 2)])
         # smallest original index wins the tie between size-1 components
-        assert mapping[0] == 0
-        assert len(sub) == 0
+        P, node_map = models.largest_scc([(0, 1), (1, 2), (0, 0), (1, 1), (2, 2)])
+        assert node_map.tolist() == [0]
+        assert P.to_dense().tolist() == [[1.0]]
 
     def test_two_components_picks_larger(self):
         edges = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)]
-        sub, mapping = models.largest_scc(edges)
-        assert (mapping >= 0).sum() == 3
-        assert set(np.flatnonzero(mapping >= 0).tolist()) == {2, 3, 4}
+        P, node_map = models.largest_scc(edges)
+        assert node_map.tolist() == [2, 3, 4]
+        assert P.n == 3
 
     def test_output_strongly_connected_random(self):
         rng = np.random.default_rng(0)
@@ -143,10 +145,12 @@ class TestLargestScc:
             n = 30
             m = int(rng.integers(n, 3 * n))
             edges = np.column_stack([rng.integers(n, size=m), rng.integers(n, size=m)])
-            sub, mapping = models.largest_scc(edges, n)
-            k = int((mapping >= 0).sum())
-            if k > 1:
-                assert models.is_strongly_connected(sub, k)
+            try:
+                P, _ = models.largest_scc(edges, n)
+            except DanglingNodeError:  # a single node without a self-loop
+                assert max(map(len, models.strong_components(edges, n))) == 1
+                continue
+            assert models.is_strongly_connected(P)
 
     def test_matches_bruteforce_reachability(self):
         rng = np.random.default_rng(1)
@@ -163,8 +167,8 @@ class TestLargestScc:
             mutual = reach & reach.T
             comp_sizes = [int(mutual[i].sum()) for i in range(n)]
             best = max(comp_sizes)
-            _, mapping = models.largest_scc(edges, n)
-            assert int((mapping >= 0).sum()) == best
+            _, node_map = models.largest_scc(edges, n)
+            assert node_map.size == best
 
 
 def _mutual_reachability(edges, n):
@@ -229,9 +233,9 @@ class TestStrongComponents:
         edges = [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0), (2, 0, 0.0)]
         assert not models.is_strongly_connected(edges, 3)
         assert sorted(sorted(c) for c in models.strong_components(edges, 3)) == [[0, 1], [2]]
-        sub, mapping = models.largest_scc(edges, 3)
-        assert mapping.tolist() == [0, 1, -1]
-        assert sub[:, :2].tolist() == [[0, 1], [1, 0]]
+        P, node_map = models.largest_scc(edges, 3)
+        assert node_map.tolist() == [0, 1]
+        assert (P.indptr.tolist(), P.indices.tolist()) == ([0, 1, 2], [1, 0])
 
     def test_rejects_out_of_range_and_non_finite(self):
         with pytest.raises(InvalidIndexError):
@@ -248,6 +252,47 @@ def sparse_graphs(draw):
     arcs = draw(st.lists(st.tuples(node, node, st.sampled_from([0.0, 0.5, 1.0, 2.0])), max_size=3 * n))
     repeats = draw(st.lists(st.sampled_from(arcs), max_size=n)) if arcs else []
     return np.array(arcs + repeats, dtype=float).reshape(-1, 3), n
+
+
+def _two_pass_lcc(edges, n):
+    """The two-pass ``--lcc`` build, kept as the oracle of ``largest_scc``.
+
+    The components come from one coalescing of the edges; the raw edges
+    with both ends in the largest component are then relabelled and
+    coalesced again by ``build_transition``.
+    """
+    edges = np.asarray(edges, dtype=float)
+    count, labels = models._components(edges, n)
+    sizes = np.bincount(labels, minlength=count)
+    keep = labels == labels[np.argmax(sizes[labels])]
+    mapping = np.full(n, -1, dtype=np.int64)
+    mapping[keep] = np.arange(np.count_nonzero(keep))
+    ends = edges[:, :2].astype(np.int64)
+    mask = keep[ends].all(axis=1)
+    sub = edges[mask].copy()
+    sub[:, :2] = mapping[ends[mask]]
+    return build_transition(sub, int(keep.sum())), np.flatnonzero(keep)
+
+
+class TestLargestSccOnePass:
+    @given(graph=sparse_graphs())
+    @example(graph=(np.empty((0, 3)), 1))
+    @example(graph=(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 0.5], [1.0, 2.0, 1.0]]), 3))
+    @settings(max_examples=300, deadline=None)
+    def test_same_matrix_as_the_two_pass_build(self, graph):
+        edges, n = graph
+        try:
+            want = _two_pass_lcc(edges, n)
+        except DanglingNodeError as exc:
+            with pytest.raises(DanglingNodeError) as got:
+                models.largest_scc(edges, n)
+            assert got.value.node == exc.node
+            return
+        P, node_map = models.largest_scc(edges, n)
+        Q, want_map = want
+        assert node_map.dtype == want_map.dtype and node_map.tobytes() == want_map.tobytes()
+        for a, b in ((P.indptr, Q.indptr), (P.indices, Q.indices), (P.data, Q.data), (P.out_degree, Q.out_degree)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _sparse_random_edges(n, seed):
@@ -307,9 +352,9 @@ class TestComponentPasses:
         def results():
             out = []
             for edges in graphs.values():
-                sub, mapping = models.largest_scc(edges, n)
+                P, node_map = models.largest_scc(edges, n)
                 out.append((models.strong_components(edges, n), models.is_strongly_connected(edges, n),
-                            sub.tobytes(), mapping.tobytes()))
+                            P.indptr.tobytes(), P.indices.tobytes(), P.data.tobytes(), node_map.tobytes()))
             return out
 
         compiled = results()

@@ -159,11 +159,6 @@ class TestTheta:
         with pytest.raises(InvalidParamsError):
             schedules.Theta(0.5)
 
-    @pytest.mark.parametrize("period", [0, -3])
-    def test_requires_period_at_least_one(self, period):
-        with pytest.raises(InvalidParamsError):
-            schedules.Theta(1.0, period)
-
 
 class TestFixedBlocks:
     def test_cycles(self):
@@ -203,7 +198,6 @@ class TestParse:
             ("rand:5", schedules.RandomNode),
             ("pc:6", schedules.ProportionalCash),
             ("theta:2", schedules.Theta),
-            ("theta:1:50", schedules.Theta),
         ],
     )
     def test_kinds(self, text, cls):
@@ -212,17 +206,16 @@ class TestParse:
 
     def test_seeds_and_params(self):
         assert schedules.parse_schedule("rand:5").seed == 5
-        t = schedules.parse_schedule("theta:2:50")
-        assert t.r == 2.0 and t.period == 50
+        assert schedules.parse_schedule("theta:2").r == 2.0
 
     def test_unknown(self):
         for text in ("bogus", "greedy"):
             with pytest.raises(InvalidParamsError, match="unknown schedule"):
                 schedules.parse_schedule(text)
 
-    # the last four once ran, their extra fields ignored
+    # rr:5 to theta:1:2:3 once ran, their extra fields ignored; theta:1:50 once set a refresh period
     @pytest.mark.parametrize("text", ["rand:1.5", "pc:x", "theta:abc", "theta:1:2.5", "theta:nan", "theta:inf",
-                                      "rr:5", "maxc:x", "pc:1:2", "theta:1:2:3"])
+                                      "rr:5", "maxc:x", "pc:1:2", "theta:1:2:3", "theta:1:50"])
     def test_bad_numbers(self, text):
         with pytest.raises(InvalidParamsError):
             schedules.parse_schedule(text)
