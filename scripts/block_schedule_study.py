@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from rlgl import cli, mdp
+from rlgl import cli, engine, mdp
 from rlgl.errors import NoConvergenceError, RlglError
 
 CYCLES = {
@@ -37,12 +37,13 @@ def main(argv=None):
     try:
         sizes = tuple(cli._int_fields(args.sizes, "--sizes"))
         n_z1, n_z2 = cli._int_fields(args.grid, "--grid", sep="x", count=2)
+        cli.check_out_dir(args.out)
         c0 = mdp.meanfield_init(sizes, args.p, args.q)
         grid = mdp.solve_policy(sizes, args.p, args.q, c0=c0, eps=args.eps, n_z1=n_z1, n_z2=n_z2)
+        cli.make_out_dir(args.out)
     except RlglError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)
     grid.to_csv(os.path.join(args.out, "policy.csv"))
 
     rows = []
@@ -61,11 +62,10 @@ def main(argv=None):
             s = exc.result
             rows.append((name, len(s.actions), s.cum_cost[-1], False))
 
-    with open(os.path.join(args.out, "race.csv"), "w") as fh:
-        fh.write("schedule,steps,total_cost,converged\n")
-        for name, steps, cost, ok in rows:
-            fh.write(f"{name},{steps},{cost:.17g},{str(ok).lower()}\n")
-            print(f"{name:12s} steps={steps:6d} cost={cost:12.0f} converged={ok}")
+    engine.write_csv(os.path.join(args.out, "race.csv"), ("schedule", "steps", "total_cost", "converged"),
+                     [(name, steps, cost, str(ok).lower()) for name, steps, cost, ok in rows])
+    for name, steps, cost, ok in rows:
+        print(f"{name:12s} steps={steps:6d} cost={cost:12.0f} converged={ok}")
     return 0
 
 

@@ -60,6 +60,21 @@ class ExperimentConfig:
         for flag, path in (("--m0", self.m0), ("--restart-s", self.restart_s)):
             if path is not None and not os.path.isfile(path):
                 raise ConfigError(f"{flag} {path!r}: no such file")
+        check_out_dir(self.out)
+
+
+def check_out_dir(path):
+    """ConfigError when ``path`` exists and is not a directory; nothing is created."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ConfigError(f"--out {path!r}: not a directory")
+
+
+def make_out_dir(path):
+    """Create the ``--out`` directory; an OSError becomes a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path!r}: {exc.strerror}") from None
 
 
 def _edges_of(P):
@@ -83,7 +98,7 @@ def load_graph(spec, one_based=False, undirected=False, seed=0):
     if spec.startswith(("meanfield:", "sbm:")):
         kind, *parts = spec.split(":")
         try:
-            if len(parts) < 3 or (kind == "meanfield" and len(parts) > 3):
+            if not 3 <= len(parts) <= (3 if kind == "meanfield" else 4):
                 raise ValueError
             sizes = [int(s) for s in parts[0].split(",")]
             p, q = float(parts[1]), float(parts[2])
@@ -204,20 +219,12 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
     return res.x, res.trace, kind, res
 
 
-def _write_estimate(path, x, node_map=None):
-    with open(path, "w") as fh:
-        fh.write("node,value\n")
-        for i, v in enumerate(x):
-            node = int(node_map[i]) if node_map is not None else i
-            fh.write(f"{node},{v:.17g}\n")
-
-
 def cmd_solve(args):
     cfg = _config_from(args)
     cfg.validate()
     parse_method(cfg)  # a malformed descriptor fails before the graph is built
     P, node_map = build_problem(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
+    make_out_dir(cfg.out)
     code = EXIT_OK
     try:
         x, trace, kind, _ = run_method(P, cfg)
@@ -231,13 +238,13 @@ def cmd_solve(args):
         code = EXIT_NO_CONVERGENCE
     except DegenerateHistoryError as exc:
         print(f"degenerate history: {exc}", file=sys.stderr)
-        res = getattr(exc, "result", None)
-        if res is not None and res.trace is not None:
-            res.trace.to_csv(os.path.join(cfg.out, "trace.csv"))
-        return EXIT_DEGENERATE
+        x, trace = None, getattr(getattr(exc, "result", None), "trace", None)
+        code = EXIT_DEGENERATE
     if x is not None:
-        _write_estimate(os.path.join(cfg.out, "estimate.csv"), x, node_map)
-    trace.to_csv(os.path.join(cfg.out, "trace.csv"))
+        nodes = range(len(x)) if node_map is None else node_map.tolist()
+        engine.write_csv(os.path.join(cfg.out, "estimate.csv"), ("node", "value"), zip(nodes, x.tolist()))
+    if trace is not None:
+        engine.write_csv(os.path.join(cfg.out, "trace.csv"), trace.columns, trace.rows)
     return code
 
 
@@ -263,16 +270,14 @@ def cmd_bench(args):
     # A bad --m0 is a configuration error, not one method's failure.
     M0 = check_distribution(_load_vector(cfg.m0, "--m0"), P.n) if cfg.m0 else None
     results = [_bench_one(P, sub, M0) for sub in subs]
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "bench.csv")
-    with open(path, "w") as fh:
-        fh.write("method,step,cum_cost,residual,residual_kind\n")
-        for sub, kind, (trace, _) in zip(subs, kinds, results):
-            if trace is None:
-                continue
+    make_out_dir(cfg.out)
+    rows = []
+    for sub, kind, (trace, _) in zip(subs, kinds, results):
+        if trace is not None:
             cols = [trace.columns.index(c) for c in ("step", "cum_cost", trace.residual)]
-            for step_, cost, resid in ([r[j] for j in cols] for r in trace.rows):
-                fh.write(f"{sub.method},{step_},{cost:.17g},{resid:.17g},{kind}\n")
+            rows += [(sub.method, *(r[j] for j in cols), kind) for r in trace.rows]
+    columns = ("method", "step", "cum_cost", "residual", "residual_kind")
+    engine.write_csv(os.path.join(cfg.out, "bench.csv"), columns, rows)
     for sub, (_, error) in zip(subs, results):
         if error:
             print(f"{sub.method}: {error}", file=sys.stderr)
@@ -294,20 +299,23 @@ def _int_fields(text, flag, sep=",", count=None):
 def cmd_gen(args):
     kind = args.kind
     if kind == "two-wheels":
-        und, _ = models.two_wheels()
-        models.write_edge_file(args.out_file, und, comment="two-wheels, undirected")
-        return EXIT_OK
-    if kind == "sbm":
+        edges, _ = models.two_wheels()
+        comment = "two-wheels, undirected"
+    elif kind == "sbm":
         sizes = _int_fields(args.sizes, "--sizes")
         edges, _ = models.random_sbm(sizes, args.p, args.q, args.seed)
-        models.write_edge_file(args.out_file, edges, comment=f"sbm sizes={args.sizes} seed={args.seed}")
-        return EXIT_OK
-    if kind == "meanfield":
+        comment = f"sbm sizes={args.sizes} seed={args.seed}"
+    elif kind == "meanfield":
         sizes = _int_fields(args.sizes, "--sizes")
-        mf = models.meanfield_sbm(sizes, args.p, args.q)
-        models.write_edge_file(args.out_file, _edges_of(mf.expand()), comment="mean-field block model")
-        return EXIT_OK
-    raise ConfigError(f"unknown generator {kind!r}")
+        edges = _edges_of(models.meanfield_sbm(sizes, args.p, args.q).expand())
+        comment = "mean-field block model"
+    else:
+        raise ConfigError(f"unknown generator {kind!r}")
+    try:
+        models.write_edge_file(args.out_file, edges, comment=comment)
+    except OSError as exc:
+        raise ConfigError(f"{args.out_file!r}: {exc.strerror}") from None
+    return EXIT_OK
 
 
 def cmd_analyze(args):
@@ -357,9 +365,10 @@ def cmd_analyze(args):
 def cmd_mdp(args):
     sizes = _int_fields(args.sizes, "--sizes")
     n_z1, n_z2 = _int_fields(args.grid, "--grid", sep="x", count=2)
+    check_out_dir(args.out)
     c0 = mdp.meanfield_init(sizes, args.p, args.q)
     grid = mdp.solve_policy(sizes, args.p, args.q, c0=c0, eps=args.eps, n_z1=n_z1, n_z2=n_z2)
-    os.makedirs(args.out, exist_ok=True)
+    make_out_dir(args.out)
     grid.to_csv(os.path.join(args.out, "policy.csv"))
     code = EXIT_OK
     try:

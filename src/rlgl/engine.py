@@ -19,7 +19,6 @@ entries return no change, and their steps recompute the sum exactly.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +82,17 @@ class SolverState:
         return GUARD_UNIT * self.t * self.initial_mass
 
 
+def write_csv(path, columns, rows):
+    """Write a header line, then one LF-terminated line per row of ``rows`` (any iterable).
+
+    ``str`` values are written as they are, every other value as %.17g.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join([v if isinstance(v, str) else "%.17g" % v for v in row]) + "\n")
+
+
 @dataclass
 class Trace:
     """Sampled records, one tuple per row.
@@ -98,25 +108,6 @@ class Trace:
     def column(self, name):
         j = self.columns.index(name)
         return np.array([r[j] for r in self.rows])
-
-    def to_csv(self, fh):
-        """Header plus one line per row, numbers as %.17g."""
-        close = False
-        if isinstance(fh, str):
-            fh = open(fh, "w")
-            close = True
-        try:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        finally:
-            if close:
-                fh.close()
-
-    def to_csv_string(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 class RunTrace(Trace):

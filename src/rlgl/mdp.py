@@ -14,6 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .engine import write_csv
 from .errors import (
     InvalidParamsError,
     NoConvergenceError,
@@ -195,18 +196,17 @@ class PolicyGrid:
     def _h2(self):
         return self.z2_axis[1] - self.z2_axis[0]
 
-    def to_csv(self, fh):
-        close = isinstance(fh, str)
-        if close:
-            fh = open(fh, "w")
-        try:
-            fh.write("z1,z2,action,V\n")
-            for i, z1 in enumerate(self.z1_axis):
-                for j, z2 in enumerate(self.z2_axis):
-                    fh.write(f"{z1:.17g},{z2:.17g},{int(self.A[i, j])},{self.V[i, j]:.17g}\n")
-        finally:
-            if close:
-                fh.close()
+    def to_csv(self, path):
+        """One row per cell, z1 major: z1, z2, action (-1 on the terminal row), V."""
+        # each axis value as write_csv would write it, formatted once rather than once per cell
+        z1s = ["%.17g" % z1 for z1 in self.z1_axis.tolist()]
+        z2s = ["%.17g" % z2 for z2 in self.z2_axis.tolist()]
+        rows = (
+            (z1, z2, a, v)
+            for i, z1 in enumerate(z1s)
+            for z2, a, v in zip(z2s, self.A[i].tolist(), self.V[i].tolist())
+        )
+        write_csv(path, ("z1", "z2", "action", "V"), rows)
 
 
 def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
@@ -312,12 +312,10 @@ class SimulationResult:
     converged: bool
 
     def to_csv(self, path):
-        """Trajectory: the start as row 0 (no action), then one row per action."""
-        with open(path, "w") as fh:
-            fh.write("step,action,cash_l1,cum_cost\n")
-            fh.write(f"0,,{self.cash_l1[0]:.17g},0\n")
-            for k, a in enumerate(self.actions):
-                fh.write(f"{k + 1},{int(a)},{self.cash_l1[k + 1]:.17g},{self.cum_cost[k + 1]:.17g}\n")
+        """Trajectory: the start as row 0 (no action, cost 0), then one row per action."""
+        actions = ["", *map(int, self.actions)]
+        rows = zip(range(len(actions)), actions, self.cash_l1, [0, *self.cum_cost[1:]])
+        write_csv(path, ("step", "action", "cash_l1", "cum_cost"), rows)
 
 
 def simulate_policy(c0, policy, sizes, p, q, eps=1e-10, max_steps=100_000):

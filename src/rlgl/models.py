@@ -163,6 +163,8 @@ def random_sbm(sizes, p, q, seed):
         raise InvalidParamsError("block sizes must be >= 1")
     if not (0.0 < q <= 1.0 and 0.0 < p <= 1.0):
         raise InvalidParamsError("p and q must lie in (0, 1]")
+    if seed < 0:
+        raise InvalidParamsError(f"sbm seed must be >= 0, got {seed}")
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     prob = np.where(labels[:, None] == labels[None, :], p, q)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllCashZeroError, ConfigError, InvalidParamsError
+from .errors import AllCashZeroError, ConfigError, InvalidIndexError, InvalidParamsError
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -219,6 +219,13 @@ class FixedBlocks(Schedule):
             raise InvalidParamsError("block sequence must be non-empty")
         self.sequence = seq
 
+    def bind(self, P):
+        super().bind(P)
+        # blocks are sorted: their ends bound every id
+        if any(b.size and (b[0] < 0 or b[-1] >= self.n) for b in self.sequence):
+            raise InvalidIndexError(f"block sequence has a node outside [0, {self.n})")
+        return self
+
     def next_nodes(self, C):
         block = self.sequence[self._k % len(self.sequence)]
         self._k += 1
@@ -229,15 +236,19 @@ class FixedBlocks(Schedule):
 
 
 def load_block_file(path):
-    """One node set per line, whitespace-separated 0-based ids, # comments."""
+    """One node set per line, whitespace-separated 0-based ids, # comments; ``path:line:`` errors."""
     seq = []
     try:
-        with open(path) as fh:
-            for line in fh:
+        # undecodable bytes become lone surrogates, which fail the int parse on their line
+        with open(path, errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                seq.append([int(v) for v in line.replace(",", " ").split()])
+                try:
+                    seq.append([int(v) for v in line.replace(",", " ").split()])
+                except ValueError:
+                    raise InvalidParamsError(f"{path}:{lineno}: expected node ids, got {line!r}") from None
     except OSError as exc:
         raise ConfigError(f"block file {path!r}: {exc.strerror}") from None
     if not seq:

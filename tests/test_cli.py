@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rlgl import cli, matrix, models, pushloop, schedules, solvers
+from rlgl import cli, matrix, mdp, models, pushloop, schedules, solvers
 from rlgl.errors import ConfigError, InvalidParamsError
 from rlgl.matrix import build_transition, google_matrix, gth_stationary
 
@@ -279,13 +279,19 @@ def test_compiled_and_python_runs_write_the_same_bytes(tmp_path, kernel, monkeyp
     assert solve(tmp_path / "py") == compiled
 
 
-def _bad_vector_files(tmp_path):
-    """Vector files for two-wheels that no --m0 or --restart-s may accept."""
+def _bad_input_files(tmp_path):
+    """Vector files for two-wheels that no --m0 or --restart-s may accept, block files that no
+    ``blocks:`` schedule may accept on example31, and a file that is no --out directory."""
     n = models.two_wheels()[1]
     files = {name: tmp_path / f"{name}.txt" for name in ("missing", "text", "short", "nan")}
     files["text"].write_text("0.5 x\n")  # a non-numeric entry
     files["short"].write_text("0.5 0.5\n")  # a distribution of the wrong length
     files["nan"].write_text("nan\n" + f"{1 / (n - 1)!r}\n" * (n - 1))  # sums to 1 but for the NaN
+    for name, data in (("letters", b"0 1\na b\n"), ("binary", b"\xff\xfe"), ("outside", b"0 1\n2 3 4\n")):
+        files[name] = tmp_path / f"{name}.blocks"
+        files[name].write_bytes(data)
+    files["file"] = tmp_path / "file"
+    files["file"].write_text("not a directory\n")
     return files
 
 
@@ -316,11 +322,21 @@ def _bad_vector_files(tmp_path):
         ["--pagerank", "--method", "gso:theta:1:0"],
         ["--method", "rlgl", "--eps", "inf"],
         ["--method", "rlgl", "--eps", "nan"],
+        # once numpy's ValueError, exit 1
+        ["--graph", "sbm:10,10:0.5:0.1:-1"],
+        ["--graph", "sbm:10,10:0.5:0.1", "--seed", "-3"],
+        # once ran, dropping the 9
+        ["--graph", "sbm:10,10:0.5:0.1:3:9"],
+        # once a ValueError, a UnicodeDecodeError, and a run that never reached the bad block
+        ["--method", "rlgl+blocks:{letters}"],
+        ["--method", "rlgl+blocks:{binary}"],
+        ["--graph", "example31", "--method", "rlgl+blocks:{outside}"],
+        ["--out", "{file}/sub"],
     ],
     ids=lambda extra: " ".join(extra),
 )
 def test_bad_descriptor_is_one_error_line(tmp_path, capsys, extra):
-    files = _bad_vector_files(tmp_path)
+    files = _bad_input_files(tmp_path)
     args = ["solve", "--graph", "two-wheels", "--method", "pi", "--out", str(tmp_path)]
     args += [a.format(**files) for a in extra]
     assert cli.main(args) == cli.EXIT_CONFIG
@@ -337,6 +353,7 @@ def test_bad_descriptor_is_one_error_line(tmp_path, capsys, extra):
         ["gen", "meanfield", "{out}", "--sizes", "40,x"],
         ["mdp", "--sizes", "50,x", "--out", "{out}"],
         ["mdp", "--grid", "10", "--out", "{out}"],
+        ["gen", "sbm", "{out}", "--seed", "-1"],
     ],
     ids=lambda args: " ".join(a for a in args if a != "{out}"),
 )
@@ -356,6 +373,37 @@ def test_block_study_script_bad_integer_flag_is_one_error_line(tmp_path, capsys,
     assert _block_study_main()([*flags, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--graph", "two-wheels", "--out", "{file}"],
+        ["solve", "--graph", "two-wheels", "--out", "{file}/sub"],
+        ["bench", "--graph", "two-wheels", "--method", "pi,gs", "--out", "{file}"],
+        ["bench", "--graph", "two-wheels", "--method", "pi,gs", "--out", "{file}/sub"],
+        ["mdp", "--grid", "20x5", "--out", "{file}"],
+        ["mdp", "--grid", "20x5", "--out", "{file}/sub"],
+        ["block-study", "--grid", "20x5", "--out", "{file}"],
+        ["block-study", "--grid", "20x5", "--out", "{file}/sub"],
+        ["gen", "two-wheels", "{file}/x.edges"],
+        ["gen", "meanfield", "{file}/x.edges"],
+    ],
+    ids=" ".join,
+)
+def test_out_path_through_a_file_is_one_error_line(tmp_path, capsys, monkeypatch, args):
+    # each once died with a FileExistsError or NotADirectoryError traceback, exit 1
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    if args[-1] == "{file}":  # an --out that is a file fails before any work
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: pytest.fail("the graph was built"))
+        monkeypatch.setattr(mdp, "solve_policy", lambda *a, **k: pytest.fail("the policy was solved"))
+    command, *rest = (a.format(file=file) for a in args)
+    code = _block_study_main()(rest) if command == "block-study" else cli.main([command, *rest])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert file.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
@@ -413,6 +461,31 @@ def test_raw_build_problem_coalesces_once(tmp_path, monkeypatch, graph):
     assert len(calls) == 1
 
 
+def test_estimate_and_bench_lines_are_the_format_of_their_values(tmp_path):
+    # the f-strings these files were written with before they shared one writer
+    graph = tmp_path / "offset.edges"
+    graph.write_text("5 6\n6 7\n7 5\n7 8\n")  # --lcc keeps nodes 5, 6 and 7
+    cfg = cli.ExperimentConfig(graph=str(graph), lcc=True, method="rlgl+theta:1")
+    P, node_map = cli.build_problem(cfg)
+    x = cli.run_method(P, cfg)[0]
+    out = tmp_path / "solve"
+    assert cli.main(["solve", "--graph", str(graph), "--lcc", "--method", cfg.method, "--out", str(out)]) == 0
+    lines = [f"{int(node_map[i])},{v:.17g}\n" for i, v in enumerate(x)]
+    assert (out / "estimate.csv").read_bytes().decode() == "node,value\n" + "".join(lines)
+
+    methods = ["pi", "gs", "rlgl+theta:1", "gmres:10"]
+    out = tmp_path / "bench"
+    assert cli.main(["bench", "--graph", "two-wheels", "--method", ",".join(methods), "--out", str(out)]) == 0
+    P, _ = cli.build_problem(cli.ExperimentConfig(graph="two-wheels"))
+    lines = ["method,step,cum_cost,residual,residual_kind\n"]
+    for method in methods:
+        _, trace, kind, _ = cli.run_method(P, cli.ExperimentConfig(graph="two-wheels", method=method))
+        cols = [trace.columns.index(c) for c in ("step", "cum_cost", trace.residual)]
+        for step, cost, resid in ([r[j] for j in cols] for r in trace.rows):
+            lines.append(f"{method},{step},{cost:.17g},{resid:.17g},{kind}\n")
+    assert (out / "bench.csv").read_bytes().decode() == "".join(lines)
+
+
 class TestBench:
     def test_deterministic_bytes_and_monotone(self, tmp_path):
         args = ["bench", "--graph", "sbm:20,20:0.2:0.02:3", "--method",
@@ -452,7 +525,7 @@ class TestBench:
 
     @pytest.mark.parametrize("m0", ["text", "short", "nan"])
     def test_bad_m0_is_one_error_line(self, tmp_path, capsys, m0):
-        path = _bad_vector_files(tmp_path)[m0]
+        path = _bad_input_files(tmp_path)[m0]
         code = cli.main(["bench", "--graph", "two-wheels", "--method", "rlgl+rr,pi",
                          "--m0", str(path), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG

@@ -211,10 +211,13 @@ class TestRun:
         state = exc.value.result.state
         assert state.cash_l1 == pytest.approx(0.2, abs=1e-14)
 
-    def test_trace_csv_format(self, four_state):
+    def test_trace_csv_format(self, four_state, tmp_path):
         res = engine.run(four_state, schedules.RoundRobin(), eps=1e-11)
-        text = res.trace.to_csv_string()
-        assert text.splitlines()[0] == "step,updates,cum_cost,scan_cost,cash_l1"
+        path = tmp_path / "trace.csv"
+        engine.write_csv(path, res.trace.columns, res.trace.rows)
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[0] == "step,updates,cum_cost,scan_cost,cash_l1"
+        assert lines[1:] == [",".join(f"{v:.17g}" for v in row) for row in res.trace.rows] + [""]
 
     def test_trace_columns_monotone(self):
         P = dense_ergodic_chain(30, 3)

@@ -191,9 +191,14 @@ class TestSolvePolicy:
     def test_policy_csv(self, grid, tmp_path):
         path = tmp_path / "policy.csv"
         grid.to_csv(str(path))
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().decode().split("\n")
         assert lines[0] == "z1,z2,action,V"
-        assert len(lines) == 1 + 200 * 41
+        assert len(lines) == 2 + 200 * 41 and lines[-1] == ""
+        assert lines[1:-1] == [
+            f"{z1:.17g},{z2:.17g},{int(grid.A[i, j])},{grid.V[i, j]:.17g}"
+            for i, z1 in enumerate(grid.z1_axis)
+            for j, z2 in enumerate(grid.z2_axis)
+        ]
 
 
 class TestSimulate:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rlgl import engine, models, schedules
-from rlgl.errors import AllCashZeroError, ConfigError, InvalidParamsError
+from rlgl.errors import AllCashZeroError, ConfigError, InvalidIndexError, InvalidParamsError
 from rlgl.matrix import build_transition
 
 from conftest import dense_ergodic_chain
@@ -186,6 +186,18 @@ class TestFixedBlocks:
         path.write_text("# cycle\n1\n0\n2 3\n")
         sched = schedules.load_block_file(str(path))
         assert [b.tolist() for b in sched.sequence] == [[1], [0], [2, 3]]
+        # a line that is not ids, undecodable bytes included, names the file and the line
+        for data, lineno in ((b"0 1\na b\n", 2), (b"# \xff is skipped\n0\n\xff\xfe\n", 3), (b"1.5\n", 1)):
+            path.write_bytes(data)
+            with pytest.raises(InvalidParamsError) as exc:
+                schedules.load_block_file(str(path))
+            assert str(exc.value).startswith(f"{path}:{lineno}: expected node ids")
+
+    @pytest.mark.parametrize("block", [[0, 4], [-1, 2]])
+    def test_bind_rejects_ids_outside_range(self, block):
+        # before any push: the bad block comes after one that is fine
+        with pytest.raises(InvalidIndexError, match=r"outside \[0, 4\)"):
+            bound(schedules.FixedBlocks([[0, 1], block]), n=4)
 
 
 class TestParse:
