@@ -366,3 +366,20 @@ int64_t rlgl_scc(int64_t n, const int64_t *indptr, const int64_t *indices, int64
     free(work);
     return count;
 }
+
+/* y = x P over the CSR rows of n nodes: y zeroed, then y[indices[k]] +=
+ * data[k] * x[i] for each row i in order and each entry k of the row.
+ * That is the order in which numpy's bincount adds the weights
+ * data[k] * x[i] in TransitionMatrix.mul_left's fallback, each rounded
+ * as there, so y is byte-equal to it. */
+void rlgl_mul_left(int64_t n, const int64_t *indptr, const int64_t *indices, const double *data, const double *x,
+                   double *y)
+{
+    for (int64_t j = 0; j < n; j++)
+        y[j] = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double xi = x[i];
+        for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
+            y[indices[k]] += data[k] * xi;
+    }
+}

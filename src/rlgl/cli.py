@@ -265,10 +265,14 @@ def cmd_bench(args):
     if not subs:
         raise ConfigError("bench needs at least one method")
     # a malformed descriptor is a configuration error, not one method's failure
-    kinds = [residual_kind(parse_method(sub)[0]) for sub in subs]
+    methods = [parse_method(sub) for sub in subs]
+    kinds = [residual_kind(name) for name, _ in methods]
     P, _ = build_problem(cfg)
-    # A bad --m0 is a configuration error, not one method's failure.
+    # So are a bad --m0 and a schedule that does not fit the graph (a block id outside [0, n)).
     M0 = check_distribution(_load_vector(cfg.m0, "--m0"), P.n) if cfg.m0 else None
+    for _, arg in methods:
+        if isinstance(arg, schedules.Schedule):
+            arg.bind(P)
     results = [_bench_one(P, sub, M0) for sub in subs]
     make_out_dir(cfg.out)
     rows = []

@@ -8,7 +8,10 @@ used by the iteration engine and the reference solvers:
                         the cash of node i is charged d_i edge operations
 - ``volume``            sum of out_degree (the cost of one full sweep)
 - ``row(i)``            pair ``(cols, vals)`` of row i
-- ``mul_left(x)``       the vector-matrix product x @ P
+- ``mul_left(x)``       the vector-matrix product x @ P; compiled
+                        (``rlgl_mul_left`` in ``_push.c``) on a
+                        ``TransitionMatrix``, with a numpy fallback that
+                        gives the same bytes
 - ``scatter_add(C, nodes, amounts)``
                         in-place ``C += sum_k amounts[k] * row(nodes[k])``;
                         returns the change in ``||C||_1`` it caused, or
@@ -230,11 +233,27 @@ class TransitionMatrix:
         share = np.where(self.dangling_mask, self.dangling_share, self.restart_share)
         return d + share * self.s, off + share * (self.s.sum() - self.s)
 
+    @functools.cached_property
+    def _c_rows(self):
+        """``indptr``, ``indices`` and ``data`` as ``rlgl_mul_left`` reads them, converted once:
+        contiguous int64, int64 and float64 arrays, kept referenced, and their addresses."""
+        arrays = [np.ascontiguousarray(self.indptr, dtype=np.int64), np.ascontiguousarray(self.indices, dtype=np.int64),
+                  np.ascontiguousarray(self.data, dtype=np.float64)]
+        return arrays, [a.ctypes.data for a in arrays]
+
     def mul_left(self, x):
+        from . import pushloop  # imported, and compiled, only by a product or a run
+
         x = np.asarray(x, dtype=float)
-        lens = np.diff(self.indptr)
-        contrib = self.data * np.repeat(x, lens)
-        y = np.bincount(self.indices, weights=contrib, minlength=self.n)
+        lib = pushloop.load() if x.shape == (self.n,) else None  # C reads n entries; numpy judges any other x
+        if lib is None:
+            lens = np.diff(self.indptr)
+            contrib = self.data * np.repeat(x, lens)
+            y = np.bincount(self.indices, weights=contrib, minlength=self.n)
+        else:
+            x = np.ascontiguousarray(x)
+            y = np.empty(self.n)
+            lib.rlgl_mul_left(self.n, *self._c_rows[1], x.ctypes.data, y.ctypes.data)
         if self.s is None:
             return y
         restart = self.restart_share * x.sum() + self.c * x[self.dangling_mask].sum()

@@ -77,7 +77,8 @@ def _parse_bulk(data, one_based):
 def _parse_lines(path, one_based):
     """``parse_edge_file`` one line at a time."""
     rows = []
-    with open(path) as fh:
+    # undecodable bytes become lone surrogates, which fail the int parse on their line
+    with open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -3,13 +3,15 @@
 ``load()`` compiles the C source once per user with ``$CC`` (default
 ``cc``) and the flags in ``FLAGS``, and caches the shared library under
 ``$XDG_CACHE_HOME/rlgl`` (default ``~/.cache/rlgl``), keyed by a hash of
-the source, the compiler and the flags.  The one library holds two entry
-points, both typed by ``load()``: ``rlgl_push_loop``, the push loop
-``engine.run`` binds here, and ``rlgl_scc``, the strongly connected
-components pass of ``models``.  ``load()`` returns None when the library
-cannot be built or loaded; ``engine.run`` then takes its Python steps
-and ``models`` its Python Tarjan pass.  Nothing here is imported until a
-run or a connectivity check can use the library.
+the source, the compiler and the flags.  The one library holds three
+entry points, all typed by ``load()``: ``rlgl_push_loop``, the push loop
+``engine.run`` binds here; ``rlgl_scc``, the strongly connected
+components pass of ``models``; and ``rlgl_mul_left``, the CSR product
+``x P`` of ``TransitionMatrix.mul_left``.  ``load()`` returns None when
+the library cannot be built or loaded; ``engine.run`` then takes its
+Python steps, ``models`` its Python Tarjan pass and ``mul_left`` its
+numpy product.  Nothing here is imported until a run, a product or a
+connectivity check can use the library.
 """
 
 from __future__ import annotations
@@ -83,16 +85,18 @@ def _build():
 
 @functools.cache
 def load():
-    """The compiled library with ``rlgl_push_loop`` and ``rlgl_scc`` typed, or None when it cannot be had here."""
+    """The compiled library with its three entry points typed, or None when it cannot be had here."""
     try:
         lib = ctypes.CDLL(_build())
-        push, scc = lib.rlgl_push_loop, lib.rlgl_scc
+        push, scc, mul = lib.rlgl_push_loop, lib.rlgl_scc, lib.rlgl_mul_left
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
     push.argtypes = [ctypes.c_void_p] * 9 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
     push.restype = ctypes.c_int64
     scc.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     scc.restype = ctypes.c_int64
+    mul.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
+    mul.restype = None
     return lib
 
 

@@ -251,6 +251,8 @@ GRAPH_FILES = {
              "3 3 2\n3 4 1\n3 0 1\n4 4 1\n4 5 2\n4 1 3\n5 5 1\n5 0 1\n5 2 1\n",
 }
 PAGERANK_PUSH_METHODS = ["rlgl+maxc", "rlgl+theta:1", "gso:greedy-max", "gso:rr", "gso:theta", "gs"]
+# solves whose products are the compiled rlgl_mul_left on the C path
+PRODUCT_METHODS = ["pi", "gmres:10", "rlgl+all"]
 
 
 @pytest.mark.parametrize(
@@ -260,6 +262,8 @@ PAGERANK_PUSH_METHODS = ["rlgl+maxc", "rlgl+theta:1", "gso:greedy-max", "gso:rr"
         ["{loops}", "gs"],
         *(["two-wheels", "--pagerank", m] for m in PAGERANK_PUSH_METHODS + ["gso:maxc", "gso:theta:2", "gso:pc:1"]),
         *(["{dangling}", "--pagerank", m] for m in PAGERANK_PUSH_METHODS),
+        *(["{loops}", m] for m in PRODUCT_METHODS),
+        *(["{dangling}", "--pagerank", m] for m in PRODUCT_METHODS),
     ],
     ids=" ".join,
 )
@@ -344,6 +348,17 @@ def test_bad_descriptor_is_one_error_line(tmp_path, capsys, extra):
     assert len(err) == 1 and err[0].startswith("error: ")
     if "theta:1:" in extra[-1]:  # theta takes r alone: no period field
         assert err[0].endswith("too many fields")
+
+
+@pytest.mark.parametrize("data, lineno", [(b"\xff\xfe0 1\n1 0\n", 1), (b"0 1\n1 0 \xe9\n", 2)], ids=["ids", "weight"])
+def test_undecodable_edge_file_is_one_path_line_error(tmp_path, capsys, data, lineno):
+    # once a UnicodeDecodeError traceback, exit 1
+    graph = tmp_path / "f.edges"
+    graph.write_bytes(data)
+    assert cli.main(["solve", "--graph", str(graph), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    expected = f"error: {graph}:{lineno}: ids must be integers, the weight a number"
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -553,6 +568,16 @@ class TestBench:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [f"error: {self.BAD_METHODS[methods]}"]
         assert not (tmp_path / "bench.csv").exists()
+
+    def test_block_id_outside_the_graph_is_one_error_line(self, tmp_path, capsys):
+        # once printed as rlgl+blocks' failure, after pi's rows were written, exit 0
+        blocks = tmp_path / "outside.blocks"
+        blocks.write_text("2 3 40\n")
+        code = cli.main(["bench", "--graph", "two-wheels", "--method", f"pi,rlgl+blocks:{blocks}",
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["error: block sequence has a node outside [0, 12)"]
+        assert not (tmp_path / "out" / "bench.csv").exists()
 
     def test_empty_method_list_rejected(self, tmp_path):
         code = cli.main(["bench", "--graph", "two-wheels", "--method", ",",

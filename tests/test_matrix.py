@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlgl import analysis, engine, models
+from rlgl import analysis, engine, models, pushloop
 from rlgl.errors import (
     DanglingNodeError,
     InvalidDampingError,
@@ -15,6 +15,7 @@ from rlgl.errors import (
     NotErgodicError,
 )
 from rlgl.matrix import (
+    GaussSeidelRows,
     TransitionMatrix,
     augment_pagerank,
     build_transition,
@@ -24,7 +25,7 @@ from rlgl.matrix import (
     validate_stochastic,
 )
 
-from conftest import dense_ergodic_chain
+from conftest import dense_ergodic_chain, ring_random_chain
 
 
 class TestBuildTransition:
@@ -306,6 +307,69 @@ class TestDampedRows:
         assert np.array_equal(A.to_dense()[1:, 1:], G.damped.to_dense())
         # one entry to node 0, then the row's, a dangling one on the support of s
         assert A.out_degree[1:].tolist() == [3, 2, 5, 2, 3, 5]
+
+
+class _CountingLib:
+    """The compiled library, counting its ``rlgl_mul_left`` calls."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, 0
+
+    def rlgl_mul_left(self, *args):
+        self.calls += 1
+        return self.lib.rlgl_mul_left(*args)
+
+
+def _signed(n, seed=0):
+    """A vector with both signs, as a cash vector has."""
+    return np.random.default_rng(seed).standard_normal(n)
+
+
+class TestCompiledProduct:
+    """``mul_left`` in C writes the bytes of its numpy fallback."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (ring_random_chain(300, 6, 2), _signed(300)),
+            # nodes 2 and 5 dangling, s zero on nodes 0 and 3
+            lambda: (google_matrix(TestDampedRows.EDGES, 0.85, s=TestDampedRows.S, n=6), _signed(6)),
+            lambda: (google_matrix(TestDampedRows.EDGES, 0.85, n=6).damped, _signed(6)),
+            lambda: (TransitionMatrix(3, np.array([0, 2, 2, 4], dtype=np.int32), np.array([1, 2, 0, 1], dtype=np.int32),
+                                      np.array([0.25, 0.75, 0.5, 0.5]), np.ones(3)), _signed(3)),
+            lambda: (ring_random_chain(50, 3, 1), _signed(100)[::2]),
+            lambda: (TransitionMatrix(1, np.array([0, 1]), np.array([0]), np.ones(1), np.ones(1)), np.array([-0.5])),
+            lambda: (GaussSeidelRows(build_transition([(0, 0, 1.0), (0, 1, 3.0), (1, 2, 1.0), (2, 2, 2.0),
+                                                       (2, 0, 1.0)], 3)), _signed(3)),
+            lambda: (GaussSeidelRows(ring_random_chain(200, 5, 4)), _signed(200)),
+        ],
+        ids=["raw", "google-dangling", "damped", "int32-csr", "strided-x", "n1", "gs-rows", "gs-ring"],
+    )
+    def test_same_bytes_as_the_numpy_fallback(self, make, kernel, monkeypatch):
+        P, x = make()
+        if kernel == "c":
+            counting = _CountingLib(pushloop.load())
+            monkeypatch.setattr(pushloop, "load", lambda: counting)
+        compiled = P.mul_left(x)
+        if kernel == "c":
+            assert counting.calls == 1
+        monkeypatch.setattr(pushloop, "load", lambda: None)
+        fallback = P.mul_left(x)
+        assert compiled.dtype == fallback.dtype == np.float64
+        assert compiled.tobytes() == fallback.tobytes()
+
+    def test_arrays_convert_once(self):
+        P = TransitionMatrix(3, np.array([0, 2, 2, 4], dtype=np.int32), np.array([1, 2, 0, 1], dtype=np.uint16),
+                             np.array([0.25, 0.75, 0.5, 0.5]), np.ones(3))
+        arrays, _ = P._c_rows
+        assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64]
+        assert all(a.flags.c_contiguous for a in arrays)
+        assert P._c_rows[0][0] is arrays[0]  # cached on the matrix
+
+    def test_x_of_another_shape_fails_as_in_numpy(self):
+        P = ring_random_chain(20, 3, 1)
+        with pytest.raises(ValueError):
+            P.mul_left(np.ones(19))
 
 
 class TestAugmentPagerank:
