@@ -369,6 +369,8 @@ def cmd_analyze(args):
 def cmd_mdp(args):
     sizes = _int_fields(args.sizes, "--sizes")
     n_z1, n_z2 = _int_fields(args.grid, "--grid", sep="x", count=2)
+    if args.max_steps < 1:
+        raise ConfigError("max-steps must be >= 1")
     check_out_dir(args.out)
     c0 = mdp.meanfield_init(sizes, args.p, args.q)
     grid = mdp.solve_policy(sizes, args.p, args.q, c0=c0, eps=args.eps, n_z1=n_z1, n_z2=n_z2)

@@ -325,13 +325,15 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
     updates).
 
     ``RoundRobin``, ``Theta``, ``MaxCash`` and ``ProportionalCash`` runs
-    on a ``TransitionMatrix``, with or without a restart part (any matrix
-    with a ``csr_push``), take their steps in a compiled loop
+    on a ``TransitionMatrix``, with or without a restart part, or on a
+    ``MeanFieldMatrix`` of up to ``DENSE_CAP`` states (any matrix whose
+    ``csr_push`` is not None), take their steps in a compiled loop
     (``pushloop``) that returns here at every check, trace row and
     refresh, with the same bytes (and the same draws from a
     ``ProportionalCash`` generator) as ``step``; ``RunResult.kernel`` says
-    which path ran.  A restart add still writes all n entries, and
-    the loop keeps its ``||C||_1`` incrementally, as for sparse rows.
+    which path ran.  A restart add or a mean-field row still writes all
+    n entries, and the loop keeps its ``||C||_1`` incrementally, as for
+    sparse rows.
 
     ``cash`` starts the run from that cash (see ``init``).  The
     total-history guard then applies once cash has moved, and ``pi_hat``

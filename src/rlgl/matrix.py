@@ -26,9 +26,11 @@ used by the iteration engine and the reference solvers:
                         empty one; no dangling array is passed) and
                         ``amount * restart_share`` otherwise, and writes
                         nothing else: ``TransitionMatrix``, whose rows hold
-                        distinct columns, with or without a restart part.
-                        The engine runs its compiled push loop on these
-                        arrays; other matrices have no ``csr_push``
+                        distinct columns, with or without a restart part,
+                        and ``MeanFieldMatrix`` up to DENSE_CAP states
+                        (its expansion's arrays; None above).  The engine
+                        runs its compiled push loop on these arrays, and
+                        Python steps where ``csr_push`` is missing or None
 - ``split_diagonal()``  the vector of p_ii and that of the sums of the
                         other entries of each row, as its pushes write
                         them (read by ``GaussSeidelRows``)
@@ -42,7 +44,7 @@ in O(degree) per push.  A push that writes O(n) entries (a nonzero
 restart add, ``MeanFieldMatrix``) returns ``None``, and the engine
 recomputes the sum exactly instead.  The compiled loop sums the change
 as it writes each entry, so it keeps ``||C||_1`` incrementally across
-restart adds as well.
+restart adds and dense mean-field rows as well.
 
 Matrices are immutable after construction.
 """

@@ -217,6 +217,11 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
     increasing z1, interpolating the value bilinearly at successor
     states.  Actions that fail to reduce the total cash at a cell are
     excluded there.
+
+    Each cell takes the least finite candidate cost; a tie goes to the
+    action with the smaller cost kappa, then to the smaller action index.
+    A NaN or +inf candidate is never taken, and a cell with no finite
+    candidate keeps V = inf and action -1.
     """
     sizes = _check_sizes(sizes)
     if not 0.0 < eps < np.inf:
@@ -255,41 +260,37 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
                 dz1[a, j] = np.log10(g)
                 _, z2_next[a, j] = encode_state(c_next, sizes, 1.0)
 
+    # the actions as the rows of one (7, n_z2) stack, in `order`; nothing here depends on the z1 row
+    ids = np.array([int(a) for a in order], dtype=np.int8)
+    shift = dz1[ids]
+    annul = annihilated[ids]
+    usable = annul | np.isfinite(shift)
+    moves = usable & ~annul
+    cost = np.array([[kappa[a]] for a in order])
+    fj = np.clip((z2_next[ids] - z2_axis[0]) / h2, 0.0, n_z2 - 1.0)
+    j0 = np.minimum(fj.astype(np.int64), n_z2 - 2)
+    wj = fj - j0
+
     V = np.zeros((n_z1, n_z2))
     A = np.full((n_z1, n_z2), -1, dtype=np.int8)
     jj = np.arange(n_z2)
-    for i in range(1, n_z1):
-        z1 = z1_axis[i]
-        best_v = np.full(n_z2, np.inf)
-        best_a = np.full(n_z2, -1, dtype=np.int8)
-        for a in order:
-            usable = annihilated[a] | np.isfinite(dz1[a])
-            z1p = z1 + dz1[a]
-            v_next = np.zeros(n_z2)
-            live = usable & ~annihilated[a] & (z1p > 0.0)
-            if np.any(live):
-                # bilinear interpolation; rows not yet filled clamp down one
-                fi = z1p[live] / h1
-                i0 = np.minimum(fi.astype(np.int64), i - 1)
-                i1 = np.minimum(i0 + 1, i - 1)
-                wi = np.clip(fi - i0, 0.0, 1.0)
-                wi[i1 == i0] = 0.0
-                fj = np.clip((z2_next[a, live] - z2_axis[0]) / h2, 0.0, n_z2 - 1.0)
-                j0 = np.minimum(fj.astype(np.int64), n_z2 - 2)
-                wj = fj - j0
-                v00 = V[i0, j0]
-                v01 = V[i0, j0 + 1]
-                v10 = V[i1, j0]
-                v11 = V[i1, j0 + 1]
-                v_next[live] = (1 - wi) * ((1 - wj) * v00 + wj * v01) + wi * (
-                    (1 - wj) * v10 + wj * v11
-                )
-            cand = np.where(usable, kappa[a] + v_next, np.inf)
-            better = cand < best_v
-            best_v[better] = cand[better]
-            best_a[better] = int(a)
-        V[i] = best_v
-        A[i] = best_a
+    with np.errstate(invalid="ignore"):  # an inf value times a zero weight is NaN, and never picked
+        for i in range(1, n_z1):
+            z1p = z1_axis[i] + shift
+            live = moves & (z1p > 0.0)
+            # bilinear interpolation; rows not yet filled clamp down one
+            fi = np.where(live, z1p, 0.0) / h1
+            i0 = np.minimum(fi.astype(np.int64), i - 1)
+            i1 = np.minimum(i0 + 1, i - 1)
+            wi = np.where(i1 == i0, 0.0, np.clip(fi - i0, 0.0, 1.0))
+            v_next = (1 - wi) * ((1 - wj) * V[i0, j0] + wj * V[i0, j0 + 1]) + wi * (
+                (1 - wj) * V[i1, j0] + wj * V[i1, j0 + 1]
+            )
+            cand = cost + np.where(live, v_next, 0.0)
+            cand = np.where(usable & (cand < np.inf), cand, np.inf)  # NaN and +inf are never picked
+            k = cand.argmin(axis=0)  # the first minimum in `order`, as a strict-< scan picks it
+            V[i] = cand[k, jj]
+            A[i] = np.where(V[i] < np.inf, ids[k], -1)
     grid = PolicyGrid(
         z1_axis=z1_axis,
         z2_axis=z2_axis,
@@ -324,9 +325,11 @@ def simulate_policy(c0, policy, sizes, p, q, eps=1e-10, max_steps=100_000):
     Stops when the total absolute cash reaches eps; raises
     NoConvergenceError (result attached) at max_steps, which single-block
     constant schedules generically hit because the cash stalls at a
-    positive limit.
+    positive limit.  Raises InvalidParamsError unless max_steps >= 1.
     """
     sizes = _check_sizes(sizes)
+    if max_steps < 1:
+        raise InvalidParamsError(f"max_steps must be >= 1, got {max_steps!r}")
     c = np.array(c0.c if isinstance(c0, BlockCash) else c0, dtype=float)
     fixed = None
     if not isinstance(policy, PolicyGrid):

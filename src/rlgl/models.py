@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import warnings
 
@@ -196,6 +197,11 @@ class MeanFieldMatrix:
 
     Volume weights are the weighted degrees ``p N_b + q (N - N_b)``, the
     row sums of the underlying weighted adjacency.
+
+    Up to DENSE_CAP states the matrix has the ``csr_push`` of its
+    expansion, so the engine's compiled loop takes its single-node pushes:
+    a push of ``a`` from a block-b node adds ``a * entry[b, b2]`` to every
+    block-b2 node there, the product ``scatter_add`` forms.
     """
 
     def __init__(self, sizes, p, q):
@@ -221,6 +227,11 @@ class MeanFieldMatrix:
     @property
     def volume(self):
         return float(self.out_degree.sum())
+
+    @functools.cached_property
+    def csr_push(self):
+        """The expansion's ``csr_push``, built on first use; None above DENSE_CAP states."""
+        return self.expand().csr_push if self.n <= DENSE_CAP else None
 
     def block_nodes(self, b):
         return np.arange(self.starts[b], self.starts[b + 1])

@@ -264,6 +264,7 @@ PRODUCT_METHODS = ["pi", "gmres:10", "rlgl+all"]
         *(["{dangling}", "--pagerank", m] for m in PAGERANK_PUSH_METHODS),
         *(["{loops}", m] for m in PRODUCT_METHODS),
         *(["{dangling}", "--pagerank", m] for m in PRODUCT_METHODS),
+        *(["meanfield:50,20,10:0.1:0.01", m] for m in ("rlgl+maxc", "gs")),
     ],
     ids=" ".join,
 )
@@ -430,6 +431,16 @@ def test_bad_mdp_eps_is_one_error_line(tmp_path, capsys, script, eps):
     assert (_block_study_main()(args) if script else cli.main(["mdp", *args])) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_mdp_max_steps_below_one_fails_before_the_solve(tmp_path, capsys, monkeypatch, steps):
+    # once solved the whole grid, wrote a one-row trajectory and exited 2
+    monkeypatch.setattr(mdp, "meanfield_init", lambda *a, **k: pytest.fail("the start was computed"))
+    out = tmp_path / "out"
+    assert cli.main(["mdp", "--grid", "20x5", "--max-steps", steps, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: max-steps must be >= 1\n"
     assert not out.exists()
 
 

@@ -589,7 +589,7 @@ class TestCompiledLoop:
     @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2", "maxc", "pc:1", "pc:3"])
     @pytest.mark.parametrize(
-        "chain", ["two-wheels", "sbm80", "ring1000", "google", "google-dangling", "google-hand-built"]
+        "chain", ["two-wheels", "sbm80", "ring1000", "google", "google-dangling", "google-hand-built", "meanfield"]
     )
     def test_identical_runs(self, chain, sched_name, stride, kernel, monkeypatch):
         got, outcome = _three_ways(monkeypatch, _chain(chain), sched_name, stride=stride)

@@ -169,6 +169,122 @@ class TestMeanfieldInit:
             mdp.meanfield_init((10, 20, 50), P_, Q_)
 
 
+def reference_policy(sizes, p, q, c0, eps, n_z1, n_z2):
+    """(V, A) of the per-action scan ``solve_policy`` once ran, kept as the reference."""
+    sizes = np.asarray(sizes, dtype=float)
+    c0_l1 = float((sizes * np.abs(c0)).sum())
+    z1_axis = np.linspace(0.0, float(np.log10(c0_l1 / eps)), n_z1)
+    z2_axis = np.linspace(-2.0, 2.0, n_z2)
+    h1 = z1_axis[1] - z1_axis[0]
+    h2 = z2_axis[1] - z2_axis[0]
+    actions = list(mdp.Action)
+    kappa = {a: mdp.action_cost(a, sizes, p, q) for a in actions}
+    order = sorted(actions, key=lambda a: (kappa[a], int(a)))
+    dz1 = np.full((len(actions) + 1, n_z2), np.nan)
+    z2_next = np.zeros((len(actions) + 1, n_z2))
+    annihilated = np.zeros((len(actions) + 1, n_z2), dtype=bool)
+    for j, z2 in enumerate(z2_axis):
+        c_unit = mdp.cash_from_state(0.0, z2, sizes, 1.0)
+        for a in actions:
+            c_next = mdp.block_cash_update(c_unit, sizes, p, q, a)
+            g = float((sizes * np.abs(c_next)).sum())
+            if g == 0.0:
+                annihilated[a, j] = True
+                dz1[a, j] = -np.inf
+            elif g < 1.0 - 1e-15:
+                dz1[a, j] = np.log10(g)
+                _, z2_next[a, j] = mdp.encode_state(c_next, sizes, 1.0)
+    V = np.zeros((n_z1, n_z2))
+    A = np.full((n_z1, n_z2), -1, dtype=np.int8)
+    for i in range(1, n_z1):
+        z1 = z1_axis[i]
+        best_v = np.full(n_z2, np.inf)
+        best_a = np.full(n_z2, -1, dtype=np.int8)
+        for a in order:
+            usable = annihilated[a] | np.isfinite(dz1[a])
+            z1p = z1 + dz1[a]
+            v_next = np.zeros(n_z2)
+            live = usable & ~annihilated[a] & (z1p > 0.0)
+            if np.any(live):
+                fi = z1p[live] / h1
+                i0 = np.minimum(fi.astype(np.int64), i - 1)
+                i1 = np.minimum(i0 + 1, i - 1)
+                wi = np.clip(fi - i0, 0.0, 1.0)
+                wi[i1 == i0] = 0.0
+                fj = np.clip((z2_next[a, live] - z2_axis[0]) / h2, 0.0, n_z2 - 1.0)
+                j0 = np.minimum(fj.astype(np.int64), n_z2 - 2)
+                wj = fj - j0
+                v00 = V[i0, j0]
+                v01 = V[i0, j0 + 1]
+                v10 = V[i1, j0]
+                v11 = V[i1, j0 + 1]
+                v_next[live] = (1 - wi) * ((1 - wj) * v00 + wj * v01) + wi * ((1 - wj) * v10 + wj * v11)
+            cand = np.where(usable, kappa[a] + v_next, np.inf)
+            better = cand < best_v
+            best_v[better] = cand[better]
+            best_a[better] = int(a)
+        V[i] = best_v
+        A[i] = best_a
+    return V, A
+
+
+def _random_policy_case(seed):
+    """Ordered sizes, p >= q, a start cash, an eps below its L1 norm and a grid, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    n3 = int(rng.integers(1, 30))
+    n2 = n3 + int(rng.integers(0, 30))
+    n1 = n2 + int(rng.integers(1, 40))
+    sizes = (n1, n2, n3)
+    p = float(rng.uniform(0.01, 1.0))
+    q = p if seed % 7 == 0 else float(p * rng.uniform(1e-3, 1.0))
+    # p == q starts from zero cash: take a random start there
+    c0 = random_zero_sum(rng, sizes) if seed % 2 or p == q else mdp.meanfield_init(sizes, p, q).c
+    l1 = float((np.asarray(sizes) * np.abs(c0)).sum())
+    eps = l1 * 10.0 ** -rng.uniform(0.5, 13.0)
+    n_z1 = (2, 3, *[int(rng.integers(4, 300))] * 3)[seed % 5]
+    n_z2 = (2, 3, *[int(rng.integers(4, 90))] * 2)[seed % 4]
+    return sizes, p, q, c0, eps, n_z1, n_z2
+
+
+class TestSolvePolicyParity:
+    """``solve_policy``'s one pass per z1 row against the per-action scan, bit for bit."""
+
+    @staticmethod
+    def _check(sizes, p, q, c0, eps, n_z1, n_z2):
+        grid = mdp.solve_policy(sizes, p, q, c0=c0, eps=eps, n_z1=n_z1, n_z2=n_z2)
+        V, A = reference_policy(sizes, p, q, c0, eps, n_z1, n_z2)
+        assert np.array_equal(grid.V.view(np.int64), V.view(np.int64))
+        assert np.array_equal(grid.A, A)
+        return grid
+
+    def test_workload_grid(self):
+        c0 = mdp.meanfield_init(SIZES, P_, Q_).c
+        grid = self._check(SIZES, P_, Q_, c0, 1e-11, 1400, 81)
+        assert grid.A.shape == (1400, 81)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_configs(self, seed):
+        self._check(*_random_policy_case(seed))
+
+    def test_cells_without_a_finite_candidate(self, monkeypatch):
+        # no action contracts the cash where z2 >= 1 (y3 = -1 there), so those
+        # cells keep V = inf and action -1, and the cells whose successors
+        # fall near them see inf and NaN candidates, which are never picked
+        sizes = np.asarray(SIZES, dtype=float)
+        update = mdp.block_cash_update
+
+        def stalled(c, *args):
+            return np.array(c, dtype=float) if 2.0 * sizes[2] * c[2] == -1.0 else update(c, *args)
+
+        monkeypatch.setattr(mdp, "block_cash_update", stalled)
+        c0 = mdp.meanfield_init(SIZES, P_, Q_).c
+        with np.errstate(invalid="ignore"):
+            grid = self._check(SIZES, P_, Q_, c0, 1e-8, 300, 41)
+        stuck = grid.z2_axis >= 1.0
+        assert np.all(np.isinf(grid.V[1:, stuck])) and np.all(grid.A[1:, stuck] == -1)
+        assert np.all(np.isfinite(grid.V[:, ~stuck])) and np.all(grid.A[1:, ~stuck] > 0)
+
+
 class TestSolvePolicy:
     @pytest.fixture(scope="class")
     @classmethod
@@ -216,6 +332,12 @@ class TestSimulate:
             sim = exc.value.result
             assert sim.cash_l1[-1] == pytest.approx(limit, abs=1e-10)
             assert min(sim.cash_l1) >= limit - 1e-15
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_below_one_rejected(self, max_steps):
+        c0 = mdp.meanfield_init(SIZES, P_, Q_)
+        with pytest.raises(InvalidParamsError, match="max_steps must be >= 1"):
+            mdp.simulate_policy(c0, [mdp.Action.A7], SIZES, P_, Q_, max_steps=max_steps)
 
     def test_full_sweep_converges(self):
         c0 = mdp.meanfield_init(SIZES, P_, Q_)

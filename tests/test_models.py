@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rlgl import models, pushloop
 from rlgl.cli import _edges_of
 from rlgl.errors import DanglingNodeError, InvalidIndexError, InvalidParamsError, IsolatedNodeError
-from rlgl.matrix import MAX_SORT_N, _coalesce_edges, _raw_rows, build_transition
+from rlgl.matrix import DENSE_CAP, MAX_SORT_N, _coalesce_edges, _raw_rows, build_transition
 
 from conftest import SBM80_SEEDS, sbm80_instance
 
@@ -73,6 +73,18 @@ class TestMeanField:
     def test_invalid_params(self):
         with pytest.raises(InvalidParamsError):
             models.meanfield_sbm([5, 5], 0.05, 0.1)
+
+    def test_csr_push_is_the_expansions(self):
+        mf = models.meanfield_sbm([5, 3, 2], 0.3, 0.02)
+        push, want = mf.csr_push, mf.expand().csr_push
+        assert mf.csr_push is push  # built once
+        for got, ref in zip(push, want):
+            assert (got is None and ref is None) or np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    def test_no_csr_push_above_the_dense_cap(self, monkeypatch):
+        # the engine then takes Python steps; the n^2 expansion is never built
+        monkeypatch.setattr(models.MeanFieldMatrix, "expand", lambda self: pytest.fail("expanded"))
+        assert models.meanfield_sbm([DENSE_CAP, 1], 0.1, 0.01).csr_push is None
 
 
 class TestRandomSbm:

@@ -175,8 +175,10 @@ class TestGaussSeidel:
         assert abs(state.C.sum()) <= 1e-15
 
     @pytest.mark.parametrize(
-        "make", [_self_loops_chain, lambda: _two_wheels_google(), lambda: _dangling_google()],
-        ids=["self-loops", "google", "google-dangling"],
+        "make",
+        [_self_loops_chain, lambda: _two_wheels_google(), lambda: _dangling_google(),
+         lambda: models.meanfield_sbm([50, 20, 10], 0.1, 0.01)],
+        ids=["self-loops", "google", "google-dangling", "meanfield"],
     )
     def test_compiled_and_without_a_compiler_same_bytes(self, make, kernel, tmp_path, monkeypatch):
         compiled = solvers.gauss_seidel(make(), eps=1e-12)
