@@ -1,6 +1,8 @@
 /* The inner loop of engine.run for single-node schedules on a CSR matrix
- * (rlgl_push_loop), and the strongly-connected-components pass models
- * runs on a graph's CSR rows (rlgl_scc, at the end).
+ * (rlgl_push_loop), the strongly-connected-components pass models runs
+ * on a graph's CSR rows (rlgl_scc), the CSR product x P (rlgl_mul_left)
+ * and the edge-list parser of models.parse_edge_file (rlgl_parse_edges,
+ * at the end).
  *
  * Built and loaded by pushloop.py.  Each step repeats, operation for
  * operation, what engine.run's Python loop does with RoundRobin, Theta,
@@ -21,9 +23,11 @@
  */
 
 #include <float.h>
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { KIND_RR = 0, KIND_THETA = 1, KIND_MAXC = 2, KIND_PC = 3 };
 
@@ -382,4 +386,160 @@ void rlgl_mul_left(int64_t n, const int64_t *indptr, const int64_t *indices, con
         for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
             y[indices[k]] += data[k] * xi;
     }
+}
+
+/* The edge rows of an edge-list file's bytes, or a decline.
+ *
+ * One pass over the size bytes at data.  A line ends in LF (the last may
+ * end the data instead) and is blank, a comment (its first byte other
+ * than space or tab is '#') or a data line of 2 or 3 tokens separated by
+ * spaces and tabs.  The two ids are [+-]?[0-9]+ within int64, shifted
+ * down by one when one_based; the weight, default 1, is
+ * [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?, converted by strtod, which rounds
+ * correctly as Python's float does.  Data line i fills edges[3i..3i+2]
+ * with (double)src, (double)dst and the weight, as numpy casts.
+ *
+ * Returns the number of data lines, or 0 to decline, leaving the file to
+ * models' other parsers: on any byte other than printable ASCII, tab and
+ * LF (a CR included), any token outside the grammar (nan, inf, 1_0, 0x10,
+ * a '#' after data), an id outside int64 or a one-based shift that would
+ * wrap, a weight when the locale's decimal point is not ".", more data
+ * lines than rows, or no data line at all. */
+
+static int blank(char c)
+{
+    return c == ' ' || c == '\t';
+}
+
+/* An id token at *at, stored in *id and *at moved past it; 0 if none fits. */
+static int parse_id(const char **at, const char *end, int64_t *id)
+{
+    const char *p = *at;
+    int neg = p < end && *p == '-';
+    if (p < end && (*p == '-' || *p == '+'))
+        p++;
+    const char *digits = p;
+    while (p < end && *p == '0')
+        p++;
+    const char *first = p; /* 19 digits past the leading zeros fit uint64 */
+    uint64_t v = 0;
+    for (; p < end && *p >= '0' && *p <= '9'; p++)
+        v = 10 * v + (uint64_t)(*p - '0');
+    if (p == digits || p - first > 19 || v > (uint64_t)INT64_MAX + neg || (p < end && !blank(*p) && *p != '\n'))
+        return 0;
+    *id = neg ? (int64_t)(0 - v) : (int64_t)v; /* 0 - 2^63 wraps to INT64_MIN */
+    *at = p;
+    return 1;
+}
+
+static const char *skip_digits(const char *p, const char *end)
+{
+    while (p < end && *p >= '0' && *p <= '9')
+        p++;
+    return p;
+}
+
+/* A weight token at *at, stored in *w and *at moved past it; 0 if none fits. */
+static int parse_weight(const char **at, const char *end, double *w)
+{
+    const char *start = *at, *p = start;
+    if (p < end && (*p == '-' || *p == '+'))
+        p++;
+    const char *whole = p;
+    p = skip_digits(p, end);
+    size_t digits = (size_t)(p - whole);
+    if (p < end && *p == '.') {
+        const char *frac = ++p;
+        p = skip_digits(p, end);
+        digits += (size_t)(p - frac);
+    }
+    if (digits == 0)
+        return 0;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        if (p < end && (*p == '-' || *p == '+'))
+            p++;
+        const char *exponent = p;
+        p = skip_digits(p, end);
+        if (p == exponent)
+            return 0;
+    }
+    if (p < end && !blank(*p) && *p != '\n')
+        return 0;
+    if (p < end) {
+        /* the byte after the token stops strtod */
+        *w = strtod(start, NULL);
+    } else {
+        /* the token ends the data: strtod reads a terminated copy */
+        size_t len = (size_t)(p - start);
+        char *copy = malloc(len + 1);
+        if (!copy)
+            return 0;
+        memcpy(copy, start, len);
+        copy[len] = '\0';
+        *w = strtod(copy, NULL);
+        free(copy);
+    }
+    *at = p;
+    return 1;
+}
+
+int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based, double *edges, int64_t rows)
+{
+    const char *p = data, *end = data + size;
+    const char *point = localeconv()->decimal_point;
+    int dot = point[0] == '.' && point[1] == '\0';
+    int64_t m = 0;
+    while (p < end) {
+        while (p < end && blank(*p))
+            p++;
+        if (p == end)
+            break;
+        if (*p == '\n') {
+            p++;
+            continue;
+        }
+        if (*p == '#') {
+            for (; p < end && *p != '\n'; p++)
+                if (*p != '\t' && (*(const unsigned char *)p < 0x20 || *(const unsigned char *)p > 0x7e))
+                    return 0;
+            continue;
+        }
+        int64_t ids[2];
+        for (int k = 0; k < 2; k++) {
+            if (k == 1) {
+                if (p == end || !blank(*p))
+                    return 0;
+                while (p < end && blank(*p))
+                    p++;
+            }
+            if (!parse_id(&p, end, &ids[k]))
+                return 0;
+            if (one_based) {
+                if (ids[k] == INT64_MIN)
+                    return 0;
+                ids[k]--;
+            }
+        }
+        while (p < end && blank(*p))
+            p++;
+        double w = 1.0;
+        if (p < end && *p != '\n') {
+            if (!dot || !parse_weight(&p, end, &w))
+                return 0;
+            while (p < end && blank(*p))
+                p++;
+            if (p < end && *p != '\n')
+                return 0;
+        }
+        if (m == rows)
+            return 0;
+        edges[3 * m] = (double)ids[0];
+        edges[3 * m + 1] = (double)ids[1];
+        edges[3 * m + 2] = w;
+        m++;
+        if (p < end)
+            p++; /* past the LF */
+    }
+    return m;
 }

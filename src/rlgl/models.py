@@ -19,15 +19,36 @@ def parse_edge_file(path, one_based=False):
     Returns ``(edges, n)`` where edges is an (m, 3) float array and n is
     one past the largest node id seen.
 
-    A file whose data lines all hold 2 tokens (or all 3) is parsed by one
-    ``np.loadtxt`` call; any other file, and any file numpy rejects, is
-    read line by line, which gives the same result and is the one source
-    of ``path:line:`` errors.
+    The file is read once, and its bytes go to the first of three parsers
+    that claims them, each with the same result: the compiled
+    ``rlgl_parse_edges`` pass (any mix of 2- and 3-token lines of plain
+    decimal ids and weights, LF line ends, printable ASCII and tabs; see
+    ``_push.c``), then one ``np.loadtxt`` call (all data lines of one
+    width), then the line loop, which takes any file and is the one
+    source of ``path:line:`` errors.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    parsed = _parse_bulk(data, one_based)
-    return _parse_lines(path, one_based) if parsed is None else parsed
+    parsed = _parse_compiled(data, one_based)
+    if parsed is None:
+        parsed = _parse_bulk(data, one_based)
+    return _parse_lines(path, data, one_based) if parsed is None else parsed
+
+
+def _parse_compiled(data, one_based):
+    """``parse_edge_file``'s result by the compiled pass, or None when it declines or cannot load."""
+    from . import pushloop  # imported, and compiled, only by an edge file or a connectivity check
+
+    lib = pushloop.load()
+    if lib is None:
+        return None
+    # room for one data line per line; numpy counts the LF bytes ~2.5x faster than bytes.count
+    rows = np.empty((np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1, 3))
+    m = lib.rlgl_parse_edges(data, len(data), int(one_based), rows.ctypes.data, len(rows))
+    if m <= 0:
+        return None
+    edges = rows[:m]
+    return edges, int(edges[:, :2].max()) + 1
 
 
 # Bytes the bulk parser leaves to the line loop: control bytes other than
@@ -75,11 +96,15 @@ def _parse_bulk(data, one_based):
     return edges, int(edges[:, :2].max()) + 1
 
 
-def _parse_lines(path, one_based):
-    """``parse_edge_file`` one line at a time."""
+def _parse_lines(path, data, one_based):
+    """``parse_edge_file`` one line at a time, over the file's bytes ``data``.
+
+    The bytes are decoded as ``open(path)`` would read the file: the
+    locale's encoding, universal newlines.
+    """
     rows = []
     # undecodable bytes become lone surrogates, which fail the int parse on their line
-    with open(path, errors="surrogateescape") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -305,7 +330,7 @@ def _components(graph, n=None):
 
 def _scc(n, indptr, indices):
     """``_components``' result for checked CSR rows of n nodes."""
-    from . import pushloop  # imported, and compiled, only by a connectivity check
+    from . import pushloop  # imported, and compiled, only by an edge file or a connectivity check
 
     lib = pushloop.load()
     if lib is None:

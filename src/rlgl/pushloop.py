@@ -3,15 +3,17 @@
 ``load()`` compiles the C source once per user with ``$CC`` (default
 ``cc``) and the flags in ``FLAGS``, and caches the shared library under
 ``$XDG_CACHE_HOME/rlgl`` (default ``~/.cache/rlgl``), keyed by a hash of
-the source, the compiler and the flags.  The one library holds three
+the source, the compiler and the flags.  The one library holds four
 entry points, all typed by ``load()``: ``rlgl_push_loop``, the push loop
 ``engine.run`` binds here; ``rlgl_scc``, the strongly connected
-components pass of ``models``; and ``rlgl_mul_left``, the CSR product
-``x P`` of ``TransitionMatrix.mul_left``.  ``load()`` returns None when
-the library cannot be built or loaded; ``engine.run`` then takes its
-Python steps, ``models`` its Python Tarjan pass and ``mul_left`` its
-numpy product.  Nothing here is imported until a run, a product or a
-connectivity check can use the library.
+components pass of ``models``; ``rlgl_mul_left``, the CSR product
+``x P`` of ``TransitionMatrix.mul_left``; and ``rlgl_parse_edges``, the
+first parser of ``models.parse_edge_file``.  ``load()`` returns None
+when the library cannot be built or loaded; ``engine.run`` then takes
+its Python steps, ``models`` its Python Tarjan pass and its numpy and
+line-by-line parsers, and ``mul_left`` its numpy product.  Nothing here
+is imported until a run, a product, a connectivity check or an edge file
+can use the library.
 """
 
 from __future__ import annotations
@@ -85,10 +87,10 @@ def _build():
 
 @functools.cache
 def load():
-    """The compiled library with its three entry points typed, or None when it cannot be had here."""
+    """The compiled library with its four entry points typed, or None when it cannot be had here."""
     try:
         lib = ctypes.CDLL(_build())
-        push, scc, mul = lib.rlgl_push_loop, lib.rlgl_scc, lib.rlgl_mul_left
+        push, scc, mul, parse = lib.rlgl_push_loop, lib.rlgl_scc, lib.rlgl_mul_left, lib.rlgl_parse_edges
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
     push.argtypes = [ctypes.c_void_p] * 9 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
@@ -97,6 +99,8 @@ def load():
     scc.restype = ctypes.c_int64
     mul.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
     mul.restype = None
+    parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    parse.restype = ctypes.c_int64
     return lib
 
 

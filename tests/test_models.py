@@ -1,3 +1,5 @@
+import locale
+import re
 import time
 import warnings
 from types import SimpleNamespace
@@ -524,16 +526,28 @@ def edge_files(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+def _edge_file_cases(test):
+    """``test(self, tmp_path_factory, text, one_based)`` on generated edge files.
+
+    Applied once per class that runs it: hypothesis binds a test to one class.
+    """
+    test = settings(max_examples=300, deadline=None)(test)
+    test = example(text="# head\n0 1 2\n# middle\n1 0 .5\n# tail\n", one_based=True)(test)
+    test = example(text="0 1\n1 0 # inline\n", one_based=False)(test)
+    return given(text=edge_files(), one_based=st.booleans())(test)
+
+
+def _matches_per_line_parser(tmp_path_factory, text, one_based):
+    path = tmp_path_factory.mktemp("edges") / "g.edges"
+    path.write_bytes(text.encode())
+    expected = _outcome(_parse_per_line, path, one_based)
+    assert _outcome(models.parse_edge_file, path, one_based) == expected
+
+
 class TestParseEdgeFile:
-    @given(text=edge_files(), one_based=st.booleans())
-    @example(text="0 1\n1 0 # inline\n", one_based=False)
-    @example(text="# head\n0 1 2\n# middle\n1 0 .5\n# tail\n", one_based=True)
-    @settings(max_examples=300, deadline=None)
+    @_edge_file_cases
     def test_matches_per_line_parser(self, tmp_path_factory, text, one_based):
-        path = tmp_path_factory.mktemp("edges") / "g.edges"
-        path.write_bytes(text.encode())
-        expected = _outcome(_parse_per_line, path, one_based)
-        assert _outcome(models.parse_edge_file, path, one_based) == expected
+        _matches_per_line_parser(tmp_path_factory, text, one_based)
 
     @pytest.mark.parametrize(
         "text",
@@ -566,6 +580,122 @@ class TestParseEdgeFile:
 
     def test_one_based_shift_that_would_wrap_takes_the_line_loop(self):
         assert models._parse_bulk(b"-9223372036854775808 1\n", one_based=True) is None
+
+    def test_line_loop_reads_the_bytes_it_is_given(self, tmp_path):
+        # no file at the path: the loop decodes the bytes parse_edge_file read
+        path = tmp_path / "absent.edges"
+        assert models._parse_lines(path, b"0 1\r\n1 0 .5\r\n", False)[0].tolist() == [[0, 1, 1], [1, 0, 0.5]]
+        with pytest.raises(InvalidParamsError, match=f"^{re.escape(str(path))}:2: ids must be integers"):
+            models._parse_lines(path, b"0 1\r1 \xff\n", False)
+
+
+class TestParseEdgeFileWithoutCompiler(TestParseEdgeFile):
+    """``TestParseEdgeFile`` again with no library: numpy and the line loop parse every file."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _no_library(self):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pushloop, "load", lambda: None)
+            yield
+
+    @_edge_file_cases
+    def test_matches_per_line_parser(self, tmp_path_factory, text, one_based):
+        _matches_per_line_parser(tmp_path_factory, text, one_based)
+
+
+def _parsed_as_the_line_loop_parses(path, text, one_based):
+    path.write_bytes(text.encode())
+    assert _outcome(models.parse_edge_file, path, one_based) == _outcome(_parse_per_line, path, one_based)
+
+
+class TestCompiledParser:
+    """``rlgl_parse_edges`` claims the files of its grammar, with the line loop's bytes, and declines the rest."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self, kernel):
+        if kernel != "c":
+            pytest.skip("no compiler: numpy and the line loop parse every file")
+        assert pushloop.load() is not None
+
+    @pytest.mark.parametrize(
+        "text,one_based",
+        [
+            ("0 1\n1 0", False),  # no LF after the last line
+            ("0 1\n1 0 0.5", False),  # nor after a last weight
+            ("+1 -2\n007 +0\n-0 3\n", False),
+            ("+1 -2\n007 +0\n-0 3\n", True),
+            ("9223372036854775807 -9223372036854775808\n", False),
+            ("9223372036854775807 -9223372036854775807\n", True),
+            ("9007199254740993 16777217\n9007199254740995 1\n", False),  # past 2^53: rounded to even
+            ("0 1 4.9e-324\n1 0 1e-400\n1 1 -1e-400\n", False),
+            ("0 1 1e400\n1 0 -0\n1 1 -1E+400\n", False),
+            ("0 1 5.\n1 0 .5\n1 1 +2.5e-3\n", False),
+            ("0 1 0.1000000000000000055511151231257827\n1 0 1e-0000000000000000000005\n", False),
+            ("# head\n0 1\n\n1 0 2.5\n  # note\n\t2 0\t0.25 \n0 2  \n", False),  # mixed 2/3 tokens
+            ("0 1\n1 0 2\n", True),
+        ],
+        ids=["no-final-lf", "final-weight", "signed-ids", "signed-ids-one-based", "int64-ends",
+             "int64-ends-one-based", "rounded-id", "tiny-weights", "huge-weights", "short-weights",
+             "long-weights", "mixed-widths", "mixed-widths-one-based"],
+    )
+    def test_claims(self, tmp_path, text, one_based):
+        assert models._parse_compiled(text.encode(), one_based) is not None
+        _parsed_as_the_line_loop_parses(tmp_path / "g.edges", text, one_based)
+
+    @pytest.mark.parametrize(
+        "text,one_based",
+        [
+            ("0 1\r\n1 0\r\n", False),
+            ("0 1\r1 0\r", False),
+            ("0 1\n1 0\x00\n", False),
+            ("0 1 nan\n1 0\n", False),
+            ("0 1 inf\n1 0\n", False),
+            ("1_0 2\n2 1\n", False),
+            ("0 1 1_0\n1 0\n", False),
+            ("0 1 0x10\n1 0\n", False),
+            ("12345678901234567890 1\n", False),
+            ("9223372036854775808 1\n", False),
+            ("-9223372036854775808 1\n", True),
+            ("0 1 # note\n1 0\n", False),
+            ("0 1\n1 0 2 3\n", False),
+            ("7\n", False),
+            ("0\u00a01\n", False),
+            ("# caf\u00e9\n0 1\n", False),
+            ("0 1\x0c\n", False),
+            ("# only a comment\n\n", False),
+            ("", False),
+        ],
+        ids=["crlf", "cr", "nul", "nan", "inf", "underscore-id", "underscore-weight", "hex-weight", "20-digit-id",
+             "int64-overflow", "one-based-wrap", "inline-comment", "four-tokens", "one-token", "nbsp",
+             "non-ascii-comment", "form-feed", "no-data-line", "empty"],
+    )
+    def test_declines(self, tmp_path, text, one_based):
+        assert models._parse_compiled(text.encode(), one_based) is None
+        _parsed_as_the_line_loop_parses(tmp_path / "g.edges", text, one_based)
+
+    def test_comma_decimal_locale_same_bytes(self, tmp_path):
+        # strtod reads the locale's decimal point: under a comma the pass leaves weights to numpy
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"0 1 0.5\n1 0 2.25e-3\n1 1\n")
+        expected = _outcome(_parse_per_line, path, False)
+        saved = locale.setlocale(locale.LC_NUMERIC)
+        for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8", "nl_NL.UTF-8"):
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+            except locale.Error:
+                continue
+            if locale.localeconv()["decimal_point"] == ",":
+                break
+        else:
+            locale.setlocale(locale.LC_NUMERIC, saved)
+            pytest.skip("no comma-decimal locale installed")
+        try:
+            assert models._parse_compiled(path.read_bytes(), False) is None
+            assert models._parse_compiled(b"0 1\n1 0\n", False) is not None  # no weight, no decimal point
+            got = _outcome(models.parse_edge_file, path, False)
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, saved)
+        assert got == expected
 
 
 def _coalesce_by_lexsort(edges, n):
