@@ -1,20 +1,23 @@
-/* The inner loop of engine.run for single-node schedules on a CSR matrix
- * (rlgl_push_loop), the strongly-connected-components pass models runs
- * on a graph's CSR rows (rlgl_scc), the CSR product x P (rlgl_mul_left)
- * and the edge-list parser of models.parse_edge_file (rlgl_parse_edges,
- * at the end).
+/* The inner loop of engine.run for single-node schedules on a CSR matrix,
+ * one per Schedule.push_loop name (rlgl_loop_rr, rlgl_loop_theta,
+ * rlgl_loop_maxc, rlgl_loop_pc), the strongly-connected-components pass
+ * models runs on a graph's CSR rows (rlgl_scc), the CSR product x P
+ * (rlgl_mul_left) and the edge-list parser of models.parse_edge_file
+ * (rlgl_parse_edges, at the end).
  *
- * Built and loaded by pushloop.py.  Each step repeats, operation for
+ * Built and loaded by pushloop.py.  Each loop makes its schedule's pick
+ * and shares the rest: the checks before a step (may_step) and the push
+ * with its ||C||_1 accounting (step).  Each step repeats, operation for
  * operation, what engine.run's Python loop does with RoundRobin, Theta,
  * MaxCash or ProportionalCash and engine.step on a TransitionMatrix, with
  * or without a restart part, or on its GaussSeidelRows view, so H, C and
  * every counter come out with the same bytes.
  * The dangling rows of a matrix with a restart part are its empty CSR
- * rows, so the loop takes no dangling array.
+ * rows, so the loops take no dangling array.
  * Compile with -ffp-contract=off: a fused multiply-add would round C
  * differently.
  *
- * The loop returns to Python before any step that needs it (the guard
+ * A loop returns to Python before any step that needs it (the guard
  * fires, the cash may be below eps, max_steps, a Theta refresh, no cash
  * left for MaxCash, a ProportionalCash total that is not finite and
  * positive, no uniform draw left) and after any step that makes a trace
@@ -29,7 +32,24 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { KIND_RR = 0, KIND_THETA = 1, KIND_MAXC = 2, KIND_PC = 3 };
+/* A matrix's single-node push arrays; fields in pushloop.Rows' order.
+ *
+ * restart is NULL for a TransitionMatrix without a restart part.  With one
+ * it is the restart distribution s and data holds the damped rows c * P.  A
+ * dangling row, one replaced by s, is an empty row (indptr[i] ==
+ * indptr[i + 1]).  A push of cash a then repeats scatter_add: a * data[e]
+ * along the row, then r * s[j] added to all n entries, r being
+ * a * dangling_share for an empty row and a * restart_share otherwise.
+ *
+ * scale is NULL but for a GaussSeidelRows view: the push then moves
+ * b = a * scale[i] in place of a to every entry but C[i], which stays 0.
+ * Writing b's share to C[i] and subtracting it after would cancel
+ * |b| - |a| in the sums of ||C||_1; left out, the entries written take
+ * |a| in all, as on the other runs. */
+typedef struct {
+    const int64_t *indptr, *indices;
+    const double *data, *out_degree, *restart, *scale;
+} csr_rows;
 
 /* Run state shared with Python; fields in pushloop.LoopState's order. */
 typedef struct {
@@ -39,7 +59,7 @@ typedef struct {
 
 /* Per-call constants; fields in pushloop.LoopParams' order. */
 typedef struct {
-    int64_t kind, n, offset, max_steps, record_at, sum_depth, draws;
+    int64_t n, offset, max_steps, record_at, sum_depth, draws;
     double theta, eps, initial_mass, guard_unit, drift_tol, unit, restart_share, dangling_share;
 } loop_params;
 
@@ -175,143 +195,164 @@ static void add_restart(double *C, const double *s, double r, int64_t lo, int64_
     *best = arg;
 }
 
-/* Steps taken (0: the next step needs Python), or -1 when out of memory.
- * uniform holds p->draws uniform draws for KIND_PC, one per pick.
- *
- * restart is NULL for a TransitionMatrix without a restart part.  With one
- * it is the restart distribution s and data holds the damped rows c * P.  A
- * dangling row, one replaced by s, is an empty row (indptr[i] ==
- * indptr[i + 1]); no dangling array is passed.  A push of cash a then
- * repeats scatter_add: a * data[e] along the row, then r * s[j] added to
- * all n entries, r being a * dangling_share for an empty row and
- * a * restart_share otherwise.  That pass sums |new| - |old| for ||C||_1
- * and finds MaxCash's next pick; where r is zero but at dangling rows
- * (the matrix's damped copy), MaxCash keeps its heap and rebuilds it there.
- *
- * scale is NULL but for a GaussSeidelRows view: the push then moves
- * b = a * scale[i] in place of a to every entry but C[i], which stays 0.
- * Writing b's share to C[i] and subtracting it after would cancel
- * |b| - |a| in the sums of ||C||_1; left out, the entries written take
- * |a| in all, as on the other runs. */
-int64_t rlgl_push_loop(const int64_t *indptr, const int64_t *indices, const double *data,
-                       const double *out_degree, const double *restart, const double *scale, double *C,
-                       double *H, const double *uniform, loop_state *s, const loop_params *p)
+/* engine.run's checks before a step: 0 when Python must make them (the
+ * guard waits for a push). */
+static inline int may_step(const loop_state *s, const loop_params *p)
 {
-    heap h = {0};
-    int64_t done = 0, best = 0;
+    if (s->updates > 0 && !(fabs(s->total_history) > p->guard_unit * (double)s->t * p->initial_mass))
+        return 0;
+    return !(s->cash_l1 - s->l1_err < p->eps || s->t >= p->max_steps);
+}
+
+/* One step: engine.step's push of node i (none when i < 0, a skip step,
+ * or C[i] is 0) and engine._account; nonzero when the loop must return
+ * after it (a trace row is due, or the ||C||_1 bound passed its drift
+ * limit).  h is MaxCash's heap, reordered at every entry written, or
+ * NULL; best, or NULL, takes MaxCash's next pick from the pass that adds
+ * the restart part and sums |new| - |old| for ||C||_1.  Where that add is
+ * zero but at dangling rows (the matrix's damped copy), the heap is kept
+ * and rebuilt there.  Inlined into each loop, whose copy then drops what
+ * its kind does not use. */
+__attribute__((always_inline)) static inline int step(const csr_rows *m, double *C, double *H, int64_t i,
+                                                      loop_state *s, const loop_params *p, heap *h, int64_t *best)
+{
+    double a = i >= 0 ? C[i] : 0.0;
+    int drift = 0;
+    if (a != 0.0) {
+        H[i] += a;
+        s->total_history += a;
+        C[i] = 0.0;
+        if (h)
+            reorder(h, i);
+        double b = m->scale ? a * m->scale[i] : a;
+        /* a GaussSeidelRows push leaves C[i] at 0: the row adds 0 there
+         * (a select, as a branch here slowed the pc runs by ~15%) and
+         * the restart pass skips it */
+        int64_t own = m->scale ? i : -1;
+        int64_t lo = m->indptr[i], hi = m->indptr[i + 1];
+        double old_abs = 0.0, new_abs = 0.0;
+        for (int64_t e = lo; e < hi; e++) {
+            int64_t j = m->indices[e];
+            double o = C[j];
+            double v = o + (j == own ? 0.0 : b * m->data[e]);
+            C[j] = v;
+            old_abs += fabs(o);
+            new_abs += fabs(v);
+            if (h)
+                reorder(h, j);
+        }
+        double grown = new_abs - old_abs;
+        double r = 0.0;
+        if (m->restart) {
+            r = lo == hi ? b * p->dangling_share : b * p->restart_share;
+            if (r != 0.0) {
+                double top = -1.0;
+                int64_t arg = 0, mid = own < 0 ? p->n : own;
+                add_restart(C, m->restart, r, 0, mid, &grown, &top, &arg);
+                add_restart(C, m->restart, r, mid + 1, p->n, &grown, &top, &arg);
+                if (best)
+                    *best = arg;
+                if (h) /* every |C[j]| moved: rebuild the heap */
+                    for (int64_t q = p->n / 2 - 1; q >= 0; q--)
+                        sift_down(h, q);
+            } else if (best) {
+                *best = argmax_abs(C, p->n);
+            }
+        }
+        s->cum_cost += m->out_degree[i];
+        s->updates += 1;
+
+        /* a sequential sum of d terms rounds within d units: the row's
+         * d, then, after a pass over all of C, n more */
+        int64_t d = hi - lo;
+        int64_t depth = r != 0.0 ? p->n + d : (d > p->sum_depth ? d : p->sum_depth);
+        double moved_abs = fabs(a);
+        double change = grown - moved_abs;
+        double old = s->cash_l1;
+        double err = s->l1_err;
+        if (err == 0.0)
+            err = (double)(2 * p->sum_depth) * p->unit * old;
+        s->cash_l1 = old + change;
+        s->l1_err = err + (double)((depth + 4) * 2) * p->unit * (old + err + moved_abs);
+        drift = s->l1_err > p->drift_tol * s->cash_l1;
+        if (change > s->max_l1_increase)
+            s->max_l1_increase = change;
+    }
+    s->t++;
+    return drift || s->updates >= p->record_at;
+}
+
+/* The loops: steps taken (0: the next step needs Python), or -1 when out
+ * of memory.  u holds p->draws uniform draws for rlgl_loop_pc, one per
+ * pick, and is NULL for the others. */
+
+int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
+{
+    const int64_t t0 = s->t;
+    while (may_step(s, p))
+        if (step(m, C, H, (s->k++ + p->offset) % p->n, s, p, NULL, NULL))
+            break;
+    return s->t - t0;
+}
+
+int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
+{
+    const int64_t t0 = s->t;
     /* Theta refreshes at the steps k with k % n == 0, whose candidate is this node */
     const int64_t refresh_at = p->offset % p->n;
-    int scan = p->kind == KIND_MAXC && restart && p->restart_share != 0.0;
-    int heaped = p->kind == KIND_MAXC && !scan;
+    while (may_step(s, p)) {
+        int64_t i = (s->k + p->offset) % p->n;
+        if (s->t > t0 && i == refresh_at)
+            break;
+        s->k++;
+        s->scan_cost += 1;
+        if (!(fabs(C[i]) >= p->theta && C[i] != 0.0))
+            i = -1;
+        if (step(m, C, H, i, s, p, NULL, NULL))
+            break;
+    }
+    return s->t - t0;
+}
+
+int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
+{
+    const int64_t t0 = s->t;
+    heap h = {0};
+    int64_t best = 0;
+    /* a restart add moves every entry: a scan in that pass beats the heap */
+    int scan = m->restart && p->restart_share != 0.0;
     if (scan) {
         best = argmax_abs(C, p->n);
-    } else if (heaped && heap_init(&h, C, p->n) != 0) {
+    } else if (heap_init(&h, C, p->n) != 0) {
         free(h.node);
         free(h.pos);
         return -1;
     }
-    for (;;) {
-        /* engine.run's checks before a step (the guard waits for a push) */
-        if (s->updates > 0 && !(fabs(s->total_history) > p->guard_unit * (double)s->t * p->initial_mass))
+    while (may_step(s, p)) {
+        int64_t i = scan ? best : h.node[0];
+        if (C[i] == 0.0)
             break;
-        if (s->cash_l1 - s->l1_err < p->eps || s->t >= p->max_steps)
-            break;
-
-        /* the schedule's pick; -1 is a skip step */
-        int64_t i;
-        if (p->kind == KIND_MAXC) {
-            i = scan ? best : h.node[0];
-            if (C[i] == 0.0)
-                break;
-            s->k++;
-        } else if (p->kind == KIND_PC) {
-            if (done >= p->draws)
-                break;
-            i = proportional_pick(C, p->n, uniform[done]);
-            if (i < 0)
-                break;
-            s->k++;
-        } else {
-            i = (s->k + p->offset) % p->n;
-            if (p->kind == KIND_THETA && done > 0 && i == refresh_at)
-                break;
-            s->k++;
-            if (p->kind == KIND_THETA) {
-                s->scan_cost += 1;
-                if (!(fabs(C[i]) >= p->theta && C[i] != 0.0))
-                    i = -1;
-            }
-        }
-
-        /* engine.step's single-node push and engine._account */
-        double a = i >= 0 ? C[i] : 0.0;
-        int drift = 0;
-        if (a != 0.0) {
-            H[i] += a;
-            s->total_history += a;
-            C[i] = 0.0;
-            if (heaped)
-                reorder(&h, i);
-            double b = scale ? a * scale[i] : a;
-            /* a GaussSeidelRows push leaves C[i] at 0: the row adds 0 there
-             * (a select, as a branch here slowed the pc runs by ~15%) and
-             * the restart pass skips it */
-            int64_t own = scale ? i : -1;
-            int64_t lo = indptr[i], hi = indptr[i + 1];
-            double old_abs = 0.0, new_abs = 0.0;
-            for (int64_t e = lo; e < hi; e++) {
-                int64_t j = indices[e];
-                double o = C[j];
-                double v = o + (j == own ? 0.0 : b * data[e]);
-                C[j] = v;
-                old_abs += fabs(o);
-                new_abs += fabs(v);
-                if (heaped)
-                    reorder(&h, j);
-            }
-            double grown = new_abs - old_abs;
-            double r = 0.0;
-            if (restart) {
-                r = lo == hi ? b * p->dangling_share : b * p->restart_share;
-                if (r != 0.0) {
-                    double top = -1.0;
-                    int64_t mid = own < 0 ? p->n : own;
-                    add_restart(C, restart, r, 0, mid, &grown, &top, &best);
-                    add_restart(C, restart, r, mid + 1, p->n, &grown, &top, &best);
-                    if (heaped) /* every |C[j]| moved: rebuild the heap */
-                        for (int64_t q = p->n / 2 - 1; q >= 0; q--)
-                            sift_down(&h, q);
-                } else if (scan) {
-                    best = argmax_abs(C, p->n);
-                }
-            }
-            s->cum_cost += out_degree[i];
-            s->updates += 1;
-
-            /* a sequential sum of d terms rounds within d units: the row's
-             * d, then, after a pass over all of C, n more */
-            int64_t d = hi - lo;
-            int64_t depth = r != 0.0 ? p->n + d : (d > p->sum_depth ? d : p->sum_depth);
-            double moved_abs = fabs(a);
-            double change = grown - moved_abs;
-            double old = s->cash_l1;
-            double err = s->l1_err;
-            if (err == 0.0)
-                err = (double)(2 * p->sum_depth) * p->unit * old;
-            s->cash_l1 = old + change;
-            s->l1_err = err + (double)((depth + 4) * 2) * p->unit * (old + err + moved_abs);
-            drift = s->l1_err > p->drift_tol * s->cash_l1;
-            if (change > s->max_l1_increase)
-                s->max_l1_increase = change;
-        }
-        s->t++;
-        done++;
-        if (drift || s->updates >= p->record_at)
+        s->k++;
+        if (step(m, C, H, i, s, p, scan ? NULL : &h, scan ? &best : NULL))
             break;
     }
     free(h.node);
     free(h.pos);
-    return done;
+    return s->t - t0;
+}
+
+int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
+{
+    const int64_t t0 = s->t;
+    while (may_step(s, p) && s->t - t0 < p->draws) {
+        int64_t i = proportional_pick(C, p->n, u[s->t - t0]);
+        if (i < 0)
+            break;
+        s->k++;
+        if (step(m, C, H, i, s, p, NULL, NULL))
+            break;
+    }
+    return s->t - t0;
 }
 
 /* Strongly connected components of the CSR graph on n nodes: Tarjan's

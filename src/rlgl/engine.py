@@ -388,12 +388,8 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
                 record(force=True)
                 result = RunResult(None, state, trace, False, restarts, guard_events, kernel)
                 raise NoConvergenceError(f"no convergence in {max_steps} steps", result)
-            if loop is not None and loop.advance(state, schedule, eps, max_steps, last_recorded + stride):
-                if state.l1_err > DRIFT_TOL * state.cash_l1:
-                    sync_cash_l1(state)
-            else:
-                G = schedule.next_nodes(state.C)
-                step(state, G, P)
+            if loop is None or not loop.advance(state, schedule, eps, max_steps, last_recorded + stride):
+                step(state, schedule.next_nodes(state.C), P)
             state.scan_cost = schedule.scan_cost
             record()
 

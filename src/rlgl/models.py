@@ -19,19 +19,16 @@ def parse_edge_file(path, one_based=False):
     Returns ``(edges, n)`` where edges is an (m, 3) float array and n is
     one past the largest node id seen.
 
-    The file is read once, and its bytes go to the first of three parsers
-    that claims them, each with the same result: the compiled
+    The file is read once, and its bytes go to the compiled
     ``rlgl_parse_edges`` pass (any mix of 2- and 3-token lines of plain
     decimal ids and weights, LF line ends, printable ASCII and tabs; see
-    ``_push.c``), then one ``np.loadtxt`` call (all data lines of one
-    width), then the line loop, which takes any file and is the one
-    source of ``path:line:`` errors.
+    ``_push.c``), and to the line loop when that pass declines or the
+    library cannot load.  Both give the same result; the line loop takes
+    any file and is the one source of ``path:line:`` errors.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     parsed = _parse_compiled(data, one_based)
-    if parsed is None:
-        parsed = _parse_bulk(data, one_based)
     return _parse_lines(path, data, one_based) if parsed is None else parsed
 
 
@@ -48,51 +45,6 @@ def _parse_compiled(data, one_based):
     if m <= 0:
         return None
     edges = rows[:m]
-    return edges, int(edges[:, :2].max()) + 1
-
-
-# Bytes the bulk parser leaves to the line loop: control bytes other than
-# tab and LF (a bare CR ends a line there), DEL, and anything not ASCII.
-_ODD_BYTES = bytes([*range(9), *range(11, 32), *range(127, 256)])
-
-
-def _parse_bulk(data, one_based):
-    """``parse_edge_file``'s result by one ``np.loadtxt`` call, or None.
-
-    None unless every byte is printable ASCII, tab or LF, every ``#``
-    starts a comment line, and the first data line holds 2 or 3 tokens;
-    then None again when numpy rejects a line: a different token count,
-    or an id that is no plain int64 literal (``1.0``, ``1e3``, ``1_0``,
-    20 digits).  numpy's int64 and float parsing agrees with ``int`` and
-    ``float`` on every token both accept.
-    """
-    if len(data.translate(None, _ODD_BYTES)) != len(data):
-        return None
-    at = data.find(b"#")
-    while at != -1:
-        start = data.rfind(b"\n", 0, at) + 1
-        if data[start:at].strip():
-            return None  # an inline comment
-        end = data.find(b"\n", at)
-        at = -1 if end == -1 else data.find(b"#", end)
-    ncols = next((len(t) for t in map(bytes.split, io.BytesIO(data)) if t and not t[0].startswith(b"#")), 0)
-    if ncols not in (2, 3):
-        return None
-    dtype = [("src", np.int64), ("dst", np.int64), ("w", np.float64)][:ncols]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy that parses an int via a float warns
-            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, comments="#", ndmin=1, encoding="ascii")
-    except (ValueError, Warning):
-        return None
-    src, dst = rows["src"], rows["dst"]
-    if one_based:
-        if min(src.min(), dst.min()) == np.iinfo(np.int64).min:
-            return None  # the shift would wrap around
-        src, dst = src - 1, dst - 1
-    edges = np.empty((rows.size, 3))
-    edges[:, 0], edges[:, 1] = src, dst
-    edges[:, 2] = rows["w"] if ncols == 3 else 1.0
     return edges, int(edges[:, :2].max()) + 1
 
 

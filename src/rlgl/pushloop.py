@@ -3,17 +3,18 @@
 ``load()`` compiles the C source once per user with ``$CC`` (default
 ``cc``) and the flags in ``FLAGS``, and caches the shared library under
 ``$XDG_CACHE_HOME/rlgl`` (default ``~/.cache/rlgl``), keyed by a hash of
-the source, the compiler and the flags.  The one library holds four
-entry points, all typed by ``load()``: ``rlgl_push_loop``, the push loop
-``engine.run`` binds here; ``rlgl_scc``, the strongly connected
-components pass of ``models``; ``rlgl_mul_left``, the CSR product
-``x P`` of ``TransitionMatrix.mul_left``; and ``rlgl_parse_edges``, the
-first parser of ``models.parse_edge_file``.  ``load()`` returns None
-when the library cannot be built or loaded; ``engine.run`` then takes
-its Python steps, ``models`` its Python Tarjan pass and its numpy and
-line-by-line parsers, and ``mul_left`` its numpy product.  Nothing here
-is imported until a run, a product, a connectivity check or an edge file
-can use the library.
+the source, the compiler and the flags.  The one library holds seven
+entry points, all typed by ``load()``: ``rlgl_loop_rr``,
+``rlgl_loop_theta``, ``rlgl_loop_maxc`` and ``rlgl_loop_pc``, the push
+loop of each ``Schedule.push_loop`` name, which ``engine.run`` binds
+here; ``rlgl_scc``, the strongly connected components pass of
+``models``; ``rlgl_mul_left``, the CSR product ``x P`` of
+``TransitionMatrix.mul_left``; and ``rlgl_parse_edges``, the parser of
+``models.parse_edge_file``.  ``load()`` returns None when the library
+cannot be built or loaded; ``engine.run`` then takes its Python steps,
+``models`` its Python Tarjan pass and its line-by-line parser, and
+``mul_left`` its numpy product.  Nothing here is imported until a run, a
+product, a connectivity check or an edge file can use the library.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ from . import engine
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_push.c")
 # No -ffast-math and no contraction: every operation rounds as numpy's does.
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-KINDS = {"rr": 0, "theta": 1, "maxc": 2, "pc": 3}
 # Most uniform draws one call takes for "pc"; a call stops when they run out.
 DRAW_CHUNK = 1 << 16
+
+
+class Rows(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_void_p) for name in ("indptr", "indices", "values", "out_degree", "s", "scale")]
 
 
 class LoopState(ctypes.Structure):
@@ -47,10 +51,7 @@ class LoopState(ctypes.Structure):
 
 
 class LoopParams(ctypes.Structure):
-    _fields_ = [
-        (name, ctypes.c_int64)
-        for name in ("kind", "n", "offset", "max_steps", "record_at", "sum_depth", "draws")
-    ] + [
+    _fields_ = [(name, ctypes.c_int64) for name in ("n", "offset", "max_steps", "record_at", "sum_depth", "draws")] + [
         (name, ctypes.c_double)
         for name in ("theta", "eps", "initial_mass", "guard_unit", "drift_tol", "unit", "restart_share", "dangling_share")
     ]
@@ -87,14 +88,16 @@ def _build():
 
 @functools.cache
 def load():
-    """The compiled library with its four entry points typed, or None when it cannot be had here."""
+    """The compiled library with its entry points typed, or None when it cannot be had here."""
     try:
         lib = ctypes.CDLL(_build())
-        push, scc, mul, parse = lib.rlgl_push_loop, lib.rlgl_scc, lib.rlgl_mul_left, lib.rlgl_parse_edges
+        loops = lib.rlgl_loop_rr, lib.rlgl_loop_theta, lib.rlgl_loop_maxc, lib.rlgl_loop_pc
+        scc, mul, parse = lib.rlgl_scc, lib.rlgl_mul_left, lib.rlgl_parse_edges
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
-    push.argtypes = [ctypes.c_void_p] * 9 + [ctypes.POINTER(LoopState), ctypes.POINTER(LoopParams)]
-    push.restype = ctypes.c_int64
+    for loop in loops:  # rows, C, H, uniform draws, state, params
+        loop.argtypes = [ctypes.POINTER(Rows), *[ctypes.c_void_p] * 3, *map(ctypes.POINTER, (LoopState, LoopParams))]
+        loop.restype = ctypes.c_int64
     scc.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     scc.restype = ctypes.c_int64
     mul.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
@@ -104,7 +107,7 @@ def load():
     return lib
 
 
-# The C types of a ``CsrPush``'s arrays, in the loop's argument order.
+# The C types of a ``CsrPush``'s arrays, in the order of ``Rows``.
 _C_TYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, np.float64)
 
 
@@ -114,11 +117,11 @@ def bind(P, kind):
     The matrix has checked its rows (distinct columns) when built.
     """
     lib = load()
-    return None if lib is None else Loop(lib.rlgl_push_loop, P.csr_push, P.n, kind)
+    return None if lib is None else Loop(getattr(lib, "rlgl_loop_" + kind), P.csr_push, P.n, kind)
 
 
 class Loop:
-    """One run's compiled loop: the matrix arrays and schedule kind, bound once."""
+    """One run's compiled loop: its schedule kind's function and the matrix arrays, bound once."""
 
     def __init__(self, fn, push, n, kind):
         self.fn = fn
@@ -126,10 +129,10 @@ class Loop:
         # kept referenced while C reads them; no restart part or scale (None) is NULL
         arrays = (push.indptr, push.indices, push.values, push.out_degree, push.s, push.scale)
         self.arrays = [None if a is None else np.ascontiguousarray(a, dtype=t) for a, t in zip(arrays, _C_TYPES)]
-        self.pointers = [None if a is None else a.ctypes.data for a in self.arrays]
+        self.rows = Rows(*[None if a is None else a.ctypes.data for a in self.arrays])
         self.state = LoopState()
         self.params = LoopParams(
-            kind=KINDS[kind], n=n, sum_depth=engine._sum_depth(n), guard_unit=engine.GUARD_UNIT,
+            n=n, sum_depth=engine._sum_depth(n), guard_unit=engine.GUARD_UNIT,
             drift_tol=engine.DRIFT_TOL, unit=engine._U, restart_share=push.restart_share,
             dangling_share=push.dangling_share,
         )
@@ -144,6 +147,8 @@ class Loop:
         uniform draws are taken from its generator beforehand, one per
         step the call may take (every such step is a push), and the
         generator is rewound to just past the draws the picks used.
+        After any steps ``cash_l1`` is synced once its rounding bound
+        passes ``DRIFT_TOL``, so the bound holds as after ``engine.step``.
         """
         C, H = state.C, state.H
         n = self.params.n
@@ -172,8 +177,8 @@ class Loop:
         s.cum_cost, s.total_history = state.cum_cost, state.total_history
         s.scan_cost = schedule.scan_cost
         s.cash_l1, s.l1_err, s.max_l1_increase = state.cash_l1, state.l1_err, state.max_l1_increase
-        done = self.fn(*self.pointers, C.ctypes.data, H.ctypes.data, None if uniform is None else uniform.ctypes.data,
-                       ctypes.byref(s), ctypes.byref(p))
+        done = self.fn(ctypes.byref(self.rows), C.ctypes.data, H.ctypes.data,
+                       None if uniform is None else uniform.ctypes.data, ctypes.byref(s), ctypes.byref(p))
         if uniform is not None and done < uniform.size:
             rng.bit_generator.state = before
             rng.random(done)  # the draws the picks used, and no more
@@ -183,4 +188,6 @@ class Loop:
         state.cum_cost, state.total_history = s.cum_cost, s.total_history
         state.cash_l1, state.l1_err, state.max_l1_increase = s.cash_l1, s.l1_err, s.max_l1_increase
         schedule.seek(s.k, s.scan_cost)
+        if state.l1_err > engine.DRIFT_TOL * state.cash_l1:
+            engine.sync_cash_l1(state)
         return done

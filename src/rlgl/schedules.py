@@ -9,12 +9,12 @@ kinds replay identical sequences for equal seeds.  The iteration engine
 calls ``perturb()`` (deterministic kinds: rotate the node order by one) or
 ``reseed()`` (stochastic kinds: seed+1) when its total-history guard fires.
 
-``push_loop`` names the kinds whose picks ``engine.run`` may take in its
-compiled loop (``pushloop``): ``rr``, ``theta``, ``maxc`` and ``pc``;
-None for every other schedule.  That loop repeats the picks of
-``next_nodes`` exactly, ``pc``'s uniform draws included, and hands its
-position and scan count back through ``seek``, so a subclass that
-changes the pick must set ``push_loop = None``.
+``push_loop`` names the kinds whose picks ``engine.run`` may take in a
+compiled loop (``pushloop``; ``rlgl_loop_<name>``): ``rr``, ``theta``,
+``maxc`` and ``pc``; None for every other schedule.  Each loop repeats
+the picks of ``next_nodes`` exactly, ``pc``'s uniform draws included,
+and hands its position and scan count back through ``seek``, so a
+subclass that changes the pick must set ``push_loop = None``.
 """
 
 from __future__ import annotations

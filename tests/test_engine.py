@@ -596,7 +596,7 @@ class TestCompiledLoop:
         assert got == kernel
         assert outcome[0]  # converged
 
-    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc"])
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1", "theta:2"])
     def test_cash_start(self, sched_name, kernel, monkeypatch):
         # the positive-cash start of the PageRank push solver; s is zero on
         # node 0, so rr and theta take skip steps before the first push,
@@ -724,21 +724,55 @@ class TestCompiledLoop:
         assert pushed[0][0] == [0, 5]
         assert pushed[1] == pushed[0]
 
-    @pytest.mark.parametrize("check", ["guard", "eps", "max_steps"])
-    def test_loop_returns_before_a_step_python_must_check(self, check, kernel):
+    @pytest.mark.parametrize(
+        "sched_name, check",
+        [
+            pytest.param(name, check, id=check if name == "rr" else f"{name}-{check}")
+            for name in ("rr", "theta:1", "maxc", "pc:1")
+            for check in ("guard", "eps", "max_steps")
+        ],
+    )
+    def test_loop_returns_before_a_step_python_must_check(self, sched_name, check, kernel):
+        # each kind's loop makes the checks itself
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
         P = _chain("sbm80")
-        sched = schedules.RoundRobin().bind(P)
-        loop = pushloop.bind(P, "rr")
+        sched = schedules.parse_schedule(sched_name).bind(P)
+        sched.restart()
+        loop = pushloop.bind(P, sched.push_loop)
         st_ = engine.init(P)
-        assert loop.advance(st_, sched, 1e-10, 100, 10**9) == 100 - 1  # stops at max_steps
+        while st_.t < 100:  # stops at max_steps (theta also at its refresh)
+            assert loop.advance(st_, sched, 1e-10, 100, 10**9) > 0
+            assert st_.l1_err <= engine.DRIFT_TOL * st_.cash_l1  # as after engine.step
+        assert st_.t == 100
         st_.total_history = 0.0 if check == "guard" else st_.total_history
         eps = st_.cash_l1 if check == "eps" else 1e-10
         max_steps = st_.t if check == "max_steps" else 200
-        before = TestStep._snapshot(st_), sched._k
+        rng = getattr(sched, "rng", None)
+        before = TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state
         assert loop.advance(st_, sched, eps, max_steps, 10**9) == 0
-        assert (TestStep._snapshot(st_), sched._k) == before
+        assert (TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state) == before
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
+    def test_advance_leaves_cash_l1_within_the_drift_limit(self, sched_name, kernel):
+        # every push adds the n restart terms' rounding to the bound, which
+        # passes DRIFT_TOL within a few thousand pushes: advance syncs then,
+        # so the next call runs on, not one step per call
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _dangling_google(2000, 4, 5)
+        sched = schedules.parse_schedule(sched_name).bind(P)
+        sched.restart()
+        loop = pushloop.bind(P, sched.push_loop)
+        st_ = engine.init(P)
+        synced, calls = [], 0
+        while st_.t < 10_000:
+            err = st_.l1_err
+            assert loop.advance(st_, sched, 1e-30, 10_000, 10**9) > 0
+            calls += 1
+            assert st_.l1_err <= engine.DRIFT_TOL * st_.cash_l1
+            synced.append(st_.l1_err < err or st_.l1_err == 0.0)
+        assert any(synced) and calls < 60
 
     def test_forwarding_wrappers_take_the_loop(self, kernel, monkeypatch):
         P = _chain("sbm80")

@@ -477,7 +477,7 @@ def _outcome(parse, path, one_based):
     return edges.dtype, edges.shape, edges.tobytes(), n
 
 
-# Tokens and lines numpy accepts as the line loop does, then those it does not.
+# Tokens and lines of the plain grammar, then those outside it.
 _PLAIN_IDS = ["+3", "-2", "007", "9223372036854775807", "-9223372036854775808"]
 _PLAIN_WEIGHTS = ["nan", "-nan", "inf", "-inf", "1e400", "1e-400", ".5", "5.", "-0", "2E3", "0.1", "1"]
 _PLAIN_LINES = ["", "  \t ", "# comment", "  # indented comment", "#"]
@@ -490,9 +490,10 @@ _ODD_LINES = ["7", "0 1 2 3", "3\u00a04", "0 1\x0c", "0 1\x00"]
 def edge_files(draw):
     """Edge-file text: a uniform 2- or 3-column LF file, half of them with one flaw.
 
-    The clean half is the one numpy parses.  Each flaw (a token or line
-    numpy rejects, a line of the other width, an inline comment, CRLF or
-    bare CR line ends) sends a file to the line loop.
+    The compiled pass claims the clean half, but for ``nan`` and ``inf``
+    weights.  Each flaw but the other width (a token or line outside the
+    grammar, an inline comment, CRLF or bare CR line ends) sends a file
+    to the line loop.
     """
     ncols = draw(st.sampled_from([2, 3]))
     flaw = draw(st.sampled_from([None] * 5 + ["id", "weight", "line", "width", "inline", "ends"]))
@@ -551,16 +552,7 @@ class TestParseEdgeFile:
 
     @pytest.mark.parametrize(
         "text",
-        ["# header\n0 1\n1 0\n", "0 1 0.5\n\n  # note\n1\t0\t2\n", "0 1\n1 0", " +1  2 \n2 1\n"],
-    )
-    def test_uniform_files_take_the_bulk_path(self, text):
-        edges, n = models._parse_bulk(text.encode(), one_based=False)
-        assert edges.shape == (2, 3) and n in (2, 3)
-
-    @pytest.mark.parametrize(
-        "text",
         [
-            "0 1\n1 0 2\n",  # mixed 2/3 tokens
             "0 1 # inline\n1 0\n",
             "0 1\n1 0 # inline\n",
             "0 1\r1 0\r",
@@ -575,11 +567,14 @@ class TestParseEdgeFile:
             "",
         ],
     )
-    def test_other_files_take_the_line_loop(self, text):
-        assert models._parse_bulk(text.encode(), one_based=False) is None
+    def test_other_files_take_the_line_loop(self, text, tmp_path):
+        assert models._parse_compiled(text.encode(), one_based=False) is None
+        _parsed_as_the_line_loop_parses(tmp_path / "g.edges", text, False)
 
-    def test_one_based_shift_that_would_wrap_takes_the_line_loop(self):
-        assert models._parse_bulk(b"-9223372036854775808 1\n", one_based=True) is None
+    def test_one_based_shift_that_would_wrap_takes_the_line_loop(self, tmp_path):
+        text = "-9223372036854775808 1\n"
+        assert models._parse_compiled(text.encode(), one_based=True) is None
+        _parsed_as_the_line_loop_parses(tmp_path / "g.edges", text, True)
 
     def test_line_loop_reads_the_bytes_it_is_given(self, tmp_path):
         # no file at the path: the loop decodes the bytes parse_edge_file read
@@ -590,7 +585,7 @@ class TestParseEdgeFile:
 
 
 class TestParseEdgeFileWithoutCompiler(TestParseEdgeFile):
-    """``TestParseEdgeFile`` again with no library: numpy and the line loop parse every file."""
+    """``TestParseEdgeFile`` again with no library: the line loop parses every file."""
 
     @pytest.fixture(autouse=True, scope="class")
     def _no_library(self):
@@ -614,7 +609,7 @@ class TestCompiledParser:
     @pytest.fixture(autouse=True)
     def _compiled(self, kernel):
         if kernel != "c":
-            pytest.skip("no compiler: numpy and the line loop parse every file")
+            pytest.skip("no compiler: the line loop parses every file")
         assert pushloop.load() is not None
 
     @pytest.mark.parametrize(
@@ -674,7 +669,7 @@ class TestCompiledParser:
         _parsed_as_the_line_loop_parses(tmp_path / "g.edges", text, one_based)
 
     def test_comma_decimal_locale_same_bytes(self, tmp_path):
-        # strtod reads the locale's decimal point: under a comma the pass leaves weights to numpy
+        # strtod reads the locale's decimal point: under a comma the pass leaves weights to the line loop
         path = tmp_path / "g.edges"
         path.write_bytes(b"0 1 0.5\n1 0 2.25e-3\n1 1\n")
         expected = _outcome(_parse_per_line, path, False)
