@@ -2,8 +2,9 @@
  * one per Schedule.push_loop name (rlgl_loop_rr, rlgl_loop_theta,
  * rlgl_loop_maxc, rlgl_loop_pc), the strongly-connected-components pass
  * models runs on a graph's CSR rows (rlgl_scc), the CSR product x P
- * (rlgl_mul_left) and the edge-list parser of models.parse_edge_file
- * (rlgl_parse_edges, at the end).
+ * (rlgl_mul_left), and at the end the edge-list parser of
+ * models.parse_edge_file (rlgl_parse_edges) and the edge coalescing of
+ * every matrix build (rlgl_coalesce).
  *
  * Built and loaded by pushloop.py.  Each loop makes its schedule's pick
  * and shares the rest: the checks before a step (may_step) and the push
@@ -438,7 +439,9 @@ void rlgl_mul_left(int64_t n, const int64_t *indptr, const int64_t *indices, con
  * down by one when one_based; the weight, default 1, is
  * [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?, converted by strtod, which rounds
  * correctly as Python's float does.  Data line i fills edges[3i..3i+2]
- * with (double)src, (double)dst and the weight, as numpy casts.
+ * with (double)src, (double)dst and the weight, as numpy casts, and *top
+ * is set to the largest id written, cast as they are (the cast keeps the
+ * order, so it is the largest of the written ids).
  *
  * Returns the number of data lines, or 0 to decline, leaving the file to
  * models' other parsers: on any byte other than printable ASCII, tab and
@@ -525,12 +528,13 @@ static int parse_weight(const char **at, const char *end, double *w)
     return 1;
 }
 
-int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based, double *edges, int64_t rows)
+int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based, double *edges, int64_t rows,
+                         double *top)
 {
     const char *p = data, *end = data + size;
     const char *point = localeconv()->decimal_point;
     int dot = point[0] == '.' && point[1] == '\0';
-    int64_t m = 0;
+    int64_t m = 0, largest = INT64_MIN;
     while (p < end) {
         while (p < end && blank(*p))
             p++;
@@ -579,8 +583,158 @@ int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based, doub
         edges[3 * m + 1] = (double)ids[1];
         edges[3 * m + 2] = w;
         m++;
+        for (int k = 0; k < 2; k++)
+            if (ids[k] > largest)
+                largest = ids[k];
         if (p < end)
             p++; /* past the LF */
     }
+    *top = (double)largest;
     return m;
+}
+
+/* The coalesced edges of an edge list: the numpy pass of
+ * matrix._coalesce_edges in O(m + n), with its bytes.
+ *
+ * edges holds m rows of cols doubles (2 or 3): source, target and, with 3
+ * columns, the weight (1 otherwise).  An id x is valid when -1 < x < n,
+ * the ids whose truncating cast to int64 numpy's [0, n) check passes; a
+ * weight is valid when finite and >= 0.  Edges of weight 0 are dropped.
+ * The others are counted by source and scattered in input order into one
+ * bucket per source; each bucket is sorted by target, stably, and each
+ * run of one target merges into its first edge, the later weights added
+ * to it in input order.  That is the order of np.argsort(src * n + dst,
+ * kind="stable"), and the order in which np.bincount sums each run, so
+ * the first k entries of the m-sized outputs src, dst and w come out with
+ * the numpy pass's values.
+ *
+ * Returns k, or COALESCE_BAD_WEIGHT when any weight is invalid (numpy
+ * checks the weights before the ids), COALESCE_BAD_ID when an id is, and
+ * COALESCE_DECLINE, before reading any edge, when n < 1 or n > m (the
+ * n + 1 counts would outgrow the edges), or when an allocation fails;
+ * the numpy pass then runs.  Scratch memory is O(m + n) and freed. */
+
+enum { COALESCE_DECLINE = -1, COALESCE_BAD_WEIGHT = -2, COALESCE_BAD_ID = -3 };
+
+/* A row is sorted in runs of this many entries, each run by ranking
+ * (O(run^2) comparisons, without branches), then the runs are merged, so
+ * a hub row of d entries takes O(d log d). */
+#define RUN 16
+
+/* Merge each pair of adjacent sorted runs of width entries of (dst, w)
+ * into (to_dst, to_w); on equal targets the left run goes first. */
+static void merge_runs(const int64_t *dst, const double *w, int64_t *to_dst, double *to_w, int64_t len,
+                       int64_t width)
+{
+    for (int64_t lo = 0; lo < len; lo += 2 * width) {
+        int64_t mid = len - lo > width ? lo + width : len;
+        int64_t hi = len - mid > width ? mid + width : len;
+        int64_t a = lo, b = mid, o = lo;
+        while (a < mid || b < hi) {
+            int64_t from = b == hi || (a < mid && dst[a] <= dst[b]) ? a++ : b++;
+            to_dst[o] = dst[from];
+            to_w[o++] = w[from];
+        }
+    }
+}
+
+/* A row's len entries (dst, w) sorted by target, stably, into (to_dst,
+ * to_w); the row's own entries are scratch after.  In each run, entry j
+ * goes after the smaller entries and the equal ones before it. */
+static void sort_row(int64_t *dst, double *w, int64_t len, int64_t *to_dst, double *to_w)
+{
+    for (int64_t lo = 0; lo < len; lo += RUN) {
+        int64_t hi = len - lo > RUN ? lo + RUN : len;
+        for (int64_t j = lo; j < hi; j++) {
+            int64_t t = dst[j], rank = lo;
+            for (int64_t i = lo; i < j; i++)
+                rank += dst[i] <= t;
+            for (int64_t i = j + 1; i < hi; i++)
+                rank += dst[i] < t;
+            to_dst[rank] = t;
+            to_w[rank] = w[j];
+        }
+    }
+    int in_row = 0;
+    for (int64_t width = RUN; width < len; width *= 2, in_row = !in_row) {
+        if (in_row)
+            merge_runs(dst, w, to_dst, to_w, len, width);
+        else
+            merge_runs(to_dst, to_w, dst, w, len, width);
+    }
+    if (in_row) {
+        memcpy(to_dst, dst, (size_t)len * sizeof *dst);
+        memcpy(to_w, w, (size_t)len * sizeof *w);
+    }
+}
+
+int64_t rlgl_coalesce(int64_t n, int64_t m, int64_t cols, const double *edges, int64_t *src, int64_t *dst,
+                      double *w)
+{
+    if (n < 1 || n > m)
+        return COALESCE_DECLINE;
+    /* next[i + 1] counts row i's edges, then next[i] is where its next edge goes */
+    int64_t *next = calloc((size_t)n + 1, sizeof *next);
+    if (!next)
+        return COALESCE_DECLINE;
+    double limit = (double)n; /* exact: n <= m */
+    int bad_id = 0;
+    for (int64_t e = 0; e < m; e++) {
+        const double *row = edges + cols * e;
+        double x = cols == 3 ? row[2] : 1.0;
+        if (!(x >= 0.0 && x <= DBL_MAX)) {
+            free(next);
+            return COALESCE_BAD_WEIGHT;
+        }
+        if (!(row[0] > -1.0 && row[0] < limit && row[1] > -1.0 && row[1] < limit))
+            bad_id = 1;
+        else if (x > 0.0)
+            next[(int64_t)row[0] + 1]++;
+    }
+    if (bad_id) {
+        free(next);
+        return COALESCE_BAD_ID;
+    }
+    int64_t longest = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (next[i + 1] > longest)
+            longest = next[i + 1];
+        next[i + 1] += next[i];
+    }
+    for (int64_t e = 0; e < m; e++) {
+        const double *row = edges + cols * e;
+        double x = cols == 3 ? row[2] : 1.0;
+        if (x > 0.0) {
+            int64_t at = next[(int64_t)row[0]]++;
+            dst[at] = (int64_t)row[1];
+            w[at] = x;
+        }
+    }
+    /* now row i is [next[i - 1], next[i]), with next[-1] = 0 */
+    int64_t *row_dst = malloc((size_t)(longest + 1) * sizeof *row_dst);
+    double *row_w = malloc((size_t)(longest + 1) * sizeof *row_w);
+    if (!row_dst || !row_w) {
+        free(row_dst);
+        free(row_w);
+        free(next);
+        return COALESCE_DECLINE;
+    }
+    int64_t k = 0; /* edges written; k <= lo, so no write reaches a row not yet sorted */
+    for (int64_t i = 0, lo = 0; i < n; lo = next[i++]) {
+        int64_t len = next[i] - lo;
+        sort_row(dst + lo, w + lo, len, row_dst, row_w);
+        for (int64_t e = 0; e < len; e++) {
+            if (e > 0 && row_dst[e] == row_dst[e - 1]) {
+                w[k - 1] += row_w[e];
+                continue;
+            }
+            src[k] = i;
+            dst[k] = row_dst[e];
+            w[k++] = row_w[e];
+        }
+    }
+    free(row_dst);
+    free(row_w);
+    free(next);
+    return k;
 }

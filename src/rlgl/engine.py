@@ -87,10 +87,16 @@ def write_csv(path, columns, rows):
 
     ``str`` values are written as they are, every other value as %.17g.
     """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open_csv(path, columns) as fh:
         for row in rows:
             fh.write(",".join([v if isinstance(v, str) else "%.17g" % v for v in row]) + "\n")
+
+
+def open_csv(path, columns):
+    """The file of a table, opened for LF-terminated lines, its header line written."""
+    fh = open(path, "w", newline="\n")
+    fh.write(",".join(columns) + "\n")
+    return fh
 
 
 @dataclass

@@ -296,10 +296,15 @@ class TransitionMatrix:
 def _coalesce_edges(edges, n):
     """Sort, bounds-check and merge duplicate (src, dst) pairs.
 
-    Returns (src, dst, w) arrays of distinct positive-weight edges.
-    Edges sort on the one key ``src * n + dst``, so n is capped at
-    ``MAX_SORT_N``; a larger n raises InvalidParamsError before any
-    array is made.
+    Returns (src, dst, w) arrays of distinct positive-weight edges,
+    sorted by source, then target; a merged edge's weight is the sum of
+    its copies' in input order.  The pass is the compiled
+    ``rlgl_coalesce`` (a counting sort by source, then one by target
+    within each row) when ``pushloop`` can load it and n is at most the
+    edge count, else numpy's stable sort on the one key ``src * n +
+    dst``; both give the same bytes and raise the same errors.  That key
+    caps n at ``MAX_SORT_N`` on both paths; a larger n raises
+    InvalidParamsError before any array is made.
     """
     if n > MAX_SORT_N:
         raise InvalidParamsError(f"{n} nodes is too many: the edge sort needs n <= {MAX_SORT_N}")
@@ -308,13 +313,16 @@ def _coalesce_edges(edges, n):
         return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
     if edges.ndim != 2 or edges.shape[1] not in (2, 3):
         raise InvalidParamsError("edge list must have shape (m, 2) or (m, 3)")
+    coalesced = _coalesce_compiled(edges, n)
+    if coalesced is not None:
+        return coalesced
     src = edges[:, 0].astype(np.int64)
     dst = edges[:, 1].astype(np.int64)
     w = edges[:, 2].copy() if edges.shape[1] == 3 else np.ones(len(src))
     if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise InvalidParamsError("edge weights must be finite and >= 0")
+        raise _bad_weight()
     if src.size and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
-        raise InvalidIndexError(f"edge endpoint outside [0, {n})")
+        raise _bad_id(n)
     keep = w > 0
     src, dst, w = src[keep], dst[keep], w[keep]
     key = src * n + dst
@@ -327,6 +335,38 @@ def _coalesce_edges(edges, n):
         group = np.cumsum(new) - 1
         src, dst = src[new], dst[new]
         w = np.bincount(group, weights=w)
+    return src, dst, w
+
+
+def _bad_weight():
+    return InvalidParamsError("edge weights must be finite and >= 0")
+
+
+def _bad_id(n):
+    return InvalidIndexError(f"edge endpoint outside [0, {n})")
+
+
+def _coalesce_compiled(edges, n):
+    """``_coalesce_edges``' result for a checked (m, 2) or (m, 3) float edge
+    array by ``rlgl_coalesce``, or None when it declines or cannot load."""
+    from . import pushloop  # imported, and compiled, only by a product, a run or a build
+
+    lib = pushloop.load()
+    if lib is None:
+        return None
+    edges = np.ascontiguousarray(edges)
+    m = len(edges)
+    src, dst, w = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64), np.empty(m)
+    k = lib.rlgl_coalesce(n, m, edges.shape[1], edges.ctypes.data, src.ctypes.data, dst.ctypes.data, w.ctypes.data)
+    # k edges, or -1 (declined), -2 (a bad weight) or -3 (a bad id)
+    if k == -1:
+        return None
+    if k == -2:
+        raise _bad_weight()
+    if k == -3:
+        raise _bad_id(n)
+    for a in (src, dst, w):
+        a.resize(k, refcheck=False)  # in place: nothing else holds the arrays
     return src, dst, w
 
 

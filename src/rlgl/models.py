@@ -41,11 +41,11 @@ def _parse_compiled(data, one_based):
         return None
     # room for one data line per line; numpy counts the LF bytes ~2.5x faster than bytes.count
     rows = np.empty((np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1, 3))
-    m = lib.rlgl_parse_edges(data, len(data), int(one_based), rows.ctypes.data, len(rows))
+    top = np.empty(1)  # the largest id, as the edge array holds it
+    m = lib.rlgl_parse_edges(data, len(data), int(one_based), rows.ctypes.data, len(rows), top.ctypes.data)
     if m <= 0:
         return None
-    edges = rows[:m]
-    return edges, int(edges[:, :2].max()) + 1
+    return rows[:m], int(top[0]) + 1
 
 
 def _parse_lines(path, data, one_based):

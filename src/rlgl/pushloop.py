@@ -3,18 +3,21 @@
 ``load()`` compiles the C source once per user with ``$CC`` (default
 ``cc``) and the flags in ``FLAGS``, and caches the shared library under
 ``$XDG_CACHE_HOME/rlgl`` (default ``~/.cache/rlgl``), keyed by a hash of
-the source, the compiler and the flags.  The one library holds seven
+the source, the compiler and the flags.  The one library holds eight
 entry points, all typed by ``load()``: ``rlgl_loop_rr``,
 ``rlgl_loop_theta``, ``rlgl_loop_maxc`` and ``rlgl_loop_pc``, the push
 loop of each ``Schedule.push_loop`` name, which ``engine.run`` binds
 here; ``rlgl_scc``, the strongly connected components pass of
 ``models``; ``rlgl_mul_left``, the CSR product ``x P`` of
-``TransitionMatrix.mul_left``; and ``rlgl_parse_edges``, the parser of
-``models.parse_edge_file``.  ``load()`` returns None when the library
-cannot be built or loaded; ``engine.run`` then takes its Python steps,
-``models`` its Python Tarjan pass and its line-by-line parser, and
-``mul_left`` its numpy product.  Nothing here is imported until a run, a
-product, a connectivity check or an edge file can use the library.
+``TransitionMatrix.mul_left``; ``rlgl_parse_edges``, the parser of
+``models.parse_edge_file``; and ``rlgl_coalesce``, the edge coalescing
+of ``matrix._coalesce_edges``, which every build from an edge list
+runs.  ``load()`` returns None when the library cannot be built or
+loaded; ``engine.run`` then takes its Python steps, ``models`` its
+Python Tarjan pass and its line-by-line parser, and ``mul_left`` and
+``_coalesce_edges`` their numpy passes.  Nothing here is imported until
+a run, a product, a build from edges, a connectivity check or an edge
+file can use the library.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def load():
     try:
         lib = ctypes.CDLL(_build())
         loops = lib.rlgl_loop_rr, lib.rlgl_loop_theta, lib.rlgl_loop_maxc, lib.rlgl_loop_pc
-        scc, mul, parse = lib.rlgl_scc, lib.rlgl_mul_left, lib.rlgl_parse_edges
+        scc, mul, parse, coalesce = lib.rlgl_scc, lib.rlgl_mul_left, lib.rlgl_parse_edges, lib.rlgl_coalesce
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
     for loop in loops:  # rows, C, H, uniform draws, state, params
@@ -102,8 +105,10 @@ def load():
     scc.restype = ctypes.c_int64
     mul.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
     mul.restype = None
-    parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     parse.restype = ctypes.c_int64
+    coalesce.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 4
+    coalesce.restype = ctypes.c_int64
     return lib
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlgl import models, pushloop
+from rlgl import matrix, models, pushloop
 from rlgl.cli import _edges_of
 from rlgl.errors import DanglingNodeError, InvalidIndexError, InvalidParamsError, IsolatedNodeError
 from rlgl.matrix import DENSE_CAP, MAX_SORT_N, _coalesce_edges, _raw_rows, build_transition
@@ -634,7 +634,10 @@ class TestCompiledParser:
              "long-weights", "mixed-widths", "mixed-widths-one-based"],
     )
     def test_claims(self, tmp_path, text, one_based):
-        assert models._parse_compiled(text.encode(), one_based) is not None
+        parsed = models._parse_compiled(text.encode(), one_based)
+        assert parsed is not None
+        # the pass reports the largest id it wrote; n is the line loop's
+        assert parsed[1] == models._parse_lines(tmp_path / "g.edges", text.encode(), one_based)[1]
         _parsed_as_the_line_loop_parses(tmp_path / "g.edges", text, one_based)
 
     @pytest.mark.parametrize(
@@ -698,7 +701,7 @@ def _coalesce_by_lexsort(edges, n):
     edges = np.asarray(edges, dtype=float)
     src = edges[:, 0].astype(np.int64)
     dst = edges[:, 1].astype(np.int64)
-    w = edges[:, 2].copy()
+    w = edges[:, 2].copy() if edges.shape[1] == 3 else np.ones(len(edges))
     keep = w > 0
     src, dst, w = src[keep], dst[keep], w[keep]
     order = np.lexsort((dst, src))
@@ -713,7 +716,28 @@ def _coalesce_by_lexsort(edges, n):
     return src, dst, w
 
 
+def _assert_lexsort_bytes(got, edges, n):
+    for a, b in zip(got, _coalesce_by_lexsort(edges, n), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _coalesces_as_lexsort(edges, n):
+    got = _coalesce_edges(edges, n)
+    _assert_lexsort_bytes(got, edges, n)
+    return got
+
+
+def _hub_edges(seed, m=100_000, n=2_000):
+    """Node 0 with m shuffled out-edges to n targets (so many repeat), then a ring through all n nodes."""
+    rng = np.random.default_rng(seed)
+    hub = np.column_stack([np.zeros(m), rng.integers(0, n, size=m), rng.choice([0.1, 0.2, 1 / 3, 2.5], size=m)])
+    ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n, np.ones(n)])
+    return np.concatenate([hub, ring])[rng.permutation(m + n)], n
+
+
 class TestCoalesceEdges:
+    """``_coalesce_edges`` on the path this host takes: the compiled pass when a compiler builds it."""
+
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, MAX_SORT_N])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_lexsort_order(self, n, seed):
@@ -724,9 +748,7 @@ class TestCoalesceEdges:
         src, dst = rng.choice(ids, size=m), rng.choice(ids, size=m)
         w = rng.choice([0.0, 0.1, 0.2, 0.3, 1 / 3, 2.5], size=m)  # sums depend on their order
         edges = np.column_stack([src, dst, w]).astype(float)
-        got = _coalesce_edges(edges, n)
-        for a, b in zip(got, _coalesce_by_lexsort(edges, n)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        _coalesces_as_lexsort(edges, n)
 
     def test_too_many_nodes_raise_before_any_array(self):
         _coalesce_edges([(0, 1)], MAX_SORT_N)
@@ -734,3 +756,99 @@ class TestCoalesceEdges:
             _coalesce_edges([(0, 1)], MAX_SORT_N + 1)
         with pytest.raises(InvalidParamsError, match="too many"):
             build_transition([(0, 4_000_000_000), (4_000_000_000, 0)], 4_000_000_001)
+
+    def test_hub_row_is_not_quadratic(self):
+        edges, n = _hub_edges(seed=0)
+        start = time.perf_counter()
+        src, dst, w = _coalesces_as_lexsort(edges, n)
+        assert time.perf_counter() - start < 1.0
+        assert np.count_nonzero(src == 0) == n  # every target of the hub, each once
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_two_columns_count_repeats(self, n):
+        rng = np.random.default_rng(n)
+        edges = rng.integers(0, n, size=(50, 2)).astype(float)
+        src, dst, w = _coalesces_as_lexsort(edges, n)
+        assert w.sum() == 50
+
+    def test_fractional_ids_truncate(self):
+        # astype(int64) truncates toward zero: -0.5 is node 0 and 2.99 node 2, both inside [0, 3)
+        edges = [(-0.5, 2.99, 1.0), (0.0, 2.0, 0.5), (2.5, -0.99, 0.25), (1.75, 1.0, 2.0), (0.9, 2.5, 1.0)]
+        src, dst, w = _coalesces_as_lexsort(edges, 3)
+        assert src.tolist() == [0, 1, 2] and dst.tolist() == [2, 1, 0] and w.tolist() == [2.5, 2.0, 0.25]
+
+    def test_zero_weights_dropped(self):
+        src, dst, w = _coalesces_as_lexsort([(0, 1, 0.0), (1, 0, -0.0), (1, 1, 0.0)], 2)
+        assert src.size == dst.size == w.size == 0
+
+    def test_empty_list(self):
+        got = _coalesce_edges(np.empty((0, 3)), 4)
+        assert [(a.dtype, a.size) for a in got] == [(np.int64, 0), (np.int64, 0), (np.float64, 0)]
+
+    def test_more_nodes_than_edges(self):
+        # the compiled pass declines (its counts would outgrow the edges); numpy coalesces
+        _coalesces_as_lexsort([(4, 0, 1.0), (0, 9, 2.0), (4, 0, 0.5)], 10)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1, 4, 4.5, 1e300])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_bad_ids_raise(self, bad, column):
+        edges = np.array([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0), (1, 3, 1.0)])
+        edges[2, column] = bad
+        with pytest.raises(InvalidIndexError, match=re.escape("edge endpoint outside [0, 4)")):
+            _coalesce_edges(edges, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+    def test_bad_weights_raise(self, bad):
+        edges = np.array([(0, 1, 1.0), (1, 0, bad), (1, 1, 1.0)])
+        with pytest.raises(InvalidParamsError, match="edge weights must be finite and >= 0"):
+            _coalesce_edges(edges, 2)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_bad_weight_wins_over_bad_id(self):
+        # the bad id comes first in the list; the weights are checked first
+        edges = np.array([(0, np.nan, 1.0), (0, 1, 1.0), (1, 0, -1.0)])
+        with pytest.raises(InvalidParamsError, match="edge weights"):
+            _coalesce_edges(edges, 2)
+
+
+class TestCoalesceEdgesWithoutCompiler(TestCoalesceEdges):
+    """``TestCoalesceEdges`` again with no library: numpy coalesces every list."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _no_library(self):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pushloop, "load", lambda: None)
+            yield
+
+
+class TestCompiledCoalesce:
+    """``rlgl_coalesce`` takes the lists it claims and declines the others."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self, kernel):
+        if kernel != "c":
+            pytest.skip("no compiler: numpy coalesces every list")
+        assert pushloop.load() is not None
+
+    @pytest.mark.parametrize(
+        "edges,n",
+        [
+            (_hub_edges(seed=1, m=1000, n=50)[0], 50),
+            ([(-0.5, 1.5, 1.0), (1, 0, 2.0)], 2),
+            ([(0, 1), (1, 0), (0, 1)], 2),
+            ([(0, 0, 1.0)], 1),
+            ([(0, 1, 0.0), (1, 0, 0.0)], 2),
+        ],
+        ids=["hub", "fractional-ids", "two-columns", "one-node", "zero-weights"],
+    )
+    def test_claims(self, edges, n):
+        edges = np.asarray(edges, dtype=float)
+        got = matrix._coalesce_compiled(edges, n)
+        assert got is not None
+        _assert_lexsort_bytes(got, edges, n)
+
+    def test_declines_more_nodes_than_edges(self):
+        assert matrix._coalesce_compiled(np.array([(0.0, 1.0, 1.0)]), 3) is None
+        assert matrix._coalesce_compiled(np.array([(0.0, 1.0, 1.0)]), 2) is None
+        assert matrix._coalesce_compiled(np.array([(0.0, 1.0, 1.0), (1.0, 0.0, 1.0)]), 2) is not None
