@@ -2,9 +2,10 @@
  * one per Schedule.push_loop name (rlgl_loop_rr, rlgl_loop_theta,
  * rlgl_loop_maxc, rlgl_loop_pc), the strongly-connected-components pass
  * models runs on a graph's CSR rows (rlgl_scc), the CSR product x P
- * (rlgl_mul_left), and at the end the edge-list parser of
- * models.parse_edge_file (rlgl_parse_edges) and the edge coalescing of
- * every matrix build (rlgl_coalesce).
+ * (rlgl_mul_left), then the edge-list parser of models.parse_edge_file
+ * (rlgl_parse_edges), the edge coalescing of every matrix build
+ * (rlgl_coalesce), and at the end the backward induction over the grid
+ * rows of mdp.solve_policy (rlgl_policy_rows).
  *
  * Built and loaded by pushloop.py.  Each loop makes its schedule's pick
  * and shares the rest: the checks before a step (may_step) and the push
@@ -737,4 +738,57 @@ int64_t rlgl_coalesce(int64_t n, int64_t m, int64_t cols, const double *edges, i
     free(row_w);
     free(next);
     return k;
+}
+
+/* Backward induction over the mean-field policy grid (mdp.solve_policy):
+ * rows 1..n_z1-1 of V and A (n_z1 x n_z2, row-major) filled in place,
+ * row 0 as the caller left it.  The row-independent terms are per
+ * (action, z2 cell), n_act x n_z2 row-major with the actions in order:
+ * shift, the z1 decrement (NaN when the action does not contract, -inf
+ * when it annihilates), usable and moves (0/1 bytes), j0 and wj, the
+ * successor's z2 cell and weight; cost holds each action's kappa and ids
+ * its number.  Each cell repeats the numpy row pass operation for
+ * operation, so V and A come out with its bytes: the first least finite
+ * candidate in order wins, and a cell with none gets V = inf, A = -1. */
+void rlgl_policy_rows(int64_t n_z1, int64_t n_z2, int64_t n_act, const double *z1_axis, double h1,
+                      const double *shift, const uint8_t *usable, const uint8_t *moves, const double *cost,
+                      const int64_t *j0, const double *wj, const int8_t *ids, double *V, int8_t *A)
+{
+    for (int64_t i = 1; i < n_z1; i++) {
+        const double z1 = z1_axis[i];
+        for (int64_t j = 0; j < n_z2; j++) {
+            double best = INFINITY;
+            int8_t pick = -1;
+            for (int64_t a = 0; a < n_act; a++) {
+                const int64_t c = a * n_z2 + j;
+                const double z1p = z1 + shift[c];
+                double v_next = 0.0;
+                if (moves[c] && z1p > 0.0) {
+                    /* bilinear interpolation; rows not yet filled clamp down one */
+                    const double fi = z1p / h1;
+                    int64_t i0 = (int64_t)fi;
+                    if (i0 > i - 1)
+                        i0 = i - 1;
+                    const int64_t i1 = i0 + 1 < i - 1 ? i0 + 1 : i - 1;
+                    double wi = 0.0;
+                    if (i1 != i0) {
+                        wi = fi - (double)i0;
+                        wi = wi < 0.0 ? 0.0 : wi > 1.0 ? 1.0 : wi;
+                    }
+                    const double w = wj[c];
+                    const double *r0 = V + i0 * n_z2 + j0[c], *r1 = V + i1 * n_z2 + j0[c];
+                    v_next = (1 - wi) * ((1 - w) * r0[0] + w * r0[1]) + wi * ((1 - w) * r1[0] + w * r1[1]);
+                }
+                double cand = cost[a] + v_next;
+                if (!(usable[c] && cand < INFINITY))
+                    cand = INFINITY; /* NaN and +inf are never picked */
+                if (cand < best) {
+                    best = cand;
+                    pick = ids[a];
+                }
+            }
+            V[i * n_z2 + j] = best;
+            A[i * n_z2 + j] = pick;
+        }
+    }
 }

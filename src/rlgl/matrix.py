@@ -316,13 +316,15 @@ def _coalesce_edges(edges, n):
     coalesced = _coalesce_compiled(edges, n)
     if coalesced is not None:
         return coalesced
-    src = edges[:, 0].astype(np.int64)
-    dst = edges[:, 1].astype(np.int64)
-    w = edges[:, 2].copy() if edges.shape[1] == 3 else np.ones(len(src))
+    w = edges[:, 2].copy() if edges.shape[1] == 3 else np.ones(len(edges))
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise _bad_weight()
-    if src.size and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
+    ids = edges[:, :2]
+    # checked before the cast, as the compiled pass checks them: -1 < x < n, which NaN fails
+    if not np.all((ids > -1.0) & (ids < n)):
         raise _bad_id(n)
+    src = ids[:, 0].astype(np.int64)
+    dst = ids[:, 1].astype(np.int64)
     keep = w > 0
     src, dst, w = src[keep], dst[keep], w[keep]
     key = src * n + dst

@@ -226,6 +226,12 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
     action with the smaller cost kappa, then to the smaller action index.
     A NaN or +inf candidate is never taken, and a cell with no finite
     candidate keeps V = inf and action -1.
+
+    The per-(z2 cell, action) terms are set up here; the rows 1.. are
+    filled by the compiled ``rlgl_policy_rows`` (``pushloop``) when the
+    library loads, else by one numpy pass per row (``_policy_rows``).
+    Both repeat the same operations in the same order, so V and A come
+    out with the same bytes.
     """
     sizes = _check_sizes(sizes)
     if not 0.0 < eps < np.inf:
@@ -277,9 +283,29 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
 
     V = np.zeros((n_z1, n_z2))
     A = np.full((n_z1, n_z2), -1, dtype=np.int8)
+    terms = (z1_axis, h1, shift, usable, moves, cost, j0, wj, ids)
+    if not _policy_rows_compiled(V, A, *terms):
+        _policy_rows(V, A, *terms)
+    grid = PolicyGrid(
+        z1_axis=z1_axis,
+        z2_axis=z2_axis,
+        V=V,
+        A=A,
+        sizes=sizes,
+        p=p,
+        q=q,
+        eps=eps,
+        kappa={int(a): kappa[a] for a in actions},
+    )
+    return grid
+
+
+def _policy_rows(V, A, z1_axis, h1, shift, usable, moves, cost, j0, wj, ids):
+    """Fill rows 1.. of V and A in increasing z1, one array pass per row over the (action, z2) stack."""
+    n_z2 = V.shape[1]
     jj = np.arange(n_z2)
     with np.errstate(invalid="ignore"):  # an inf value times a zero weight is NaN, and never picked
-        for i in range(1, n_z1):
+        for i in range(1, V.shape[0]):
             z1p = z1_axis[i] + shift
             live = moves & (z1p > 0.0)
             # bilinear interpolation; rows not yet filled clamp down one
@@ -295,18 +321,24 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
             k = cand.argmin(axis=0)  # the first minimum in `order`, as a strict-< scan picks it
             V[i] = cand[k, jj]
             A[i] = np.where(V[i] < np.inf, ids[k], -1)
-    grid = PolicyGrid(
-        z1_axis=z1_axis,
-        z2_axis=z2_axis,
-        V=V,
-        A=A,
-        sizes=sizes,
-        p=p,
-        q=q,
-        eps=eps,
-        kappa={int(a): kappa[a] for a in actions},
-    )
-    return grid
+
+
+def _policy_rows_compiled(V, A, z1_axis, h1, shift, usable, moves, cost, j0, wj, ids):
+    """``_policy_rows`` by ``rlgl_policy_rows``, with its bytes; False when the library cannot load."""
+    from . import pushloop  # imported, and compiled, only by a policy solve
+
+    lib = pushloop.load()
+    if lib is None:
+        return False
+    # kept referenced while C reads them
+    arrays = [np.ascontiguousarray(a, dtype=t) for a, t in (
+        (z1_axis, np.float64), (shift, np.float64), (usable, np.uint8), (moves, np.uint8),
+        (cost, np.float64), (j0, np.int64), (wj, np.float64), (ids, np.int8),
+    )]
+    n_z1, n_z2 = V.shape
+    ptrs = [a.ctypes.data for a in arrays]
+    lib.rlgl_policy_rows(n_z1, n_z2, len(ids), ptrs[0], h1, *ptrs[1:], V.ctypes.data, A.ctypes.data)
+    return True
 
 
 @dataclass

@@ -3,25 +3,29 @@
 ``load()`` compiles the C source once per user with ``$CC`` (default
 ``cc``) and the flags in ``FLAGS``, and caches the shared library under
 ``$XDG_CACHE_HOME/rlgl`` (default ``~/.cache/rlgl``), keyed by a hash of
-the source, the compiler and the flags.  The one library holds eight
+the source, the compiler and the flags; a build removes the cached
+libraries beyond the newest ``KEEP``.  The one library holds nine
 entry points, all typed by ``load()``: ``rlgl_loop_rr``,
 ``rlgl_loop_theta``, ``rlgl_loop_maxc`` and ``rlgl_loop_pc``, the push
 loop of each ``Schedule.push_loop`` name, which ``engine.run`` binds
 here; ``rlgl_scc``, the strongly connected components pass of
 ``models``; ``rlgl_mul_left``, the CSR product ``x P`` of
 ``TransitionMatrix.mul_left``; ``rlgl_parse_edges``, the parser of
-``models.parse_edge_file``; and ``rlgl_coalesce``, the edge coalescing
+``models.parse_edge_file``; ``rlgl_coalesce``, the edge coalescing
 of ``matrix._coalesce_edges``, which every build from an edge list
-runs.  ``load()`` returns None when the library cannot be built or
-loaded; ``engine.run`` then takes its Python steps, ``models`` its
-Python Tarjan pass and its line-by-line parser, and ``mul_left`` and
-``_coalesce_edges`` their numpy passes.  Nothing here is imported until
-a run, a product, a build from edges, a connectivity check or an edge
-file can use the library.
+runs; and ``rlgl_policy_rows``, the backward induction over the grid
+rows of ``mdp.solve_policy``.  ``load()`` returns None when the library
+cannot be built or loaded; ``engine.run`` then takes its Python steps,
+``models`` its Python Tarjan pass and its line-by-line parser, and
+``mul_left``, ``_coalesce_edges`` and ``solve_policy`` their numpy
+passes.  Nothing here is imported until a run, a product, a build from
+edges, a connectivity check, an edge file or a policy solve can use the
+library.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -40,6 +44,8 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_push.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # Most uniform draws one call takes for "pc"; a call stops when they run out.
 DRAW_CHUNK = 1 << 16
+# Cached libraries kept after a build: a few source versions run in turn on one host never rebuild.
+KEEP = 4
 
 
 class Rows(ctypes.Structure):
@@ -86,7 +92,25 @@ def _build():
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune(path)
     return path
+
+
+def _prune(path):
+    """Remove the cached libraries beside ``path`` but the newest ``KEEP`` by mtime, ``path`` among
+    them; no other file is touched."""
+    directory, own = os.path.split(path)
+    dated = []
+    try:
+        for entry in os.scandir(directory):
+            if entry.name.startswith("push-") and entry.name.endswith(".so") and entry.name != own:
+                with contextlib.suppress(OSError):  # removed meanwhile
+                    dated.append((entry.stat().st_mtime, entry.path))
+    except OSError:
+        return
+    for _, stale in sorted(dated, reverse=True)[KEEP - 1:]:
+        with contextlib.suppress(OSError):
+            os.unlink(stale)
 
 
 @functools.cache
@@ -96,6 +120,7 @@ def load():
         lib = ctypes.CDLL(_build())
         loops = lib.rlgl_loop_rr, lib.rlgl_loop_theta, lib.rlgl_loop_maxc, lib.rlgl_loop_pc
         scc, mul, parse, coalesce = lib.rlgl_scc, lib.rlgl_mul_left, lib.rlgl_parse_edges, lib.rlgl_coalesce
+        policy = lib.rlgl_policy_rows
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
     for loop in loops:  # rows, C, H, uniform draws, state, params
@@ -109,6 +134,9 @@ def load():
     parse.restype = ctypes.c_int64
     coalesce.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 4
     coalesce.restype = ctypes.c_int64
+    # grid shape and action count, z1 axis, h1, the (action, z2) terms, V, A
+    policy.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p, ctypes.c_double] + [ctypes.c_void_p] * 9
+    policy.restype = None
     return lib
 
 
@@ -146,12 +174,14 @@ class Loop:
         """Take engine.run's steps in C until one needs Python; returns their count.
 
         Called where the Python loop would pick its next node, so the
-        first step's checks have passed.  Theta's refresh, when due, is
-        made here first; the schedule's position and scan count are
-        handed back through its ``seek``.  For ProportionalCash the
-        uniform draws are taken from its generator beforehand, one per
-        step the call may take (every such step is a push), and the
-        generator is rewound to just past the draws the picks used.
+        first step's checks have passed.  Theta's refresh, when due and
+        not yet made, is made here first; a call that then takes no step
+        leaves it made, so ``next_nodes`` does not charge it again.  The
+        schedule's position and scan count are handed back through its
+        ``seek``.  For ProportionalCash the uniform draws are taken from
+        its generator beforehand, one per step the call may take (every
+        such step is a push), and the generator is rewound to just past
+        the draws the picks used.
         After any steps ``cash_l1`` is synced once its rounding bound
         passes ``DRIFT_TOL``, so the bound holds as after ``engine.step``.
         """
@@ -163,8 +193,7 @@ class Loop:
         p = self.params
         uniform = None
         if self.kind == "theta":
-            if schedule._k % n == 0:
-                schedule.refresh(C)
+            schedule.refresh_if_due(C)
             p.theta = schedule.theta
         elif self.kind == "pc":
             rng = schedule.rng

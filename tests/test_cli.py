@@ -670,3 +670,15 @@ class TestMdpCommand:
         traj = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert traj[0] == "step,action,cash_l1,cum_cost"
         assert float(traj[-1].split(",")[2]) <= 1e-6
+
+    def test_compiled_and_numpy_policy_rows_write_the_same_bytes(self, tmp_path, kernel, monkeypatch):
+        if kernel == "c":
+            assert pushloop.load() is not None
+
+        def solve(out):
+            assert cli.main(["mdp", "--grid", "200x41", "--out", str(out)]) == 0
+            return [(out / name).read_bytes() for name in ("policy.csv", "trajectory.csv")]
+
+        compiled = solve(tmp_path / "c")
+        monkeypatch.setattr(pushloop, "load", lambda: None)
+        assert solve(tmp_path / "py") == compiled

@@ -1,3 +1,5 @@
+import os
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -479,6 +481,31 @@ def _random_sparse_chain(n, degree, seed):
 
 
 class TestIncrementalCashL1:
+    @staticmethod
+    def _stale_cache(directory):
+        """Six cached libraries, oldest first, beside three files that are no cached library."""
+        directory.mkdir(parents=True)
+        libs = [directory / f"push-{i:016x}.so" for i in range(6)]
+        others = [directory / name for name in ("tmpq1w2e3r4.so", "push-notes.txt", "other.so")]
+        for i, path in enumerate(libs + others):
+            path.write_bytes(b"")
+            os.utime(path, (1e9 + i, 1e9 + i))
+        return libs, others
+
+    def test_prune_keeps_the_newest_libraries_and_its_own(self, tmp_path):
+        libs, others = self._stale_cache(tmp_path / "rlgl")
+        pushloop._prune(str(libs[0]))  # the oldest, kept as the library just built
+        assert sorted(tmp_path.joinpath("rlgl").iterdir()) == sorted([libs[0], *libs[-3:], *others])
+
+    def test_build_prunes_the_cache(self, tmp_path, kernel, monkeypatch):
+        if kernel != "c":
+            pytest.skip("no compiler: nothing is built")
+        libs, others = self._stale_cache(tmp_path / "rlgl")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        built = pathlib.Path(pushloop._build())
+        assert built not in libs
+        assert sorted(tmp_path.joinpath("rlgl").iterdir()) == sorted([built, *libs[-3:], *others])
+
     @given(
         n=st.integers(2, 40),
         degree=st.integers(1, 6),
@@ -752,6 +779,24 @@ class TestCompiledLoop:
         before = TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state
         assert loop.advance(st_, sched, eps, max_steps, 10**9) == 0
         assert (TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state) == before
+
+    def test_theta_refresh_is_charged_once(self, kernel):
+        # a call that refreshes, then takes no step, leaves the refresh made for next_nodes
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _chain("sbm80")
+        sched = schedules.Theta(1.0).bind(P)
+        sched.restart()
+        loop = pushloop.bind(P, sched.push_loop)
+        st_ = engine.init(P)
+        while sched._k < P.n:  # the loop returns before the refresh at k = n
+            assert loop.advance(st_, sched, 1e-10, 10**6, 10**9) > 0
+        assert sched._k == P.n and sched.scan_cost == 2 * P.n
+        st_.total_history = 0.0  # the guard fails: no step
+        assert loop.advance(st_, sched, 1e-10, 10**6, 10**9) == 0
+        assert sched.scan_cost == 3 * P.n
+        sched.next_nodes(st_.C)
+        assert sched.scan_cost == 3 * P.n + 1  # one refresh, then the candidate check
 
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_advance_leaves_cash_l1_within_the_drift_limit(self, sched_name, kernel):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlgl import engine, mdp, models
+from rlgl import engine, mdp, models, pushloop
 from rlgl.errors import (
     InvalidParamsError,
     NoConvergenceError,
@@ -283,6 +283,29 @@ class TestSolvePolicyParity:
         stuck = grid.z2_axis >= 1.0
         assert np.all(np.isinf(grid.V[1:, stuck])) and np.all(grid.A[1:, stuck] == -1)
         assert np.all(np.isfinite(grid.V[:, ~stuck])) and np.all(grid.A[1:, ~stuck] > 0)
+
+
+class TestSolvePolicyParityWithoutCompiler(TestSolvePolicyParity):
+    """``TestSolvePolicyParity`` again with no library: numpy fills every row."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _no_library(self):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pushloop, "load", lambda: None)
+            yield
+
+
+class TestCompiledPolicyRows:
+    def test_compiled_pass_fills_the_rows(self, kernel, monkeypatch):
+        if kernel != "c":
+            pytest.skip("no compiler: the library is not built")
+
+        def numpy_rows(*args):
+            raise AssertionError("the numpy row pass ran")
+
+        monkeypatch.setattr(mdp, "_policy_rows", numpy_rows)
+        grid = mdp.solve_policy(SIZES, P_, Q_, eps=1e-6, n_z1=50, n_z2=21)
+        assert np.all(np.isfinite(grid.V)) and np.all(grid.A[1:] > 0)
 
 
 class TestSolvePolicy:

@@ -789,7 +789,7 @@ class TestCoalesceEdges:
         # the compiled pass declines (its counts would outgrow the edges); numpy coalesces
         _coalesces_as_lexsort([(4, 0, 1.0), (0, 9, 2.0), (4, 0, 0.5)], 10)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the ids are checked before any cast
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1, 4, 4.5, 1e300])
     @pytest.mark.parametrize("column", [0, 1])
     def test_bad_ids_raise(self, bad, column):
@@ -804,7 +804,7 @@ class TestCoalesceEdges:
         with pytest.raises(InvalidParamsError, match="edge weights must be finite and >= 0"):
             _coalesce_edges(edges, 2)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the ids are checked before any cast
     def test_bad_weight_wins_over_bad_id(self):
         # the bad id comes first in the list; the weights are checked first
         edges = np.array([(0, np.nan, 1.0), (0, 1, 1.0), (1, 0, -1.0)])
