@@ -3,9 +3,9 @@
  * rlgl_loop_maxc, rlgl_loop_pc), the strongly-connected-components pass
  * models runs on a graph's CSR rows (rlgl_scc), the CSR product x P
  * (rlgl_mul_left), then the edge-list parser of models.parse_edge_file
- * (rlgl_parse_edges), the edge coalescing of every matrix build
- * (rlgl_coalesce), and at the end the backward induction over the grid
- * rows of mdp.solve_policy (rlgl_policy_rows).
+ * (rlgl_parse_edges), the edge coalescing of every matrix build, which
+ * also writes its CSR rows (rlgl_coalesce), and at the end the backward
+ * induction over the grid rows of mdp.solve_policy (rlgl_policy_rows).
  *
  * Built and loaded by pushloop.py.  Each loop makes its schedule's pick
  * and shares the rest: the checks before a step (may_step) and the push
@@ -16,6 +16,11 @@
  * every counter come out with the same bytes.
  * The dangling rows of a matrix with a restart part are its empty CSR
  * rows, so the loops take no dangling array.
+ * ProportionalCash's pick keeps the prefix sums of |C| across picks and
+ * extends them only from the lowest index the last push wrote to the
+ * pick; it brackets the total from the loop's ||C||_1 bound and proves
+ * the pick from the bracket, or else makes the exact pick (see
+ * proportional_pick), so every pick is the Python one.
  * Compile with -ffp-contract=off: a fused multiply-add would round C
  * differently.
  *
@@ -153,25 +158,87 @@ static int64_t argmax_abs(const double *C, int64_t n)
     return arg;
 }
 
-/* ProportionalCash's pick for the uniform draw u, or -1 when the total of
- * |C| is not finite and positive.  As np.cumsum(np.abs(C)) / total and
- * searchsorted(u, side="right"): both sums run in index order, and the
- * first i whose share exceeds u holds cash, since a zero entry repeats
- * the share before it. */
-static int64_t proportional_pick(const double *C, int64_t n, double u)
+/* ProportionalCash's pick: the first i whose share fl(acc[i] / total)
+ * exceeds the uniform draw u, acc being the sequential prefix sums of |C|
+ * and total = acc[n - 1], as np.cumsum(np.abs(C)) / total and
+ * searchsorted(u, side="right") pick it.  The pick holds cash, since a
+ * zero entry repeats the share before it.
+ *
+ * The loop keeps acc across picks.  A push changes no entry below the
+ * lowest index it writes, so the sums below it are the same adds in the
+ * same order and keep their bytes; *valid, the end of the cached prefix,
+ * is lowered to that index after each push (rlgl_loop_pc).  A pick then
+ * sums only from *valid on, and only as far as it needs, with no
+ * division per entry:
+ *
+ * Bracket.  The loop's cash_l1 is within l1_err of numpy's pairwise sum
+ * of |C|, which is within sum_depth units (unit = 2^-52, twice the unit
+ * roundoff) of the exact sum S; the sequential total is within n - 1
+ * half-units of S.  So, with K = (n + sum_depth) units and K <= 1/4,
+ *     total >= (cash_l1 - l1_err) (1 - K)   and
+ *     total <= (cash_l1 + l1_err) (1 + 2 K),
+ * and lo and hi below are these bounds with 4 more units in K, which
+ * cover the three roundings of each.
+ *
+ * Candidate.  x, the float below fl(u * lo), is <= u * lo exactly, and j
+ * is the first index with acc[j] > x, so every i < j has
+ * acc[i] / total <= x / lo <= u: no earlier share exceeds u.
+ *
+ * Proof.  acc[j] / hi > u gives acc[j] / total > u, as total <= hi and
+ * rounding keeps the order: j is the pick.  When that fails (u within
+ * ~l1_err / cash_l1 of a share; a draw that lands on a share exactly),
+ * or the bracket is empty (lo <= 0, hi not finite), the pick is made
+ * exactly: the sums are finished to n and the first share above u is
+ * found by bisection, the share being monotone in i.
+ *
+ * Returns the pick, or -1 when the total of |C| is not finite and
+ * positive. */
+
+/* Extend acc past *valid until its last sum exceeds x, or to n. */
+static void extend_prefix(const double *C, int64_t n, double *acc, int64_t *valid, double x)
 {
-    double total = 0.0;
-    for (int64_t j = 0; j < n; j++)
-        total += fabs(C[j]);
-    if (!(total > 0.0 && total <= DBL_MAX))
-        return -1;
-    double acc = 0.0;
-    for (int64_t j = 0; j < n; j++) {
-        acc += fabs(C[j]);
-        if (acc / total > u)
+    int64_t j = *valid;
+    double sum = j > 0 ? acc[j - 1] : 0.0;
+    while (j < n && !(sum > x)) {
+        sum += fabs(C[j]);
+        acc[j++] = sum;
+    }
+    *valid = j;
+}
+
+/* The first j < len with acc[j] / d > v, or len; acc rises. */
+static int64_t first_share_above(const double *acc, int64_t len, double d, double v)
+{
+    int64_t a = 0, b = len;
+    while (a < b) {
+        int64_t mid = a + (b - a) / 2;
+        if (acc[mid] / d > v)
+            b = mid;
+        else
+            a = mid + 1;
+    }
+    return a;
+}
+
+static int64_t proportional_pick(const double *C, const loop_state *s, const loop_params *p, double u, double *acc,
+                                 int64_t *valid)
+{
+    const int64_t n = p->n;
+    const double k = (double)(n + p->sum_depth + 4) * p->unit;
+    const double lo = (s->cash_l1 - s->l1_err) * (1.0 - k);
+    const double hi = (s->cash_l1 + s->l1_err) * (1.0 + 2.0 * k);
+    if (lo > 0.0 && hi <= DBL_MAX) {
+        double x = nextafter(u * lo, 0.0);
+        extend_prefix(C, n, acc, valid, x);
+        int64_t j = first_share_above(acc, *valid, 1.0, x);
+        if (j < *valid && acc[j] / hi > u)
             return j;
     }
-    return n - 1; /* not reached: the last share is 1 > u */
+    extend_prefix(C, n, acc, valid, INFINITY);
+    double total = acc[n - 1];
+    if (!(total > 0.0 && total <= DBL_MAX))
+        return -1;
+    return first_share_above(acc, n, total, u); /* < n: the last share is 1 > u */
 }
 
 /* C[j] += r * s[j] for lo <= j < hi, in index order.  The change in
@@ -346,14 +413,29 @@ int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, const double *u,
 int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
 {
     const int64_t t0 = s->t;
+    double *acc = malloc((size_t)p->n * sizeof *acc);
+    if (!acc)
+        return -1;
+    int64_t valid = 0; /* acc[j] holds for j < valid */
     while (may_step(s, p) && s->t - t0 < p->draws) {
-        int64_t i = proportional_pick(C, p->n, u[s->t - t0]);
+        int64_t i = proportional_pick(C, s, p, u[s->t - t0], acc, &valid);
         if (i < 0)
             break;
         s->k++;
-        if (step(m, C, H, i, s, p, NULL, NULL))
+        int stop = step(m, C, H, i, s, p, NULL, NULL);
+        /* the lowest index the push wrote: i, or its row's first column
+         * (a TransitionMatrix lists them rising), or 0 after a restart add */
+        int64_t lo = m->indptr[i], hi = m->indptr[i + 1];
+        if (m->restart && (lo == hi ? p->dangling_share : p->restart_share) != 0.0)
+            valid = 0;
+        else if (lo < hi && m->indices[lo] < i)
+            valid = valid < m->indices[lo] ? valid : m->indices[lo];
+        else
+            valid = valid < i ? valid : i;
+        if (stop)
             break;
     }
+    free(acc);
     return s->t - t0;
 }
 
@@ -607,7 +689,10 @@ int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based, doub
  * to it in input order.  That is the order of np.argsort(src * n + dst,
  * kind="stable"), and the order in which np.bincount sums each run, so
  * the first k entries of the m-sized outputs src, dst and w come out with
- * the numpy pass's values.
+ * the numpy pass's values.  The pass also writes the CSR rows of those k
+ * edges as matrix._csr_rows makes them: indptr (n + 1 entries) and, in
+ * the first k entries of data, each edge's w over its row's sum, the sum
+ * added in edge order as np.bincount(src, weights=w) adds it.
  *
  * Returns k, or COALESCE_BAD_WEIGHT when any weight is invalid (numpy
  * checks the weights before the ids), COALESCE_BAD_ID when an id is, and
@@ -670,7 +755,7 @@ static void sort_row(int64_t *dst, double *w, int64_t len, int64_t *to_dst, doub
 }
 
 int64_t rlgl_coalesce(int64_t n, int64_t m, int64_t cols, const double *edges, int64_t *src, int64_t *dst,
-                      double *w)
+                      double *w, int64_t *indptr, double *data)
 {
     if (n < 1 || n > m)
         return COALESCE_DECLINE;
@@ -721,6 +806,7 @@ int64_t rlgl_coalesce(int64_t n, int64_t m, int64_t cols, const double *edges, i
         return COALESCE_DECLINE;
     }
     int64_t k = 0; /* edges written; k <= lo, so no write reaches a row not yet sorted */
+    indptr[0] = 0;
     for (int64_t i = 0, lo = 0; i < n; lo = next[i++]) {
         int64_t len = next[i] - lo;
         sort_row(dst + lo, w + lo, len, row_dst, row_w);
@@ -733,6 +819,12 @@ int64_t rlgl_coalesce(int64_t n, int64_t m, int64_t cols, const double *edges, i
             dst[k] = row_dst[e];
             w[k++] = row_w[e];
         }
+        indptr[i + 1] = k;
+        double sum = 0.0;
+        for (int64_t e = indptr[i]; e < k; e++)
+            sum += w[e];
+        for (int64_t e = indptr[i]; e < k; e++)
+            data[e] = w[e] / sum;
     }
     free(row_dst);
     free(row_w);

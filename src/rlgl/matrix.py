@@ -293,6 +293,13 @@ class TransitionMatrix:
         return D
 
 
+class _Coalesced(tuple):
+    """``_coalesce_edges``' ``(src, dst, w)``; ``rows`` is the CSR ``(indptr, data)``
+    of these edges, as ``_csr_rows`` makes them, when the compiled pass wrote it, else None."""
+
+    rows = None
+
+
 def _coalesce_edges(edges, n):
     """Sort, bounds-check and merge duplicate (src, dst) pairs.
 
@@ -302,9 +309,11 @@ def _coalesce_edges(edges, n):
     ``rlgl_coalesce`` (a counting sort by source, then one by target
     within each row) when ``pushloop`` can load it and n is at most the
     edge count, else numpy's stable sort on the one key ``src * n +
-    dst``; both give the same bytes and raise the same errors.  That key
-    caps n at ``MAX_SORT_N`` on both paths; a larger n raises
-    InvalidParamsError before any array is made.
+    dst``; both give the same bytes and raise the same errors.  The
+    compiled pass also writes the edges' CSR rows (``_Coalesced.rows``),
+    so ``_csr_rows`` skips its numpy pass.  The sort key caps n at
+    ``MAX_SORT_N`` on both paths; a larger n raises InvalidParamsError
+    before any array is made.
     """
     if n > MAX_SORT_N:
         raise InvalidParamsError(f"{n} nodes is too many: the edge sort needs n <= {MAX_SORT_N}")
@@ -350,7 +359,7 @@ def _bad_id(n):
 
 def _coalesce_compiled(edges, n):
     """``_coalesce_edges``' result for a checked (m, 2) or (m, 3) float edge
-    array by ``rlgl_coalesce``, or None when it declines or cannot load."""
+    array by ``rlgl_coalesce``, its ``rows`` set, or None when it declines or cannot load."""
     from . import pushloop  # imported, and compiled, only by a product, a run or a build
 
     lib = pushloop.load()
@@ -358,8 +367,12 @@ def _coalesce_compiled(edges, n):
         return None
     edges = np.ascontiguousarray(edges)
     m = len(edges)
-    src, dst, w = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64), np.empty(m)
-    k = lib.rlgl_coalesce(n, m, edges.shape[1], edges.ctypes.data, src.ctypes.data, dst.ctypes.data, w.ctypes.data)
+    if not 1 <= n <= m:
+        return None  # rlgl_coalesce declines these; the n-sized indptr is not made for them
+    src, dst, w, data = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)
+    indptr = np.empty(n + 1, dtype=np.int64)
+    k = lib.rlgl_coalesce(n, m, edges.shape[1], edges.ctypes.data, src.ctypes.data, dst.ctypes.data, w.ctypes.data,
+                          indptr.ctypes.data, data.ctypes.data)
     # k edges, or -1 (declined), -2 (a bad weight) or -3 (a bad id)
     if k == -1:
         return None
@@ -367,13 +380,19 @@ def _coalesce_compiled(edges, n):
         raise _bad_weight()
     if k == -3:
         raise _bad_id(n)
-    for a in (src, dst, w):
+    for a in (src, dst, w, data):
         a.resize(k, refcheck=False)  # in place: nothing else holds the arrays
-    return src, dst, w
+    coalesced = _Coalesced((src, dst, w))
+    coalesced.rows = indptr, data
+    return coalesced
 
 
-def _csr_rows(src, dst, w, n):
-    """CSR rows ``(n, indptr, indices, data)`` of coalesced edges, each row normalized."""
+def _csr_rows(coalesced, n):
+    """CSR rows ``(n, indptr, indices, data)`` of coalesced ``(src, dst, w)``, each row normalized."""
+    src, dst, w = coalesced
+    rows = getattr(coalesced, "rows", None)
+    if rows is not None:
+        return n, rows[0], dst, rows[1]
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -397,7 +416,7 @@ def _raw_rows(P_or_edges, n=None):
         return P.n, P.indptr, P.indices, P.data
     if n is None:
         raise InvalidParamsError("n is required when passing a raw edge list")
-    return _csr_rows(*_coalesce_edges(P_or_edges, n), n)
+    return _csr_rows(_coalesce_edges(P_or_edges, n), n)
 
 
 def build_transition(edges, n):
@@ -409,17 +428,18 @@ def build_transition(edges, n):
     """
     if n < 1:
         raise InvalidParamsError("n must be >= 1")
-    return _transition(*_coalesce_edges(edges, n), n)
+    return _transition(_coalesce_edges(edges, n), n)
 
 
-def _transition(src, dst, w, n):
+def _transition(coalesced, n):
     """``build_transition``'s matrix of coalesced edges, as ``_coalesce_edges`` returns them."""
+    src = coalesced[0]
     # src is sorted: every node has out-edges iff n distinct sources appear
     if not src.size or np.count_nonzero(src[1:] != src[:-1]) + 1 < n:
         heads = np.unique(src)
         missing = np.flatnonzero(heads != np.arange(heads.size))
         raise DanglingNodeError(int(missing[0]) if missing.size else heads.size)
-    _, indptr, indices, vals = _csr_rows(src, dst, w, n)
+    _, indptr, indices, vals = _csr_rows(coalesced, n)
     return TransitionMatrix(n, indptr, indices, vals, np.diff(indptr).astype(float))
 
 

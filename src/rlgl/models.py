@@ -370,7 +370,8 @@ def largest_scc(edges, n=None):
     edges = np.asarray(edges, dtype=float)
     if n is None:
         n = int(edges[:, :2].max()) + 1
-    src, dst, w = _coalesce_edges(edges, n)
+    coalesced = _coalesce_edges(edges, n)
+    src, dst, w = coalesced
     count, labels = _scc(n, np.searchsorted(src, np.arange(n + 1)), dst)  # src is sorted
     sizes = np.bincount(labels, minlength=count)
     keep = labels == labels[np.argmax(sizes[labels])]  # the first node of a largest component
@@ -378,8 +379,8 @@ def largest_scc(edges, n=None):
     if node_map.size < n:
         new_id = np.cumsum(keep) - 1
         inside = keep[src] & keep[dst]
-        src, dst, w = new_id[src[inside]], new_id[dst[inside]], w[inside]
-    return _transition(src, dst, w, node_map.size), node_map
+        coalesced = new_id[src[inside]], new_id[dst[inside]], w[inside]
+    return _transition(coalesced, node_map.size), node_map
 
 
 def is_strongly_connected(graph, n=None):

@@ -132,7 +132,7 @@ def load():
     mul.restype = None
     parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     parse.restype = ctypes.c_int64
-    coalesce.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 4
+    coalesce.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6
     coalesce.restype = ctypes.c_int64
     # grid shape and action count, z1 axis, h1, the (action, z2) terms, V, A
     policy.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p, ctypes.c_double] + [ctypes.c_void_p] * 9
@@ -184,6 +184,8 @@ class Loop:
         the draws the picks used.
         After any steps ``cash_l1`` is synced once its rounding bound
         passes ``DRIFT_TOL``, so the bound holds as after ``engine.step``.
+        A loop that runs out of memory returns -1 before any step: no
+        step here, the state and the generator left as they were.
         """
         C, H = state.C, state.H
         n = self.params.n
@@ -215,7 +217,8 @@ class Loop:
                        None if uniform is None else uniform.ctypes.data, ctypes.byref(s), ctypes.byref(p))
         if uniform is not None and done < uniform.size:
             rng.bit_generator.state = before
-            rng.random(done)  # the draws the picks used, and no more
+            if done > 0:  # -1: no step taken
+                rng.random(done)  # the draws the picks used, and no more
         if done <= 0:
             return 0
         state.t, state.updates = s.t, s.updates

@@ -130,6 +130,16 @@ class ProportionalCash(_Seeded):
     cumulative |C| share ``cumsum(|C|)[i] / total`` exceeds u: the rule
     ``Generator.choice(n, p=|C| / total)`` applies, taken on |C| itself.
     Both sums run in index order, so the compiled loop repeats them.
+
+    The compiled loop keeps the prefix sums across picks and extends
+    them only from the lowest index the last push wrote, and only up to
+    the pick.  It brackets ``total`` from its ``||C||_1`` and that
+    value's rounding bound, widened by the rounding of a sequential and
+    of a pairwise sum; it takes the first i whose prefix sum exceeds
+    ``u * lo`` when ``prefix / hi > u`` proves it the pick.  A draw the
+    bracket cannot place, such as one on a share exactly, gets the exact
+    pick: the sums finished to n, then a bisection for the first share
+    above u.  Either way the pick, and so the seeded stream, is this one.
     """
 
     name = "pc"

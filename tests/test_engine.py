@@ -17,7 +17,7 @@ from rlgl.errors import (
     NoConvergenceError,
     ZeroTotalHistoryError,
 )
-from rlgl.matrix import TransitionMatrix, build_transition, google_matrix, gth_stationary
+from rlgl.matrix import GaussSeidelRows, TransitionMatrix, build_transition, google_matrix, gth_stationary
 
 from conftest import dense_ergodic_chain, ring_random_chain, sbm80_instance
 
@@ -904,6 +904,119 @@ class TestCompiledLoop:
         new = _replay(P, schedules.ProportionalCash(seed))
         assert (old[0], new[0]) == ("py", kernel)
         assert new[1] == old[1]  # H bytes, trace rows and counters
+
+    @given(
+        which=st.sampled_from(["sparse", "google", "damped", "gauss-seidel", "meanfield"]),
+        n=st.integers(2, 60),
+        degree=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+        pc_seed=st.integers(0, 100),
+        stride=st.sampled_from([1, 13, None]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pc_property_matches_the_python_path(self, which, n, degree, seed, pc_seed, stride):
+        # every pick of the cached prefix and its bracket is the Python pick:
+        # same H, C, trace rows and generator state, byte for byte
+        cash = None
+        if which == "sparse":
+            P = _random_sparse_chain(n, degree, seed)
+        elif which == "gauss-seidel":
+            P = GaussSeidelRows(ring_random_chain(n, degree, seed))  # the ring leaves no row absorbing
+        elif which == "meanfield":
+            P = models.meanfield_sbm([2 + n % 13, 1 + degree, 1 + seed % 7], 0.3, 0.02)
+        else:
+            P = _dangling_google(n, degree, seed)
+            if which == "damped":  # gso:pc, the positive-cash push solver
+                P, cash = P.damped, (1.0 - P.c) * P.s
+        outcomes = []
+        for load in (pushloop.load, lambda: None):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(pushloop, "load", load)
+                sched = schedules.ProportionalCash(pc_seed)
+                got = _replay(P, sched, cash=cash, eps=1e-12, stride=stride, max_steps=40 * P.n)
+            outcomes.append((got[1], sched._k, sched.rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("entry", ["synced", "near-drift-limit"])
+    @pytest.mark.parametrize("chain", ["sbm80", "ring1000", "google-dangling"])
+    def test_pc_draws_on_the_shares_take_the_exact_pick(self, chain, entry, kernel):
+        # Each draw is put on a cumulative share of the cash it picks from, or
+        # next to one: the bracket of the total cannot place such a draw, so
+        # most picks take the exact fallback.  They must still be the Python
+        # picks.  "synced" makes every pick right after an exact sum, where
+        # the bracket is its rounding terms alone; "near-drift-limit" enters
+        # with l1_err at 90% of its limit, a bracket ~2e-9 wide, so draws 1e-10
+        # past a share fall in it too.
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _chain(chain)
+        steps = 600
+        synced = entry == "synced"
+        start = engine.init(P)
+        if not synced:
+            start.l1_err = 0.9 * engine.DRIFT_TOL * start.cash_l1  # a wider bound holds as well
+
+        class OnShares:
+            """Draws put on the shares of the cash of ``state``, recorded in turn."""
+
+            def __init__(self, state):
+                self.state, self.rng, self.drawn = state, np.random.default_rng(5), []
+
+            def random(self):
+                cdf = np.cumsum(np.abs(self.state.C))
+                cdf /= cdf[-1]
+                j = int(self.rng.choice(np.flatnonzero(self.state.C)))
+                below = cdf[j - 1] if j else 0.0
+                u = [below, np.nextafter(cdf[j], 0.0), below + 1e-10 * cdf[j]][len(self.drawn) % 3]
+                self.drawn.append(float(min(u, np.nextafter(1.0, 0.0))))
+                return self.drawn[-1]
+
+        python = engine.SolverState(**vars(start))
+        python.C, python.H = start.C.copy(), start.H.copy()
+        sched = schedules.ProportionalCash(0).bind(P)
+        sched.rng = OnShares(python)
+        for _ in range(steps):
+            if synced:
+                engine.sync_cash_l1(python)
+            engine.step(python, sched.next_nodes(python.C), P)
+
+        compiled = engine.SolverState(**vars(start))
+        compiled.C, compiled.H = start.C.copy(), start.H.copy()
+        loop = pushloop.bind(P, "pc")
+        fixed = schedules.ProportionalCash(0).bind(P)
+        fixed.rng = _FixedDraws(sched.rng.drawn)
+        while compiled.t < python.t:
+            if synced:
+                engine.sync_cash_l1(compiled)
+            assert loop.advance(compiled, fixed, 1e-30, compiled.t + 1 if synced else python.t, 10**9) > 0
+        assert (fixed._k, fixed.rng.state) == (sched._k, steps)
+        # the incremental ||C||_1 of the two paths may differ between syncs (numpy
+        # sums a row pairwise, the loop in sequence); the exact sums agree
+        for state in (compiled, python):
+            engine.sync_cash_l1(state)
+        assert TestStep._snapshot(compiled)[:-1] == TestStep._snapshot(python)[:-1]
+
+    @pytest.mark.parametrize("kind", ["rr", "theta", "maxc", "pc"])
+    def test_out_of_memory_return_takes_no_step(self, kind, monkeypatch):
+        # a loop returns -1 when an allocation fails, before any step
+        def out_of_memory(*args):
+            return -1
+
+        P = _chain("sbm80")
+        name = {"theta": "theta:1", "pc": "pc:3"}.get(kind, kind)
+        sched = schedules.parse_schedule(name).bind(P)
+        sched.restart()
+        loop = pushloop.Loop(out_of_memory, P.csr_push, P.n, kind)
+        st_ = engine.init(P)
+        rng = getattr(sched, "rng", None)
+        before = TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state
+        assert loop.advance(st_, sched, 1e-10, 1000, 10**9) == 0
+        assert (TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state) == before
+        # a run whose loop always fails takes the Python steps, with their bytes
+        monkeypatch.setattr(pushloop, "bind", lambda P, kind: pushloop.Loop(out_of_memory, P.csr_push, P.n, kind))
+        failing = _replay(P, schedules.parse_schedule(name))[1]
+        monkeypatch.setattr(pushloop, "load", lambda: None)
+        assert failing == _replay(P, schedules.parse_schedule(name))[1]
 
     def test_no_compiler_falls_back(self, tmp_path, monkeypatch):
         P = _chain("two-wheels")

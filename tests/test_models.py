@@ -831,7 +831,7 @@ class TestCompiledCoalesce:
             pytest.skip("no compiler: numpy coalesces every list")
         assert pushloop.load() is not None
 
-    @pytest.mark.parametrize(
+    CLAIMED = pytest.mark.parametrize(
         "edges,n",
         [
             (_hub_edges(seed=1, m=1000, n=50)[0], 50),
@@ -839,14 +839,31 @@ class TestCompiledCoalesce:
             ([(0, 1), (1, 0), (0, 1)], 2),
             ([(0, 0, 1.0)], 1),
             ([(0, 1, 0.0), (1, 0, 0.0)], 2),
+            ([(2, 1, 0.1), (0, 2, 0.2), (2, 0, 1 / 3), (2, 1, 0.3), (0, 1, 2.5), (2, 2, 0.7)], 4),
         ],
-        ids=["hub", "fractional-ids", "two-columns", "one-node", "zero-weights"],
+        ids=["hub", "fractional-ids", "two-columns", "one-node", "zero-weights", "row-sums-in-order"],
     )
+
+    @CLAIMED
     def test_claims(self, edges, n):
         edges = np.asarray(edges, dtype=float)
         got = matrix._coalesce_compiled(edges, n)
         assert got is not None
         _assert_lexsort_bytes(got, edges, n)
+
+    @CLAIMED
+    def test_rows_are_the_numpy_rows(self, edges, n, monkeypatch):
+        # the CSR rows the pass writes, and _csr_rows reads in place of its bincounts
+        edges = np.asarray(edges, dtype=float)
+        got = matrix._coalesce_compiled(edges, n)
+        assert got.rows is not None
+        with monkeypatch.context() as m:
+            m.setattr(pushloop, "load", lambda: None)
+            expected = matrix._coalesce_edges(edges, n)
+        assert getattr(expected, "rows", None) is None
+        for a, b in zip(matrix._csr_rows(got, n), matrix._csr_rows(expected, n), strict=True):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_declines_more_nodes_than_edges(self):
         assert matrix._coalesce_compiled(np.array([(0.0, 1.0, 1.0)]), 3) is None
