@@ -2,7 +2,7 @@
 
 All outputs are CSV with headers and are byte-deterministic for equal
 seeds.  Exit codes: 0 converged, 2 no convergence, 3 degenerate history,
-64 configuration/validation errors.
+64 configuration/validation errors and inputs too big for memory.
 """
 
 from __future__ import annotations
@@ -470,6 +470,9 @@ def main(argv=None):
         return args.func(args)
     except RlglError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an input too big for memory, such as a huge node id or sbm
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -73,11 +73,16 @@ class BlockCash:
 
     @property
     def l1(self):
-        return float((self.sizes * np.abs(self.c)).sum())
+        return float(_block_l1(self.c, self.sizes))
 
     @property
     def total(self):
         return float((self.sizes * self.c).sum())
+
+
+def _block_l1(c, sizes):
+    """Total absolute cash sum_i N_i |c_i| of a cash vector, or of each in a stack."""
+    return (sizes * np.abs(c)).sum(-1)
 
 
 def block_cash_update(c, sizes, p, q, action):
@@ -86,20 +91,21 @@ def block_cash_update(c, sizes, p, q, action):
     Each pushing block i keeps fraction N_i p / D_i of its per-node cash
     and sends N_i q / D_i per node to every other block, with
     D_i = N_i (p - q) + N q.  Non-pushing blocks keep their cash and add
-    the inflows.  Total cash N.c stays zero.
+    the inflows.  Total cash N.c stays zero.  ``c`` may be a stack of cash
+    vectors whose last axis is the three blocks; each goes through the
+    same operations, in the same order, as it would alone.
     """
     c = np.asarray(c, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     N = sizes.sum()
     D = sizes * (p - q) + N * q
-    active = np.zeros(3, dtype=bool)
-    active[list(Action(action).blocks)] = True
+    blocks = Action(action).blocks
+    active = np.isin(np.arange(3), blocks)
     keep = np.where(active, sizes * p / D, 1.0)
     out = c * keep
     send = np.where(active, c * sizes * q / D, 0.0)
-    for i in range(3):
-        if active[i]:
-            out += np.where(np.arange(3) == i, 0.0, send[i])
+    for i in blocks:
+        out += np.where(np.arange(3) == i, 0.0, send[..., i:i + 1])
     return out
 
 
@@ -114,37 +120,36 @@ def encode_state(c, sizes, eps):
     """Map cash to (z1, z2) = (log10(||c||_1 / eps), y2 - y3).
 
     The sign flip c -> -c is applied first when c_1 < 0 (value and policy
-    are symmetric under it), and y_i = 2 N_i c_i / ||c||_1.
+    are symmetric under it), and y_i = 2 N_i c_i / ||c||_1.  A stack of
+    cash vectors (last axis the blocks) gives arrays of z1 and z2, each
+    entry the bytes its vector gives alone; one vector gives floats.
     """
     c = np.asarray(c, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
-    l1 = float((sizes * np.abs(c)).sum())
-    if l1 == 0.0:
+    l1 = _block_l1(c, sizes)
+    if np.any(l1 == 0.0):
         raise ZeroCashError("cannot encode the zero-cash state")
-    if c[0] < 0:
-        c = -c
-    y = 2.0 * sizes * c / l1
-    return float(np.log10(l1 / eps)), float(y[1] - y[2])
+    c = np.where(c[..., :1] < 0, -c, c)
+    y = 2.0 * sizes * c / l1[..., None]
+    z1, z2 = np.log10(l1 / eps), y[..., 1] - y[..., 2]
+    return (float(z1), float(z2)) if c.ndim == 1 else (z1, z2)
 
 
 def decode_state(z2):
-    """Inverse of the z2 transform: the unique (y2, y3) with y1 >= 0."""
-    if not -2.0 <= z2 <= 2.0:
+    """Inverse of the z2 transform: the unique (y2, y3) with y1 >= 0, of each z2 in an array."""
+    z2 = np.asarray(z2, dtype=float)
+    if not np.all((-2.0 <= z2) & (z2 <= 2.0)):
         raise OutOfRangeError(f"z2 = {z2} outside [-2, 2]")
-    if z2 >= 1.0:
-        y2, y3 = z2 - 1.0, -1.0
-    elif z2 >= -1.0:
-        y2, y3 = (z2 - 1.0) / 2.0, -(z2 + 1.0) / 2.0
-    else:
-        y2, y3 = -1.0, -z2 - 1.0
-    return y2, y3
+    y2 = np.where(z2 >= 1.0, z2 - 1.0, np.where(z2 >= -1.0, (z2 - 1.0) / 2.0, -1.0))
+    y3 = np.where(z2 >= 1.0, -1.0, np.where(z2 >= -1.0, -(z2 + 1.0) / 2.0, -z2 - 1.0))
+    return (float(y2), float(y3)) if z2.ndim == 0 else (y2, y3)
 
 
 def cash_from_state(z1, z2, sizes, eps):
-    """Representative cash vector of a grid state (c_1 >= 0 half-plane)."""
+    """Representative cash vector of a grid state (c_1 >= 0 half-plane); one per z2 of an array."""
     sizes = np.asarray(sizes, dtype=float)
     y2, y3 = decode_state(z2)
-    y = np.array([-y2 - y3, y2, y3])
+    y = np.stack([-y2 - y3, y2, y3], axis=-1)
     l1 = eps * 10.0**z1
     return y * l1 / (2.0 * sizes)
 
@@ -227,11 +232,13 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
     A NaN or +inf candidate is never taken, and a cell with no finite
     candidate keeps V = inf and action -1.
 
-    The per-(z2 cell, action) terms are set up here; the rows 1.. are
-    filled by the compiled ``rlgl_policy_rows`` (``pushloop``) when the
-    library loads, else by one numpy pass per row (``_policy_rows``).
-    Both repeat the same operations in the same order, so V and A come
-    out with the same bytes.
+    The (action, z2 cell) terms come from one ``block_cash_update`` call
+    per action on the stack of the n_z2 unit cash vectors, each vector the
+    bytes it gives alone; only the cells an action moves are encoded.  The
+    rows 1.. are filled by the compiled ``rlgl_policy_rows`` (``pushloop``)
+    when the library loads, else by one numpy pass per row
+    (``_policy_rows``).  Both repeat the same operations in the same
+    order, so V and A come out with the same bytes.
     """
     sizes = _check_sizes(sizes)
     if not 0.0 < eps < np.inf:
@@ -240,7 +247,7 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
         raise InvalidParamsError("grid needs at least 2 points per axis")
     if c0 is None:
         c0 = meanfield_init(sizes, p, q)
-    c0_l1 = c0.l1 if isinstance(c0, BlockCash) else float((sizes * np.abs(c0)).sum())
+    c0_l1 = c0.l1 if isinstance(c0, BlockCash) else _block_l1(c0, sizes)
     z1_max = float(np.log10(c0_l1 / eps))
     if z1_max <= 0:
         raise InvalidParamsError("initial cash already below eps")
@@ -249,35 +256,25 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
     h1 = z1_axis[1] - z1_axis[0]
     h2 = z2_axis[1] - z2_axis[0]
 
-    actions = list(Action)
-    kappa = {a: action_cost(a, sizes, p, q) for a in actions}
+    kappa = {a: action_cost(a, sizes, p, q) for a in Action}
     # evaluation order makes argmin ties fall to cheapest kappa, then index
-    order = sorted(actions, key=lambda a: (kappa[a], int(a)))
-
-    # per (action, z2-cell) constants: z1 shift and successor z2
-    dz1 = np.full((len(actions) + 1, n_z2), np.nan)
-    z2_next = np.zeros((len(actions) + 1, n_z2))
-    annihilated = np.zeros((len(actions) + 1, n_z2), dtype=bool)
-    for j, z2 in enumerate(z2_axis):
-        c_unit = cash_from_state(0.0, z2, sizes, 1.0)  # ||c||_1 = 1
-        for a in actions:
-            c_next = block_cash_update(c_unit, sizes, p, q, a)
-            g = float((sizes * np.abs(c_next)).sum())
-            if g == 0.0:
-                annihilated[a, j] = True
-                dz1[a, j] = -np.inf
-            elif g < 1.0 - 1e-15:  # an action that does not contract keeps dz1 NaN: excluded here
-                dz1[a, j] = np.log10(g)
-                _, z2_next[a, j] = encode_state(c_next, sizes, 1.0)
-
-    # the actions as the rows of one (7, n_z2) stack, in `order`; nothing here depends on the z1 row
+    order = sorted(Action, key=lambda a: (kappa[a], int(a)))
     ids = np.array([int(a) for a in order], dtype=np.int8)
-    shift = dz1[ids]
-    annul = annihilated[ids]
-    usable = annul | np.isfinite(shift)
-    moves = usable & ~annul
     cost = np.array([[kappa[a]] for a in order])
-    fj = np.clip((z2_next[ids] - z2_axis[0]) / h2, 0.0, n_z2 - 1.0)
+
+    # the actions as the rows of one (7, n_z2) stack, in `order`: the z1 shift and
+    # successor z2 of each (action, z2 cell); nothing here depends on the z1 row
+    units = cash_from_state(0.0, z2_axis, sizes, 1.0)  # each ||c||_1 = 1
+    c_next = np.stack([block_cash_update(units, sizes, p, q, a) for a in order])
+    g = _block_l1(c_next, sizes)
+    annul = g == 0.0
+    moves = ~annul & (g < 1.0 - 1e-15)  # an action that does not contract is excluded at the cell
+    usable = annul | moves
+    with np.errstate(divide="ignore"):
+        shift = np.where(usable, np.log10(g), np.nan)  # -inf where the action annihilates the cash
+    z2_next = np.zeros(g.shape)
+    z2_next[moves] = encode_state(c_next[moves], sizes, 1.0)[1]
+    fj = np.clip((z2_next - z2_axis[0]) / h2, 0.0, n_z2 - 1.0)
     j0 = np.minimum(fj.astype(np.int64), n_z2 - 2)
     wj = fj - j0
 
@@ -286,7 +283,7 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
     terms = (z1_axis, h1, shift, usable, moves, cost, j0, wj, ids)
     if not _policy_rows_compiled(V, A, *terms):
         _policy_rows(V, A, *terms)
-    grid = PolicyGrid(
+    return PolicyGrid(
         z1_axis=z1_axis,
         z2_axis=z2_axis,
         V=V,
@@ -295,9 +292,8 @@ def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):
         p=p,
         q=q,
         eps=eps,
-        kappa={int(a): kappa[a] for a in actions},
+        kappa={int(a): k for a, k in kappa.items()},
     )
-    return grid
 
 
 def _policy_rows(V, A, z1_axis, h1, shift, usable, moves, cost, j0, wj, ids):
@@ -361,20 +357,23 @@ def simulate_policy(c0, policy, sizes, p, q, eps=1e-10, max_steps=100_000):
     Stops when the total absolute cash reaches eps; raises
     NoConvergenceError (result attached) at max_steps, which single-block
     constant schedules generically hit because the cash stalls at a
-    positive limit.  Raises InvalidParamsError unless max_steps >= 1.
+    positive limit.  Raises InvalidParamsError unless max_steps >= 1, the
+    cycle holds an action and the start cash is three finite numbers.
     """
     sizes = _check_sizes(sizes)
     if max_steps < 1:
         raise InvalidParamsError(f"max_steps must be >= 1, got {max_steps!r}")
     c = np.array(c0.c if isinstance(c0, BlockCash) else c0, dtype=float)
-    fixed = None
-    if not isinstance(policy, PolicyGrid):
-        fixed = [Action(a) for a in policy]
+    if c.shape != (3,) or not np.all(np.isfinite(c)):
+        raise InvalidParamsError(f"start cash must be three finite numbers, got {c!r}")
+    fixed = None if isinstance(policy, PolicyGrid) else [Action(a) for a in policy]
+    if fixed == []:
+        raise InvalidParamsError("the action cycle is empty")
+    kappa = {a: action_cost(a, sizes, p, q) for a in Action}
     actions = []
-    cash = []
+    l1 = float(_block_l1(c, sizes))
+    cash = [l1]
     cost = [0.0]
-    l1 = float((sizes * np.abs(c)).sum())
-    cash.append(l1)
     for k in range(max_steps):
         if l1 <= eps:
             return SimulationResult(actions, cash, cost, True)
@@ -384,10 +383,10 @@ def simulate_policy(c0, policy, sizes, p, q, eps=1e-10, max_steps=100_000):
             z1, z2 = encode_state(c, sizes, eps)
             a = policy.action_at(z1, z2)
         c = block_cash_update(c, sizes, p, q, a)
-        l1 = float((sizes * np.abs(c)).sum())
+        l1 = float(_block_l1(c, sizes))
         actions.append(a)
         cash.append(l1)
-        cost.append(cost[-1] + action_cost(a, sizes, p, q))
+        cost.append(cost[-1] + kappa[a])
     raise NoConvergenceError(
         f"block simulation: no convergence in {max_steps} steps",
         SimulationResult(actions, cash, cost, False),

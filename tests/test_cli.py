@@ -1,6 +1,8 @@
 import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +362,60 @@ def test_undecodable_edge_file_is_one_path_line_error(tmp_path, capsys, data, li
     expected = f"error: {graph}:{lineno}: ids must be integers, the weight a number"
     assert capsys.readouterr().err.splitlines() == [expected]
     assert not (tmp_path / "out").exists()
+
+
+AS_LIMIT = 3 << 29  # 1.5 GiB of address space: the CLI runs normally under it
+
+
+def _run_cli_limited(args):
+    """``rlgl <args>`` in a child process whose address space alone is capped at AS_LIMIT."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT if hard < 0 else min(AS_LIMIT, hard), hard))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    # one BLAS thread, so the child's address space does not grow with the core count
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "rlgl.cli", *args], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--graph", "{huge}", "--pagerank", "--method", "pi", "--out", "{out}"],
+        ["solve", "--graph", "{huge}", "--lcc", "--method", "pi", "--out", "{out}"],
+        ["solve", "--graph", "sbm:100000,100000:0.001:0.0001:1", "--method", "pi", "--out", "{out}"],
+        ["gen", "sbm", "{out}", "--sizes", "100000,100000"],
+    ],
+    ids=["pagerank-huge-id", "lcc-huge-id", "sbm-graph", "gen-sbm"],
+)
+def test_input_too_big_for_memory_is_one_error_line(tmp_path, args):
+    # once a numpy _ArrayMemoryError traceback, exit 1 (22.4 GiB for the id, 37.3 GiB for the sbm)
+    huge = tmp_path / "huge.edges"
+    huge.write_text("0 2999999999\n2999999999 1\n1 0\n")
+    run = _run_cli_limited([a.format(huge=huge, out=tmp_path / "out") for a in args])
+    assert run.returncode == cli.EXIT_CONFIG, run.stderr
+    err = run.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: "), run.stderr
+
+
+def test_cli_runs_under_the_memory_cap(tmp_path):
+    run = _run_cli_limited(["solve", "--graph", "two-wheels", "--method", "pi", "--out", str(tmp_path)])
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "estimate.csv").exists()
+
+
+def test_bare_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def no_room(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_solve", no_room)
+    assert cli.main(["solve", "--graph", "two-wheels", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,42 @@ class TestBlockCashUpdate:
                 assert np.abs(per_block - expected).max() <= 1e-12
 
 
+class TestStacks:
+    """A stack of cash vectors (last axis the blocks) gives, row by row, the bytes of each row alone."""
+
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_rows(self, seed, k):
+        rng = np.random.default_rng(seed)
+        c = np.array([random_zero_sum(rng) for _ in range(k)])
+        c[rng.random(k) < 0.5] *= -1.0  # both signs of c_1, so encode_state flips some rows
+        for action in mdp.Action:
+            out = mdp.block_cash_update(c, SIZES, P_, Q_, action)
+            rows = np.array([mdp.block_cash_update(row, SIZES, P_, Q_, action) for row in c])
+            assert np.array_equal(out.view(np.int64), rows.view(np.int64))
+        z1, z2 = mdp.encode_state(c, SIZES, 1e-10)
+        z1_rows, z2_rows = np.array([mdp.encode_state(row, SIZES, 1e-10) for row in c]).T
+        assert np.array_equal(z1.view(np.int64), z1_rows.view(np.int64))
+        assert np.array_equal(z2.view(np.int64), z2_rows.view(np.int64))
+
+    @given(z2=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_unit_cash_stack_equals_rows(self, z2):
+        stack = mdp.cash_from_state(0.0, np.array(z2), SIZES, 1.0)
+        rows = np.array([mdp.cash_from_state(0.0, z, SIZES, 1.0) for z in z2])
+        assert np.array_equal(stack.view(np.int64), rows.view(np.int64))
+
+    def test_one_vector_gives_floats(self):
+        z = mdp.encode_state(np.array([0.3, -0.5, -0.5]), SIZES, 1e-10)
+        assert all(type(v) is float for v in z)
+        assert all(type(v) is float for v in mdp.decode_state(0.5))
+
+    def test_stack_with_a_zero_row_rejected(self):
+        c = np.array([[0.3, -0.5, -0.5], [0.0, 0.0, 0.0]])
+        with pytest.raises(ZeroCashError):
+            mdp.encode_state(c, SIZES, 1e-10)
+
+
 class TestActionCost:
     def test_hand_value(self):
         assert mdp.action_cost(mdp.Action.A3, SIZES, P_, Q_) == 17.0
@@ -274,7 +310,9 @@ class TestSolvePolicyParity:
         update = mdp.block_cash_update
 
         def stalled(c, *args):
-            return np.array(c, dtype=float) if 2.0 * sizes[2] * c[2] == -1.0 else update(c, *args)
+            # a vector or a stack of them: each row with 2 N3 c3 == -1 comes back unchanged
+            c = np.asarray(c, dtype=float)
+            return np.where(2.0 * sizes[2] * c[..., 2:] == -1.0, c, update(c, *args))
 
         monkeypatch.setattr(mdp, "block_cash_update", stalled)
         c0 = mdp.meanfield_init(SIZES, P_, Q_).c
@@ -361,6 +399,24 @@ class TestSimulate:
         c0 = mdp.meanfield_init(SIZES, P_, Q_)
         with pytest.raises(InvalidParamsError, match="max_steps must be >= 1"):
             mdp.simulate_policy(c0, [mdp.Action.A7], SIZES, P_, Q_, max_steps=max_steps)
+
+    @pytest.mark.parametrize("cycle, c", [
+        ([], [0.3, -0.5, -0.5]),
+        ([mdp.Action.A7], [np.nan, 0.5, -0.5]),
+        ([mdp.Action.A7], [np.inf, 0.5, -0.5]),
+        ("grid", [np.nan, 0.5, -0.5]),
+    ])
+    def test_bad_cycle_or_start_rejected_before_the_first_step(self, monkeypatch, cycle, c):
+        # once a ZeroDivisionError, and a NaN start ran to max_steps
+        if cycle == "grid":
+            cycle = mdp.solve_policy(SIZES, P_, Q_, eps=1e-6, n_z1=20, n_z2=11)
+
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(mdp, "block_cash_update", no_step)
+        with pytest.raises(InvalidParamsError):
+            mdp.simulate_policy(np.array(c), cycle, SIZES, P_, Q_, max_steps=10)
 
     def test_full_sweep_converges(self):
         c0 = mdp.meanfield_init(SIZES, P_, Q_)
