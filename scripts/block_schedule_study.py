@@ -12,7 +12,7 @@ import os
 import sys
 
 from rlgl import cli, engine, mdp
-from rlgl.errors import NoConvergenceError, RlglError
+from rlgl.errors import RlglError
 
 CYCLES = {
     "full-sweep": (7,),
@@ -46,26 +46,21 @@ def main(argv=None):
         return cli.EXIT_CONFIG
     grid.to_csv(os.path.join(args.out, "policy.csv"))
 
-    rows = []
-    sim = mdp.simulate_policy(c0, grid, sizes, args.p, args.q, eps=args.eps)
-    rows.append(("optimal", len(sim.actions), sim.cum_cost[-1], True))
+    sim, stalled = cli.simulate(c0, grid, sizes, args.p, args.q, eps=args.eps)
     sim.to_csv(os.path.join(args.out, "trajectory.csv"))
-
+    runs = {"optimal": (sim, stalled)}
     for name, cycle in CYCLES.items():
-        try:
-            s = mdp.simulate_policy(
-                c0, [mdp.Action(a) for a in cycle], sizes, args.p, args.q,
-                eps=args.eps, max_steps=50_000,
-            )
-            rows.append((name, len(s.actions), s.cum_cost[-1], True))
-        except NoConvergenceError as exc:
-            s = exc.result
-            rows.append((name, len(s.actions), s.cum_cost[-1], False))
+        actions = [mdp.Action(a) for a in cycle]
+        runs[name] = cli.simulate(c0, actions, sizes, args.p, args.q, eps=args.eps, max_steps=50_000)
 
+    rows = [(name, len(s.actions), s.cum_cost[-1], error is None) for name, (s, error) in runs.items()]
     engine.write_csv(os.path.join(args.out, "race.csv"), ("schedule", "steps", "total_cost", "converged"),
                      [(name, steps, cost, str(ok).lower()) for name, steps, cost, ok in rows])
     for name, steps, cost, ok in rows:
         print(f"{name:12s} steps={steps:6d} cost={cost:12.0f} converged={ok}")
+    if stalled is not None:  # the optimal policy's run, as rlgl mdp reports it
+        print(f"no convergence: {stalled}", file=sys.stderr)
+        return cli.EXIT_NO_CONVERGENCE
     return 0
 
 

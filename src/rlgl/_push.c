@@ -14,6 +14,9 @@
  * MaxCash or ProportionalCash and engine.step on a TransitionMatrix, with
  * or without a restart part, or on its GaussSeidelRows view, so H, C and
  * every counter come out with the same bytes.
+ * MaxCash's pick is the root of a winner tree over |C|, replayed from
+ * each entry a push writes (see tree); on a matrix whose every push adds
+ * the restart part, that add's own pass finds the pick instead.
  * The dangling rows of a matrix with a restart part are its empty CSR
  * rows, so the loops take no dangling array.
  * ProportionalCash's pick keeps the prefix sums of |C| across picks and
@@ -70,78 +73,55 @@ typedef struct {
     double theta, eps, initial_mass, guard_unit, drift_tol, unit, restart_share, dangling_share;
 } loop_params;
 
-/* Indexed binary max-heap of all nodes, ordered as np.argmax(np.abs(C))
- * picks: larger |C| first, the lower index on ties. */
+/* MaxCash's pick: a winner tree over |C| (Knuth, TAOCP vol. 3, 5.4.1).
+ * size is the smallest power of two >= n; leaf size + v holds node v and
+ * the leaves past n hold -1.  Each internal win[q] is the winner of
+ * win[2q] and win[2q + 1]: the larger |C|, the left on ties.  A left
+ * subtree holds only lower indices, so win[1] is the first index of the
+ * largest |C[j]|, the node np.argmax(np.abs(C)) picks. */
 typedef struct {
     const double *C;
-    int64_t *node; /* node at heap position */
-    int64_t *pos;  /* heap position of node */
-    int64_t n;
-} heap;
+    int64_t *win;
+    int64_t size;
+} tree;
 
-static int above(const heap *h, int64_t a, int64_t b)
+/* The winner of a left and a right entry; -1 pads the right end, so a
+ * left -1 meets only a right -1. */
+static inline int64_t winner(const double *C, int64_t a, int64_t b)
 {
-    double x = fabs(h->C[a]), y = fabs(h->C[b]);
-    return x > y || (x == y && a < b);
+    return b < 0 || fabs(C[a]) >= fabs(C[b]) ? a : b;
 }
 
-static void place(heap *h, int64_t p, int64_t v)
+/* Replay v's matches after |C[v]| changed, up to the first whose winner
+ * is unchanged and is not v: the matches above it see the same entries. */
+static void replay(tree *t, int64_t v)
 {
-    h->node[p] = v;
-    h->pos[v] = p;
-}
-
-static int64_t sift_up(heap *h, int64_t p)
-{
-    int64_t v = h->node[p];
-    while (p > 0) {
-        int64_t q = (p - 1) / 2;
-        if (!above(h, v, h->node[q]))
+    for (int64_t q = (t->size + v) / 2; q >= 1; q /= 2) {
+        int64_t w = winner(t->C, t->win[2 * q], t->win[2 * q + 1]);
+        if (w == t->win[q] && w != v)
             break;
-        place(h, p, h->node[q]);
-        p = q;
+        t->win[q] = w;
     }
-    place(h, p, v);
-    return p;
 }
 
-static void sift_down(heap *h, int64_t p)
+/* Replay every match, bottom up. */
+static void rebuild(tree *t)
 {
-    int64_t v = h->node[p];
-    for (;;) {
-        int64_t c = 2 * p + 1;
-        if (c >= h->n)
-            break;
-        if (c + 1 < h->n && above(h, h->node[c + 1], h->node[c]))
-            c++;
-        if (!above(h, h->node[c], v))
-            break;
-        place(h, p, h->node[c]);
-        p = c;
-    }
-    place(h, p, v);
+    for (int64_t q = t->size - 1; q >= 1; q--)
+        t->win[q] = winner(t->C, t->win[2 * q], t->win[2 * q + 1]);
 }
 
-/* Restore the order after |C[v]| changed. */
-static void reorder(heap *h, int64_t v)
+static int tree_init(tree *t, const double *C, int64_t n)
 {
-    int64_t p = h->pos[v];
-    if (sift_up(h, p) == p)
-        sift_down(h, p);
-}
-
-static int heap_init(heap *h, const double *C, int64_t n)
-{
-    h->C = C;
-    h->n = n;
-    h->node = malloc((size_t)n * sizeof *h->node);
-    h->pos = malloc((size_t)n * sizeof *h->pos);
-    if (!h->node || !h->pos)
+    t->C = C;
+    for (t->size = 1; t->size < n; t->size *= 2)
+        ;
+    t->win = malloc(2 * (size_t)t->size * sizeof *t->win);
+    if (!t->win)
         return -1;
-    for (int64_t i = 0; i < n; i++)
-        place(h, i, i);
-    for (int64_t p = n / 2 - 1; p >= 0; p--)
-        sift_down(h, p);
+    for (int64_t v = 0; v < t->size; v++)
+        t->win[t->size + v] = v < n ? v : -1;
+    rebuild(t);
     return 0;
 }
 
@@ -276,14 +256,14 @@ static inline int may_step(const loop_state *s, const loop_params *p)
 /* One step: engine.step's push of node i (none when i < 0, a skip step,
  * or C[i] is 0) and engine._account; nonzero when the loop must return
  * after it (a trace row is due, or the ||C||_1 bound passed its drift
- * limit).  h is MaxCash's heap, reordered at every entry written, or
- * NULL; best, or NULL, takes MaxCash's next pick from the pass that adds
- * the restart part and sums |new| - |old| for ||C||_1.  Where that add is
- * zero but at dangling rows (the matrix's damped copy), the heap is kept
- * and rebuilt there.  Inlined into each loop, whose copy then drops what
- * its kind does not use. */
+ * limit).  w is MaxCash's winner tree, replayed at every entry written,
+ * or NULL; best, or NULL, takes MaxCash's next pick from the pass that
+ * adds the restart part and sums |new| - |old| for ||C||_1.  Where that
+ * add is zero but at dangling rows (the matrix's damped copy), the tree is
+ * kept and rebuilt there.  Inlined into each loop, whose copy then drops
+ * what its kind does not use. */
 __attribute__((always_inline)) static inline int step(const csr_rows *m, double *C, double *H, int64_t i,
-                                                      loop_state *s, const loop_params *p, heap *h, int64_t *best)
+                                                      loop_state *s, const loop_params *p, tree *w, int64_t *best)
 {
     double a = i >= 0 ? C[i] : 0.0;
     int drift = 0;
@@ -291,8 +271,8 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
         H[i] += a;
         s->total_history += a;
         C[i] = 0.0;
-        if (h)
-            reorder(h, i);
+        if (w)
+            replay(w, i);
         double b = m->scale ? a * m->scale[i] : a;
         /* a GaussSeidelRows push leaves C[i] at 0: the row adds 0 there
          * (a select, as a branch here slowed the pc runs by ~15%) and
@@ -307,8 +287,8 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
             C[j] = v;
             old_abs += fabs(o);
             new_abs += fabs(v);
-            if (h)
-                reorder(h, j);
+            if (w)
+                replay(w, j);
         }
         double grown = new_abs - old_abs;
         double r = 0.0;
@@ -321,9 +301,8 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
                 add_restart(C, m->restart, r, mid + 1, p->n, &grown, &top, &arg);
                 if (best)
                     *best = arg;
-                if (h) /* every |C[j]| moved: rebuild the heap */
-                    for (int64_t q = p->n / 2 - 1; q >= 0; q--)
-                        sift_down(h, q);
+                if (w) /* every |C[j]| moved */
+                    rebuild(w);
             } else if (best) {
                 *best = argmax_abs(C, p->n);
             }
@@ -357,6 +336,7 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
 
 int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
 {
+    (void)u;
     const int64_t t0 = s->t;
     while (may_step(s, p))
         if (step(m, C, H, (s->k++ + p->offset) % p->n, s, p, NULL, NULL))
@@ -366,6 +346,7 @@ int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, const double *u, l
 
 int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
 {
+    (void)u;
     const int64_t t0 = s->t;
     /* Theta refreshes at the steps k with k % n == 0, whose candidate is this node */
     const int64_t refresh_at = p->offset % p->n;
@@ -385,28 +366,25 @@ int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, const double *u
 
 int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
 {
+    (void)u;
     const int64_t t0 = s->t;
-    heap h = {0};
+    tree w = {0};
     int64_t best = 0;
-    /* a restart add moves every entry: a scan in that pass beats the heap */
+    /* a restart add moves every entry: a scan in that pass beats the tree */
     int scan = m->restart && p->restart_share != 0.0;
-    if (scan) {
+    if (scan)
         best = argmax_abs(C, p->n);
-    } else if (heap_init(&h, C, p->n) != 0) {
-        free(h.node);
-        free(h.pos);
+    else if (tree_init(&w, C, p->n) != 0)
         return -1;
-    }
     while (may_step(s, p)) {
-        int64_t i = scan ? best : h.node[0];
+        int64_t i = scan ? best : w.win[1];
         if (C[i] == 0.0)
             break;
         s->k++;
-        if (step(m, C, H, i, s, p, scan ? NULL : &h, scan ? &best : NULL))
+        if (step(m, C, H, i, s, p, scan ? NULL : &w, scan ? &best : NULL))
             break;
     }
-    free(h.node);
-    free(h.pos);
+    free(w.win);
     return s->t - t0;
 }
 

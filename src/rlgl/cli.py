@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,6 +367,14 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def simulate(*args, **kw):
+    """``mdp.simulate_policy``'s result and None, or its partial result and the NoConvergenceError."""
+    try:
+        return mdp.simulate_policy(*args, **kw), None
+    except NoConvergenceError as exc:
+        return exc.result, exc
+
+
 def cmd_mdp(args):
     sizes = _int_fields(args.sizes, "--sizes")
     n_z1, n_z2 = _int_fields(args.grid, "--grid", sep="x", count=2)
@@ -376,14 +385,12 @@ def cmd_mdp(args):
     grid = mdp.solve_policy(sizes, args.p, args.q, c0=c0, eps=args.eps, n_z1=n_z1, n_z2=n_z2)
     make_out_dir(args.out)
     grid.to_csv(os.path.join(args.out, "policy.csv"))
-    code = EXIT_OK
-    try:
-        sim = mdp.simulate_policy(c0, grid, sizes, args.p, args.q, eps=args.eps, max_steps=args.max_steps)
-    except NoConvergenceError as exc:
-        sim = exc.result
-        code = EXIT_NO_CONVERGENCE
+    sim, stalled = simulate(c0, grid, sizes, args.p, args.q, eps=args.eps, max_steps=args.max_steps)
     sim.to_csv(os.path.join(args.out, "trajectory.csv"))
-    return code
+    if stalled is not None:
+        print(f"no convergence: {stalled}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _config_from(args):
@@ -463,17 +470,23 @@ def make_parser():
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except RlglError as exc:  # ConfigError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:  # an input too big for memory, such as a huge node id or sbm
-        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():  # a warning is one line, as an error is, not its source path and code line
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except RlglError as exc:  # ConfigError included
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except MemoryError as exc:  # an input too big for memory, such as a huge node id or sbm
+            print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

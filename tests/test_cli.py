@@ -500,6 +500,37 @@ def test_mdp_max_steps_below_one_fails_before_the_solve(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("script", [False, True], ids=["mdp", "block-study"])
+@pytest.mark.parametrize("grid, steps", [("20x5", 3), ("2x2", 2000)], ids=["max-steps-3", "grid-2x2"])
+def test_mdp_no_convergence_is_one_line_after_the_files(tmp_path, capsys, monkeypatch, script, grid, steps):
+    # both once exited 2 with an empty stderr (rlgl mdp) or died with a
+    # NoConvergenceError traceback, exit 1 (the script); the 2x2 grid's policy
+    # stalls at the default max-steps too, after 1e5 steps
+    args = ["--grid", grid, "--out", str(tmp_path / "out")]
+    if script:  # the script takes the default max-steps (its races 5e4), capped here
+        simulate = mdp.simulate_policy
+
+        def capped(*a, max_steps=100_000, **k):
+            return simulate(*a, max_steps=min(max_steps, steps), **k)
+
+        monkeypatch.setattr(mdp, "simulate_policy", capped)
+        assert _block_study_main()(args) == cli.EXIT_NO_CONVERGENCE
+    else:
+        assert cli.main(["mdp", *args, "--max-steps", str(steps)]) == cli.EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == f"no convergence: block simulation: no convergence in {steps} steps\n"
+    traj = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert traj[0] == "step,action,cash_l1,cum_cost" and len(traj) == steps + 2
+    assert (tmp_path / "out" / "policy.csv").exists()
+    if script:
+        race = (tmp_path / "out" / "race.csv").read_text().splitlines()
+        assert race[1] == f"optimal,{steps},{traj[-1].split(',')[3]},false"
+        # rlgl mdp at the same settings writes the script's bytes
+        mdp_args = ["mdp", "--grid", grid, "--max-steps", str(steps), "--out", str(tmp_path / "mdp")]
+        assert cli.main(mdp_args) == cli.EXIT_NO_CONVERGENCE
+        for name in ("policy.csv", "trajectory.csv"):
+            assert (tmp_path / "mdp" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
 RAW_GRAPHS = ["two-wheels", "sbm:250,250:0.03:0.004:7", "ring.edges"]
 
 
@@ -666,6 +697,21 @@ class TestGen:
         edges, n = models.parse_edge_file(out)
         assert n == 40
 
+    @pytest.mark.parametrize(
+        "p, seed, code, err",
+        [
+            ("0.1", "0", 0, ["warning: seed 0: isolated node, resampling once"]),
+            ("0.05", "1", cli.EXIT_CONFIG,
+             ["warning: seed 1: isolated node, resampling once", "error: seed 1: isolated node after resampling"]),
+        ],
+        ids=["resampled", "rejected"],
+    )
+    def test_sbm_resample_warning_is_one_line(self, tmp_path, capsys, p, seed, code, err):
+        # the warning once took two lines, its source path and its code line
+        args = ["gen", "sbm", str(tmp_path / "sbm.edges"), "--sizes", "30,30", "--p", p, "--q", "0.01", "--seed", seed]
+        for _ in range(2):  # and the same line on a second command in one process
+            assert cli.main(args) == code
+            assert capsys.readouterr().err.splitlines() == err
 
     @pytest.mark.parametrize("spec", ["5,4,3", "50,20,10"])
     def test_meanfield_file_lists_expanded_rows(self, tmp_path, spec):

@@ -1095,3 +1095,65 @@ class TestCompiledLoop:
             engine.sync_cash_l1 = sync
         assert seen and all(seen)
         assert res.state.max_l1_increase <= 1e-14  # criterion 7, over every push
+
+
+# Sizes around the powers of two: the root as the only leaf (1), full trees
+# (2, 4, 8, 16) and trees padded on the right (3, 5, 9, 17).
+TREE_SIZES = [1, 2, 3, 4, 5, 8, 9, 16, 17]
+
+
+def _cycle(n):
+    """The directed cycle 0 -> 1 -> ... -> n-1 -> 0 (a self-loop when n = 1)."""
+    return build_transition([(i, (i + 1) % n) for i in range(n)], n)
+
+
+def _complete(n):
+    """Every node to every node, itself included: every entry 1/n."""
+    return build_transition([(i, j) for i in range(n) for j in range(n)], n)
+
+
+def _half_dangling(n):
+    """Arcs i -> i+1 and i -> i+2 (mod n) from the even nodes; the odd nodes dangle."""
+    return [(i, (i + d) % n) for i in range(0, n, 2) for d in (1, 2)]
+
+
+def _tied_cash(n):
+    """Cash of equal |C| on most nodes, in both signs, and +0.0 and -0.0 between."""
+    return np.resize([1.0, -0.0, -1.0, 0.0, 1.0, -1.0], n)
+
+
+class TestMaxCashTies:
+    """MaxCash's compiled pick (a winner tree) against np.argmax(np.abs(C)) where |C| ties exactly."""
+
+    @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
+    @pytest.mark.parametrize("start", ["uniform", "point-mass", "tied-cash"])
+    @pytest.mark.parametrize("graph", ["cycle", "complete"])
+    @pytest.mark.parametrize("n", TREE_SIZES)
+    def test_identical_runs(self, n, graph, start, stride, kernel, monkeypatch):
+        # From a uniform start every column of the complete graph sums the same
+        # terms, so all of C ties, at 0.0 where the sum is exact (as on the
+        # cycle) and else at a rounding error, which eps 1e-30 lets the run push.
+        # A point mass on the last node leaves the other n - 1 entries tied.
+        P = (_cycle if graph == "cycle" else _complete)(n)
+        kw = {"cash": _tied_cash(n)} if start == "tied-cash" else {}
+        if start != "tied-cash":
+            kw["M0"] = np.full(n, 1.0 / n) if start == "uniform" else np.eye(n)[n - 1]
+        got, _ = _three_ways(monkeypatch, P, "maxc", eps=1e-30, stride=stride, max_steps=500, **kw)
+        assert got == kernel
+
+    @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
+    @pytest.mark.parametrize("n", TREE_SIZES)
+    def test_google_matrix_with_dangling_rows(self, n, stride, kernel, monkeypatch):
+        # gso:maxc's run: the damped copy from the cash (1 - c) s, which ties
+        # wherever s does, with a rebuild after each dangling push, whose add
+        # of s moves the entries by unequal amounts; then the Google matrix
+        # itself, whose every push adds the restart part
+        s = np.resize([1.0, 2.0, 0.0], n)
+        G = google_matrix(_half_dangling(n), 0.85, s=s / s.sum(), n=n)
+        got, outcome = _three_ways(monkeypatch, G.damped, "maxc", cash=(1.0 - G.c) * G.s, eps=1e-12,
+                                   stride=stride)
+        assert got == kernel
+        assert outcome[0] and outcome[5] > 0  # converged, after pushes
+        got, outcome = _three_ways(monkeypatch, G, "maxc", eps=1e-12, stride=stride)
+        assert got == kernel
+        assert outcome[0]
