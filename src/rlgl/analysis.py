@@ -59,7 +59,8 @@ def dobrushin(P, seed=0, sample_pairs=SAMPLE_PAIRS):
     Equals half the maximum pairwise L1 distance between rows.  Exact
     over all row pairs up to DENSE_CAP states; above that a sampled
     lower estimate over ``sample_pairs`` random pairs is returned with
-    ``exact=False``.
+    ``exact=False``.  Both stop at the first distance of 2, the most
+    two distributions can differ: the coefficient is then 1.
     """
     n = P.shape[0] if isinstance(P, np.ndarray) else P.n
     if n <= DENSE_CAP:
@@ -67,6 +68,8 @@ def dobrushin(P, seed=0, sample_pairs=SAMPLE_PAIRS):
         worst = 0.0
         for i in range(n - 1):
             worst = max(worst, float(np.abs(D[i + 1 :] - D[i]).sum(axis=1).max()))
+            if worst >= 2.0:
+                break
         return DobrushinResult(min(1.0, worst / 2.0), True)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -80,6 +83,8 @@ def dobrushin(P, seed=0, sample_pairs=SAMPLE_PAIRS):
         a[ci] = vi
         a[cj] -= vj
         worst = max(worst, float(np.abs(a).sum()))
+        if worst >= 2.0:
+            break
     return DobrushinResult(min(1.0, worst / 2.0), False)
 
 

@@ -150,6 +150,24 @@ def build_problem(cfg: ExperimentConfig):
     return P, None
 
 
+def check_mode_flags(args):
+    """ConfigError for a flag its mode would drop, checked on the parsed flags (unset ones are None).
+
+    ``--lcc`` belongs to raw stationary mode, ``--damping`` and
+    ``--restart-s`` to PageRank mode.  ``analyze`` has no ``--pagerank``:
+    its ``--damping`` selects PageRank mode.
+    """
+    if args.command == "analyze":
+        pagerank = "--damping" if args.damping is not None else None
+    else:
+        pagerank = "--pagerank" if args.pagerank else None
+        for flag, value in (("--damping", args.damping), ("--restart-s", args.restart_s)):
+            if value is not None and not pagerank:
+                raise ConfigError(f"{flag} applies to --pagerank mode only")
+    if args.lcc and pagerank:
+        raise ConfigError(f"--lcc applies to raw stationary mode only, not with {pagerank}")
+
+
 def parse_method(cfg: ExperimentConfig):
     """``(name, argument)`` of ``cfg.method``, every part checked.
 
@@ -221,6 +239,7 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
 
 
 def cmd_solve(args):
+    check_mode_flags(args)
     cfg = _config_from(args)
     cfg.validate()
     parse_method(cfg)  # a malformed descriptor fails before the graph is built
@@ -258,6 +277,7 @@ def _bench_one(P, cfg, M0):
 
 
 def cmd_bench(args):
+    check_mode_flags(args)
     cfg = _config_from(args)
     cfg.validate()
     if not args.method:
@@ -331,6 +351,7 @@ def cmd_analyze(args):
     if kind == "cyclic" and args.blocks is None:
         raise ConfigError("analyze cyclic needs --blocks")
     if kind == "dobrushin":
+        check_mode_flags(args)
         cfg = _config_from(args)
         cfg.pagerank = args.damping is not None
         if cfg.pagerank:

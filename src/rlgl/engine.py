@@ -326,9 +326,10 @@ def _push_loop(P, schedule):
 def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trace_stride=None):
     """Iterate until ||C_t||_1 < eps, guarding degenerate histories.
 
-    The residual ||C_t||_1 is monotone.  A trace row is recorded every
-    ``trace_stride`` node updates (default: one sweep-equivalent, n
-    updates).
+    The residual ||C_t||_1 is monotone.  Each loop pass is a checkpoint,
+    then one push: the start row, or a trace row every ``trace_stride``
+    node updates (default: one sweep-equivalent, n updates), the guard,
+    and one exit, at convergence or ``max_steps``, with the end row.
 
     ``RoundRobin``, ``Theta``, ``MaxCash`` and ``ProportionalCash`` runs
     on a ``TransitionMatrix``, with or without a restart part, or on a
@@ -342,8 +343,9 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
     sparse rows.
 
     ``cash`` starts the run from that cash (see ``init``).  The
-    total-history guard then applies once cash has moved, and ``pi_hat``
-    is None if the run stops before.
+    total-history guard then applies once cash has moved.  ``pi_hat`` is
+    the estimate at the exit, also at ``max_steps``, and None when no cash
+    has moved or the total history is too small to normalize.
 
     Raises InvalidParamsError unless eps is finite and > 0 and the trace
     stride >= 1, NoConvergenceError at max_steps and DegenerateHistoryError
@@ -354,60 +356,52 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
         raise InvalidParamsError(f"eps must be finite and > 0, got {eps!r}")
     if trace_stride is not None and trace_stride < 1:
         raise InvalidParamsError("trace stride must be >= 1")
-    n = P.n
-    stride = n if trace_stride is None else int(trace_stride)
+    stride = P.n if trace_stride is None else int(trace_stride)
     schedule.bind(P)
-    schedule.restart()
     loop = _push_loop(P, schedule)
     kernel = "py" if loop is None else "c"
 
-    restarts = 0
     guard_events = []
-    while True:
+    for restarts in range(MAX_GUARD_RETRIES + 1):
+        if restarts:
+            if schedule.stochastic:
+                schedule.reseed()
+            else:
+                schedule.perturb()
+        schedule.restart()
         state = init(P, M0, cash=cash)
         trace = RunTrace()
-        last_recorded = 0
-
-        def record(force=False):
-            nonlocal last_recorded
-            if force or state.updates - last_recorded >= stride:
+        while True:
+            # the checkpoint: a trace row due stride updates after the last row's (its field 1),
+            # the guard, the one exit
+            if not trace.rows or state.updates - trace.rows[-1][1] >= stride:
                 sync_cash_l1(state)
                 trace.record(state)
-                last_recorded = state.updates
-
-        record(force=True)
-        degenerate = False
-        while True:
             action = guard_total_history(state, schedule)
             if action != GUARD_CONTINUE:
                 sync_cash_l1(state)
                 guard_events.append((state.t, action))
-                degenerate = True
                 break
             if state.cash_l1 - state.l1_err < eps:
                 sync_cash_l1(state)
-            if state.cash_l1 < eps:
-                record(force=True)
-                pi = estimate(state) if state.updates else None
-                return RunResult(pi, state, trace, True, restarts, guard_events, kernel)
-            if state.t >= max_steps:
-                record(force=True)
-                result = RunResult(None, state, trace, False, restarts, guard_events, kernel)
+            converged = state.cash_l1 < eps
+            if converged or state.t >= max_steps:
+                sync_cash_l1(state)
+                trace.record(state)
+                pi = None
+                if state.updates:
+                    try:
+                        pi = estimate(state)
+                    except ZeroTotalHistoryError:
+                        pass
+                result = RunResult(pi, state, trace, converged, restarts, guard_events, kernel)
+                if converged:
+                    return result
                 raise NoConvergenceError(f"no convergence in {max_steps} steps", result)
-            if loop is None or not loop.advance(state, schedule, eps, max_steps, last_recorded + stride):
+            if loop is None or not loop.advance(state, schedule, eps, max_steps, trace.rows[-1][1] + stride):
                 step(state, schedule.next_nodes(state.C), P)
             state.scan_cost = schedule.scan_cost
-            record()
 
-        assert degenerate
-        if restarts >= MAX_GUARD_RETRIES:
-            result = RunResult(None, state, trace, False, restarts, guard_events, kernel)
-            err = DegenerateHistoryError(f"total history degenerate after {restarts} retries")
-            err.result = result
-            raise err
-        restarts += 1
-        if schedule.stochastic:
-            schedule.reseed()
-        else:
-            schedule.perturb()
-        schedule.restart()
+    err = DegenerateHistoryError(f"total history degenerate after {MAX_GUARD_RETRIES} retries")
+    err.result = RunResult(None, state, trace, False, MAX_GUARD_RETRIES, guard_events, kernel)
+    raise err

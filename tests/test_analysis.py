@@ -5,7 +5,7 @@ import pytest
 
 from rlgl import analysis, engine, models, schedules
 from rlgl.errors import InvalidParamsError, NotMarkovError
-from rlgl.matrix import build_transition, google_matrix
+from rlgl.matrix import DENSE_CAP, build_transition, google_matrix
 
 from conftest import dense_ergodic_chain
 
@@ -51,6 +51,44 @@ class TestDobrushin:
 
     def test_exact_flag(self):
         assert analysis.dobrushin(np.eye(3)).exact is True
+
+    def test_exact_loop_stops_at_the_first_disjoint_pair(self):
+        reads = []
+
+        class Counted(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(key)
+                return np.asarray(self)[key]
+
+        assert analysis.dobrushin(np.eye(6).view(Counted)).value == 1.0
+        assert len(reads) == 2  # D[1:] and D[0]: rows 0 and 1 share no column
+
+    def test_sampled_loop_stops_at_the_first_disjoint_pair(self):
+        # every two rows of a ring are disjoint: distance 2, coefficient 1
+        n = DENSE_CAP + 1
+        P = _CountingRows(build_transition(np.array([(i, (i + 1) % n, 1.0) for i in range(n)]), n))
+        res = analysis.dobrushin(P)
+        assert (res.value, res.exact) == (1.0, False)
+        assert P.reads == 2
+
+    def test_sampled_loop_below_one_takes_every_pair(self):
+        n = DENSE_CAP + 1
+        ring = np.array([(i, (i + 1) % n, 1.0) for i in range(n)])
+        P = _CountingRows(google_matrix(ring, 0.85, n=n))
+        assert analysis.dobrushin(P, sample_pairs=20).value <= 0.85 + 1e-12
+        rng = np.random.default_rng(0)
+        assert P.reads == 2 * sum(int(i != j) for i, j in (rng.integers(n, size=2) for _ in range(20)))
+
+
+class _CountingRows:
+    """A matrix wrapper that counts its ``row`` reads."""
+
+    def __init__(self, P):
+        self.P, self.n, self.reads = P, P.n, 0
+
+    def row(self, i):
+        self.reads += 1
+        return self.P.row(i)
 
 
 class TestCyclicMarkovCheck:

@@ -531,6 +531,59 @@ def test_mdp_no_convergence_is_one_line_after_the_files(tmp_path, capsys, monkey
             assert (tmp_path / "mdp" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
+@pytest.mark.parametrize("method", ["rlgl+rr", "rlgl+theta:1", "rlgl+maxc", "rlgl+pc:1", "gs"])
+def test_solve_at_max_steps_writes_the_partial_estimate(tmp_path, capsys, method):
+    # an rlgl run once wrote only trace.csv here, while gs wrote both files
+    out = tmp_path / "out"
+    args = ["solve", "--graph", "two-wheels", "--method", method, "--max-steps", "5", "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_NO_CONVERGENCE
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    nodes, vals = read_estimate(out / "estimate.csv")
+    assert nodes.tolist() == list(range(nodes.size)) and abs(vals.sum() - 1.0) <= 1e-12
+    assert (out / "trace.csv").read_text().splitlines()[-1].split(",")[0] == "5"
+
+
+# the five-node graph 0 <-> 1 -> 2 <-> 3 <-> 4, whose largest component is {2, 3, 4}
+MODE_FLAG_ERRORS = {
+    "solve-pagerank-lcc": (["solve", "--pagerank", "--lcc"],
+                           "--lcc applies to raw stationary mode only, not with --pagerank"),
+    "bench-pagerank-lcc": (["bench", "--method", "pi", "--pagerank", "--lcc"],
+                           "--lcc applies to raw stationary mode only, not with --pagerank"),
+    "solve-damping": (["solve", "--damping", "0.9"], "--damping applies to --pagerank mode only"),
+    "bench-damping": (["bench", "--method", "pi", "--damping", "0.9"], "--damping applies to --pagerank mode only"),
+    "solve-restart-s": (["solve", "--restart-s", "{s}"], "--restart-s applies to --pagerank mode only"),
+    "bench-restart-s": (["bench", "--method", "pi", "--restart-s", "{s}"], "--restart-s applies to --pagerank mode only"),
+    "dobrushin-lcc": (["analyze", "dobrushin", "--lcc", "--damping", "0.85"],
+                      "--lcc applies to raw stationary mode only, not with --damping"),
+}
+
+
+@pytest.mark.parametrize("case", list(MODE_FLAG_ERRORS))
+def test_dropped_mode_flag_is_one_error_line(tmp_path, capsys, monkeypatch, case):
+    # each once ran in the other mode and exited 0: --lcc was ignored under
+    # PageRank, and --damping or --restart-s under raw stationary mode
+    graph = tmp_path / "five.edges"
+    graph.write_text("0 1\n1 0\n1 2\n2 3\n3 2\n3 4\n4 3\n")
+    (tmp_path / "s.txt").write_text("0.2 0.2 0.2 0.2 0.2\n")
+    flags, message = MODE_FLAG_ERRORS[case]
+    args = [a.format(s=tmp_path / "s.txt") for a in flags] + ["--graph", str(graph)]
+    if args[0] != "analyze":
+        args += ["--out", str(tmp_path / "out")]
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: pytest.fail("the graph was built first"))
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, rows", [(["--lcc"], 3), (["--pagerank"], 5), (["--pagerank", "--damping", "0.9"], 5)])
+def test_mode_flags_of_their_own_mode_still_run(tmp_path, flags, rows):
+    graph = tmp_path / "five.edges"
+    graph.write_text("0 1\n1 0\n1 2\n2 3\n3 2\n3 4\n4 3\n")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--graph", str(graph), *flags, "--method", "gmres:10", "--out", str(out)]) == 0
+    assert read_estimate(out / "estimate.csv")[0].size == rows
+
+
 RAW_GRAPHS = ["two-wheels", "sbm:250,250:0.03:0.004:7", "ring.edges"]
 
 

@@ -723,6 +723,25 @@ class TestCompiledLoop:
         assert got == kernel
         assert not outcome[0] and outcome[4] == 4321
 
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
+    def test_max_steps_exit_carries_the_partial_estimate(self, sched_name, kernel, monkeypatch):
+        # both exits form pi_hat: at max_steps it is the normalized history so
+        # far, the same bytes on the compiled and the Python steps
+        got, outcome = _three_ways(monkeypatch, _chain("sbm80"), sched_name, max_steps=50)
+        assert got == kernel
+        converged, pi, t, H, rows = outcome[0], outcome[3], outcome[4], outcome[10], outcome[12]
+        assert not converged and t == 50
+        H = np.frombuffer(H)
+        assert pi == (H / H.sum()).tobytes()
+        assert rows[-1][0] == 50
+
+    def test_max_steps_before_any_push_has_no_estimate(self, four_state):
+        with pytest.raises(NoConvergenceError) as exc:
+            engine.run(four_state, schedules.RoundRobin(), cash=np.array([0.1, 0.0, -0.1, 0.0]), max_steps=1)
+        res = exc.value.result
+        assert res.pi_hat is None and (res.state.t, res.state.updates) == (1, 0)
+        assert len(res.trace.rows) == 2  # the start row and the end row
+
     def test_google_maxc_ties_go_to_the_first_node(self, kernel):
         # after the push from node 0, nodes 5 and 9 (outside its row, s zero
         # there) tie for the largest |C|: np.argmax takes 5, so must the scan
