@@ -4,8 +4,10 @@
  * models runs on a graph's CSR rows (rlgl_scc), the CSR product x P
  * (rlgl_mul_left), then the edge-list parser of models.parse_edge_file
  * (rlgl_parse_edges), the edge coalescing of every matrix build, which
- * also writes its CSR rows (rlgl_coalesce), and at the end the backward
- * induction over the grid rows of mdp.solve_policy (rlgl_policy_rows).
+ * also writes its CSR rows (rlgl_coalesce), the backward induction over
+ * the grid rows of mdp.solve_policy (rlgl_policy_rows), and at the end
+ * the %.17g formatter of engine.write_csv's numeric tables
+ * (rlgl_format_rows).
  *
  * Built and loaded by pushloop.py.  Each loop makes its schedule's pick
  * and shares the rest: the checks before a step (may_step) and the push
@@ -38,6 +40,7 @@
 #include <float.h>
 #include <locale.h>
 #include <math.h>
+#include <stdio.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -861,4 +864,175 @@ void rlgl_policy_rows(int64_t n_z1, int64_t n_z2, int64_t n_act, const double *z
             A[i * n_z2 + j] = pick;
         }
     }
+}
+
+/* Rows of float64 cells as engine.write_csv writes them: each cell as
+ * Python's "%.17g" % cell writes it, cells separated by ',' and each row
+ * ended by LF.
+ *
+ * A finite x != 0 is m * 2^e2 with m < 2^53.  Its 17 digits are the
+ * integer D nearest x * 10^q for q = 16 - E, E = floor(log10 |x|), ties
+ * to even.  pow10[q - POW10_MIN] holds 10^q as hi:lo * 2^exp with
+ * 2^127 <= hi:lo < 2^128, truncated (exact for 0 <= q <= 55): built by
+ * pushloop from Python's integers.  m * hi:lo is exact in 192 bits, so
+ * the top 64 bits of the scaled value's fraction fall short of the exact
+ * ones by less than 2 units; they decide the rounding unless they lie
+ * within 2 of one half.  Such a cell, every exact tie among them, is
+ * written by snprintf, which rounds the exact value.  An integer below
+ * 10^17 is written from its own digits.  E is first guessed from
+ * floor(log2 |x|), which leaves it E or one below; a scaled value past
+ * 10^17 takes the next q.  The layout is %g's: d.ddde+XX when E < -4 or
+ * E >= 17 (after rounding), fixed otherwise, trailing zeros cut; -0, inf
+ * and -inf as printf writes them, and "nan" for every NaN (glibc writes
+ * "-nan" for a negative one, Python "nan").
+ *
+ * Returns the bytes written to out, or -1 to decline, leaving the rows to
+ * write_csv's Python template: when the locale's decimal point is not "."
+ * (snprintf follows it) or cap is below CELL_MAX bytes per cell. */
+
+#define POW10_MIN (-292)
+#define CELL_MAX 25 /* -2.2250738585072014e-308 and its separator */
+
+typedef struct {
+    uint64_t hi, lo;
+    int64_t exp;
+} pow10_entry;
+
+static const char digit_pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+                                  "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+                                  "8081828384858687888990919293949596979899";
+
+/* v < 10^8 as 8 digits, leading zeros kept. */
+static void write8(uint32_t v, char *out)
+{
+    const uint32_t a = v / 10000, b = v % 10000;
+    memcpy(out, digit_pairs + 2 * (a / 100), 2);
+    memcpy(out + 2, digit_pairs + 2 * (a % 100), 2);
+    memcpy(out + 4, digit_pairs + 2 * (b / 100), 2);
+    memcpy(out + 6, digit_pairs + 2 * (b % 100), 2);
+}
+
+/* d < 10^17 as 17 digits, leading zeros kept. */
+static void write17(uint64_t d, char *out)
+{
+    const uint64_t top = d / 100000000;
+    out[0] = (char)('0' + top / 100000000);
+    write8((uint32_t)(top % 100000000), out + 1);
+    write8((uint32_t)(d % 100000000), out + 9);
+}
+
+/* The integer part of m * 10^q * 2^e2 and the top 64 bits of its fraction. */
+static uint64_t scale(uint64_t m, int e2, const pow10_entry *p, uint64_t *frac)
+{
+    const unsigned __int128 low = (unsigned __int128)m * p->lo, high = (unsigned __int128)m * p->hi;
+    const unsigned __int128 mid = (low >> 64) + (uint64_t)high;
+    const uint64_t p0 = (uint64_t)low, p1 = (uint64_t)mid, p2 = (uint64_t)(high >> 64) + (uint64_t)(mid >> 64);
+    /* the product is p2:p1:p0 * 2^(e2 + exp); its binary point lies 64 + t bits up, 0 <= t <= 64 */
+    const int t = -(e2 + (int)p->exp) - 64;
+    *frac = (uint64_t)((((unsigned __int128)p1 << 64) | p0) >> t);
+    return (uint64_t)((((unsigned __int128)p2 << 64) | p1) >> t);
+}
+
+/* One cell at out; returns its length, at most CELL_MAX - 1. */
+static int format_cell(double x, const pow10_entry *pow10, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    if (x != x) {
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    char *p = out;
+    if (bits >> 63)
+        *p++ = '-';
+    const double ax = fabs(x);
+    if (ax == INFINITY) {
+        memcpy(p, "inf", 3);
+        return (int)(p - out) + 3;
+    }
+    char digits[17];
+    if (ax < 1e17 && ax == (double)(uint64_t)ax) {
+        /* an integer below 10^17, 0 included: %.17g writes all of its digits */
+        write17((uint64_t)ax, digits);
+        int lead = 0;
+        while (lead < 16 && digits[lead] == '0')
+            lead++;
+        memcpy(p, digits + lead, (size_t)(17 - lead));
+        return (int)(p - out) + 17 - lead;
+    }
+    const int biased = (int)((bits >> 52) & 0x7ff);
+    const uint64_t fraction = bits & ((UINT64_C(1) << 52) - 1);
+    const uint64_t m = biased ? fraction | (UINT64_C(1) << 52) : fraction;
+    const int e2 = biased ? biased - 1075 : -1074;
+    const int log2x = e2 + 63 - __builtin_clzll(m);
+    int E = (int)(((int64_t)log2x * 78913) >> 18); /* floor(log2x * log10 2) for |log2x| < 1650 */
+    uint64_t frac, d = scale(m, e2, &pow10[16 - E - POW10_MIN], &frac);
+    if (d >= UINT64_C(100000000000000000)) {
+        E++;
+        d = scale(m, e2, &pow10[16 - E - POW10_MIN], &frac);
+    }
+    const uint64_t half = UINT64_C(1) << 63;
+    if (frac - (half - 2) <= 4) {
+        /* undecided: within the error of one half */
+        char tmp[32];
+        const int len = snprintf(tmp, sizeof tmp, "%.17g", ax);
+        memcpy(p, tmp, (size_t)len);
+        return (int)(p - out) + len;
+    }
+    if (frac > half && ++d == UINT64_C(100000000000000000)) {
+        d = UINT64_C(10000000000000000);
+        E++;
+    }
+    write17(d, digits);
+    int len = 17;
+    while (digits[len - 1] == '0')
+        len--;
+    if (E < -4 || E >= 17) {
+        *p++ = digits[0];
+        if (len > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, (size_t)(len - 1));
+            p += len - 1;
+        }
+        *p++ = 'e';
+        *p++ = E < 0 ? '-' : '+';
+        int a = E < 0 ? -E : E;
+        if (a >= 100) {
+            *p++ = (char)('0' + a / 100);
+            a %= 100;
+        }
+        memcpy(p, digit_pairs + 2 * a, 2);
+        p += 2;
+    } else if (E >= 0) {
+        memcpy(p, digits, (size_t)E + 1);
+        p += E + 1;
+        if (len > E + 1) {
+            *p++ = '.';
+            memcpy(p, digits + E + 1, (size_t)(len - E - 1));
+            p += len - E - 1;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int z = 0; z < -E - 1; z++)
+            *p++ = '0';
+        memcpy(p, digits, (size_t)len);
+        p += len;
+    }
+    return (int)(p - out);
+}
+
+int64_t rlgl_format_rows(int64_t rows, int64_t cols, const double *cells, const pow10_entry *pow10, char *out,
+                         int64_t cap)
+{
+    const char *point = localeconv()->decimal_point;
+    if (point[0] != '.' || point[1] != '\0' || rows < 0 || cols < 1 || rows > cap / CELL_MAX / cols)
+        return -1;
+    char *p = out;
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t j = 0; j < cols; j++) {
+            p += format_cell(cells[i * cols + j], pow10, p);
+            *p++ = j + 1 < cols ? ',' : '\n';
+        }
+    return p - out;
 }

@@ -155,10 +155,13 @@ def check_mode_flags(args):
 
     ``--lcc`` belongs to raw stationary mode, ``--damping`` and
     ``--restart-s`` to PageRank mode.  ``analyze`` has no ``--pagerank``:
-    its ``--damping`` selects PageRank mode.
+    its ``--damping`` selects PageRank mode, which only ``analyze dobrushin``
+    has.
     """
     if args.command == "analyze":
         pagerank = "--damping" if args.damping is not None else None
+        if pagerank and args.kind != "dobrushin":
+            raise ConfigError(f"--damping applies to analyze dobrushin only, not to {args.kind}")
     else:
         pagerank = "--pagerank" if args.pagerank else None
         for flag, value in (("--damping", args.damping), ("--restart-s", args.restart_s)):
@@ -261,10 +264,11 @@ def cmd_solve(args):
         x, trace = None, getattr(getattr(exc, "result", None), "trace", None)
         code = EXIT_DEGENERATE
     if x is not None:
-        nodes = range(len(x)) if node_map is None else node_map.tolist()
-        engine.write_csv(os.path.join(cfg.out, "estimate.csv"), ("node", "value"), zip(nodes, x.tolist()))
+        nodes = np.arange(len(x)) if node_map is None else node_map
+        engine.write_csv(os.path.join(cfg.out, "estimate.csv"), ("node", "value"), arrays=(nodes, x))
     if trace is not None:
-        engine.write_csv(os.path.join(cfg.out, "trace.csv"), trace.columns, trace.rows)
+        engine.write_csv(os.path.join(cfg.out, "trace.csv"), trace.columns,
+                         arrays=tuple(map(trace.column, trace.columns)))
     return code
 
 
@@ -373,6 +377,7 @@ def cmd_analyze(args):
         a = analysis.random_rate_bound(args.n, args.r, args.eta)
         out.append(("rate_exponent", f"{a:.17g}"))
     elif kind == "cyclic":
+        check_mode_flags(args)
         cfg = _config_from(args)
         P, _ = build_problem(cfg)
         sched = schedules.load_block_file(args.blocks)

@@ -42,6 +42,11 @@ DRIFT_TOL = 1e-9
 # unit, also cover their second-order terms.
 _U = 2.0**-52
 
+# Rows of a numeric table formatted at a time by write_csv, and the bytes a
+# cell may take: the longest %.17g (-2.2250738585072014e-308) and a separator.
+CSV_BLOCK = 1 << 13
+CELL_BYTES = 25
+
 
 def _sum_depth(n):
     """Most additions any one entry passes through when numpy sums <= n floats.
@@ -82,21 +87,49 @@ class SolverState:
         return GUARD_UNIT * self.t * self.initial_mass
 
 
-def write_csv(path, columns, rows):
-    """Write a header line, then one LF-terminated line per row of ``rows`` (any iterable).
+def write_csv(path, columns, rows=(), *, arrays=None):
+    """Write a header line, then one LF-terminated line per row.
 
-    ``str`` values are written as they are, every other value as %.17g.
+    The rows are those of ``rows`` (any iterable), whose ``str`` cells are
+    written as they are and every other cell as %.17g, or those of a
+    numeric table ``arrays``: one array per column, broadcast together,
+    one row per entry of the broadcast shape in C order.  A table cell is
+    written as ``"%.17g" % float(cell)``, as %.17g writes any number, an
+    integer above 2^53 included.  A table is formatted one block of rows at
+    a time (``CSV_BLOCK``), by the compiled ``rlgl_format_rows``
+    (``pushloop``) when it loads and the locale's decimal point is ".",
+    else by one ``%`` template per block; so only a block is ever copied.
     """
-    with open_csv(path, columns) as fh:
-        for row in rows:
-            fh.write(",".join([v if isinstance(v, str) else "%.17g" % v for v in row]) + "\n")
+    if arrays is None:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join([v if isinstance(v, str) else "%.17g" % v for v in row]) + "\n")
+        return
+    from . import pushloop  # imported, and compiled, only by a table or a run
 
-
-def open_csv(path, columns):
-    """The file of a table, opened for LF-terminated lines, its header line written."""
-    fh = open(path, "w", newline="\n")
-    fh.write(",".join(columns) + "\n")
-    return fh
+    lib = pushloop.load()
+    arrays = np.broadcast_arrays(*arrays)
+    shape = arrays[0].shape
+    width = len(arrays)
+    per_entry = int(np.prod(shape[1:]))  # rows per entry of the first axis
+    step = max(1, CSV_BLOCK // max(per_entry, 1))
+    block = np.empty((min(step, shape[0]), *shape[1:], width))
+    out = np.empty(block.size * CELL_BYTES, dtype=np.uint8) if lib is not None else None
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for i in range(0, shape[0], step):
+            part = block[:min(step, shape[0] - i)]
+            for j, a in enumerate(arrays):
+                part[..., j] = a[i:i + step]
+            cells = part.reshape(-1, width)
+            size = -1 if lib is None else lib.rlgl_format_rows(
+                len(cells), width, cells.ctypes.data, pushloop.pow10_table().ctypes.data, out.ctypes.data, out.size)
+            if size >= 0:
+                fh.write(out[:size])
+            else:
+                template = (",".join(["%.17g"] * width) + "\n") * len(cells)
+                fh.write((template % tuple(cells.ravel().tolist())).encode())
 
 
 @dataclass

@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .engine import open_csv, write_csv
+from .engine import write_csv
 from .errors import (
     InvalidParamsError,
     NoConvergenceError,
@@ -202,20 +202,8 @@ class PolicyGrid:
         return self.z2_axis[1] - self.z2_axis[0]
 
     def to_csv(self, path):
-        """One row per cell, z1 major: z1, z2, action (-1 on the terminal row), V.
-
-        Each value as ``write_csv`` writes it, one ``%`` format per z1 row:
-        the z2 values are formatted once, into the row's template, and each
-        z1 value once per row.
-        """
-        template = "".join("%s," + "%.17g" % z2 + ",%d,%.17g\n" for z2 in self.z2_axis.tolist())
-        cells = [None] * (3 * self.z2_axis.size)  # z1, action, V of each z2, in template order
-        with open_csv(path, ("z1", "z2", "action", "V")) as fh:
-            for z1, actions, values in zip(self.z1_axis.tolist(), self.A, self.V):
-                cells[0::3] = ["%.17g" % z1] * actions.size
-                cells[1::3] = actions.tolist()  # row by row: the grid is never held as Python objects
-                cells[2::3] = values.tolist()
-                fh.write(template % tuple(cells))
+        """One row per cell, z1 major: z1, z2, action (-1 on the terminal row), V."""
+        write_csv(path, ("z1", "z2", "action", "V"), arrays=(self.z1_axis[:, None], self.z2_axis, self.A, self.V))
 
 
 def solve_policy(sizes, p, q, c0=None, eps=1e-10, n_z1=1400, n_z2=81):

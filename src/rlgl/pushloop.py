@@ -4,7 +4,7 @@
 ``cc``) and the flags in ``FLAGS``, and caches the shared library under
 ``$XDG_CACHE_HOME/rlgl`` (default ``~/.cache/rlgl``), keyed by a hash of
 the source, the compiler and the flags; a build removes the cached
-libraries beyond the newest ``KEEP``.  The one library holds nine
+libraries beyond the newest ``KEEP``.  The one library holds ten
 entry points, all typed by ``load()``: ``rlgl_loop_rr``,
 ``rlgl_loop_theta``, ``rlgl_loop_maxc`` and ``rlgl_loop_pc``, the push
 loop of each ``Schedule.push_loop`` name, which ``engine.run`` binds
@@ -13,14 +13,16 @@ here; ``rlgl_scc``, the strongly connected components pass of
 ``TransitionMatrix.mul_left``; ``rlgl_parse_edges``, the parser of
 ``models.parse_edge_file``; ``rlgl_coalesce``, the edge coalescing
 of ``matrix._coalesce_edges``, which every build from an edge list
-runs; and ``rlgl_policy_rows``, the backward induction over the grid
-rows of ``mdp.solve_policy``.  ``load()`` returns None when the library
+runs; ``rlgl_policy_rows``, the backward induction over the grid
+rows of ``mdp.solve_policy``; and ``rlgl_format_rows``, the %.17g
+cells of ``engine.write_csv``'s numeric tables, which takes the powers
+of ten of ``pow10_table()``.  ``load()`` returns None when the library
 cannot be built or loaded; ``engine.run`` then takes its Python steps,
-``models`` its Python Tarjan pass and its line-by-line parser, and
+``models`` its Python Tarjan pass and its line-by-line parser,
 ``mul_left``, ``_coalesce_edges`` and ``solve_policy`` their numpy
-passes.  Nothing here is imported until a run, a product, a build from
-edges, a connectivity check, an edge file or a policy solve can use the
-library.
+passes, and ``write_csv`` Python's ``%``.  Nothing here is imported
+until a run, a product, a build from edges, a connectivity check, an
+edge file, a policy solve or a numeric table can use the library.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def load():
         lib = ctypes.CDLL(_build())
         loops = lib.rlgl_loop_rr, lib.rlgl_loop_theta, lib.rlgl_loop_maxc, lib.rlgl_loop_pc
         scc, mul, parse, coalesce = lib.rlgl_scc, lib.rlgl_mul_left, lib.rlgl_parse_edges, lib.rlgl_coalesce
-        policy = lib.rlgl_policy_rows
+        policy, fmt = lib.rlgl_policy_rows, lib.rlgl_format_rows
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
     for loop in loops:  # rows, C, H, uniform draws, state, params
@@ -137,7 +139,34 @@ def load():
     # grid shape and action count, z1 axis, h1, the (action, z2) terms, V, A
     policy.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p, ctypes.c_double] + [ctypes.c_void_p] * 9
     policy.restype = None
+    # rows, columns, the cells, pow10_table(), the output and its size
+    fmt.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3 + [ctypes.c_int64]
+    fmt.restype = ctypes.c_int64
     return lib
+
+
+# The q of rlgl_format_rows' 10^q: 16 - E, for E = floor(log10 |x|) of every double x != 0
+# and for its first guess of E, which lie in -324..308.  The first is _push.c's POW10_MIN.
+POW10 = range(-292, 341)
+
+
+@functools.cache
+def pow10_table():
+    """10^q for q in ``POW10`` as ``hi:lo * 2^exp``, ``2^127 <= hi:lo < 2^128``, truncated.
+
+    Built once from Python's integers, exact; ``rlgl_format_rows`` takes it
+    with every call.
+    """
+    table = np.empty(len(POW10), dtype=[("hi", "<u8"), ("lo", "<u8"), ("exp", "<i8")])
+    for i, q in enumerate(POW10):
+        if q >= 0:
+            exp = (10**q).bit_length() - 128
+            t = 10**q >> exp if exp >= 0 else 10**q << -exp
+        else:
+            exp = -((10**-q).bit_length() + 127)
+            t = (1 << -exp) // 10**-q
+        table[i] = (t >> 64, t & ((1 << 64) - 1), exp)
+    return table
 
 
 # The C types of a ``CsrPush``'s arrays, in the order of ``Rows``.

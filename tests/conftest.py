@@ -1,3 +1,4 @@
+import locale
 import os
 import shlex
 import subprocess
@@ -56,6 +57,26 @@ def pagerank_graph_500():
 @pytest.fixture
 def four_state():
     return models.four_state_chain()
+
+
+@pytest.fixture
+def comma_decimal_locale():
+    """LC_NUMERIC set, for the test, to an installed locale whose decimal point is ","; skips where none is."""
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8", "nl_NL.UTF-8"):
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+        except locale.Error:
+            continue
+        if locale.localeconv()["decimal_point"] == ",":
+            break
+    else:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+        pytest.skip("no comma-decimal locale installed")
+    try:
+        yield
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
 
 
 @pytest.fixture(scope="session")

@@ -555,6 +555,8 @@ MODE_FLAG_ERRORS = {
     "bench-restart-s": (["bench", "--method", "pi", "--restart-s", "{s}"], "--restart-s applies to --pagerank mode only"),
     "dobrushin-lcc": (["analyze", "dobrushin", "--lcc", "--damping", "0.85"],
                       "--lcc applies to raw stationary mode only, not with --damping"),
+    "cyclic-damping": (["analyze", "cyclic", "--blocks", "{blocks}", "--damping", "0.85"],
+                       "--damping applies to analyze dobrushin only, not to cyclic"),
 }
 
 
@@ -565,8 +567,9 @@ def test_dropped_mode_flag_is_one_error_line(tmp_path, capsys, monkeypatch, case
     graph = tmp_path / "five.edges"
     graph.write_text("0 1\n1 0\n1 2\n2 3\n3 2\n3 4\n4 3\n")
     (tmp_path / "s.txt").write_text("0.2 0.2 0.2 0.2 0.2\n")
+    (tmp_path / "blocks.txt").write_text("0 1\n2 3 4\n")
     flags, message = MODE_FLAG_ERRORS[case]
-    args = [a.format(s=tmp_path / "s.txt") for a in flags] + ["--graph", str(graph)]
+    args = [a.format(s=tmp_path / "s.txt", blocks=tmp_path / "blocks.txt") for a in flags] + ["--graph", str(graph)]
     if args[0] != "analyze":
         args += ["--out", str(tmp_path / "out")]
     monkeypatch.setattr(cli, "build_problem", lambda cfg: pytest.fail("the graph was built first"))

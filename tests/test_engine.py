@@ -217,6 +217,10 @@ class TestRun:
         res = engine.run(four_state, schedules.RoundRobin(), eps=1e-11)
         path = tmp_path / "trace.csv"
         engine.write_csv(path, res.trace.columns, res.trace.rows)
+        # as a table of columns, as rlgl solve writes it: the same bytes
+        engine.write_csv(tmp_path / "table.csv", res.trace.columns,
+                         arrays=tuple(map(res.trace.column, res.trace.columns)))
+        assert (tmp_path / "table.csv").read_bytes() == path.read_bytes()
         lines = path.read_bytes().decode().split("\n")
         assert lines[0] == "step,updates,cum_cost,scan_cost,cash_l1"
         assert lines[1:] == [",".join(f"{v:.17g}" for v in row) for row in res.trace.rows] + [""]
@@ -1176,3 +1180,118 @@ class TestMaxCashTies:
         got, outcome = _three_ways(monkeypatch, G, "maxc", eps=1e-12, stride=stride)
         assert got == kernel
         assert outcome[0]
+
+
+def _g17_lines(values):
+    """Python's "%.17g" of each value, one line each: the bytes of a one-column table."""
+    return "".join(["%.17g\n" % v for v in np.asarray(values, dtype=np.float64).tolist()]).encode()
+
+
+def _format_rows(cells, cap=None):
+    """``rlgl_format_rows``' bytes for a (rows, cols) block of cells, or None when it declines."""
+    cells = np.ascontiguousarray(cells, dtype=np.float64)
+    cells = cells.reshape(len(cells), -1)
+    out = np.empty(cells.size * engine.CELL_BYTES if cap is None else cap, dtype=np.uint8)
+    size = pushloop.load().rlgl_format_rows(len(cells), cells.shape[1], cells.ctypes.data,
+                                            pushloop.pow10_table().ctypes.data, out.ctypes.data, out.size)
+    return None if size < 0 else out[:size].tobytes()
+
+
+def _bit_patterns(seed, size):
+    return np.random.default_rng(seed).integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+
+
+class TestCompiledWriter:
+    """``rlgl_format_rows`` writes every double as Python's "%.17g" does, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self, kernel):
+        if kernel != "c":
+            pytest.skip("no compiler: write_csv formats every table with Python's %")
+        assert pushloop.load() is not None
+
+    def test_random_bit_patterns(self):
+        # every exponent, NaNs with random payloads and signs among them
+        values = _bit_patterns(31, 1 << 20)
+        assert _format_rows(values) == _g17_lines(values)
+
+    def test_special_values(self):
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+                        dtype=np.uint64).view(np.float64)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, *nans])
+        assert _format_rows(values) == b"0\n-0\ninf\n-inf\n" + b"nan\n" * 4
+
+    def test_subnormals_and_extremes(self):
+        tiny = np.random.default_rng(7).integers(1, 1 << 52, size=100_000, dtype=np.uint64).view(np.float64)
+        edges = [5e-324, 1e-323, np.nextafter(2.2250738585072014e-308, 0), 2.2250738585072014e-308,
+                 np.finfo(np.float64).max, 1e-5, 1e-4, 0.5, 1e16, 1e17, 2.0**53 + 2, 123456789012345678.0]
+        values = np.concatenate([tiny, edges, np.negative(edges)])
+        assert _format_rows(values) == _g17_lines(values)
+        # the longest cell, and the bytes write_csv sizes each cell for
+        assert len(_format_rows([-2.2250738585072014e-308])) == engine.CELL_BYTES
+
+    def test_powers_of_two_and_ten(self):
+        powers = np.array([2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        assert _format_rows(values) == _g17_lines(values)
+
+    def test_exact_ties_round_to_even(self):
+        # x * 10^q exactly halfway between two 17-digit integers: the exact
+        # fallback rounds to the even one
+        assert _format_rows([1234567890123456.25, 1234567890123456.75]) == b"1234567890123456.2\n1234567890123456.8\n"
+        k = np.random.default_rng(5).integers(1, 1 << 53, size=20_000).astype(np.float64)
+        values = np.concatenate([k / 2.0**j for j in range(1, 9)] + [k * 2.0**j for j in range(1, 9)])
+        assert _format_rows(values) == _g17_lines(values)
+
+    def test_rows_of_several_columns(self):
+        cells = np.array([[1.0, -0.5, 3e-7], [np.nan, 2.0**70, 0.1]])
+        assert _format_rows(cells) == b"1,-0.5,2.9999999999999999e-07\nnan,1.1805916207174113e+21,0.10000000000000001\n"
+
+    def test_declines_a_short_buffer(self):
+        cells = np.full((3, 2), -2.2250738585072014e-308)
+        assert _format_rows(cells, cap=6 * engine.CELL_BYTES - 1) is None
+        assert _format_rows(cells, cap=6 * engine.CELL_BYTES) == b"-2.2250738585072014e-308,-2.2250738585072014e-308\n" * 3
+
+    def test_comma_decimal_locale_same_bytes(self, tmp_path, comma_decimal_locale):
+        # snprintf, the fallback for undecided cells, reads the locale's decimal
+        # point: under a comma the library declines, and Python's % writes the table
+        values = np.array([0.5, 1234567890123456.25, 7.0])
+        assert _format_rows(values) is None
+        engine.write_csv(tmp_path / "t.csv", ("v",), arrays=(values,))
+        assert (tmp_path / "t.csv").read_bytes() == b"v\n" + _g17_lines(values)
+
+
+class TestWriteCsv:
+    """A numeric table, with the library and without, writes the bytes of its rows written one by one."""
+
+    @pytest.fixture(params=["lib", "no-lib"])
+    def library(self, request, monkeypatch):
+        if request.param == "no-lib":
+            monkeypatch.setattr(pushloop, "load", lambda: None)
+        return request.param
+
+    @pytest.mark.parametrize("block", [1, 7, engine.CSV_BLOCK])
+    def test_broadcast_table_in_blocks(self, tmp_path, monkeypatch, library, block):
+        # a grid as PolicyGrid writes it: an axis per dimension, int8 and float cells
+        monkeypatch.setattr(engine, "CSV_BLOCK", block)
+        rng = np.random.default_rng(3)
+        z1, z2 = rng.random(9), rng.random(5)
+        A, V = rng.integers(-1, 5, size=(9, 5)).astype(np.int8), _bit_patterns(4, 45).reshape(9, 5)
+        engine.write_csv(tmp_path / "arrays.csv", ("z1", "z2", "action", "V"), arrays=(z1[:, None], z2, A, V))
+        rows = [(z1[i], z2[j], int(A[i, j]), V[i, j]) for i in range(9) for j in range(5)]
+        engine.write_csv(tmp_path / "rows.csv", ("z1", "z2", "action", "V"), rows)
+        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_estimate_with_ids_past_2_53(self, tmp_path, library):
+        # %.17g writes an integer id as the double nearest it, as the table does
+        nodes = np.array([0, 2**53 - 1, 2**53 + 1, 2**62 + 3, 2**63 - 1], dtype=np.int64)
+        x = _bit_patterns(11, nodes.size)
+        engine.write_csv(tmp_path / "arrays.csv", ("node", "value"), arrays=(nodes, x))
+        engine.write_csv(tmp_path / "rows.csv", ("node", "value"), zip(nodes.tolist(), x.tolist()))
+        got = (tmp_path / "arrays.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert got.split(b"\n")[3].startswith(b"9007199254740992,")
+
+    def test_empty_table(self, tmp_path, library):
+        engine.write_csv(tmp_path / "t.csv", ("step", "residual"), arrays=(np.array([]), np.array([])))
+        assert (tmp_path / "t.csv").read_bytes() == b"step,residual\n"

@@ -1,4 +1,3 @@
-import locale
 import re
 import time
 import warnings
@@ -671,29 +670,15 @@ class TestCompiledParser:
         assert models._parse_compiled(text.encode(), one_based) is None
         _parsed_as_the_line_loop_parses(tmp_path / "g.edges", text, one_based)
 
-    def test_comma_decimal_locale_same_bytes(self, tmp_path):
+    def test_comma_decimal_locale_same_bytes(self, tmp_path, request):
         # strtod reads the locale's decimal point: under a comma the pass leaves weights to the line loop
         path = tmp_path / "g.edges"
         path.write_bytes(b"0 1 0.5\n1 0 2.25e-3\n1 1\n")
         expected = _outcome(_parse_per_line, path, False)
-        saved = locale.setlocale(locale.LC_NUMERIC)
-        for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8", "nl_NL.UTF-8"):
-            try:
-                locale.setlocale(locale.LC_NUMERIC, name)
-            except locale.Error:
-                continue
-            if locale.localeconv()["decimal_point"] == ",":
-                break
-        else:
-            locale.setlocale(locale.LC_NUMERIC, saved)
-            pytest.skip("no comma-decimal locale installed")
-        try:
-            assert models._parse_compiled(path.read_bytes(), False) is None
-            assert models._parse_compiled(b"0 1\n1 0\n", False) is not None  # no weight, no decimal point
-            got = _outcome(models.parse_edge_file, path, False)
-        finally:
-            locale.setlocale(locale.LC_NUMERIC, saved)
-        assert got == expected
+        request.getfixturevalue("comma_decimal_locale")
+        assert models._parse_compiled(path.read_bytes(), False) is None
+        assert models._parse_compiled(b"0 1\n1 0\n", False) is not None  # no weight, no decimal point
+        assert _outcome(models.parse_edge_file, path, False) == expected
 
 
 def _coalesce_by_lexsort(edges, n):
