@@ -496,7 +496,9 @@ void rlgl_mul_left(int64_t n, const int64_t *indptr, const int64_t *indices, con
 
 /* The edge rows of an edge-list file's bytes, or a decline.
  *
- * One pass over the size bytes at data.  A line ends in LF (the last may
+ * One pass over the size bytes at data, with data[size] == '\0' (the
+ * buffer of a Python bytes object always ends so), which stops strtod
+ * on a weight that ends the data.  A line ends in LF (the last may
  * end the data instead) and is blank, a comment (its first byte other
  * than space or tab is '#') or a data line of 2 or 3 tokens separated by
  * spaces and tabs.  The two ids are [+-]?[0-9]+ within int64, shifted
@@ -574,20 +576,8 @@ static int parse_weight(const char **at, const char *end, double *w)
     }
     if (p < end && !blank(*p) && *p != '\n')
         return 0;
-    if (p < end) {
-        /* the byte after the token stops strtod */
-        *w = strtod(start, NULL);
-    } else {
-        /* the token ends the data: strtod reads a terminated copy */
-        size_t len = (size_t)(p - start);
-        char *copy = malloc(len + 1);
-        if (!copy)
-            return 0;
-        memcpy(copy, start, len);
-        copy[len] = '\0';
-        *w = strtod(copy, NULL);
-        free(copy);
-    }
+    /* the byte after the token, a blank, an LF or the NUL at end, stops strtod */
+    *w = strtod(start, NULL);
     *at = p;
     return 1;
 }

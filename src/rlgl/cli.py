@@ -33,8 +33,7 @@ EXIT_CONFIG = 64
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 @dataclass
@@ -88,8 +87,12 @@ def load_graph(spec, one_based=False, undirected=False, seed=0):
     """Resolve a graph descriptor to (edges, n).
 
     Builtins: ``example31``, ``two-wheels``, ``meanfield:s1,s2,..:p:q``,
-    ``sbm:s1,s2,..:p:q[:seed]``.  Anything else is an edge-list path.
+    ``sbm:s1,s2,..:p:q[:seed]``.  Anything else is an edge-list path, which
+    ``one_based`` and ``undirected`` alone apply to.
     """
+    if (one_based or undirected) and (spec in ("example31", "two-wheels") or spec.startswith(("meanfield:", "sbm:"))):
+        flag = "--one-based" if one_based else "--undirected"
+        raise ConfigError(f"{flag} applies to edge-list files only, not to the builtin {spec!r}")
     if spec == "example31":
         P = models.four_state_chain()
         return _edges_of(P), P.n
@@ -133,6 +136,8 @@ def build_problem(cfg: ExperimentConfig):
         mf = edges
         if cfg.pagerank:
             raise ConfigError("pagerank mode is not defined for the mean-field builtin")
+        if cfg.lcc:
+            raise ConfigError("--lcc is not defined for the mean-field builtin")
         return mf, None
     if cfg.pagerank:
         # google_matrix checks s against the graph (a distribution on n states)
@@ -151,24 +156,20 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def check_mode_flags(args):
-    """ConfigError for a flag its mode would drop, checked on the parsed flags (unset ones are None).
+    """ConfigError for ``--damping`` or ``--restart-s`` without ``--pagerank``, which would drop it.
 
-    ``--lcc`` belongs to raw stationary mode, ``--damping`` and
-    ``--restart-s`` to PageRank mode.  ``analyze`` has no ``--pagerank``:
-    its ``--damping`` selects PageRank mode, which only ``analyze dobrushin``
-    has.
+    Checked on the parsed flags, unset ones None.  The parser itself keeps
+    ``--lcc``, raw stationary mode's flag, apart from ``--pagerank``.
     """
-    if args.command == "analyze":
-        pagerank = "--damping" if args.damping is not None else None
-        if pagerank and args.kind != "dobrushin":
-            raise ConfigError(f"--damping applies to analyze dobrushin only, not to {args.kind}")
-    else:
-        pagerank = "--pagerank" if args.pagerank else None
-        for flag, value in (("--damping", args.damping), ("--restart-s", args.restart_s)):
-            if value is not None and not pagerank:
-                raise ConfigError(f"{flag} applies to --pagerank mode only")
-    if args.lcc and pagerank:
-        raise ConfigError(f"--lcc applies to raw stationary mode only, not with {pagerank}")
+    for flag, value in (("--damping", args.damping), ("--restart-s", args.restart_s)):
+        if value is not None and not args.pagerank:
+            raise ConfigError(f"{flag} applies to --pagerank mode only")
+
+
+def check_m0(cfg, methods):
+    """ConfigError for an ``--m0`` that none of ``methods``, ``parse_method`` pairs, reads: only rlgl does."""
+    if cfg.m0 is not None and all(name != "rlgl" for name, _ in methods):
+        raise ConfigError("--m0 applies to rlgl methods only")
 
 
 def parse_method(cfg: ExperimentConfig):
@@ -245,7 +246,7 @@ def cmd_solve(args):
     check_mode_flags(args)
     cfg = _config_from(args)
     cfg.validate()
-    parse_method(cfg)  # a malformed descriptor fails before the graph is built
+    check_m0(cfg, [parse_method(cfg)])  # a malformed descriptor or an unread --m0 fails before the graph is built
     P, node_map = build_problem(cfg)
     make_out_dir(cfg.out)
     code = EXIT_OK
@@ -291,6 +292,7 @@ def cmd_bench(args):
         raise ConfigError("bench needs at least one method")
     # a malformed descriptor is a configuration error, not one method's failure
     methods = [parse_method(sub) for sub in subs]
+    check_m0(cfg, methods)
     kinds = [residual_kind(name) for name, _ in methods]
     P, _ = build_problem(cfg)
     # So are a bad --m0 and a schedule that does not fit the graph (a block id outside [0, n)).
@@ -334,12 +336,10 @@ def cmd_gen(args):
         sizes = _int_fields(args.sizes, "--sizes")
         edges, _ = models.random_sbm(sizes, args.p, args.q, args.seed)
         comment = f"sbm sizes={args.sizes} seed={args.seed}"
-    elif kind == "meanfield":
+    else:  # meanfield
         sizes = _int_fields(args.sizes, "--sizes")
         edges = _edges_of(models.meanfield_sbm(sizes, args.p, args.q).expand())
         comment = "mean-field block model"
-    else:
-        raise ConfigError(f"unknown generator {kind!r}")
     try:
         models.write_edge_file(args.out_file, edges, comment=comment)
     except OSError as exc:
@@ -350,16 +350,9 @@ def cmd_gen(args):
 def cmd_analyze(args):
     kind = args.kind
     out = []
-    if kind in ("dobrushin", "cyclic") and args.graph is None:
-        raise ConfigError(f"analyze {kind} needs --graph")
-    if kind == "cyclic" and args.blocks is None:
-        raise ConfigError("analyze cyclic needs --blocks")
     if kind == "dobrushin":
-        check_mode_flags(args)
         cfg = _config_from(args)
-        cfg.pagerank = args.damping is not None
-        if cfg.pagerank:
-            cfg.damping = args.damping
+        cfg.pagerank = args.damping is not None  # --damping selects PageRank mode
         P, _ = build_problem(cfg)
         res = analysis.dobrushin(P)
         out.append(("dobrushin", f"{res.value:.17g}"))
@@ -376,18 +369,14 @@ def cmd_analyze(args):
     elif kind == "random-rate":
         a = analysis.random_rate_bound(args.n, args.r, args.eta)
         out.append(("rate_exponent", f"{a:.17g}"))
-    elif kind == "cyclic":
-        check_mode_flags(args)
-        cfg = _config_from(args)
-        P, _ = build_problem(cfg)
+    else:  # cyclic
+        P, _ = build_problem(_config_from(args))
         sched = schedules.load_block_file(args.blocks)
         blocks = [b.tolist() for b in sched.sequence]
         chk = analysis.cyclic_markov_check(P, blocks)
         out.append(("r", str(chk.r)))
         out.append(("eta", f"{chk.eta:.17g}"))
         out.append(("j0", str(chk.j0)))
-    else:
-        raise ConfigError(f"unknown analysis {kind!r}")
     for k, v in out:
         print(f"{k} {v}")
     return EXIT_OK
@@ -427,20 +416,23 @@ def _config_from(args):
     return cfg
 
 
-def _add_graph_flags(p, required=True):
-    p.add_argument("--graph", required=required, help="builtin name or edge-list path")
+def _add_graph_flags(p):
+    """The graph flags; returns the group of ``--lcc``, raw stationary mode's flag, for the PageRank-mode flag."""
+    p.add_argument("--graph", required=True, help="builtin name or edge-list path")
     p.add_argument("--one-based", dest="one_based", action="store_true", default=None)
     p.add_argument("--undirected", action="store_true", default=None)
-    p.add_argument("--lcc", action="store_true", default=None, help="solve on the largest SCC")
     p.add_argument("--seed", type=int, default=None)
+    raw = p.add_mutually_exclusive_group()
+    raw.add_argument("--lcc", action="store_true", default=None, help="solve on the largest SCC")
+    return raw
 
 
-def _add_solver_flags(p):
+def _add_solver_flags(p, raw):
+    raw.add_argument("--pagerank", action="store_true", default=None)
     p.add_argument("--method", default=None,
                    help="rlgl[+<schedule>] | pi | gs | gmres[:M] (M capped at n) | gso[:<schedule>]; <schedule> is"
                    " rr (bare rlgl) | rand:seed | maxc | pc:seed | theta[:r] | blocks:<file> | all")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--pagerank", action="store_true", default=None)
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--restart-s", dest="restart_s", default=None, help="file with the restart distribution")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
@@ -452,37 +444,42 @@ def make_parser():
     parser = _Parser(prog="rlgl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="compute one stationary estimate")
-    _add_graph_flags(p_solve)
-    _add_solver_flags(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
+    for name, func, help in (("solve", cmd_solve, "compute one stationary estimate"),
+                             ("bench", cmd_bench, "compare methods on one graph")):
+        p = sub.add_parser(name, help=help)
+        _add_solver_flags(p, _add_graph_flags(p))
+        p.set_defaults(func=func)
 
-    p_bench = sub.add_parser("bench", help="compare methods on one graph")
-    _add_graph_flags(p_bench)
-    _add_solver_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    # each kind declares the flags it reads, and the parser rejects any other
+    gen = sub.add_parser("gen", help="write generator output as an edge list")
+    gen.set_defaults(func=cmd_gen)
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("two-wheels", help="the two-wheels graph").add_argument("out_file")
+    for kind, help in (("sbm", "a stochastic block model draw"), ("meanfield", "the mean-field block model's rows")):
+        p = kinds.add_parser(kind, help=help)
+        p.add_argument("out_file")
+        p.add_argument("--sizes", default="40,40")
+        p.add_argument("--p", type=float, default=0.1)
+        p.add_argument("--q", type=float, default=0.005)
+        if kind == "sbm":
+            p.add_argument("--seed", type=int, default=0)
 
-    p_gen = sub.add_parser("gen", help="write generator output as an edge list")
-    p_gen.add_argument("kind", help="two-wheels | sbm | meanfield")
-    p_gen.add_argument("out_file")
-    p_gen.add_argument("--sizes", default="40,40")
-    p_gen.add_argument("--p", type=float, default=0.1)
-    p_gen.add_argument("--q", type=float, default=0.005)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_an = sub.add_parser("analyze", help="print a key-value diagnostic report")
-    p_an.add_argument("kind", help="dobrushin | cyclic | random-rate | sbm2")
-    _add_graph_flags(p_an, required=False)
-    p_an.add_argument("--damping", type=float, default=None)
-    p_an.add_argument("--blocks", default=None, help="block file for the cyclic check")
-    p_an.add_argument("--p", type=float, default=0.1)
-    p_an.add_argument("--q", type=float, default=0.01)
-    p_an.add_argument("--K", type=float, default=2.0)
-    p_an.add_argument("--n", type=int, default=10)
-    p_an.add_argument("--r", type=int, default=1)
-    p_an.add_argument("--eta", type=float, default=0.3)
-    p_an.set_defaults(func=cmd_analyze)
+    an = sub.add_parser("analyze", help="print a key-value diagnostic report")
+    an.set_defaults(func=cmd_analyze)
+    kinds = an.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("dobrushin", help="the Dobrushin coefficient, in PageRank mode with --damping")
+    _add_graph_flags(p).add_argument("--damping", type=float, default=None)
+    p = kinds.add_parser("cyclic", help="positivity of a cycle of blocks")
+    _add_graph_flags(p)
+    p.add_argument("--blocks", required=True, help="block file")
+    p = kinds.add_parser("sbm2", help="closed forms of the two-block SBM")
+    p.add_argument("--p", type=float, default=0.1)
+    p.add_argument("--q", type=float, default=0.01)
+    p.add_argument("--K", type=float, default=2.0)
+    p = kinds.add_parser("random-rate", help="rate exponent of the random schedule")
+    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--eta", type=float, default=0.3)
 
     p_mdp = sub.add_parser("mdp", help="solve the three-block schedule program")
     p_mdp.add_argument("--sizes", default="50,20,10")
@@ -501,11 +498,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
     with warnings.catch_warnings():  # a warning is one line, as an error is, not its source path and code line
         warnings.showwarning = _show_warning
         try:
+            args = make_parser().parse_args(argv)
             return args.func(args)
         except RlglError as exc:  # ConfigError included
             print(f"error: {exc}", file=sys.stderr)

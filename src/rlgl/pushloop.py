@@ -132,6 +132,7 @@ def load():
     scc.restype = ctypes.c_int64
     mul.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
     mul.restype = None
+    # the data is a bytes object, whose buffer ends in the NUL the parser reads at data[size]
     parse.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     parse.restype = ctypes.c_int64
     coalesce.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6

@@ -67,6 +67,18 @@ class TestSolve:
         assert nodes.tolist() == [2, 3, 4]
         assert vals.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_undirected_file_solves_as_its_mirrored_file(self, tmp_path):
+        one_way, both_ways = tmp_path / "one-way.edges", tmp_path / "both-ways.edges"
+        edges = [("0", "1", "2"), ("1", "2", "1"), ("2", "0", "0.5"), ("2", "3", "3")]
+        one_way.write_text("".join(f"{a} {b} {w}\n" for a, b, w in edges))
+        both_ways.write_text("".join(f"{a} {b} {w}\n{b} {a} {w}\n" for a, b, w in edges))
+        outs = []
+        for graph, flags in ((one_way, ["--undirected"]), (both_ways, [])):
+            out = tmp_path / graph.stem
+            assert cli.main(["solve", "--graph", str(graph), *flags, "--method", "pi", "--out", str(out)]) == 0
+            outs.append([(out / name).read_bytes() for name in ("estimate.csv", "trace.csv")])
+        assert outs[0] == outs[1]
+
     # 2 -> 0 has weight 0: the matrix drops it and makes node 2 absorbing
     ZERO_WEIGHT_EDGES = "0 1\n1 0\n1 2\n2 2\n2 0 0\n"
 
@@ -161,9 +173,8 @@ class TestSolve:
         # the stride is a library setting: gs checks it, and no flag sets it
         with pytest.raises(InvalidParamsError, match="stride"):
             solvers.gauss_seidel(models.four_state_chain(), trace_stride=0)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["solve", "--graph", "two-wheels", "--trace-stride", "1", "--out", str(tmp_path)])
-        assert exc.value.code == cli.EXIT_CONFIG
+        assert cli.main(["solve", "--graph", "two-wheels", "--trace-stride", "1",
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
     def test_unknown_method(self, tmp_path):
         code = cli.main(["solve", "--graph", "example31", "--method", "nope", "--out", str(tmp_path)])
@@ -209,12 +220,10 @@ class TestSolve:
             outs.append([(out / name).read_bytes() for name in ("estimate.csv", "trace.csv")])
         assert outs[0] == outs[1]
         # the removed spellings fail loudly
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["solve", "--graph", "two-wheels", "--criterion", "cash", "--out", str(tmp_path)])
-        assert exc.value.code == cli.EXIT_CONFIG
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["solve", "--graph", "two-wheels", "--schedule", "rr", "--out", str(tmp_path)])
-        assert exc.value.code == cli.EXIT_CONFIG
+        assert cli.main(["solve", "--graph", "two-wheels", "--criterion", "cash",
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert cli.main(["solve", "--graph", "two-wheels", "--schedule", "rr",
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert cli.main(["solve", "--graph", "two_wheels", "--out", str(tmp_path / "alias")]) == cli.EXIT_CONFIG
         assert not (tmp_path / "alias").exists()
 
@@ -315,6 +324,11 @@ def _bad_input_files(tmp_path):
         ["--graph", "sbm:40,40:0.1"],
         ["--graph", "sbm:40,x:0.1:0.01"],
         ["--graph", "meanfield:5,2:0.1"],
+        # each once ran, dropping the flag
+        ["--graph", "meanfield:5,2:0.1:0.01", "--lcc"],
+        ["--one-based"],
+        ["--undirected"],
+        ["--graph", "sbm:10,10:0.5:0.1:3", "--one-based"],
         ["--method", "rlgl+blocks:{missing}"],
         ["--method", "rlgl", "--m0", "{missing}"],
         ["--method", "rlgl+rand:-1"],
@@ -546,24 +560,28 @@ def test_solve_at_max_steps_writes_the_partial_estimate(tmp_path, capsys, method
 # the five-node graph 0 <-> 1 -> 2 <-> 3 <-> 4, whose largest component is {2, 3, 4}
 MODE_FLAG_ERRORS = {
     "solve-pagerank-lcc": (["solve", "--pagerank", "--lcc"],
-                           "--lcc applies to raw stationary mode only, not with --pagerank"),
+                           "rlgl solve: argument --lcc: not allowed with argument --pagerank"),
     "bench-pagerank-lcc": (["bench", "--method", "pi", "--pagerank", "--lcc"],
-                           "--lcc applies to raw stationary mode only, not with --pagerank"),
+                           "rlgl bench: argument --lcc: not allowed with argument --pagerank"),
     "solve-damping": (["solve", "--damping", "0.9"], "--damping applies to --pagerank mode only"),
     "bench-damping": (["bench", "--method", "pi", "--damping", "0.9"], "--damping applies to --pagerank mode only"),
     "solve-restart-s": (["solve", "--restart-s", "{s}"], "--restart-s applies to --pagerank mode only"),
     "bench-restart-s": (["bench", "--method", "pi", "--restart-s", "{s}"], "--restart-s applies to --pagerank mode only"),
     "dobrushin-lcc": (["analyze", "dobrushin", "--lcc", "--damping", "0.85"],
-                      "--lcc applies to raw stationary mode only, not with --damping"),
+                      "rlgl analyze dobrushin: argument --damping: not allowed with argument --lcc"),
     "cyclic-damping": (["analyze", "cyclic", "--blocks", "{blocks}", "--damping", "0.85"],
-                       "--damping applies to analyze dobrushin only, not to cyclic"),
+                       "rlgl: unrecognized arguments: --damping 0.85"),
+    "solve-m0": (["solve", "--method", "gmres", "--m0", "{s}"], "--m0 applies to rlgl methods only"),
+    "bench-m0": (["bench", "--method", "pi,gs,gso", "--pagerank", "--m0", "{s}"],
+                 "--m0 applies to rlgl methods only"),
 }
 
 
 @pytest.mark.parametrize("case", list(MODE_FLAG_ERRORS))
 def test_dropped_mode_flag_is_one_error_line(tmp_path, capsys, monkeypatch, case):
     # each once ran in the other mode and exited 0: --lcc was ignored under
-    # PageRank, and --damping or --restart-s under raw stationary mode
+    # PageRank, --damping or --restart-s under raw stationary mode, and
+    # --m0 by every method but rlgl
     graph = tmp_path / "five.edges"
     graph.write_text("0 1\n1 0\n1 2\n2 3\n3 2\n3 4\n4 3\n")
     (tmp_path / "s.txt").write_text("0.2 0.2 0.2 0.2 0.2\n")
@@ -576,6 +594,45 @@ def test_dropped_mode_flag_is_one_error_line(tmp_path, capsys, monkeypatch, case
     assert cli.main(args) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+# the flags each gen and analyze kind reads, after the arguments of a valid run; a kind
+# rejects every other flag of its command
+GRAPH_FLAGS = ["--graph", "--one-based", "--undirected", "--seed", "--lcc"]
+KIND_FLAGS = {
+    "analyze dobrushin": (["--graph", "two-wheels"], GRAPH_FLAGS + ["--damping"]),
+    "analyze cyclic": (["--graph", "example31", "--blocks", "{blocks}"], GRAPH_FLAGS + ["--blocks"]),
+    "analyze sbm2": ([], ["--p", "--q", "--K"]),
+    "analyze random-rate": ([], ["--n", "--r", "--eta"]),
+    "gen two-wheels": (["{out}"], []),
+    "gen sbm": (["{out}"], ["--sizes", "--p", "--q", "--seed"]),
+    "gen meanfield": (["{out}"], ["--sizes", "--p", "--q"]),
+}
+FLAG_VALUES = {"--graph": ["two-wheels"], "--one-based": [], "--undirected": [], "--seed": ["1"], "--lcc": [],
+               "--damping": ["0.5"], "--blocks": ["{blocks}"], "--p": ["0.3"], "--q": ["0.01"], "--K": ["2"],
+               "--n": ["10"], "--r": ["1"], "--eta": ["0.3"], "--sizes": ["5,5"]}
+COMMAND_FLAGS = {c: {f for k, (_, fs) in KIND_FLAGS.items() if k.split()[0] == c for f in fs} for c in ("gen", "analyze")}
+FOREIGN_FLAGS = [(kind, flag) for kind, (_, own) in KIND_FLAGS.items()
+                 for flag in sorted(COMMAND_FLAGS[kind.split()[0]] - set(own))]
+
+
+@pytest.mark.parametrize("kind, flag", FOREIGN_FLAGS, ids=[" ".join(case) for case in FOREIGN_FLAGS])
+def test_foreign_flag_of_a_kind_is_one_error_line(tmp_path, capsys, monkeypatch, kind, flag):
+    # each once ran and exited 0, dropping the flag
+    (tmp_path / "blocks.txt").write_text("1\n0\n2\n3\n")
+    args, _ = KIND_FLAGS[kind]
+    args = [*kind.split(), *(a.format(blocks=tmp_path / "blocks.txt", out=tmp_path / "out") for a in args)]
+    extra = [flag, *(a.format(blocks=tmp_path / "blocks.txt") for a in FLAG_VALUES[flag])]
+    for name in ("build_problem", "_int_fields"):
+        monkeypatch.setattr(cli, name, lambda *a: pytest.fail("work began"))
+    monkeypatch.setattr(models, "two_wheels", lambda *a: pytest.fail("work began"))
+    assert cli.main(args + extra) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: rlgl: unrecognized arguments: {' '.join(extra)}"]
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()  # and the same run without the flag succeeds
+    assert cli.main(args) == cli.EXIT_OK
+    assert (tmp_path / "out").exists() == (kind.split()[0] == "gen")
 
 
 @pytest.mark.parametrize("flags, rows", [(["--lcc"], 3), (["--pagerank"], 5), (["--pagerank", "--damping", "0.9"], 5)])
@@ -702,6 +759,18 @@ class TestBench:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out" / "bench.csv").exists()
 
+    def test_m0_seeds_the_rlgl_methods_of_a_mix(self, tmp_path):
+        m0 = tmp_path / "m0.txt"
+        m0.write_text("1\n" + "0\n" * (models.two_wheels()[1] - 1))
+        runs = []
+        for flags in ([], ["--m0", str(m0)]):
+            out = tmp_path / str(len(flags))
+            args = ["bench", "--graph", "two-wheels", "--method", "pi,rlgl+rr", *flags, "--out", str(out)]
+            assert cli.main(args) == 0
+            rows = (out / "bench.csv").read_text().splitlines()[1:]
+            runs.append({m: [r for r in rows if r.startswith(m + ",")] for m in ("pi", "rlgl+rr")})
+        assert runs[0]["pi"] == runs[1]["pi"] and runs[0]["rlgl+rr"] != runs[1]["rlgl+rr"]
+
     # each but the first once ran pi, wrote bench.csv and exited 0
     BAD_METHODS = {
         "pi,gsofoo": "unknown method 'gsofoo'",
@@ -815,7 +884,7 @@ class TestAnalyze:
     def test_cyclic_without_blocks_rejected(self, capsys):
         # once a TypeError traceback from opening the None path
         assert cli.main(["analyze", "cyclic", "--graph", "two-wheels"]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == "error: analyze cyclic needs --blocks\n"
+        assert capsys.readouterr().err == "error: rlgl analyze cyclic: the following arguments are required: --blocks\n"
 
 
 class TestMdpCommand:
