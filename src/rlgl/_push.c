@@ -16,9 +16,15 @@
  * MaxCash or ProportionalCash and engine.step on a TransitionMatrix, with
  * or without a restart part, or on its GaussSeidelRows view, so H, C and
  * every counter come out with the same bytes.
+ * A push with a restart part adds r * s[j] to every C[j] in index order,
+ * so C keeps its bytes, and sums |new| - |old| in two lanes (see lanes):
+ * only the incremental ||C||_1 between exact sums rounds otherwise than
+ * one chain, within the same bound, and every stop, trace row and pick is
+ * decided on exact sums or on proved brackets, so nothing else moves.
  * MaxCash's pick is the root of a winner tree over |C|, replayed from
  * each entry a push writes (see tree); on a matrix whose every push adds
- * the restart part, that add's own pass finds the pick instead.
+ * the restart part, that add's own pass finds the pick instead, each lane
+ * keeping its first largest |C[j]|.
  * The dangling rows of a matrix with a restart part are its empty CSR
  * rows, so the loops take no dangling array.
  * ProportionalCash's pick keeps the prefix sums of |C| across picks and
@@ -224,27 +230,78 @@ static int64_t proportional_pick(const double *C, const loop_state *s, const loo
     return first_share_above(acc, n, total, u); /* < n: the last share is 1 > u */
 }
 
-/* C[j] += r * s[j] for lo <= j < hi, in index order.  The change in
- * sum |C[j]| is added to *grown, and the largest |C[j]| (the first on
- * ties) replaces *top and *best when larger. */
-static void add_restart(double *C, const double *s, double r, int64_t lo, int64_t hi, double *grown, double *top,
-                        int64_t *best)
+/* Two doubles side by side (GCC's vector extension: each operation rounds
+ * per element, as the scalar one), and the lane mask of a comparison. */
+typedef double pair __attribute__((vector_size(16)));
+typedef int64_t pair_mask __attribute__((vector_size(16)));
+
+/* The restart pass's running sums: the change in sum |C[j]| and, for
+ * MaxCash's scan, the largest |C[j]| and its index, each kept in two
+ * lanes, lane j % 2 taking entry j.  A pair of entries takes one vector
+ * multiply, add and sum, half the instructions of two scalar entries, and
+ * neither lane's sum waits on the other's: one chain of n adds held the
+ * pass to one entry per add, two lanes of pairs run it at the rate the
+ * instructions issue. */
+typedef struct {
+    pair grown, top;
+    pair_mask arg;
+} lanes;
+
+/* Entry j of the pass into lane k = j % 2: C[j] += r * s[j], its
+ * |new| - |old| added to grown[k] and, with scan, |C[j]| replacing top[k]
+ * when larger, so each lane keeps the first index of its largest. */
+__attribute__((always_inline)) static inline void add_entry(double *C, const double *s, double r, int64_t j,
+                                                           lanes *l, int k, int scan)
 {
-    double g = *grown, t = *top;
-    int64_t arg = *best;
-    for (int64_t j = lo; j < hi; j++) {
-        double o = C[j];
-        double v = o + r * s[j];
-        C[j] = v;
-        g += fabs(v) - fabs(o);
-        if (fabs(v) > t) {
-            t = fabs(v);
-            arg = j;
+    double o = C[j];
+    double v = o + r * s[j];
+    C[j] = v;
+    l->grown[k] += fabs(v) - fabs(o);
+    if (scan && fabs(v) > l->top[k]) {
+        l->top[k] = fabs(v);
+        l->arg[k] = j;
+    }
+}
+
+/* add_entry for j and j + 1, j even, as one pair: the scan's compare is
+ * a branch taken only when a lane's top rises, which past the first
+ * entries is rare, where a select would chain each pair to the last. */
+__attribute__((always_inline)) static inline void add_pair(double *C, const double *s, pair r, int64_t j, lanes *l,
+                                                          int scan)
+{
+    const pair_mask sign = {INT64_MIN, INT64_MIN};
+    pair o, x;
+    memcpy(&o, C + j, sizeof o);
+    memcpy(&x, s + j, sizeof x);
+    pair v = o + r * x;
+    memcpy(C + j, &v, sizeof v);
+    pair av = (pair)((pair_mask)v & ~sign);
+    l->grown += av - (pair)((pair_mask)o & ~sign);
+    if (scan) {
+        pair_mask up = av > l->top;
+        if (up[0] | up[1]) {
+            for (int k = 0; k < 2; k++)
+                if (up[k]) {
+                    l->top[k] = av[k];
+                    l->arg[k] = j + k;
+                }
         }
     }
-    *grown = g;
-    *top = t;
-    *best = arg;
+}
+
+/* C[j] += r * s[j] for lo <= j < hi, into the lanes in index order: an
+ * odd first entry alone, then pairs, then an even last entry alone. */
+__attribute__((always_inline)) static inline void add_restart(double *C, const double *s, double r, int64_t lo,
+                                                             int64_t hi, lanes *l, int scan)
+{
+    const pair rv = {r, r};
+    int64_t j = lo;
+    if (j < hi && j % 2)
+        add_entry(C, s, r, j++, l, 1, scan);
+    for (; j + 1 < hi; j += 2)
+        add_pair(C, s, rv, j, l, scan);
+    if (j < hi)
+        add_entry(C, s, r, j, l, 0, scan);
 }
 
 /* engine.run's checks before a step: 0 when Python must make them (the
@@ -298,12 +355,16 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
         if (m->restart) {
             r = lo == hi ? b * p->dangling_share : b * p->restart_share;
             if (r != 0.0) {
-                double top = -1.0;
-                int64_t arg = 0, mid = own < 0 ? p->n : own;
-                add_restart(C, m->restart, r, 0, mid, &grown, &top, &arg);
-                add_restart(C, m->restart, r, mid + 1, p->n, &grown, &top, &arg);
-                if (best)
-                    *best = arg;
+                /* lane 0 starts from the row's change; the lanes are added once */
+                lanes l = {{grown, 0.0}, {-1.0, -1.0}, {0, 0}};
+                int64_t mid = own < 0 ? p->n : own;
+                add_restart(C, m->restart, r, 0, mid, &l, best != NULL);
+                add_restart(C, m->restart, r, mid + 1, p->n, &l, best != NULL);
+                grown = l.grown[0] + l.grown[1];
+                if (best) /* the larger top, the lower index on ties: np.argmax(np.abs(C)) */
+                    *best = l.top[1] > l.top[0] || (l.top[1] == l.top[0] && l.arg[1] < l.arg[0])
+                                ? l.arg[1]
+                                : l.arg[0];
                 if (w) /* every |C[j]| moved */
                     rebuild(w);
             } else if (best) {
@@ -314,7 +375,10 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
         s->updates += 1;
 
         /* a sequential sum of d terms rounds within d units: the row's
-         * d, then, after a pass over all of C, n more */
+         * d and its difference, then, after a pass over all of C, at most
+         * ceil(n / 2) adds in a lane and the one that adds the lanes (exact
+         * when n = 1, lane 1 holding 0), which n more cover: ceil(n / 2)
+         * + 1 <= n for n >= 2, as for one chain of n adds */
         int64_t d = hi - lo;
         int64_t depth = r != 0.0 ? p->n + d : (d > p->sum_depth ? d : p->sum_depth);
         double moved_abs = fabs(a);
@@ -371,20 +435,23 @@ int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, const double *u,
 {
     (void)u;
     const int64_t t0 = s->t;
-    tree w = {0};
-    int64_t best = 0;
-    /* a restart add moves every entry: a scan in that pass beats the tree */
-    int scan = m->restart && p->restart_share != 0.0;
-    if (scan)
-        best = argmax_abs(C, p->n);
-    else if (tree_init(&w, C, p->n) != 0)
+    if (m->restart && p->restart_share != 0.0) {
+        /* a restart add moves every entry: a scan in that pass beats the
+         * tree; each pick rule has its own inlined step */
+        int64_t best = argmax_abs(C, p->n);
+        while (may_step(s, p) && C[best] != 0.0) {
+            s->k++;
+            if (step(m, C, H, best, s, p, NULL, &best))
+                break;
+        }
+        return s->t - t0;
+    }
+    tree w;
+    if (tree_init(&w, C, p->n) != 0)
         return -1;
-    while (may_step(s, p)) {
-        int64_t i = scan ? best : w.win[1];
-        if (C[i] == 0.0)
-            break;
+    while (may_step(s, p) && C[w.win[1]] != 0.0) {
         s->k++;
-        if (step(m, C, H, i, s, p, scan ? NULL : &w, scan ? &best : NULL))
+        if (step(m, C, H, w.win[1], s, p, &w, NULL))
             break;
     }
     free(w.win);

@@ -32,6 +32,11 @@ EXIT_CONFIG = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    """Every command's and kind's parser: a flag has its one spelling, no prefix of it, and an error is one line."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, allow_abbrev=False, **kw)
+
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
 
@@ -172,6 +177,21 @@ def check_m0(cfg, methods):
         raise ConfigError("--m0 applies to rlgl methods only")
 
 
+def check_seed(seed, graph, methods):
+    """ConfigError for a ``--seed`` (``seed``, None when unset) that nothing reads.
+
+    Only a seedless ``sbm:`` graph and a ``rand`` or ``pc`` schedule
+    without its own seed (``rlgl+rand``, ``gso:pc``) read it; ``methods``
+    are the run's method descriptors, checked by ``parse_method``.
+    """
+    seedless_graph = graph.startswith("sbm:") and graph.count(":") < 4
+    # the schedule field of rlgl+<schedule> and gso:<schedule>
+    seedless_schedule = any(m.replace("+", ":", 1).split(":", 1)[-1] in ("rand", "pc") for m in methods)
+    if seed is not None and not (seedless_graph or seedless_schedule):
+        raise ConfigError("--seed applies only to a seedless sbm: graph and to a rand or pc schedule"
+                          " without its own seed")
+
+
 def parse_method(cfg: ExperimentConfig):
     """``(name, argument)`` of ``cfg.method``, every part checked.
 
@@ -247,6 +267,7 @@ def cmd_solve(args):
     cfg = _config_from(args)
     cfg.validate()
     check_m0(cfg, [parse_method(cfg)])  # a malformed descriptor or an unread --m0 fails before the graph is built
+    check_seed(args.seed, cfg.graph, [cfg.method])
     P, node_map = build_problem(cfg)
     make_out_dir(cfg.out)
     code = EXIT_OK
@@ -293,6 +314,7 @@ def cmd_bench(args):
     # a malformed descriptor is a configuration error, not one method's failure
     methods = [parse_method(sub) for sub in subs]
     check_m0(cfg, methods)
+    check_seed(args.seed, cfg.graph, [sub.method for sub in subs])
     kinds = [residual_kind(name) for name, _ in methods]
     P, _ = build_problem(cfg)
     # So are a bad --m0 and a schedule that does not fit the graph (a block id outside [0, n)).
@@ -350,6 +372,8 @@ def cmd_gen(args):
 def cmd_analyze(args):
     kind = args.kind
     out = []
+    if kind in ("dobrushin", "cyclic"):
+        check_seed(args.seed, args.graph, [])
     if kind == "dobrushin":
         cfg = _config_from(args)
         cfg.pagerank = args.damping is not None  # --damping selects PageRank mode
@@ -455,11 +479,13 @@ def make_parser():
     gen.set_defaults(func=cmd_gen)
     kinds = gen.add_subparsers(dest="kind", required=True)
     kinds.add_parser("two-wheels", help="the two-wheels graph").add_argument("out_file")
-    for kind, help in (("sbm", "a stochastic block model draw"), ("meanfield", "the mean-field block model's rows")):
+    # p 0.2 for sbm: at 0.1 the default draw leaves a node isolated
+    for kind, help, p_in in (("sbm", "a stochastic block model draw", 0.2),
+                             ("meanfield", "the mean-field block model's rows", 0.1)):
         p = kinds.add_parser(kind, help=help)
         p.add_argument("out_file")
         p.add_argument("--sizes", default="40,40")
-        p.add_argument("--p", type=float, default=0.1)
+        p.add_argument("--p", type=float, default=p_in)
         p.add_argument("--q", type=float, default=0.005)
         if kind == "sbm":
             p.add_argument("--seed", type=int, default=0)

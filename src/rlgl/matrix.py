@@ -43,8 +43,10 @@ slice it gathers and writes anyway, so the engine can keep ``||C||_1``
 in O(degree) per push.  A push that writes O(n) entries (a nonzero
 restart add, ``MeanFieldMatrix``) returns ``None``, and the engine
 recomputes the sum exactly instead.  The compiled loop sums the change
-as it writes each entry, so it keeps ``||C||_1`` incrementally across
-restart adds and dense mean-field rows as well.
+as it writes each entry, a restart add's in two interleaved partial sums
+(entry j into sum j % 2, the row's change in the first, added once at
+the end), so it keeps ``||C||_1`` incrementally across restart adds and
+dense mean-field rows as well.
 
 Matrices are immutable after construction.
 """

@@ -557,6 +557,7 @@ def test_solve_at_max_steps_writes_the_partial_estimate(tmp_path, capsys, method
     assert (out / "trace.csv").read_text().splitlines()[-1].split(",")[0] == "5"
 
 
+SEED_ERROR = "--seed applies only to a seedless sbm: graph and to a rand or pc schedule without its own seed"
 # the five-node graph 0 <-> 1 -> 2 <-> 3 <-> 4, whose largest component is {2, 3, 4}
 MODE_FLAG_ERRORS = {
     "solve-pagerank-lcc": (["solve", "--pagerank", "--lcc"],
@@ -572,6 +573,11 @@ MODE_FLAG_ERRORS = {
     "cyclic-damping": (["analyze", "cyclic", "--blocks", "{blocks}", "--damping", "0.85"],
                        "rlgl: unrecognized arguments: --damping 0.85"),
     "solve-m0": (["solve", "--method", "gmres", "--m0", "{s}"], "--m0 applies to rlgl methods only"),
+    "solve-seed": (["solve", "--method", "pi", "--seed", "3"], SEED_ERROR),
+    "solve-seeded-pc": (["solve", "--method", "rlgl+pc:1", "--seed", "3"], SEED_ERROR),
+    "bench-seed": (["bench", "--method", "pi,rlgl+rand:2,gso:pc:1", "--pagerank", "--seed", "3"], SEED_ERROR),
+    "dobrushin-seed": (["analyze", "dobrushin", "--seed", "3"], SEED_ERROR),
+    "cyclic-seed": (["analyze", "cyclic", "--blocks", "{blocks}", "--seed", "3"], SEED_ERROR),
     "bench-m0": (["bench", "--method", "pi,gs,gso", "--pagerank", "--m0", "{s}"],
                  "--m0 applies to rlgl methods only"),
 }
@@ -633,6 +639,50 @@ def test_foreign_flag_of_a_kind_is_one_error_line(tmp_path, capsys, monkeypatch,
     monkeypatch.undo()  # and the same run without the flag succeeds
     assert cli.main(args) == cli.EXIT_OK
     assert (tmp_path / "out").exists() == (kind.split()[0] == "gen")
+
+
+@pytest.mark.parametrize(
+    "flags, seeded",
+    [
+        (["--graph", "sbm:20,20:0.5:0.1", "--method", "gmres:10"], ["--graph", "sbm:20,20:0.5:0.1:3"]),
+        (["--graph", "two-wheels", "--method", "rlgl+rand"], ["--method", "rlgl+rand:3"]),
+        (["--graph", "two-wheels", "--method", "rlgl+pc"], ["--method", "rlgl+pc:3"]),
+        (["--graph", "two-wheels", "--pagerank", "--method", "gso:pc"], ["--method", "gso:pc:3"]),
+    ],
+    ids=["sbm", "rand", "pc", "gso-pc"],
+)
+def test_seed_is_read_where_it_applies(tmp_path, flags, seeded):
+    # --seed 3 writes the bytes of the run that names seed 3 itself
+    outs = []
+    for name, args in (("flag", [*flags, "--seed", "3"]), ("named", [*flags, *seeded])):
+        assert cli.main(["solve", *args, "--out", str(tmp_path / name)]) == cli.EXIT_OK
+        outs.append([(tmp_path / name / f).read_bytes() for f in ("estimate.csv", "trace.csv")])
+    assert outs[0] == outs[1]
+
+
+def test_bench_reads_seed_when_one_method_does(tmp_path):
+    bench = ["bench", "--graph", "two-wheels", "--method", "pi,rlgl+pc", "--seed", "3", "--out", str(tmp_path)]
+    assert cli.main(bench) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--graph", "two-wheels", "--meth", "pi", "--out", "{out}"],
+        ["bench", "--graph", "two-wheels", "--method", "pi", "--pager", "--out", "{out}"],
+        ["solve", "--gr", "two-wheels", "--method", "pi", "--out", "{out}"],
+        ["analyze", "random-rate", "--e", "0.5"],
+        ["gen", "sbm", "{out}", "--see", "3"],
+        ["mdp", "--gri", "10x5", "--out", "{out}"],
+    ],
+    ids=lambda args: " ".join(a for a in args if a != "{out}"),
+)
+def test_flag_prefix_is_one_error_line(tmp_path, capsys, args):
+    # each once ran as the flag it begins
+    assert cli.main([a.format(out=tmp_path / "out") for a in args]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: rlgl")  # the parser's message
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags, rows", [(["--lcc"], 3), (["--pagerank"], 5), (["--pagerank", "--damping", "0.9"], 5)])
@@ -821,6 +871,14 @@ class TestGen:
                          "--q", "0.05", "--seed", "1"]) == 0
         edges, n = models.parse_edge_file(out)
         assert n == 40
+
+    def test_sbm_defaults_draw_a_graph(self, tmp_path, capsys):
+        # the defaults once left a node isolated twice and exited 64
+        out = tmp_path / "sbm.edges"
+        assert cli.main(["gen", "sbm", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        edges, n = models.parse_edge_file(out)
+        assert n == 80 and np.bincount(edges[:, 0].astype(int), minlength=n).min() > 0
 
     @pytest.mark.parametrize(
         "p, seed, code, err",

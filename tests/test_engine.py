@@ -640,10 +640,12 @@ class TestCompiledLoop:
     def test_google_l1_bound_holds_near_worst_case_rounding(self, kernel):
         # One push of cash 1 from node 0, whose row is 0 -> n-1, adds 0.85 to
         # C[n-1], then 0.15 s to all of C.  s is 4 units of 2^-53 on nodes
-        # 0..n-2, so each of those n-1 terms is 0.6 ulp of the running sum of
-        # |new| - |old| (~0.85) and rounds it up by 0.4 ulp: the incremental
-        # ||C||_1 drifts by ~0.2 n units of 2^-52, which the push's charge of
-        # n + d units must cover; a charge of a few units does not.
+        # 0..n-2, so each of those n-1 terms is 0.6 ulp of a running sum near
+        # 0.85 and rounds it up by 0.4 ulp.  The pass sums entry j in lane
+        # j % 2, and lane 0 starts from the row's change, 0.85, so its n/2
+        # terms drift the incremental ||C||_1 by ~0.1 n units of 2^-52 (lane
+        # 1 sums its small terms exactly), which the push's charge of n + d
+        # units must cover; a charge of a few units does not.
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
         n = 1 << 13
@@ -1181,6 +1183,65 @@ class TestMaxCashTies:
         assert got == kernel
         assert outcome[0]
 
+
+
+class TestRestartPass:
+    """The compiled restart add, two lanes of sums over the pairs of C, against the Python steps."""
+
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
+    @pytest.mark.parametrize("view", ["google", "gauss-seidel"])
+    def test_identical_runs_on_odd_n(self, view, sched_name, kernel, monkeypatch):
+        # n odd and past 4096: the pass ends on an unpaired entry.  A push on
+        # the Gauss-Seidel view skips C[i], so its pass runs in two parts, the
+        # second starting on an odd index when i is even.  Dangling rows add
+        # the dangling share, the others the restart share.
+        P = _dangling_google(4097, 3, 4097)
+        if view == "gauss-seidel":
+            P = GaussSeidelRows(P)
+        got, outcome = _three_ways(monkeypatch, P, sched_name, eps=1e-30, stride=500, max_steps=6000)
+        assert got == kernel
+        assert outcome[4] == 6000 and outcome[5] > 1000  # max_steps, after pushes
+
+    @pytest.mark.parametrize("view", ["google", "gauss-seidel"])
+    @pytest.mark.parametrize(
+        "pushed, tied",
+        [(0, (4, 8)), (0, (5, 9)), (0, (5, 8)), (0, (4, 9)), (0, (11, 12)),
+         (6, (5, 7)), (6, (4, 12)), (6, (5, 8)), (6, (4, 7))],
+    )
+    def test_maxc_ties_go_to_the_first_node(self, pushed, tied, view, kernel):
+        # The push of cash -2 from `pushed` leaves its four targets near -0.455
+        # and the tied pair, off its row and with s zero there, at |C| = 0.5:
+        # np.argmax takes the lower of the pair, and so must the lanes, with
+        # the pair in one lane (even, or odd) or in both, the last entry (an
+        # unpaired one, n being odd) among them.  On the Gauss-Seidel view the
+        # push of 6 passes over 0..5, then 7..12, the pair on both sides.
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        n = 13
+        others = [j for j in range(n) if j != pushed and j not in tied]
+        edges = [(pushed, j) for j in others[:4]] + [(i, (i + 1) % n) for i in range(n) if i != pushed]
+        s = np.ones(n)
+        s[[pushed, *tied]] = 0.0
+        P = google_matrix(np.array(edges, dtype=float), 0.85, s=s / s.sum(), n=n)
+        if view == "gauss-seidel":
+            P = GaussSeidelRows(P)
+        st_ = engine.init(P)
+        st_.C[:] = 0.0
+        st_.C[[pushed, *tied]] = [-2.0, -0.5, 0.5]
+        st_.cash_l1 = 3.0
+        pushed_nodes = []
+        for compiled in (False, True):
+            state = engine.SolverState(**vars(st_))
+            state.C, state.H = st_.C.copy(), st_.H.copy()
+            sched = schedules.MaxCash().bind(P)
+            if compiled:
+                assert pushloop.bind(P, "maxc").advance(state, sched, 1e-10, state.t + 2, 10**9) == 2
+            else:
+                for _ in range(2):
+                    engine.step(state, sched.next_nodes(state.C), P)
+            pushed_nodes.append((np.flatnonzero(state.H != st_.H).tolist(), state.C.tobytes()))
+        assert pushed_nodes[0][0] == sorted([pushed, min(tied)])
+        assert pushed_nodes[1] == pushed_nodes[0]
 
 def _g17_lines(values):
     """Python's "%.17g" of each value, one line each: the bytes of a one-column table."""
