@@ -27,10 +27,11 @@
  * keeping its first largest |C[j]|.
  * The dangling rows of a matrix with a restart part are its empty CSR
  * rows, so the loops take no dangling array.
- * ProportionalCash's pick keeps the prefix sums of |C| across picks and
- * extends them only from the lowest index the last push wrote to the
- * pick; it brackets the total from the loop's ||C||_1 bound and proves
- * the pick from the bracket, or else makes the exact pick (see
+ * ProportionalCash's pick draws its uniform from the schedule's own
+ * generator, keeps the prefix sums of |C| across picks and extends them
+ * only from the lowest index the last push wrote to the pick; it
+ * brackets the total from the loop's ||C||_1 bound and proves the pick
+ * from the bracket, or else makes the exact pick (see
  * proportional_pick), so every pick is the Python one.
  * Compile with -ffp-contract=off: a fused multiply-add would round C
  * differently.
@@ -38,9 +39,8 @@
  * A loop returns to Python before any step that needs it (the guard
  * fires, the cash may be below eps, max_steps, a Theta refresh, no cash
  * left for MaxCash, a ProportionalCash total that is not finite and
- * positive, no uniform draw left) and after any step that makes a trace
- * row due or lets the rounding bound of the incremental ||C||_1 pass its
- * drift limit.
+ * positive) and after any step that makes a trace row due or lets the
+ * rounding bound of the incremental ||C||_1 pass its drift limit.
  */
 
 #include <float.h>
@@ -76,10 +76,13 @@ typedef struct {
     double cum_cost, scan_cost, total_history, cash_l1, l1_err, max_l1_increase;
 } loop_state;
 
-/* Per-call constants; fields in pushloop.LoopParams' order. */
+/* Per-call constants; fields in pushloop.LoopParams' order.  rng is
+ * ProportionalCash's bit generator, next_double what Generator.random() calls. */
 typedef struct {
-    int64_t n, offset, max_steps, record_at, sum_depth, draws;
+    int64_t n, offset, max_steps, record_at, sum_depth;
     double theta, eps, initial_mass, guard_unit, drift_tol, unit, restart_share, dangling_share;
+    void *rng;
+    double (*next_double)(void *);
 } loop_params;
 
 /* MaxCash's pick: a winner tree over |C| (Knuth, TAOCP vol. 3, 5.4.1).
@@ -148,7 +151,7 @@ static int64_t argmax_abs(const double *C, int64_t n)
 }
 
 /* ProportionalCash's pick: the first i whose share fl(acc[i] / total)
- * exceeds the uniform draw u, acc being the sequential prefix sums of |C|
+ * exceeds a uniform draw u, acc being the sequential prefix sums of |C|
  * and total = acc[n - 1], as np.cumsum(np.abs(C)) / total and
  * searchsorted(u, side="right") pick it.  The pick holds cash, since a
  * zero entry repeats the share before it.
@@ -180,8 +183,10 @@ static int64_t argmax_abs(const double *C, int64_t n)
  * exactly: the sums are finished to n and the first share above u is
  * found by bisection, the share being monotone in i.
  *
- * Returns the pick, or -1 when the total of |C| is not finite and
- * positive. */
+ * u is drawn once the total is known finite and positive, as in next_nodes:
+ * the prefix first reaches the first cash, so a zero or NaN total takes
+ * the exact path, which draws after its check.  Returns the pick, or -1
+ * when the total of |C| is not finite and positive. */
 
 /* Extend acc past *valid until its last sum exceeds x, or to n. */
 static void extend_prefix(const double *C, int64_t n, double *acc, int64_t *valid, double x)
@@ -209,14 +214,17 @@ static int64_t first_share_above(const double *acc, int64_t len, double d, doubl
     return a;
 }
 
-static int64_t proportional_pick(const double *C, const loop_state *s, const loop_params *p, double u, double *acc,
+static int64_t proportional_pick(const double *C, const loop_state *s, const loop_params *p, double *acc,
                                  int64_t *valid)
 {
     const int64_t n = p->n;
     const double k = (double)(n + p->sum_depth + 4) * p->unit;
     const double lo = (s->cash_l1 - s->l1_err) * (1.0 - k);
     const double hi = (s->cash_l1 + s->l1_err) * (1.0 + 2.0 * k);
-    if (lo > 0.0 && hi <= DBL_MAX) {
+    double u = -1.0; /* not drawn */
+    extend_prefix(C, n, acc, valid, 0.0);
+    if (lo > 0.0 && hi <= DBL_MAX && acc[*valid - 1] > 0.0) {
+        u = p->next_double(p->rng);
         double x = nextafter(u * lo, 0.0);
         extend_prefix(C, n, acc, valid, x);
         int64_t j = first_share_above(acc, *valid, 1.0, x);
@@ -227,6 +235,8 @@ static int64_t proportional_pick(const double *C, const loop_state *s, const loo
     double total = acc[n - 1];
     if (!(total > 0.0 && total <= DBL_MAX))
         return -1;
+    if (u < 0.0)
+        u = p->next_double(p->rng);
     return first_share_above(acc, n, total, u); /* < n: the last share is 1 > u */
 }
 
@@ -398,12 +408,10 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
 }
 
 /* The loops: steps taken (0: the next step needs Python), or -1 when out
- * of memory.  u holds p->draws uniform draws for rlgl_loop_pc, one per
- * pick, and is NULL for the others. */
+ * of memory. */
 
-int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
+int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
 {
-    (void)u;
     const int64_t t0 = s->t;
     while (may_step(s, p))
         if (step(m, C, H, (s->k++ + p->offset) % p->n, s, p, NULL, NULL))
@@ -411,9 +419,8 @@ int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, const double *u, l
     return s->t - t0;
 }
 
-int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
+int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
 {
-    (void)u;
     const int64_t t0 = s->t;
     /* Theta refreshes at the steps k with k % n == 0, whose candidate is this node */
     const int64_t refresh_at = p->offset % p->n;
@@ -431,9 +438,8 @@ int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, const double *u
     return s->t - t0;
 }
 
-int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
+int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
 {
-    (void)u;
     const int64_t t0 = s->t;
     if (m->restart && p->restart_share != 0.0) {
         /* a restart add moves every entry: a scan in that pass beats the
@@ -458,15 +464,15 @@ int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, const double *u,
     return s->t - t0;
 }
 
-int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, const double *u, loop_state *s, const loop_params *p)
+int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
 {
     const int64_t t0 = s->t;
     double *acc = malloc((size_t)p->n * sizeof *acc);
     if (!acc)
         return -1;
     int64_t valid = 0; /* acc[j] holds for j < valid */
-    while (may_step(s, p) && s->t - t0 < p->draws) {
-        int64_t i = proportional_pick(C, s, p, u[s->t - t0], acc, &valid);
+    while (may_step(s, p)) {
+        int64_t i = proportional_pick(C, s, p, acc, &valid);
         if (i < 0)
             break;
         s->k++;

@@ -44,8 +44,6 @@ from . import engine
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_push.c")
 # No -ffast-math and no contraction: every operation rounds as numpy's does.
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# Most uniform draws one call takes for "pc"; a call stops when they run out.
-DRAW_CHUNK = 1 << 16
 # Cached libraries kept after a build: a few source versions run in turn on one host never rebuild.
 KEEP = 4
 
@@ -62,10 +60,10 @@ class LoopState(ctypes.Structure):
 
 
 class LoopParams(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_int64) for name in ("n", "offset", "max_steps", "record_at", "sum_depth", "draws")] + [
+    _fields_ = [(name, ctypes.c_int64) for name in ("n", "offset", "max_steps", "record_at", "sum_depth")] + [
         (name, ctypes.c_double)
         for name in ("theta", "eps", "initial_mass", "guard_unit", "drift_tol", "unit", "restart_share", "dangling_share")
-    ]
+    ] + [("rng", ctypes.c_void_p), ("next_double", ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p))]
 
 
 def _build():
@@ -125,8 +123,8 @@ def load():
         policy, fmt = lib.rlgl_policy_rows, lib.rlgl_format_rows
     except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
         return None
-    for loop in loops:  # rows, C, H, uniform draws, state, params
-        loop.argtypes = [ctypes.POINTER(Rows), *[ctypes.c_void_p] * 3, *map(ctypes.POINTER, (LoopState, LoopParams))]
+    for loop in loops:  # rows, C, H, state, params
+        loop.argtypes = [ctypes.POINTER(Rows), *[ctypes.c_void_p] * 2, *map(ctypes.POINTER, (LoopState, LoopParams))]
         loop.restype = ctypes.c_int64
     scc.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     scc.restype = ctypes.c_int64
@@ -208,10 +206,10 @@ class Loop:
         not yet made, is made here first; a call that then takes no step
         leaves it made, so ``next_nodes`` does not charge it again.  The
         schedule's position and scan count are handed back through its
-        ``seek``.  For ProportionalCash the uniform draws are taken from
-        its generator beforehand, one per step the call may take (every
-        such step is a push), and the generator is rewound to just past
-        the draws the picks used.
+        ``seek``.  For ProportionalCash the loop draws each uniform at its
+        pick from the schedule's generator (read here on every call, as
+        ``reseed`` replaces it), holding the generator's lock as
+        ``Generator.random`` does.
         After any steps ``cash_l1`` is synced once its rounding bound
         passes ``DRIFT_TOL``, so the bound holds as after ``engine.step``.
         A loop that runs out of memory returns -1 before any step: no
@@ -223,15 +221,14 @@ class Loop:
             if a.dtype != np.float64 or a.shape != (n,) or not a.flags.c_contiguous:
                 return 0
         p = self.params
-        uniform = None
+        lock = contextlib.nullcontext()
         if self.kind == "theta":
             schedule.refresh_if_due(C)
             p.theta = schedule.theta
         elif self.kind == "pc":
-            rng = schedule.rng
-            before = rng.bit_generator.state
-            uniform = rng.random(min(record_at - state.updates, max_steps - state.t, DRAW_CHUNK))
-            p.draws = uniform.size
+            bits = schedule.rng.bit_generator
+            lock = bits.lock
+            p.rng, p.next_double = bits.ctypes.state_address, bits.ctypes.next_double
         if self.kind in ("rr", "theta"):
             p.offset = schedule.offset
         p.eps = eps
@@ -243,12 +240,8 @@ class Loop:
         s.cum_cost, s.total_history = state.cum_cost, state.total_history
         s.scan_cost = schedule.scan_cost
         s.cash_l1, s.l1_err, s.max_l1_increase = state.cash_l1, state.l1_err, state.max_l1_increase
-        done = self.fn(ctypes.byref(self.rows), C.ctypes.data, H.ctypes.data,
-                       None if uniform is None else uniform.ctypes.data, ctypes.byref(s), ctypes.byref(p))
-        if uniform is not None and done < uniform.size:
-            rng.bit_generator.state = before
-            if done > 0:  # -1: no step taken
-                rng.random(done)  # the draws the picks used, and no more
+        with lock:
+            done = self.fn(ctypes.byref(self.rows), C.ctypes.data, H.ctypes.data, ctypes.byref(s), ctypes.byref(p))
         if done <= 0:
             return 0
         state.t, state.updates = s.t, s.updates

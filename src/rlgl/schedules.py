@@ -28,7 +28,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 class Schedule:
     stochastic = False
-    name = "schedule"
     push_loop = None
     # node checks made to pick, outside the pushes (Theta's refreshes and candidates)
     scan_cost = 0.0
@@ -63,7 +62,6 @@ class Schedule:
 class RoundRobin(Schedule):
     """Single nodes in cyclic order; covers [N] every n steps."""
 
-    name = "rr"
     push_loop = "rr"
 
     def __init__(self):
@@ -80,8 +78,6 @@ class RoundRobin(Schedule):
 
 class AllNodes(Schedule):
     """Every node at every step (the full-sweep schedule)."""
-
-    name = "all"
 
     def bind(self, P):
         super().bind(P)
@@ -129,17 +125,10 @@ class ProportionalCash(_Seeded):
     One uniform draw u per pick, and the pick is the first i whose
     cumulative |C| share ``cumsum(|C|)[i] / total`` exceeds u: the rule
     ``Generator.choice(n, p=|C| / total)`` applies, taken on |C| itself.
-    Both sums run in index order, so the compiled loop repeats them.
-
-    The compiled loop keeps the prefix sums across picks and extends
-    them only from the lowest index the last push wrote, and only up to
-    the pick.  It brackets ``total`` from its ``||C||_1`` and that
-    value's rounding bound, widened by the rounding of a sequential and
-    of a pairwise sum; it takes the first i whose prefix sum exceeds
-    ``u * lo`` when ``prefix / hi > u`` proves it the pick.  A draw the
-    bracket cannot place, such as one on a share exactly, gets the exact
-    pick: the sums finished to n, then a bisection for the first share
-    above u.  Either way the pick, and so the seeded stream, is this one.
+    Both sums run in index order, so the compiled loop repeats them, with
+    each u drawn from this generator at the pick (``proportional_pick``
+    in ``_push.c``, which proves most picks from cached prefix sums and
+    a bracket of the total).
     """
 
     name = "pc"
@@ -161,7 +150,6 @@ class ProportionalCash(_Seeded):
 class MaxCash(Schedule):
     """The node with maximum absolute cash; ties go to the lowest index."""
 
-    name = "maxc"
     push_loop = "maxc"
 
     def next_nodes(self, C):
@@ -183,7 +171,6 @@ class Theta(Schedule):
     scans one, charged on the separate scan counter.
     """
 
-    name = "theta"
     push_loop = "theta"
     # the schedule step whose refresh was made last; None after a restart
     _refreshed_at = None
@@ -233,8 +220,6 @@ class Theta(Schedule):
 
 class FixedBlocks(Schedule):
     """A fixed cyclic sequence of node sets (block policies, replays)."""
-
-    name = "blocks"
 
     def __init__(self, sequence):
         seq = [np.asarray(sorted(set(int(v) for v in block)), dtype=np.int64) for block in sequence]

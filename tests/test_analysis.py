@@ -79,6 +79,29 @@ class TestDobrushin:
         rng = np.random.default_rng(0)
         assert P.reads == 2 * sum(int(i != j) for i, j in (rng.integers(n, size=2) for _ in range(20)))
 
+    def test_sampled_restart_rows_match_the_dense_rows(self):
+        # the stored rows, restart part cancelled, give the dense rows' distances
+        n = DENSE_CAP + 1
+        rng = np.random.default_rng(3)
+        src = np.repeat(np.flatnonzero(np.arange(n) % 5), 3)  # every fifth node dangles
+        edges = np.column_stack([src, rng.integers(40, size=src.size), np.ones(src.size)])  # rows overlap
+        P = google_matrix(edges, 0.85, s=rng.dirichlet(np.ones(n)), n=n)
+        assert P.dangling_mask.sum() == (n + 4) // 5
+
+        def dense(seed, pairs):
+            same = np.random.default_rng(seed)  # the pairs dobrushin draws
+            ij = [same.integers(n, size=2) for _ in range(pairs)]
+            return max([float(np.abs(P.row(i)[1] - P.row(j)[1]).sum()) / 2.0 for i, j in ij if i != j], default=0.0)
+
+        kinds = set()
+        for seed in range(300):  # one pair each: stored, dangling and mixed pairs
+            assert analysis.dobrushin(P, seed=seed, sample_pairs=1).value == pytest.approx(dense(seed, 1), abs=1e-15)
+            kinds.add(tuple(P.dangling_mask[np.random.default_rng(seed).integers(n, size=2)]))
+        assert len(kinds) == 4
+        res = analysis.dobrushin(P, seed=0, sample_pairs=3000)
+        assert res.exact is False
+        assert res.value == pytest.approx(dense(0, 3000), abs=1e-15)
+        assert res.value <= 0.85 + 1e-12
 
 class _CountingRows:
     """A matrix wrapper that counts its ``row`` reads."""

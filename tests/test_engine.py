@@ -1,5 +1,8 @@
+import ctypes
 import os
 import pathlib
+import threading
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -571,12 +574,18 @@ class _Forward:
 
 
 class _FixedDraws:
-    """A Generator stand-in whose uniform draws are ``values`` in turn; its state is the position."""
+    """A Generator stand-in whose uniform draws are ``values`` in turn; its state is the position.
+
+    It is its own bit generator: ``ctypes.next_double`` hands the compiled loop the same draws.
+    """
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
         self.state = 0
         self.bit_generator = self
+        self.lock = threading.Lock()
+        next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda _: self.random())
+        self.ctypes = types.SimpleNamespace(state_address=None, next_double=next_double)
 
     def random(self, size=None):
         k = 1 if size is None else size
@@ -864,7 +873,7 @@ class TestCompiledLoop:
     @pytest.mark.parametrize("stride", [None, 1, 37], ids=["stride-n", "stride-1", "stride-37"])
     @pytest.mark.parametrize("max_steps", [60_000, 5000], ids=["converged", "max-steps"])
     def test_pc_generator_ends_where_the_python_path_does(self, stride, max_steps, monkeypatch):
-        # the loop draws ahead and rewinds to the draws its picks used
+        # the loop draws at its picks, and only there
         P = _chain("sbm80")
         compiled = schedules.ProportionalCash(4)
         _replay(P, compiled, stride=stride, max_steps=max_steps)
@@ -889,6 +898,24 @@ class TestCompiledLoop:
         assert sched.rng.bit_generator.state == before and sched._k == 0
         with pytest.raises(AllCashZeroError):
             sched.next_nodes(st_.C)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pc_loop_leaves_a_total_that_is_not_finite_to_python(self, bad, kernel):
+        # Python raises before it draws; the loop takes no step and leaves the generator as it was
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _chain("sbm80")
+        sched = schedules.ProportionalCash(0).bind(P)
+        sched.restart()
+        st_ = engine.init(P)
+        st_.C[5] = bad  # past the first cash at entry 0
+        st_.cash_l1, st_.l1_err = float(np.abs(st_.C).sum()), 0.0
+        before = sched.rng.bit_generator.state
+        assert pushloop.bind(P, "pc").advance(st_, sched, 1e-10, 1000, 10**9) == 0
+        assert sched.rng.bit_generator.state == before and sched._k == 0
+        with pytest.raises(ValueError, match="not finite"):
+            sched.next_nodes(st_.C)
+        assert sched.rng.bit_generator.state == before
 
     @pytest.mark.parametrize("u, node", [(0.0, 3), (0.25, 5), (0.5, 7), (0.75, 7)])
     def test_pc_draw_on_a_share_picks_past_it(self, u, node, kernel):
