@@ -739,12 +739,14 @@ int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based, doub
  * added in edge order as np.bincount(src, weights=w) adds it.
  *
  * Returns k, or COALESCE_BAD_WEIGHT when any weight is invalid (numpy
- * checks the weights before the ids), COALESCE_BAD_ID when an id is, and
- * COALESCE_DECLINE, before reading any edge, when n < 1 or n > m (the
- * n + 1 counts would outgrow the edges), or when an allocation fails;
- * the numpy pass then runs.  Scratch memory is O(m + n) and freed. */
+ * checks the weights before the ids), COALESCE_BAD_ID when an id is,
+ * COALESCE_BAD_SUM, with the row in src[0], at the first row whose weights
+ * sum past DBL_MAX, and COALESCE_DECLINE, before reading any edge, when
+ * n < 1 or n > m (the n + 1 counts would outgrow the edges), or when an
+ * allocation fails; the numpy pass then runs.  Scratch memory is O(m + n)
+ * and freed. */
 
-enum { COALESCE_DECLINE = -1, COALESCE_BAD_WEIGHT = -2, COALESCE_BAD_ID = -3 };
+enum { COALESCE_DECLINE = -1, COALESCE_BAD_WEIGHT = -2, COALESCE_BAD_ID = -3, COALESCE_BAD_SUM = -4 };
 
 /* A row is sorted in runs of this many entries, each run by ranking
  * (O(run^2) comparisons, without branches), then the runs are merged, so
@@ -867,6 +869,11 @@ int64_t rlgl_coalesce(int64_t n, int64_t m, int64_t cols, const double *edges, i
         double sum = 0.0;
         for (int64_t e = indptr[i]; e < k; e++)
             sum += w[e];
+        if (!(sum <= DBL_MAX)) {
+            src[0] = i;
+            k = COALESCE_BAD_SUM;
+            break;
+        }
         for (int64_t e = indptr[i]; e < k; e++)
             data[e] = w[e] / sum;
     }

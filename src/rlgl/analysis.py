@@ -61,7 +61,8 @@ def dobrushin(P, seed=0, sample_pairs=SAMPLE_PAIRS):
     lower estimate over ``sample_pairs`` random pairs is returned with
     ``exact=False``.  Both stop at the first distance of 2, the most
     two distributions can differ: the coefficient is then 1.  A sampled
-    pair costs the length of its two rows.
+    pair costs the length of its two rows; on a matrix with a restart
+    part a dangling row adds nothing, its stored part ``c s`` summed once.
     """
     n = P.shape[0] if isinstance(P, np.ndarray) else P.n
     if n <= DENSE_CAP:
@@ -72,30 +73,37 @@ def dobrushin(P, seed=0, sample_pairs=SAMPLE_PAIRS):
             if worst >= 2.0:
                 break
         return DobrushinResult(min(1.0, worst / 2.0), True)
-    row = P.row
+    row, dangling = P.row, np.zeros(n, dtype=bool)
     if isinstance(P, TransitionMatrix) and P.s is not None:
         # the restart part (1 - c) s is in every row and cancels; a dangling row's stored part is c s
-        every, cs = np.arange(n), P.c * P.s
+        dangling, cs = P.dangling_mask, P.c * P.s
+        cs_sum = cs.sum()
 
         def row(i):
             lo, hi = P.indptr[i], P.indptr[i + 1]
-            return (every, cs) if lo == hi else (P.indices[lo:hi], P.data[lo:hi])
+            return P.indices[lo:hi], P.data[lo:hi]
 
     rng = np.random.default_rng(seed)
     a = np.zeros(n)  # row i - row j on their columns; zero again after each pair
     worst = 0.0
     for _ in range(sample_pairs):
         i, j = rng.integers(n, size=2)
-        if i == j:
-            continue
-        ci, vi = row(i)
-        cj, vj = row(j)
-        a[ci] = vi
-        a[cj] -= vj
-        gap = np.abs(a[ci]).sum()
-        a[ci] = 0.0  # a column of both rows counts once
-        gap += np.abs(a[cj]).sum()
-        a[cj] = 0.0
+        if i == j or dangling[i] and dangling[j]:
+            continue  # equal rows
+        if dangling[i] or dangling[j]:
+            # c s against a stored row d on its columns J: c s off J, |c s - d| on J
+            cols, d = row(j if dangling[i] else i)
+            on = cs[cols]
+            gap = cs_sum - on.sum() + np.abs(on - d).sum()
+        else:
+            ci, vi = row(i)
+            cj, vj = row(j)
+            a[ci] = vi
+            a[cj] -= vj
+            gap = np.abs(a[ci]).sum()
+            a[ci] = 0.0  # a column of both rows counts once
+            gap += np.abs(a[cj]).sum()
+            a[cj] = 0.0
         worst = max(worst, float(gap))
         if worst >= 2.0:
             break

@@ -110,7 +110,8 @@ class CsrPush(NamedTuple):
 
     ``scale``, when set, is ``GaussSeidelRows``' push: node i moves
     ``amount * scale[i]`` as above to every entry but its own, which
-    stays zero.
+    stays zero.  The compiled loop reads the arrays in place: C-contiguous,
+    int64 ``indptr`` and ``indices``, float64 the rest.
     """
 
     indptr: np.ndarray
@@ -143,7 +144,8 @@ class TransitionMatrix:
     builder stores them; the constructor raises InvalidParamsError
     otherwise (``scatter_add``'s fancy-index assignment would write a
     repeated column once, ``mul_left`` twice).  ``out_degree[i]`` is the
-    volume weight of node i for cost accounting.
+    volume weight of node i for cost accounting.  The constructor stores
+    the arrays as the compiled passes read them (see ``CsrPush``).
 
     Without a restart part (``s`` None, ``c`` 1) the matrix is its stored
     rows.  ``google_matrix`` builds one with a restart part, a distribution
@@ -185,6 +187,10 @@ class TransitionMatrix:
         rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new row may restart
         if not rising.all():
             raise InvalidParamsError("a CSR row repeats a column or lists its columns out of order")
+        # stored as the compiled passes read them; a builder's arrays already are, and are not copied
+        for name, dtype in zip(("indptr", "indices", "data", "out_degree", "s"), [np.int64] * 2 + [np.float64] * 3):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
 
     @property
     def csr_push(self):
@@ -237,14 +243,6 @@ class TransitionMatrix:
         share = np.where(self.dangling_mask, self.dangling_share, self.restart_share)
         return d + share * self.s, off + share * (self.s.sum() - self.s)
 
-    @functools.cached_property
-    def _c_rows(self):
-        """``indptr``, ``indices`` and ``data`` as ``rlgl_mul_left`` reads them, converted once:
-        contiguous int64, int64 and float64 arrays, kept referenced, and their addresses."""
-        arrays = [np.ascontiguousarray(self.indptr, dtype=np.int64), np.ascontiguousarray(self.indices, dtype=np.int64),
-                  np.ascontiguousarray(self.data, dtype=np.float64)]
-        return arrays, [a.ctypes.data for a in arrays]
-
     def mul_left(self, x):
         from . import pushloop  # imported, and compiled, only by a product or a run
 
@@ -257,7 +255,8 @@ class TransitionMatrix:
         else:
             x = np.ascontiguousarray(x)
             y = np.empty(self.n)
-            lib.rlgl_mul_left(self.n, *self._c_rows[1], x.ctypes.data, y.ctypes.data)
+            lib.rlgl_mul_left(self.n, self.indptr.ctypes.data, self.indices.ctypes.data, self.data.ctypes.data,
+                              x.ctypes.data, y.ctypes.data)
         if self.s is None:
             return y
         restart = self.restart_share * x.sum() + self.c * x[self.dangling_mask].sum()
@@ -311,11 +310,13 @@ def _coalesce_edges(edges, n):
     ``rlgl_coalesce`` (a counting sort by source, then one by target
     within each row) when ``pushloop`` can load it and n is at most the
     edge count, else numpy's stable sort on the one key ``src * n +
-    dst``; both give the same bytes and raise the same errors.  The
-    compiled pass also writes the edges' CSR rows (``_Coalesced.rows``),
-    so ``_csr_rows`` skips its numpy pass.  The sort key caps n at
-    ``MAX_SORT_N`` on both paths; a larger n raises InvalidParamsError
-    before any array is made.
+    dst``; both give the same bytes and raise the same errors, among
+    them InvalidParamsError naming the first node whose merged weights
+    sum past the largest float (its row would normalize to zeros or NaN).
+    The compiled pass also writes the edges' CSR rows
+    (``_Coalesced.rows``), so ``_csr_rows`` skips its numpy pass.  The
+    sort key caps n at ``MAX_SORT_N`` on both paths; a larger n raises
+    InvalidParamsError before any array is made.
     """
     if n > MAX_SORT_N:
         raise InvalidParamsError(f"{n} nodes is too many: the edge sort needs n <= {MAX_SORT_N}")
@@ -348,6 +349,11 @@ def _coalesce_edges(edges, n):
         group = np.cumsum(new) - 1
         src, dst = src[new], dst[new]
         w = np.bincount(group, weights=w)
+        # each row's sum, added in edge order as _csr_rows and the compiled pass add it
+        first = np.diff(src, prepend=-1) != 0
+        bad = np.flatnonzero(~np.isfinite(np.bincount(np.cumsum(first) - 1, weights=w)))
+        if bad.size:
+            raise _bad_sum(int(src[first][bad[0]]))
     return src, dst, w
 
 
@@ -357,6 +363,10 @@ def _bad_weight():
 
 def _bad_id(n):
     return InvalidIndexError(f"edge endpoint outside [0, {n})")
+
+
+def _bad_sum(node):
+    return InvalidParamsError(f"node {node}: its edge weights sum past the largest float")
 
 
 def _coalesce_compiled(edges, n):
@@ -375,13 +385,15 @@ def _coalesce_compiled(edges, n):
     indptr = np.empty(n + 1, dtype=np.int64)
     k = lib.rlgl_coalesce(n, m, edges.shape[1], edges.ctypes.data, src.ctypes.data, dst.ctypes.data, w.ctypes.data,
                           indptr.ctypes.data, data.ctypes.data)
-    # k edges, or -1 (declined), -2 (a bad weight) or -3 (a bad id)
+    # k edges, or -1 (declined), -2 (a bad weight), -3 (a bad id) or -4 (row src[0]'s sum overflows)
     if k == -1:
         return None
     if k == -2:
         raise _bad_weight()
     if k == -3:
         raise _bad_id(n)
+    if k == -4:
+        raise _bad_sum(int(src[0]))
     for a in (src, dst, w, data):
         a.resize(k, refcheck=False)  # in place: nothing else holds the arrays
     coalesced = _Coalesced((src, dst, w))

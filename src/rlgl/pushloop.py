@@ -168,14 +168,11 @@ def pow10_table():
     return table
 
 
-# The C types of a ``CsrPush``'s arrays, in the order of ``Rows``.
-_C_TYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, np.float64)
-
-
 def bind(P, kind):
     """A Loop over P's ``csr_push`` arrays for one schedule kind, or None for the Python steps.
 
-    The matrix has checked its rows (distinct columns) when built.
+    The matrix has checked its rows (distinct columns) and stored its
+    arrays as C reads them (``TransitionMatrix``) when built.
     """
     lib = load()
     return None if lib is None else Loop(getattr(lib, "rlgl_loop_" + kind), P.csr_push, P.n, kind)
@@ -187,10 +184,9 @@ class Loop:
     def __init__(self, fn, push, n, kind):
         self.fn = fn
         self.kind = kind
-        # kept referenced while C reads them; no restart part or scale (None) is NULL
+        self.push = push  # kept referenced while C reads its arrays; no restart part or scale (None) is NULL
         arrays = (push.indptr, push.indices, push.values, push.out_degree, push.s, push.scale)
-        self.arrays = [None if a is None else np.ascontiguousarray(a, dtype=t) for a, t in zip(arrays, _C_TYPES)]
-        self.rows = Rows(*[None if a is None else a.ctypes.data for a in self.arrays])
+        self.rows = Rows(*[None if a is None else a.ctypes.data for a in arrays])
         self.state = LoopState()
         self.params = LoopParams(
             n=n, sum_depth=engine._sum_depth(n), guard_unit=engine.GUARD_UNIT,
@@ -202,14 +198,13 @@ class Loop:
         """Take engine.run's steps in C until one needs Python; returns their count.
 
         Called where the Python loop would pick its next node, so the
-        first step's checks have passed.  Theta's refresh, when due and
-        not yet made, is made here first; a call that then takes no step
-        leaves it made, so ``next_nodes`` does not charge it again.  The
-        schedule's position and scan count are handed back through its
-        ``seek``.  For ProportionalCash the loop draws each uniform at its
-        pick from the schedule's generator (read here on every call, as
-        ``reseed`` replaces it), holding the generator's lock as
-        ``Generator.random`` does.
+        first step's checks have passed: the rr and theta loops take that
+        step.  Theta's refresh, due when k is a multiple of n, is made here
+        first, as in ``next_nodes``.  The schedule's position and scan
+        count are handed back through its ``seek``.  For ProportionalCash
+        the loop draws each uniform at its pick from the schedule's
+        generator (read here on every call, as ``reseed`` replaces it),
+        holding the generator's lock as ``Generator.random`` does.
         After any steps ``cash_l1`` is synced once its rounding bound
         passes ``DRIFT_TOL``, so the bound holds as after ``engine.step``.
         A loop that runs out of memory returns -1 before any step: no
@@ -223,7 +218,8 @@ class Loop:
         p = self.params
         lock = contextlib.nullcontext()
         if self.kind == "theta":
-            schedule.refresh_if_due(C)
+            if schedule._k % n == 0:
+                schedule.refresh(C)
             p.theta = schedule.theta
         elif self.kind == "pc":
             bits = schedule.rng.bit_generator

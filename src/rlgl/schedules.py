@@ -172,25 +172,13 @@ class Theta(Schedule):
     """
 
     push_loop = "theta"
-    # the schedule step whose refresh was made last; None after a restart
-    _refreshed_at = None
 
     def __init__(self, r=1.0):
         if not 1 <= r < np.inf:
             raise InvalidParamsError("theta exponent r must be finite and >= 1")
         self.r = float(r)
         self.offset = 0
-        self.theta = 0.0
-
-    def restart(self):
-        super().restart()
-        self.theta = 0.0
-        self._refreshed_at = None
-
-    def seek(self, k, scan_cost):
-        if k != self._k:
-            self._refreshed_at = None  # a refresh due at k is still to be made
-        super().seek(k, scan_cost)
+        self.theta = 0.0  # refreshed at step 0, before any pick reads it
 
     def refresh(self, C):
         """Set the threshold from the cash C; charged as a scan of all n nodes."""
@@ -198,15 +186,10 @@ class Theta(Schedule):
         # 1-ulp slack: exactly-equal cash must pass its own power mean
         self.theta = float((a**self.r).mean() ** (1.0 / self.r)) * (1.0 - 1e-12)
         self.scan_cost += self.n
-        self._refreshed_at = self._k
-
-    def refresh_if_due(self, C):
-        """Make the refresh due at this step (k a multiple of n) unless it is made: one charge per step."""
-        if self._k % self.n == 0 and self._refreshed_at != self._k:
-            self.refresh(C)
 
     def next_nodes(self, C):
-        self.refresh_if_due(C)
+        if self._k % self.n == 0:
+            self.refresh(C)
         i = (self._k + self.offset) % self.n
         self._k += 1
         self.scan_cost += 1

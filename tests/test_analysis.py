@@ -103,6 +103,25 @@ class TestDobrushin:
         assert res.value == pytest.approx(dense(0, 3000), abs=1e-15)
         assert res.value <= 0.85 + 1e-12
 
+    def test_sampled_dangling_pairs_match_the_dense_rows(self):
+        # half the rows dangle and s misses some columns: a dangling row against a stored one is
+        # c s off the stored columns and |c s - d| on them, and two dangling rows are equal
+        n = DENSE_CAP + 1
+        rng = np.random.default_rng(5)
+        src = np.repeat(np.arange(0, n, 2), 4)
+        edges = np.column_stack([src, rng.integers(n, size=src.size), rng.random(src.size)])
+        s = rng.random(n) * (np.arange(n) % 3 != 0)
+        P = google_matrix(edges, 0.85, s=s / s.sum(), n=n)
+        dense = {}
+        for seed in range(400):
+            i, j = np.random.default_rng(seed).integers(n, size=2)
+            want = float(np.abs(P.row(i)[1] - P.row(j)[1]).sum()) / 2.0 if i != j else 0.0
+            got = analysis.dobrushin(P, seed=seed, sample_pairs=1).value
+            assert got == pytest.approx(want, abs=1e-15)
+            dense[tuple(P.dangling_mask[[i, j]])] = want
+        assert len(dense) == 4 and dense[True, True] == 0.0
+
+
 class _CountingRows:
     """A matrix wrapper that counts its ``row`` reads."""
 

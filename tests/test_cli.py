@@ -378,6 +378,23 @@ def test_undecodable_edge_file_is_one_path_line_error(tmp_path, capsys, data, li
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("path", ["c", "numpy"])
+@pytest.mark.parametrize("mode", [[], ["--pagerank"], ["--lcc"]], ids=["raw", "pagerank", "lcc"])
+@pytest.mark.parametrize("method", ["pi", "rlgl+rr", "gmres:10"])
+@pytest.mark.parametrize("data", ["0 1 1e308\n0 2 1e308\n1 0\n2 0\n1 2\n", "0 1 1e308\n0 1 1e308\n1 0\n"],
+                         ids=["row", "merged"])
+def test_overflowing_row_is_one_error_line(tmp_path, capsys, monkeypatch, data, method, mode, path):
+    # once exit 0 with zeros, estimates near 1e-11, exit 3, or NaN rows that gmres restarted on for a minute
+    graph = tmp_path / "f.edges"
+    graph.write_text(data)
+    if path == "numpy":
+        monkeypatch.setattr(pushloop, "load", lambda: None)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--graph", str(graph), "--method", method, *mode, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["error: node 0: its edge weights sum past the largest float"]
+    assert not out.exists()
+
+
 AS_LIMIT = 3 << 29  # 1.5 GiB of address space: the CLI runs normally under it
 
 

@@ -814,23 +814,35 @@ class TestCompiledLoop:
         assert loop.advance(st_, sched, eps, max_steps, 10**9) == 0
         assert (TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state) == before
 
-    def test_theta_refresh_is_charged_once(self, kernel):
-        # a call that refreshes, then takes no step, leaves the refresh made for next_nodes
+    @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
+    @pytest.mark.parametrize("make", [
+        lambda: _chain("sbm80"),
+        lambda: _chain("google-dangling"),
+        lambda: GaussSeidelRows(_chain("sbm80")),
+    ], ids=["raw", "google", "gs-rows"])
+    @pytest.mark.parametrize("sched_name", ["theta:1", "theta:2"])
+    def test_advance_takes_a_step_after_every_refresh(self, sched_name, make, stride, kernel, monkeypatch):
+        # advance refreshes theta when k % n == 0 unconditionally: engine.run calls it only where
+        # the loop then takes a step, so no refresh is charged twice
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
-        P = _chain("sbm80")
-        sched = schedules.Theta(1.0).bind(P)
-        sched.restart()
-        loop = pushloop.bind(P, sched.push_loop)
-        st_ = engine.init(P)
-        while sched._k < P.n:  # the loop returns before the refresh at k = n
-            assert loop.advance(st_, sched, 1e-10, 10**6, 10**9) > 0
-        assert sched._k == P.n and sched.scan_cost == 2 * P.n
-        st_.total_history = 0.0  # the guard fails: no step
-        assert loop.advance(st_, sched, 1e-10, 10**6, 10**9) == 0
-        assert sched.scan_cost == 3 * P.n
-        sched.next_nodes(st_.C)
-        assert sched.scan_cost == 3 * P.n + 1  # one refresh, then the candidate check
+        P = make()
+        entered = []
+        advance = pushloop.Loop.advance
+
+        def wrapped(loop, state, schedule, *args):
+            k = schedule._k
+            done = advance(loop, state, schedule, *args)
+            entered.append((k, done))
+            return done
+
+        monkeypatch.setattr(pushloop.Loop, "advance", wrapped)
+        compiled = _replay(P, schedules.parse_schedule(sched_name), stride=stride)
+        assert compiled[0] == "c"
+        due = [done for k, done in entered if k % P.n == 0]
+        assert len(due) > 1 and min(due) >= 1
+        monkeypatch.setattr(pushloop, "load", lambda: None)
+        assert _replay(P, schedules.parse_schedule(sched_name), stride=stride) == ("py", compiled[1])
 
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_advance_leaves_cash_l1_within_the_drift_limit(self, sched_name, kernel):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlgl import analysis, engine, models, pushloop
+from rlgl import analysis, engine, models, pushloop, schedules
 from rlgl.errors import (
     DanglingNodeError,
     InvalidDampingError,
@@ -358,13 +358,27 @@ class TestCompiledProduct:
         assert compiled.dtype == fallback.dtype == np.float64
         assert compiled.tobytes() == fallback.tobytes()
 
-    def test_arrays_convert_once(self):
-        P = TransitionMatrix(3, np.array([0, 2, 2, 4], dtype=np.int32), np.array([1, 2, 0, 1], dtype=np.uint16),
-                             np.array([0.25, 0.75, 0.5, 0.5]), np.ones(3))
-        arrays, _ = P._c_rows
-        assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64]
-        assert all(a.flags.c_contiguous for a in arrays)
-        assert P._c_rows[0][0] is arrays[0]  # cached on the matrix
+    def test_arrays_convert_once(self, kernel):
+        # the constructor stores the arrays as C reads them; a builder's arrays are kept as they are
+        indptr, indices = np.array([0, 2, 2, 4, 5]), np.array([1, 3, 0, 1, 2])
+        data, out_degree = np.array([0.25, 0.75, 0.5, 0.5, 1.0]), np.array([2.0, 1.0, 2.0, 1.0])
+        s = np.array([0.1, 0.2, 0.3, 0.4])
+        twin = TransitionMatrix(4, indptr, indices, 0.85 * data, out_degree, s, 0.85)
+        assert all(a is b for a, b in zip((twin.indptr, twin.indices, twin.out_degree, twin.s),
+                                          (indptr, indices, out_degree, s)))
+        P = TransitionMatrix(4, indptr.astype(np.int32), indices.astype(np.uint16),
+                             np.repeat(0.85 * data, 2)[::2], np.repeat(out_degree, 2)[::2],
+                             np.repeat(s, 2)[::2], 0.85)
+        stored = (P.indptr, P.indices, P.data, P.out_degree, P.s)
+        assert [a.dtype for a in stored] == [np.int64, np.int64] + [np.float64] * 3
+        assert all(a.flags.c_contiguous for a in stored)
+        x = np.array([0.4, -0.1, 0.3, 0.5])
+        assert P.mul_left(x).tobytes() == twin.mul_left(x).tobytes()
+        for name in ("rr", "theta:1", "maxc", "pc:1"):
+            runs = [engine.run(M, schedules.parse_schedule(name), eps=1e-12) for M in (P, twin)]
+            assert {r.kernel for r in runs} == {kernel}
+            assert runs[0].state.H.tobytes() == runs[1].state.H.tobytes()
+            assert runs[0].trace.rows == runs[1].trace.rows
 
     def test_x_of_another_shape_fails_as_in_numpy(self):
         P = ring_random_chain(20, 3, 1)

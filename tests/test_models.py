@@ -797,6 +797,28 @@ class TestCoalesceEdges:
             _coalesce_edges(edges, 2)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "edges,n,node",
+        [
+            ([(0, 1, 1e308), (0, 2, 1e308), (1, 0, 1.0), (2, 0, 1.0), (1, 2, 1.0)], 3, 0),
+            ([(0, 1, 1e308), (0, 1, 1e308), (1, 0, 1.0)], 2, 0),  # merged: an inf weight
+            ([(2, 0, 1.5e308), (0, 1, 1.0), (1, 2, 1e308), (2, 1, 1e308), (1, 0, 1e308)], 3, 1),
+        ],
+        ids=["row", "merged", "first-of-two"],
+    )
+    def test_row_sum_overflow_raises(self, edges, n, node):
+        # such a row once normalized to zeros (or NaN), and a run went on with it
+        with pytest.raises(InvalidParamsError, match=f"^node {node}: its edge weights sum past the largest float$"):
+            _coalesce_edges(np.array(edges), n)
+
+    def test_row_sum_at_the_largest_float_is_kept(self):
+        big = np.finfo(float).max
+        edges = np.array([(0, 1, big), (0, 0, 1.0), (1, 0, 1.0)])  # big + 1 rounds to big
+        P = build_transition(edges, 2)
+        assert P.data.tolist() == [1.0 / big, 1.0, 1.0]
+
+
 class TestCoalesceEdgesWithoutCompiler(TestCoalesceEdges):
     """``TestCoalesceEdges`` again with no library: numpy coalesces every list."""
 

@@ -155,15 +155,6 @@ class TestTheta:
         sched.next_nodes(C)
         assert sched.scan_cost == 4 + 2  # one refresh + two candidate checks
 
-    def test_refresh_is_made_once_per_step(self):
-        sched, _ = bound(schedules.Theta(1.0), n=4)
-        C = np.array([0.9, 0.1, 0.0, 0.0])
-        sched.refresh_if_due(C)
-        sched.next_nodes(C)  # the refresh due at step 0 is made: only the candidate is charged
-        assert sched.scan_cost == 4 + 1
-        sched.refresh_if_due(C)  # step 1: no refresh is due
-        assert sched.scan_cost == 4 + 1
-
     @pytest.mark.parametrize("move", ["restart", "seek"])
     def test_refresh_after_restart_or_seek_is_not_skipped(self, move):
         sched, _ = bound(schedules.Theta(1.0), n=4)
