@@ -15,7 +15,9 @@
  * operation, what engine.run's Python loop does with RoundRobin, Theta,
  * MaxCash or ProportionalCash and engine.step on a TransitionMatrix, with
  * or without a restart part, or on its GaussSeidelRows view, so H, C and
- * every counter come out with the same bytes.
+ * every counter come out with the same bytes.  Only ||C||_1 is kept
+ * otherwise: engine.step takes the exact sum after every push, and the
+ * loop keeps the one incremental sum, with a rounding bound, in O(degree).
  * A push with a restart part adds r * s[j] to every C[j] in index order,
  * so C keeps its bytes, and sums |new| - |old| in two lanes (see lanes):
  * only the incremental ||C||_1 between exact sums rounds otherwise than
@@ -324,7 +326,8 @@ static inline int may_step(const loop_state *s, const loop_params *p)
 }
 
 /* One step: engine.step's push of node i (none when i < 0, a skip step,
- * or C[i] is 0) and engine._account; nonzero when the loop must return
+ * or C[i] is 0), with ||C||_1 moved by the change the push sums and its
+ * rounding bound grown to cover it; nonzero when the loop must return
  * after it (a trace row is due, or the ||C||_1 bound passed its drift
  * limit).  w is MaxCash's winner tree, replayed at every entry written,
  * or NULL; best, or NULL, takes MaxCash's next pick from the pass that

@@ -7,14 +7,14 @@ ever moved, and its normalization estimates the stationary distribution.
 Total cash stays zero and the total absolute cash never increases, which
 the engine tracks and the test suite asserts on every run.
 
-A push costs O(degree), not O(n): ``||C||_1`` is kept incrementally from
-the change each ``scatter_add`` reports, with a sound rounding bound
-``l1_err``.  The exact sum ``float(np.abs(C).sum())`` replaces it at every
-trace row, whenever the bound could put it below the stopping threshold,
-and when the bound grows past ``DRIFT_TOL`` of the value.  So every stop
-decision and every traced value is the exact sum, and only the steps in
-between use the incremental one.  Matrices whose pushes write O(n)
-entries return no change, and their steps recompute the sum exactly.
+``step`` is the exact definition: after every push ``cash_l1`` is the
+sum ``float(np.abs(C).sum())``, an O(n) pass on top of the push's
+O(degree).  The compiled loop (``pushloop``) keeps ``||C||_1``
+incrementally instead, with a sound rounding bound ``l1_err``, and hands
+it back here; the run loop replaces it by the exact sum at every trace
+row, whenever the bound could put it below the stopping threshold, and
+when the bound grows past ``DRIFT_TOL`` of the value.  So every stop
+decision and every traced value is the exact sum on both paths.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from .matrix import check_distribution
 GUARD_UNIT = 1e-12
 MAX_GUARD_RETRIES = 3
 
-# The incremental ||C||_1 is replaced by the exact sum once its rounding
-# bound exceeds this fraction of it.
+# The compiled loop's incremental ||C||_1 is replaced by the exact sum once
+# its rounding bound exceeds this fraction of it.
 DRIFT_TOL = 1e-9
-# Twice the unit roundoff: the first-order bounds below, taken in this
-# unit, also cover their second-order terms.
+# Twice the unit roundoff: the compiled loop's first-order bounds on its
+# ||C||_1, taken in this unit, also cover their second-order terms.
 _U = 2.0**-52
 
 # Rows of a numeric table formatted at a time by write_csv, and the bytes a
@@ -73,8 +73,9 @@ class SolverState:
     cash_l1: float
     updates: int = 0
     max_l1_increase: float = 0.0
-    # Bound on |cash_l1 - float(np.abs(C).sum())|; zero exactly when
-    # cash_l1 is that sum (at init and after every sync).
+    # Bound on |cash_l1 - float(np.abs(C).sum())| after the compiled loop's
+    # steps; zero exactly when cash_l1 is that sum (at init, after every
+    # sync and after every ``step``).
     l1_err: float = 0.0
     # Largest |incremental - exact| ||C||_1 seen at a sync.
     max_l1_drift: float = 0.0
@@ -214,33 +215,11 @@ def sync_cash_l1(state):
         state.l1_err = 0.0
 
 
-def _account(state, delta, moved_abs, rows):
-    """Fold one push into ``cash_l1``.
-
-    ``delta`` is the change in ``sum(|C|)`` that ``scatter_add`` reported
-    for the ``rows`` pushed rows (None: recompute exactly), and
-    ``moved_abs`` the absolute cash those rows held before they were
-    zeroed.
-    """
-    old = state.cash_l1
-    if delta is None:
-        state.cash_l1 = float(np.abs(state.C).sum())
-        state.l1_err = 0.0
-        change = state.cash_l1 - old
-    else:
-        change = delta - moved_abs
-        depth = _sum_depth(state.C.size)
-        err = state.l1_err
-        if not err:
-            # first push since the exact sum: that sum and the next one round
-            err = 2 * depth * _U * old
-        # Each row sum in delta rounds within depth * _U of the row's
-        # |old| + |new| <= 2 ||C||_1; 4 more units for the additions here.
-        state.cash_l1 = old + change
-        state.l1_err = err + (rows * depth + 4) * 2 * _U * (old + err + moved_abs)
-        if state.l1_err > DRIFT_TOL * state.cash_l1:
-            sync_cash_l1(state)
-    state.max_l1_increase = max(state.max_l1_increase, change)
+def _account(state, old_l1):
+    """Set ``cash_l1`` to the exact sum after a push, and fold its rise from
+    ``old_l1``, the exact sum before the push, into ``max_l1_increase``."""
+    state.cash_l1 = float(np.abs(state.C).sum())
+    state.max_l1_increase = max(state.max_l1_increase, state.cash_l1 - old_l1)
 
 
 def _is_permutation(G, n):
@@ -272,6 +251,8 @@ def step(state, G, P):
     """
     G = np.asarray(G, dtype=np.int64)
     n = state.C.size
+    sync_cash_l1(state)  # a push's rise in ||C||_1 is taken between exact sums
+    old_l1 = state.cash_l1
     if G.size == 1:
         # Single-node push: scalar reads and one row slice.
         i = int(G[0])
@@ -283,14 +264,12 @@ def step(state, G, P):
             state.H[i] += a
             state.total_history += a
             C[i] = 0.0
-            delta = P.scatter_add(C, [i], [a])
+            P.scatter_add(C, [i], [a])
             state.cum_cost += float(P.out_degree[i])
             state.updates += 1
-            _account(state, delta, abs(a), 1)
+            _account(state, old_l1)
     elif G.size and _is_permutation(G, n):
         # Full sweep: C - M + M P collapses to one vector-matrix product.
-        sync_cash_l1(state)  # the increase below is between exact sums
-        old_l1 = state.cash_l1
         moved = state.C
         movers = int(np.count_nonzero(moved))
         state.H += moved
@@ -298,8 +277,7 @@ def step(state, G, P):
         state.C = P.mul_left(moved)
         state.cum_cost += float(P.out_degree[moved != 0].sum())
         state.updates += movers
-        state.cash_l1 = float(np.abs(state.C).sum())
-        state.max_l1_increase = max(state.max_l1_increase, state.cash_l1 - old_l1)
+        _account(state, old_l1)
     elif G.size:
         amounts = state.C[G]
         live = amounts != 0.0
@@ -309,10 +287,10 @@ def step(state, G, P):
             state.H[movers_idx] += amounts
             state.total_history += float(amounts.sum())
             state.C[movers_idx] = 0.0
-            delta = P.scatter_add(state.C, movers_idx, amounts)
+            P.scatter_add(state.C, movers_idx, amounts)
             state.cum_cost += float(P.out_degree[movers_idx].sum())
             state.updates += int(movers_idx.size)
-            _account(state, delta, float(np.abs(amounts).sum()), movers_idx.size)
+            _account(state, old_l1)
     state.t += 1
     return state
 

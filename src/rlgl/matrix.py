@@ -13,9 +13,7 @@ used by the iteration engine and the reference solvers:
                         ``TransitionMatrix``, with a numpy fallback that
                         gives the same bytes
 - ``scatter_add(C, nodes, amounts)``
-                        in-place ``C += sum_k amounts[k] * row(nodes[k])``;
-                        returns the change in ``||C||_1`` it caused, or
-                        ``None`` (see below)
+                        in-place ``C += sum_k amounts[k] * row(nodes[k])``
 - ``to_dense()``        dense ndarray copy (bounded by DENSE_CAP states)
 - ``csr_push``          the arrays of a single-node push (``CsrPush``), on
                         matrices whose push of ``amount`` from row i adds
@@ -34,19 +32,6 @@ used by the iteration engine and the reference solvers:
 - ``split_diagonal()``  the vector of p_ii and that of the sums of the
                         other entries of each row, as its pushes write
                         them (read by ``GaussSeidelRows``)
-
-``scatter_add`` return contract: a push that writes only the stored row
-(a ``TransitionMatrix`` without a restart part; the ``damped`` rows of
-one with a restart part, off dangling rows) returns the float change in
-``sum(|C|)``, summed row by row as ``|new|.sum() - |old|.sum()`` over the
-slice it gathers and writes anyway, so the engine can keep ``||C||_1``
-in O(degree) per push.  A push that writes O(n) entries (a nonzero
-restart add, ``MeanFieldMatrix``) returns ``None``, and the engine
-recomputes the sum exactly instead.  The compiled loop sums the change
-as it writes each entry, a restart add's in two interleaved partial sums
-(entry j into sum j % 2, the row's change in the first, added once at
-the end), so it keeps ``||C||_1`` incrementally across restart adds and
-dense mean-field rows as well.
 
 Matrices are immutable after construction.
 """
@@ -202,6 +187,11 @@ class TransitionMatrix:
         return np.diff(self.indptr) == 0
 
     @functools.cached_property
+    def _product_rows(self):
+        """``rlgl_mul_left``'s leading arguments, read once: n and the stored arrays' addresses."""
+        return self.n, self.indptr.ctypes.data, self.indices.ctypes.data, self.data.ctypes.data
+
+    @functools.cached_property
     def damped(self):
         """The rows ``c * P~`` alone (``P~``: P with its dangling rows replaced
         by s): restart share 0 and dangling share c, on the same arrays and
@@ -255,16 +245,13 @@ class TransitionMatrix:
         else:
             x = np.ascontiguousarray(x)
             y = np.empty(self.n)
-            lib.rlgl_mul_left(self.n, self.indptr.ctypes.data, self.indices.ctypes.data, self.data.ctypes.data,
-                              x.ctypes.data, y.ctypes.data)
+            lib.rlgl_mul_left(*self._product_rows, x.ctypes.data, y.ctypes.data)
         if self.s is None:
             return y
         restart = self.restart_share * x.sum() + self.c * x[self.dangling_mask].sum()
         return y + restart * self.s
 
     def scatter_add(self, C, nodes, amounts):
-        # the change in sum(|C|) is summed only on rows with no restart share
-        delta = None if self.restart_share else 0.0
         restart = 0.0
         for i, a in zip(nodes, amounts):
             lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -272,17 +259,11 @@ class TransitionMatrix:
                 restart += a * self.dangling_share
                 continue
             cols = self.indices[lo:hi]
-            old = C[cols]
-            new = old + a * self.data[lo:hi]
-            C[cols] = new
-            if delta is None:
+            C[cols] += a * self.data[lo:hi]
+            if self.restart_share:
                 restart += a * self.restart_share
-            else:
-                delta += float(np.abs(new).sum()) - float(np.abs(old).sum())
-        if restart == 0.0:
-            return delta
-        C += restart * self.s
-        return None  # O(n) writer: the engine recomputes ||C||_1
+        if restart != 0.0:
+            C += restart * self.s
 
     def to_dense(self):
         if self.n > DENSE_CAP:
@@ -518,7 +499,6 @@ class GaussSeidelRows:
             kept = C[i]
             self.P.scatter_add(C, [i], [a * self.scale[i]])
             C[i] = kept  # row i of the view has no entry i
-        return None  # the engine recomputes ||C||_1
 
 
 def google_matrix(P_or_edges, c, s=None, n=None):

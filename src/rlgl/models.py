@@ -238,7 +238,6 @@ class MeanFieldMatrix:
         for b in range(self.k):
             if per_node[b] != 0.0:
                 C[self.starts[b] : self.starts[b + 1]] += per_node[b]
-        return None  # O(n) writer: the engine recomputes ||C||_1
 
     def to_dense(self):
         if self.n > DENSE_CAP:

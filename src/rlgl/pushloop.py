@@ -206,7 +206,7 @@ class Loop:
         generator (read here on every call, as ``reseed`` replaces it),
         holding the generator's lock as ``Generator.random`` does.
         After any steps ``cash_l1`` is synced once its rounding bound
-        passes ``DRIFT_TOL``, so the bound holds as after ``engine.step``.
+        passes ``DRIFT_TOL`` of it, so no hand-back leaves a wider bound.
         A loop that runs out of memory returns -1 before any step: no
         step here, the state and the generator left as they were.
         """

@@ -536,7 +536,9 @@ class TestIncrementalCashL1:
             assert st_.l1_err <= engine.DRIFT_TOL * st_.cash_l1
             assert st_.max_l1_increase <= 1e-14
 
-    def test_drift_never_exceeds_bound(self, monkeypatch):
+    def test_drift_never_exceeds_bound(self, kernel, monkeypatch):
+        if kernel != "c":
+            pytest.skip("no compiler: Python steps keep the exact sum, so nothing drifts")
         seen = []
         sync = engine.sync_cash_l1
 
@@ -561,6 +563,40 @@ class TestIncrementalCashL1:
             engine.step(st_, [], P)
         assert (st_.cash_l1, st_.l1_err, st_.max_l1_drift, st_.C.tobytes()) == before
         assert st_.t == 7
+
+
+class TestExactPythonStep:
+    """``engine.step`` is the exact definition: after every step ``cash_l1`` is numpy's sum of |C|."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _chain("sbm80"),
+        lambda: _chain("google-dangling"),
+        lambda: _chain("google-dangling").damped,
+        lambda: GaussSeidelRows(_chain("sbm80")),
+        lambda: _chain("meanfield"),
+    ], ids=["raw", "google", "damped", "gs-rows", "meanfield"])
+    def test_cash_l1_is_the_exact_sum_after_every_step(self, make):
+        P = make()
+        assert P.scatter_add(np.zeros(P.n), [0, 1], [1.0, -0.5]) is None
+        rng = np.random.default_rng(3)
+        st_ = engine.init(P)
+        moved, skips = [], 0
+        for _ in range(P.n):
+            i = int(rng.integers(P.n))
+            subset = rng.choice(P.n, size=int(rng.integers(2, P.n // 4)), replace=False)
+            # a single-node push, a skip step (a node without cash, or none), a subset, an empty set
+            for G in ([i], None, subset, []):
+                if G is None:
+                    G = np.flatnonzero(st_.C == 0.0)[:1]
+                    skips += G.size
+                updates = st_.updates
+                engine.step(st_, G, P)
+                moved.append(st_.updates - updates)
+                assert st_.l1_err == 0.0
+                assert st_.cash_l1 == float(np.abs(st_.C).sum())
+        assert moved[0::4].count(1) > P.n // 2 and moved[1::4] == [0] * P.n and min(moved[2::4]) > 0
+        assert skips or isinstance(P, models.MeanFieldMatrix)  # its pushes write every entry
+        assert st_.max_l1_increase <= 1e-14
 
 
 class _Forward:

@@ -293,12 +293,11 @@ class TestDampedRows:
     def test_only_a_dangling_push_writes_every_entry(self):
         G = google_matrix(self.EDGES, 0.85, s=self.S, n=6)
         C = np.full(6, -1.0)
-        # row 4 is 0.85 * (2/3, 1/3) on nodes 0 and 5: |C| falls by 0.85
-        delta = G.damped.scatter_add(C, [4], [1.0])
-        assert delta == pytest.approx(-0.85, abs=1e-15)
+        # row 4 is 0.85 * (2/3, 1/3) on nodes 0 and 5
+        G.damped.scatter_add(C, [4], [1.0])
         assert np.array_equal(np.flatnonzero(C != -1.0), [0, 5])
         before = C.copy()
-        assert G.damped.scatter_add(C, [2], [2.0]) is None  # dangling: c * s on all of C
+        G.damped.scatter_add(C, [2], [2.0])  # dangling: c * s on all of C
         assert np.array_equal(C, before + (0.85 * 2.0) * G.s)
 
     def test_augmented_block_is_the_damped_rows(self):
