@@ -10,11 +10,9 @@ the engine tracks and the test suite asserts on every run.
 ``step`` is the exact definition: after every push ``cash_l1`` is the
 sum ``float(np.abs(C).sum())``, an O(n) pass on top of the push's
 O(degree).  The compiled loop (``pushloop``) keeps ``||C||_1``
-incrementally instead, with a sound rounding bound ``l1_err``, and hands
-it back here; the run loop replaces it by the exact sum at every trace
-row, whenever the bound could put it below the stopping threshold, and
-when the bound grows past ``DRIFT_TOL`` of the value.  So every stop
-decision and every traced value is the exact sum on both paths.
+incrementally between its returns, and takes the exact sum at each; so
+the engine only ever sees the exact sum, and every stop decision and
+every traced value is that sum on both paths.
 """
 
 from __future__ import annotations
@@ -35,28 +33,10 @@ from .matrix import check_distribution
 GUARD_UNIT = 1e-12
 MAX_GUARD_RETRIES = 3
 
-# The compiled loop's incremental ||C||_1 is replaced by the exact sum once
-# its rounding bound exceeds this fraction of it.
-DRIFT_TOL = 1e-9
-# Twice the unit roundoff: the compiled loop's first-order bounds on its
-# ||C||_1, taken in this unit, also cover their second-order terms.
-_U = 2.0**-52
-
 # Rows of a numeric table formatted at a time by write_csv, and the bytes a
 # cell may take: the longest %.17g (-2.2250738585072014e-308) and a separator.
 CSV_BLOCK = 1 << 13
 CELL_BYTES = 25
-
-
-def _sum_depth(n):
-    """Most additions any one entry passes through when numpy sums <= n floats.
-
-    numpy sums a contiguous vector pairwise (at most ~34 levels inside a
-    block of 8192 entries) and adds block results in sequence, so such a
-    sum of nonnegative terms is within ``_sum_depth(n) * _U`` of exact,
-    relative to the total.  The same bound covers any one stored row.
-    """
-    return n // 8192 + 64
 
 
 @dataclass
@@ -73,11 +53,7 @@ class SolverState:
     cash_l1: float
     updates: int = 0
     max_l1_increase: float = 0.0
-    # Bound on |cash_l1 - float(np.abs(C).sum())| after the compiled loop's
-    # steps; zero exactly when cash_l1 is that sum (at init, after every
-    # sync and after every ``step``).
-    l1_err: float = 0.0
-    # Largest |incremental - exact| ||C||_1 seen at a sync.
+    # Largest gap between the compiled loop's incremental ||C||_1 and the exact sum at its returns.
     max_l1_drift: float = 0.0
 
     @property
@@ -206,15 +182,6 @@ def init(P, M0=None, *, cash=None):
     )
 
 
-def sync_cash_l1(state):
-    """Replace an incremental ``cash_l1`` by the exact sum; no-op when exact."""
-    if state.l1_err:
-        exact = float(np.abs(state.C).sum())
-        state.max_l1_drift = max(state.max_l1_drift, abs(state.cash_l1 - exact))
-        state.cash_l1 = exact
-        state.l1_err = 0.0
-
-
 def _account(state, old_l1):
     """Set ``cash_l1`` to the exact sum after a push, and fold its rise from
     ``old_l1``, the exact sum before the push, into ``max_l1_increase``."""
@@ -251,7 +218,6 @@ def step(state, G, P):
     """
     G = np.asarray(G, dtype=np.int64)
     n = state.C.size
-    sync_cash_l1(state)  # a push's rise in ||C||_1 is taken between exact sums
     old_l1 = state.cash_l1
     if G.size == 1:
         # Single-node push: scalar reads and one row slice.
@@ -320,20 +286,6 @@ def guard_total_history(state, schedule):
     return GUARD_RESTART if schedule.stochastic else GUARD_PERTURB
 
 
-def _push_loop(P, schedule):
-    """The compiled loop for this run, or None when it takes Python steps.
-
-    Decided from attributes, not types, so that wrappers forwarding them
-    (such as the benchmark's tracing proxies) take the same path.
-    """
-    kind = getattr(schedule, "push_loop", None)
-    if kind is None or getattr(P, "csr_push", None) is None:
-        return None
-    from . import pushloop  # imported, and compiled, only by runs that use it
-
-    return pushloop.bind(P, kind)
-
-
 def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trace_stride=None):
     """Iterate until ||C_t||_1 < eps, guarding degenerate histories.
 
@@ -349,9 +301,8 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
     (``pushloop``) that returns here at every check, trace row and
     refresh, with the same bytes (and the same draws from a
     ``ProportionalCash`` generator) as ``step``; ``RunResult.kernel`` says
-    which path ran.  A restart add or a mean-field row still writes all
-    n entries, and the loop keeps its ``||C||_1`` incrementally, as for
-    sparse rows.
+    which path ran.  Each return hands back the exact ``||C||_1``, as
+    ``step`` does, so the run stops on ``state.cash_l1 < eps`` alone.
 
     ``cash`` starts the run from that cash (see ``init``).  The
     total-history guard then applies once cash has moved.  ``pi_hat`` is
@@ -369,7 +320,9 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
         raise InvalidParamsError("trace stride must be >= 1")
     stride = P.n if trace_stride is None else int(trace_stride)
     schedule.bind(P)
-    loop = _push_loop(P, schedule)
+    from . import pushloop  # imported by a run; compiled only by one that binds a loop
+
+    loop = pushloop.bind(P, schedule)
     kernel = "py" if loop is None else "c"
 
     guard_events = []
@@ -386,18 +339,13 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
             # the checkpoint: a trace row due stride updates after the last row's (its field 1),
             # the guard, the one exit
             if not trace.rows or state.updates - trace.rows[-1][1] >= stride:
-                sync_cash_l1(state)
                 trace.record(state)
             action = guard_total_history(state, schedule)
             if action != GUARD_CONTINUE:
-                sync_cash_l1(state)
                 guard_events.append((state.t, action))
                 break
-            if state.cash_l1 - state.l1_err < eps:
-                sync_cash_l1(state)
             converged = state.cash_l1 < eps
             if converged or state.t >= max_steps:
-                sync_cash_l1(state)
                 trace.record(state)
                 pi = None
                 if state.updates:

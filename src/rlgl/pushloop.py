@@ -8,19 +8,26 @@ libraries beyond the newest ``KEEP``.  The one library holds ten
 entry points, all typed by ``load()``: ``rlgl_loop_rr``,
 ``rlgl_loop_theta``, ``rlgl_loop_maxc`` and ``rlgl_loop_pc``, the push
 loop of each ``Schedule.push_loop`` name, which ``engine.run`` binds
-here; ``rlgl_scc``, the strongly connected components pass of
-``models``; ``rlgl_mul_left``, the CSR product ``x P`` of
+here (``bind``); ``rlgl_scc``, the strongly connected components pass
+of ``models``; ``rlgl_mul_left``, the CSR product ``x P`` of
 ``TransitionMatrix.mul_left``; ``rlgl_parse_edges``, the parser of
 ``models.parse_edge_file``; ``rlgl_coalesce``, the edge coalescing
 of ``matrix._coalesce_edges``, which every build from an edge list
 runs; ``rlgl_policy_rows``, the backward induction over the grid
 rows of ``mdp.solve_policy``; and ``rlgl_format_rows``, the %.17g
 cells of ``engine.write_csv``'s numeric tables, which takes the powers
-of ten of ``pow10_table()``.  ``load()`` returns None when the library
-cannot be built or loaded; ``engine.run`` then takes its Python steps,
-``models`` its Python Tarjan pass and its line-by-line parser,
-``mul_left``, ``_coalesce_edges`` and ``solve_policy`` their numpy
-passes, and ``write_csv`` Python's ``%``.  Nothing here is imported
+of ten of ``pow10_table()``.
+
+A push loop keeps ``||C||_1`` incrementally, with a sound rounding
+bound; both stay here, with their constants (``DRIFT_TOL``, ``_U``,
+``_sum_depth``).  ``Loop.advance`` takes the exact sum at each return,
+so the engine only ever sees the exact ``||C||_1``.
+
+``load()`` returns None when the library cannot be built or loaded;
+``engine.run`` then takes its Python steps, ``models`` its Python
+Tarjan pass and its line-by-line parser, ``mul_left``,
+``_coalesce_edges`` and ``solve_policy`` their numpy passes, and
+``write_csv`` Python's ``%``.  Nothing here is imported
 until a run, a product, a build from edges, a connectivity check, an
 edge file, a policy solve or a numeric table can use the library.
 """
@@ -46,6 +53,23 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_push.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # Cached libraries kept after a build: a few source versions run in turn on one host never rebuild.
 KEEP = 4
+
+# The loop returns once the rounding bound of its incremental ||C||_1 exceeds this fraction of it.
+DRIFT_TOL = 1e-9
+# Twice the unit roundoff: the loop's first-order bounds on its ||C||_1,
+# taken in this unit, also cover their second-order terms.
+_U = 2.0**-52
+
+
+def _sum_depth(n):
+    """Most additions any one entry passes through when numpy sums <= n floats.
+
+    numpy sums a contiguous vector pairwise (at most ~34 levels inside a
+    block of 8192 entries) and adds block results in sequence, so such a
+    sum of nonnegative terms is within ``_sum_depth(n) * _U`` of exact,
+    relative to the total.  The same bound covers any one stored row.
+    """
+    return n // 8192 + 64
 
 
 class Rows(ctypes.Structure):
@@ -168,14 +192,20 @@ def pow10_table():
     return table
 
 
-def bind(P, kind):
-    """A Loop over P's ``csr_push`` arrays for one schedule kind, or None for the Python steps.
+def bind(P, schedule):
+    """The compiled loop for a run of ``schedule`` on P, or None when the run takes Python steps.
 
-    The matrix has checked its rows (distinct columns) and stored its
-    arrays as C reads them (``TransitionMatrix``) when built.
+    Decided from attributes, not types (the schedule's ``push_loop`` kind
+    and P's ``csr_push`` arrays), so that wrappers forwarding them, such as
+    the benchmark's tracing proxies, take the same path; the library is
+    loaded only when both are set.  The matrix has checked its rows
+    (distinct columns) and stored its arrays as C reads them
+    (``TransitionMatrix``) when built.
     """
-    lib = load()
-    return None if lib is None else Loop(getattr(lib, "rlgl_loop_" + kind), P.csr_push, P.n, kind)
+    kind = getattr(schedule, "push_loop", None)
+    push = getattr(P, "csr_push", None)
+    lib = None if kind is None or push is None else load()
+    return None if lib is None else Loop(getattr(lib, "rlgl_loop_" + kind), push, P.n, kind)
 
 
 class Loop:
@@ -189,9 +219,8 @@ class Loop:
         self.rows = Rows(*[None if a is None else a.ctypes.data for a in arrays])
         self.state = LoopState()
         self.params = LoopParams(
-            n=n, sum_depth=engine._sum_depth(n), guard_unit=engine.GUARD_UNIT,
-            drift_tol=engine.DRIFT_TOL, unit=engine._U, restart_share=push.restart_share,
-            dangling_share=push.dangling_share,
+            n=n, sum_depth=_sum_depth(n), guard_unit=engine.GUARD_UNIT, drift_tol=DRIFT_TOL, unit=_U,
+            restart_share=push.restart_share, dangling_share=push.dangling_share,
         )
 
     def advance(self, state, schedule, eps, max_steps, record_at):
@@ -205,10 +234,16 @@ class Loop:
         the loop draws each uniform at its pick from the schedule's
         generator (read here on every call, as ``reseed`` replaces it),
         holding the generator's lock as ``Generator.random`` does.
-        After any steps ``cash_l1`` is synced once its rounding bound
-        passes ``DRIFT_TOL`` of it, so no hand-back leaves a wider bound.
-        A loop that runs out of memory returns -1 before any step: no
-        step here, the state and the generator left as they were.
+
+        The loop keeps ``||C||_1`` incrementally from the exact sum it is
+        handed, with a rounding bound ``l1_err`` from 0, and also returns
+        once that bound passes ``DRIFT_TOL`` of the value or could put it
+        below eps.  After any steps ``state.cash_l1`` is the exact sum
+        ``float(np.abs(C).sum())``, so the caller only ever sees that sum;
+        the incremental value and its bound stay in ``self.state``, their
+        gap folded into ``state.max_l1_drift``.  A loop that runs out of
+        memory returns -1 before any step: no step here, the state and the
+        generator left as they were.
         """
         C, H = state.C, state.H
         n = self.params.n
@@ -235,15 +270,15 @@ class Loop:
         s.t, s.updates, s.k = state.t, state.updates, schedule._k
         s.cum_cost, s.total_history = state.cum_cost, state.total_history
         s.scan_cost = schedule.scan_cost
-        s.cash_l1, s.l1_err, s.max_l1_increase = state.cash_l1, state.l1_err, state.max_l1_increase
+        s.cash_l1, s.l1_err, s.max_l1_increase = state.cash_l1, 0.0, state.max_l1_increase
         with lock:
             done = self.fn(ctypes.byref(self.rows), C.ctypes.data, H.ctypes.data, ctypes.byref(s), ctypes.byref(p))
         if done <= 0:
             return 0
         state.t, state.updates = s.t, s.updates
         state.cum_cost, state.total_history = s.cum_cost, s.total_history
-        state.cash_l1, state.l1_err, state.max_l1_increase = s.cash_l1, s.l1_err, s.max_l1_increase
+        state.max_l1_increase = s.max_l1_increase
+        state.cash_l1 = float(np.abs(C).sum())
+        state.max_l1_drift = max(state.max_l1_drift, abs(s.cash_l1 - state.cash_l1))
         schedule.seek(s.k, s.scan_cost)
-        if state.l1_err > engine.DRIFT_TOL * state.cash_l1:
-            engine.sync_cash_l1(state)
         return done

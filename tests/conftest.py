@@ -1,3 +1,4 @@
+import contextlib
 import locale
 import os
 import shlex
@@ -6,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from rlgl import matrix, models
+from rlgl import matrix, models, pushloop
 
 
 def dense_ergodic_chain(n, seed, alpha=0.8):
@@ -26,6 +27,36 @@ def ring_random_chain(n, degree, seed):
     src = np.concatenate([nodes, np.repeat(nodes, degree)])
     dst = np.concatenate([(nodes + 1) % n, rng.integers(0, n, size=n * degree)])
     return matrix.build_transition(np.column_stack([src, dst]).astype(float), n)
+
+
+@contextlib.contextmanager
+def advance_returns():
+    """Patch ``pushloop.Loop.advance`` to record every return that took steps.
+
+    Yields a list that gets one ``(gap, bound, exact)`` per such return:
+    the gap between the loop's incremental ``||C||_1`` and the ``cash_l1``
+    handed to the run, the loop's rounding bound on its value, and whether
+    ``cash_l1`` is the exact sum ``float(np.abs(C).sum())``.
+    """
+    seen = []
+    advance = pushloop.Loop.advance
+
+    def watched(loop, state, *args):
+        done = advance(loop, state, *args)
+        if done:
+            s = loop.state
+            exact = state.cash_l1 == float(np.abs(state.C).sum())
+            seen.append((abs(s.cash_l1 - state.cash_l1), s.l1_err, exact))
+        return done
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pushloop.Loop, "advance", watched)
+        yield seen
+
+
+def within_bound(seen):
+    """True when every return ``advance_returns`` saw handed back the exact sum, within the loop's bound."""
+    return all(exact and gap <= bound for gap, bound, exact in seen)
 
 
 # Clean, strongly connected draws of the 80-node block-model shape.

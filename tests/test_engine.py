@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import os
 import pathlib
@@ -22,7 +23,7 @@ from rlgl.errors import (
 )
 from rlgl.matrix import GaussSeidelRows, TransitionMatrix, build_transition, google_matrix, gth_stationary
 
-from conftest import dense_ergodic_chain, ring_random_chain, sbm80_instance
+from conftest import advance_returns, dense_ergodic_chain, ring_random_chain, sbm80_instance, within_bound
 
 
 class TestInit:
@@ -517,51 +518,64 @@ class TestIncrementalCashL1:
         n=st.integers(2, 40),
         degree=st.integers(1, 6),
         seed=st.integers(0, 10_000),
+        which=st.sampled_from(["rr", "theta:1", "theta:2", "maxc", "pc:5"]),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_within_bound_of_exact(self, n, degree, seed, data):
+    def test_within_bound_of_exact(self, n, degree, seed, which, data, kernel):
+        # the compiled loop's incremental ||C||_1 at each return against the exact sum it hands
+        # back; Python steps take the exact sum (TestExactPythonStep)
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
         P = _random_sparse_chain(n, degree, seed)
+        sched = schedules.parse_schedule(which).bind(P)
+        sched.restart()
+        loop = pushloop.bind(P, sched)
         st_ = engine.init(P)
-        nodes = st.integers(0, n - 1)
-        kinds = st.one_of(
-            nodes.map(lambda i: [i]),
-            st.lists(nodes, min_size=2, max_size=n, unique=True),
-            st.just([]),
-        )
-        for G in data.draw(st.lists(kinds, min_size=1, max_size=4 * n)):
-            engine.step(st_, G, P)
-            exact = float(np.abs(st_.C).sum())
-            assert abs(st_.cash_l1 - exact) <= st_.l1_err
-            assert st_.l1_err <= engine.DRIFT_TOL * st_.cash_l1
+        for _ in range(data.draw(st.integers(1, 12))):
+            eps = st_.cash_l1 * 10.0 ** -data.draw(st.floats(0.0, 12.0))
+            record_at = st_.updates + data.draw(st.one_of(st.integers(1, 3 * n), st.just(10**9)))
+            start = copy.deepcopy((st_, sched))
+            done = loop.advance(st_, sched, eps, st_.t + 20 * n, record_at)
+            if not done:  # the guard, or no cash left to pick from
+                break
+            s = loop.state
+            assert st_.cash_l1 == float(np.abs(st_.C).sum())
+            assert abs(s.cash_l1 - st_.cash_l1) <= s.l1_err
+            self._within_drift_limit_one_step_short(P, start, eps, record_at, loop, done)
             assert st_.max_l1_increase <= 1e-14
+            if st_.cash_l1 < eps:
+                break
 
-    def test_drift_never_exceeds_bound(self, kernel, monkeypatch):
+    @staticmethod
+    def _within_drift_limit_one_step_short(P, start, eps, record_at, loop, done):
+        """Check that a call of ``loop`` that took ``done`` steps from ``start`` ran no step past
+        its drift limit: its bound is within ``DRIFT_TOL`` of its value at the return, or the last
+        step took it past, the call one step short ending within the limit."""
+        s = loop.state
+        if s.l1_err <= pushloop.DRIFT_TOL * s.cash_l1 or done == 1:
+            return
+        state, sched = start
+        short = pushloop.bind(P, sched)
+        assert short.advance(state, sched, eps, state.t + done - 1, record_at) == done - 1
+        assert short.state.l1_err <= pushloop.DRIFT_TOL * short.state.cash_l1
+
+    def test_drift_never_exceeds_bound(self, kernel):
         if kernel != "c":
             pytest.skip("no compiler: Python steps keep the exact sum, so nothing drifts")
-        seen = []
-        sync = engine.sync_cash_l1
-
-        def checked_sync(state):
-            if state.l1_err:
-                drift = abs(state.cash_l1 - float(np.abs(state.C).sum()))
-                seen.append((drift, state.l1_err))
-            sync(state)
-
-        monkeypatch.setattr(engine, "sync_cash_l1", checked_sync)
-        res = engine.run(ring_random_chain(1000, 10, 5), schedules.RoundRobin(), eps=1e-10)
-        assert seen
-        assert all(drift <= bound for drift, bound in seen)
-        assert res.state.max_l1_drift == max(drift for drift, _ in seen)
+        with advance_returns() as seen:
+            res = engine.run(ring_random_chain(1000, 10, 5), schedules.RoundRobin(), eps=1e-10)
+        assert seen and within_bound(seen)
+        assert res.state.max_l1_drift == max(gap for gap, _, _ in seen) > 0.0
 
     def test_skip_steps_leave_bookkeeping(self):
         P = ring_random_chain(50, 4, 2)
         st_ = engine.init(P)
         engine.step(st_, [7], P)
-        before = (st_.cash_l1, st_.l1_err, st_.max_l1_drift, st_.C.tobytes())
+        before = (st_.cash_l1, st_.max_l1_drift, st_.C.tobytes())
         for _ in range(5):
             engine.step(st_, [], P)
-        assert (st_.cash_l1, st_.l1_err, st_.max_l1_drift, st_.C.tobytes()) == before
+        assert (st_.cash_l1, st_.max_l1_drift, st_.C.tobytes()) == before
         assert st_.t == 7
 
 
@@ -592,7 +606,6 @@ class TestExactPythonStep:
                 updates = st_.updates
                 engine.step(st_, G, P)
                 moved.append(st_.updates - updates)
-                assert st_.l1_err == 0.0
                 assert st_.cash_l1 == float(np.abs(st_.C).sum())
         assert moved[0::4].count(1) > P.n // 2 and moved[1::4] == [0] * P.n and min(moved[2::4]) > 0
         assert skips or isinstance(P, models.MeanFieldMatrix)  # its pushes write every entry
@@ -701,10 +714,13 @@ class TestCompiledLoop:
         cash[0] = 1.0
         state = engine.init(G, cash=cash)
         sched = schedules.RoundRobin().bind(G)
-        assert pushloop.bind(G, "rr").advance(state, sched, 1e-12, 10, state.updates + 1) == 1
-        drift = abs(state.cash_l1 - float(np.abs(state.C).sum()))
+        loop = pushloop.bind(G, sched)
+        assert loop.advance(state, sched, 1e-12, 10, state.updates + 1) == 1
+        assert state.cash_l1 == float(np.abs(state.C).sum())
+        drift = abs(loop.state.cash_l1 - state.cash_l1)
         assert drift > 100 * 2.0**-52  # the sum did round near its worst case
-        assert drift <= state.l1_err
+        assert drift <= loop.state.l1_err
+        assert state.max_l1_drift == drift
 
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_stops_where_the_exact_sum_crosses(self, sched_name, monkeypatch):
@@ -719,11 +735,9 @@ class TestCompiledLoop:
         with monkeypatch.context() as m:
             m.setattr(pushloop, "load", lambda: None)
             m.setattr(engine, "step", reference_step)
-            levels = []
-            sync = engine.sync_cash_l1
-            m.setattr(engine, "sync_cash_l1", lambda state: (sync(state), levels.append(state.cash_l1)))
-            _replay(P, schedules.parse_schedule(sched_name), eps=1e-12, stride=1, max_steps=2000)
-        for level in levels[37::97]:  # exact values on the way down
+            rows = _replay(P, schedules.parse_schedule(sched_name), eps=1e-12, stride=1, max_steps=2000)[1][12]
+        levels = [row[4] for row in rows]  # a trace row after every push: exact values on the way down
+        for level in levels[37::97]:
             for eps in (level, np.nextafter(level, np.inf)):
                 _three_ways(monkeypatch, P, sched_name, eps=eps)
 
@@ -813,7 +827,7 @@ class TestCompiledLoop:
             state.C, state.H = st_.C.copy(), st_.H.copy()
             sched = schedules.MaxCash().bind(P)
             if compiled:
-                assert pushloop.bind(P, "maxc").advance(state, sched, 1e-10, state.t + 2, 10**9) == 2
+                assert pushloop.bind(P, sched).advance(state, sched, 1e-10, state.t + 2, 10**9) == 2
             else:
                 for _ in range(2):
                     engine.step(state, sched.next_nodes(state.C), P)
@@ -836,14 +850,15 @@ class TestCompiledLoop:
         P = _chain("sbm80")
         sched = schedules.parse_schedule(sched_name).bind(P)
         sched.restart()
-        loop = pushloop.bind(P, sched.push_loop)
+        loop = pushloop.bind(P, sched)
         st_ = engine.init(P)
         while st_.t < 100:  # stops at max_steps (theta also at its refresh)
             assert loop.advance(st_, sched, 1e-10, 100, 10**9) > 0
-            assert st_.l1_err <= engine.DRIFT_TOL * st_.cash_l1  # as after engine.step
+            assert st_.cash_l1 == float(np.abs(st_.C).sum())  # as after engine.step
         assert st_.t == 100
         st_.total_history = 0.0 if check == "guard" else st_.total_history
-        eps = st_.cash_l1 if check == "eps" else 1e-10
+        # the exact sum is handed in: the run stops on cash_l1 < eps, so eps one ulp above it
+        eps = np.nextafter(st_.cash_l1, np.inf) if check == "eps" else 1e-10
         max_steps = st_.t if check == "max_steps" else 200
         rng = getattr(sched, "rng", None)
         before = TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state
@@ -883,23 +898,28 @@ class TestCompiledLoop:
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_advance_leaves_cash_l1_within_the_drift_limit(self, sched_name, kernel):
         # every push adds the n restart terms' rounding to the bound, which
-        # passes DRIFT_TOL within a few thousand pushes: advance syncs then,
-        # so the next call runs on, not one step per call
+        # passes DRIFT_TOL within a few thousand pushes: the loop returns at
+        # that step with the exact sum taken, and the next call starts from
+        # a zero bound and runs on, not one step per call
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
         P = _dangling_google(2000, 4, 5)
         sched = schedules.parse_schedule(sched_name).bind(P)
         sched.restart()
-        loop = pushloop.bind(P, sched.push_loop)
+        loop = pushloop.bind(P, sched)
         st_ = engine.init(P)
-        synced, calls = [], 0
+        drifted, calls = [], 0
         while st_.t < 10_000:
-            err = st_.l1_err
-            assert loop.advance(st_, sched, 1e-30, 10_000, 10**9) > 0
+            start = copy.deepcopy((st_, sched))
+            done = loop.advance(st_, sched, 1e-30, 10_000, 10**9)
+            assert done > 0
             calls += 1
-            assert st_.l1_err <= engine.DRIFT_TOL * st_.cash_l1
-            synced.append(st_.l1_err < err or st_.l1_err == 0.0)
-        assert any(synced) and calls < 60
+            s = loop.state
+            assert st_.cash_l1 == float(np.abs(st_.C).sum())
+            assert abs(s.cash_l1 - st_.cash_l1) <= s.l1_err
+            drifted.append(s.l1_err > pushloop.DRIFT_TOL * s.cash_l1)
+            TestIncrementalCashL1._within_drift_limit_one_step_short(P, start, 1e-30, 10**9, loop, done)
+        assert any(drifted) and calls < 60
 
     def test_forwarding_wrappers_take_the_loop(self, kernel, monkeypatch):
         P = _chain("sbm80")
@@ -942,7 +962,7 @@ class TestCompiledLoop:
         st_ = engine.init(P)
         st_.C[:] = 0.0  # a zero total: Python raises, the loop takes no step
         before = sched.rng.bit_generator.state
-        assert pushloop.bind(P, "pc").advance(st_, sched, 1e-10, 1000, 10**9) == 0
+        assert pushloop.bind(P, sched).advance(st_, sched, 1e-10, 1000, 10**9) == 0
         assert sched.rng.bit_generator.state == before and sched._k == 0
         with pytest.raises(AllCashZeroError):
             sched.next_nodes(st_.C)
@@ -957,9 +977,9 @@ class TestCompiledLoop:
         sched.restart()
         st_ = engine.init(P)
         st_.C[5] = bad  # past the first cash at entry 0
-        st_.cash_l1, st_.l1_err = float(np.abs(st_.C).sum()), 0.0
+        st_.cash_l1 = float(np.abs(st_.C).sum())
         before = sched.rng.bit_generator.state
-        assert pushloop.bind(P, "pc").advance(st_, sched, 1e-10, 1000, 10**9) == 0
+        assert pushloop.bind(P, sched).advance(st_, sched, 1e-10, 1000, 10**9) == 0
         assert sched.rng.bit_generator.state == before and sched._k == 0
         with pytest.raises(ValueError, match="not finite"):
             sched.next_nodes(st_.C)
@@ -981,7 +1001,7 @@ class TestCompiledLoop:
         sched = schedules.ProportionalCash(0).bind(P)
         sched.rng = _FixedDraws([u])
         H = st_.H.copy()
-        assert pushloop.bind(P, "pc").advance(st_, sched, 1e-10, st_.t + 1, 10**9) == 1
+        assert pushloop.bind(P, sched).advance(st_, sched, 1e-10, st_.t + 1, 10**9) == 1
         assert np.flatnonzero(st_.H != H).tolist() == [node]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1043,18 +1063,16 @@ class TestCompiledLoop:
         # Each draw is put on a cumulative share of the cash it picks from, or
         # next to one: the bracket of the total cannot place such a draw, so
         # most picks take the exact fallback.  They must still be the Python
-        # picks.  "synced" makes every pick right after an exact sum, where
-        # the bracket is its rounding terms alone; "near-drift-limit" enters
-        # with l1_err at 90% of its limit, a bracket ~2e-9 wide, so draws 1e-10
-        # past a share fall in it too.
+        # picks.  "synced" makes every pick right after an exact sum, one step
+        # per call, where the bracket is its rounding terms alone;
+        # "near-drift-limit" enters every call with l1_err at 90% of its
+        # limit, a bracket ~2e-9 wide, so draws 1e-10 past a share fall in it too.
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
         P = _chain(chain)
         steps = 600
         synced = entry == "synced"
         start = engine.init(P)
-        if not synced:
-            start.l1_err = 0.9 * engine.DRIFT_TOL * start.cash_l1  # a wider bound holds as well
 
         class OnShares:
             """Draws put on the shares of the cash of ``state``, recorded in turn."""
@@ -1076,24 +1094,26 @@ class TestCompiledLoop:
         sched = schedules.ProportionalCash(0).bind(P)
         sched.rng = OnShares(python)
         for _ in range(steps):
-            if synced:
-                engine.sync_cash_l1(python)
             engine.step(python, sched.next_nodes(python.C), P)
 
         compiled = engine.SolverState(**vars(start))
         compiled.C, compiled.H = start.C.copy(), start.H.copy()
-        loop = pushloop.bind(P, "pc")
         fixed = schedules.ProportionalCash(0).bind(P)
         fixed.rng = _FixedDraws(sched.rng.drawn)
+        loop = pushloop.bind(P, fixed)
+        if not synced:
+            fn = loop.fn
+
+            def widened(*args):  # a wider bound holds as well
+                loop.state.l1_err = 0.9 * pushloop.DRIFT_TOL * loop.state.cash_l1
+                return fn(*args)
+
+            loop.fn = widened
         while compiled.t < python.t:
-            if synced:
-                engine.sync_cash_l1(compiled)
             assert loop.advance(compiled, fixed, 1e-30, compiled.t + 1 if synced else python.t, 10**9) > 0
         assert (fixed._k, fixed.rng.state) == (sched._k, steps)
-        # the incremental ||C||_1 of the two paths may differ between syncs (numpy
-        # sums a row pairwise, the loop in sequence); the exact sums agree
-        for state in (compiled, python):
-            engine.sync_cash_l1(state)
+        # both paths take the exact sum; only the rises in ||C||_1 may differ (numpy
+        # sums a row pairwise, the loop in sequence)
         assert TestStep._snapshot(compiled)[:-1] == TestStep._snapshot(python)[:-1]
 
     @pytest.mark.parametrize("kind", ["rr", "theta", "maxc", "pc"])
@@ -1113,7 +1133,7 @@ class TestCompiledLoop:
         assert loop.advance(st_, sched, 1e-10, 1000, 10**9) == 0
         assert (TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state) == before
         # a run whose loop always fails takes the Python steps, with their bytes
-        monkeypatch.setattr(pushloop, "bind", lambda P, kind: pushloop.Loop(out_of_memory, P.csr_push, P.n, kind))
+        monkeypatch.setattr(pushloop, "bind", lambda P, s: pushloop.Loop(out_of_memory, P.csr_push, P.n, s.push_loop))
         failing = _replay(P, schedules.parse_schedule(name))[1]
         monkeypatch.setattr(pushloop, "load", lambda: None)
         assert failing == _replay(P, schedules.parse_schedule(name))[1]
@@ -1152,21 +1172,13 @@ class TestCompiledLoop:
         which=st.sampled_from(["rr", "theta:1", "theta:2", "maxc", "pc:5"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_cash_l1_within_bound_at_every_return(self, n, degree, seed, which):
+    def test_cash_l1_within_bound_at_every_return(self, n, degree, seed, which, kernel):
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
         P = _random_sparse_chain(n, degree, seed)
-        seen = []
-        sync = engine.sync_cash_l1
-
-        def checked_sync(state):
-            seen.append(abs(state.cash_l1 - float(np.abs(state.C).sum())) <= state.l1_err)
-            sync(state)
-
-        engine.sync_cash_l1 = checked_sync
-        try:
-            _replay(P, schedules.parse_schedule(which), eps=1e-12, stride=1, max_steps=20 * n)
-        finally:
-            engine.sync_cash_l1 = sync
-        assert seen and all(seen)
+        with advance_returns() as seen:
+            t = _replay(P, schedules.parse_schedule(which), eps=1e-12, stride=1, max_steps=20 * n)[1][4]
+        assert within_bound(seen) and (seen or t == 1)  # every step the loop's
 
     @given(
         n=st.integers(2, 40),
@@ -1176,25 +1188,54 @@ class TestCompiledLoop:
         stride=st.sampled_from([1, 7, None]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_google_cash_l1_within_bound_at_every_return(self, n, degree, seed, which, stride):
+    def test_google_cash_l1_within_bound_at_every_return(self, n, degree, seed, which, stride, kernel):
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
         P = _dangling_google(n, degree, seed)
-        seen = []
-        sync = engine.sync_cash_l1
-
-        def checked_sync(state):
-            seen.append(abs(state.cash_l1 - float(np.abs(state.C).sum())) <= state.l1_err)
-            sync(state)
-
-        engine.sync_cash_l1 = checked_sync
-        try:
-            res = engine.run(P, schedules.parse_schedule(which), eps=1e-12, trace_stride=stride,
-                             max_steps=20 * n)
-        except (NoConvergenceError, DegenerateHistoryError) as exc:
-            res = exc.result
-        finally:
-            engine.sync_cash_l1 = sync
-        assert seen and all(seen)
+        with advance_returns() as seen:
+            try:
+                res = engine.run(P, schedules.parse_schedule(which), eps=1e-12, trace_stride=stride,
+                                 max_steps=20 * n)
+            except (NoConvergenceError, DegenerateHistoryError) as exc:
+                res = exc.result
+        assert within_bound(seen) and (seen or res.state.t == 1)  # every step the loop's
         assert res.state.max_l1_increase <= 1e-14  # criterion 7, over every push
+
+
+class TestExactHandBack:
+    """The run sees only the exact ||C||_1: at every trace row and at every return of the loop."""
+
+    @staticmethod
+    def _damped():
+        G = _chain("google-dangling")
+        return G.damped, (1.0 - G.c) * G.s  # the positive-cash start of the PageRank push solver
+
+    @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
+    @pytest.mark.parametrize("make", [
+        lambda: (_chain("sbm80"), None),
+        lambda: (_chain("google-dangling"), None),
+        lambda: TestExactHandBack._damped(),
+        lambda: (GaussSeidelRows(_chain("sbm80")), None),
+        lambda: (_chain("meanfield"), None),
+    ], ids=["raw", "google", "damped", "gs-rows", "meanfield"])
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2", "maxc", "pc:1"])
+    def test_rows_and_returns_see_the_exact_sum(self, sched_name, make, stride, kernel, monkeypatch):
+        P, cash = make()
+        rows = []
+        record = engine.RunTrace.record
+
+        def checked(trace, state):
+            rows.append(state.cash_l1 == float(np.abs(state.C).sum()))
+            record(trace, state)
+
+        monkeypatch.setattr(engine.RunTrace, "record", checked)
+        with advance_returns() as seen:
+            res = engine.run(P, schedules.parse_schedule(sched_name), cash=cash, eps=1e-12, trace_stride=stride)
+        assert res.converged and res.kernel == kernel
+        assert len(rows) >= 2 and all(rows)
+        assert within_bound(seen) and bool(seen) == (kernel == "c")
+        # the largest gap between the loop's incremental value and the exact sum it handed back
+        assert res.state.max_l1_drift == max([gap for gap, _, _ in seen], default=0.0)
 
 
 # Sizes around the powers of two: the root as the only leaf (1), full trees
@@ -1310,7 +1351,7 @@ class TestRestartPass:
             state.C, state.H = st_.C.copy(), st_.H.copy()
             sched = schedules.MaxCash().bind(P)
             if compiled:
-                assert pushloop.bind(P, "maxc").advance(state, sched, 1e-10, state.t + 2, 10**9) == 2
+                assert pushloop.bind(P, sched).advance(state, sched, 1e-10, state.t + 2, 10**9) == 2
             else:
                 for _ in range(2):
                     engine.step(state, sched.next_nodes(state.C), P)

@@ -10,7 +10,14 @@ from rlgl import engine, models, pushloop, schedules, solvers
 from rlgl.errors import AbsorbingStateError, InvalidM0Error, InvalidParamsError, NoConvergenceError
 from rlgl.matrix import GaussSeidelRows, build_transition, google_matrix, gth_stationary
 
-from conftest import dense_ergodic_chain, pagerank_graph_500, ring_random_chain, sbm80_instance
+from conftest import (
+    advance_returns,
+    dense_ergodic_chain,
+    pagerank_graph_500,
+    ring_random_chain,
+    sbm80_instance,
+    within_bound,
+)
 
 
 class TestPowerIteration:
@@ -199,7 +206,7 @@ class TestGaussSeidel:
 
     @given(n=st.integers(2, 30), degree=st.integers(1, 5), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
-    def test_cash_l1_within_bound_and_python_bytes(self, n, degree, seed):
+    def test_cash_l1_within_bound_and_python_bytes(self, n, degree, seed, kernel):
         # heavy self-loops: the compiled push moves up to ~1e4 times the cash it takes
         rng = np.random.default_rng(seed)
         src = np.repeat(np.arange(n), degree)
@@ -207,12 +214,6 @@ class TestGaussSeidel:
         w = (rng.random(n * degree) ** 3 + 1e-6) * np.where(src == dst, 1e4, 1.0)
         P = build_transition(np.column_stack([src, dst, w]), n)
         assume(P.split_diagonal()[1].min() > 0.0)  # no absorbing state
-        seen = []
-        sync = engine.sync_cash_l1
-
-        def checked_sync(state):
-            seen.append(abs(state.cash_l1 - float(np.abs(state.C).sum())) <= state.l1_err)
-            sync(state)
 
         def solve():
             try:
@@ -220,17 +221,14 @@ class TestGaussSeidel:
             except NoConvergenceError as exc:
                 return exc.result
 
-        engine.sync_cash_l1 = checked_sync
-        try:
+        with advance_returns() as seen:
             compiled = solve()
-        finally:
-            engine.sync_cash_l1 = sync
         load, pushloop.load = pushloop.load, lambda: None
         try:
             python = solve()
         finally:
             pushloop.load = load
-        assert seen and all(seen)
+        assert within_bound(seen) and bool(seen) == (kernel == "c" and compiled.extra["state"].t > 1)
         assert compiled.extra["state"].max_l1_increase <= 1e-14
         assert python.extra["kernel"] == "py"
         assert compiled.x.tobytes() == python.x.tobytes()
