@@ -27,9 +27,12 @@ so the engine only ever sees the exact ``||C||_1``.
 ``engine.run`` then takes its Python steps, ``models`` its Python
 Tarjan pass and its line-by-line parser, ``mul_left``,
 ``_coalesce_edges`` and ``solve_policy`` their numpy passes, and
-``write_csv`` Python's ``%``.  Nothing here is imported
-until a run, a product, a build from edges, a connectivity check, an
-edge file, a policy solve or a numeric table can use the library.
+``write_csv`` Python's ``%``.  Every ``engine.run`` imports this
+module; a run loads (and, the first time, builds) the library only when
+``bind`` finds both the schedule's ``push_loop`` and the matrix's
+``csr_push``.  Elsewhere the module is imported only where a product, a
+build from edges, a connectivity check, an edge file, a policy solve or
+a numeric table can use the library.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from rlgl import matrix, models, pushloop
+from rlgl import engine, matrix, models, pushloop
 
 
 def dense_ergodic_chain(n, seed, alpha=0.8):
@@ -52,6 +52,21 @@ def advance_returns():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pushloop.Loop, "advance", watched)
         yield seen
+
+
+@contextlib.contextmanager
+def exact_rows():
+    """Patch ``engine.RunTrace.record`` to record, at every trace row, whether ``cash_l1`` is the exact sum."""
+    rows = []
+    record = engine.RunTrace.record
+
+    def checked(trace, state):
+        rows.append(state.cash_l1 == float(np.abs(state.C).sum()))
+        record(trace, state)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine.RunTrace, "record", checked)
+        yield rows
 
 
 def within_bound(seen):

@@ -23,7 +23,14 @@ from rlgl.errors import (
 )
 from rlgl.matrix import GaussSeidelRows, TransitionMatrix, build_transition, google_matrix, gth_stationary
 
-from conftest import advance_returns, dense_ergodic_chain, ring_random_chain, sbm80_instance, within_bound
+from conftest import (
+    advance_returns,
+    dense_ergodic_chain,
+    exact_rows,
+    ring_random_chain,
+    sbm80_instance,
+    within_bound,
+)
 
 
 class TestInit:
@@ -1173,12 +1180,11 @@ class TestCompiledLoop:
     )
     @settings(max_examples=40, deadline=None)
     def test_cash_l1_within_bound_at_every_return(self, n, degree, seed, which, kernel):
-        if kernel != "c":
-            pytest.skip("no compiler: the loop is not built")
         P = _random_sparse_chain(n, degree, seed)
-        with advance_returns() as seen:
+        with advance_returns() as seen, exact_rows() as rows:
             t = _replay(P, schedules.parse_schedule(which), eps=1e-12, stride=1, max_steps=20 * n)[1][4]
-        assert within_bound(seen) and (seen or t == 1)  # every step the loop's
+        assert within_bound(seen) and bool(seen) == (kernel == "c" and t > 1)  # every step the loop's
+        assert rows and all(rows)
 
     @given(
         n=st.integers(2, 40),
@@ -1189,16 +1195,15 @@ class TestCompiledLoop:
     )
     @settings(max_examples=40, deadline=None)
     def test_google_cash_l1_within_bound_at_every_return(self, n, degree, seed, which, stride, kernel):
-        if kernel != "c":
-            pytest.skip("no compiler: the loop is not built")
         P = _dangling_google(n, degree, seed)
-        with advance_returns() as seen:
+        with advance_returns() as seen, exact_rows() as rows:
             try:
                 res = engine.run(P, schedules.parse_schedule(which), eps=1e-12, trace_stride=stride,
                                  max_steps=20 * n)
             except (NoConvergenceError, DegenerateHistoryError) as exc:
                 res = exc.result
-        assert within_bound(seen) and (seen or res.state.t == 1)  # every step the loop's
+        assert within_bound(seen) and bool(seen) == (kernel == "c" and res.state.t > 1)  # every step the loop's
+        assert rows and all(rows)
         assert res.state.max_l1_increase <= 1e-14  # criterion 7, over every push
 
 
@@ -1219,17 +1224,9 @@ class TestExactHandBack:
         lambda: (_chain("meanfield"), None),
     ], ids=["raw", "google", "damped", "gs-rows", "meanfield"])
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2", "maxc", "pc:1"])
-    def test_rows_and_returns_see_the_exact_sum(self, sched_name, make, stride, kernel, monkeypatch):
+    def test_rows_and_returns_see_the_exact_sum(self, sched_name, make, stride, kernel):
         P, cash = make()
-        rows = []
-        record = engine.RunTrace.record
-
-        def checked(trace, state):
-            rows.append(state.cash_l1 == float(np.abs(state.C).sum()))
-            record(trace, state)
-
-        monkeypatch.setattr(engine.RunTrace, "record", checked)
-        with advance_returns() as seen:
+        with advance_returns() as seen, exact_rows() as rows:
             res = engine.run(P, schedules.parse_schedule(sched_name), cash=cash, eps=1e-12, trace_stride=stride)
         assert res.converged and res.kernel == kernel
         assert len(rows) >= 2 and all(rows)
