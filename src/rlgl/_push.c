@@ -23,10 +23,11 @@
  * only the incremental ||C||_1 between exact sums rounds otherwise than
  * one chain, within the same bound, and every stop, trace row and pick is
  * decided on exact sums or on proved brackets, so nothing else moves.
- * MaxCash's pick is the root of a winner tree over |C|, replayed from
- * each entry a push writes (see tree); on a matrix whose every push adds
- * the restart part, that add's own pass finds the pick instead, each lane
- * keeping its first largest |C[j]|.
+ * MaxCash's pick is the root of a shallow tournament over |C|, eight
+ * players a match, whose matches store their winner's |C|: a write to C
+ * takes one compare with its match in most cases (see tree); on a matrix
+ * whose every push adds the restart part, that add's own pass finds the
+ * pick instead, each lane keeping its first largest |C[j]|.
  * The dangling rows of a matrix with a restart part are its empty CSR
  * rows, so the loops take no dangling array.
  * ProportionalCash's pick draws its uniform from the schedule's own
@@ -87,56 +88,147 @@ typedef struct {
     double (*next_double)(void *);
 } loop_params;
 
-/* MaxCash's pick: a winner tree over |C| (Knuth, TAOCP vol. 3, 5.4.1).
- * size is the smallest power of two >= n; leaf size + v holds node v and
- * the leaves past n hold -1.  Each internal win[q] is the winner of
- * win[2q] and win[2q + 1]: the larger |C|, the left on ties.  A left
- * subtree holds only lower indices, so win[1] is the first index of the
- * largest |C[j]|, the node np.argmax(np.abs(C)) picks. */
+/* MaxCash's pick: a tournament over |C| with FAN players per match (a
+ * winner tree, Knuth, TAOCP vol. 3, 5.4.1, of fan-out FAN).  Level 0 is C
+ * itself; match q of level L + 1 plays level L's entries FAN q .. FAN q +
+ * FAN - 1 and stores its winner's |C| next to its index, the larger |C|
+ * winning and the lower index on ties.  The players of a match cover runs
+ * of indices in order, so its winner is its first largest player, and the
+ * one match of the top level holds the first index of the largest |C[j]|,
+ * the node np.argmax(np.abs(C)) picks.  Only level 1 reads C; each level
+ * above reads the vals stored below it.  The levels are padded to whole
+ * matches with val -1, which loses to every |C|.  A write to C costs one
+ * compare in most cases (tree_update), where a binary tree replays a
+ * match per level, each a dependent load through an index. */
+#define FAN 8
+#define MAX_LEVELS 21 /* FAN^21 = 2^63: no int64 n needs more levels above C */
+
+typedef struct {
+    double val;
+    int64_t idx;
+} entry;
+
 typedef struct {
     const double *C;
-    int64_t *win;
-    int64_t size;
+    int64_t n;
+    int top;                      /* level[top] holds the root alone */
+    int64_t size[MAX_LEVELS + 1]; /* matches of level L, padding left out */
+    entry *level[MAX_LEVELS + 1]; /* level[L] for 1 <= L <= top */
 } tree;
 
-/* The winner of a left and a right entry; -1 pads the right end, so a
- * left -1 meets only a right -1. */
-static inline int64_t winner(const double *C, int64_t a, int64_t b)
+/* The first k of the largest v[k] among FAN: the max, taken pairwise (3
+ * dependent maxes for FAN = 8, where a chain takes 7), then the lowest bit
+ * of the mask of players equal to it; 0 when none is (a NaN).  The loops
+ * here and in replay are unrolled, which -O2 alone does not do. */
+static inline int first_largest(const double *v)
 {
-    return b < 0 || fabs(C[a]) >= fabs(C[b]) ? a : b;
+    double m[FAN];
+#pragma GCC unroll 8
+    for (int k = 0; k < FAN; k++)
+        m[k] = v[k];
+#pragma GCC unroll 4
+    for (int w = FAN / 2; w > 0; w /= 2)
+#pragma GCC unroll 8
+        for (int k = 0; k < w; k++)
+            m[k] = m[k + w] > m[k] ? m[k + w] : m[k];
+    unsigned ties = 0;
+#pragma GCC unroll 8
+    for (int k = 0; k < FAN; k++)
+        ties |= (unsigned)(v[k] == m[0]) << k;
+    return ties ? __builtin_ctz(ties) : 0;
 }
 
-/* Replay v's matches after |C[v]| changed, up to the first whose winner
- * is unchanged and is not v: the matches above it see the same entries. */
-static void replay(tree *t, int64_t v)
+/* Replay match q of level L from its players. */
+static void replay(tree *t, int L, int64_t q)
 {
-    for (int64_t q = (t->size + v) / 2; q >= 1; q /= 2) {
-        int64_t w = winner(t->C, t->win[2 * q], t->win[2 * q + 1]);
-        if (w == t->win[q] && w != v)
-            break;
-        t->win[q] = w;
+    double v[FAN];
+    const int64_t lo = q * FAN;
+    if (L == 1) {
+#pragma GCC unroll 8
+        for (int k = 0; k < FAN; k++)
+            v[k] = lo + k < t->n ? fabs(t->C[lo + k]) : -1.0;
+        int at = first_largest(v);
+        t->level[1][q] = (entry){v[at], lo + at};
+        return;
     }
+    const entry *e = t->level[L - 1] + lo;
+#pragma GCC unroll 8
+    for (int k = 0; k < FAN; k++)
+        v[k] = e[k].val;
+    t->level[L][q] = e[first_largest(v)];
 }
 
 /* Replay every match, bottom up. */
 static void rebuild(tree *t)
 {
-    for (int64_t q = t->size - 1; q >= 1; q--)
-        t->win[q] = winner(t->C, t->win[2 * q], t->win[2 * q + 1]);
+    for (int L = 1; L <= t->top; L++)
+        for (int64_t q = 0; q < t->size[L]; q++)
+            replay(t, L, q);
 }
 
 static int tree_init(tree *t, const double *C, int64_t n)
 {
+    int64_t total = 0, m = n;
     t->C = C;
-    for (t->size = 1; t->size < n; t->size *= 2)
-        ;
-    t->win = malloc(2 * (size_t)t->size * sizeof *t->win);
-    if (!t->win)
+    t->n = n;
+    t->top = 0;
+    do {
+        m = (m + FAN - 1) / FAN;
+        t->size[++t->top] = m;
+        total += (m + FAN - 1) / FAN * FAN;
+    } while (m > 1);
+    entry *buf = malloc((size_t)total * sizeof *buf);
+    if (!buf)
         return -1;
-    for (int64_t v = 0; v < t->size; v++)
-        t->win[t->size + v] = v < n ? v : -1;
+    for (int L = 1; L <= t->top; L++) {
+        t->level[L] = buf;
+        buf += (t->size[L] + FAN - 1) / FAN * FAN;
+        for (entry *pad = t->level[L] + t->size[L]; pad < buf; pad++)
+            *pad = (entry){-1.0, 0};
+    }
     rebuild(t);
     return 0;
+}
+
+/* Whether v, at |C| x, beats e's winner: a larger |C|, or an equal one
+ * and a lower index. */
+static inline int beats(double x, int64_t v, const entry *e)
+{
+    return x > e->val || (x == e->val && v < e->idx);
+}
+
+/* tree_update past its filter, x being v's new |C|.  When x rose (or v
+ * won and x is unchanged), v climbs, up to the first match whose winner it
+ * does not beat or whose stored val, its own, is unchanged.  When v won
+ * and x fell, that match is replayed, and so is each one above it that v
+ * also won; a match v did not win keeps its winner, whose |C| is still
+ * the largest below it. */
+__attribute__((noinline)) static void climb(tree *t, int64_t v, double x)
+{
+    uint64_t q = (uint64_t)v / FAN;
+    if (t->level[1][q].idx == v && !(x >= t->level[1][q].val)) {
+        for (int L = 1; L <= t->top && t->level[L][q].idx == v; L++, q /= FAN)
+            replay(t, L, (int64_t)q);
+        return;
+    }
+    for (int L = 1; L <= t->top; L++, q /= FAN) {
+        entry *e = t->level[L] + q;
+        if (e->idx == v ? x == e->val : !beats(x, v, e))
+            return;
+        *e = (entry){x, v};
+    }
+}
+
+/* Bring v's matches up to date after a write to C[v], the tree holding C's
+ * other entries.  One compare with v's level-1 match settles most writes:
+ * when v neither won it nor beats its winner, nothing moves.  Kept out of
+ * line, as climb is: a call inlined here took more time per write. */
+__attribute__((noinline)) static void tree_update(tree *t, int64_t v)
+{
+    const double x = fabs(t->C[v]);
+    const entry *e = t->level[1] + (uint64_t)v / FAN;
+    if (e->idx == v || beats(x, v, e))
+        climb(t, v, x);
 }
 
 /* The first index of the largest |C[j]|, as np.argmax(np.abs(C)). */
@@ -325,16 +417,37 @@ static inline int may_step(const loop_state *s, const loop_params *p)
     return !(s->cash_l1 - s->l1_err < p->eps || s->t >= p->max_steps);
 }
 
+/* The row part of a push: C[j] += b * data[e] for the entries lo..hi - 1
+ * of a row, 0 added at own; returns the row's sum |new| - |old|.  Each
+ * write updates w, MaxCash's tree, unless w is NULL. */
+__attribute__((always_inline)) static inline double push_row(const csr_rows *m, double *C, int64_t lo, int64_t hi,
+                                                            double b, int64_t own, tree *w)
+{
+    double old_abs = 0.0, new_abs = 0.0;
+    for (int64_t e = lo; e < hi; e++) {
+        int64_t j = m->indices[e];
+        double o = C[j];
+        double v = o + (j == own ? 0.0 : b * m->data[e]);
+        C[j] = v;
+        old_abs += fabs(o);
+        new_abs += fabs(v);
+        if (w)
+            tree_update(w, j);
+    }
+    return new_abs - old_abs;
+}
+
 /* One step: engine.step's push of node i (none when i < 0, a skip step,
  * or C[i] is 0), with ||C||_1 moved by the change the push sums and its
  * rounding bound grown to cover it; nonzero when the loop must return
  * after it (a trace row is due, or the ||C||_1 bound passed its drift
- * limit).  w is MaxCash's winner tree, replayed at every entry written,
- * or NULL; best, or NULL, takes MaxCash's next pick from the pass that
- * adds the restart part and sums |new| - |old| for ||C||_1.  Where that
- * add is zero but at dangling rows (the matrix's damped copy), the tree is
- * kept and rebuilt there.  Inlined into each loop, whose copy then drops
- * what its kind does not use. */
+ * limit).  w is MaxCash's tree, updated at every entry written (rebuilt
+ * after a row that writes half of C or more), or NULL; best, or NULL,
+ * takes MaxCash's next pick from the pass that adds the restart part and
+ * sums |new| - |old| for ||C||_1.  Where that add is zero but at dangling
+ * rows (the matrix's damped copy), the tree is kept and rebuilt there.
+ * Inlined into each loop, whose copy then drops what its kind does not
+ * use. */
 __attribute__((always_inline)) static inline int step(const csr_rows *m, double *C, double *H, int64_t i,
                                                       loop_state *s, const loop_params *p, tree *w, int64_t *best)
 {
@@ -345,25 +458,22 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
         s->total_history += a;
         C[i] = 0.0;
         if (w)
-            replay(w, i);
+            tree_update(w, i);
         double b = m->scale ? a * m->scale[i] : a;
         /* a GaussSeidelRows push leaves C[i] at 0: the row adds 0 there
          * (a select, as a branch here slowed the pc runs by ~15%) and
          * the restart pass skips it */
         int64_t own = m->scale ? i : -1;
         int64_t lo = m->indptr[i], hi = m->indptr[i + 1];
-        double old_abs = 0.0, new_abs = 0.0;
-        for (int64_t e = lo; e < hi; e++) {
-            int64_t j = m->indices[e];
-            double o = C[j];
-            double v = o + (j == own ? 0.0 : b * m->data[e]);
-            C[j] = v;
-            old_abs += fabs(o);
-            new_abs += fabs(v);
-            if (w)
-                replay(w, j);
+        double grown;
+        if (w && 2 * (hi - lo) >= p->n) {
+            /* one rebuild, ~n / (FAN - 1) matches, costs less than the
+             * updates of half of C */
+            grown = push_row(m, C, lo, hi, b, own, NULL);
+            rebuild(w);
+        } else {
+            grown = push_row(m, C, lo, hi, b, own, w);
         }
-        double grown = new_abs - old_abs;
         double r = 0.0;
         if (m->restart) {
             r = lo == hi ? b * p->dangling_share : b * p->restart_share;
@@ -411,9 +521,13 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
 }
 
 /* The loops: steps taken (0: the next step needs Python), or -1 when out
- * of memory. */
+ * of memory.  Each starts on a cache line, so that code added above it
+ * leaves its layout as it was: unaligned below the tournament's code, the
+ * rr and theta loops ran gso on a damped copy with 30% dangling rows 6-8%
+ * slower with no edit to either. */
 
-int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
+__attribute__((aligned(64))) int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, loop_state *s,
+                                                  const loop_params *p)
 {
     const int64_t t0 = s->t;
     while (may_step(s, p))
@@ -422,7 +536,8 @@ int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, loop_state *s, con
     return s->t - t0;
 }
 
-int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
+__attribute__((aligned(64))) int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, loop_state *s,
+                                                     const loop_params *p)
 {
     const int64_t t0 = s->t;
     /* Theta refreshes at the steps k with k % n == 0, whose candidate is this node */
@@ -441,33 +556,48 @@ int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, loop_state *s, 
     return s->t - t0;
 }
 
-int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
+/* MaxCash's two loops, each in its own function aligned to a cache line,
+ * so that an edit to one leaves the other's code where it was: the scan
+ * path's time moved ~15% with layout alone. */
+__attribute__((noinline, aligned(64))) static int64_t maxc_scan(const csr_rows *m, double *C, double *H,
+                                                               loop_state *s, const loop_params *p)
 {
     const int64_t t0 = s->t;
-    if (m->restart && p->restart_share != 0.0) {
-        /* a restart add moves every entry: a scan in that pass beats the
-         * tree; each pick rule has its own inlined step */
-        int64_t best = argmax_abs(C, p->n);
-        while (may_step(s, p) && C[best] != 0.0) {
-            s->k++;
-            if (step(m, C, H, best, s, p, NULL, &best))
-                break;
-        }
-        return s->t - t0;
-    }
-    tree w;
-    if (tree_init(&w, C, p->n) != 0)
-        return -1;
-    while (may_step(s, p) && C[w.win[1]] != 0.0) {
+    int64_t best = argmax_abs(C, p->n);
+    while (may_step(s, p) && C[best] != 0.0) {
         s->k++;
-        if (step(m, C, H, w.win[1], s, p, &w, NULL))
+        if (step(m, C, H, best, s, p, NULL, &best))
             break;
     }
-    free(w.win);
     return s->t - t0;
 }
 
-int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
+__attribute__((noinline, aligned(64))) static int64_t maxc_tree(const csr_rows *m, double *C, double *H,
+                                                               loop_state *s, const loop_params *p)
+{
+    const int64_t t0 = s->t;
+    tree w;
+    if (tree_init(&w, C, p->n) != 0)
+        return -1;
+    while (may_step(s, p) && C[w.level[w.top][0].idx] != 0.0) {
+        s->k++;
+        if (step(m, C, H, w.level[w.top][0].idx, s, p, &w, NULL))
+            break;
+    }
+    free(w.level[1]);
+    return s->t - t0;
+}
+
+int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
+{
+    /* a restart add moves every entry: a scan in that pass beats the tree */
+    if (m->restart && p->restart_share != 0.0)
+        return maxc_scan(m, C, H, s, p);
+    return maxc_tree(m, C, H, s, p);
+}
+
+__attribute__((aligned(64))) int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, loop_state *s,
+                                                  const loop_params *p)
 {
     const int64_t t0 = s->t;
     double *acc = malloc((size_t)p->n * sizeof *acc);
@@ -658,8 +788,12 @@ static int parse_weight(const char **at, const char *end, double *w)
     return 1;
 }
 
-int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based, double *edges, int64_t rows,
-                         double *top)
+/* Aligned to a cache line, so that code added above leaves the layout of
+ * this parser and of the functions after it as it was: a shifted start
+ * alone made the parse and the coalescing of an n=1e4 edge file 6-8%
+ * slower. */
+__attribute__((aligned(64))) int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based,
+                                                      double *edges, int64_t rows, double *top)
 {
     const char *p = data, *end = data + size;
     const char *point = localeconv()->decimal_point;

@@ -2,6 +2,7 @@ import copy
 import ctypes
 import os
 import pathlib
+import re
 import threading
 import types
 from fractions import Fraction
@@ -902,6 +903,38 @@ class TestCompiledLoop:
         monkeypatch.setattr(pushloop, "load", lambda: None)
         assert _replay(P, schedules.parse_schedule(sched_name), stride=stride) == ("py", compiled[1])
 
+    @pytest.mark.parametrize("python_step", [False, True], ids=["loop-only", "python-step-between"])
+    @pytest.mark.parametrize("sched_name", ["theta:1", "theta:2"])
+    def test_refresh_reads_the_last_returns_abs_only_for_that_cash(self, sched_name, python_step, kernel,
+                                                                   monkeypatch):
+        # The loop runs up to Theta's next refresh, or to one step short of it,
+        # which a Python step then takes.  The next advance refreshes from the
+        # |C| the last return summed only when no Python step changed C since.
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _chain("sbm80")
+        given = []
+        refresh = schedules.Theta.refresh
+
+        def watched(sched, a):
+            given.append(a is loop.abs_c)
+            assert a.tobytes() == np.abs(st_.C).tobytes()
+            refresh(sched, a)
+
+        monkeypatch.setattr(schedules.Theta, "refresh", watched)
+        sched = schedules.parse_schedule(sched_name).bind(P)
+        sched.restart()
+        loop = pushloop.bind(P, sched)
+        st_ = engine.init(P)
+        stop = st_.t + P.n - python_step  # k = t - 1 reaches n, or n - 1 for the Python step
+        while st_.t < stop:
+            assert loop.advance(st_, sched, 1e-10, stop, 10**9) > 0
+        if python_step:
+            engine.step(st_, sched.next_nodes(st_.C), P)
+        assert sched._k == P.n
+        assert loop.advance(st_, sched, 1e-10, st_.t + 1, 10**9) == 1
+        assert given == [False, not python_step]
+
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_advance_leaves_cash_l1_within_the_drift_limit(self, sched_name, kernel):
         # every push adds the n restart terms' rounding to the bound, which
@@ -1235,9 +1268,14 @@ class TestExactHandBack:
         assert res.state.max_l1_drift == max([gap for gap, _, _ in seen], default=0.0)
 
 
-# Sizes around the powers of two: the root as the only leaf (1), full trees
-# (2, 4, 8, 16) and trees padded on the right (3, 5, 9, 17).
-TREE_SIZES = [1, 2, 3, 4, 5, 8, 9, 16, 17]
+# MaxCash's compiled pick is a tournament of FAN players a match (_push.c).
+FAN = int(re.search(r"^#define FAN (\d+)", pathlib.Path(pushloop.SOURCE).read_text(), re.M).group(1))
+
+# Sizes at the tournament's level edges: the root as the only player (1),
+# one match short of, at and past full (FAN - 1, FAN, FAN + 1), two full
+# levels and one player more (FAN^2, FAN^2 + 1), and one size past three
+# levels (FAN^3 + 1); and small sizes that pad a match on the right.
+TREE_SIZES = sorted({1, 2, 3, 4, 5, 9, 16, 17, FAN - 1, FAN, FAN + 1, FAN**2, FAN**2 + 1, FAN**3 + 1})
 
 
 def _cycle(n):
@@ -1247,7 +1285,8 @@ def _cycle(n):
 
 def _complete(n):
     """Every node to every node, itself included: every entry 1/n."""
-    return build_transition([(i, j) for i in range(n) for j in range(n)], n)
+    ids = np.arange(n, dtype=float)
+    return build_transition(np.column_stack([np.repeat(ids, n), np.tile(ids, n)]), n)
 
 
 def _half_dangling(n):
@@ -1261,7 +1300,7 @@ def _tied_cash(n):
 
 
 class TestMaxCashTies:
-    """MaxCash's compiled pick (a winner tree) against np.argmax(np.abs(C)) where |C| ties exactly."""
+    """MaxCash's compiled pick (a tournament) against np.argmax(np.abs(C)) where |C| ties exactly."""
 
     @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
     @pytest.mark.parametrize("start", ["uniform", "point-mass", "tied-cash"])
@@ -1296,6 +1335,95 @@ class TestMaxCashTies:
         assert got == kernel
         assert outcome[0]
 
+
+
+def _signed_tied_cash(n, seed):
+    """Random signed cash: three quarters of it quarters in [-1, 1], so |C| ties exactly, +0.0
+    and -0.0 among them, and the rest smaller normal draws."""
+    rng = np.random.default_rng([seed, n])
+    tied = rng.choice([1.0, -1.0, 0.75, -0.75, 0.5, -0.5, 0.25, -0.25, 0.0, -0.0], n)
+    return np.where(rng.random(n) < 0.75, tied, rng.standard_normal(n) / 4)
+
+
+def _pick_rows(kind, n, seed):
+    """Unweighted rows of a power-of-two count of arcs, so pushes of the tied cash stay exact
+    and tie again: a ring with 3 random arcs a node ("plain"), a ring with 2 and a self-loop
+    ("self-loops"), the Gauss-Seidel view of that, or 2^k >= n / 2 random arcs a node ("dense")."""
+    rng = np.random.default_rng([seed, n, 1])
+    ids = np.arange(n)
+    if kind == "dense":
+        src = np.repeat(ids, 1 << ((n - 1).bit_length() - 1))
+        dst = rng.integers(0, n, size=src.size)
+    else:
+        extra = 3 if kind == "plain" else 2
+        loops = [ids] if kind != "plain" else []
+        src = np.concatenate([ids, np.repeat(ids, extra)] + loops)
+        dst = np.concatenate([(ids + 1) % n, rng.integers(0, n, size=extra * n)] + loops)
+    P = build_transition(np.column_stack([src, dst]).astype(float), n)
+    return GaussSeidelRows(P) if kind == "gauss-seidel" else P
+
+
+class TestMaxCashPick:
+    """Each compiled MaxCash pick is np.argmax(np.abs(C)) of the cash before it."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [FAN + 3, FAN**2 + 6, FAN**3 + 9])
+    @pytest.mark.parametrize("kind", ["plain", "self-loops", "gauss-seidel", "dense"])
+    def test_every_pick_is_numpys(self, kind, n, seed, kernel):
+        # One run takes one step per advance, so each pick comes from a tree
+        # built on the cash before it.  A second run takes the first k steps
+        # in one call, for each k, so its k-th pick comes from a tree its
+        # earlier writes updated: its state must match the first run's.
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _pick_rows(kind, n, seed)
+        cash = _signed_tied_cash(n, seed)
+
+        def start_state():
+            state = engine.init(P, cash=cash)
+            # signed pushes can sum to 0 exactly and fire the guard, which reads only this
+            # sum; no pick reads it, and from 1e9 it stays far from 0
+            state.total_history = 1e9
+            return state
+
+        one_sched = schedules.MaxCash().bind(P)
+        one = pushloop.bind(P, one_sched)
+        prefix_sched = schedules.MaxCash().bind(P)
+        prefix = pushloop.bind(P, prefix_sched)
+        stepped = start_state()
+        start = stepped.t
+        dropped = rose = 0  # writes that took each branch of the tree's update
+        for k in range(1, 121):
+            C = stepped.C.copy()
+            H = stepped.H.copy()
+            pick = int(np.argmax(np.abs(C)))
+            assert one.advance(stepped, one_sched, 1e-300, stepped.t + 1, 10**9) == 1
+            assert np.flatnonzero(stepped.H != H).tolist() == [pick]
+            written = np.flatnonzero(stepped.C != C)
+            block = written // FAN * FAN
+            winner = np.array([b + int(np.argmax(np.abs(C[b:b + FAN]))) for b in block], dtype=np.int64)
+            was, now = np.abs(C[written]), np.abs(stepped.C[written])
+            dropped += int(((written == winner) & (now < was)).sum())
+            best = np.abs(C[winner])
+            rose += int(((written != winner) & ((now > best) | ((now == best) & (written < winner)))).sum())
+
+            state = start_state()
+            while state.t < start + k:  # the loop may return early, at its drift limit
+                assert prefix.advance(state, prefix_sched, 1e-300, start + k, 10**9) > 0
+            assert (state.H.tobytes(), state.C.tobytes()) == (stepped.H.tobytes(), stepped.C.tobytes())
+        assert dropped > 0 and rose > 0
+
+    def test_a_rise_to_a_tie_goes_to_the_lower_index(self, kernel, monkeypatch):
+        # Node FAN holds the most cash and pushes all of it to node 1, whose |C|
+        # rises from 1 to 3, the |C| of node 3, the winner of their match: the
+        # next pick is node 1, the lower index, as np.argmax takes it.
+        n = 2 * FAN + 1
+        P = build_transition([(i, (i + 1) % n) for i in range(n) if i != FAN] + [(FAN, 1)], n)
+        cash = np.zeros(n)
+        cash[[1, 3, FAN]] = [-1.0, -3.0, 4.0]
+        got, outcome = _three_ways(monkeypatch, P, "maxc", cash=cash, max_steps=3)
+        assert got == kernel
+        assert outcome[4] == 3 and np.flatnonzero(np.frombuffer(outcome[10])).tolist() == [1, FAN]
 
 
 class TestRestartPass:
