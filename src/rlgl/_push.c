@@ -467,8 +467,13 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
         int64_t lo = m->indptr[i], hi = m->indptr[i + 1];
         double grown;
         if (w && 2 * (hi - lo) >= p->n) {
-            /* one rebuild, ~n / (FAN - 1) matches, costs less than the
-             * updates of half of C */
+            /* one rebuild, ~n / (FAN - 1) matches, in place of an update
+             * per entry: meanfield-3block's rows write all of C, and its
+             * rlgl+maxc took 0.72 ms this way against 1.75 ms with updates
+             * (the binary tree: 1.70), median of 21 runs interleaved in
+             * one process (BENCH_38.json dense_rows); no workload has a
+             * row between ~10 entries and all of C, so the half is not
+             * tuned */
             grown = push_row(m, C, lo, hi, b, own, NULL);
             rebuild(w);
         } else {
@@ -521,13 +526,9 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
 }
 
 /* The loops: steps taken (0: the next step needs Python), or -1 when out
- * of memory.  Each starts on a cache line, so that code added above it
- * leaves its layout as it was: unaligned below the tournament's code, the
- * rr and theta loops ran gso on a damped copy with 30% dangling rows 6-8%
- * slower with no edit to either. */
+ * of memory. */
 
-__attribute__((aligned(64))) int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, loop_state *s,
-                                                  const loop_params *p)
+int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
 {
     const int64_t t0 = s->t;
     while (may_step(s, p))
@@ -536,8 +537,7 @@ __attribute__((aligned(64))) int64_t rlgl_loop_rr(const csr_rows *m, double *C, 
     return s->t - t0;
 }
 
-__attribute__((aligned(64))) int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, loop_state *s,
-                                                     const loop_params *p)
+int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
 {
     const int64_t t0 = s->t;
     /* Theta refreshes at the steps k with k % n == 0, whose candidate is this node */
@@ -556,9 +556,11 @@ __attribute__((aligned(64))) int64_t rlgl_loop_theta(const csr_rows *m, double *
     return s->t - t0;
 }
 
-/* MaxCash's two loops, each in its own function aligned to a cache line,
- * so that an edit to one leaves the other's code where it was: the scan
- * path's time moved ~15% with layout alone. */
+/* MaxCash's two loops, each in its own function.  The scan loop starts on
+ * a cache line: where it fell after the tournament's code, sbm500 PageRank
+ * rlgl+maxc took 7.19 ms against the parent's 6.62 and 6.71 aligned
+ * (median of 31 runs interleaved in one process, BENCH_38.json
+ * scan_alignment). */
 __attribute__((noinline, aligned(64))) static int64_t maxc_scan(const csr_rows *m, double *C, double *H,
                                                                loop_state *s, const loop_params *p)
 {
@@ -572,8 +574,8 @@ __attribute__((noinline, aligned(64))) static int64_t maxc_scan(const csr_rows *
     return s->t - t0;
 }
 
-__attribute__((noinline, aligned(64))) static int64_t maxc_tree(const csr_rows *m, double *C, double *H,
-                                                               loop_state *s, const loop_params *p)
+__attribute__((noinline)) static int64_t maxc_tree(const csr_rows *m, double *C, double *H, loop_state *s,
+                                                  const loop_params *p)
 {
     const int64_t t0 = s->t;
     tree w;
@@ -596,8 +598,7 @@ int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, loop_state *s, c
     return maxc_tree(m, C, H, s, p);
 }
 
-__attribute__((aligned(64))) int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, loop_state *s,
-                                                  const loop_params *p)
+int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
 {
     const int64_t t0 = s->t;
     double *acc = malloc((size_t)p->n * sizeof *acc);
@@ -788,12 +789,8 @@ static int parse_weight(const char **at, const char *end, double *w)
     return 1;
 }
 
-/* Aligned to a cache line, so that code added above leaves the layout of
- * this parser and of the functions after it as it was: a shifted start
- * alone made the parse and the coalescing of an n=1e4 edge file 6-8%
- * slower. */
-__attribute__((aligned(64))) int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based,
-                                                      double *edges, int64_t rows, double *top)
+int64_t rlgl_parse_edges(const char *data, int64_t size, int64_t one_based, double *edges, int64_t rows,
+                         double *top)
 {
     const char *p = data, *end = data + size;
     const char *point = localeconv()->decimal_point;

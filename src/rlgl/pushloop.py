@@ -221,9 +221,6 @@ class Loop:
         arrays = (push.indptr, push.indices, push.values, push.out_degree, push.s, push.scale)
         self.rows = Rows(*[None if a is None else a.ctypes.data for a in arrays])
         self.state = LoopState()
-        # |C| at the last return that took steps, and the C and step it was taken at
-        self.abs_c = np.empty(n)
-        self.abs_at = None, 0
         self.params = LoopParams(
             n=n, sum_depth=_sum_depth(n), guard_unit=engine.GUARD_UNIT, drift_tol=DRIFT_TOL, unit=_U,
             restart_share=push.restart_share, dangling_share=push.dangling_share,
@@ -235,14 +232,11 @@ class Loop:
         Called where the Python loop would pick its next node, so the
         first step's checks have passed: the rr and theta loops take that
         step.  Theta's refresh, due when k is a multiple of n, is made here
-        first, as in ``next_nodes``: from the |C| the last return summed
-        when C is still that array at that step (no Python step or restart
-        between), so a refresh right after a return takes no second pass
-        over C.  The schedule's position and scan count are handed back
-        through its ``seek``.  For ProportionalCash the loop draws each
-        uniform at its pick from the schedule's generator (read here on
-        every call, as ``reseed`` replaces it), holding the generator's
-        lock as ``Generator.random`` does.
+        first, as in ``next_nodes``.  The schedule's position and scan
+        count are handed back through its ``seek``.  For ProportionalCash
+        the loop draws each uniform at its pick from the schedule's
+        generator (read here on every call, as ``reseed`` replaces it),
+        holding the generator's lock as ``Generator.random`` does.
 
         The loop keeps ``||C||_1`` incrementally from the exact sum it is
         handed, with a rounding bound ``l1_err`` from 0, and also returns
@@ -263,8 +257,7 @@ class Loop:
         lock = contextlib.nullcontext()
         if self.kind == "theta":
             if schedule._k % n == 0:
-                taken = self.abs_at[0] is C and self.abs_at[1] == state.t
-                schedule.refresh(self.abs_c if taken else np.abs(C))
+                schedule.refresh(C)
             p.theta = schedule.theta
         elif self.kind == "pc":
             bits = schedule.rng.bit_generator
@@ -288,8 +281,7 @@ class Loop:
         state.t, state.updates = s.t, s.updates
         state.cum_cost, state.total_history = s.cum_cost, s.total_history
         state.max_l1_increase = s.max_l1_increase
-        state.cash_l1 = float(np.abs(C, out=self.abs_c).sum())
-        self.abs_at = C, state.t
+        state.cash_l1 = float(np.abs(C).sum())
         state.max_l1_drift = max(state.max_l1_drift, abs(s.cash_l1 - state.cash_l1))
         schedule.seek(s.k, s.scan_cost)
         return done

@@ -180,15 +180,16 @@ class Theta(Schedule):
         self.offset = 0
         self.theta = 0.0  # refreshed at step 0, before any pick reads it
 
-    def refresh(self, a):
-        """Set the threshold from ``a = np.abs(C)`` of the cash C; charged as a scan of all n nodes."""
+    def refresh(self, C):
+        """Set the threshold from the cash C; charged as a scan of all n nodes."""
+        a = np.abs(C)
         # 1-ulp slack: exactly-equal cash must pass its own power mean
         self.theta = float((a**self.r).mean() ** (1.0 / self.r)) * (1.0 - 1e-12)
         self.scan_cost += self.n
 
     def next_nodes(self, C):
         if self._k % self.n == 0:
-            self.refresh(np.abs(C))
+            self.refresh(C)
         i = (self._k + self.offset) % self.n
         self._k += 1
         self.scan_cost += 1

@@ -903,38 +903,6 @@ class TestCompiledLoop:
         monkeypatch.setattr(pushloop, "load", lambda: None)
         assert _replay(P, schedules.parse_schedule(sched_name), stride=stride) == ("py", compiled[1])
 
-    @pytest.mark.parametrize("python_step", [False, True], ids=["loop-only", "python-step-between"])
-    @pytest.mark.parametrize("sched_name", ["theta:1", "theta:2"])
-    def test_refresh_reads_the_last_returns_abs_only_for_that_cash(self, sched_name, python_step, kernel,
-                                                                   monkeypatch):
-        # The loop runs up to Theta's next refresh, or to one step short of it,
-        # which a Python step then takes.  The next advance refreshes from the
-        # |C| the last return summed only when no Python step changed C since.
-        if kernel != "c":
-            pytest.skip("no compiler: the loop is not built")
-        P = _chain("sbm80")
-        given = []
-        refresh = schedules.Theta.refresh
-
-        def watched(sched, a):
-            given.append(a is loop.abs_c)
-            assert a.tobytes() == np.abs(st_.C).tobytes()
-            refresh(sched, a)
-
-        monkeypatch.setattr(schedules.Theta, "refresh", watched)
-        sched = schedules.parse_schedule(sched_name).bind(P)
-        sched.restart()
-        loop = pushloop.bind(P, sched)
-        st_ = engine.init(P)
-        stop = st_.t + P.n - python_step  # k = t - 1 reaches n, or n - 1 for the Python step
-        while st_.t < stop:
-            assert loop.advance(st_, sched, 1e-10, stop, 10**9) > 0
-        if python_step:
-            engine.step(st_, sched.next_nodes(st_.C), P)
-        assert sched._k == P.n
-        assert loop.advance(st_, sched, 1e-10, st_.t + 1, 10**9) == 1
-        assert given == [False, not python_step]
-
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_advance_leaves_cash_l1_within_the_drift_limit(self, sched_name, kernel):
         # every push adds the n restart terms' rounding to the bound, which
