@@ -471,9 +471,10 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
              * per entry: meanfield-3block's rows write all of C, and its
              * rlgl+maxc took 0.72 ms this way against 1.75 ms with updates
              * (the binary tree: 1.70), median of 21 runs interleaved in
-             * one process (BENCH_38.json dense_rows); no workload has a
+             * one process; its perfbench rlgl_solve_s read 19% lower in 10
+             * of 10 pairs (BENCH_38.json dense_rows).  No workload has a
              * row between ~10 entries and all of C, so the half is not
-             * tuned */
+             * tuned. */
             grown = push_row(m, C, lo, hi, b, own, NULL);
             rebuild(w);
         } else {
