@@ -230,36 +230,27 @@ def parse_method(cfg: ExperimentConfig):
     return name, None
 
 
-def residual_kind(name):
-    """What the trace residual of method ``name`` (as ``parse_method`` names it) measures, as written to bench.csv."""
-    return {"pi": "delta_l1", "gmres": "gmres_rel"}.get(name, "cash_l1")
-
-
 def run_method(P, cfg: ExperimentConfig, M0=None):
-    """Dispatch one solver; returns (estimate, trace, residual_kind, meta).
+    """Dispatch one solver; returns (estimate, trace, trace.residual, meta).
 
     ``M0`` is the rlgl seed distribution; when None it is read from
     ``cfg.m0`` (uniform without one).
     """
     method, arg = parse_method(cfg)
-    kind = residual_kind(method)
     if method == "rlgl":
         if M0 is None and cfg.m0:
             M0 = _load_vector(cfg.m0, "--m0")
         res = engine.run(P, arg, M0, eps=cfg.eps, max_steps=cfg.max_steps)
-        return res.pi_hat, res.trace, kind, res
+        return res.pi_hat, res.trace, res.trace.residual, res
     if method == "pi":
         res = solvers.power_iteration(P, eps=cfg.eps, max_iters=cfg.max_steps)
-        return res.x, res.trace, kind, res
-    if method == "gs":
+    elif method == "gs":
         res = solvers.gauss_seidel(P, eps=cfg.eps, max_steps=cfg.max_steps)
-        return res.x, res.trace, kind, res
-    if method == "gmres":
+    elif method == "gmres":
         res = solvers.gmres_restarted(P, m=arg, eps=cfg.eps, max_restarts=cfg.max_steps)
-        return res.x, res.trace, kind, res
-    # gso, the one name left
-    res = solvers.gso_pagerank(P, arg, eps=cfg.eps, max_steps=cfg.max_steps)
-    return res.x, res.trace, kind, res
+    else:  # gso, the one name left
+        res = solvers.gso_pagerank(P, arg, eps=cfg.eps, max_steps=cfg.max_steps)
+    return res.x, res.trace, res.trace.residual, res
 
 
 def cmd_solve(args):
@@ -315,7 +306,6 @@ def cmd_bench(args):
     methods = [parse_method(sub) for sub in subs]
     check_m0(cfg, methods)
     check_seed(args.seed, cfg.graph, [sub.method for sub in subs])
-    kinds = [residual_kind(name) for name, _ in methods]
     P, _ = build_problem(cfg)
     # So are a bad --m0 and a schedule that does not fit the graph (a block id outside [0, n)).
     M0 = check_distribution(_load_vector(cfg.m0, "--m0"), P.n) if cfg.m0 else None
@@ -325,10 +315,9 @@ def cmd_bench(args):
     results = [_bench_one(P, sub, M0) for sub in subs]
     make_out_dir(cfg.out)
     rows = []
-    for sub, kind, (trace, _) in zip(subs, kinds, results):
+    for sub, (trace, _) in zip(subs, results):
         if trace is not None:
-            cols = [trace.columns.index(c) for c in ("step", "cum_cost", trace.residual)]
-            rows += [(sub.method, *(r[j] for j in cols), kind) for r in trace.rows]
+            rows += [(sub.method, r[0], r[2], r[4], trace.residual) for r in trace.rows]
     columns = ("method", "step", "cum_cost", "residual", "residual_kind")
     engine.write_csv(os.path.join(cfg.out, "bench.csv"), columns, rows)
     for sub, (_, error) in zip(subs, results):

@@ -110,27 +110,24 @@ def write_csv(path, columns, rows=(), *, arrays=None):
 
 
 @dataclass
-class Trace:
-    """Sampled records, one tuple per row.
+class RunTrace:
+    """Sampled (step, cumulative updates, costs, residual) records, one tuple per row.
 
-    Subclasses name the row fields in ``columns``, name the one their run
-    drives below eps in ``residual``, and append rows in ``record``.
+    ``residual`` names the last field, the quantity the run drives below
+    eps: ``cash_l1`` (||C_t||_1) for an engine run, else what a baseline
+    solver sets (``solvers``).
     """
 
-    columns = ()
-    residual = None
     rows: list = field(default_factory=list)
+    residual: str = "cash_l1"
+
+    @property
+    def columns(self):
+        return ("step", "updates", "cum_cost", "scan_cost", self.residual)
 
     def column(self, name):
         j = self.columns.index(name)
         return np.array([r[j] for r in self.rows])
-
-
-class RunTrace(Trace):
-    """Sampled (step, cumulative updates, costs, residual) records."""
-
-    columns = ("step", "updates", "cum_cost", "scan_cost", "cash_l1")
-    residual = "cash_l1"
 
     def record(self, state):
         self.rows.append((state.t, state.updates, state.cum_cost, state.scan_cost, state.cash_l1))

@@ -4,7 +4,16 @@ the positive-cash push solver for the damped restart (PageRank) system.
 Gauss-Seidel and the push solver are engine runs: round-robin pushes on
 ``GaussSeidelRows(P)``, and pushes from the cash ``(1-c) s`` on the
 ``damped`` rows of ``google_matrix``'s output, picked by any engine
-schedule (the CLI's ``gso:<schedule>``; ``MaxCash`` by default)."""
+schedule (the CLI's ``gso:<schedule>``; ``MaxCash`` by default).
+
+Every solver records the engine's ``RunTrace``.  The engine runs keep its
+rows and their ``cash_l1`` residual.  Power iteration writes a row per
+product x P, with residual ``delta_l1`` (``||x_{t+1} - x_t||_1``), and
+GMRES a row per product, with residual ``gmres_rel`` (``||A x||_2 /
+||x||_2``, the restart's first row the true one and the others its
+least-squares estimate).  Their ``updates`` count n per product, as a full
+sweep moves every node's entry once, and their ``scan_cost`` is 0: neither
+scans."""
 
 from __future__ import annotations
 
@@ -14,25 +23,15 @@ import numpy as np
 
 from . import schedules
 # bound at import: perfbench's tracing wraps engine.run for rlgl runs only
-from .engine import Trace, run as run_engine
+from .engine import RunTrace, run as run_engine
 from .errors import InvalidParamsError, NoConvergenceError
 from .matrix import GaussSeidelRows, TransitionMatrix
-
-
-class SolveTrace(Trace):
-    """(iteration, cum_cost, residual) records of a baseline solver."""
-
-    columns = ("step", "cum_cost", "residual")
-    residual = "residual"
-
-    def record(self, step, cum_cost, residual):
-        self.rows.append((step, cum_cost, residual))
 
 
 @dataclass
 class SolveResult:
     x: np.ndarray
-    trace: SolveTrace
+    trace: RunTrace
     converged: bool
     iterations: int
     extra: dict = field(default_factory=dict)
@@ -43,14 +42,16 @@ def power_iteration(P, eps=1e-10, max_iters=100_000):
 
     Each iteration is charged one full sweep (the matrix volume).
     """
-    x = np.full(P.n, 1.0 / P.n)
-    trace = SolveTrace()
+    n = P.n
+    x = np.full(n, 1.0 / n)
+    trace = RunTrace(residual="delta_l1")
+    volume = P.volume
     cost = 0.0
     for it in range(1, max_iters + 1):
         x_next = P.mul_left(x)
-        cost += P.volume
+        cost += volume
         diff = float(np.abs(x_next - x).sum())
-        trace.record(it, cost, diff)
+        trace.rows.append((it, it * n, cost, 0.0, diff))
         x = x_next
         if diff < eps:
             return SolveResult(x, trace, True, it)
@@ -61,7 +62,7 @@ def power_iteration(P, eps=1e-10, max_iters=100_000):
 
 
 def _engine_solve(name, P, schedule, estimate, eps, max_steps, trace_stride, **start):
-    """One engine run as a SolveResult: ``estimate(H)``, the trace's (step, cost, cash_l1) rows, and steps.
+    """One engine run as a SolveResult: ``estimate(H)``, the run's trace, and steps.
 
     Raises NoConvergenceError with that result when the run hits max_steps.
     """
@@ -70,8 +71,7 @@ def _engine_solve(name, P, schedule, estimate, eps, max_steps, trace_stride, **s
     except NoConvergenceError as exc:
         res = exc.result
     state = res.state
-    trace = SolveTrace([(t, cost, resid) for t, _, cost, _, resid in res.trace.rows])
-    out = SolveResult(estimate(state.H), trace, res.converged, state.t, {"state": state, "kernel": res.kernel})
+    out = SolveResult(estimate(state.H), res.trace, res.converged, state.t, {"state": state, "kernel": res.kernel})
     if not res.converged:
         raise NoConvergenceError(f"{name}: no convergence in {max_steps} steps", out)
     return out
@@ -114,14 +114,17 @@ def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
     if m < 1:
         raise InvalidParamsError("restart dimension must be >= 1")
     m = min(m, n)
-    trace = SolveTrace()
+    trace = RunTrace(residual="gmres_rel")
+    volume = P.volume
     cost = 0.0
+    products = 0
     for restart in range(max_restarts):
         r = -apply_A(x)
-        cost += P.volume
+        cost += volume
+        products += 1
         beta = float(np.linalg.norm(r))
         xnorm = float(np.linalg.norm(x))
-        trace.record(restart, cost, beta / xnorm if xnorm else np.inf)
+        trace.rows.append((restart, products * n, cost, 0.0, beta / xnorm if xnorm else np.inf))
         if beta < eps * xnorm:
             return SolveResult(x / x.sum(), trace, True, restart, {"restarts": restart})
         Q = np.zeros((m + 1, n))
@@ -135,7 +138,8 @@ def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
         breakdown = False
         for k in range(m):
             w = apply_A(Q[k])
-            cost += P.volume
+            cost += volume
+            products += 1
             for j in range(k + 1):
                 Hm[j, k] = float(Q[j] @ w)
                 w -= Hm[j, k] * Q[j]
@@ -155,7 +159,7 @@ def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
             Hm[k + 1, k] = 0.0
             g[k + 1] = -sn[k] * g[k]
             g[k] = cs[k] * g[k]
-            trace.record(restart, cost, abs(g[k + 1]) / xnorm if xnorm else np.inf)
+            trace.rows.append((restart, products * n, cost, 0.0, abs(g[k + 1]) / xnorm if xnorm else np.inf))
             if breakdown or abs(g[k + 1]) < eps * xnorm:
                 k += 1
                 break

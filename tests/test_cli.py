@@ -773,8 +773,7 @@ def test_estimate_and_bench_lines_are_the_format_of_their_values(tmp_path):
     lines = ["method,step,cum_cost,residual,residual_kind\n"]
     for method in methods:
         _, trace, kind, _ = cli.run_method(P, cli.ExperimentConfig(graph="two-wheels", method=method))
-        cols = [trace.columns.index(c) for c in ("step", "cum_cost", trace.residual)]
-        for step, cost, resid in ([r[j] for j in cols] for r in trace.rows):
+        for step, _, cost, _, resid in trace.rows:
             lines.append(f"{method},{step},{cost:.17g},{resid:.17g},{kind}\n")
     assert (out / "bench.csv").read_bytes().decode() == "".join(lines)
 
@@ -815,6 +814,22 @@ class TestBench:
         for method, kind in kinds.items():
             sub = [r for r in rows if r[0] == method]
             assert sub and all(r[4] == kind for r in sub), method
+
+    @pytest.mark.parametrize(
+        "method,mode,residual",
+        [("rlgl+rr", [], "cash_l1"), ("pi", [], "delta_l1"), ("gs", [], "cash_l1"),
+         ("gmres:10", [], "gmres_rel"), ("gso:theta", ["--pagerank"], "cash_l1")],
+        ids=["rlgl+rr", "pi", "gs", "gmres:10", "gso:theta-pagerank"],
+    )
+    def test_one_trace_schema_in_trace_and_bench(self, tmp_path, method, mode, residual):
+        args = ["--graph", "sbm:20,20:0.2:0.02:3", *mode, "--method", method, "--eps", "1e-9", "--out"]
+        assert cli.main(["solve", *args, str(tmp_path / "solve")]) == 0
+        assert cli.main(["bench", *args, str(tmp_path / "bench")]) == 0
+        trace = (tmp_path / "solve" / "trace.csv").read_text().splitlines()
+        assert trace[0] == f"step,updates,cum_cost,scan_cost,{residual}"
+        want = [[method, r[0], r[2], r[4], residual] for r in (line.split(",") for line in trace[1:])]
+        bench = [line.split(",") for line in (tmp_path / "bench" / "bench.csv").read_text().splitlines()[1:]]
+        assert want and bench == want
 
     @pytest.mark.parametrize("m0", ["text", "short", "nan"])
     def test_bad_m0_is_one_error_line(self, tmp_path, capsys, m0):

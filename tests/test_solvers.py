@@ -38,7 +38,7 @@ class TestPowerIteration:
         mf = models.meanfield_sbm([40, 8], 0.1, 0.01)
         forms = sbm2_closed_forms(0.1, 0.01, 5)
         res = solvers.power_iteration(mf, eps=1e-9)
-        resid = res.trace.column("residual")
+        resid = res.trace.column("delta_l1")
         ratios = resid[2:20] / resid[1:19]
         assert np.abs(ratios - forms.lambda2).max() <= 1e-10
 
@@ -272,7 +272,7 @@ class TestGmres:
         P = dense_ergodic_chain(40, 6)
         res = solvers.gmres_restarted(P, m=10, eps=1e-12)
         by_restart = {}
-        for restart, _, resid in res.trace.rows:
+        for restart, _, _, _, resid in res.trace.rows:
             by_restart.setdefault(restart, []).append(resid)
         for resids in by_restart.values():
             assert np.all(np.diff(resids) <= 1e-12)
@@ -403,6 +403,11 @@ def _old_gso(G, rule, eps=1e-11, r=1.0):
             rows.append((st.t, st.cum_cost, float(np.abs(st.C).sum())))
 
 
+def _step_cost_residual(trace):
+    """The (step, cum_cost, residual) projection of a trace's rows, the old loops' row form."""
+    return [(r[0], r[2], r[4]) for r in trace.rows]
+
+
 # the engine schedule that runs each of _old_gso's pick rules
 GSO_SCHEDULES = {"greedy-max": schedules.MaxCash, "rr": schedules.RoundRobin, "theta": schedules.Theta}
 
@@ -430,7 +435,7 @@ class TestGsoSchedules:
         sched = schedules.Theta(r) if rule == "theta" else GSO_SCHEDULES[rule]()
         res = solvers.gso_pagerank(G, sched, eps=1e-11)
         assert res.x.tobytes() == x.tobytes()
-        assert res.trace.rows == rows
+        assert _step_cost_residual(res.trace) == rows
         assert res.iterations == iterations
 
     @pytest.mark.parametrize(
@@ -519,7 +524,7 @@ class TestGsoOnTheEngine:
         x, rows, iterations = _old_push_gso(graph(), rule)
         res = solvers.gso_pagerank(graph(), GSO_SCHEDULES[rule](), eps=1e-11)
         assert res.x.tobytes() == x.tobytes()
-        assert res.trace.rows == rows
+        assert _step_cost_residual(res.trace) == rows
         assert res.iterations == iterations
 
     def test_source_node_rows_follow_pushes_not_picks(self):
@@ -554,3 +559,30 @@ class TestGsoOnTheEngine:
         res = exc.value.result
         assert not res.converged and res.iterations == 50
         assert res.trace.rows[-1][0] == 50
+
+
+class TestOneTraceSchema:
+    @pytest.mark.parametrize(
+        "solve,residual",
+        [(solvers.power_iteration, "delta_l1"), (solvers.gmres_restarted, "gmres_rel")],
+        ids=["pi", "gmres"],
+    )
+    def test_baseline_rows_count_n_updates_per_product(self, solve, residual):
+        P = dense_ergodic_chain(12, 4)
+        trace = solve(P, eps=1e-12).trace
+        assert isinstance(trace, engine.RunTrace)
+        assert trace.columns == ("step", "updates", "cum_cost", "scan_cost", residual)
+        # one row per product x P: n updates and one volume each, and no scan
+        products = np.arange(1, len(trace.rows) + 1)
+        assert trace.column("updates").tolist() == (products * P.n).tolist()
+        assert trace.column("cum_cost").tolist() == list(itertools.accumulate([P.volume] * products.size))
+        assert trace.column("scan_cost").tolist() == [0.0] * products.size
+
+    def test_engine_runs_pass_their_trace_on(self):
+        P = dense_ergodic_chain(12, 4)
+        rows = GaussSeidelRows(P)
+        M0 = 1.0 / rows.scale
+        run = engine.run(rows, schedules.RoundRobin(), M0 / M0.sum(), eps=1e-12)
+        res = solvers.gauss_seidel(P, eps=1e-12)
+        assert res.trace.columns == run.trace.columns == ("step", "updates", "cum_cost", "scan_cost", "cash_l1")
+        assert res.trace.rows == run.trace.rows
