@@ -39,11 +39,17 @@
  * Compile with -ffp-contract=off: a fused multiply-add would round C
  * differently.
  *
- * A loop returns to Python before any step that needs it (the guard
- * fires, the cash may be below eps, max_steps, a Theta refresh, no cash
- * left for MaxCash, a ProportionalCash total that is not finite and
- * positive) and after any step that makes a trace row due or lets the
- * rounding bound of the incremental ||C||_1 pass its drift limit.
+ * A loop takes a whole engine.run in one call, checkpoints included
+ * (checkpoint): it writes each trace row that falls due into the caller's
+ * buffer, with the exact ||C||_1 (abs_sum, numpy's own sum), and takes
+ * that sum itself wherever the Python loop would read it, at the drift
+ * limit of its incremental sum and where the cash may be below eps, then
+ * goes on.  It refreshes theta:1's threshold from the same sum.  It
+ * returns to Python at the run's exit (the exact ||C||_1 below eps,
+ * max_steps), when the guard fires, before a pick Python must make (no
+ * cash left for MaxCash, a ProportionalCash total that is not finite and
+ * positive, a Theta refresh with r != 1), and when a row falls due with
+ * the buffer full; it takes the exact sum before it returns.
  */
 
 #include <float.h>
@@ -73,17 +79,32 @@ typedef struct {
     const double *data, *out_degree, *restart, *scale;
 } csr_rows;
 
-/* Run state shared with Python; fields in pushloop.LoopState's order. */
+/* Run state shared with Python; fields in pushloop.LoopState's order.
+ * record_at is the updates count at which the next trace row falls due,
+ * rows the rows written to the buffer, exact_at the updates count at which
+ * cash_l1 was last the exact sum (l1_err then 0), syncs the exact sums
+ * taken, and bound_misses those whose gap from the incremental value
+ * passed l1_err (0 unless the bound is unsound); max_l1_drift is the
+ * largest such gap. */
 typedef struct {
-    int64_t t, updates, k;
-    double cum_cost, scan_cost, total_history, cash_l1, l1_err, max_l1_increase;
+    int64_t t, updates, k, record_at, rows, exact_at, syncs, bound_misses;
+    double cum_cost, scan_cost, total_history, theta, cash_l1, l1_err, max_l1_increase, max_l1_drift;
 } loop_state;
 
-/* Per-call constants; fields in pushloop.LoopParams' order.  rng is
- * ProportionalCash's bit generator, next_double what Generator.random() calls. */
+/* A trace row, fields in engine.RunTrace's columns and pushloop.ROW's order. */
 typedef struct {
-    int64_t n, offset, max_steps, record_at, sum_depth;
-    double theta, eps, initial_mass, guard_unit, drift_tol, unit, restart_share, dangling_share;
+    int64_t t, updates;
+    double cum_cost, scan_cost, cash_l1;
+} trace_row;
+
+/* Per-run constants; fields in pushloop.LoopParams' order.  row holds
+ * row_cap trace rows; mean_refresh is 1 when Theta's r is 1, whose
+ * refresh the loop makes.  rng is ProportionalCash's bit generator,
+ * next_double what Generator.random() calls. */
+typedef struct {
+    int64_t n, offset, max_steps, stride, row_cap, sum_depth, mean_refresh;
+    double eps, initial_mass, guard_unit, drift_tol, unit, restart_share, dangling_share;
+    trace_row *row;
     void *rng;
     double (*next_double)(void *);
 } loop_params;
@@ -408,13 +429,94 @@ __attribute__((always_inline)) static inline void add_restart(double *C, const d
         add_entry(C, s, r, j, l, 0, scan);
 }
 
-/* engine.run's checks before a step: 0 when Python must make them (the
- * guard waits for a push). */
-static inline int may_step(const loop_state *s, const loop_params *p)
+/* sum |a[j]| pairwise, as numpy's float64 add.reduce sums a contiguous
+ * vector (pairwise_sum in its loops_utils.h.src, one call over all n
+ * entries as of numpy 2.4): fewer than 8 entries in sequence from -0.0,
+ * up to 128 in eight accumulators over j % 8 added as a tree and then
+ * the last n % 8 in sequence, otherwise the two halves split at
+ * n / 2 - (n / 2) % 8 added.  The same operations in the same order, so
+ * the bytes are numpy's; pushloop.load checks them on a probe. */
+static double pairwise_abs(const double *a, int64_t n)
 {
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t j = 0; j < n; j++)
+            res += fabs(a[j]);
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++)
+            r[k] = fabs(a[k]);
+        int64_t j = 8;
+        for (; j < n - n % 8; j += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += fabs(a[j + k]);
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; j < n; j++)
+            res += fabs(a[j]);
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_abs(a, half) + pairwise_abs(a + half, n - half);
+}
+
+/* float(np.abs(C).sum()), byte for byte after pushloop.load's check; an
+ * empty sum is add.reduce's identity, 0.0. */
+double rlgl_abs_sum(const double *C, int64_t n)
+{
+    return n > 0 ? pairwise_abs(C, n) : 0.0;
+}
+
+/* Set cash_l1 to the exact sum, the gap from the incremental value folded
+ * into max_l1_drift (and counted when it passes the bound), and restart
+ * the bound from 0; nothing to do when cash_l1 is exact already. */
+static void sync(const double *C, loop_state *s, const loop_params *p)
+{
+    if (s->exact_at == s->updates)
+        return;
+    const double exact = rlgl_abs_sum(C, p->n);
+    const double gap = fabs(s->cash_l1 - exact);
+    if (gap > s->max_l1_drift)
+        s->max_l1_drift = gap;
+    s->bound_misses += gap > s->l1_err;
+    s->syncs++;
+    s->cash_l1 = exact;
+    s->l1_err = 0.0;
+    s->exact_at = s->updates;
+}
+
+/* engine.run's checkpoint, in its order: a trace row when one is due,
+ * then the guard (which waits for a push), then the exit, ||C||_1 < eps
+ * decided on the exact sum, taken only when the bound allows it, or
+ * max_steps.  1 when the loop goes on to its pick; 0 when Python must
+ * act: the guard fires, the run exits, or a row is due with the buffer
+ * full (the caller then writes it). */
+static inline int checkpoint(const double *C, loop_state *s, const loop_params *p)
+{
+    if (s->updates >= s->record_at) {
+        if (s->rows == p->row_cap)
+            return 0;
+        sync(C, s, p);
+        p->row[s->rows++] = (trace_row){s->t, s->updates, s->cum_cost, s->scan_cost, s->cash_l1};
+        s->record_at = s->updates + p->stride;
+    }
     if (s->updates > 0 && !(fabs(s->total_history) > p->guard_unit * (double)s->t * p->initial_mass))
         return 0;
-    return !(s->cash_l1 - s->l1_err < p->eps || s->t >= p->max_steps);
+    if (s->cash_l1 - s->l1_err < p->eps) {
+        sync(C, s, p);
+        if (s->cash_l1 < p->eps)
+            return 0;
+    }
+    return s->t < p->max_steps;
+}
+
+/* A loop's return: its steps, with cash_l1 left exact. */
+static int64_t finish(const double *C, loop_state *s, const loop_params *p, int64_t t0)
+{
+    sync(C, s, p);
+    return s->t - t0;
 }
 
 /* The row part of a push: C[j] += b * data[e] for the entries lo..hi - 1
@@ -439,20 +541,19 @@ __attribute__((always_inline)) static inline double push_row(const csr_rows *m, 
 
 /* One step: engine.step's push of node i (none when i < 0, a skip step,
  * or C[i] is 0), with ||C||_1 moved by the change the push sums and its
- * rounding bound grown to cover it; nonzero when the loop must return
- * after it (a trace row is due, or the ||C||_1 bound passed its drift
- * limit).  w is MaxCash's tree, updated at every entry written (rebuilt
- * after a row that writes half of C or more), or NULL; best, or NULL,
+ * rounding bound grown to cover it, and the exact sum taken once that
+ * bound passes its drift limit.  w is MaxCash's tree, updated at every
+ * entry written (rebuilt after a row that writes half of C or more), or
+ * NULL; best, or NULL,
  * takes MaxCash's next pick from the pass that adds the restart part and
  * sums |new| - |old| for ||C||_1.  Where that add is zero but at dangling
  * rows (the matrix's damped copy), the tree is kept and rebuilt there.
  * Inlined into each loop, whose copy then drops what its kind does not
  * use. */
-__attribute__((always_inline)) static inline int step(const csr_rows *m, double *C, double *H, int64_t i,
-                                                      loop_state *s, const loop_params *p, tree *w, int64_t *best)
+__attribute__((always_inline)) static inline void step(const csr_rows *m, double *C, double *H, int64_t i,
+                                                       loop_state *s, const loop_params *p, tree *w, int64_t *best)
 {
     double a = i >= 0 ? C[i] : 0.0;
-    int drift = 0;
     if (a != 0.0) {
         H[i] += a;
         s->total_history += a;
@@ -518,43 +619,46 @@ __attribute__((always_inline)) static inline int step(const csr_rows *m, double 
             err = (double)(2 * p->sum_depth) * p->unit * old;
         s->cash_l1 = old + change;
         s->l1_err = err + (double)((depth + 4) * 2) * p->unit * (old + err + moved_abs);
-        drift = s->l1_err > p->drift_tol * s->cash_l1;
         if (change > s->max_l1_increase)
             s->max_l1_increase = change;
+        if (s->l1_err > p->drift_tol * s->cash_l1)
+            sync(C, s, p);
     }
     s->t++;
-    return drift || s->updates >= p->record_at;
 }
 
 /* The loops: steps taken (0: the next step needs Python), or -1 when out
- * of memory. */
+ * of memory, before any step. */
 
 int64_t rlgl_loop_rr(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
 {
     const int64_t t0 = s->t;
-    while (may_step(s, p))
-        if (step(m, C, H, (s->k++ + p->offset) % p->n, s, p, NULL, NULL))
-            break;
-    return s->t - t0;
+    while (checkpoint(C, s, p))
+        step(m, C, H, (s->k++ + p->offset) % p->n, s, p, NULL, NULL);
+    return finish(C, s, p, t0);
 }
 
+/* Theta refreshes at the steps k with k % n == 0, before the pick: the
+ * loop from the exact sum when r = 1, (sum / n) * (1 - 1e-12) being the
+ * bytes of Theta.refresh's mean; Python otherwise, before the call's
+ * first step, so the loop returns at any later one. */
 int64_t rlgl_loop_theta(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
 {
     const int64_t t0 = s->t;
-    /* Theta refreshes at the steps k with k % n == 0, whose candidate is this node */
-    const int64_t refresh_at = p->offset % p->n;
-    while (may_step(s, p)) {
-        int64_t i = (s->k + p->offset) % p->n;
-        if (s->t > t0 && i == refresh_at)
+    while (checkpoint(C, s, p)) {
+        if (s->k % p->n == 0 && p->mean_refresh) {
+            s->theta = rlgl_abs_sum(C, p->n) / (double)p->n * (1.0 - 1e-12);
+            s->scan_cost += (double)p->n;
+        } else if (s->k % p->n == 0 && s->t > t0) {
             break;
-        s->k++;
+        }
+        int64_t i = (s->k++ + p->offset) % p->n;
         s->scan_cost += 1;
-        if (!(fabs(C[i]) >= p->theta && C[i] != 0.0))
+        if (!(fabs(C[i]) >= s->theta && C[i] != 0.0))
             i = -1;
-        if (step(m, C, H, i, s, p, NULL, NULL))
-            break;
+        step(m, C, H, i, s, p, NULL, NULL);
     }
-    return s->t - t0;
+    return finish(C, s, p, t0);
 }
 
 /* MaxCash's two loops, each in its own function.  The scan loop starts on
@@ -567,12 +671,11 @@ __attribute__((noinline, aligned(64))) static int64_t maxc_scan(const csr_rows *
 {
     const int64_t t0 = s->t;
     int64_t best = argmax_abs(C, p->n);
-    while (may_step(s, p) && C[best] != 0.0) {
+    while (checkpoint(C, s, p) && C[best] != 0.0) {
         s->k++;
-        if (step(m, C, H, best, s, p, NULL, &best))
-            break;
+        step(m, C, H, best, s, p, NULL, &best);
     }
-    return s->t - t0;
+    return finish(C, s, p, t0);
 }
 
 __attribute__((noinline)) static int64_t maxc_tree(const csr_rows *m, double *C, double *H, loop_state *s,
@@ -582,13 +685,12 @@ __attribute__((noinline)) static int64_t maxc_tree(const csr_rows *m, double *C,
     tree w;
     if (tree_init(&w, C, p->n) != 0)
         return -1;
-    while (may_step(s, p) && C[w.level[w.top][0].idx] != 0.0) {
+    while (checkpoint(C, s, p) && C[w.level[w.top][0].idx] != 0.0) {
         s->k++;
-        if (step(m, C, H, w.level[w.top][0].idx, s, p, &w, NULL))
-            break;
+        step(m, C, H, w.level[w.top][0].idx, s, p, &w, NULL);
     }
     free(w.level[1]);
-    return s->t - t0;
+    return finish(C, s, p, t0);
 }
 
 int64_t rlgl_loop_maxc(const csr_rows *m, double *C, double *H, loop_state *s, const loop_params *p)
@@ -606,12 +708,12 @@ int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, loop_state *s, con
     if (!acc)
         return -1;
     int64_t valid = 0; /* acc[j] holds for j < valid */
-    while (may_step(s, p)) {
+    while (checkpoint(C, s, p)) {
         int64_t i = proportional_pick(C, s, p, acc, &valid);
         if (i < 0)
             break;
         s->k++;
-        int stop = step(m, C, H, i, s, p, NULL, NULL);
+        step(m, C, H, i, s, p, NULL, NULL);
         /* the lowest index the push wrote: i, or its row's first column
          * (a TransitionMatrix lists them rising), or 0 after a restart add */
         int64_t lo = m->indptr[i], hi = m->indptr[i + 1];
@@ -621,11 +723,9 @@ int64_t rlgl_loop_pc(const csr_rows *m, double *C, double *H, loop_state *s, con
             valid = valid < m->indices[lo] ? valid : m->indices[lo];
         else
             valid = valid < i ? valid : i;
-        if (stop)
-            break;
     }
     free(acc);
-    return s->t - t0;
+    return finish(C, s, p, t0);
 }
 
 /* Strongly connected components of the CSR graph on n nodes: Tarjan's

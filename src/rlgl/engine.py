@@ -10,9 +10,10 @@ the engine tracks and the test suite asserts on every run.
 ``step`` is the exact definition: after every push ``cash_l1`` is the
 sum ``float(np.abs(C).sum())``, an O(n) pass on top of the push's
 O(degree).  The compiled loop (``pushloop``) keeps ``||C||_1``
-incrementally between its returns, and takes the exact sum at each; so
-the engine only ever sees the exact sum, and every stop decision and
-every traced value is that sum on both paths.
+incrementally, and takes numpy's exact sum itself at every trace row,
+stop test and return that reads it; so the engine only ever sees the
+exact sum, and every stop decision and every traced value is that sum
+on both paths.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class SolverState:
     cash_l1: float
     updates: int = 0
     max_l1_increase: float = 0.0
-    # Largest gap between the compiled loop's incremental ||C||_1 and the exact sum at its returns.
+    # Largest gap between the compiled loop's incremental ||C||_1 and an exact sum it took.
     max_l1_drift: float = 0.0
 
     @property
@@ -295,11 +296,13 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
     on a ``TransitionMatrix``, with or without a restart part, or on a
     ``MeanFieldMatrix`` of up to ``DENSE_CAP`` states (any matrix whose
     ``csr_push`` is not None), take their steps in a compiled loop
-    (``pushloop``) that returns here at every check, trace row and
-    refresh, with the same bytes (and the same draws from a
-    ``ProportionalCash`` generator) as ``step``; ``RunResult.kernel`` says
-    which path ran.  Each return hands back the exact ``||C||_1``, as
-    ``step`` does, so the run stops on ``state.cash_l1 < eps`` alone.
+    (``pushloop``) that also runs the checkpoints and writes the trace
+    rows, the ones appended here, returning only at the exit, the guard,
+    a pick or a refresh Python must make, or a full row buffer, with the
+    same bytes (and the same draws from a ``ProportionalCash`` generator)
+    as ``step``; ``RunResult.kernel`` says which path ran.  Each return
+    hands back the exact ``||C||_1``, as ``step`` does, so the run stops
+    on ``state.cash_l1 < eps`` alone.
 
     ``cash`` starts the run from that cash (see ``init``).  The
     total-history guard then applies once cash has moved.  ``pi_hat`` is
@@ -354,7 +357,9 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
                 if converged:
                     return result
                 raise NoConvergenceError(f"no convergence in {max_steps} steps", result)
-            if loop is None or not loop.advance(state, schedule, eps, max_steps, trace.rows[-1][1] + stride):
+            if loop is not None and loop.advance(state, schedule, eps, max_steps, trace.rows[-1][1] + stride, stride):
+                trace.rows += loop.written
+            else:
                 step(state, schedule.next_nodes(state.C), P)
             state.scan_cost = schedule.scan_cost
 

@@ -13,8 +13,9 @@ calls ``perturb()`` (deterministic kinds: rotate the node order by one) or
 compiled loop (``pushloop``; ``rlgl_loop_<name>``): ``rr``, ``theta``,
 ``maxc`` and ``pc``; None for every other schedule.  Each loop repeats
 the picks of ``next_nodes`` exactly, ``pc``'s uniform draws included,
-and hands its position and scan count back through ``seek``, so a
-subclass that changes the pick must set ``push_loop = None``.
+and hands its position and scan count (and Theta's threshold) back
+through ``seek``, so a subclass that changes the pick must set
+``push_loop = None``.
 """
 
 from __future__ import annotations
@@ -196,6 +197,12 @@ class Theta(Schedule):
         if abs(C[i]) >= self.theta and C[i] != 0.0:
             return np.array([i], dtype=np.int64)
         return _EMPTY
+
+    def seek(self, k, scan_cost, theta=None):
+        """As ``Schedule.seek``; ``theta``, when given, is the threshold of the compiled loop's last refresh."""
+        super().seek(k, scan_cost)
+        if theta is not None:
+            self.theta = theta
 
     def perturb(self):
         self.offset += 1

@@ -33,10 +33,11 @@ def ring_random_chain(n, degree, seed):
 def advance_returns():
     """Patch ``pushloop.Loop.advance`` to record every return that took steps.
 
-    Yields a list that gets one ``(gap, bound, exact)`` per such return:
-    the gap between the loop's incremental ``||C||_1`` and the ``cash_l1``
-    handed to the run, the loop's rounding bound on its value, and whether
-    ``cash_l1`` is the exact sum ``float(np.abs(C).sum())``.
+    Yields a list that gets one ``(drift, misses, exact)`` per such return:
+    the loop-kept ``max_l1_drift``, the largest gap between its incremental
+    ``||C||_1`` and an exact sum it took, the count of such gaps that passed
+    the loop's rounding bound, and whether the ``cash_l1`` handed to the run
+    is the exact sum ``float(np.abs(C).sum())``.
     """
     seen = []
     advance = pushloop.Loop.advance
@@ -44,9 +45,9 @@ def advance_returns():
     def watched(loop, state, *args):
         done = advance(loop, state, *args)
         if done:
-            s = loop.state
             exact = state.cash_l1 == float(np.abs(state.C).sum())
-            seen.append((abs(s.cash_l1 - state.cash_l1), s.l1_err, exact))
+            assert state.max_l1_drift == loop.state.max_l1_drift
+            seen.append((loop.state.max_l1_drift, loop.state.bound_misses, exact))
         return done
 
     with pytest.MonkeyPatch.context() as m:
@@ -56,7 +57,8 @@ def advance_returns():
 
 @contextlib.contextmanager
 def exact_rows():
-    """Patch ``engine.RunTrace.record`` to record, at every trace row, whether ``cash_l1`` is the exact sum."""
+    """Patch ``engine.RunTrace.record`` to record, at every trace row it writes, whether ``cash_l1`` is the exact
+    sum; the compiled loop writes its rows itself, so this checks the Python path's rows."""
     rows = []
     record = engine.RunTrace.record
 
@@ -70,8 +72,14 @@ def exact_rows():
 
 
 def within_bound(seen):
-    """True when every return ``advance_returns`` saw handed back the exact sum, within the loop's bound."""
-    return all(exact and gap <= bound for gap, bound, exact in seen)
+    """True when every return ``advance_returns`` saw handed back the exact sum, and no exact sum the loop took
+    was farther from its incremental value than the loop's bound."""
+    return all(exact and misses == 0 for _, misses, exact in seen)
+
+
+def row_bytes(rows):
+    """The bytes of trace rows laid out as the compiled loop writes them: equal bytes, equal rows bit for bit."""
+    return np.array(rows, dtype=pushloop.ROW).tobytes()
 
 
 # Clean, strongly connected draws of the 80-node block-model shape.

@@ -1,5 +1,6 @@
 import copy
 import ctypes
+import functools
 import os
 import pathlib
 import re
@@ -29,6 +30,7 @@ from conftest import (
     dense_ergodic_chain,
     exact_rows,
     ring_random_chain,
+    row_bytes,
     sbm80_instance,
     within_bound,
 )
@@ -531,8 +533,9 @@ class TestIncrementalCashL1:
     )
     @settings(max_examples=60, deadline=None)
     def test_within_bound_of_exact(self, n, degree, seed, which, data, kernel):
-        # the compiled loop's incremental ||C||_1 at each return against the exact sum it hands
-        # back; Python steps take the exact sum (TestExactPythonStep)
+        # the compiled loop's exact sums against its incremental ||C||_1, and each call's trace
+        # rows and end state against the Python steps from the same start; Python steps take
+        # the exact sum (TestExactPythonStep)
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
         P = _random_sparse_chain(n, degree, seed)
@@ -543,30 +546,36 @@ class TestIncrementalCashL1:
         for _ in range(data.draw(st.integers(1, 12))):
             eps = st_.cash_l1 * 10.0 ** -data.draw(st.floats(0.0, 12.0))
             record_at = st_.updates + data.draw(st.one_of(st.integers(1, 3 * n), st.just(10**9)))
+            stride = data.draw(st.integers(1, 3 * n))
             start = copy.deepcopy((st_, sched))
-            done = loop.advance(st_, sched, eps, st_.t + 20 * n, record_at)
+            done = loop.advance(st_, sched, eps, st_.t + 20 * n, record_at, stride)
             if not done:  # the guard, or no cash left to pick from
                 break
             s = loop.state
-            assert st_.cash_l1 == float(np.abs(st_.C).sum())
-            assert abs(s.cash_l1 - st_.cash_l1) <= s.l1_err
-            self._within_drift_limit_one_step_short(P, start, eps, record_at, loop, done)
+            assert st_.cash_l1 == float(np.abs(st_.C).sum()) == s.cash_l1
+            assert s.bound_misses == 0
+            rows, python = self._python_steps(P, start, done, record_at, stride)
+            assert row_bytes(loop.written) == row_bytes(rows)
+            assert TestStep._snapshot(st_)[:-1] == TestStep._snapshot(python)[:-1]
             assert st_.max_l1_increase <= 1e-14
             if st_.cash_l1 < eps:
                 break
 
     @staticmethod
-    def _within_drift_limit_one_step_short(P, start, eps, record_at, loop, done):
-        """Check that a call of ``loop`` that took ``done`` steps from ``start`` ran no step past
-        its drift limit: its bound is within ``DRIFT_TOL`` of its value at the return, or the last
-        step took it past, the call one step short ending within the limit."""
-        s = loop.state
-        if s.l1_err <= pushloop.DRIFT_TOL * s.cash_l1 or done == 1:
-            return
-        state, sched = start
-        short = pushloop.bind(P, sched)
-        assert short.advance(state, sched, eps, state.t + done - 1, record_at) == done - 1
-        assert short.state.l1_err <= pushloop.DRIFT_TOL * short.state.cash_l1
+    def _python_steps(P, start, done, record_at, stride):
+        """The trace rows and end state of ``done`` Python steps from ``start``, a (state, schedule)
+        pair: a row at each checkpoint from the first to the last at which ``record_at`` is due,
+        as the compiled loop writes them (up to ``pushloop.ROWS``)."""
+        state, sched = copy.deepcopy(start)
+        rows = []
+        for k in range(done + 1):
+            if state.updates >= record_at and len(rows) < pushloop.ROWS:
+                state.scan_cost = sched.scan_cost
+                engine.RunTrace(rows).record(state)
+                record_at = state.updates + stride
+            if k < done:
+                engine.step(state, sched.next_nodes(state.C), P)
+        return rows, state
 
     def test_drift_never_exceeds_bound(self, kernel):
         if kernel != "c":
@@ -574,7 +583,7 @@ class TestIncrementalCashL1:
         with advance_returns() as seen:
             res = engine.run(ring_random_chain(1000, 10, 5), schedules.RoundRobin(), eps=1e-10)
         assert seen and within_bound(seen)
-        assert res.state.max_l1_drift == max(gap for gap, _, _ in seen) > 0.0
+        assert res.state.max_l1_drift == seen[-1][0] > 0.0
 
     def test_skip_steps_leave_bookkeeping(self):
         P = ring_random_chain(50, 4, 2)
@@ -585,6 +594,73 @@ class TestIncrementalCashL1:
             engine.step(st_, [], P)
         assert (st_.cash_l1, st_.max_l1_drift, st_.C.tobytes()) == before
         assert st_.t == 7
+
+
+def _pairwise_depth(n):
+    """Most additions one entry passes through in numpy's pairwise sum of n floats, as ``rlgl_abs_sum``
+    makes it: sequential below 8 entries, eight accumulators and a tail up to 128, else two halves."""
+    @functools.cache
+    def depth(m):
+        if m < 8:
+            return max(m - 1, 0)
+        if m <= 128:
+            return m // 8 - 1 + 3 + m % 8
+        half = m // 2 - (m // 2) % 8
+        return 1 + max(depth(half), depth(m - half))
+
+    return depth(n)
+
+
+class TestExactSum:
+    """``rlgl_abs_sum``, every exact ``||C||_1`` and theta:1 threshold of the loops, is numpy's sum of |x|."""
+
+    SIZES = [*range(301), 8191, 8192, 8193, 16383, 16384, 16385, 100001]
+
+    def test_bytes_are_numpys(self, kernel):
+        if kernel != "c":
+            pytest.skip("no compiler: the library is not built")
+        abs_sum = pushloop.load().rlgl_abs_sum
+        rng = np.random.default_rng(11)
+        for n in self.SIZES:
+            x = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+            mixed = x.copy()
+            mixed[rng.random(n) < 0.2] = 0.0
+            mixed[rng.random(n) < 0.2] = -0.0
+            mixed[rng.random(n) < 0.2] = 2.0**-1060 * rng.standard_normal()  # subnormal
+            tiny = np.where(rng.random(n) < 0.5, -5e-324, 2.0**-1030 * rng.random(n))  # only subnormals
+            close = rng.random(n)  # one decade: every addition rounds, so any other order shows
+            for v in (x, mixed, tiny, close, np.full(n, -0.0), np.zeros(n)):
+                got = np.float64(abs_sum(v.ctypes.data, n))
+                assert got.tobytes() == np.abs(v).sum().tobytes(), (n, v[:4])
+
+    def test_the_load_check_tells_other_orders_apart(self, kernel):
+        # the probe load() checks fails a sum in 8192-entry blocks, as older numpy made it, and a sequential one
+        if kernel != "c":
+            pytest.skip("no compiler: the library is not built")
+
+        def summed(by):
+            return lambda address, n: by(np.ctypeslib.as_array((ctypes.c_double * n).from_address(address)))
+
+        blocks = summed(lambda x: sum((float(np.abs(x[i:i + 8192]).sum()) for i in range(0, x.size, 8192)), 0.0))
+        sequential = summed(lambda x: sum(np.abs(x).tolist(), 0.0))
+        assert pushloop._sums_as_numpy(pushloop.load().rlgl_abs_sum) and pushloop.load().sums_as_numpy
+        assert not pushloop._sums_as_numpy(blocks) and not pushloop._sums_as_numpy(sequential)
+
+    def test_a_sum_unlike_numpys_leaves_runs_to_the_python_steps(self, kernel, monkeypatch):
+        if kernel != "c":
+            pytest.skip("no compiler: the library is not built")
+        P = _chain("sbm80")
+        compiled = _replay(P, schedules.Theta(1.0))
+        monkeypatch.setattr(pushloop.load(), "sums_as_numpy", False)
+        assert pushloop.bind(P, schedules.Theta(1.0).bind(P)) is None
+        assert _replay(P, schedules.Theta(1.0)) == ("py", compiled[1])
+
+    def test_sum_depth_bounds_the_pairwise_depth(self):
+        sizes = {*range(20_001), *np.unique(np.geomspace(20_000, 10**7, 400).astype(int)).tolist(), 10**7}
+        sizes |= {2**k + d for k in range(15, 24) for d in (-9, -8, -1, 0, 1, 8)}
+        assert all(_pairwise_depth(n) <= pushloop._sum_depth(n) for n in sizes)
+        # the derivation's own bound: below 26 + ceil(log2 n)
+        assert all(_pairwise_depth(n) < 26 + int(np.ceil(np.log2(n))) for n in sizes if n > 1)
 
 
 class TestExactPythonStep:
@@ -723,12 +799,12 @@ class TestCompiledLoop:
         state = engine.init(G, cash=cash)
         sched = schedules.RoundRobin().bind(G)
         loop = pushloop.bind(G, sched)
-        assert loop.advance(state, sched, 1e-12, 10, state.updates + 1) == 1
+        assert loop.advance(state, sched, 1e-12, state.t + 1, 10**9, 10**9) == 1
         assert state.cash_l1 == float(np.abs(state.C).sum())
-        drift = abs(loop.state.cash_l1 - state.cash_l1)
+        # the loop took the exact sum at its return: the gap is the push's own rounding
+        drift = state.max_l1_drift
         assert drift > 100 * 2.0**-52  # the sum did round near its worst case
-        assert drift <= loop.state.l1_err
-        assert state.max_l1_drift == drift
+        assert loop.state.bound_misses == 0  # and within the push's charge
 
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_stops_where_the_exact_sum_crosses(self, sched_name, monkeypatch):
@@ -835,7 +911,7 @@ class TestCompiledLoop:
             state.C, state.H = st_.C.copy(), st_.H.copy()
             sched = schedules.MaxCash().bind(P)
             if compiled:
-                assert pushloop.bind(P, sched).advance(state, sched, 1e-10, state.t + 2, 10**9) == 2
+                assert pushloop.bind(P, sched).advance(state, sched, 1e-10, state.t + 2, 10**9, 10**9) == 2
             else:
                 for _ in range(2):
                     engine.step(state, sched.next_nodes(state.C), P)
@@ -852,7 +928,8 @@ class TestCompiledLoop:
         ],
     )
     def test_loop_returns_before_a_step_python_must_check(self, sched_name, check, kernel):
-        # each kind's loop makes the checks itself
+        # each kind's loop makes the checks itself: one call runs to max_steps, theta:1's
+        # refreshes included, and a call whose first checkpoint fails takes no step
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
         P = _chain("sbm80")
@@ -860,17 +937,16 @@ class TestCompiledLoop:
         sched.restart()
         loop = pushloop.bind(P, sched)
         st_ = engine.init(P)
-        while st_.t < 100:  # stops at max_steps (theta also at its refresh)
-            assert loop.advance(st_, sched, 1e-10, 100, 10**9) > 0
-            assert st_.cash_l1 == float(np.abs(st_.C).sum())  # as after engine.step
+        assert loop.advance(st_, sched, 1e-10, 100, 10**9, 10**9) == 99
         assert st_.t == 100
+        assert st_.cash_l1 == float(np.abs(st_.C).sum())  # as after engine.step
         st_.total_history = 0.0 if check == "guard" else st_.total_history
         # the exact sum is handed in: the run stops on cash_l1 < eps, so eps one ulp above it
         eps = np.nextafter(st_.cash_l1, np.inf) if check == "eps" else 1e-10
         max_steps = st_.t if check == "max_steps" else 200
         rng = getattr(sched, "rng", None)
         before = TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state
-        assert loop.advance(st_, sched, eps, max_steps, 10**9) == 0
+        assert loop.advance(st_, sched, eps, max_steps, 10**9, 10**9) == 0
         assert (TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state) == before
 
     @pytest.mark.parametrize("stride", [None, 1], ids=["stride-n", "stride-1"])
@@ -881,8 +957,10 @@ class TestCompiledLoop:
     ], ids=["raw", "google", "gs-rows"])
     @pytest.mark.parametrize("sched_name", ["theta:1", "theta:2"])
     def test_advance_takes_a_step_after_every_refresh(self, sched_name, make, stride, kernel, monkeypatch):
-        # advance refreshes theta when k % n == 0 unconditionally: engine.run calls it only where
-        # the loop then takes a step, so no refresh is charged twice
+        # advance refreshes theta:2 when k % n == 0 unconditionally, and the loop returns before
+        # each later refresh: engine.run calls it only where the loop then takes a step, so no
+        # refresh is charged twice.  The loop makes theta:1's refreshes itself, in one call
+        # per run but where its row buffer fills.
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
         P = make()
@@ -899,16 +977,20 @@ class TestCompiledLoop:
         compiled = _replay(P, schedules.parse_schedule(sched_name), stride=stride)
         assert compiled[0] == "c"
         due = [done for k, done in entered if k % P.n == 0]
-        assert len(due) > 1 and min(due) >= 1
+        assert due and min(done for _, done in entered) >= 1
+        if sched_name == "theta:1":
+            assert len(entered) <= len(compiled[1][12]) // pushloop.ROWS + 1
+        else:
+            assert len(due) > 1
         monkeypatch.setattr(pushloop, "load", lambda: None)
         assert _replay(P, schedules.parse_schedule(sched_name), stride=stride) == ("py", compiled[1])
 
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "maxc", "pc:1"])
     def test_advance_leaves_cash_l1_within_the_drift_limit(self, sched_name, kernel):
         # every push adds the n restart terms' rounding to the bound, which
-        # passes DRIFT_TOL within a few thousand pushes: the loop returns at
-        # that step with the exact sum taken, and the next call starts from
-        # a zero bound and runs on, not one step per call
+        # passes DRIFT_TOL within a few thousand pushes: the loop takes the
+        # exact sum at that step, restarts its bound from 0 and runs on, so
+        # one call takes the 10,000 steps, with the Python steps' bytes
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
         P = _dangling_google(2000, 4, 5)
@@ -916,18 +998,40 @@ class TestCompiledLoop:
         sched.restart()
         loop = pushloop.bind(P, sched)
         st_ = engine.init(P)
-        drifted, calls = [], 0
-        while st_.t < 10_000:
-            start = copy.deepcopy((st_, sched))
-            done = loop.advance(st_, sched, 1e-30, 10_000, 10**9)
-            assert done > 0
-            calls += 1
-            s = loop.state
-            assert st_.cash_l1 == float(np.abs(st_.C).sum())
-            assert abs(s.cash_l1 - st_.cash_l1) <= s.l1_err
-            drifted.append(s.l1_err > pushloop.DRIFT_TOL * s.cash_l1)
-            TestIncrementalCashL1._within_drift_limit_one_step_short(P, start, 1e-30, 10**9, loop, done)
-        assert any(drifted) and calls < 60
+        start = copy.deepcopy((st_, sched))
+        assert loop.advance(st_, sched, 1e-30, 10_000, 10**9, 10**9) == 10_000 - start[0].t
+        s = loop.state
+        assert st_.cash_l1 == float(np.abs(st_.C).sum())
+        # no row and no eps in reach: every exact sum but the last was a drift sync
+        assert 2 <= s.syncs < 60 and s.bound_misses == 0 and st_.max_l1_drift > 0.0
+        _, python = TestIncrementalCashL1._python_steps(P, start, 10_000 - start[0].t, 10**9, 10**9)
+        assert TestStep._snapshot(st_)[:-1] == TestStep._snapshot(python)[:-1]
+
+    def test_theta1_equal_cash_passes_its_own_mean(self, kernel, monkeypatch):
+        # six entries of |C| 0.7, whose mean rounds one ulp above 0.7: only the refresh's 1e-12
+        # slack lets them pass, in the loop's refresh as in Theta.refresh
+        got, outcome = _three_ways(monkeypatch, _cycle(6), "theta:1", cash=np.array([0.7, -0.7] * 3), eps=1e-12)
+        assert got == kernel
+        assert outcome[0] and outcome[5] > 0  # converged, with pushes
+
+    @pytest.mark.parametrize("sched_name", ["rr", "maxc", "theta:1"])
+    def test_one_call_per_run(self, sched_name, kernel, monkeypatch):
+        # the loop writes the trace rows, takes the exact sums and makes theta:1's refreshes
+        # itself: a run on the mean-field model returns to Python only at its exit (it took
+        # 42, 20 and 76 calls when the loop returned at each of them)
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        calls = []
+        advance = pushloop.Loop.advance
+
+        def counted(loop, *args):
+            calls.append(advance(loop, *args))
+            return calls[-1]
+
+        monkeypatch.setattr(pushloop.Loop, "advance", counted)
+        res = engine.run(_chain("meanfield"), schedules.parse_schedule(sched_name), eps=1e-11)
+        assert res.converged and res.kernel == "c" and len(res.trace.rows) > 20
+        assert 1 <= len(calls) <= 3 and min(calls) > 0
 
     def test_forwarding_wrappers_take_the_loop(self, kernel, monkeypatch):
         P = _chain("sbm80")
@@ -970,7 +1074,7 @@ class TestCompiledLoop:
         st_ = engine.init(P)
         st_.C[:] = 0.0  # a zero total: Python raises, the loop takes no step
         before = sched.rng.bit_generator.state
-        assert pushloop.bind(P, sched).advance(st_, sched, 1e-10, 1000, 10**9) == 0
+        assert pushloop.bind(P, sched).advance(st_, sched, 1e-10, 1000, 10**9, 10**9) == 0
         assert sched.rng.bit_generator.state == before and sched._k == 0
         with pytest.raises(AllCashZeroError):
             sched.next_nodes(st_.C)
@@ -987,7 +1091,7 @@ class TestCompiledLoop:
         st_.C[5] = bad  # past the first cash at entry 0
         st_.cash_l1 = float(np.abs(st_.C).sum())
         before = sched.rng.bit_generator.state
-        assert pushloop.bind(P, sched).advance(st_, sched, 1e-10, 1000, 10**9) == 0
+        assert pushloop.bind(P, sched).advance(st_, sched, 1e-10, 1000, 10**9, 10**9) == 0
         assert sched.rng.bit_generator.state == before and sched._k == 0
         with pytest.raises(ValueError, match="not finite"):
             sched.next_nodes(st_.C)
@@ -1009,7 +1113,7 @@ class TestCompiledLoop:
         sched = schedules.ProportionalCash(0).bind(P)
         sched.rng = _FixedDraws([u])
         H = st_.H.copy()
-        assert pushloop.bind(P, sched).advance(st_, sched, 1e-10, st_.t + 1, 10**9) == 1
+        assert pushloop.bind(P, sched).advance(st_, sched, 1e-10, st_.t + 1, 10**9, 10**9) == 1
         assert np.flatnonzero(st_.H != H).tolist() == [node]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1071,8 +1175,8 @@ class TestCompiledLoop:
         # Each draw is put on a cumulative share of the cash it picks from, or
         # next to one: the bracket of the total cannot place such a draw, so
         # most picks take the exact fallback.  They must still be the Python
-        # picks.  "synced" makes every pick right after an exact sum, one step
-        # per call, where the bracket is its rounding terms alone;
+        # picks.  Each call takes one step.  "synced" makes every pick right
+        # after an exact sum, where the bracket is its rounding terms alone;
         # "near-drift-limit" enters every call with l1_err at 90% of its
         # limit, a bracket ~2e-9 wide, so draws 1e-10 past a share fall in it too.
         if kernel != "c":
@@ -1118,7 +1222,7 @@ class TestCompiledLoop:
 
             loop.fn = widened
         while compiled.t < python.t:
-            assert loop.advance(compiled, fixed, 1e-30, compiled.t + 1 if synced else python.t, 10**9) > 0
+            assert loop.advance(compiled, fixed, 1e-30, compiled.t + 1, 10**9, 10**9) == 1
         assert (fixed._k, fixed.rng.state) == (sched._k, steps)
         # both paths take the exact sum; only the rises in ||C||_1 may differ (numpy
         # sums a row pairwise, the loop in sequence)
@@ -1138,7 +1242,7 @@ class TestCompiledLoop:
         st_ = engine.init(P)
         rng = getattr(sched, "rng", None)
         before = TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state
-        assert loop.advance(st_, sched, 1e-10, 1000, 10**9) == 0
+        assert loop.advance(st_, sched, 1e-10, 1000, 10**9, 10**9) == 0
         assert (TestStep._snapshot(st_), sched._k, rng and rng.bit_generator.state) == before
         # a run whose loop always fails takes the Python steps, with their bytes
         monkeypatch.setattr(pushloop, "bind", lambda P, s: pushloop.Loop(out_of_memory, P.csr_push, P.n, s.push_loop))
@@ -1182,10 +1286,16 @@ class TestCompiledLoop:
     @settings(max_examples=40, deadline=None)
     def test_cash_l1_within_bound_at_every_return(self, n, degree, seed, which, kernel):
         P = _random_sparse_chain(n, degree, seed)
-        with advance_returns() as seen, exact_rows() as rows:
-            t = _replay(P, schedules.parse_schedule(which), eps=1e-12, stride=1, max_steps=20 * n)[1][4]
+        run = functools.partial(_replay, P, eps=1e-12, stride=1, max_steps=20 * n)
+        with advance_returns() as seen:
+            compiled = run(schedules.parse_schedule(which))[1]
+        with pytest.MonkeyPatch.context() as m, exact_rows() as rows:
+            m.setattr(pushloop, "load", lambda: None)
+            python = run(schedules.parse_schedule(which))[1]
+        t = compiled[4]
         assert within_bound(seen) and bool(seen) == (kernel == "c" and t > 1)  # every step the loop's
-        assert rows and all(rows)
+        assert rows and all(rows)  # every Python row is the exact sum
+        assert row_bytes(compiled[12]) == row_bytes(python[12]) and compiled == python
 
     @given(
         n=st.integers(2, 40),
@@ -1197,19 +1307,28 @@ class TestCompiledLoop:
     @settings(max_examples=40, deadline=None)
     def test_google_cash_l1_within_bound_at_every_return(self, n, degree, seed, which, stride, kernel):
         P = _dangling_google(n, degree, seed)
-        with advance_returns() as seen, exact_rows() as rows:
+
+        def run():
             try:
-                res = engine.run(P, schedules.parse_schedule(which), eps=1e-12, trace_stride=stride,
-                                 max_steps=20 * n)
+                return engine.run(P, schedules.parse_schedule(which), eps=1e-12, trace_stride=stride,
+                                  max_steps=20 * n)
             except (NoConvergenceError, DegenerateHistoryError) as exc:
-                res = exc.result
+                return exc.result
+
+        with advance_returns() as seen:
+            res = run()
+        with pytest.MonkeyPatch.context() as m, exact_rows() as rows:
+            m.setattr(pushloop, "load", lambda: None)
+            python = run()
         assert within_bound(seen) and bool(seen) == (kernel == "c" and res.state.t > 1)  # every step the loop's
-        assert rows and all(rows)
+        assert rows and all(rows)  # every Python row is the exact sum
+        assert row_bytes(res.trace.rows) == row_bytes(python.trace.rows)
         assert res.state.max_l1_increase <= 1e-14  # criterion 7, over every push
 
 
 class TestExactHandBack:
-    """The run sees only the exact ||C||_1: at every trace row and at every return of the loop."""
+    """The run sees only the exact ||C||_1: at every trace row, the loop's bit for bit the Python path's, and at
+    every return of the loop."""
 
     @staticmethod
     def _damped():
@@ -1225,15 +1344,21 @@ class TestExactHandBack:
         lambda: (_chain("meanfield"), None),
     ], ids=["raw", "google", "damped", "gs-rows", "meanfield"])
     @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2", "maxc", "pc:1"])
-    def test_rows_and_returns_see_the_exact_sum(self, sched_name, make, stride, kernel):
+    def test_rows_and_returns_see_the_exact_sum(self, sched_name, make, stride, kernel, monkeypatch):
         P, cash = make()
-        with advance_returns() as seen, exact_rows() as rows:
-            res = engine.run(P, schedules.parse_schedule(sched_name), cash=cash, eps=1e-12, trace_stride=stride)
+        run = functools.partial(engine.run, P, cash=cash, eps=1e-12, trace_stride=stride)
+        with advance_returns() as seen:
+            res = run(schedules.parse_schedule(sched_name))
+        with monkeypatch.context() as m, exact_rows() as rows:
+            m.setattr(pushloop, "load", lambda: None)
+            python = run(schedules.parse_schedule(sched_name))
         assert res.converged and res.kernel == kernel
-        assert len(rows) >= 2 and all(rows)
+        assert len(rows) >= 2 and all(rows)  # every Python row is the exact sum
+        assert row_bytes(res.trace.rows) == row_bytes(python.trace.rows)
         assert within_bound(seen) and bool(seen) == (kernel == "c")
-        # the largest gap between the loop's incremental value and the exact sum it handed back
-        assert res.state.max_l1_drift == max([gap for gap, _, _ in seen], default=0.0)
+        # the largest gap between the loop's incremental value and an exact sum it took
+        assert res.state.max_l1_drift == (seen[-1][0] if seen else 0.0)
+        assert python.state.max_l1_drift == 0.0
 
 
 # MaxCash's compiled pick is a tournament of FAN players a match (_push.c).
@@ -1340,8 +1465,9 @@ class TestMaxCashPick:
     def test_every_pick_is_numpys(self, kind, n, seed, kernel):
         # One run takes one step per advance, so each pick comes from a tree
         # built on the cash before it.  A second run takes the first k steps
-        # in one call, for each k, so its k-th pick comes from a tree its
-        # earlier writes updated: its state must match the first run's.
+        # in one call, for each k, drift syncs included, so its k-th pick
+        # comes from a tree its earlier writes updated: its state must match
+        # the first run's.
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")
         P = _pick_rows(kind, n, seed)
@@ -1365,7 +1491,7 @@ class TestMaxCashPick:
             C = stepped.C.copy()
             H = stepped.H.copy()
             pick = int(np.argmax(np.abs(C)))
-            assert one.advance(stepped, one_sched, 1e-300, stepped.t + 1, 10**9) == 1
+            assert one.advance(stepped, one_sched, 1e-300, stepped.t + 1, 10**9, 10**9) == 1
             assert np.flatnonzero(stepped.H != H).tolist() == [pick]
             written = np.flatnonzero(stepped.C != C)
             block = written // FAN * FAN
@@ -1376,8 +1502,7 @@ class TestMaxCashPick:
             rose += int(((written != winner) & ((now > best) | ((now == best) & (written < winner)))).sum())
 
             state = start_state()
-            while state.t < start + k:  # the loop may return early, at its drift limit
-                assert prefix.advance(state, prefix_sched, 1e-300, start + k, 10**9) > 0
+            assert prefix.advance(state, prefix_sched, 1e-300, start + k, 10**9, 10**9) == k
             assert (state.H.tobytes(), state.C.tobytes()) == (stepped.H.tobytes(), stepped.C.tobytes())
         assert dropped > 0 and rose > 0
 
@@ -1444,7 +1569,7 @@ class TestRestartPass:
             state.C, state.H = st_.C.copy(), st_.H.copy()
             sched = schedules.MaxCash().bind(P)
             if compiled:
-                assert pushloop.bind(P, sched).advance(state, sched, 1e-10, state.t + 2, 10**9) == 2
+                assert pushloop.bind(P, sched).advance(state, sched, 1e-10, state.t + 2, 10**9, 10**9) == 2
             else:
                 for _ in range(2):
                     engine.step(state, sched.next_nodes(state.C), P)
