@@ -231,7 +231,7 @@ def parse_method(cfg: ExperimentConfig):
 
 
 def run_method(P, cfg: ExperimentConfig, M0=None):
-    """Dispatch one solver; returns (estimate, trace, trace.residual, meta).
+    """Dispatch one solver; returns (estimate, trace, trace.residual, result), the last its ``engine.RunResult``.
 
     ``M0`` is the rlgl seed distribution; when None it is read from
     ``cfg.m0`` (uniform without one).
@@ -241,8 +241,7 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
         if M0 is None and cfg.m0:
             M0 = _load_vector(cfg.m0, "--m0")
         res = engine.run(P, arg, M0, eps=cfg.eps, max_steps=cfg.max_steps)
-        return res.pi_hat, res.trace, res.trace.residual, res
-    if method == "pi":
+    elif method == "pi":
         res = solvers.power_iteration(P, eps=cfg.eps, max_iters=cfg.max_steps)
     elif method == "gs":
         res = solvers.gauss_seidel(P, eps=cfg.eps, max_steps=cfg.max_steps)
@@ -250,7 +249,7 @@ def run_method(P, cfg: ExperimentConfig, M0=None):
         res = solvers.gmres_restarted(P, m=arg, eps=cfg.eps, max_restarts=cfg.max_steps)
     else:  # gso, the one name left
         res = solvers.gso_pagerank(P, arg, eps=cfg.eps, max_steps=cfg.max_steps)
-    return res.x, res.trace, res.trace.residual, res
+    return res.pi_hat, res.trace, res.trace.residual, res
 
 
 def cmd_solve(args):
@@ -263,25 +262,18 @@ def cmd_solve(args):
     make_out_dir(cfg.out)
     code = EXIT_OK
     try:
-        x, trace, kind, _ = run_method(P, cfg)
+        res = run_method(P, cfg)[3]
     except NoConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
-        res = exc.result
-        x = getattr(res, "pi_hat", None)
-        if x is None:
-            x = getattr(res, "x", None)
-        trace = res.trace
-        code = EXIT_NO_CONVERGENCE
+        res, code = exc.result, EXIT_NO_CONVERGENCE
     except DegenerateHistoryError as exc:
         print(f"degenerate history: {exc}", file=sys.stderr)
-        x, trace = None, getattr(getattr(exc, "result", None), "trace", None)
-        code = EXIT_DEGENERATE
+        res, code = exc.result, EXIT_DEGENERATE
+    x, trace = res.pi_hat, res.trace
     if x is not None:
         nodes = np.arange(len(x)) if node_map is None else node_map
         engine.write_csv(os.path.join(cfg.out, "estimate.csv"), ("node", "value"), arrays=(nodes, x))
-    if trace is not None:
-        engine.write_csv(os.path.join(cfg.out, "trace.csv"), trace.columns,
-                         arrays=tuple(map(trace.column, trace.columns)))
+    engine.write_csv(os.path.join(cfg.out, "trace.csv"), trace.columns, arrays=tuple(map(trace.column, trace.columns)))
     return code
 
 

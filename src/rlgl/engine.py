@@ -136,14 +136,26 @@ class RunTrace:
 
 @dataclass
 class RunResult:
+    """One solve's result: what every solver returns, and raises as ``.result``."""
+
+    # the estimate; None when an engine run moved no cash or could not normalize its history
     pi_hat: np.ndarray
-    state: SolverState
     trace: RunTrace
     converged: bool
+    # steps (state.t) of an engine run, products x P of power iteration, restarts of GMRES
+    iterations: int
+    # the engine run's end state; None for power iteration and GMRES, which hold no cash
+    state: SolverState = None
+    # total-history guard restarts, and the guard's (step, action) events
     restarts: int = 0
     guard_events: list = field(default_factory=list)
-    # "c" when the compiled push loop ran the steps, "py" for engine.step
-    kernel: str = "py"
+    # "c" when the compiled push loop ran the steps, "py" for engine.step, None without an engine run
+    kernel: str = None
+
+    @property
+    def x(self):
+        """``pi_hat``, by the name the benchmark's GMRES oracle reads (``perfbench/workloads.py``)."""
+        return self.pi_hat
 
 
 def init(P, M0=None, *, cash=None):
@@ -353,7 +365,7 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
                         pi = estimate(state)
                     except ZeroTotalHistoryError:
                         pass
-                result = RunResult(pi, state, trace, converged, restarts, guard_events, kernel)
+                result = RunResult(pi, trace, converged, state.t, state, restarts, guard_events, kernel)
                 if converged:
                     return result
                 raise NoConvergenceError(f"no convergence in {max_steps} steps", result)
@@ -364,5 +376,5 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
             state.scan_cost = schedule.scan_cost
 
     err = DegenerateHistoryError(f"total history degenerate after {MAX_GUARD_RETRIES} retries")
-    err.result = RunResult(None, state, trace, False, MAX_GUARD_RETRIES, guard_events, kernel)
+    err.result = RunResult(None, trace, False, state.t, state, MAX_GUARD_RETRIES, guard_events, kernel)
     raise err

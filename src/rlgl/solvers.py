@@ -13,28 +13,24 @@ GMRES a row per product, with residual ``gmres_rel`` (``||A x||_2 /
 ||x||_2``, the restart's first row the true one and the others its
 least-squares estimate).  Their ``updates`` count n per product, as a full
 sweep moves every node's entry once, and their ``scan_cost`` is 0: neither
-scans."""
+scans.
+
+Every solver returns the engine's ``RunResult``, and raises it as
+``NoConvergenceError.result``.  ``iterations`` counts the engine run's
+steps, power iteration's products and GMRES's restarts; power iteration
+and GMRES hold no cash, so their ``state`` and ``kernel`` are None."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
 
 import numpy as np
 
 from . import schedules
 # bound at import: perfbench's tracing wraps engine.run for rlgl runs only
-from .engine import RunTrace, run as run_engine
+from .engine import RunResult, RunTrace, run as run_engine
 from .errors import InvalidParamsError, NoConvergenceError
 from .matrix import GaussSeidelRows, TransitionMatrix
-
-
-@dataclass
-class SolveResult:
-    x: np.ndarray
-    trace: RunTrace
-    converged: bool
-    iterations: int
-    extra: dict = field(default_factory=dict)
 
 
 def power_iteration(P, eps=1e-10, max_iters=100_000):
@@ -54,15 +50,15 @@ def power_iteration(P, eps=1e-10, max_iters=100_000):
         trace.rows.append((it, it * n, cost, 0.0, diff))
         x = x_next
         if diff < eps:
-            return SolveResult(x, trace, True, it)
+            return RunResult(x, trace, True, it)
     raise NoConvergenceError(
         f"power iteration: no convergence in {max_iters} iterations",
-        SolveResult(x, trace, False, max_iters),
+        RunResult(x, trace, False, max_iters),
     )
 
 
 def _engine_solve(name, P, schedule, estimate, eps, max_steps, trace_stride, **start):
-    """One engine run as a SolveResult: ``estimate(H)``, the run's trace, and steps.
+    """The engine run's result, with ``pi_hat`` replaced by ``estimate(H)``.
 
     Raises NoConvergenceError with that result when the run hits max_steps.
     """
@@ -70,8 +66,7 @@ def _engine_solve(name, P, schedule, estimate, eps, max_steps, trace_stride, **s
         res = run_engine(P, schedule, eps=eps, max_steps=max_steps, trace_stride=trace_stride, **start)
     except NoConvergenceError as exc:
         res = exc.result
-    state = res.state
-    out = SolveResult(estimate(state.H), res.trace, res.converged, state.t, {"state": state, "kernel": res.kernel})
+    out = dataclasses.replace(res, pi_hat=estimate(res.state.H))
     if not res.converged:
         raise NoConvergenceError(f"{name}: no convergence in {max_steps} steps", out)
     return out
@@ -126,7 +121,7 @@ def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
         xnorm = float(np.linalg.norm(x))
         trace.rows.append((restart, products * n, cost, 0.0, beta / xnorm if xnorm else np.inf))
         if beta < eps * xnorm:
-            return SolveResult(x / x.sum(), trace, True, restart, {"restarts": restart})
+            return RunResult(x / x.sum(), trace, True, restart)
         Q = np.zeros((m + 1, n))
         Hm = np.zeros((m + 1, m))
         cs = np.zeros(m)
@@ -169,7 +164,7 @@ def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
         x = x + y @ Q[:k]
     raise NoConvergenceError(
         f"gmres: no convergence in {max_restarts} restarts",
-        SolveResult(x / x.sum(), trace, False, max_restarts, {"restarts": max_restarts}),
+        RunResult(x / x.sum(), trace, False, max_restarts),
     )
 
 

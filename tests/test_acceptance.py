@@ -216,12 +216,12 @@ def test_criterion_7_oracle_convergence():
                 assert res.state.max_l1_increase <= 1e-14
                 cash = res.trace.column("cash_l1")
                 assert np.all(np.diff(cash) <= 1e-14)
-            assert np.abs(solvers.power_iteration(P, eps=eps).x - pi).sum() <= 10 * eps
+            assert np.abs(solvers.power_iteration(P, eps=eps).pi_hat - pi).sum() <= 10 * eps
             gs = solvers.gauss_seidel(P, eps=eps)
-            assert np.abs(gs.x - pi).sum() <= 10 * eps
-            assert abs(gs.extra["state"].C.sum()) <= 1e-12
-            assert gs.extra["state"].max_l1_increase <= 1e-14
-            assert np.abs(solvers.gmres_restarted(P, m=10, eps=eps).x - pi).sum() <= 10 * eps
+            assert np.abs(gs.pi_hat - pi).sum() <= 10 * eps
+            assert abs(gs.state.C.sum()) <= 1e-12
+            assert gs.state.max_l1_increase <= 1e-14
+            assert np.abs(solvers.gmres_restarted(P, m=10, eps=eps).pi_hat - pi).sum() <= 10 * eps
 
 
 def test_criterion_8_three_block_divergence():

@@ -7,7 +7,7 @@ from rlgl import analysis, engine, models, schedules
 from rlgl.errors import InvalidParamsError, NotMarkovError
 from rlgl.matrix import DENSE_CAP, build_transition, google_matrix
 
-from conftest import dense_ergodic_chain
+from conftest import dense_ergodic_chain, ring_random_chain
 
 
 def brute_dobrushin(D):
@@ -259,3 +259,19 @@ class TestTwoBlockForms:
             prev = st.cash_l1
             engine.step(st, nodes, mf)
             assert st.cash_l1 / prev == pytest.approx(target, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: analysis.cyclic_markov_check(ring_random_chain(DENSE_CAP + 1, 0, 0), [[0]]),
+         f"cycle check capped at n={DENSE_CAP}"),
+        (lambda: analysis.random_rate_bound(10, 0, 0.3), "need r >= 1"),
+        (lambda: analysis.sbm2_closed_forms(0.1, 0.01, 0.5), "need K >= 1"),
+    ],
+    ids=["cycle-check-above-dense-cap", "rate-r-below-1", "sbm2-K-below-1"],
+)
+def test_typed_errors(call, message):
+    with pytest.raises(InvalidParamsError) as exc:
+        call()
+    assert type(exc.value) is InvalidParamsError and str(exc.value) == message

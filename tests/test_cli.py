@@ -999,3 +999,20 @@ class TestMdpCommand:
         compiled = solve(tmp_path / "c")
         monkeypatch.setattr(pushloop, "load", lambda: None)
         assert solve(tmp_path / "py") == compiled
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["solve", "--graph", "two-wheels", "--max-steps", "0"], "max-steps must be >= 1"),
+        (["solve", "--graph", "meanfield:50,20,10:0.1:0.01", "--pagerank"],
+         "pagerank mode is not defined for the mean-field builtin"),
+        (["bench", "--graph", "two-wheels"], "bench needs a comma-separated --method list"),
+    ],
+    ids=["solve-max-steps-0", "pagerank-on-meanfield", "bench-without-method"],
+)
+def test_typed_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

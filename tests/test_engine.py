@@ -1065,6 +1065,32 @@ class TestCompiledLoop:
         assert compiled.rng.bit_generator.state == python.rng.bit_generator.state
         assert compiled.rng.random() == python.rng.random()
 
+    @pytest.mark.parametrize("layout", ["float32-C", "strided-C", "short-H"])
+    @pytest.mark.parametrize("sched_name", ["rr", "theta:1", "theta:2", "maxc", "pc:1"])
+    def test_advance_declines_arrays_it_cannot_read(self, sched_name, layout, kernel):
+        # the loop reads C and H as n contiguous float64 each: any other array is left to Python untouched
+        if kernel != "c":
+            pytest.skip("no compiler: the loop is not built")
+        P = _chain("sbm80")
+        sched = schedules.parse_schedule(sched_name).bind(P)
+        sched.restart()
+        state = engine.init(P)
+        base = state.C
+        if layout == "float32-C":
+            state.C = base = state.C.astype(np.float32)
+        elif layout == "strided-C":
+            base = np.zeros(2 * P.n)
+            base[::2] = state.C
+            state.C = base[::2]
+        else:
+            state.H = state.H[:-1].copy()
+        before = (state.t, base.tobytes(), state.H.tobytes(), sched._k)
+        rng = getattr(sched, "rng", None)
+        bits = None if rng is None else rng.bit_generator.state
+        assert pushloop.bind(P, sched).advance(state, sched, 1e-10, 1000, 10**9, 10**9) == 0
+        assert (state.t, base.tobytes(), state.H.tobytes(), sched._k) == before
+        assert rng is None or rng.bit_generator.state == bits
+
     def test_pc_loop_leaves_no_cash_to_python(self, kernel):
         if kernel != "c":
             pytest.skip("no compiler: the loop is not built")

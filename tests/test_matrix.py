@@ -15,6 +15,7 @@ from rlgl.errors import (
     NotErgodicError,
 )
 from rlgl.matrix import (
+    DENSE_CAP,
     GaussSeidelRows,
     TransitionMatrix,
     augment_pagerank,
@@ -458,3 +459,33 @@ class TestDistribution:
     def test_accepts_probability_vector(self):
         v = check_distribution([0.25, 0.75])
         assert v.dtype == float
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: check_distribution(np.full((2, 2), 0.25)), InvalidM0Error, "distribution must be a 1-d vector"),
+        (lambda: ring_random_chain(DENSE_CAP + 1, 0, 0).to_dense(), InvalidParamsError,
+         f"dense form capped at n={DENSE_CAP}"),
+        (lambda: build_transition(np.ones((2, 4)), 3), InvalidParamsError,
+         "edge list must have shape (m, 2) or (m, 3)"),
+        (lambda: google_matrix([(0, 1), (1, 0)], 0.85), InvalidParamsError,
+         "n is required when passing a raw edge list"),
+        (lambda: build_transition([(0, 0)], 0), InvalidParamsError, "n must be >= 1"),
+        (lambda: augment_pagerank([(0, 1), (1, 0)], 1.5, n=2), InvalidDampingError,
+         "damping must lie in (0,1), got 1.5"),
+        (lambda: gth_stationary(np.zeros((DENSE_CAP + 1, 1))), InvalidParamsError,
+         f"exact solve capped at n={DENSE_CAP}"),
+    ],
+    ids=["distribution-not-1d", "dense-form-above-cap", "edge-list-shape", "edge-list-without-n", "n-below-1",
+         "damping-outside-0-1", "exact-solve-above-cap"],
+)
+def test_typed_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_gth_of_one_state_is_one():
+    got = gth_stationary(np.ones((1, 1)))
+    assert got.dtype == float and got.tolist() == [1.0]

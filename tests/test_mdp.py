@@ -484,3 +484,18 @@ class TestEngineReplay:
             assert state.cum_cost - init_cost == pytest.approx(sim.cum_cost[k], rel=1e-12, abs=0)
             assert abs(state.cash_l1 - sim.cash_l1[k]) <= 1e-12 * sim.cash_l1[0]
         assert len(sim.actions) > 10
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mdp.meanfield_init([50, 20], P_, Q_), "need three block sizes >= 1"),
+        (lambda: mdp.solve_policy(SIZES, P_, Q_, n_z1=1, n_z2=5), "grid needs at least 2 points per axis"),
+        (lambda: mdp.solve_policy(SIZES, P_, Q_, eps=10.0, n_z1=5, n_z2=5), "initial cash already below eps"),
+    ],
+    ids=["two-block-sizes", "grid-of-one-point", "start-below-eps"],
+)
+def test_typed_errors(call, message):
+    with pytest.raises(InvalidParamsError) as exc:
+        call()
+    assert type(exc.value) is InvalidParamsError and str(exc.value) == message

@@ -876,3 +876,21 @@ class TestCompiledCoalesce:
         assert matrix._coalesce_compiled(np.array([(0.0, 1.0, 1.0)]), 3) is None
         assert matrix._coalesce_compiled(np.array([(0.0, 1.0, 1.0)]), 2) is None
         assert matrix._coalesce_compiled(np.array([(0.0, 1.0, 1.0), (1.0, 0.0, 1.0)]), 2) is not None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: models.random_sbm([0, 3], 0.5, 0.1, 0), "block sizes must be >= 1"),
+        (lambda: models.random_sbm([3, 3], 0.0, 0.1, 0), "p and q must lie in (0, 1]"),
+        (lambda: models.MeanFieldMatrix([0, 3], 0.1, 0.01), "block sizes must be >= 1"),
+        (lambda: models.MeanFieldMatrix([DENSE_CAP + 1], 0.1, 0.01).to_dense(), f"dense form capped at n={DENSE_CAP}"),
+        (lambda: models.MeanFieldMatrix([DENSE_CAP + 1], 0.1, 0.01).expand(), f"expansion capped at n={DENSE_CAP}"),
+    ],
+    ids=["sbm-empty-block", "sbm-p-zero", "meanfield-empty-block", "meanfield-dense-above-cap",
+         "meanfield-expand-above-cap"],
+)
+def test_typed_errors(call, message):
+    with pytest.raises(InvalidParamsError) as exc:
+        call()
+    assert type(exc.value) is InvalidParamsError and str(exc.value) == message

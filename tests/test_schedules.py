@@ -256,3 +256,19 @@ class TestEngineNoOp:
         snapshot = st.C.copy()
         engine.step(st, np.empty(0, dtype=np.int64), P)
         assert np.array_equal(st.C, snapshot)
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ("blocks:{path}", "{path}: no blocks"),
+        ("blocks", "blocks schedule needs a file: blocks:<path>"),
+    ],
+    ids=["block-file-of-comments", "blocks-without-path"],
+)
+def test_typed_errors(tmp_path, descriptor, message):
+    path = tmp_path / "comments.blocks"
+    path.write_text("# a comment\n\n   # another\n")
+    with pytest.raises(InvalidParamsError) as exc:
+        schedules.parse_schedule(descriptor.format(path=path))
+    assert type(exc.value) is InvalidParamsError and str(exc.value) == message.format(path=path)

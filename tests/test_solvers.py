@@ -24,7 +24,7 @@ class TestPowerIteration:
     def test_two_state(self):
         P = build_transition([(0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.3), (1, 1, 0.7)], 2)
         res = solvers.power_iteration(P, eps=1e-12)
-        assert np.abs(res.x - [0.375, 0.625]).max() <= 1e-10
+        assert np.abs(res.pi_hat - [0.375, 0.625]).max() <= 1e-10
 
     def test_periodic_chain_does_not_converge(self):
         # period 2: from the uniform start, x alternates between (1, 4, 1) / 6 and (1, 1, 1) / 3
@@ -82,7 +82,7 @@ class TestGaussSeidel:
     def test_converges_to_oracle(self, four_state):
         pi = gth_stationary(four_state)
         res = solvers.gauss_seidel(four_state, eps=1e-12)
-        assert np.abs(res.x - pi).sum() <= 1e-10
+        assert np.abs(res.pi_hat - pi).sum() <= 1e-10
 
     def test_absorbing_state_raises(self):
         P = build_transition([(0, 0, 1.0), (1, 0, 1.0)], 2)
@@ -141,7 +141,7 @@ class TestGaussSeidel:
             self._column_sweep(x, columns)
             with pytest.raises(NoConvergenceError) as exc:
                 solvers.gauss_seidel(P, eps=1e-300, max_steps=1 + sweeps * P.n)
-            assert np.abs(exc.value.result.x - x / x.sum()).sum() <= 1e-12, sweeps
+            assert np.abs(exc.value.result.pi_hat - x / x.sum()).sum() <= 1e-12, sweeps
 
     def test_first_absorbing_state_named_as_by_the_loop(self):
         P = build_transition([(0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0), (2, 0, 0.0)], 3)
@@ -157,8 +157,8 @@ class TestGaussSeidel:
         P = build_transition(edges, n)
         gs = solvers.gauss_seidel(P, eps=1e-11)
         rr = engine.run(P, schedules.RoundRobin(), eps=1e-11)
-        assert gs.extra["state"].H.tobytes() == rr.state.H.tobytes()
-        assert gs.x.tobytes() == rr.pi_hat.tobytes()
+        assert gs.state.H.tobytes() == rr.state.H.tobytes()
+        assert gs.pi_hat.tobytes() == rr.pi_hat.tobytes()
         assert gs.iterations == rr.state.t
 
     @pytest.mark.parametrize(
@@ -198,9 +198,9 @@ class TestGaussSeidel:
         finally:
             monkeypatch.undo()
             pushloop.load.cache_clear()
-        assert (compiled.extra["kernel"], proxied.extra["kernel"], python.extra["kernel"]) == (kernel, kernel, "py")
+        assert (compiled.kernel, proxied.kernel, python.kernel) == (kernel, kernel, "py")
         for res in (proxied, python):
-            assert res.x.tobytes() == compiled.x.tobytes()
+            assert res.pi_hat.tobytes() == compiled.pi_hat.tobytes()
             assert res.trace.rows == compiled.trace.rows
             assert res.iterations == compiled.iterations
 
@@ -228,10 +228,10 @@ class TestGaussSeidel:
             python = solve()
         finally:
             pushloop.load = load
-        assert within_bound(seen) and bool(seen) == (kernel == "c" and compiled.extra["state"].t > 1)
-        assert compiled.extra["state"].max_l1_increase <= 1e-14
-        assert python.extra["kernel"] == "py"
-        assert compiled.x.tobytes() == python.x.tobytes()
+        assert within_bound(seen) and bool(seen) == (kernel == "c" and compiled.state.t > 1)
+        assert compiled.state.max_l1_increase <= 1e-14
+        assert python.kernel == "py"
+        assert compiled.pi_hat.tobytes() == python.pi_hat.tobytes()
         assert compiled.trace.rows == python.trace.rows
 
     def test_pagerank_memory_stays_sparse(self):
@@ -258,15 +258,33 @@ class TestGmres:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.x.tobytes() == want.x.tobytes()
+        assert got.pi_hat.tobytes() == want.pi_hat.tobytes()
         assert got.trace.rows == want.trace.rows
         assert peak < 1 << 20
 
     def test_two_state_exact_in_one_cycle(self):
         P = build_transition([(0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.3), (1, 1, 0.7)], 2)
         res = solvers.gmres_restarted(P, m=2, eps=1e-12)
-        assert res.extra["restarts"] <= 1
-        assert np.abs(res.x - [0.375, 0.625]).max() <= 1e-10
+        assert res.iterations <= 1
+        assert np.abs(res.pi_hat - [0.375, 0.625]).max() <= 1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_happy_breakdown_converges(self, m):
+        # the reflecting walk on the 4-node path: the uniform start's residual (1, -1, -1, 1) / 8 is an
+        # eigenvector of P^T - I, so the Arnoldi step leaves w = 0 and the basis breaks down at k = 0
+        P = build_transition([(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1)], 4)
+        with np.errstate(all="raise"):  # no division by the vanished norm
+            res = solvers.gmres_restarted(P, m=m, eps=1e-11)
+        assert res.converged and res.iterations == 1
+        # the restart's start row, its one Arnoldi row at residual 0, and the second restart's row
+        assert [r[0] for r in res.trace.rows] == [0, 0, 1] and res.trace.rows[1][4] == 0.0
+        assert np.abs(res.pi_hat - gth_stationary(P)).sum() <= 1e-15
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_typed_errors(self, m):
+        with pytest.raises(InvalidParamsError) as exc:
+            solvers.gmres_restarted(dense_ergodic_chain(4, 0), m=m)
+        assert type(exc.value) is InvalidParamsError and str(exc.value) == "restart dimension must be >= 1"
 
     def test_residual_nonincreasing_within_cycle(self):
         P = dense_ergodic_chain(40, 6)
@@ -283,7 +301,7 @@ class TestGmres:
         res = solvers.gmres_restarted(G, m=10, eps=1e-11, max_restarts=20)
         assert res.converged
         pi = gth_stationary(G)
-        assert np.abs(res.x - pi).sum() <= 1e-8
+        assert np.abs(res.pi_hat - pi).sum() <= 1e-8
 
 
 class TestGsoPagerank:
@@ -348,7 +366,7 @@ class TestGsoPagerank:
         pi = gth_stationary(G)
         for sched in (schedules.MaxCash(), schedules.RoundRobin(), schedules.Theta()):
             res = solvers.gso_pagerank(G, sched, eps=1e-11)
-            assert np.abs(res.x - pi).sum() <= 1e-9, sched
+            assert np.abs(res.pi_hat - pi).sum() <= 1e-9, sched
 
     def test_mirrored_engine_equivalence(self):
         # the same pushes on the auxiliary-node chain reproduce H exactly
@@ -434,7 +452,7 @@ class TestGsoSchedules:
         x, rows, iterations = _old_gso(G, rule, r=r)
         sched = schedules.Theta(r) if rule == "theta" else GSO_SCHEDULES[rule]()
         res = solvers.gso_pagerank(G, sched, eps=1e-11)
-        assert res.x.tobytes() == x.tobytes()
+        assert res.pi_hat.tobytes() == x.tobytes()
         assert _step_cost_residual(res.trace) == rows
         assert res.iterations == iterations
 
@@ -523,7 +541,7 @@ class TestGsoOnTheEngine:
     def test_replays_the_old_push_arithmetic(self, graph, rule):
         x, rows, iterations = _old_push_gso(graph(), rule)
         res = solvers.gso_pagerank(graph(), GSO_SCHEDULES[rule](), eps=1e-11)
-        assert res.x.tobytes() == x.tobytes()
+        assert res.pi_hat.tobytes() == x.tobytes()
         assert _step_cost_residual(res.trace) == rows
         assert res.iterations == iterations
 
@@ -534,22 +552,22 @@ class TestGsoOnTheEngine:
         G = google_matrix([(0, 1), (1, 2), (2, 0), (3, 0)], 0.85, n=4)
         x, rows, iterations = _old_push_gso(G, "rr")
         res = solvers.gso_pagerank(G, schedules.RoundRobin(), eps=1e-11)
-        assert res.x.tobytes() == x.tobytes()
+        assert res.pi_hat.tobytes() == x.tobytes()
         assert res.iterations == iterations == 195
         assert (len(rows), len(res.trace.rows)) == (50, 38)
         # the start row, one per n pushes, the stop row
-        assert len(res.trace.rows) == 2 + res.extra["state"].updates // G.n
+        assert len(res.trace.rows) == 2 + res.state.updates // G.n
 
     @pytest.mark.parametrize("rule", ["greedy-max", "rr", "theta"])
     def test_dangling_node(self, rule, kernel, monkeypatch):
         res = solvers.gso_pagerank(_dangling_google(), GSO_SCHEDULES[rule](), eps=1e-11)
-        assert res.extra["kernel"] == kernel
-        assert np.abs(res.x - gth_stationary(_dangling_google())).sum() <= 1e-9
+        assert res.kernel == kernel
+        assert np.abs(res.pi_hat - gth_stationary(_dangling_google())).sum() <= 1e-9
         with monkeypatch.context() as m:
             m.setattr(pushloop, "load", lambda: None)
             python = solvers.gso_pagerank(_dangling_google(), GSO_SCHEDULES[rule](), eps=1e-11)
-        assert python.extra["kernel"] == "py"
-        assert res.x.tobytes() == python.x.tobytes()
+        assert python.kernel == "py"
+        assert res.pi_hat.tobytes() == python.pi_hat.tobytes()
         assert res.trace.rows == python.trace.rows
         assert res.iterations == python.iterations
 
@@ -586,3 +604,32 @@ class TestOneTraceSchema:
         res = solvers.gauss_seidel(P, eps=1e-12)
         assert res.trace.columns == run.trace.columns == ("step", "updates", "cum_cost", "scan_cost", "cash_l1")
         assert res.trace.rows == run.trace.rows
+
+
+class TestOneResultType:
+    SOLVES = {
+        "pi": lambda P, G, budget: solvers.power_iteration(P, eps=1e-12, max_iters=budget),
+        "gs": lambda P, G, budget: solvers.gauss_seidel(P, eps=1e-12, max_steps=budget),
+        "gmres": lambda P, G, budget: solvers.gmres_restarted(P, m=3, eps=1e-12, max_restarts=budget),
+        "gso": lambda P, G, budget: solvers.gso_pagerank(G, eps=1e-12, max_steps=budget),
+    }
+
+    @pytest.mark.parametrize("budget", [10**6, 3], ids=["converged", "budget-3"])
+    @pytest.mark.parametrize("name", list(SOLVES))
+    def test_every_solver_returns_the_engine_result(self, name, budget, kernel):
+        P = dense_ergodic_chain(12, 4)
+        G = google_matrix([(i, (i * 5 + 1) % 12) for i in range(12)], 0.85, n=12)
+        try:
+            res = self.SOLVES[name](P, G, budget)
+        except NoConvergenceError as exc:
+            res = exc.result
+        assert isinstance(res, engine.RunResult) and res.converged == (budget > 3)
+        assert (res.restarts, res.guard_events) == (0, [])
+        if name in ("gs", "gso"):  # engine runs: the run's own state and kernel, the method's estimate
+            assert res.iterations == res.state.t and res.kernel == kernel
+            x = res.state.H * GaussSeidelRows(P).scale if name == "gs" else res.state.H
+            assert res.pi_hat.tobytes() == (x / x.sum() if name == "gs" else x).tobytes()
+        else:  # no cash: products, or restarts, counted
+            assert res.state is None and res.kernel is None
+            restarts = res.trace.rows[-1][0] + (not res.converged)
+            assert res.iterations == (len(res.trace.rows) if name == "pi" else restarts)
