@@ -287,13 +287,21 @@ GUARD_PERTURB = "perturb"
 def guard_total_history(state, schedule):
     """Decide how to react to a (near-)zero total history.
 
-    Stochastic schedules restart with the next seed; deterministic ones
-    rotate their node order by one and restart.  Healthy states continue,
-    and so do states where no cash has moved yet (a cash start).
+    A degenerate history restarts the run after ``schedule.perturb()``: a
+    ``restart`` event for stochastic schedules (the next seed), a
+    ``perturb`` for deterministic ones (cyclic kinds rotate their order).
+    Healthy states continue, and so do states where no cash has moved yet
+    (a cash start).
     """
     if not state.updates or abs(state.total_history) > state.guard_threshold():
         return GUARD_CONTINUE
     return GUARD_RESTART if schedule.stochastic else GUARD_PERTURB
+
+
+def check_eps(eps):
+    """Raise InvalidParamsError unless the stop tolerance eps is finite and > 0."""
+    if not 0.0 < eps < np.inf:
+        raise InvalidParamsError(f"eps must be finite and > 0, got {eps!r}")
 
 
 def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trace_stride=None):
@@ -326,8 +334,7 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
     when the total-history guard exhausts its retries; the last two carry
     the partial result as ``.result``.
     """
-    if not 0.0 < eps < np.inf:
-        raise InvalidParamsError(f"eps must be finite and > 0, got {eps!r}")
+    check_eps(eps)
     if trace_stride is not None and trace_stride < 1:
         raise InvalidParamsError("trace stride must be >= 1")
     stride = P.n if trace_stride is None else int(trace_stride)
@@ -340,10 +347,7 @@ def run(P, schedule, M0=None, *, cash=None, eps=1e-10, max_steps=1_000_000, trac
     guard_events = []
     for restarts in range(MAX_GUARD_RETRIES + 1):
         if restarts:
-            if schedule.stochastic:
-                schedule.reseed()
-            else:
-                schedule.perturb()
+            schedule.perturb()
         schedule.restart()
         state = init(P, M0, cash=cash)
         trace = RunTrace()

@@ -8,8 +8,9 @@ libraries beyond the newest ``KEEP``.  The one library holds eleven
 entry points, all typed by ``load()``: ``rlgl_loop_rr``,
 ``rlgl_loop_theta``, ``rlgl_loop_maxc`` and ``rlgl_loop_pc``, the push
 loop of each ``Schedule.push_loop`` name, which ``engine.run`` binds
-here (``bind``); ``rlgl_abs_sum``, numpy's sum of |C| that those loops
-take; ``rlgl_scc``, the strongly connected components pass
+here (``bind``) and hands every schedule's position the same way
+(``Loop.advance``); ``rlgl_abs_sum``, numpy's sum of |C| that those
+loops take; ``rlgl_scc``, the strongly connected components pass
 of ``models``; ``rlgl_mul_left``, the CSR product ``x P`` of
 ``TransitionMatrix.mul_left``; ``rlgl_parse_edges``, the parser of
 ``models.parse_edge_file``; ``rlgl_coalesce``, the edge coalescing
@@ -293,14 +294,19 @@ class Loop:
         of ``engine.run`` itself: a trace row at each ``record_at`` (then
         ``stride`` updates later), kept in ``written`` as ``RunTrace.record``
         writes it, the guard and the exit.  It returns at the exit, at the
-        guard, at a pick Python must make, at a Theta refresh with r != 1
-        (made here, before the call's first step, as in ``next_nodes``),
-        and when a row is due past its buffer of ``ROWS``.  The schedule's
-        position, scan count and theta threshold are handed back through
-        its ``seek``.  For ProportionalCash the loop draws each uniform at
-        its pick from the schedule's generator (read here on every call, as
-        ``reseed`` replaces it), holding the generator's lock as
-        ``Generator.random`` does.
+        guard, at a pick Python must make, at a Theta refresh with r != 1,
+        and when a row is due past its buffer of ``ROWS``.
+
+        Every kind hands over its position the same way: the loop starts
+        from the schedule's ``_k``, ``scan_cost``, ``offset`` and ``theta``
+        (declared on ``Schedule``) and hands them back through one
+        ``seek(k, scan_cost, theta)``.  A stochastic schedule's loop draws
+        each uniform at its pick from the schedule's generator, read here
+        on every call, as ``perturb`` replaces it, holding the generator's
+        lock as ``Generator.random`` does.  Only Theta's refresh names a
+        kind: the loop makes theta:1's refreshes itself, and a theta:r
+        refresh with r != 1 is made here, before the call's first step, as
+        in ``next_nodes``.
 
         The loop keeps ``||C||_1`` incrementally from the exact sum it is
         handed, with a rounding bound ``l1_err``, and takes the exact sum
@@ -320,18 +326,16 @@ class Loop:
                 return 0
         p = self.params
         s = self.state
-        lock = contextlib.nullcontext()
         if self.kind == "theta":
             p.mean_refresh = schedule.r == 1.0
             if not p.mean_refresh and schedule._k % n == 0:
                 schedule.refresh(C)
-            s.theta = schedule.theta
-        elif self.kind == "pc":
+        lock = contextlib.nullcontext()
+        if schedule.stochastic:
             bits = schedule.rng.bit_generator
             lock = bits.lock
             p.rng, p.next_double = bits.ctypes.state_address, bits.ctypes.next_double
-        if self.kind in ("rr", "theta"):
-            p.offset = schedule.offset
+        p.offset = schedule.offset
         p.eps = eps
         p.initial_mass = state.initial_mass
         p.max_steps = min(max_steps, _FAR)
@@ -339,7 +343,7 @@ class Loop:
         s.t, s.updates, s.k = state.t, state.updates, schedule._k
         s.record_at, s.rows, s.exact_at = min(record_at, _FAR), 0, state.updates
         s.cum_cost, s.total_history = state.cum_cost, state.total_history
-        s.scan_cost = schedule.scan_cost
+        s.scan_cost, s.theta = schedule.scan_cost, schedule.theta
         s.cash_l1, s.l1_err = state.cash_l1, 0.0
         s.max_l1_increase, s.max_l1_drift = state.max_l1_increase, state.max_l1_drift
         with lock:
@@ -351,8 +355,5 @@ class Loop:
         state.cash_l1 = s.cash_l1
         state.max_l1_increase, state.max_l1_drift = s.max_l1_increase, s.max_l1_drift
         self.written = self.buffer[:s.rows].tolist()
-        if self.kind == "theta":
-            schedule.seek(s.k, s.scan_cost, s.theta)
-        else:
-            schedule.seek(s.k, s.scan_cost)
+        schedule.seek(s.k, s.scan_cost, s.theta)
         return done

@@ -6,16 +6,17 @@ array means a skip step (no cash moves, the step counter still advances).
 
 Deterministic kinds replay identical sequences across runs; stochastic
 kinds replay identical sequences for equal seeds.  The iteration engine
-calls ``perturb()`` (deterministic kinds: rotate the node order by one) or
-``reseed()`` (stochastic kinds: seed+1) when its total-history guard fires.
+calls ``perturb()`` when its total-history guard fires: the cyclic kinds
+rotate their node order by one, the seeded kinds take the next seed.
 
 ``push_loop`` names the kinds whose picks ``engine.run`` may take in a
 compiled loop (``pushloop``; ``rlgl_loop_<name>``): ``rr``, ``theta``,
 ``maxc`` and ``pc``; None for every other schedule.  Each loop repeats
-the picks of ``next_nodes`` exactly, ``pc``'s uniform draws included,
-and hands its position and scan count (and Theta's threshold) back
-through ``seek``, so a subclass that changes the pick must set
-``push_loop = None``.
+the picks of ``next_nodes`` exactly, ``pc``'s uniform draws included.
+Every kind declares the position such a loop reads, ``Schedule``'s
+``_k``, ``scan_cost``, ``offset`` and ``theta``, and takes it back
+through one ``seek(k, scan_cost, theta)``; so a subclass that changes
+the pick must set ``push_loop = None``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,13 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class Schedule:
     stochastic = False
     push_loop = None
-    # node checks made to pick, outside the pushes (Theta's refreshes and candidates)
+    # The position a compiled loop reads and hands back through seek: the schedule step; the
+    # node checks made to pick, outside the pushes (Theta's refreshes and candidates); the
+    # rotation of the cyclic order, which perturb advances; and Theta's threshold.
+    _k = 0
     scan_cost = 0.0
+    offset = 0
+    theta = 0.0
 
     def bind(self, P):
         self.n = P.n
@@ -45,16 +51,15 @@ class Schedule:
     def next_nodes(self, C):
         raise NotImplementedError
 
-    def seek(self, k, scan_cost):
-        """Continue from schedule step ``k`` and scan count ``scan_cost``, where the compiled loop stopped."""
+    def seek(self, k, scan_cost, theta):
+        """Continue from step ``k``, scan count ``scan_cost`` and threshold ``theta``, where the compiled
+        loop stopped."""
         self._k = k
         self.scan_cost = scan_cost
+        self.theta = theta
 
     def perturb(self):
-        pass
-
-    def reseed(self):
-        pass
+        """Change the order for the guard's restart (``engine.run`` then calls ``restart``)."""
 
     def __repr__(self):
         return f"<{type(self).__name__}>"
@@ -64,9 +69,6 @@ class RoundRobin(Schedule):
     """Single nodes in cyclic order; covers [N] every n steps."""
 
     push_loop = "rr"
-
-    def __init__(self):
-        self.offset = 0
 
     def next_nodes(self, C):
         i = (self._k + self.offset) % self.n
@@ -105,7 +107,7 @@ class _Seeded(Schedule):
         super().restart()
         self.rng = np.random.default_rng(self.seed)
 
-    def reseed(self):
+    def perturb(self):
         self.seed += 1
         self.rng = np.random.default_rng(self.seed)
 
@@ -161,13 +163,13 @@ class MaxCash(Schedule):
         return np.array([i], dtype=np.int64)
 
 
-class Theta(Schedule):
+class Theta(RoundRobin):
     """Cyclic candidates filtered by a threshold refreshed every n steps.
 
-    The candidate at schedule step k is node k mod n; it moves iff its
-    absolute cash reaches the power mean ``(sum_j |C_j|^r / n)^(1/r)``
-    computed from the cash frozen at the start of the current pass over
-    the n nodes.  Skipped candidates advance the step at zero movement
+    The candidate at schedule step k is RoundRobin's, node (k + offset)
+    mod n; it moves iff its absolute cash reaches the power mean
+    ``(sum_j |C_j|^r / n)^(1/r)`` computed from the cash frozen at the
+    start of the current pass over the n nodes.  Skipped candidates advance the step at zero movement
     cost; threshold refreshes scan all n nodes and each candidate check
     scans one, charged on the separate scan counter.
     """
@@ -178,8 +180,6 @@ class Theta(Schedule):
         if not 1 <= r < np.inf:
             raise InvalidParamsError("theta exponent r must be finite and >= 1")
         self.r = float(r)
-        self.offset = 0
-        self.theta = 0.0  # refreshed at step 0, before any pick reads it
 
     def refresh(self, C):
         """Set the threshold from the cash C; charged as a scan of all n nodes."""
@@ -197,15 +197,6 @@ class Theta(Schedule):
         if abs(C[i]) >= self.theta and C[i] != 0.0:
             return np.array([i], dtype=np.int64)
         return _EMPTY
-
-    def seek(self, k, scan_cost, theta=None):
-        """As ``Schedule.seek``; ``theta``, when given, is the threshold of the compiled loop's last refresh."""
-        super().seek(k, scan_cost)
-        if theta is not None:
-            self.theta = theta
-
-    def perturb(self):
-        self.offset += 1
 
 
 class FixedBlocks(Schedule):

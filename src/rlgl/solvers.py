@@ -28,7 +28,7 @@ import numpy as np
 
 from . import schedules
 # bound at import: perfbench's tracing wraps engine.run for rlgl runs only
-from .engine import RunResult, RunTrace, run as run_engine
+from .engine import RunResult, RunTrace, check_eps, run as run_engine
 from .errors import InvalidParamsError, NoConvergenceError
 from .matrix import GaussSeidelRows, TransitionMatrix
 
@@ -36,8 +36,10 @@ from .matrix import GaussSeidelRows, TransitionMatrix
 def power_iteration(P, eps=1e-10, max_iters=100_000):
     """Iterate x <- x P from the uniform vector until the L1 step difference drops below eps.
 
-    Each iteration is charged one full sweep (the matrix volume).
+    Each iteration is charged one full sweep (the matrix volume).  Raises
+    InvalidParamsError unless eps is finite and > 0.
     """
+    check_eps(eps)
     n = P.n
     x = np.full(n, 1.0 / n)
     trace = RunTrace(residual="delta_l1")
@@ -97,12 +99,13 @@ def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
 
     The operator is applied matrix-free through the stored rows; the
     least-squares problem uses modified Gram-Schmidt with incremental
-    plane rotations.  A happy breakdown is treated as convergence.  Stops
-    when ||A x||_2 < eps * ||x||_2; the returned vector is normalized to
-    sum one.  The restart dimension m must be >= 1 (InvalidParamsError);
-    one above n is taken as n, the most dimensions a Krylov space of an
-    n-state chain has.
+    plane rotations.  Stops when ||A x||_2 < eps * ||x||_2, a happy
+    breakdown (residual estimate 0) included; the returned vector is
+    normalized to sum one.  eps must be finite and > 0 and the restart
+    dimension m >= 1 (InvalidParamsError); an m above n is taken as n, the
+    most dimensions a Krylov space of an n-state chain has.
     """
+    check_eps(eps)
     n = P.n
     apply_A = lambda v: P.mul_left(v) - v
     x = np.full(n, 1.0 / n)
@@ -130,7 +133,6 @@ def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
         g[0] = beta
         Q[0] = r / beta
         k = 0
-        breakdown = False
         for k in range(m):
             w = apply_A(Q[k])
             cost += volume
@@ -141,8 +143,6 @@ def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
             Hm[k + 1, k] = float(np.linalg.norm(w))
             if Hm[k + 1, k] > 1e-300:
                 Q[k + 1] = w / Hm[k + 1, k]
-            else:
-                breakdown = True
             for j in range(k):
                 tmp = cs[j] * Hm[j, k] + sn[j] * Hm[j + 1, k]
                 Hm[j + 1, k] = -sn[j] * Hm[j, k] + cs[j] * Hm[j + 1, k]
@@ -155,7 +155,7 @@ def gmres_restarted(P, m=10, eps=1e-11, max_restarts=1000):
             g[k + 1] = -sn[k] * g[k]
             g[k] = cs[k] * g[k]
             trace.rows.append((restart, products * n, cost, 0.0, abs(g[k + 1]) / xnorm if xnorm else np.inf))
-            if breakdown or abs(g[k + 1]) < eps * xnorm:
+            if abs(g[k + 1]) < eps * xnorm:
                 k += 1
                 break
         else:

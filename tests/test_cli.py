@@ -264,6 +264,22 @@ GRAPH_FILES = {
 PAGERANK_PUSH_METHODS = ["rlgl+maxc", "rlgl+theta:1", "gso:greedy-max", "gso:rr", "gso:theta", "gs"]
 # solves whose products are the compiled rlgl_mul_left on the C path
 PRODUCT_METHODS = ["pi", "gmres:10", "rlgl+all"]
+SBM500 = "sbm:250,250:0.03:0.004:7"
+MEANFIELD = "meanfield:50,20,10:0.1:0.01"
+
+
+def _comparison_files(tmp_path):
+    """The placeholders of the compiled/Python comparison: ``GRAPH_FILES``; ``sbm``, the 120-node
+    file of ``rlgl gen sbm``; ``pr``, that file with nodes 120..122 dangling; and ``halves``, a
+    block file of its two halves."""
+    files = {name: tmp_path / name for name in (*GRAPH_FILES, "sbm", "pr", "halves")}
+    for name, text in GRAPH_FILES.items():
+        files[name].write_text(text)
+    assert cli.main(["gen", "sbm", str(files["sbm"]), "--sizes", "60,60", "--p", "0.1", "--q", "0.01",
+                     "--seed", "3"]) == cli.EXIT_OK
+    files["pr"].write_text(files["sbm"].read_text() + "0 120\n5 121\n7 122\n")
+    files["halves"].write_text(" ".join(map(str, range(60))) + "\n" + " ".join(map(str, range(60, 120))) + "\n")
+    return files
 
 
 @pytest.mark.parametrize(
@@ -275,22 +291,37 @@ PRODUCT_METHODS = ["pi", "gmres:10", "rlgl+all"]
         *(["{dangling}", "--pagerank", m] for m in PAGERANK_PUSH_METHODS),
         *(["{loops}", m] for m in PRODUCT_METHODS),
         *(["{dangling}", "--pagerank", m] for m in PRODUCT_METHODS),
-        *(["meanfield:50,20,10:0.1:0.01", m] for m in ("rlgl+maxc", "gs")),
+        *([MEANFIELD, m] for m in ("rlgl+maxc", "gs")),
+        # each compiled loop: the pc pick (cached prefix sums, bracketed total), the maxc
+        # tournament raw and on a PageRank run's damped copy, and theta:1's refresh in C
+        *([SBM500, m] for m in ("rlgl+theta:1", "rlgl+maxc", "rlgl+pc:1")),
+        [SBM500, "--pagerank", "gso:greedy-max"],
+        *([MEANFIELD, "--eps", "1e-11", m] for m in ("rlgl+rr", "rlgl+theta:1", "rlgl+maxc", "rlgl+pc:1")),
+        # converged runs on a generated file, with the schedules that always take Python steps
+        *(["{sbm}", m] for m in ("rlgl+rr", "rlgl+theta:2", "rlgl+maxc", "rlgl+rand:1", "rlgl+blocks:{halves}", "gs")),
+        ["{sbm}", "--pagerank", "gso:theta"],
+        # PageRank pushes add the restart part to all of C in one compiled pass
+        *(["{pr}", "--pagerank", m]
+          for m in ("rlgl+rr", "rlgl+theta:1", "rlgl+maxc", "rlgl+pc:1", "rlgl+rand:1", "gso:maxc", "gs")),
+        # a run of each solver family stopped at --max-steps writes its partial estimate and trace
+        [SBM500, "--max-steps", "50", "rlgl+maxc"],
+        *([SBM500, "--max-steps", "3", m] for m in ("pi", "gmres:10", "gs")),
+        [SBM500, "--pagerank", "--max-steps", "3", "gso:theta"],
     ],
     ids=" ".join,
 )
 def test_compiled_and_python_runs_write_the_same_bytes(tmp_path, kernel, monkeypatch, args):
-    for name, text in GRAPH_FILES.items():
-        (tmp_path / f"{name}.edges").write_text(text)
-    graph, *mode, method = (a.format(**{name: tmp_path / f"{name}.edges" for name in GRAPH_FILES}) for a in args)
+    files = _comparison_files(tmp_path)
+    graph, *mode, method = (a.format(**files) for a in args)
     if kernel == "c":
         assert pushloop.load() is not None
 
     def solve(out):
-        assert cli.main(["solve", "--graph", graph, *mode, "--method", method, "--out", str(out)]) == 0
-        return [(out / name).read_bytes() for name in ("estimate.csv", "trace.csv")]
+        code = cli.main(["solve", "--graph", graph, *mode, "--method", method, "--out", str(out)])
+        return code, [(out / name).read_bytes() for name in ("estimate.csv", "trace.csv")]
 
     compiled = solve(tmp_path / "c")
+    assert compiled[0] == (cli.EXIT_NO_CONVERGENCE if "--max-steps" in mode else cli.EXIT_OK)
     monkeypatch.setattr(pushloop, "load", lambda: None)
     assert solve(tmp_path / "py") == compiled
 

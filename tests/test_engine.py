@@ -370,9 +370,10 @@ class TestFractionOracle:
 def reference_step(state, G, P):
     """The push step with an exact O(n) recompute of ||C||_1 on every step.
 
-    The engine keeps ||C||_1 incrementally; this is the step it replaced,
-    kept as the reference that every counter, vector and trace row of the
-    engine must reproduce bit for bit.
+    Written apart from ``engine.step``, which also takes the exact sum
+    after every push; only the compiled loop keeps ||C||_1 incrementally.
+    It is the reference that every counter, vector and trace row of the
+    engine, on both paths, must reproduce bit for bit.
     """
     G = np.asarray(G, dtype=np.int64)
     old_l1 = state.cash_l1
@@ -1034,17 +1035,33 @@ class TestCompiledLoop:
         assert 1 <= len(calls) <= 3 and min(calls) > 0
 
     def test_forwarding_wrappers_take_the_loop(self, kernel, monkeypatch):
+        # every compiled kind, fresh and after a guard's perturb (rr and theta from offset 1, pc
+        # from seed 2), hands its position to the loop and back through the wrapper's reads alone
         P = _chain("sbm80")
-        sched = schedules.Theta(1.0)
-        wrapped = _Forward(sched)
-        got, outcome = _replay(_Forward(P), wrapped)
-        assert got == kernel
-        assert vars(wrapped).keys() == {"_obj"}  # no write landed on the wrapper
-        with monkeypatch.context() as m:
-            m.setattr(pushloop, "load", lambda: None)
-            python = schedules.Theta(1.0)
-            assert _replay(P, python) == ("py", outcome)
-        assert (python._k, python.theta, python.scan_cost) == (sched._k, sched.theta, sched.scan_cost)
+
+        def position(sched):
+            rng = getattr(sched, "rng", None)
+            return sched._k, sched.offset, sched.theta, sched.scan_cost, rng and rng.bit_generator.state
+
+        def fresh(name, perturbed):
+            sched = schedules.parse_schedule(name)
+            if perturbed:
+                sched.perturb()
+            return sched
+
+        for name in ["rr", "theta:1", "theta:2", "maxc", "pc:1"]:
+            for perturbed in (False, True):
+                sched = fresh(name, perturbed)
+                wrapped = _Forward(sched)
+                got, outcome = _replay(_Forward(P), wrapped)
+                assert got == kernel and outcome[0]  # converged
+                assert vars(wrapped).keys() == {"_obj"}  # no write landed on the wrapper
+                with monkeypatch.context() as m:
+                    m.setattr(pushloop, "load", lambda: None)
+                    python = fresh(name, perturbed)
+                    assert _replay(P, python) == ("py", outcome)
+                assert position(sched) == position(python)
+                assert sched.offset == (perturbed and name in ("rr", "theta:1", "theta:2"))
 
     @pytest.mark.parametrize("sched", [schedules.RandomNode(3)], ids=["rand"])
     def test_other_schedules_take_python_steps(self, sched):

@@ -60,10 +60,10 @@ class TestRandomNode:
         freq = np.bincount(draws, minlength=n) / draws.size
         assert np.abs(freq - 0.1).max() <= 0.01
 
-    def test_reseed_changes_stream(self):
+    def test_perturb_changes_stream(self):
         a, _ = bound(schedules.RandomNode(3), n=9)
         sa = [a.next_nodes(None)[0] for _ in range(50)]
-        a.reseed()
+        a.perturb()
         a.restart()
         sb = [a.next_nodes(None)[0] for _ in range(50)]
         assert a.seed == 4
@@ -162,7 +162,7 @@ class TestTheta:
         if move == "restart":
             sched.restart()
         else:
-            sched.seek(0, 0.0)
+            sched.seek(0, 0.0, sched.theta)
         sched.next_nodes(np.array([0.1, 0.1, 0.1, 0.1]))
         assert sched.scan_cost == 4 + 1
         assert sched.theta == pytest.approx(0.1)

@@ -633,3 +633,22 @@ class TestOneResultType:
             assert res.state is None and res.kernel is None
             restarts = res.trace.rows[-1][0] + (not res.converged)
             assert res.iterations == (len(res.trace.rows) if name == "pi" else restarts)
+
+
+class _NoProducts(_Forwarding):
+    """A matrix that fails any product x P: a check that must come first."""
+
+    def mul_left(self, x):
+        raise AssertionError("a product ran before the check")
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("solve", [solvers.power_iteration, solvers.gmres_restarted], ids=["pi", "gmres"])
+def test_invalid_eps_rejected_before_any_product(solve, eps):
+    # without the check, eps 0, -1 and nan ran the whole budget and then raised NoConvergenceError
+    P = dense_ergodic_chain(6, 2)
+    with pytest.raises(InvalidParamsError) as exc:
+        solve(_NoProducts(P), eps=eps)
+    with pytest.raises(InvalidParamsError) as run:
+        engine.run(P, schedules.RoundRobin(), eps=eps)
+    assert type(exc.value) is InvalidParamsError and str(exc.value) == str(run.value)
